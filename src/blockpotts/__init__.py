@@ -12,7 +12,7 @@ from .equilibria import (
     EquilibriumReport,
     Phase,
     SearchOptions,
-    TwoColumnPoint,
+    classify_phase,
     critical_residual,
     critical_temperature,
     equilibrium_matrices,
@@ -35,6 +35,7 @@ from .errors import (
 from .exact import (
     ConfigurationDistribution,
     ExactDistribution,
+    count_matrix_support,
     enumerate_block_compositions,
     exact_conditional,
     exact_distribution,
@@ -76,13 +77,14 @@ from .model import (
     count_matrix,
     hamiltonian_direct,
     hamiltonian_quadratic,
+    interaction_field,
+    interaction_form,
     model_from_json,
     model_to_json,
 )
 from .rates import (
     RateEvaluation,
     free_energy_G,
-    interaction_form,
     potts_functional,
     rate_I,
     rate_J,

@@ -10,9 +10,7 @@ met.
 Flags can be preloaded from a JSON file via --config (keys are flag names
 with dashes replaced by underscores); explicit flags override the file.
 CSV output uses a header row, comma separators and '.' decimals; JSON is
-UTF-8 with keys in fixed order.  --threads caps worker counts for module
-internals; the current implementations are sequential, so it is accepted
-and recorded but has no effect.
+UTF-8 with keys in fixed order.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
-    Phase,
     SearchOptions,
+    classify_phase,
     critical_temperature,
     maximize_G,
     phi,
@@ -76,7 +74,10 @@ def _load_config(args):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"--config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError("--config file must hold a JSON object")
     return doc
@@ -92,7 +93,18 @@ def _opt(args, cfg, key, default=None, required=False, cast=None):
     if value is None and required:
         raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
     if cast is not None and value is not None:
-        value = cast(value)
+        try:
+            value = cast(value)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"invalid value for --{key.replace('_', '-')}: {value!r}"
+            ) from None
+    return value
+
+
+def _at_least_one(key, value):
+    if value < 1:
+        raise InvalidInputError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
     return value
 
 
@@ -165,7 +177,10 @@ def _parse_init(text, q):
     if text is None or text == "random":
         return "random"
     if text.startswith("uniform-color:"):
-        color = int(text.split(":", 1)[1])
+        try:
+            color = int(text.split(":", 1)[1])
+        except ValueError:
+            raise InvalidInputError(f"uniform-color needs an integer, got {text!r}") from None
         if not 1 <= color <= q:
             raise InvalidInputError(f"uniform-color must lie in 1..{q}, got {color}")
         return color - 1
@@ -179,8 +194,8 @@ def cmd_simulate(args):
     sweeps = _opt(args, cfg, "sweeps", default=1000, cast=int)
     thin = _opt(args, cfg, "thin", default=1, cast=int)
     burn_in = _opt(args, cfg, "burn_in", cast=int)
-    chains = _opt(args, cfg, "chains", default=1, cast=int)
-    init = _parse_init(_opt(args, cfg, "init", default="random"), params.q)
+    chains = _at_least_one("chains", _opt(args, cfg, "chains", default=1, cast=int))
+    init = _parse_init(_opt(args, cfg, "init", default="random", cast=str), params.q)
     out = _out_path(args, cfg, "out", "simulate.csv")
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
@@ -261,7 +276,7 @@ def cmd_equilibria(args):
 def cmd_phase_diagram(args):
     cfg = _load_config(args)
     q = _opt(args, cfg, "q", required=True, cast=int)
-    s = _opt(args, cfg, "s", required=True, cast=int)
+    s = _at_least_one("s", _opt(args, cfg, "s", required=True, cast=int))
     g_min = _opt(args, cfg, "g_min", required=True, cast=float)
     g_max = _opt(args, cfg, "g_max", required=True, cast=float)
     g_step = _opt(args, cfg, "g_step", default=0.05, cast=float)
@@ -278,12 +293,7 @@ def cmd_phase_diagram(args):
         for idx in range(count):
             g = g_min + idx * g_step
             u = potts_fixed_point_u(g, q)
-            if abs(g - zeta) <= band:
-                phase = Phase.CRITICAL
-            elif g < zeta:
-                phase = Phase.SUBCRITICAL
-            else:
-                phase = Phase.SUPERCRITICAL
+            phase = classify_phase(g, q, band)
             G_Q = potts_functional(uniform, g) + math.log(s)
             G_nu1 = potts_functional(s * phi(u, q, s), g) + math.log(s)
             fh.write(",".join([_fmt(g), phase.value, _fmt(u), _fmt(G_Q),
@@ -340,7 +350,7 @@ def cmd_concentration(args):
     c = _opt(args, cfg, "c", default=1, cast=int) - 1
     mode = _opt(args, cfg, "constants", default="asymptotic")
     t_max = _opt(args, cfg, "t_max", cast=float)
-    t_points = _opt(args, cfg, "t_points", default=10, cast=int)
+    t_points = _at_least_one("t_points", _opt(args, cfg, "t_points", default=10, cast=int))
     out = _out_path(args, cfg, "out", "concentration.csv")
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")
@@ -380,9 +390,16 @@ def cmd_concentration(args):
 def _add_common(parser):
     parser.add_argument("--out-dir", dest="out_dir", help="directory for outputs")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--threads", type=int,
-                        help="worker cap (accepted; implementations are sequential)")
     parser.add_argument("--config", help="JSON file of default option values")
+
+
+def _add_model(parser):
+    parser.add_argument("--q", type=int)
+    parser.add_argument("--s", type=int)
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--sizes", help="comma-separated block sizes, e.g. 50,50")
+    parser.add_argument("--gamma", help="comma-separated block proportions")
 
 
 def build_parser():
@@ -394,12 +411,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="heat-bath trajectories as CSV")
     _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sizes", help="comma-separated block sizes, e.g. 50,50")
-    p.add_argument("--gamma", help="comma-separated block proportions")
+    _add_model(p)
     p.add_argument("--sweeps", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=int)
@@ -410,24 +422,14 @@ def build_parser():
 
     p = sub.add_parser("exact", help="exact count-matrix law as CSV")
     _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sizes")
-    p.add_argument("--gamma")
+    _add_model(p)
     p.add_argument("--cap", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("equilibria", help="maximizers of the free energy functional")
     _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sizes")
-    p.add_argument("--gamma")
+    _add_model(p)
     p.add_argument("--restarts", type=int)
     p.add_argument("--landscape-out", dest="landscape_out",
                    help="also sample G on the two-column manifold into this CSV")
@@ -449,12 +451,7 @@ def build_parser():
 
     p = sub.add_parser("lsi-check", help="verify the entropy inequalities exhaustively")
     _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sizes")
-    p.add_argument("--gamma")
+    _add_model(p)
     p.add_argument("--num-f", dest="num_f", type=int)
     p.add_argument("--amplitude", type=float)
     p.add_argument("--out")
@@ -462,12 +459,7 @@ def build_parser():
 
     p = sub.add_parser("concentration", help="tail bounds for block color counts")
     _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sizes")
-    p.add_argument("--gamma")
+    _add_model(p)
     p.add_argument("--sweeps", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=int)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
+from .model import interaction_field
 from .numutil import project_simplex
 from .rates import free_energy_G
 
@@ -41,6 +42,14 @@ def critical_temperature(q):
     if int(q) != q or q < 3:
         raise InvalidInputError(f"q must be an integer >= 3, got {q}")
     return 2.0 * (q - 1.0) / (q - 2.0) * math.log(q - 1.0)
+
+
+def classify_phase(g, q, band):
+    """Phase at effective coupling g: CRITICAL within band of zeta_q, else by side."""
+    zeta = critical_temperature(q)
+    if abs(g - zeta) <= band:
+        return Phase.CRITICAL
+    return Phase.SUBCRITICAL if g < zeta else Phase.SUPERCRITICAL
 
 
 def _fixed_point_rhs(u, g, q):
@@ -119,9 +128,7 @@ def equilibrium_matrices(g, params):
 def gradient_G(mu, params):
     """Entrywise gradient of G: (beta-alpha) mu + alpha colsum - log mu - 1."""
     mu = np.asarray(mu, dtype=np.float64)
-    col = mu.sum(axis=0)
-    safe = np.maximum(mu, 1e-300)
-    return (params.beta - params.alpha) * mu + params.alpha * col[None, :] - np.log(safe) - 1.0
+    return interaction_field(mu, params) - np.log(np.maximum(mu, 1e-300)) - 1.0
 
 
 def critical_residual(mu, params, gamma=None):
@@ -139,10 +146,8 @@ def critical_residual(mu, params, gamma=None):
     if np.any(mu <= 0.0):
         raise InvalidInputError("critical equations need strictly positive entries")
     dev = mu - gamma[:, None] / params.q
-    lhs = (params.beta - params.alpha) * dev + params.alpha * dev.sum(axis=0)[None, :]
     log_mu = np.log(mu)
-    rhs = log_mu - log_mu.mean(axis=1, keepdims=True)
-    return lhs - rhs
+    return interaction_field(dev, params) - (log_mu - log_mu.mean(axis=1, keepdims=True))
 
 
 def two_column_matrix(r, mu_plus, gamma, q):
@@ -164,20 +169,6 @@ def two_column_matrix(r, mu_plus, gamma, q):
 
 
 @dataclass(frozen=True)
-class TwoColumnPoint:
-    """Point of the two-distinct-column manifold: r large columns of value mu_plus."""
-
-    r: int
-    mu_plus: np.ndarray
-
-    def matrix(self, gamma, q):
-        return two_column_matrix(self.r, self.mu_plus, gamma, q)
-
-    def mu_minus(self, gamma, q):
-        return (np.asarray(gamma, dtype=np.float64) - self.r * self.mu_plus) / (q - self.r)
-
-
-@dataclass(frozen=True)
 class SearchOptions:
     """Knobs of the numerical maximization; defaults match the test suite."""
 
@@ -188,7 +179,6 @@ class SearchOptions:
     step_tol: float = 1e-12
     margin: float = 1e-9
     critical_band: float = 1e-9
-    verify: bool = True
 
 
 @dataclass(frozen=True)
@@ -411,9 +401,9 @@ def maximize_G(params, gamma=None, options=None):
     """Find and classify the maximizers of G on C(gamma).
 
     Uniform gamma: classify through g against zeta_q, return the closed-form
-    maximizer set, and (unless options.verify is off) certify it by checking
-    the critical-equation residuals and by running the multistart ascent,
-    which must not beat the closed-form value by more than options.margin.
+    maximizer set, and certify it by checking the critical-equation
+    residuals and by running the multistart ascent, which must not beat the
+    closed-form value by more than options.margin.
     Non-uniform gamma: numerical search only; the report is flagged as
     carrying no closed-form certificate.
     """
@@ -429,28 +419,22 @@ def maximize_G(params, gamma=None, options=None):
     if uniform:
         u = potts_fixed_point_u(g, q)
         Q, nus = equilibrium_matrices(g, params)
-        if abs(g - zeta) <= opts.critical_band:
-            phase, maxset = Phase.CRITICAL, [Q] + nus
-        elif g < zeta:
-            phase, maxset = Phase.SUBCRITICAL, [Q]
-        else:
-            phase, maxset = Phase.SUPERCRITICAL, nus
+        phase = classify_phase(g, q, opts.critical_band)
+        maxset = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
+                  Phase.SUPERCRITICAL: nus}[phase]
         values = [free_energy_G(m, params, gamma) for m in maxset]
         sup_G = max(values)
         residual_max = max(
             float(np.max(np.abs(critical_residual(m, params, gamma)))) for m in maxset
         )
-        certificate = "closed-form"
-        if opts.verify:
-            _, probe_max, probe_best = _numerical_candidates(params, gamma, opts)
-            if probe_max > sup_G + opts.margin:
-                raise NonConvergenceError(
-                    f"multistart ascent found G = {probe_max} above the closed-form "
-                    f"supremum {sup_G}",
-                    best=probe_best,
-                    best_value=probe_max,
-                )
-            certificate = "closed-form, certified by multistart ascent"
+        _, probe_max, probe_best = _numerical_candidates(params, gamma, opts)
+        if probe_max > sup_G + opts.margin:
+            raise NonConvergenceError(
+                f"multistart ascent found G = {probe_max} above the closed-form "
+                f"supremum {sup_G}",
+                best=probe_best,
+                best_value=probe_max,
+            )
         return EquilibriumReport(
             phase=phase,
             g=g,
@@ -459,7 +443,7 @@ def maximize_G(params, gamma=None, options=None):
             sup_G=sup_G,
             residual_max=residual_max,
             u=u,
-            certificate=certificate,
+            certificate="closed-form, certified by multistart ascent",
         )
 
     candidates, probe_max, probe_best = _numerical_candidates(params, gamma, opts)

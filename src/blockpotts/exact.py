@@ -15,16 +15,22 @@ routes can be cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, InvalidInputError
-from .model import check_consistent, count_matrix, hamiltonian_quadratic, validate_config
-from .numutil import logsumexp_tree, softmax
+from .model import (
+    check_consistent,
+    count_matrix,
+    interaction_field,
+    interaction_form,
+    validate_config,
+)
+from .numutil import log_factorials, logsumexp_tree, softmax
 
 DEFAULT_SUPPORT_CAP = 10_000_000
 
@@ -48,17 +54,26 @@ def enumerate_block_compositions(n, q):
     return np.vstack(parts)
 
 
-def _pair_energy_terms(counts, beta, alpha, N):
-    """Vector of energies for an array of count matrices (P, s, q).
+def count_matrix_support(sizes, q, cap):
+    """All count matrices with row sums `sizes`, as a (P, s, q) int64 array.
 
-    Uses sum_{k != k'} b_k b_k' = (colsum)^2 - sum_k b_k^2 to avoid the
-    explicit double block sum.
+    Rows are compositions in the order of enumerate_block_compositions,
+    block 0 outermost.  P = prod_k C(sizes[k]+q-1, q-1); a CapacityError
+    naming P is raised when it exceeds cap.
     """
-    b = counts.astype(np.float64)
-    s2 = np.einsum("pkc,pkc->p", b, b)
-    col = b.sum(axis=1)
-    t2 = np.einsum("pc,pc->p", col, col)
-    return -((beta - alpha) * s2 + alpha * t2) / (2.0 * N)
+    comp = [enumerate_block_compositions(n, q) for n in sizes]
+    shape = [c.shape[0] for c in comp]
+    required = math.prod(shape)
+    if required > cap:
+        raise CapacityError(
+            f"count-matrix support needs {required} matrices, cap is {cap}",
+            required=required,
+        )
+    s = len(sizes)
+    support = np.empty((*shape, s, q), dtype=np.int64)
+    for k, c in enumerate(comp):
+        support[..., k, :] = c.reshape([-1 if j == k else 1 for j in range(s)] + [q])
+    return support.reshape(required, s, q)
 
 
 @dataclass(frozen=True)
@@ -86,30 +101,18 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
 
     The support has prod_k C(|S_k|+q-1, q-1) entries; a CapacityError naming
     the required size is raised when that exceeds cap.  Multinomial
-    coefficients are accumulated via log-Gamma so block sizes well beyond
-    170 stay finite, and the normalization uses the pairwise-tree
-    log-sum-exp, making log_Z bit-reproducible.
+    coefficients are accumulated from a table of log-factorials so block
+    sizes well beyond 170 stay finite, and the normalization uses the
+    pairwise-tree log-sum-exp, making log_Z bit-reproducible.
     """
     check_consistent(params, blocks)
-    q = params.q
-    comp = [enumerate_block_compositions(n, q) for n in blocks.sizes]
-    sizes = [c.shape[0] for c in comp]
-    required = math.prod(sizes)
-    if required > cap:
-        raise CapacityError(
-            f"exact support needs {required} count matrices, cap is {cap}",
-            required=required,
-        )
-    idx = np.indices(sizes, dtype=np.int64).reshape(blocks.s, -1)
-    support = np.stack([comp[k][idx[k]] for k in range(blocks.s)], axis=1)
-
-    log_mult = np.zeros(required, dtype=np.float64)
-    for k, n in enumerate(blocks.sizes):
-        lw_k = gammaln(n + 1.0) - gammaln(comp[k] + 1.0).sum(axis=1)
-        log_mult += lw_k[idx[k]]
-
-    energies = _pair_energy_terms(support, params.beta, params.alpha, blocks.N)
-    log_weights = log_mult - energies
+    support = count_matrix_support(blocks.sizes, params.q, cap)
+    log_fact = log_factorials(max(blocks.sizes))
+    # per-block log multinomials, combined over the support's product order
+    per_block = [log_fact[n] - log_fact[enumerate_block_compositions(n, params.q)].sum(axis=1)
+                 for n in blocks.sizes]
+    log_mult = functools.reduce(np.add.outer, per_block).ravel()
+    log_weights = log_mult + interaction_form(support, params) / (2.0 * blocks.N)
     log_Z = logsumexp_tree(log_weights)
     probabilities = np.exp(log_weights - log_Z)
     return ExactDistribution(
@@ -158,7 +161,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     configs = (codes[:, None] // place[None, :]) % q
     onehot = (configs[:, :, None] == np.arange(q)).astype(np.int16)
     counts = np.add.reduceat(onehot, blocks.offsets[:-1], axis=1)
-    log_weights = -_pair_energy_terms(counts, params.beta, params.alpha, N)
+    log_weights = interaction_form(counts, params) / (2.0 * N)
     log_Z = logsumexp_tree(log_weights)
     probabilities = np.exp(log_weights - log_Z)
     return ConfigurationDistribution(
@@ -176,8 +179,8 @@ def exact_conditional(config, site, blocks, params):
     """Exact conditional law of one site's color given all the others.
 
     Proportional to exp(-H(config with the site recolored)) over the q
-    colors; evaluated through the quadratic form of the count matrix with
-    max subtraction before exponentiating.
+    colors, which is the softmax of the leave-one-out field: row k(site) of
+    A B / N, with B the count matrix of the other sites.
     """
     config = validate_config(config, blocks, params.q)
     if not 0 <= site < blocks.N:
@@ -185,12 +188,7 @@ def exact_conditional(config, site, blocks, params):
     B = count_matrix(config, blocks, params.q)
     k = blocks.block_of(site)
     B[k, config[site]] -= 1
-    logw = np.empty(params.q, dtype=np.float64)
-    for c in range(params.q):
-        B[k, c] += 1
-        logw[c] = -hamiltonian_quadratic(B, params, blocks)
-        B[k, c] -= 1
-    return softmax(logw)
+    return softmax(interaction_field(B, params)[k] / blocks.N)
 
 
 def exact_observable_distribution(dist, k, c):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_consistent, count_matrix, validate_config
+from .model import check_consistent, count_matrix, interaction_field, validate_config
 from .numutil import softmax
 
 
@@ -69,18 +69,14 @@ class ChainSummary:
     empirical_M_prime: np.ndarray
 
 
-def conditional_field(state, site, params=None):
+def conditional_field(state, site):
     """Leave-one-out field F of length q; softmax(F) is the site's conditional."""
-    p = state.params if params is None else params
     if not 0 <= site < state.blocks.N:
         raise InvalidInputError(f"site {site} out of range [0, {state.blocks.N})")
     k = state.blocks.block_of(site)
-    old = int(state.config[site])
-    row = state.counts[k].astype(np.float64)
-    row[old] -= 1.0
-    totals = state.counts.sum(axis=0).astype(np.float64)
-    totals[old] -= 1.0
-    return ((p.beta - p.alpha) * row + p.alpha * totals) / state.blocks.N
+    B = state.counts.copy()
+    B[k, state.config[site]] -= 1
+    return interaction_field(B, state.params)[k] / state.blocks.N
 
 
 def heat_bath_step(state, site):
@@ -143,6 +139,7 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
     cnt = [row.tolist() for row in counts]
     tot = counts.sum(axis=0).tolist()
     block_of = blocks.site_blocks.tolist()
+    # interaction_field inlined on scalars: a numpy call per update costs more than the update
     ci = (params.beta - params.alpha) / N
     co = params.alpha / N
     exp = math.exp

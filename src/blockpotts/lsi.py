@@ -31,16 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConditionNotMetError, InvalidInputError
+from .errors import ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
-    enumerate_block_compositions,
+    count_matrix_support,
     exact_conditional,
     exact_observable_distribution,
     full_configuration_distribution,
 )
 from .glauber import tail_estimate
-from .model import validate_config
+from .model import interaction_field, validate_config
+from .numutil import softmax
 
 
 def lsi_condition(q, beta):
@@ -108,24 +109,13 @@ def asymptotic_constants(q, beta):
     return lsi_constants(gamma1_floor(q, beta), gamma2_asymptotic(q, beta))
 
 
-def _reduced_support(sizes, q, cap):
-    """All count matrices with the given row sums, as a (P, s, q) array."""
-    comp = [enumerate_block_compositions(n, q) for n in sizes]
-    counts = [c.shape[0] for c in comp]
-    required = math.prod(counts)
-    if required > cap:
-        raise CapacityError(
-            f"reduced enumeration needs {required} count matrices, cap is {cap}",
-            required=required,
-        )
-    idx = np.indices(counts, dtype=np.int64).reshape(len(sizes), -1)
-    return np.stack([comp[k][idx[k]] for k in range(len(sizes))], axis=1)
-
-
-def _fields_from_counts(support, ki, params, N):
-    """Leave-out fields of a site in block ki for every count matrix, (P, q)."""
-    b = support.astype(np.float64)
-    return ((params.beta - params.alpha) * b[:, ki, :] + params.alpha * b.sum(axis=1)) / N
+def _loo_fields_by_color(sizes, ki, params, N, cap):
+    """Leave-one-out fields of a site in block ki for every count matrix of
+    the other sites (block sizes `sizes`), as a C-ordered (q, P) array: the
+    softmax over colors then reduces q rows of length P instead of P rows
+    of length q."""
+    support = count_matrix_support(sizes, params.q, cap)
+    return interaction_field(support, params)[:, ki, :].T.copy() / N
 
 
 def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
@@ -140,12 +130,8 @@ def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     for ki in range(blocks.s):
         reduced = list(blocks.sizes)
         reduced[ki] -= 1
-        support = _reduced_support(reduced, params.q, cap)
-        fields = _fields_from_counts(support, ki, params, blocks.N)
-        shifted = fields - fields.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-        best = min(best, float(probs.min()))
+        fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
+        best = min(best, float(softmax(fields, axis=0).min()))
     return best
 
 
@@ -160,8 +146,9 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     (block(i), block(j)) only.  The diagonal is zero and J need not be
     symmetric when block sizes differ.
     """
-    N, q, s = blocks.N, params.q, blocks.s
-    pair_value = {}
+    q, s = params.q, blocks.s
+    first, second = np.triu_indices(q, 1)
+    table = np.zeros((s, s), dtype=np.float64)
     for ki in range(s):
         for kj in range(s):
             reduced = list(blocks.sizes)
@@ -169,29 +156,14 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
             reduced[kj] -= 1
             if min(reduced) < 0:
                 continue  # no ordered site pair with these block labels
-            support = _reduced_support(reduced, q, cap)
-            base = _fields_from_counts(support, ki, params, N)
-            base = base - base.max(axis=1, keepdims=True)
-            E = np.exp(base)
-            boost = math.exp((params.beta if ki == kj else params.alpha) / N)
-            worst = 0.0
-            for a in range(q):
-                Ea = E.copy()
-                Ea[:, a] *= boost
-                pa = Ea / Ea.sum(axis=1, keepdims=True)
-                for b in range(a + 1, q):
-                    Eb = E.copy()
-                    Eb[:, b] *= boost
-                    pb = Eb / Eb.sum(axis=1, keepdims=True)
-                    tv = 0.5 * np.abs(pa - pb).sum(axis=1)
-                    worst = max(worst, float(tv.max()))
-            pair_value[(ki, kj)] = worst
-    J = np.zeros((N, N), dtype=np.float64)
+            base = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
+            boost = (params.beta if ki == kj else params.alpha) / blocks.N
+            # probs[a] is site i's conditional when site j has color a
+            probs = softmax(base + boost * np.eye(q)[:, :, None], axis=1)
+            table[ki, kj] = (0.5 * np.abs(probs[first] - probs[second]).sum(axis=1)).max()
     site_blocks = blocks.site_blocks
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                J[i, j] = pair_value[(site_blocks[i], site_blocks[j])]
+    J = table[site_blocks[:, None], site_blocks[None, :]]
+    np.fill_diagonal(J, 0.0)
     return J
 
 

@@ -177,21 +177,53 @@ def hamiltonian_direct(config, blocks, params):
     return -(params.beta * n_intra + params.alpha * n_inter) / (2.0 * blocks.N)
 
 
-def hamiltonian_quadratic(counts, params, blocks):
-    """Energy as the quadratic form -tr(B^t A B) / (2N) of the count matrix.
+def _column_sums(mu, dtype=None):
+    # einsum adds the rows in order, like mu.sum(axis=-2), but without that
+    # reduction's per-row overhead on a large batch of small matrices
+    return np.einsum("...kc->...c", mu, dtype=dtype)
+
+
+def interaction_field(mu, params):
+    """The map mu -> A mu, batched over leading axes of (..., s, q) matrices.
 
     A is the s-by-s block interaction matrix with beta on and alpha off the
-    diagonal.  For integer counts the evaluation is exact in double
-    precision, so this agrees with hamiltonian_direct to rounding error.
+    diagonal, so (A mu)[k] = (beta - alpha) mu[k] + alpha * colsum(mu).  On
+    a leave-one-out count matrix, row k divided by N is the field whose
+    softmax is the conditional law of a site in block k.
+    """
+    mu = np.asarray(mu)
+    return (params.beta - params.alpha) * mu + params.alpha * _column_sums(mu)[..., None, :]
+
+
+def interaction_form(mu, params):
+    """Quadratic form <mu, A mu> = (beta-alpha) sum mu^2 + alpha |colsum mu|^2.
+
+    Batched over leading axes of (..., s, q) matrices.  Integer input is
+    summed exactly in int64 (so int16 counts cannot wrap) and is never
+    copied to float64; float input keeps its own dtype.
+    """
+    mu = np.asarray(mu)
+    acc = np.int64 if np.issubdtype(mu.dtype, np.integer) else None
+    col = _column_sums(mu, acc)[..., None, :]
+    squares = np.square(mu, dtype=acc).sum(axis=(-2, -1))
+    # matmul reduces each stacked column sum as a dot product does, so a
+    # batch gives the same bits as its matrices one at a time
+    col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
+    return (params.beta - params.alpha) * squares + params.alpha * col_sq
+
+
+def hamiltonian_quadratic(counts, params, blocks):
+    """Energy as the quadratic form -<B, A B> / (2N) of the count matrix.
+
+    For integer counts the form is summed exactly, so this agrees with
+    hamiltonian_direct to rounding error.
     """
     check_consistent(params, blocks)
-    B = np.asarray(counts, dtype=np.float64)
+    B = np.asarray(counts)
     if B.shape != (blocks.s, params.q):
         raise InvalidInputError(f"count matrix shape {B.shape}, expected "
                                 f"({blocks.s}, {params.q})")
-    A = np.full((blocks.s, blocks.s), params.alpha, dtype=np.float64)
-    np.fill_diagonal(A, params.beta)
-    return -float(np.trace(B.T @ A @ B)) / (2.0 * blocks.N)
+    return -float(interaction_form(B, params)) / (2.0 * blocks.N)
 
 
 def model_to_json(params, blocks):

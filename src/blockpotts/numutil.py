@@ -1,4 +1,7 @@
-"""Small numeric helpers: stable softmax, tree log-sum-exp, simplex projection."""
+"""Small numeric helpers: stable softmax, tree log-sum-exp, log-factorials,
+simplex projection."""
+
+import math
 
 import numpy as np
 
@@ -26,11 +29,16 @@ def logsumexp_tree(x):
     return float(m + np.log(t[0]))
 
 
-def softmax(x):
-    """Normalized exponentials of x, evaluated with max subtraction."""
+def softmax(x, axis=-1):
+    """Normalized exponentials of x along axis, evaluated with max subtraction."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_factorials(n):
+    """Array of log(k!) for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
 def project_simplex(x, total=1.0):

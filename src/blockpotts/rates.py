@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .model import interaction_form
 
 FEASIBILITY_TOL = 1e-10
 
@@ -41,6 +42,21 @@ def _clean_distribution(v, total=1.0, tol=FEASIBILITY_TOL):
         return None
     v = np.maximum(v, 0.0)
     return v * (total / v.sum())
+
+
+def _clean_rows(nu, totals, tol=FEASIBILITY_TOL):
+    """_clean_distribution applied to every row of nu, row k against totals[k].
+
+    Returns None when nu is not a matrix with one row per total or any row
+    is infeasible.
+    """
+    nu = np.ascontiguousarray(nu, dtype=np.float64)
+    if nu.ndim != 2 or nu.shape[0] != totals.size:
+        return None
+    if np.any(nu < -tol) or np.any(np.abs(nu.sum(axis=1) - totals) > tol):
+        return None
+    nu = np.maximum(nu, 0.0)
+    return nu * (totals / nu.sum(axis=1))[:, None]
 
 
 def relative_entropy(nu):
@@ -73,13 +89,9 @@ def rate_I(nu, gamma):
     return total
 
 
-def interaction_form(mu, params):
-    """Quadratic interaction <mu, mu>_A = beta sum mu^2 + alpha sum_{k != k'} mu_k . mu_k'."""
-    mu = np.asarray(mu, dtype=np.float64)
-    col = mu.sum(axis=0)
-    return float(
-        (params.beta - params.alpha) * np.sum(mu * mu) + params.alpha * np.dot(col, col)
-    )
+def _free_energy(mu, params):
+    """G of a matrix already cleaned onto C(gamma)."""
+    return float(0.5 * interaction_form(mu, params)) - _entropy_term(mu)
 
 
 def free_energy_G(mu, params, gamma=None):
@@ -93,16 +105,12 @@ def free_energy_G(mu, params, gamma=None):
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (gamma.size, params.q):
         raise InvalidInputError(f"matrix shape {mu.shape}, expected ({gamma.size}, {params.q})")
-    rows = []
-    for k in range(gamma.size):
-        clean = _clean_distribution(mu[k], total=gamma[k])
-        if clean is None:
-            raise InvalidInputError(
-                f"row {k} violates the C(gamma) constraint: sum {mu[k].sum()} vs {gamma[k]}"
-            )
-        rows.append(clean)
-    mu = np.vstack(rows)
-    return 0.5 * interaction_form(mu, params) - _entropy_term(mu)
+    clean = _clean_rows(mu, gamma)
+    if clean is None:
+        raise InvalidInputError(
+            f"matrix violates the C(gamma) constraint: row sums {mu.sum(axis=1)} vs {gamma}"
+        )
+    return _free_energy(clean, params)
 
 
 def potts_functional(v, g):
@@ -132,19 +140,6 @@ class RateEvaluation:
     argument: np.ndarray
 
 
-def _feasible_block(nu, gamma):
-    nu = np.asarray(nu, dtype=np.float64)
-    if nu.ndim != 2 or nu.shape[0] != gamma.size:
-        return None
-    rows = []
-    for k in range(gamma.size):
-        clean = _clean_distribution(nu[k], total=gamma[k])
-        if clean is None:
-            return None
-        rows.append(clean)
-    return np.vstack(rows)
-
-
 def rate_J_prime(nu, params, sup_G, gamma=None):
     """LDP rate of the mass matrix M'_N: J'(nu) = sup_G - G(nu) on C(gamma), else infinite.
 
@@ -152,11 +147,12 @@ def rate_J_prime(nu, params, sup_G, gamma=None):
     solver's job and it is passed in explicitly so sweeps do not recompute it.
     """
     gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
-    clean = _feasible_block(nu, gamma)
+    clean = _clean_rows(nu, gamma)
     if clean is None:
         return RateEvaluation(False, math.inf, sup_G, np.asarray(nu, dtype=np.float64))
-    value = sup_G - free_energy_G(clean, params, gamma)
-    return RateEvaluation(True, value, sup_G, clean)
+    if clean.shape[1] != params.q:
+        raise InvalidInputError(f"matrix shape {clean.shape}, expected ({gamma.size}, {params.q})")
+    return RateEvaluation(True, sup_G - _free_energy(clean, params), sup_G, clean)
 
 
 def rate_J(nu, params, sup_term, gamma=None):
@@ -168,18 +164,11 @@ def rate_J(nu, params, sup_term, gamma=None):
     sup_G.  The change of variables gives J(nu) = J'(Gamma nu).
     """
     gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    if nu.ndim != 2 or nu.shape[0] != gamma.size:
-        return RateEvaluation(False, math.inf, sup_term, nu)
-    rows = []
-    for k in range(gamma.size):
-        clean = _clean_distribution(nu[k], total=1.0)
-        if clean is None:
-            return RateEvaluation(False, math.inf, sup_term, nu)
-        rows.append(clean)
-    clean = np.vstack(rows)
+    clean = _clean_rows(nu, np.ones(gamma.size))
+    if clean is None:
+        return RateEvaluation(False, math.inf, sup_term, np.asarray(nu, dtype=np.float64))
     scaled = gamma[:, None] * clean
-    bracket = 0.5 * interaction_form(scaled, params) - rate_I(clean, gamma)
+    bracket = 0.5 * float(interaction_form(scaled, params)) - rate_I(clean, gamma)
     return RateEvaluation(True, -bracket + sup_term, sup_term, clean)
 
 

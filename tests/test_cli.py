@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from blockpotts.cli import main
 
@@ -176,3 +177,26 @@ def test_missing_required_option_is_usage_error(tmp_path):
     rc = run(["exact", "--q", "3", "--alpha", "0.1", "--beta", "0.5",
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--q", "3", "--sizes", "5,a", "--alpha", "0.2", "--beta", "0.8"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--init", "uniform-color:x"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--chains", "-1"],
+    ["phase-diagram", "--q", "3", "--s", "0", "--g-min", "2.0", "--g-max", "3.0"],
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--t-points", "-1"],
+    ["simulate", "--config", "MALFORMED"],
+])
+def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv = [str(bad) if a == "MALFORMED" else a for a in argv]
+    rc = run(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

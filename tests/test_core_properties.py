@@ -1,0 +1,137 @@
+"""Property tests of the count-matrix core: the interaction form and field,
+the C(gamma) row clean-up, G's color symmetry and the simplex projection.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from blockpotts import (
+    BlockStructure,
+    ModelParams,
+    count_matrix,
+    exact_conditional,
+    free_energy_G,
+    hamiltonian_direct,
+    interaction_field,
+    interaction_form,
+)
+from blockpotts.numutil import project_simplex, softmax
+from blockpotts.rates import _clean_distribution, _clean_rows
+
+import oracles
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+couplings = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(sorted)
+
+
+@st.composite
+def systems(draw, max_sizes=(4, 3, 3)):
+    """(params, blocks, config) of a small system with gamma = sizes / N."""
+    q = draw(st.integers(3, 4))
+    s = draw(st.integers(1, len(max_sizes)))
+    sizes = tuple(draw(st.integers(1, max_sizes[k])) for k in range(s))
+    alpha, beta = draw(couplings)
+    N = sum(sizes)
+    gamma = (1.0,) if s == 1 else tuple(n / N for n in sizes)
+    params = ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma)
+    config = draw(st.lists(st.integers(0, q - 1), min_size=N, max_size=N))
+    return params, BlockStructure(sizes=sizes), np.asarray(config)
+
+
+@SETTINGS
+@given(systems())
+def test_direct_energy_is_minus_form_over_2n(system):
+    params, blocks, config = system
+    form = interaction_form(count_matrix(config, blocks, params.q), params)
+    assert hamiltonian_direct(config, blocks, params) == pytest.approx(
+        -form / (2.0 * blocks.N), abs=1e-12)
+
+
+@SETTINGS
+@given(st.sampled_from([np.int16, np.int64]),
+       st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(3, 5)),
+       couplings, st.data())
+def test_batched_form_equals_each_matrix(dtype, shape, ab, data):
+    # entries up to 3000 make int16 squares and column sums overflow
+    batch = data.draw(hnp.arrays(dtype, shape, elements=st.integers(0, 3000)))
+    # the form reads only alpha and beta, so any (s, q) batch goes with these params
+    params = ModelParams(q=3, s=1, alpha=ab[0], beta=ab[1], gamma=(1.0,))
+    forms = interaction_form(batch, params)
+    assert forms.shape == (shape[0],)
+    for form, mat in zip(forms, batch):
+        rows = mat.astype(object)
+        exact_sq = sum(int(v) ** 2 for v in rows.ravel())
+        exact_col = sum(int(v) ** 2 for v in rows.sum(axis=0))
+        assert form == interaction_form(mat, params)
+        assert form == (ab[1] - ab[0]) * float(exact_sq) + ab[0] * float(exact_col)
+
+
+@SETTINGS
+@given(systems(max_sizes=(3, 2, 1)), st.data())
+def test_loo_field_softmax_is_brute_force_conditional(system, data):
+    params, blocks, config = system
+    site = data.draw(st.integers(0, blocks.N - 1))
+    B = count_matrix(config, blocks, params.q)
+    k = blocks.block_of(site)
+    B[k, config[site]] -= 1
+    probs = softmax(interaction_field(B, params)[k] / blocks.N)
+    brute = oracles.brute_conditional(config.tolist(), site, blocks.sizes, params.q,
+                                      params.alpha, params.beta)
+    assert np.max(np.abs(probs - brute)) <= 1e-12
+    assert np.array_equal(probs, exact_conditional(config, site, blocks, params))
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(3, 9), st.data())
+def test_clean_rows_matches_per_row_clean(s, q, data):
+    totals = np.asarray(data.draw(st.lists(st.floats(0.05, 1.0), min_size=s, max_size=s)))
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(
+        np.ones(q), size=s) * totals[:, None]
+    # off-sum nudges and negative entries, inside and outside the 1e-10 tolerance
+    tiny = st.sampled_from([3e-11, 2e-10, 1e-3])
+    for k in range(s):
+        a, b = data.draw(st.permutations(range(q)))[:2]
+        move = data.draw(st.sampled_from(["none", "sum", "negative"]))
+        if move == "sum":
+            rows[k, a] += data.draw(tiny) * data.draw(st.sampled_from([1.0, -1.0]))
+        elif move == "negative":
+            value = -data.draw(tiny)
+            rows[k, b] += rows[k, a] - value
+            rows[k, a] = value
+    per_row = [_clean_distribution(rows[k], total=totals[k]) for k in range(s)]
+    batched = _clean_rows(rows, totals)
+    if any(r is None for r in per_row):
+        assert batched is None
+    else:
+        assert batched is not None
+        assert np.array_equal(batched, np.vstack(per_row))
+
+
+@SETTINGS
+@given(st.integers(3, 5), st.integers(1, 3), couplings, st.data())
+def test_G_invariant_under_column_permutation(q, s, ab, data):
+    gamma = np.asarray(data.draw(st.lists(st.floats(0.1, 1.0), min_size=s, max_size=s)))
+    gamma = gamma / gamma.sum()
+    params = ModelParams(q=q, s=s, alpha=ab[0], beta=ab[1],
+                         gamma=(1.0,) if s == 1 else tuple(gamma))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mu = rng.dirichlet(np.ones(q), size=s) * params.gamma_array[:, None]
+    perm = data.draw(st.permutations(range(q)))
+    assert free_energy_G(mu[:, perm], params) == pytest.approx(
+        free_energy_G(mu, params), abs=1e-12)
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-10.0, 10.0)),
+       st.floats(0.01, 5.0))
+def test_project_simplex_lands_on_scaled_simplex(x, total):
+    y = project_simplex(x, total=total)
+    assert y.shape == x.shape
+    assert np.all(y >= 0.0)
+    assert y.sum() == pytest.approx(total, abs=1e-12 * max(1.0, np.abs(x).sum()))

@@ -20,6 +20,7 @@ from blockpotts import (
     potts_fixed_point_u,
     structure_certificate,
     two_column_landscape,
+    two_column_matrix,
     w_profile,
     w_profile_prime,
 )
@@ -206,19 +207,16 @@ def test_uniform_gamma_maximizers_have_identical_rows():
             assert np.max(np.abs(m[0] - m[1])) <= 1e-9
 
 
-def test_two_column_point_type():
-    from blockpotts import TwoColumnPoint
-
+def test_two_column_matrix_structure():
     gamma = np.array([0.5, 0.5])
-    point = TwoColumnPoint(r=1, mu_plus=np.array([0.25, 0.25]))
-    mat = point.matrix(gamma, 3)
+    mat = two_column_matrix(1, np.array([0.25, 0.25]), gamma, 3)
     assert mat.shape == (2, 3)
     assert np.allclose(mat.sum(axis=1), gamma)
     assert np.allclose(mat[:, -1], 0.25)
-    assert np.allclose(point.mu_minus(gamma, 3), 0.125)
+    assert np.allclose(mat[:, :-1], 0.125)
     # strict two-value structure: large column above gamma/q, small below
-    assert np.all(point.mu_plus > gamma / 3)
-    assert np.all(point.mu_minus(gamma, 3) < gamma / 3)
+    assert np.all(mat[:, -1] > gamma / 3)
+    assert np.all(mat[:, :-1] < gamma[:, None] / 3)
 
 
 def test_structure_certificates_uniform_and_nonuniform():
