@@ -23,8 +23,6 @@ from .equilibria import (
     structure_certificate,
     two_column_landscape,
     two_column_matrix,
-    w_profile,
-    w_profile_prime,
 )
 from .errors import (
     CapacityError,

@@ -136,10 +136,15 @@ def _resolve_model(args, cfg, need_sizes=True):
     return params, blocks
 
 
+def _path_text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"a path must be a string, got {value!r}")
+    return value
+
+
 def _out_path(args, cfg, key, default_name):
-    out_dir = Path(_opt(args, cfg, "out_dir", default="."))
-    out = _opt(args, cfg, key, default=default_name)
-    path = Path(out)
+    out_dir = Path(_opt(args, cfg, "out_dir", default=".", cast=_path_text))
+    path = Path(_opt(args, cfg, key, default=default_name, cast=_path_text))
     if not path.is_absolute():
         path = out_dir / path
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -230,6 +235,10 @@ def cmd_exact(args):
     return 0
 
 
+_DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
+                "restarts_converged", "newton_failures", "certificate_margin")
+
+
 def _report_to_json(report):
     return {
         "phase": report.phase.value,
@@ -240,6 +249,7 @@ def _report_to_json(report):
         "residual_max": report.residual_max,
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
+        "diagnostics": {key: getattr(report, key) for key in _DIAGNOSTICS},
     }
 
 

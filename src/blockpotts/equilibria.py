@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidInputError, NonConvergenceError
 from .model import interaction_field
 from .numutil import project_simplex
-from .rates import free_energy_G
+from .rates import _free_energy, free_energy_G
 
 
 class Phase(enum.Enum):
@@ -52,41 +52,35 @@ def classify_phase(g, q, band):
     return Phase.SUBCRITICAL if g < zeta else Phase.SUPERCRITICAL
 
 
-def _fixed_point_rhs(u, g, q):
-    e = np.exp(-g * u)
-    return (1.0 - e) / (1.0 + (q - 1.0) * e)
-
-
-def potts_fixed_point_u(g, q, grid_points=10_000):
+def potts_fixed_point_u(g, q):
     """Largest solution u in [0, 1) of u = (1 - e^{-gu}) / (1 + (q-1) e^{-gu}).
 
-    The equation can have one to three roots and Newton from a bad start
-    misses the largest, so the unit interval is scanned on a grid for sign
-    changes of rhs(u) - u and each bracket is bisected; 0 is returned when
-    no positive solution exists.
+    u = 0 always solves it.  f(u) = rhs(u) - u rises exactly between its
+    two critical points, where e = e^{-gu} solves (q-1)^2 e^2 +
+    (2(q-1) - gq) e + 1 = 0, and falls elsewhere, with f(0) = 0 > f(1).  So
+    a positive root exists iff the larger critical point u_c lies in (0, 1)
+    with f(u_c) >= 0, and the largest one is then bisected on [u_c, 1] to
+    the last bit, however close the smaller root lies (near the spinodal).
     """
-    if g <= 0.0:
+    a, b = (q - 1.0) ** 2, 2.0 * (q - 1.0) - g * q
+    disc = b * b - 4.0 * a
+    if g <= 0.0 or b >= 0.0 or disc < 0.0:
         return 0.0
-    grid = np.linspace(1e-12, 1.0 - 1e-12, grid_points)
-    f = _fixed_point_rhs(grid, g, q) - grid
-    roots = [0.0]
-    sign_change = np.nonzero(np.diff(np.signbit(f)))[0]
-    for j in sign_change:
-        lo, hi = grid[j], grid[j + 1]
-        flo = f[j]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = _fixed_point_rhs(mid, g, q) - mid
-            if (fmid > 0.0) == (flo > 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        roots.append(0.5 * (lo + hi))
-    exact_hits = grid[f == 0.0]
-    roots.extend(float(u) for u in exact_hits)
-    return max(roots)
+
+    def f(u):
+        e = math.exp(-g * u)
+        return (1.0 - e) / (1.0 + (q - 1.0) * e) - u
+
+    lo, hi = math.log(0.5 * (math.sqrt(disc) - b)) / g, 1.0
+    if not 0.0 < lo < 1.0 or f(lo) < 0.0:
+        return 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def phi(t, q, s):
@@ -150,6 +144,14 @@ def critical_residual(mu, params, gamma=None):
     return interaction_field(dev, params) - (log_mu - log_mu.mean(axis=1, keepdims=True))
 
 
+def _two_column(r, mu_plus, gamma, q):
+    """two_column_matrix unchecked and batched: (..., s) mu_plus, r an int or (...) array."""
+    r = np.asarray(r)[..., None]
+    mu_minus = (gamma - r * mu_plus) / (q - r)
+    large = np.arange(q) >= q - r[..., None]
+    return np.where(large, mu_plus[..., None], mu_minus[..., None])
+
+
 def two_column_matrix(r, mu_plus, gamma, q):
     """BLOCK matrix with q-r small columns and r large columns per row.
 
@@ -157,15 +159,10 @@ def two_column_matrix(r, mu_plus, gamma, q):
     mu_minus = (gamma - r mu_plus) / (q - r); columns are emitted in
     increasing order (small columns first).
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    mu_plus = np.asarray(mu_plus, dtype=np.float64)
     if not 1 <= r <= q - 1:
         raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
-    mu_minus = (gamma - r * mu_plus) / (q - r)
-    mat = np.empty((gamma.size, q), dtype=np.float64)
-    mat[:, : q - r] = mu_minus[:, None]
-    mat[:, q - r :] = mu_plus[:, None]
-    return mat
+    return _two_column(r, np.asarray(mu_plus, dtype=np.float64),
+                       np.asarray(gamma, dtype=np.float64), q)
 
 
 @dataclass(frozen=True)
@@ -180,10 +177,27 @@ class SearchOptions:
     margin: float = 1e-9
     critical_band: float = 1e-9
 
+    def __post_init__(self):
+        if not (self.restarts >= 1 and self.max_iter >= 1):
+            raise InvalidInputError(f"restarts and max_iter must be >= 1, got "
+                                    f"{self.restarts} and {self.max_iter}")
+        if not (self.grad_tol > 0.0 and self.step_tol > 0.0
+                and self.margin >= 0.0 and self.critical_band >= 0.0):
+            raise InvalidInputError(f"need grad_tol, step_tol > 0 and margin, critical_band "
+                                    f">= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Classified maximizer set of G on C(gamma)."""
+    """Classified maximizer set of G on C(gamma), with what the search did.
+
+    restarts ascents ran (opts.restarts per column multiplicity plus as many
+    full-matrix ones) for ascent_iterations in all, max_ascent_iterations
+    the longest; restarts_converged of them stopped on a convergence rule
+    before max_iter, and newton_failures two-column endpoints could not be
+    polished to a critical point.  certificate_margin is sup_G minus the
+    best value any ascent reached: it is >= -margin for every report.
+    """
 
     phase: Phase
     g: float
@@ -193,6 +207,12 @@ class EquilibriumReport:
     residual_max: float
     u: float
     certificate: str
+    restarts: int
+    ascent_iterations: int
+    max_ascent_iterations: int
+    restarts_converged: int
+    newton_failures: int
+    certificate_margin: float
 
 
 def _reduced_gradient(r, mu_plus, params, gamma):
@@ -200,17 +220,15 @@ def _reduced_gradient(r, mu_plus, params, gamma):
 
     h_k = dG/dmu at a large entry of row k minus the same at a small entry;
     its zeros are exactly the critical points with this column structure.
+    Batched over leading axes of mu_plus, with r a scalar or a (..., 1) array.
     """
     q = params.q
     mu_minus = (gamma - r * mu_plus) / (q - r)
-    s_plus = mu_plus.sum()
-    s_minus = mu_minus.sum()
+    s_plus = mu_plus.sum(axis=-1, keepdims=True)
+    s_minus = mu_minus.sum(axis=-1, keepdims=True)
     d = params.beta - params.alpha
-    return (
-        d * (mu_plus - mu_minus)
-        + params.alpha * (s_plus - s_minus)
-        - np.log(mu_plus / mu_minus)
-    )
+    return (d * (mu_plus - mu_minus) + params.alpha * (s_plus - s_minus)
+            - np.log(mu_plus / mu_minus))
 
 
 def _newton_two_column(r, mu_plus, params, gamma, iters=60):
@@ -238,96 +256,95 @@ def _newton_two_column(r, mu_plus, params, gamma, iters=60):
         except np.linalg.LinAlgError:
             return None
         t = 1.0
-        accepted = False
         for _ in range(40):
             y = x + t * step
-            if np.all(y > lo) and np.all(y < hi):
-                hy = _reduced_gradient(r, y, params, gamma)
-                if np.max(np.abs(hy)) < hnorm:
-                    x = y
-                    accepted = True
-                    break
+            if (np.all(y > lo) and np.all(y < hi)
+                    and np.max(np.abs(_reduced_gradient(r, y, params, gamma))) < hnorm):
+                x = y
+                break
             t *= 0.5
-        if not accepted:
+        else:
             return None
     h = _reduced_gradient(r, x, params, gamma)
     return x if np.max(np.abs(h)) < 1e-13 else None
 
 
-def _two_column_value(r, mu_plus, params, gamma):
-    return free_energy_G(two_column_matrix(r, mu_plus, gamma, params.q), params, gamma)
+def _ascend(x0, value, gradient, project, opts):
+    """Projected gradient ascent of the R restarts stacked along axis 0 of x0.
 
-
-def _ascend_two_column(r, x0, params, gamma, opts):
-    """Projected gradient ascent of G in the mu_plus box coordinates."""
-    q = params.q
-    eps = 1e-11
-    lo = gamma / q * (1.0 + eps) + 1e-15
-    hi = gamma / r * (1.0 - eps)
-    x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
-    fx = _two_column_value(r, x, params, gamma)
-    step = 1.0
-    for _ in range(opts.max_iter):
-        grad = r * _reduced_gradient(r, x, params, gamma)
-        t = step
-        y, fy = x, fx
-        for _ in range(60):
-            cand = np.clip(x + t * grad, lo, hi)
-            fcand = _two_column_value(r, cand, params, gamma)
-            if fcand > fx:
-                y, fy, step = cand, fcand, t * 2.0
-                break
-            t *= 0.5
-            if t < opts.step_tol:
-                break
-        if fy <= fx:
-            break
-        moved = np.max(np.abs(y - x))
-        x, fx = y, fy
-        if moved < opts.step_tol:
-            break
-        pg = np.clip(x + grad, lo, hi) - x
-        if np.max(np.abs(pg)) < opts.grad_tol:
-            break
-    return x, fx
-
-
-def _project_rows(mat, gamma):
-    out = np.empty_like(mat)
-    for k in range(gamma.size):
-        out[k] = project_simplex(mat[k], total=gamma[k])
-    return out
-
-
-def _ascend_full_matrix(x0, params, gamma, opts):
-    """Row-simplex projected gradient ascent of G over all of C(gamma).
-
-    Safety net for the manifold search; its endpoints are used as value
-    probes rather than reported maximizers.
+    value maps a stack to its R values, gradient to its ascent directions
+    and project onto the feasible set.  Each restart has its own step: the
+    line search starts from the last accepted step, doubles it on success
+    and halves it until the value rises or the step drops below step_tol.
+    A restart stops on no ascent, a move below step_tol or a projected
+    gradient below grad_tol.  Returns per restart (x, fx, iterations,
+    converged), converged meaning stopped by one of those rules.
     """
-    x = _project_rows(np.asarray(x0, dtype=np.float64), gamma)
-    fx = free_energy_G(x, params, gamma)
-    step = 1.0
+    x = project(np.asarray(x0, dtype=np.float64))
+    fx = value(x)
+    axes = tuple(range(1, x.ndim))
+    step = np.ones(x.shape[0])
+    active = np.ones(x.shape[0], dtype=bool)
+    iterations = np.zeros(x.shape[0], dtype=np.int64)
     for _ in range(opts.max_iter):
-        grad = gradient_G(x, params)
-        t = step
-        y, fy = x, fx
+        if not active.any():
+            break
+        iterations += active
+        grad = gradient(x)
+        t = step.copy()
+        y, fy = x.copy(), fx.copy()
+        searching = active.copy()
         for _ in range(60):
-            cand = _project_rows(x + t * grad, gamma)
-            fcand = free_energy_G(cand, params, gamma)
-            if fcand > fx:
-                y, fy, step = cand, fcand, t * 2.0
+            cand = project(x + np.expand_dims(t, axes) * grad)
+            fcand = value(cand)
+            up = searching & (fcand > fx)
+            y[up], fy[up], step[up] = cand[up], fcand[up], t[up] * 2.0
+            searching &= ~up
+            t[searching] *= 0.5
+            searching &= t >= opts.step_tol
+            if not searching.any():
                 break
-            t *= 0.5
-            if t < opts.step_tol:
-                break
-        if fy <= fx:
-            break
-        moved = np.max(np.abs(y - x))
+        rose = fy > fx
+        moved = np.max(np.abs(y - x), axis=axes)
         x, fx = y, fy
-        if moved < opts.step_tol:
-            break
-    return x, fx
+        projected_grad = np.max(np.abs(project(x + grad) - x), axis=axes)
+        active &= rose & (moved >= opts.step_tol) & (projected_grad >= opts.grad_tol)
+    return x, fx, iterations, ~active
+
+
+def _multistart(params, gamma, opts):
+    """Every ascent of the multistart search, in two batches from one generator.
+
+    First opts.restarts ascents per multiplicity r = 1..q-1 (r-major) in the
+    mu_plus box, from uniform points of it; then opts.restarts row-simplex
+    ascents over C(gamma), from Dirichlet rows scaled by gamma.  Returns
+    (r_rows, two_column, full_matrix): each two-column restart's r and the
+    _ascend results of the two batches.
+    """
+    q, s = params.q, gamma.size
+    rng = np.random.default_rng(opts.seed)
+    r_rows = np.repeat(np.arange(1, q), opts.restarts)
+    r_col = r_rows[:, None]
+    lo, hi = gamma / q, gamma / r_col
+    x0 = lo + rng.random((r_rows.size, s)) * (hi - lo)
+    eps = 1e-11
+    box_lo, box_hi = lo * (1.0 + eps) + 1e-15, hi * (1.0 - eps)
+    two_column = _ascend(
+        x0,
+        lambda x: _free_energy(_two_column(r_rows, x, gamma, q), params),
+        lambda x: r_col * _reduced_gradient(r_col, x, params, gamma),
+        lambda x: np.clip(x, box_lo, box_hi),
+        opts,
+    )
+    raw = rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None]
+    full_matrix = _ascend(
+        raw,
+        lambda x: _free_energy(x, params),
+        lambda x: gradient_G(x, params),
+        lambda x: project_simplex(x, gamma),
+        opts,
+    )
+    return r_rows, two_column, full_matrix
 
 
 def _dedupe_matrices(mats, tol=1e-7):
@@ -353,39 +370,43 @@ def _sort_maximizers(mats):
 def _numerical_candidates(params, gamma, opts):
     """Multistart search over every column multiplicity r, plus the flat point.
 
-    Returns (candidates, probe_max, probe_best): Newton-polished critical
-    points, the best value seen by any ascent (polished or not), and the
-    matrix that achieved it.
+    Returns (candidates, probe_max, probe_best, stats): Newton-polished
+    critical points, the best value seen by any ascent (polished or not),
+    the matrix that achieved it, and the search diagnostics of
+    EquilibriumReport.  The full-matrix ascents are a safety net for the
+    manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    rng = np.random.default_rng(opts.seed)
+    r_rows, (x2, f2, it2, conv2), (xf, ff, itf, convf) = _multistart(params, gamma, opts)
     flat = np.tile(gamma[:, None] / q, (1, q))
     candidates = [flat]
-    probe_max = free_energy_G(flat, params, gamma)
-    probe_best = flat
-    for r in range(1, q):
-        lo = gamma / q
-        hi = gamma / r
-        for _ in range(opts.restarts):
-            x0 = lo + rng.random(gamma.size) * (hi - lo)
-            x, fx = _ascend_two_column(r, x0, params, gamma, opts)
-            if fx > probe_max:
-                probe_max, probe_best = fx, two_column_matrix(r, x, gamma, q)
-            polished = _newton_two_column(r, x, params, gamma)
-            if polished is None:
-                continue
-            mat = two_column_matrix(r, polished, gamma, q)
-            if np.all(mat > 0.0):
-                candidates.append(mat)
-                fmat = free_energy_G(mat, params, gamma)
-                if fmat > probe_max:
-                    probe_max, probe_best = fmat, mat
-    for _ in range(opts.restarts):
-        raw = rng.dirichlet(np.ones(q), size=gamma.size) * gamma[:, None]
-        x, fx = _ascend_full_matrix(raw, params, gamma, opts)
+    probe_max, probe_best = _free_energy(flat, params), flat
+    failures = 0
+    for r, x, fx in zip(r_rows.tolist(), x2, f2):
+        if fx > probe_max:
+            probe_max, probe_best = fx, _two_column(r, x, gamma, q)
+        polished = _newton_two_column(r, x, params, gamma)
+        if polished is None:
+            failures += 1
+            continue
+        mat = _two_column(r, polished, gamma, q)
+        if np.all(mat > 0.0):
+            candidates.append(mat)
+            fmat = _free_energy(mat, params)
+            if fmat > probe_max:
+                probe_max, probe_best = fmat, mat
+    for x, fx in zip(xf, ff):
         if fx > probe_max:
             probe_max, probe_best = fx, x
-    return candidates, probe_max, probe_best
+    iterations = np.concatenate([it2, itf])
+    stats = {
+        "restarts": int(iterations.size),
+        "ascent_iterations": int(iterations.sum()),
+        "max_ascent_iterations": int(iterations.max()),
+        "restarts_converged": int(conv2.sum() + convf.sum()),
+        "newton_failures": failures,
+    }
+    return candidates, float(probe_max), probe_best, stats
 
 
 def _color_permutations(mats, q):
@@ -415,19 +436,15 @@ def maximize_G(params, gamma=None, options=None):
     g = params.effective_coupling
     zeta = critical_temperature(q)
     uniform = bool(np.max(np.abs(gamma - 1.0 / s)) <= 1e-12)
+    candidates, probe_max, probe_best, stats = _numerical_candidates(params, gamma, opts)
 
     if uniform:
         u = potts_fixed_point_u(g, q)
         Q, nus = equilibrium_matrices(g, params)
         phase = classify_phase(g, q, opts.critical_band)
-        maxset = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
-                  Phase.SUPERCRITICAL: nus}[phase]
-        values = [free_energy_G(m, params, gamma) for m in maxset]
-        sup_G = max(values)
-        residual_max = max(
-            float(np.max(np.abs(critical_residual(m, params, gamma)))) for m in maxset
-        )
-        _, probe_max, probe_best = _numerical_candidates(params, gamma, opts)
+        best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
+                Phase.SUPERCRITICAL: nus}[phase]
+        sup_G = max(free_energy_G(m, params, gamma) for m in best)
         if probe_max > sup_G + opts.margin:
             raise NonConvergenceError(
                 f"multistart ascent found G = {probe_max} above the closed-form "
@@ -435,41 +452,31 @@ def maximize_G(params, gamma=None, options=None):
                 best=probe_best,
                 best_value=probe_max,
             )
-        return EquilibriumReport(
-            phase=phase,
-            g=g,
-            zeta_q=zeta,
-            maximizers=_sort_maximizers(maxset) if phase is Phase.CRITICAL else maxset,
-            sup_G=sup_G,
-            residual_max=residual_max,
-            u=u,
-            certificate="closed-form, certified by multistart ascent",
-        )
-
-    candidates, probe_max, probe_best = _numerical_candidates(params, gamma, opts)
-    if not candidates:
-        raise NonConvergenceError("no critical point found by the numerical search")
-    values = [free_energy_G(m, params, gamma) for m in candidates]
-    sup_G = max(values)
-    if probe_max > sup_G + opts.margin:
-        raise NonConvergenceError(
-            f"ascent reached G = {probe_max} but no polished critical point matches",
-            best=probe_best,
-            best_value=probe_max,
-        )
-    best = [m for m, v in zip(candidates, values) if v >= sup_G - 1e-10]
-    best = _color_permutations(best, q)
-    best = [m for m in best if free_energy_G(m, params, gamma) >= sup_G - 1e-10]
-    best = _sort_maximizers(_dedupe_matrices(best))
-    flat = np.tile(gamma[:, None] / q, (1, q))
-    has_flat = any(np.max(np.abs(m - flat)) < 1e-7 for m in best)
-    only_flat = has_flat and len(best) == 1
-    if only_flat:
-        phase = Phase.SUBCRITICAL
-    elif has_flat:
-        phase = Phase.CRITICAL
+        if phase is Phase.CRITICAL:
+            best = _sort_maximizers(best)
+        certificate = "closed-form, certified by multistart ascent"
     else:
-        phase = Phase.SUPERCRITICAL
+        u = math.nan
+        values = _free_energy(np.stack(candidates), params)
+        sup_G = float(values.max())
+        if probe_max > sup_G + opts.margin:
+            raise NonConvergenceError(
+                f"ascent reached G = {probe_max} but no polished critical point matches",
+                best=probe_best,
+                best_value=probe_max,
+            )
+        best = [m for m, v in zip(candidates, values) if v >= sup_G - 1e-10]
+        best = _color_permutations(best, q)
+        best = [m for m in best if _free_energy(m, params) >= sup_G - 1e-10]
+        best = _sort_maximizers(_dedupe_matrices(best))
+        has_flat = any(np.max(np.abs(m - candidates[0])) < 1e-7 for m in best)
+        if has_flat and len(best) == 1:
+            phase = Phase.SUBCRITICAL
+        elif has_flat:
+            phase = Phase.CRITICAL
+        else:
+            phase = Phase.SUPERCRITICAL
+        certificate = "numerical, no closed-form certificate"
     residual_max = max(
         float(np.max(np.abs(critical_residual(m, params, gamma)))) for m in best
     )
@@ -480,8 +487,10 @@ def maximize_G(params, gamma=None, options=None):
         maximizers=best,
         sup_G=sup_G,
         residual_max=residual_max,
-        u=math.nan,
-        certificate="numerical, no closed-form certificate",
+        u=u,
+        certificate=certificate,
+        certificate_margin=sup_G - probe_max,
+        **stats,
     )
 
 
@@ -521,35 +530,6 @@ def structure_certificate(mu, params, gamma=None, tol=1e-9):
     }
 
 
-def w_profile(x, q, r, s):
-    """Profile function whose block sum gives G at two-column critical points.
-
-    w(x) = -((q-r) + q (1 - srx)) log((1 - srx)/(s (q-r))) - r (1 + sqx) log x
-    on the domain 0 < x < 1/(sr); G at such a critical point with large
-    values p_k equals g/(2q) + sum_k w(p_k) / (2qs).
-    """
-    if not 0.0 < x < 1.0 / (s * r):
-        raise InvalidInputError(f"x must lie in (0, {1.0 / (s * r)}), got {x}")
-    rest = (1.0 - s * r * x) / (s * (q - r))
-    return float(
-        -((q - r) + q * (1.0 - s * r * x)) * math.log(rest) - r * (1.0 + s * q * x) * math.log(x)
-    )
-
-
-def w_profile_prime(x, q, r, s):
-    """Derivative of w_profile, used to diagnose the roots of the reduced problem.
-
-    w'(x) = srq log((1 - srx)/(s (q-r) x)) + r (sqx - 1) / (x (1 - srx));
-    it vanishes at the flat point x = 1/(sq).
-    """
-    if not 0.0 < x < 1.0 / (s * r):
-        raise InvalidInputError(f"x must lie in (0, {1.0 / (s * r)}), got {x}")
-    ratio = (1.0 - s * r * x) / (s * (q - r) * x)
-    return float(
-        s * r * q * math.log(ratio) + r * (s * q * x - 1.0) / (x * (1.0 - s * r * x))
-    )
-
-
 def two_column_landscape(params, r, mesh=25, gamma=None, inset=1e-6):
     """Sample G on a mesh of the two-column manifold for a fixed r.
 
@@ -566,9 +546,6 @@ def two_column_landscape(params, r, mesh=25, gamma=None, inset=1e-6):
         pad = inset * (hi - lo) if hi > lo else 0.0
         axes.append(np.linspace(lo + pad, hi - pad, mesh) if hi > lo
                     else np.array([lo]))
-    rows = []
-    for point in itertools.product(*axes):
-        mu_plus = np.asarray(point)
-        value = _two_column_value(r, mu_plus, params, gamma)
-        rows.append([float(r), *mu_plus.tolist(), value])
-    return np.asarray(rows, dtype=np.float64)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gamma.size)
+    values = _free_energy(_two_column(r, grid, gamma, q), params)
+    return np.column_stack([np.full(values.size, float(r)), grid, values])

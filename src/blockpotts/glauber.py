@@ -127,6 +127,8 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
         raise InvalidInputError(f"thin must be >= 1, got {thin}")
     if burn_in is None:
         burn_in = sweeps // 10
+    if burn_in < 0:
+        raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
     N, q, s = blocks.N, params.q, blocks.s
 
     rng = np.random.default_rng(seed)

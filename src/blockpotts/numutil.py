@@ -42,11 +42,15 @@ def log_factorials(n):
 
 
 def project_simplex(x, total=1.0):
-    """Euclidean projection of x onto {y >= 0, sum(y) = total}."""
+    """Euclidean projection of every row x[..., :] onto {y >= 0, sum(y) = total}.
+
+    total is a scalar or an array broadcasting against x[..., 0].
+    """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total
-    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    n = x.shape[-1]
+    u = np.sort(x, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - np.asarray(total, dtype=np.float64)[..., None]
+    # last index where the sorted entry still exceeds the running threshold
+    rho = n - 1 - np.argmax((u * np.arange(1, n + 1) > css)[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
     return np.maximum(x - theta, 0.0)

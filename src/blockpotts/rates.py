@@ -26,10 +26,10 @@ from .model import interaction_form
 FEASIBILITY_TOL = 1e-10
 
 
-def _entropy_term(m):
-    """sum m log m with the 0 log 0 := 0 branch taken explicitly."""
+def _entropy_term(m, axis=None):
+    """sum m log m over axis (default: all of m), with 0 log 0 := 0 taken explicitly."""
     m = np.asarray(m, dtype=np.float64)
-    return float(np.sum(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0)))
+    return np.sum(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
 
 
 def _clean_distribution(v, total=1.0, tol=FEASIBILITY_TOL):
@@ -90,8 +90,11 @@ def rate_I(nu, gamma):
 
 
 def _free_energy(mu, params):
-    """G of a matrix already cleaned onto C(gamma)."""
-    return float(0.5 * interaction_form(mu, params)) - _entropy_term(mu)
+    """G of (..., s, q) matrices already on C(gamma), one value per matrix.
+
+    Internal: no validation, for callers that build their points on C(gamma).
+    """
+    return 0.5 * interaction_form(mu, params) - _entropy_term(mu, axis=(-2, -1))
 
 
 def free_energy_G(mu, params, gamma=None):
@@ -110,7 +113,7 @@ def free_energy_G(mu, params, gamma=None):
         raise InvalidInputError(
             f"matrix violates the C(gamma) constraint: row sums {mu.sum(axis=1)} vs {gamma}"
         )
-    return _free_energy(clean, params)
+    return float(_free_energy(clean, params))
 
 
 def potts_functional(v, g):
@@ -152,7 +155,7 @@ def rate_J_prime(nu, params, sup_G, gamma=None):
         return RateEvaluation(False, math.inf, sup_G, np.asarray(nu, dtype=np.float64))
     if clean.shape[1] != params.q:
         raise InvalidInputError(f"matrix shape {clean.shape}, expected ({gamma.size}, {params.q})")
-    return RateEvaluation(True, sup_G - _free_energy(clean, params), sup_G, clean)
+    return RateEvaluation(True, sup_G - float(_free_energy(clean, params)), sup_G, clean)
 
 
 def rate_J(nu, params, sup_term, gamma=None):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from blockpotts.errors import InvalidInputError
+
 
 def pair_hamiltonian(config, sizes, alpha, beta):
     """Energy from the literal double sum over ordered site pairs, i == j included."""
@@ -114,3 +116,101 @@ def brute_interdependence(sizes, q, alpha, beta):
 def binomial_pmf(n, p):
     """Binomial(n, p) probabilities as an array of length n + 1."""
     return np.array([math.comb(n, v) * p**v * (1 - p) ** (n - v) for v in range(n + 1)])
+
+
+def block_free_energy(mu, alpha, beta):
+    """G(mu) = <mu, A mu> / 2 - sum mu log mu of one BLOCK matrix, from the definition."""
+    col = mu.sum(axis=0)
+    quad = (beta - alpha) * np.square(mu).sum() + alpha * np.dot(col, col)
+    return 0.5 * quad - np.sum(np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0))
+
+
+def block_free_energy_gradient(mu, alpha, beta):
+    """Entrywise gradient (beta - alpha) mu + alpha colsum - log mu - 1 of G."""
+    return (beta - alpha) * mu + alpha * mu.sum(axis=0) - np.log(np.maximum(mu, 1e-300)) - 1.0
+
+
+def two_column_point(r, mu_plus, gamma, q):
+    """q-r small columns (fixed by the row sums gamma), then r columns of mu_plus."""
+    mu_minus = (gamma - r * mu_plus) / (q - r)
+    return np.column_stack([mu_minus] * (q - r) + [mu_plus] * r)
+
+
+def two_column_ascent_direction(r, mu_plus, gamma, q, alpha, beta):
+    """r times the derivative of G along mu_plus on the two-column manifold."""
+    mu_minus = (gamma - r * mu_plus) / (q - r)
+    h = ((beta - alpha) * (mu_plus - mu_minus)
+         + alpha * (mu_plus.sum() - mu_minus.sum())
+         - np.log(mu_plus / mu_minus))
+    return r * h
+
+
+def project_row_simplex(x, total):
+    """Euclidean projection of one vector onto {y >= 0, sum(y) = total}, by sorting."""
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - total
+    rho = np.nonzero(u * np.arange(1, x.size + 1) > css)[0][-1]
+    return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
+
+
+def projected_ascent(x0, value, gradient, project, max_iter, step_tol, grad_tol):
+    """One restart of projected gradient ascent, written as a plain loop.
+
+    The line search starts from the last accepted step, doubles it on
+    success and halves it until the value rises or the step falls below
+    step_tol.  The ascent stops on no ascent, a move below step_tol or a
+    projected gradient below grad_tol.  Returns (x, value, iterations,
+    stopped before max_iter).
+    """
+    x = project(np.asarray(x0, dtype=np.float64))
+    fx = value(x)
+    step = 1.0
+    for iteration in range(1, max_iter + 1):
+        grad = gradient(x)
+        t = step
+        y, fy = x, fx
+        for _ in range(60):
+            cand = project(x + t * grad)
+            fcand = value(cand)
+            if fcand > fx:
+                y, fy, step = cand, fcand, t * 2.0
+                break
+            t *= 0.5
+            if t < step_tol:
+                break
+        if fy <= fx:
+            return x, fx, iteration, True
+        moved = np.max(np.abs(y - x))
+        x, fx = y, fy
+        if moved < step_tol or np.max(np.abs(project(x + grad) - x)) < grad_tol:
+            return x, fx, iteration, True
+    return x, fx, max_iter, False
+
+
+def w_profile(x, q, r, s):
+    """Profile function whose block sum gives G at two-column critical points.
+
+    w(x) = -((q-r) + q (1 - srx)) log((1 - srx)/(s (q-r))) - r (1 + sqx) log x
+    on the domain 0 < x < 1/(sr); G at such a critical point with large
+    values p_k equals g/(2q) + sum_k w(p_k) / (2qs).
+    """
+    if not 0.0 < x < 1.0 / (s * r):
+        raise InvalidInputError(f"x must lie in (0, {1.0 / (s * r)}), got {x}")
+    rest = (1.0 - s * r * x) / (s * (q - r))
+    return float(
+        -((q - r) + q * (1.0 - s * r * x)) * math.log(rest) - r * (1.0 + s * q * x) * math.log(x)
+    )
+
+
+def w_profile_prime(x, q, r, s):
+    """Derivative of w_profile, used to diagnose the roots of the reduced problem.
+
+    w'(x) = srq log((1 - srx)/(s (q-r) x)) + r (sqx - 1) / (x (1 - srx));
+    it vanishes at the flat point x = 1/(sq).
+    """
+    if not 0.0 < x < 1.0 / (s * r):
+        raise InvalidInputError(f"x must lie in (0, {1.0 / (s * r)}), got {x}")
+    ratio = (1.0 - s * r * x) / (s * (q - r) * x)
+    return float(
+        s * r * q * math.log(ratio) + r * (s * q * x - 1.0) / (x * (1.0 - s * r * x))
+    )

@@ -84,6 +84,12 @@ def test_equilibria_json_round_trips(tmp_path):
     assert mat.shape == (2, 3)
     manifest = json.loads((tmp_path / "eq.json.manifest.json").read_text())
     assert manifest["command"] == "equilibria"
+    diag = doc["diagnostics"]
+    assert diag["restarts"] == 3 * 4
+    assert 0 < diag["restarts_converged"] <= diag["restarts"]
+    assert 1 <= diag["max_ascent_iterations"] <= diag["ascent_iterations"]
+    assert diag["newton_failures"] >= 0
+    assert diag["certificate_margin"] >= -1e-9
 
 
 def test_equilibria_landscape_export(tmp_path):
@@ -189,6 +195,12 @@ def test_missing_required_option_is_usage_error(tmp_path):
     ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
      "--t-points", "-1"],
     ["simulate", "--config", "MALFORMED"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--restarts", "-4"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--restarts", "0"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--sweeps", "5", "--burn-in", "-3"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -200,3 +212,14 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["out_dir", "out"])
+def test_config_non_string_path_is_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "sizes": "2,2", "alpha": 0.2, "beta": 0.8,
+                               "sweeps": 5, key: 5}))
+    rc = run(["simulate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blockpotts import equilibria
 from blockpotts import (
     InvalidInputError,
     ModelParams,
@@ -21,6 +22,14 @@ from blockpotts import (
     structure_certificate,
     two_column_landscape,
     two_column_matrix,
+)
+from oracles import (
+    block_free_energy,
+    block_free_energy_gradient,
+    project_row_simplex,
+    projected_ascent,
+    two_column_ascent_direction,
+    two_column_point,
     w_profile,
     w_profile_prime,
 )
@@ -39,6 +48,16 @@ def uniform_params(q, s, g, split=0.5):
 
 
 FAST = SearchOptions(restarts=8, seed=0)
+
+AC5_SET = [
+    uniform_params(3, 2, 2.5),
+    uniform_params(3, 2, 3.0),
+    uniform_params(3, 2, critical_temperature(3)),
+    uniform_params(3, 3, 3.1, split=0.3),
+    uniform_params(4, 2, critical_temperature(4) + 0.2),
+    ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6)),
+    ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.3, 0.7)),
+]
 
 
 def test_critical_temperature_values():
@@ -75,6 +94,34 @@ def test_fixed_point_nondecreasing_above_zeta():
     grid = np.linspace(zeta, zeta + 2.0, 40)
     us = [potts_fixed_point_u(g, 3) for g in grid]
     assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
+
+
+def _spinodal(q):
+    """Least g with a positive fixed point: the minimum over u of the g solving u = rhs(u)."""
+
+    def g_of(u):
+        return math.log((1.0 + (q - 1.0) * u) / (1.0 - u)) / u
+
+    lo, hi = 0.01, 0.99
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if g_of(a) < g_of(b):
+            hi = b
+        else:
+            lo = a
+    return g_of(0.5 * (lo + hi)), 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_fixed_point_just_above_spinodal(q):
+    # the two positive roots lie a few 1e-5 apart, inside one cell of a 1e-4 grid
+    g_sp, u_sp = _spinodal(q)
+    g = g_sp + 1e-10
+    u = potts_fixed_point_u(g, q)
+    e = math.exp(-g * u)
+    assert abs((1 - e) / (1 + (q - 1) * e) - u) <= 1e-12
+    assert u > u_sp and u - u_sp < 1e-3
+    assert potts_fixed_point_u(g_sp - 1e-10, q) == 0.0
 
 
 def test_phi_endpoints_and_sum():
@@ -307,3 +354,80 @@ def test_two_column_landscape_stays_below_supremum():
         rows = two_column_landscape(p, r, mesh=15)
         assert rows.shape[1] == 4  # r, mu_plus_1, mu_plus_2, G
         assert np.all(rows[:, -1] <= report.sup_G + 1e-9)
+
+
+@pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
+def test_batched_ascent_matches_scalar_reference(params):
+    opts = SearchOptions(restarts=4, seed=5)
+    gamma, q = params.gamma_array, params.q
+    a, b = params.alpha, params.beta
+    r_rows, two_column, full_matrix = equilibria._multistart(params, gamma, opts)
+    tols = (opts.max_iter, opts.step_tol, opts.grad_tol)
+    rng = np.random.default_rng(opts.seed)
+    runs = []
+    for r in range(1, q):
+        lo, hi = gamma / q, gamma / r
+        box_lo, box_hi = lo * (1 + 1e-11) + 1e-15, hi * (1 - 1e-11)
+        for _ in range(opts.restarts):
+            x0 = lo + rng.random(gamma.size) * (hi - lo)
+            runs.append((r, projected_ascent(
+                x0,
+                lambda m, r=r: block_free_energy(two_column_point(r, m, gamma, q), a, b),
+                lambda m, r=r: two_column_ascent_direction(r, m, gamma, q, a, b),
+                lambda m, box_lo=box_lo, box_hi=box_hi: np.clip(m, box_lo, box_hi),
+                *tols)))
+    assert r_rows.tolist() == [r for r, _ in runs]
+    for k, (_, (x, fx, iterations, converged)) in enumerate(runs):
+        assert np.max(np.abs(two_column[0][k] - x)) <= 1e-12
+        assert abs(two_column[1][k] - fx) <= 1e-12
+        assert (two_column[2][k], two_column[3][k]) == (iterations, converged)
+    for k in range(opts.restarts):
+        raw = rng.dirichlet(np.ones(q), size=gamma.size) * gamma[:, None]
+        x, fx, iterations, converged = projected_ascent(
+            raw,
+            lambda m: block_free_energy(m, a, b),
+            lambda m: block_free_energy_gradient(m, a, b),
+            lambda m: np.array([project_row_simplex(row, g) for row, g in zip(m, gamma)]),
+            *tols)
+        assert np.max(np.abs(full_matrix[0][k] - x)) <= 1e-12
+        assert abs(full_matrix[1][k] - fx) <= 1e-12
+        assert (full_matrix[2][k], full_matrix[3][k]) == (iterations, converged)
+
+
+@pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5]], ids=["uniform", "nonuniform"])
+def test_report_diagnostics(params):
+    report = maximize_G(params, options=FAST)
+    q = params.q
+    assert report.restarts == q * FAST.restarts
+    assert 1 <= report.max_ascent_iterations <= FAST.max_iter
+    assert report.max_ascent_iterations <= report.ascent_iterations
+    assert report.ascent_iterations <= report.restarts * report.max_ascent_iterations
+    assert 0 <= report.restarts_converged <= report.restarts
+    assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
+    # the ascents' best value, recomputed from the per-restart endpoints
+    _, two_column, full_matrix = equilibria._multistart(params, params.gamma_array, FAST)
+    probe = max(two_column[1].max(), full_matrix[1].max(),
+                free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
+    assert -FAST.margin <= report.certificate_margin <= report.sup_G - probe + 1e-12
+    iterations = np.concatenate([two_column[2], full_matrix[2]])
+    assert report.ascent_iterations == iterations.sum()
+    assert report.max_ascent_iterations == iterations.max()
+    converged = np.concatenate([two_column[3], full_matrix[3]])
+    assert report.restarts_converged == converged.sum()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 0), ("restarts", -4), ("max_iter", 0), ("grad_tol", 0.0),
+    ("step_tol", -1e-12), ("step_tol", math.nan), ("margin", -1.0), ("critical_band", -1e-9),
+])
+def test_search_options_reject_empty_or_invalid_search(field, value):
+    with pytest.raises(InvalidInputError):
+        SearchOptions(**{field: value})
+
+
+def test_two_column_landscape_matches_scalar_matrices():
+    p = AC5_SET[5]
+    rows = two_column_landscape(p, 2, mesh=6)
+    for row in rows[::7]:
+        mat = two_column_matrix(2, row[1:-1], p.gamma_array, p.q)
+        assert row[-1] == pytest.approx(free_energy_G(mat, p), abs=1e-13)
