@@ -54,8 +54,6 @@ from .lsi import (
     LsiSuiteReport,
     asymptotic_constants,
     concentration_report,
-    covariance_term,
-    difference_operator_sq,
     entropy_functional,
     fit_inverse_n_coefficient,
     gamma1_exact,
@@ -88,5 +86,4 @@ from .rates import (
     rate_J,
     rate_J_prime,
     relative_entropy,
-    sup_term_for_J,
 )

@@ -41,7 +41,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .exact import exact_distribution, export_csv
-from .glauber import run_chain
+from .glauber import check_run_options, run_chain
 from .lsi import (
     asymptotic_constants,
     concentration_report,
@@ -202,6 +202,8 @@ def cmd_simulate(args):
     chains = _at_least_one("chains", _opt(args, cfg, "chains", default=1, cast=int))
     init = _parse_init(_opt(args, cfg, "init", default="random", cast=str), params.q)
     out = _out_path(args, cfg, "out", "simulate.csv")
+    # a rejected run must not leave a header-only CSV behind
+    check_run_options(blocks, params, sweeps, thin, burn_in)
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
                    np.random.SeedSequence(seed).spawn(chains)]

@@ -6,28 +6,43 @@ given the rest.  The conditional is a softmax of the leave-one-out field
     F_c = (beta * b~_{k(i),c} + alpha * sum_{k != k(i)} b~_{k,c}) / N,
 
 where b~ are the counts excluding the updated site, so maintaining the
-count matrix incrementally makes every update O(q).  Fields are bounded by
-beta, hence every conditional entry is at least 1/(1 + (q-1) e^beta) and
-the softmax cannot overflow; max subtraction is applied anyway to keep the
-convention uniform across the codebase.
+count matrix incrementally makes every update O(q).  run_chain never calls
+exp in its loop: with row = b~_{k(i),.} and tot the leave-one-out column
+sums, F_c = ci * row[c] + co * tot[c] for ci = (beta - alpha) / N and
+co = alpha / N, so exp(F_c) is a product of two table entries (see
+_weight_tables).  The tables are centred, which keeps every weight within
+[e^(-beta/2), e^(beta/2)]; beta above MAX_BETA is rejected because those
+bounds would leave the float range.
 
 Reproducibility contract: randomness comes from numpy's PCG64 generator.
-run_chain consumes, per sweep, one block of N site indices (random scan
-only) followed by one block of N uniforms; identical seeds therefore give
-identical trajectories on any platform, and chains with distinct seeds
-share no state.
+run_chain draws in chunks of m = max(1, CHUNK_UPDATES // N) sweeps (the
+last chunk may be shorter): per chunk, one block of m*N site indices
+followed by one block of m*N uniforms.  The chunking depends only on N
+and the sweep counts, so the same seed gives the same samples, byte for
+byte, on any platform, and chains with distinct seeds share no state.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .model import check_consistent, count_matrix, interaction_field, validate_config
 from .numutil import softmax
+
+# Updates drawn per RNG chunk: large enough that the two numpy calls per
+# chunk cost little next to its updates, small enough that the drawn
+# python lists stay a few hundred kB.
+CHUNK_UPDATES = 4096
+
+# Largest beta whose weight tables are finite: every weight lies within
+# [e^(-beta/2), e^(beta/2)] and exp overflows just above e^709.
+MAX_BETA = 1400.0
 
 
 @dataclass
@@ -65,7 +80,6 @@ class ChainSummary:
     samples: np.ndarray
     sweep_count: int
     seed: int
-    acceptance: float
     empirical_M_prime: np.ndarray
 
 
@@ -82,8 +96,8 @@ def conditional_field(state, site):
 def heat_bath_step(state, site):
     """Resample one site from its exact conditional; counts stay in sync, O(q).
 
-    Reference single-step implementation; run_chain inlines the identical
-    update in a tight loop with its own RNG consumption order.
+    Reference single-step implementation.  run_chain follows the same law
+    through weight tables, with its own RNG consumption order.
     """
     probs = softmax(conditional_field(state, site))
     u = state.rng.random()
@@ -109,18 +123,31 @@ def _initial_config(init, blocks, q, rng):
     return validate_config(init, blocks, q).copy()
 
 
-def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
-              burn_in=None, systematic=False, audit=False):
-    """Run sweeps x N heat-bath updates and record thinned count matrices.
+def _weight_tables(blocks, params):
+    """Tables ein, eout with exp(F_c) proportional to ein[row[c]] * eout[tot[c]].
 
-    Sites are chosen by uniform random scan (or cyclically when systematic
-    is set).  burn_in extra sweeps are run first without recording, default
-    10 percent of sweeps; one count-matrix sample is recorded at the end of
-    every thin-th recorded sweep, so len(samples) == sweeps // thin.  With
-    audit set, the maintained counts are checked against a recount every
-    10^4 updates.
+    ein[r] = exp(ci (r - n_max/2)) for r = 0..n_max and eout[t] =
+    exp(co (t - N/2)) for t = 0..N, with ci = (beta - alpha)/N and co =
+    alpha/N.  The centring is a common factor of all q weights, so it
+    cancels from the conditional and bounds every weight by e^(beta/2),
+    which is finite for beta <= MAX_BETA (check_run_options).
     """
+    N = blocks.N
+    n_max = max(blocks.sizes)
+    ci = (params.beta - params.alpha) / N
+    co = params.alpha / N
+    ein = [math.exp(ci * (r - n_max / 2)) for r in range(n_max + 1)]
+    eout = [math.exp(co * (t - N / 2)) for t in range(N + 1)]
+    return ein, eout
+
+
+def check_run_options(blocks, params, sweeps, thin, burn_in):
+    """Reject what run_chain cannot run; returns burn_in, default sweeps // 10."""
     check_consistent(params, blocks)
+    if params.beta > MAX_BETA:
+        raise InvalidInputError(
+            f"beta must be <= {MAX_BETA} for the heat-bath weight tables, got {params.beta}"
+        )
     if sweeps < 1:
         raise InvalidInputError(f"sweeps must be >= 1, got {sweeps}")
     if thin < 1:
@@ -129,6 +156,21 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
         burn_in = sweeps // 10
     if burn_in < 0:
         raise InvalidInputError(f"burn_in must be >= 0, got {burn_in}")
+    return burn_in
+
+
+def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
+              burn_in=None, audit=False):
+    """Run sweeps x N heat-bath updates and record thinned count matrices.
+
+    Sites are chosen by uniform random scan.  burn_in extra sweeps are run
+    first without recording, default 10 percent of sweeps; one count-matrix
+    sample is recorded at the end of every thin-th recorded sweep, so
+    len(samples) == sweeps // thin.  With audit set, the maintained counts
+    are checked against a recount at the end of every chunk of draws.
+    """
+    burn_in = check_run_options(blocks, params, sweeps, thin, burn_in)
+    ein, eout = _weight_tables(blocks, params)
     N, q, s = blocks.N, params.q, blocks.s
 
     rng = np.random.default_rng(seed)
@@ -136,67 +178,51 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
     counts = count_matrix(config, blocks, params.q)
 
     # plain-python mirrors of the state keep the inner loop free of numpy
-    # per-element overhead
+    # per-element overhead; row_of[i] is the count row of site i's block
     cfg = config.tolist()
     cnt = [row.tolist() for row in counts]
     tot = counts.sum(axis=0).tolist()
-    block_of = blocks.site_blocks.tolist()
-    # interaction_field inlined on scalars: a numpy call per update costs more than the update
-    ci = (params.beta - params.alpha) / N
-    co = params.alpha / N
-    exp = math.exp
+    row_of = [cnt[k] for k in blocks.site_blocks.tolist()]
+    cum = [0.0] * q
     colors = range(q)
+    last = q - 1
+    chunk = max(1, CHUNK_UPDATES // N)
 
-    samples = []
-    updates_done = 0
-    audit_every = 10_000
+    samples = []  # flat: s * q counts per recorded sweep
+    record = samples.extend
+    for first in range(-burn_in, sweeps, chunk):
+        stop = min(first + chunk, sweeps)
+        n = (stop - first) * N
+        draws = zip(rng.integers(0, N, size=n).tolist(), rng.random(n).tolist())
+        for sweep in range(first, stop):
+            for i, u in islice(draws, N):
+                row = row_of[i]
+                old = cfg[i]
+                row[old] -= 1
+                tot[old] -= 1
+                acc = 0.0
+                for c in colors:
+                    acc += ein[row[c]] * eout[tot[c]]
+                    cum[c] = acc
+                new = bisect_right(cum, u * acc)
+                if new > last:
+                    new = last
+                row[new] += 1
+                tot[new] += 1
+                cfg[i] = new
+            if sweep >= 0 and (sweep + 1) % thin == 0:
+                for r in cnt:
+                    record(r)
+        if audit and not np.array_equal(count_matrix(np.asarray(cfg), blocks, q),
+                                        np.asarray(cnt)):
+            raise AssertionError("maintained counts diverged from recount")
 
-    for sweep in range(-burn_in, sweeps):
-        if systematic:
-            sites = range(N)
-        else:
-            sites = rng.integers(0, N, size=N).tolist()
-        us = rng.random(N).tolist()
-        for i, u in zip(sites, us):
-            k = block_of[i]
-            row = cnt[k]
-            old = cfg[i]
-            row[old] -= 1
-            tot[old] -= 1
-            fmax = None
-            fields = []
-            for c in colors:
-                f = ci * row[c] + co * tot[c]
-                fields.append(f)
-                if fmax is None or f > fmax:
-                    fmax = f
-            weights = [exp(f - fmax) for f in fields]
-            target = u * sum(weights)
-            acc = 0.0
-            new = q - 1
-            for c in colors:
-                acc += weights[c]
-                if target < acc:
-                    new = c
-                    break
-            row[new] += 1
-            tot[new] += 1
-            cfg[i] = new
-            updates_done += 1
-            if audit and updates_done % audit_every == 0:
-                fresh = count_matrix(np.asarray(cfg), blocks, q)
-                if not np.array_equal(fresh, np.asarray(cnt)):
-                    raise AssertionError("maintained counts diverged from recount")
-        if sweep >= 0 and (sweep + 1) % thin == 0:
-            samples.append([r[:] for r in cnt])
-
-    samples = np.asarray(samples, dtype=np.int64).reshape(len(samples), s, q)
+    samples = np.asarray(samples, dtype=np.int64).reshape(-1, s, q)
     empirical = samples.mean(axis=0) / N if len(samples) else np.zeros((s, q))
     return ChainSummary(
         samples=samples,
         sweep_count=sweeps,
         seed=seed,
-        acceptance=1.0,
         empirical_M_prime=empirical,
     )
 

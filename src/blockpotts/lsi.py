@@ -35,12 +35,11 @@ from .errors import ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
     count_matrix_support,
-    exact_conditional,
     exact_observable_distribution,
     full_configuration_distribution,
 )
 from .glauber import tail_estimate
-from .model import interaction_field, validate_config
+from .model import interaction_field
 from .numutil import softmax
 
 
@@ -280,33 +279,6 @@ def entropy_functional(f, dist):
     if mean <= 0.0:
         return 0.0
     return float(p @ flogf - mean * math.log(mean))
-
-
-def difference_operator_sq(f, config, blocks, params):
-    """|df|^2 at one configuration, from the definition with exact conditionals.
-
-    Sums over sites the conditional variance-like integral
-    int (f(w) - f(w with the site resampled))^2 dmu(. | rest).
-    """
-    config = validate_config(config, blocks, params.q)
-    fx = float(f(config))
-    total = 0.0
-    for i in range(blocks.N):
-        cond = exact_conditional(config, i, blocks, params)
-        for c in range(params.q):
-            if c == config[i]:
-                continue
-            other = config.copy()
-            other[i] = c
-            d = fx - float(f(other))
-            total += cond[c] * d * d
-    return total
-
-
-def covariance_term(f, site, workspace):
-    """Site summand of the covariance-form inequality: E Cov_i(f, e^f) >= 0."""
-    fvals = workspace.values(f)
-    return float(workspace.covariance_terms(fvals)[site])
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,10 @@ def rate_J(nu, params, sup_term, gamma=None):
 
     J(nu) = -[<Gamma nu, Gamma nu>_A / 2 - I(nu)] + sup_term for ROW
     matrices nu, infinite otherwise.  sup_term is the supremum of the
-    bracket over ROW matrices; see sup_term_for_J for obtaining it from
-    sup_G.  The change of variables gives J(nu) = J'(Gamma nu).
+    bracket over ROW matrices, sup_G - log q + sum_k gamma_k log gamma_k
+    with sup_G the supremum of G over C(gamma); the constant follows from
+    sum (Gamma nu) log(Gamma nu) = I(nu) - log q + sum_k gamma_k log gamma_k.
+    The change of variables gives J(nu) = J'(Gamma nu).
     """
     gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
     clean = _clean_rows(nu, np.ones(gamma.size))
@@ -173,15 +175,3 @@ def rate_J(nu, params, sup_term, gamma=None):
     scaled = gamma[:, None] * clean
     bracket = 0.5 * float(interaction_form(scaled, params)) - rate_I(clean, gamma)
     return RateEvaluation(True, -bracket + sup_term, sup_term, clean)
-
-
-def sup_term_for_J(sup_G, q, gamma):
-    """Convert sup of G over C(gamma) into the sup term used by rate_J.
-
-    Follows from sum (Gamma nu) log(Gamma nu) = I(nu) - log q + sum_k
-    gamma_k log gamma_k, the change of variables between the two LDP
-    pictures; the constant log q - sum gamma log gamma is what separates
-    the two suprema.
-    """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    return sup_G - math.log(q) + _entropy_term(gamma)

@@ -214,3 +214,43 @@ def w_profile_prime(x, q, r, s):
     return float(
         s * r * q * math.log(ratio) + r * (s * q * x - 1.0) / (x * (1.0 - s * r * x))
     )
+
+
+def difference_operator_sq(f, config, blocks, params):
+    """|df|^2 at one configuration, from the definition with brute conditionals.
+
+    Sums over sites the conditional variance-like integral
+    int (f(w) - f(w with the site resampled))^2 dmu(. | rest).
+    """
+    config = np.asarray(config)
+    fx = float(f(config))
+    total = 0.0
+    for i in range(blocks.N):
+        cond = brute_conditional(config, i, blocks.sizes, params.q, params.alpha, params.beta)
+        for c in range(params.q):
+            if c == config[i]:
+                continue
+            other = config.copy()
+            other[i] = c
+            d = fx - float(f(other))
+            total += cond[c] * d * d
+    return total
+
+
+def covariance_term(f, site, workspace):
+    """Site summand of the covariance-form inequality: E Cov_i(f, e^f) >= 0.
+
+    Unlike the rest of this module, a thin wrapper over the package's
+    ConfigWorkspace.covariance_terms, which the tests check against a loop.
+    """
+    return float(workspace.covariance_terms(workspace.values(f))[site])
+
+
+def sup_term_for_J(sup_G, q, gamma):
+    """The sup term of rate_J from sup G over C(gamma).
+
+    Follows from sum (Gamma nu) log(Gamma nu) = I(nu) - log q + sum_k
+    gamma_k log gamma_k, the change of variables between the two LDP
+    pictures.
+    """
+    return sup_G - math.log(q) + sum(g * math.log(g) for g in gamma if g > 0.0)

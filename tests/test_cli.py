@@ -201,17 +201,24 @@ def test_missing_required_option_is_usage_error(tmp_path):
      "--restarts", "0"],
     ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
      "--sweeps", "5", "--burn-in", "-3"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--thin", "0"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--sweeps", "0"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "1500"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     argv = [str(bad) if a == "MALFORMED" else a for a in argv]
-    rc = run(argv + ["--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = run(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["out_dir", "out"])

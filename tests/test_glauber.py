@@ -8,9 +8,11 @@ import pytest
 from blockpotts import (
     BlockStructure,
     ChainState,
+    InvalidInputError,
     ModelParams,
     conditional_field,
     count_matrix,
+    count_matrix_support,
     exact_conditional,
     exact_distribution,
     exact_observable_distribution,
@@ -19,6 +21,7 @@ from blockpotts import (
     run_chain,
     tail_estimate,
 )
+from blockpotts.glauber import MAX_BETA, _weight_tables
 from blockpotts.numutil import softmax
 
 
@@ -150,14 +153,41 @@ def test_run_chain_sample_count_and_audit():
     p, b = make(3, (3, 3), 0.5, 1.0)
     summary = run_chain(b, p, sweeps=1000, thin=7, seed=3, audit=True)
     assert summary.samples.shape == (1000 // 7, 2, 3)
-    assert summary.acceptance == 1.0
     assert np.all(summary.samples.sum(axis=2) == np.array([3, 3]))
 
 
-def test_run_chain_systematic_scan():
-    p, b = make(3, (2, 2), 0.4, 0.9)
-    summary = run_chain(b, p, sweeps=200, seed=0, systematic=True)
-    assert summary.samples.shape[0] == 200
+@pytest.mark.parametrize("q, sizes", [(4, (3, 4)), (3, (2, 2, 3))])
+@pytest.mark.parametrize("alpha, beta", [(0.7, 2.3), (700.0, MAX_BETA)])
+def test_weight_tables_match_exact_conditional(q, sizes, alpha, beta):
+    # every count matrix B and every color c a site of block k can leave
+    p, b = make(q, sizes, alpha, beta)
+    ein, eout = _weight_tables(b, p)
+    first_site = np.cumsum((0,) + sizes[:-1])
+    errors = []
+    for B in count_matrix_support(sizes, q, cap=10_000):
+        config = np.concatenate([np.repeat(np.arange(q), row) for row in B])
+        for k, c in zip(*np.nonzero(B)):
+            row = B[k].copy()
+            tot = B.sum(axis=0)
+            row[c] -= 1
+            tot[c] -= 1
+            w = np.array([ein[row[d]] * eout[tot[d]] for d in range(q)])
+            site = first_site[k] + B[k, :c].sum()
+            exact = exact_conditional(config, site, b, p)
+            errors.append(np.max(np.abs(w / w.sum() - exact)))
+    assert np.max(errors) <= 1e-12  # NaN fails too
+
+
+def test_run_chain_beta_table_bound():
+    p, b = make(3, (3, 4), 700.0, MAX_BETA)
+    ein, eout = _weight_tables(b, p)
+    assert 0.0 < min(ein) * min(eout) and p.q * max(ein) * max(eout) < math.inf
+    summary = run_chain(b, p, sweeps=300, seed=4)
+    assert summary.samples.shape == (300, 2, 3)
+    assert np.all(summary.samples.sum(axis=2) == np.array([3, 4]))
+    p_over, _ = make(3, (3, 4), 700.0, 1400.5)
+    with pytest.raises(InvalidInputError, match="1400"):
+        run_chain(b, p_over, sweeps=10, seed=4)
 
 
 def test_run_chain_uniform_init():

@@ -13,8 +13,6 @@ from blockpotts import (
     ModelParams,
     asymptotic_constants,
     concentration_report,
-    covariance_term,
-    difference_operator_sq,
     entropy_functional,
     exact_distribution,
     fit_inverse_n_coefficient,
@@ -30,6 +28,7 @@ from blockpotts import (
 )
 
 import oracles
+from oracles import covariance_term, difference_operator_sq
 
 
 def make(q, sizes, alpha, beta):

@@ -15,8 +15,9 @@ from blockpotts import (
     rate_J,
     rate_J_prime,
     relative_entropy,
-    sup_term_for_J,
 )
+
+from oracles import sup_term_for_J
 
 
 P2 = ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.5, 0.5))
