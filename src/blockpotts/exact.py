@@ -7,6 +7,18 @@ multiplicities: the weight of a count matrix B is
 
     prod_k multinomial(|S_k|; B[k, :]) * exp(-H(B)).
 
+The support is the product of the blocks' composition sets, and the weight
+splits over it: the log multinomial is a sum of per-block terms, and
+
+    <B, A B> = (beta - alpha) sum_k |B_k|^2 + alpha |sum_k B_k|^2,
+    |sum_k B_k|^2 = sum_k |B_k|^2 + 2 sum_{k<l} B_k . B_l,
+
+so the law is built on the (P_0, .., P_{s-1}) grid of per-block
+compositions from per-block vectors and one P_k x P_l Gram matrix per
+block pair, never from the materialised support.  The support itself is
+returned as int16 counts (blocks of 2^15 sites or more are refused), and
+its size is checked against the cap before anything is enumerated.
+
 Everything is normalized in log space.  This module is the brute-force
 oracle for the sampler, the rate functions and the log-Sobolev checks; for
 tiny N a full q^N configuration enumeration is also provided so the two
@@ -16,6 +28,7 @@ routes can be cross-checked against each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +39,7 @@ from .errors import CapacityError, InvalidInputError
 from .model import (
     check_consistent,
     count_matrix,
+    form_from_sums,
     interaction_field,
     interaction_form,
     validate_config,
@@ -33,6 +47,7 @@ from .model import (
 from .numutil import log_factorials, logsumexp_tree, softmax
 
 DEFAULT_SUPPORT_CAP = 10_000_000
+INT16_MAX = np.iinfo(np.int16).max
 
 
 def enumerate_block_compositions(n, q):
@@ -40,48 +55,75 @@ def enumerate_block_compositions(n, q):
 
     Emitted in colexicographic order (last coordinate varies slowest), with
     no duplicates; the stable order is part of the output contract.  The
-    number of rows is C(n+q-1, q-1).
+    number of rows is C(n+q-1, q-1).  Built by stars and bars: the q-1 bar
+    positions among n+q-1 slots come in lexicographic order, and the gaps
+    between them, read from the last gap back, are the composition.
     """
     if n < 0 or q < 1:
         raise InvalidInputError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
-    if q == 1:
-        return np.array([[n]], dtype=np.int64)
-    parts = []
-    for last in range(n + 1):
-        head = enumerate_block_compositions(n - last, q - 1)
-        col = np.full((head.shape[0], 1), last, dtype=np.int64)
-        parts.append(np.hstack([head, col]))
-    return np.vstack(parts)
+    rows = math.comb(n + q - 1, q - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + q - 1), q - 1)), dtype=np.int64,
+        count=rows * (q - 1)).reshape(rows, q - 1)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), n + q - 1)])
+    return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[:, ::-1])
 
 
-def count_matrix_support(sizes, q, cap):
-    """All count matrices with row sums `sizes`, as a (P, s, q) int64 array.
+def block_compositions(sizes, q, cap):
+    """The composition table of each block, (P_k, q) int64, in block order.
 
-    Rows are compositions in the order of enumerate_block_compositions,
-    block 0 outermost.  P = prod_k C(sizes[k]+q-1, q-1); a CapacityError
-    naming P is raised when it exceeds cap.
+    The support size P = prod_k C(sizes[k]+q-1, q-1) is checked against cap
+    before anything is enumerated, and a CapacityError names it.  Blocks of
+    2^15 sites or more are refused too, since the support stores int16
+    counts (at q >= 3 such a block alone has over 5e8 compositions).
     """
-    comp = [enumerate_block_compositions(n, q) for n in sizes]
-    shape = [c.shape[0] for c in comp]
-    required = math.prod(shape)
+    sizes = [int(n) for n in sizes]
+    if not sizes or min(sizes) < 0 or q < 1:
+        raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
+    required = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
     if required > cap:
         raise CapacityError(
             f"count-matrix support needs {required} matrices, cap is {cap}",
             required=required,
         )
-    s = len(sizes)
-    support = np.empty((*shape, s, q), dtype=np.int64)
-    for k, c in enumerate(comp):
+    if max(sizes) > INT16_MAX:
+        raise CapacityError(
+            f"block size {max(sizes)} exceeds {INT16_MAX}, the largest int16 count",
+            required=required,
+        )
+    return [enumerate_block_compositions(n, q) for n in sizes]
+
+
+def _fill_support(comps):
+    """The (P, s, q) int16 product of per-block composition tables, block 0
+    outermost."""
+    shape = [c.shape[0] for c in comps]
+    s, q = len(comps), comps[0].shape[1]
+    support = np.empty((*shape, s, q), dtype=np.int16)
+    for k, c in enumerate(comps):
         support[..., k, :] = c.reshape([-1 if j == k else 1 for j in range(s)] + [q])
-    return support.reshape(required, s, q)
+    return support.reshape(-1, s, q)
+
+
+def count_matrix_support(sizes, q, cap):
+    """All count matrices with row sums `sizes`, as a (P, s, q) int16 array.
+
+    Rows are compositions in the order of enumerate_block_compositions,
+    block 0 outermost, so the support is the product grid
+    (P_0, .., P_{s-1}) of per-block compositions, flattened.
+    P = prod_k C(sizes[k]+q-1, q-1); a CapacityError naming P is raised,
+    before any enumeration, when it exceeds cap.
+    """
+    return _fill_support(block_compositions(sizes, q, cap))
 
 
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact Gibbs law of the count matrix.
 
-    support is a (P, s, q) integer array enumerating every count matrix,
-    ordered colexicographically per block with block 0 outermost.
+    support is a (P, s, q) int16 array enumerating every count matrix,
+    ordered colexicographically per block with block 0 outermost: the
+    flattened product grid (P_0, .., P_{s-1}) of per-block compositions.
     probabilities[i] = exp(log_weights[i] - log_Z).
     """
 
@@ -100,23 +142,41 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Exact Gibbs distribution over count matrices.
 
     The support has prod_k C(|S_k|+q-1, q-1) entries; a CapacityError naming
-    the required size is raised when that exceeds cap.  Multinomial
-    coefficients are accumulated from a table of log-factorials so block
-    sizes well beyond 170 stay finite, and the normalization uses the
-    pairwise-tree log-sum-exp, making log_Z bit-reproducible.
+    the required size is raised, before any enumeration, when that exceeds
+    cap.  Multinomial coefficients are accumulated from a table of
+    log-factorials so block sizes well beyond 170 stay finite, and the
+    normalization uses the pairwise-tree log-sum-exp, making log_Z
+    bit-reproducible.
+
+    The weights are built on the block product grid (P_0, .., P_{s-1}): the
+    log multinomial and sum B^2 are outer sums of per-block vectors, and
+    |colsum B|^2 adds 2 C_k C_l^T to sum B^2 for each block pair k < l (C_k
+    the composition table of block k).  Both sums are exact int64, so the
+    weights are those of interaction_form on the materialised support, bit
+    for bit, without its (P, s, q) temporaries.
     """
     check_consistent(params, blocks)
-    support = count_matrix_support(blocks.sizes, params.q, cap)
+    comps = block_compositions(blocks.sizes, params.q, cap)
+    s = len(comps)
     log_fact = log_factorials(max(blocks.sizes))
-    # per-block log multinomials, combined over the support's product order
-    per_block = [log_fact[n] - log_fact[enumerate_block_compositions(n, params.q)].sum(axis=1)
-                 for n in blocks.sizes]
-    log_mult = functools.reduce(np.add.outer, per_block).ravel()
-    log_weights = log_mult + interaction_form(support, params) / (2.0 * blocks.N)
+    log_mult = functools.reduce(
+        np.add.outer, [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)])
+    squares = functools.reduce(np.add.outer, [np.square(c).sum(axis=1) for c in comps])
+    col_sq = squares.copy()
+    for k, l in itertools.combinations(range(s), 2):
+        gram = comps[k] @ comps[l].T
+        on_axes = [1] * s
+        on_axes[k], on_axes[l] = gram.shape
+        col_sq += 2 * gram.reshape(on_axes)
+    log_weights = form_from_sums(squares, col_sq, params).ravel()
+    del squares, col_sq
+    log_weights /= 2.0 * blocks.N
+    log_weights += log_mult.ravel()
     log_Z = logsumexp_tree(log_weights)
-    probabilities = np.exp(log_weights - log_Z)
+    probabilities = log_weights - log_Z
+    np.exp(probabilities, out=probabilities)
     return ExactDistribution(
-        support=support,
+        support=_fill_support(comps),
         log_weights=log_weights,
         log_Z=log_Z,
         probabilities=probabilities,

@@ -26,6 +26,7 @@ asymptotic smallness condition 2 q beta e^beta < 1 is reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +35,12 @@ import numpy as np
 from .errors import ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
-    count_matrix_support,
+    block_compositions,
     exact_observable_distribution,
     full_configuration_distribution,
 )
 from .glauber import tail_estimate
-from .model import interaction_field
+from .model import field_from_sums
 from .numutil import softmax
 
 
@@ -112,9 +113,23 @@ def _loo_fields_by_color(sizes, ki, params, N, cap):
     """Leave-one-out fields of a site in block ki for every count matrix of
     the other sites (block sizes `sizes`), as a C-ordered (q, P) array: the
     softmax over colors then reduces q rows of length P instead of P rows
-    of length q."""
-    support = count_matrix_support(sizes, params.q, cap)
-    return interaction_field(support, params)[:, ki, :].T.copy() / N
+    of length q.
+
+    Row c is ((beta - alpha) B[ki, c] + alpha colsum(B)[c]) / N, built on
+    the block product grid from the per-block composition tables, in the
+    support order of count_matrix_support and with the bits of
+    interaction_field on that support.
+    """
+    comps = block_compositions(sizes, params.q, cap)
+    s = len(comps)
+    along_ki = [-1 if j == ki else 1 for j in range(s)]
+    fields = np.empty((params.q, *(c.shape[0] for c in comps)))
+    for c in range(params.q):
+        col = functools.reduce(np.add.outer, [comp[:, c] for comp in comps])
+        fields[c] = field_from_sums(comps[ki][:, c].reshape(along_ki), col, params)
+    fields = fields.reshape(params.q, -1)
+    fields /= N
+    return fields
 
 
 def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):

@@ -192,7 +192,17 @@ def interaction_field(mu, params):
     softmax is the conditional law of a site in block k.
     """
     mu = np.asarray(mu)
-    return (params.beta - params.alpha) * mu + params.alpha * _column_sums(mu)[..., None, :]
+    return field_from_sums(mu, _column_sums(mu)[..., None, :], params)
+
+
+def field_from_sums(own, col, params):
+    """(A mu)[k] from the row mu[k] and colsum(mu): (beta - alpha) own + alpha col.
+
+    The one place the field's coefficients are applied, so a caller that
+    builds the column sums another way gets the same bits as
+    interaction_field.  own and col broadcast against each other.
+    """
+    return (params.beta - params.alpha) * own + params.alpha * col
 
 
 def interaction_form(mu, params):
@@ -209,6 +219,16 @@ def interaction_form(mu, params):
     # matmul reduces each stacked column sum as a dot product does, so a
     # batch gives the same bits as its matrices one at a time
     col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
+    return form_from_sums(squares, col_sq, params)
+
+
+def form_from_sums(squares, col_sq, params):
+    """<mu, A mu> from its two sums: squares = sum mu^2 and col_sq = |colsum mu|^2.
+
+    The one place the form's coefficients are applied, so a caller that
+    builds exact integer sums another way gets the same bits as
+    interaction_form.
+    """
     return (params.beta - params.alpha) * squares + params.alpha * col_sq
 
 

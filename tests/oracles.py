@@ -58,6 +58,20 @@ def count_key(config, sizes, q):
     return tuple(out)
 
 
+def recursive_compositions(n, q):
+    """Compositions of n into q parts, last coordinate slowest, by recursion
+    on the last coordinate: the reference order of the stars-and-bars
+    enumeration."""
+    if q == 1:
+        return np.array([[n]], dtype=np.int64)
+    parts = []
+    for last in range(n + 1):
+        head = recursive_compositions(n - last, q - 1)
+        col = np.full((head.shape[0], 1), last, dtype=np.int64)
+        parts.append(np.hstack([head, col]))
+    return np.vstack(parts)
+
+
 def brute_count_law(sizes, q, alpha, beta):
     """Push-forward of the brute-force configuration law under the count map."""
     law = brute_force_law(sizes, q, alpha, beta)

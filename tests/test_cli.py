@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_exact_writes_csv_and_capacity_exit_code(tmp_path):
     rc = run(["exact", "--q", "3", "--sizes", "9,9", "--alpha", "0.5",
               "--beta", "1.0", "--cap", "10", "--out", str(tmp_path / "c.csv")])
     assert rc == 3
+
+
+def test_exact_over_cap_exits_before_enumerating(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    start = time.perf_counter()
+    rc = run(["exact", "--q", "3", "--sizes", "1000000", "--alpha", "0.5",
+              "--beta", "1.0", "--cap", "10", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert elapsed < 1.0
+    assert err.startswith("capacity error: ") and len(err.strip().splitlines()) == 1
+    assert "500001500001" in err
+    assert not out.exists()
 
 
 def test_equilibria_json_round_trips(tmp_path):

@@ -1,4 +1,5 @@
 """Property tests of the count-matrix core: the interaction form and field,
+the block-product routes of the exact law and the leave-one-out fields,
 the C(gamma) row clean-up, G's color symmetry and the simplex projection.
 
 Hypothesis runs derandomized, so every run draws the same examples.
@@ -14,13 +15,16 @@ from blockpotts import (
     BlockStructure,
     ModelParams,
     count_matrix,
+    count_matrix_support,
     exact_conditional,
+    exact_distribution,
     free_energy_G,
     hamiltonian_direct,
     interaction_field,
     interaction_form,
 )
-from blockpotts.numutil import project_simplex, softmax
+from blockpotts.lsi import _loo_fields_by_color
+from blockpotts.numutil import log_factorials, logsumexp_tree, project_simplex, softmax
 from blockpotts.rates import _clean_distribution, _clean_rows
 
 import oracles
@@ -85,6 +89,53 @@ def test_loo_field_softmax_is_brute_force_conditional(system, data):
                                       params.alpha, params.beta)
     assert np.max(np.abs(probs - brute)) <= 1e-12
     assert np.array_equal(probs, exact_conditional(config, site, blocks, params))
+
+
+@st.composite
+def product_grids(draw):
+    """(params, blocks) with s <= 3 blocks of unequal sizes and q in 3..5,
+    small enough that the support can be materialised."""
+    s = draw(st.integers(1, 3))
+    max_size = (15, 6, 3)[s - 1]
+    sizes = tuple(draw(st.integers(1, max_size)) for _ in range(s))
+    q = draw(st.integers(3, 5))
+    alpha, beta = draw(couplings)
+    N = sum(sizes)
+    gamma = (1.0,) if s == 1 else tuple(n / N for n in sizes)
+    return ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma), BlockStructure(sizes)
+
+
+@SETTINGS
+@given(product_grids())
+def test_exact_law_on_block_grid_equals_materialised_support(system):
+    params, blocks = system
+    dist = exact_distribution(blocks, params)
+    support = count_matrix_support(blocks.sizes, params.q, cap=10**7).astype(np.int64)
+    assert dist.support.dtype == np.int16
+    assert np.array_equal(dist.support, support)
+    # the reference: log multinomials row by row, plus the form on the support
+    log_fact = log_factorials(max(blocks.sizes))
+    log_mult = log_fact[blocks.sizes[0]] - log_fact[support[:, 0]].sum(axis=1)
+    for k in range(1, blocks.s):
+        log_mult = log_mult + (log_fact[blocks.sizes[k]] - log_fact[support[:, k]].sum(axis=1))
+    log_weights = log_mult + interaction_form(support, params) / (2.0 * blocks.N)
+    log_Z = logsumexp_tree(log_weights)
+    assert np.array_equal(dist.log_weights, log_weights)
+    assert dist.log_Z == log_Z
+    assert np.array_equal(dist.probabilities, np.exp(log_weights - log_Z))
+
+
+@SETTINGS
+@given(product_grids(), st.data())
+def test_loo_fields_on_block_grid_equal_interaction_field(system, data):
+    params, blocks = system
+    ki = data.draw(st.integers(0, blocks.s - 1))
+    reduced = list(blocks.sizes)
+    reduced[ki] -= 1
+    support = count_matrix_support(reduced, params.q, cap=10**7).astype(np.int64)
+    fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap=10**7)
+    assert fields.flags.c_contiguous
+    assert np.array_equal(fields, interaction_field(support, params)[:, ki, :].T / blocks.N)
 
 
 @SETTINGS

@@ -1,6 +1,9 @@
 """Exact partition function, count-matrix law, conditionals, and marginals."""
 
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +13,14 @@ from blockpotts import (
     CapacityError,
     InvalidInputError,
     ModelParams,
+    count_matrix_support,
     enumerate_block_compositions,
     exact_conditional,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
+    gamma1_exact,
+    interdependence_matrix_exact,
 )
 from blockpotts.exact import export_csv
 
@@ -46,6 +52,22 @@ def test_compositions_colex_order_no_duplicates():
     assert len(seen) == comp.shape[0] == math.comb(8, 3)
     reversed_rows = [tuple(row[::-1]) for row in comp]
     assert reversed_rows == sorted(reversed_rows)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_compositions_match_recursive_reference(q):
+    for n in range(16):
+        comp = enumerate_block_compositions(n, q)
+        assert comp.shape[0] == math.comb(n + q - 1, q - 1)
+        assert comp.dtype == np.int64
+        assert np.array_equal(comp, oracles.recursive_compositions(n, q))
+
+
+def test_compositions_reject_invalid_input():
+    with pytest.raises(InvalidInputError):
+        enumerate_block_compositions(-1, 3)
+    with pytest.raises(InvalidInputError):
+        enumerate_block_compositions(3, 0)
 
 
 def test_log_Z_two_sites_closed_form():
@@ -124,6 +146,48 @@ def test_capacity_error_names_required_size():
         exact_distribution(b, p, cap=required - 1)
     assert err.value.required == required
     assert str(required) in str(err.value)
+
+
+def test_capacity_checked_before_enumeration():
+    # 500001500001 compositions of 10^6 sites into 3 colors: enumerating
+    # them first would never return
+    p, b = make(3, (10**6,), 0.2, 0.5)
+    for route in (exact_distribution, gamma1_exact, interdependence_matrix_exact):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as err:
+            route(b, p, cap=10)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value.required) in str(err.value)
+    with pytest.raises(CapacityError, match="500001500001"):
+        exact_distribution(b, p, cap=10)
+
+
+def test_block_size_beyond_int16_is_capacity_error():
+    # q=2 keeps the support small, so only the int16 count limit can refuse it
+    assert count_matrix_support((2**15 - 1,), 2, cap=10**6).dtype == np.int16
+    with pytest.raises(CapacityError, match="int16"):
+        count_matrix_support((2**15,), 2, cap=10**6)
+
+
+def test_support_is_int16_product_of_block_compositions():
+    sizes, q = (3, 1, 2), 3
+    support = count_matrix_support(sizes, q, cap=1000)
+    assert support.dtype == np.int16
+    comps = [enumerate_block_compositions(n, q) for n in sizes]
+    rows = [np.concatenate(parts) for parts in itertools.product(*comps)]
+    assert np.array_equal(support.reshape(len(rows), -1), np.array(rows))
+
+
+def test_exact_peak_memory_per_support_point():
+    p, b = make(3, (40, 40), 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        dist = exact_distribution(b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the outputs alone take 12 + 8 + 8 bytes per point
+    assert peak / len(dist) <= 96
 
 
 def test_conditional_uniform_cases():
