@@ -35,19 +35,11 @@ from .exact import (
     ExactDistribution,
     count_matrix_support,
     enumerate_block_compositions,
-    exact_conditional,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
 )
-from .glauber import (
-    ChainState,
-    ChainSummary,
-    conditional_field,
-    heat_bath_step,
-    run_chain,
-    tail_estimate,
-)
+from .glauber import ChainSummary, run_chain, tail_estimate
 from .lsi import (
     ConfigWorkspace,
     LsiConstants,
@@ -55,7 +47,6 @@ from .lsi import (
     asymptotic_constants,
     concentration_report,
     entropy_functional,
-    fit_inverse_n_coefficient,
     gamma1_exact,
     gamma1_floor,
     gamma2_asymptotic,
@@ -68,14 +59,9 @@ from .lsi import (
 from .model import (
     BlockStructure,
     ModelParams,
-    config_from_json,
-    config_to_json,
     count_matrix,
-    hamiltonian_direct,
-    hamiltonian_quadratic,
     interaction_field,
     interaction_form,
-    model_from_json,
     model_to_json,
 )
 from .rates import (

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
+    CRITICAL_BAND,
     SearchOptions,
     classify_phase,
     critical_temperature,
@@ -40,7 +41,7 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
 )
-from .exact import exact_distribution, export_csv
+from .exact import DEFAULT_SUPPORT_CAP, exact_distribution, export_csv
 from .glauber import check_run_options, run_chain
 from .lsi import (
     asymptotic_constants,
@@ -55,6 +56,10 @@ from .model import BlockStructure, ModelParams, model_to_json
 from .rates import potts_functional
 
 _FLOAT_FMT = ".17g"
+
+# Most rows phase-diagram writes: a g grid finer than this is refused
+# (exit 3) before the CSV is opened.
+MAX_PHASE_ROWS = 10_000_000
 
 
 def _fmt(x):
@@ -227,7 +232,7 @@ def cmd_simulate(args):
 def cmd_exact(args):
     cfg = _load_config(args)
     params, blocks = _resolve_model(args, cfg)
-    cap = _opt(args, cfg, "cap", default=10_000_000, cast=int)
+    cap = _opt(args, cfg, "cap", default=DEFAULT_SUPPORT_CAP, cast=int)
     seed = _opt(args, cfg, "seed", default=0, cast=int)
     out = _out_path(args, cfg, "out", "exact.csv")
     dist = exact_distribution(blocks, params, cap=cap)
@@ -262,17 +267,19 @@ def cmd_equilibria(args):
     restarts = _opt(args, cfg, "restarts", default=32, cast=int)
     out = _out_path(args, cfg, "out", "equilibria.json")
     options = SearchOptions(restarts=restarts, seed=seed)
+    land_out = _opt(args, cfg, "landscape_out")
+    if land_out is not None:
+        # sampled before anything is written, so a bad r or mesh leaves no file
+        r = _opt(args, cfg, "landscape_r", default=1, cast=int)
+        mesh = _opt(args, cfg, "landscape_mesh", default=25, cast=int)
+        land_path = _out_path(args, cfg, "landscape_out", "landscape.csv")
+        rows = two_column_landscape(params, r, mesh=mesh)
     report = maximize_G(params, options=options)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(_report_to_json(report), fh, indent=2)
         fh.write("\n")
     outputs = [out]
-    land_out = _opt(args, cfg, "landscape_out")
     if land_out is not None:
-        r = _opt(args, cfg, "landscape_r", default=1, cast=int)
-        mesh = _opt(args, cfg, "landscape_mesh", default=25, cast=int)
-        land_path = _out_path(args, cfg, "landscape_out", "landscape.csv")
-        rows = two_column_landscape(params, r, mesh=mesh)
         header = ["r"] + [f"mu_plus_{k + 1}" for k in range(params.s)] + ["G"]
         with open(land_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
@@ -292,14 +299,18 @@ def cmd_phase_diagram(args):
     g_min = _opt(args, cfg, "g_min", required=True, cast=float)
     g_max = _opt(args, cfg, "g_max", required=True, cast=float)
     g_step = _opt(args, cfg, "g_step", default=0.05, cast=float)
-    band = _opt(args, cfg, "critical_band", default=1e-9, cast=float)
+    band = _opt(args, cfg, "critical_band", default=CRITICAL_BAND, cast=float)
     seed = _opt(args, cfg, "seed", default=0, cast=int)
     out = _out_path(args, cfg, "out", "phase_diagram.csv")
-    if g_step <= 0 or g_max < g_min:
-        raise InvalidInputError("need g_step > 0 and g_max >= g_min")
+    if not (g_step > 0 and g_max >= g_min and math.isfinite(g_max - g_min)):
+        raise InvalidInputError("need g_step > 0 and finite g_max >= g_min")
+    steps = (g_max - g_min) / g_step + 1e-9
+    if steps >= MAX_PHASE_ROWS:
+        raise CapacityError(f"the g grid needs {steps + 1:.6g} rows, more than "
+                            f"{MAX_PHASE_ROWS}", required=steps + 1)
     zeta = critical_temperature(q)
     uniform = np.full(q, 1.0 / q)
-    count = int(math.floor((g_max - g_min) / g_step + 1e-9)) + 1
+    count = math.floor(steps) + 1
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("g,phase,u,G_Q,G_nu1\n")
         for idx in range(count):
@@ -382,6 +393,8 @@ def cmd_concentration(args):
         raise InvalidInputError("--constants must be 'asymptotic' or 'measured'")
     if t_max is None:
         t_max = float(blocks.sizes[k])
+    if not t_max >= 0.0:
+        raise InvalidInputError(f"--t-max must be >= 0, got {t_max}")
     summary = run_chain(blocks, params, sweeps, thin=thin, seed=seed,
                         burn_in=burn_in)
     t_grid = np.linspace(0.0, t_max, t_points)

@@ -30,6 +30,21 @@ from .model import interaction_field
 from .numutil import project_simplex
 from .rates import _free_energy, free_energy_G
 
+# Stopping rules of each projected ascent: at most MAX_ITER iterations; a
+# restart stops early on no ascent, a move below STEP_TOL or a projected
+# gradient below GRAD_TOL, and its line search gives up below STEP_TOL.
+MAX_ITER = 500
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+# How far any ascent may climb above the reported supremum before the
+# search raises NonConvergenceError.
+MARGIN = 1e-9
+# Half-width of the CRITICAL band of g around zeta_q.
+CRITICAL_BAND = 1e-9
+# Relative inset of the landscape mesh from both ends of each mu_plus box;
+# at the upper end the small columns would be exactly zero.
+LANDSCAPE_INSET = 1e-6
+
 
 class Phase(enum.Enum):
     SUBCRITICAL = "SUBCRITICAL"
@@ -167,24 +182,14 @@ def two_column_matrix(r, mu_plus, gamma, q):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs of the numerical maximization; defaults match the test suite."""
+    """Restarts per batch of the multistart search and the seed of its starts."""
 
     restarts: int = 32
     seed: int = 0
-    max_iter: int = 500
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    margin: float = 1e-9
-    critical_band: float = 1e-9
 
     def __post_init__(self):
-        if not (self.restarts >= 1 and self.max_iter >= 1):
-            raise InvalidInputError(f"restarts and max_iter must be >= 1, got "
-                                    f"{self.restarts} and {self.max_iter}")
-        if not (self.grad_tol > 0.0 and self.step_tol > 0.0
-                and self.margin >= 0.0 and self.critical_band >= 0.0):
-            raise InvalidInputError(f"need grad_tol, step_tol > 0 and margin, critical_band "
-                                    f">= 0, got {self}")
+        if not self.restarts >= 1:
+            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,9 @@ class EquilibriumReport:
     restarts ascents ran (opts.restarts per column multiplicity plus as many
     full-matrix ones) for ascent_iterations in all, max_ascent_iterations
     the longest; restarts_converged of them stopped on a convergence rule
-    before max_iter, and newton_failures two-column endpoints could not be
+    before MAX_ITER, and newton_failures two-column endpoints could not be
     polished to a critical point.  certificate_margin is sup_G minus the
-    best value any ascent reached: it is >= -margin for every report.
+    best value any ascent reached: it is >= -MARGIN for every report.
     """
 
     phase: Phase
@@ -269,15 +274,15 @@ def _newton_two_column(r, mu_plus, params, gamma, iters=60):
     return x if np.max(np.abs(h)) < 1e-13 else None
 
 
-def _ascend(x0, value, gradient, project, opts):
+def _ascend(x0, value, gradient, project):
     """Projected gradient ascent of the R restarts stacked along axis 0 of x0.
 
     value maps a stack to its R values, gradient to its ascent directions
     and project onto the feasible set.  Each restart has its own step: the
     line search starts from the last accepted step, doubles it on success
-    and halves it until the value rises or the step drops below step_tol.
-    A restart stops on no ascent, a move below step_tol or a projected
-    gradient below grad_tol.  Returns per restart (x, fx, iterations,
+    and halves it until the value rises or the step drops below STEP_TOL.
+    A restart stops on no ascent, a move below STEP_TOL or a projected
+    gradient below GRAD_TOL.  Returns per restart (x, fx, iterations,
     converged), converged meaning stopped by one of those rules.
     """
     x = project(np.asarray(x0, dtype=np.float64))
@@ -286,7 +291,7 @@ def _ascend(x0, value, gradient, project, opts):
     step = np.ones(x.shape[0])
     active = np.ones(x.shape[0], dtype=bool)
     iterations = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         if not active.any():
             break
         iterations += active
@@ -301,14 +306,14 @@ def _ascend(x0, value, gradient, project, opts):
             y[up], fy[up], step[up] = cand[up], fcand[up], t[up] * 2.0
             searching &= ~up
             t[searching] *= 0.5
-            searching &= t >= opts.step_tol
+            searching &= t >= STEP_TOL
             if not searching.any():
                 break
         rose = fy > fx
         moved = np.max(np.abs(y - x), axis=axes)
         x, fx = y, fy
         projected_grad = np.max(np.abs(project(x + grad) - x), axis=axes)
-        active &= rose & (moved >= opts.step_tol) & (projected_grad >= opts.grad_tol)
+        active &= rose & (moved >= STEP_TOL) & (projected_grad >= GRAD_TOL)
     return x, fx, iterations, ~active
 
 
@@ -334,7 +339,6 @@ def _multistart(params, gamma, opts):
         lambda x: _free_energy(_two_column(r_rows, x, gamma, q), params),
         lambda x: r_col * _reduced_gradient(r_col, x, params, gamma),
         lambda x: np.clip(x, box_lo, box_hi),
-        opts,
     )
     raw = rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None]
     full_matrix = _ascend(
@@ -342,7 +346,6 @@ def _multistart(params, gamma, opts):
         lambda x: _free_energy(x, params),
         lambda x: gradient_G(x, params),
         lambda x: project_simplex(x, gamma),
-        opts,
     )
     return r_rows, two_column, full_matrix
 
@@ -424,7 +427,7 @@ def maximize_G(params, gamma=None, options=None):
     Uniform gamma: classify through g against zeta_q, return the closed-form
     maximizer set, and certify it by checking the critical-equation
     residuals and by running the multistart ascent, which must not beat the
-    closed-form value by more than options.margin.
+    closed-form value by more than MARGIN.
     Non-uniform gamma: numerical search only; the report is flagged as
     carrying no closed-form certificate.
     """
@@ -441,11 +444,11 @@ def maximize_G(params, gamma=None, options=None):
     if uniform:
         u = potts_fixed_point_u(g, q)
         Q, nus = equilibrium_matrices(g, params)
-        phase = classify_phase(g, q, opts.critical_band)
+        phase = classify_phase(g, q, CRITICAL_BAND)
         best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
                 Phase.SUPERCRITICAL: nus}[phase]
         sup_G = max(free_energy_G(m, params, gamma) for m in best)
-        if probe_max > sup_G + opts.margin:
+        if probe_max > sup_G + MARGIN:
             raise NonConvergenceError(
                 f"multistart ascent found G = {probe_max} above the closed-form "
                 f"supremum {sup_G}",
@@ -459,7 +462,7 @@ def maximize_G(params, gamma=None, options=None):
         u = math.nan
         values = _free_energy(np.stack(candidates), params)
         sup_G = float(values.max())
-        if probe_max > sup_G + opts.margin:
+        if probe_max > sup_G + MARGIN:
             raise NonConvergenceError(
                 f"ascent reached G = {probe_max} but no polished critical point matches",
                 best=probe_best,
@@ -530,20 +533,24 @@ def structure_certificate(mu, params, gamma=None, tol=1e-9):
     }
 
 
-def two_column_landscape(params, r, mesh=25, gamma=None, inset=1e-6):
+def two_column_landscape(params, r, mesh=25, gamma=None):
     """Sample G on a mesh of the two-column manifold for a fixed r.
 
-    Returns an array with rows (r, mu_plus_1, .., mu_plus_s, G).
+    Each mu_plus_k runs over mesh points of its box, inset by LANDSCAPE_INSET
+    of the box width at both ends.  Returns an array with rows (r,
+    mu_plus_1, .., mu_plus_s, G).
     """
     gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
     q = params.q
     if not 1 <= r <= q - 1:
         raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
+    if mesh < 1:
+        raise InvalidInputError(f"mesh must be >= 1, got {mesh}")
     axes = []
     for k in range(gamma.size):
         lo = gamma[k] / q
         hi = gamma[k] / r
-        pad = inset * (hi - lo) if hi > lo else 0.0
+        pad = LANDSCAPE_INSET * (hi - lo) if hi > lo else 0.0
         axes.append(np.linspace(lo + pad, hi - pad, mesh) if hi > lo
                     else np.array([lo]))
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gamma.size)

@@ -36,15 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import (
-    check_consistent,
-    count_matrix,
-    form_from_sums,
-    interaction_field,
-    interaction_form,
-    validate_config,
-)
-from .numutil import log_factorials, logsumexp_tree, softmax
+from .model import check_consistent, form_from_sums, interaction_form
+from .numutil import log_factorials, logsumexp_tree
 
 DEFAULT_SUPPORT_CAP = 10_000_000
 INT16_MAX = np.iinfo(np.int16).max
@@ -233,22 +226,6 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
         params=params,
         blocks=blocks,
     )
-
-
-def exact_conditional(config, site, blocks, params):
-    """Exact conditional law of one site's color given all the others.
-
-    Proportional to exp(-H(config with the site recolored)) over the q
-    colors, which is the softmax of the leave-one-out field: row k(site) of
-    A B / N, with B the count matrix of the other sites.
-    """
-    config = validate_config(config, blocks, params.q)
-    if not 0 <= site < blocks.N:
-        raise InvalidInputError(f"site {site} out of range [0, {blocks.N})")
-    B = count_matrix(config, blocks, params.q)
-    k = blocks.block_of(site)
-    B[k, config[site]] -= 1
-    return softmax(interaction_field(B, params)[k] / blocks.N)
 
 
 def exact_observable_distribution(dist, k, c):

@@ -32,8 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_consistent, count_matrix, interaction_field, validate_config
-from .numutil import softmax
+from .model import check_consistent, count_matrix, validate_config
 
 # Updates drawn per RNG chunk: large enough that the two numpy calls per
 # chunk cost little next to its updates, small enough that the drawn
@@ -45,34 +44,6 @@ CHUNK_UPDATES = 4096
 MAX_BETA = 1400.0
 
 
-@dataclass
-class ChainState:
-    """Mutable single-owner state of one chain; never share mid-run.
-
-    counts always equals count_matrix(config); run_chain can audit that
-    invariant periodically when asked to.
-    """
-
-    config: np.ndarray
-    counts: np.ndarray
-    step: int
-    rng: np.random.Generator
-    blocks: "BlockStructure"
-    params: "ModelParams"
-
-    @classmethod
-    def from_config(cls, config, blocks, params, rng):
-        config = validate_config(config, blocks, params.q).copy()
-        return cls(
-            config=config,
-            counts=count_matrix(config, blocks, params.q),
-            step=0,
-            rng=rng,
-            blocks=blocks,
-            params=params,
-        )
-
-
 @dataclass(frozen=True)
 class ChainSummary:
     """Thinned count-matrix samples of one chain plus running summaries."""
@@ -81,34 +52,6 @@ class ChainSummary:
     sweep_count: int
     seed: int
     empirical_M_prime: np.ndarray
-
-
-def conditional_field(state, site):
-    """Leave-one-out field F of length q; softmax(F) is the site's conditional."""
-    if not 0 <= site < state.blocks.N:
-        raise InvalidInputError(f"site {site} out of range [0, {state.blocks.N})")
-    k = state.blocks.block_of(site)
-    B = state.counts.copy()
-    B[k, state.config[site]] -= 1
-    return interaction_field(B, state.params)[k] / state.blocks.N
-
-
-def heat_bath_step(state, site):
-    """Resample one site from its exact conditional; counts stay in sync, O(q).
-
-    Reference single-step implementation.  run_chain follows the same law
-    through weight tables, with its own RNG consumption order.
-    """
-    probs = softmax(conditional_field(state, site))
-    u = state.rng.random()
-    new = int(min(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1))
-    old = int(state.config[site])
-    k = state.blocks.block_of(site)
-    state.counts[k, old] -= 1
-    state.counts[k, new] += 1
-    state.config[site] = new
-    state.step += 1
-    return state
 
 
 def _initial_config(init, blocks, q, rng):

@@ -43,6 +43,16 @@ from .glauber import tail_estimate
 from .model import field_from_sums
 from .numutil import softmax
 
+# Largest q^N the full configuration workspace enumerates.
+WORKSPACE_CAP = 4_000_000
+# Relative tolerance and iteration budget of the power iteration for the
+# two-norm of J.
+NORM_TOL = 1e-10
+NORM_MAX_ITER = 20_000
+# Relative rounding allowance of the inequality checks: the contract is zero
+# violations, and this absorbs last-ulp rounding only.
+FP_SLACK = 1e-12
+
 
 def lsi_condition(q, beta):
     """Asymptotic smallness condition 2 q beta e^beta < 1."""
@@ -181,13 +191,13 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     return J
 
 
-def matrix_norms(J, tol=1e-10, max_iter=20_000):
+def matrix_norms(J):
     """(inf_norm, two_norm) of a matrix.
 
     inf_norm is the maximum absolute row sum; two_norm is the largest
-    singular value, obtained by power iteration on J^t J to the given
-    tolerance.  The result is checked against the interpolation bound
-    two_norm <= sqrt(one_norm * inf_norm).
+    singular value, obtained by power iteration on J^t J to relative
+    tolerance NORM_TOL within NORM_MAX_ITER steps.  The result is checked
+    against the interpolation bound two_norm <= sqrt(one_norm * inf_norm).
     """
     J = np.asarray(J, dtype=np.float64)
     inf_norm = float(np.abs(J).sum(axis=1).max()) if J.size else 0.0
@@ -196,14 +206,14 @@ def matrix_norms(J, tol=1e-10, max_iter=20_000):
     v = np.full(n, 1.0 / math.sqrt(n)) if n else np.zeros(0)
     lam = 0.0
     two_norm = 0.0
-    for _ in range(max_iter):
+    for _ in range(NORM_MAX_ITER):
         w = J.T @ (J @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             two_norm = 0.0
             break
         v = w / norm_w
-        if abs(norm_w - lam) <= tol * max(1.0, norm_w):
+        if abs(norm_w - lam) <= NORM_TOL * max(1.0, norm_w):
             lam = norm_w
             two_norm = math.sqrt(lam)
             break
@@ -218,19 +228,6 @@ def matrix_norms(J, tol=1e-10, max_iter=20_000):
     return inf_norm, two_norm
 
 
-def fit_inverse_n_coefficient(norms_by_n):
-    """Least-squares coefficient c of inf_norm ~ a + c/N across system sizes.
-
-    Returns (a, c); the magnitude of c estimates the finite-size correction
-    of the row-sum norm toward its large-N asymptote.
-    """
-    ns = np.asarray(sorted(norms_by_n), dtype=np.float64)
-    ys = np.asarray([norms_by_n[int(n)] for n in ns], dtype=np.float64)
-    X = np.vstack([np.ones_like(ns), 1.0 / ns]).T
-    coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 class ConfigWorkspace:
     """Full configuration-space machinery for the exhaustive checks.
 
@@ -238,10 +235,10 @@ class ConfigWorkspace:
     and the exact single-site conditionals of every configuration.
     """
 
-    def __init__(self, blocks, params, cap=4_000_000):
+    def __init__(self, blocks, params):
         self.blocks = blocks
         self.params = params
-        self.dist = full_configuration_distribution(blocks, params, cap=cap)
+        self.dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
         P = len(self.dist)
         N, q = blocks.N, params.q
         place = params.q ** np.arange(N, dtype=np.int64)
@@ -257,12 +254,6 @@ class ConfigWorkspace:
     @property
     def probabilities(self):
         return self.dist.probabilities
-
-    def values(self, f):
-        """Evaluate a callable on every configuration (or pass an array through)."""
-        if isinstance(f, np.ndarray):
-            return f.astype(np.float64)
-        return np.asarray([f(cfg) for cfg in self.dist.configs], dtype=np.float64)
 
     def difference_sq_all(self, fvals):
         """|df|^2 at every configuration: summed conditional local variances."""
@@ -281,11 +272,9 @@ class ConfigWorkspace:
 
 
 def entropy_functional(f, dist):
-    """Ent(f) = E[f log f] - E[f] log E[f] for nonnegative f under an exact law."""
-    if isinstance(f, np.ndarray):
-        values = f.astype(np.float64)
-    else:
-        values = np.asarray([f(cfg) for cfg in dist.configs], dtype=np.float64)
+    """Ent(f) = E[f log f] - E[f] log E[f] for a nonnegative array f of values
+    on the support of an exact law."""
+    values = np.asarray(f, dtype=np.float64)
     if np.any(values < 0.0):
         raise InvalidInputError("entropy functional needs a nonnegative observable")
     p = dist.probabilities
@@ -335,8 +324,7 @@ def _structured_battery(workspace, rng, n_products=8, n_linear=2):
     return obs
 
 
-def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0,
-                     cap=4_000_000, fp_slack=1e-12):
+def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     """Exhaustively verify the three entropy inequalities on a tiny system.
 
     Uses measured gamma1 (exact conditional floor) and gamma2 = 1 minus the
@@ -344,15 +332,20 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0,
     full enumeration for num_f centered Gaussian observables plus a
     structured battery (indicators, block counts, products of indicators,
     linear forms), and reports the worst slack of each inequality.  The
-    contract is zero violations; fp_slack only absorbs last-ulp rounding.
+    contract is zero violations; FP_SLACK only absorbs last-ulp rounding,
+    and a side that is NaN counts as a violation.
     """
+    if num_f < 0:
+        raise InvalidInputError(f"num_f must be >= 0, got {num_f}")
+    if not math.isfinite(amplitude):
+        raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
     if not lsi_condition(params.q, params.beta):
         raise ConditionNotMetError(
             f"2 q beta e^beta = {2 * params.q * params.beta * math.exp(params.beta):.6g} >= 1"
         )
-    workspace = ConfigWorkspace(blocks, params, cap=cap)
-    g1 = gamma1_exact(blocks, params, cap=cap)
-    J = interdependence_matrix_exact(blocks, params, cap=cap)
+    workspace = ConfigWorkspace(blocks, params)
+    g1 = gamma1_exact(blocks, params)
+    J = interdependence_matrix_exact(blocks, params)
     inf_norm, two_norm = matrix_norms(J)
     g2 = 1.0 - two_norm
     if g2 <= 0.0:
@@ -387,7 +380,7 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0,
             worst_slack[name] = min(worst_slack[name], slack)
             if rhs > 0.0:
                 worst_ratio[name] = max(worst_ratio[name], lhs / rhs)
-            if lhs > rhs + fp_slack * max(1.0, abs(lhs), abs(rhs)):
+            if not lhs <= rhs + FP_SLACK * max(1.0, abs(lhs), abs(rhs)):
                 violations += 1
     return LsiSuiteReport(
         condition_asymptotic=lsi_condition(params.q, params.beta),

@@ -4,11 +4,12 @@ Sites 0..N-1 are partitioned into s contiguous blocks and each site carries
 one of q colors.  Every ordered pair of equal-color sites (the diagonal
 i == j included) contributes -beta/(2N) when both sites share a block and
 -alpha/(2N) otherwise.  Because only the number of equal-color pairs enters,
-the energy is a quadratic form of the blocks-by-colors count matrix B, which
-is therefore the sufficient statistic of the model.
+the energy is the quadratic form H = -<B, A B> / (2N) of the blocks-by-colors
+count matrix B (interaction_form), which is therefore the sufficient
+statistic of the model.
 
-Conventions: colors and sites are 0-based in memory; JSON documents use
-1-based colors.  All value types are immutable after construction and all
+Conventions: colors and sites are 0-based in memory; the CLI and its
+outputs use 1-based colors.  All value types are immutable after construction and all
 operations are pure functions, so everything here is safe to share across
 threads.
 """
@@ -158,25 +159,6 @@ def count_matrix(config, blocks, q):
     return out
 
 
-def hamiltonian_direct(config, blocks, params):
-    """Energy from the defining pair sum over ordered pairs, diagonal included.
-
-    H = -beta/(2N) * #{ordered intra-block equal-color pairs}
-        -alpha/(2N) * #{ordered inter-block equal-color pairs}.
-
-    The self pairs (i, i) are part of the intra-block count; they contribute
-    the constant -beta/(2N) * N and must not be "corrected away", otherwise
-    the quadratic-form identity below breaks.
-    """
-    check_consistent(params, blocks)
-    colors = validate_config(config, blocks, params.q)
-    same_color = colors[:, None] == colors[None, :]
-    same_block = blocks.site_blocks[:, None] == blocks.site_blocks[None, :]
-    n_intra = int(np.count_nonzero(same_color & same_block))
-    n_inter = int(np.count_nonzero(same_color & ~same_block))
-    return -(params.beta * n_intra + params.alpha * n_inter) / (2.0 * blocks.N)
-
-
 def _column_sums(mu, dtype=None):
     # einsum adds the rows in order, like mu.sum(axis=-2), but without that
     # reduction's per-row overhead on a large batch of small matrices
@@ -232,20 +214,6 @@ def form_from_sums(squares, col_sq, params):
     return (params.beta - params.alpha) * squares + params.alpha * col_sq
 
 
-def hamiltonian_quadratic(counts, params, blocks):
-    """Energy as the quadratic form -<B, A B> / (2N) of the count matrix.
-
-    For integer counts the form is summed exactly, so this agrees with
-    hamiltonian_direct to rounding error.
-    """
-    check_consistent(params, blocks)
-    B = np.asarray(counts)
-    if B.shape != (blocks.s, params.q):
-        raise InvalidInputError(f"count matrix shape {B.shape}, expected "
-                                f"({blocks.s}, {params.q})")
-    return -float(interaction_form(B, params)) / (2.0 * blocks.N)
-
-
 def model_to_json(params, blocks):
     """Single JSON document describing params and block sizes."""
     check_consistent(params, blocks)
@@ -257,33 +225,3 @@ def model_to_json(params, blocks):
         "gamma": list(params.gamma),
         "sizes": list(blocks.sizes),
     }
-
-
-def model_from_json(doc):
-    """Inverse of model_to_json; gamma defaults to sizes/N when absent."""
-    sizes = [int(n) for n in doc["sizes"]]
-    gamma = doc.get("gamma")
-    if gamma is None:
-        total = float(sum(sizes))
-        gamma = [n / total for n in sizes]
-    params = ModelParams(
-        q=int(doc["q"]),
-        s=int(doc.get("s", len(sizes))),
-        alpha=float(doc["alpha"]),
-        beta=float(doc["beta"]),
-        gamma=tuple(gamma),
-    )
-    blocks = BlockStructure(sizes=tuple(sizes))
-    check_consistent(params, blocks)
-    return params, blocks
-
-
-def config_to_json(config):
-    """Flat list of 1-based colors."""
-    return [int(c) + 1 for c in np.asarray(config, dtype=np.int64)]
-
-
-def config_from_json(values, blocks, q):
-    """Parse a flat list of 1-based colors into a 0-based config array."""
-    arr = np.asarray(values, dtype=np.int64) - 1
-    return validate_config(arr, blocks, q)

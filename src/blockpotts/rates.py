@@ -32,27 +32,18 @@ def _entropy_term(m, axis=None):
     return np.sum(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
 
 
-def _clean_distribution(v, total=1.0, tol=FEASIBILITY_TOL):
-    """Clip and renormalize v when it is within tol of the scaled simplex.
-
-    Returns None for infeasible input (negative mass or wrong total).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or np.any(v < -tol) or abs(v.sum() - total) > tol:
-        return None
-    v = np.maximum(v, 0.0)
-    return v * (total / v.sum())
-
-
-def _clean_rows(nu, totals, tol=FEASIBILITY_TOL):
-    """_clean_distribution applied to every row of nu, row k against totals[k].
+def _clean_rows(nu, totals):
+    """Clip and rescale every row of nu, row k to sum to totals[k], when each
+    row is within FEASIBILITY_TOL of its scaled simplex: no entry below
+    -FEASIBILITY_TOL and a row sum within FEASIBILITY_TOL of its total.
 
     Returns None when nu is not a matrix with one row per total or any row
-    is infeasible.
+    is infeasible (negative mass or wrong total).
     """
     nu = np.ascontiguousarray(nu, dtype=np.float64)
     if nu.ndim != 2 or nu.shape[0] != totals.size:
         return None
+    tol = FEASIBILITY_TOL
     if np.any(nu < -tol) or np.any(np.abs(nu.sum(axis=1) - totals) > tol):
         return None
     nu = np.maximum(nu, 0.0)
@@ -67,11 +58,10 @@ def relative_entropy(nu):
     for rate functions).
     """
     nu = np.asarray(nu, dtype=np.float64)
-    q = nu.size
-    clean = _clean_distribution(nu)
+    clean = _clean_rows(nu[None], np.ones(1))
     if clean is None:
         return math.inf
-    return _entropy_term(clean) + math.log(q)
+    return _entropy_term(clean) + math.log(nu.size)
 
 
 def rate_I(nu, gamma):
@@ -80,13 +70,11 @@ def rate_I(nu, gamma):
     gamma = np.asarray(gamma, dtype=np.float64)
     if nu.ndim != 2 or nu.shape[0] != gamma.size:
         raise InvalidInputError(f"matrix shape {nu.shape} does not match {gamma.size} blocks")
-    total = 0.0
-    for k in range(gamma.size):
-        h = relative_entropy(nu[k])
-        if math.isinf(h):
-            return math.inf
-        total += gamma[k] * h
-    return total
+    clean = _clean_rows(nu, np.ones(gamma.size))
+    if clean is None:
+        return math.inf
+    # the builtin sum adds the blocks in order, as a running total does
+    return sum(gamma * (_entropy_term(clean, axis=1) + math.log(nu.shape[1])))
 
 
 def _free_energy(mu, params):
@@ -123,10 +111,10 @@ def potts_functional(v, g):
     a BLOCK matrix whose rows all equal v/s has G = G^P(v) + log s.
     """
     v = np.asarray(v, dtype=np.float64)
-    clean = _clean_distribution(v)
+    clean = _clean_rows(v[None], np.ones(1))
     if clean is None:
         raise InvalidInputError(f"v is not a probability vector: {v}")
-    return 0.5 * g * float(np.dot(clean, clean)) - _entropy_term(clean)
+    return 0.5 * g * float(np.dot(clean[0], clean[0])) - _entropy_term(clean)
 
 
 @dataclass(frozen=True)

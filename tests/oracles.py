@@ -83,12 +83,15 @@ def brute_count_law(sizes, q, alpha, beta):
 
 
 def brute_conditional(config, site, sizes, q, alpha, beta):
-    """Conditional law of one site from ratios of joint brute-force weights."""
-    weights = []
+    """Conditional law of one site from ratios of joint brute-force weights.
+
+    The weights are normalised in log space, so large beta cannot overflow.
+    """
     config = list(config)
-    for c in range(q):
-        completed = config[:site] + [c] + config[site + 1:]
-        weights.append(math.exp(-pair_hamiltonian(completed, sizes, alpha, beta)))
+    log_weights = [-pair_hamiltonian(config[:site] + [c] + config[site + 1:], sizes, alpha, beta)
+                   for c in range(q)]
+    top = max(log_weights)
+    weights = [math.exp(lw - top) for lw in log_weights]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -254,10 +257,20 @@ def difference_operator_sq(f, config, blocks, params):
 def covariance_term(f, site, workspace):
     """Site summand of the covariance-form inequality: E Cov_i(f, e^f) >= 0.
 
-    Unlike the rest of this module, a thin wrapper over the package's
+    f holds the observable's values on every configuration.  Unlike the
+    rest of this module, a thin wrapper over the package's
     ConfigWorkspace.covariance_terms, which the tests check against a loop.
     """
-    return float(workspace.covariance_terms(workspace.values(f))[site])
+    return float(workspace.covariance_terms(f)[site])
+
+
+def fit_inverse_n_coefficient(norms_by_n):
+    """Least-squares (a, c) of norm ~ a + c/N over a {N: norm} dict."""
+    ns = np.asarray(sorted(norms_by_n), dtype=np.float64)
+    ys = np.asarray([norms_by_n[int(n)] for n in ns], dtype=np.float64)
+    X = np.vstack([np.ones_like(ns), 1.0 / ns]).T
+    coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
+    return float(coef[0]), float(coef[1])
 
 
 def sup_term_for_J(sup_G, q, gamma):

@@ -20,14 +20,12 @@ from blockpotts import (
     count_matrix,
     critical_temperature,
     exact_distribution,
-    fit_inverse_n_coefficient,
     free_energy_G,
     full_configuration_distribution,
     gamma1_exact,
     gamma1_floor,
     gradient_G,
-    hamiltonian_direct,
-    hamiltonian_quadratic,
+    interaction_form,
     interdependence_matrix_exact,
     lsi_condition,
     matrix_norms,
@@ -39,6 +37,8 @@ from blockpotts import (
     structure_certificate,
     verify_lsi_suite,
 )
+
+from oracles import brute_conditional, fit_inverse_n_coefficient, pair_hamiltonian
 
 
 def _report(name, ok, started, detail=""):
@@ -76,9 +76,9 @@ def test_ac01_hamiltonian_identity():
         alpha = float(rng.uniform(0.0, beta))
         params = ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma)
         cfg = rng.integers(0, q, size=blocks.N)
-        h_direct = hamiltonian_direct(cfg, blocks, params)
-        h_quad = hamiltonian_quadratic(count_matrix(cfg, blocks, q), params, blocks)
-        worst = max(worst, abs(h_direct - h_quad) / max(1.0, abs(h_direct)))
+        h_pairs = pair_hamiltonian(cfg.tolist(), blocks.sizes, alpha, beta)
+        h_form = -interaction_form(count_matrix(cfg, blocks, q), params) / (2.0 * blocks.N)
+        worst = max(worst, abs(h_pairs - h_form) / max(1.0, abs(h_pairs)))
     _report("AC1", worst <= 1e-12, t0, f"worst relative gap {worst:.2e}")
 
 
@@ -110,9 +110,6 @@ def test_ac02_exact_oracle_equivalence():
 
 
 def test_ac03_sampler_correctness():
-    from blockpotts import ChainState, conditional_field
-    from blockpotts.numutil import softmax
-
     t0 = time.perf_counter()
     # (a) explicit kernel at N = 4: stationarity and detailed balance
     params = ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.5, 0.5))
@@ -123,10 +120,9 @@ def test_ac03_sampler_correctness():
     place = 3 ** np.arange(N)
     for idx in range(P):
         cfg = full.configs[idx].astype(np.int64)
-        state = ChainState.from_config(cfg, blocks, params,
-                                       np.random.default_rng(0))
         for i in range(N):
-            probs = softmax(conditional_field(state, i))
+            probs = brute_conditional(cfg.tolist(), i, blocks.sizes, 3,
+                                      params.alpha, params.beta)
             for c in range(3):
                 K[idx, idx + (c - cfg[i]) * place[i]] += probs[c] / N
     pi = full.probabilities

@@ -221,11 +221,24 @@ def test_missing_required_option_is_usage_error(tmp_path):
     ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
      "--sweeps", "0"],
     ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "1500"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-out", "LANDSCAPE", "--landscape-mesh", "-3"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-out", "LANDSCAPE", "--landscape-mesh", "0"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-out", "LANDSCAPE", "--landscape-r", "0"],
+    ["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.1",
+     "--amplitude", "nan"],
+    ["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.1",
+     "--num-f", "-5"],
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--t-max", "-1"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    argv = [str(bad) if a == "MALFORMED" else a for a in argv]
+    paths = {"MALFORMED": str(bad), "LANDSCAPE": str(tmp_path / "land.csv")}
+    argv = [paths.get(a, a) for a in argv]
     out = tmp_path / "out"
     rc = run(argv + ["--out", str(out)])
     err = capsys.readouterr().err
@@ -233,6 +246,21 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not out.exists()
+    # no other output either: no manifest, no landscape
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_phase_diagram_row_cap_exits_before_writing(tmp_path, capsys):
+    out = tmp_path / "pd.csv"
+    start = time.perf_counter()
+    rc = run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", "1",
+              "--g-step", "1e-15", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert elapsed < 1.0
+    assert err.startswith("capacity error: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 

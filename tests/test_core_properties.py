@@ -16,16 +16,14 @@ from blockpotts import (
     ModelParams,
     count_matrix,
     count_matrix_support,
-    exact_conditional,
     exact_distribution,
     free_energy_G,
-    hamiltonian_direct,
     interaction_field,
     interaction_form,
 )
 from blockpotts.lsi import _loo_fields_by_color
 from blockpotts.numutil import log_factorials, logsumexp_tree, project_simplex, softmax
-from blockpotts.rates import _clean_distribution, _clean_rows
+from blockpotts.rates import _clean_rows
 
 import oracles
 
@@ -53,8 +51,8 @@ def systems(draw, max_sizes=(4, 3, 3)):
 def test_direct_energy_is_minus_form_over_2n(system):
     params, blocks, config = system
     form = interaction_form(count_matrix(config, blocks, params.q), params)
-    assert hamiltonian_direct(config, blocks, params) == pytest.approx(
-        -form / (2.0 * blocks.N), abs=1e-12)
+    pair_sum = oracles.pair_hamiltonian(config.tolist(), blocks.sizes, params.alpha, params.beta)
+    assert pair_sum == pytest.approx(-form / (2.0 * blocks.N), abs=1e-12)
 
 
 @SETTINGS
@@ -88,7 +86,6 @@ def test_loo_field_softmax_is_brute_force_conditional(system, data):
     brute = oracles.brute_conditional(config.tolist(), site, blocks.sizes, params.q,
                                       params.alpha, params.beta)
     assert np.max(np.abs(probs - brute)) <= 1e-12
-    assert np.array_equal(probs, exact_conditional(config, site, blocks, params))
 
 
 @st.composite
@@ -146,22 +143,27 @@ def test_clean_rows_matches_per_row_clean(s, q, data):
         np.ones(q), size=s) * totals[:, None]
     # off-sum nudges and negative entries, inside and outside the 1e-10 tolerance
     tiny = st.sampled_from([3e-11, 2e-10, 1e-3])
+    feasible = []
     for k in range(s):
         a, b = data.draw(st.permutations(range(q)))[:2]
         move = data.draw(st.sampled_from(["none", "sum", "negative"]))
+        size = data.draw(tiny)
+        feasible.append(move == "none" or size < 1e-10)
         if move == "sum":
-            rows[k, a] += data.draw(tiny) * data.draw(st.sampled_from([1.0, -1.0]))
+            rows[k, a] += size * data.draw(st.sampled_from([1.0, -1.0]))
         elif move == "negative":
-            value = -data.draw(tiny)
-            rows[k, b] += rows[k, a] - value
-            rows[k, a] = value
-    per_row = [_clean_distribution(rows[k], total=totals[k]) for k in range(s)]
+            rows[k, b] += rows[k, a] + size
+            rows[k, a] = -size
+    per_row = [_clean_rows(rows[k:k + 1], totals[k:k + 1]) for k in range(s)]
+    assert [r is not None for r in per_row] == feasible
     batched = _clean_rows(rows, totals)
-    if any(r is None for r in per_row):
+    if not all(feasible):
         assert batched is None
     else:
         assert batched is not None
         assert np.array_equal(batched, np.vstack(per_row))
+        assert np.all(batched >= 0.0)
+        assert np.allclose(batched.sum(axis=1), totals, rtol=0, atol=1e-14)
 
 
 @SETTINGS

@@ -11,11 +11,11 @@ import pytest
 from blockpotts import (
     BlockStructure,
     CapacityError,
+    ConfigWorkspace,
     InvalidInputError,
     ModelParams,
     count_matrix_support,
     enumerate_block_compositions,
-    exact_conditional,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
@@ -190,37 +190,40 @@ def test_exact_peak_memory_per_support_point():
     assert peak / len(dist) <= 96
 
 
+def workspace_conditional(ws, config, site):
+    """The conditional law of one site in the configuration workspace, which
+    indexes configurations base q with site 0 least significant."""
+    code = int(np.dot(config, ws.params.q ** np.arange(ws.blocks.N)))
+    return ws.cond[code, site]
+
+
 def test_conditional_uniform_cases():
     p, b = make(3, (2, 2), 0.0, 0.0)
-    cond = exact_conditional([0, 1, 2, 0], 1, b, p)
+    cond = workspace_conditional(ConfigWorkspace(b, p), [0, 1, 2, 0], 1)
     assert np.allclose(cond, 1 / 3, atol=1e-15)
     # single site: every color has the same self energy
     p1, b1 = make(3, (1,), 0.0, 2.0)
-    assert np.allclose(exact_conditional([1], 0, b1, p1), 1 / 3, atol=1e-15)
+    assert np.allclose(workspace_conditional(ConfigWorkspace(b1, p1), [1], 0), 1 / 3,
+                       atol=1e-15)
 
 
 def test_conditional_pair_ratio():
     # completing (1,1,.) with the same color adds 4 ordered equal pairs
     p, b = make(3, (3,), 0.0, 1.0)
-    cond = exact_conditional([0, 0, 2], 2, b, p)
+    cond = workspace_conditional(ConfigWorkspace(b, p), [0, 0, 2], 2)
     assert cond[0] / cond[1] == pytest.approx(math.exp(2.0 / 3.0), rel=1e-13)
 
 
 def test_conditional_matches_joint_ratio():
     rng = np.random.default_rng(5)
     p, b = make(3, (3, 3), 0.45, 0.9)
+    ws = ConfigWorkspace(b, p)
     for _ in range(25):
         cfg = rng.integers(0, 3, size=6)
         site = int(rng.integers(0, 6))
-        cond = exact_conditional(cfg, site, b, p)
+        cond = workspace_conditional(ws, cfg, site)
         brute = oracles.brute_conditional(cfg.tolist(), site, b.sizes, 3, 0.45, 0.9)
         assert np.max(np.abs(cond - np.asarray(brute))) <= 1e-12
-
-
-def test_conditional_site_out_of_range():
-    p, b = make(3, (2,), 0.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        exact_conditional([0, 1], 2, b, p)
 
 
 def test_observable_distribution_binomial_at_zero_coupling():

@@ -7,22 +7,19 @@ import pytest
 
 from blockpotts import (
     BlockStructure,
-    ChainState,
     InvalidInputError,
     ModelParams,
-    conditional_field,
     count_matrix,
     count_matrix_support,
-    exact_conditional,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
-    heat_bath_step,
     run_chain,
     tail_estimate,
 )
 from blockpotts.glauber import MAX_BETA, _weight_tables
-from blockpotts.numutil import softmax
+
+from oracles import brute_conditional
 
 
 def make(q, sizes, alpha, beta):
@@ -32,29 +29,36 @@ def make(q, sizes, alpha, beta):
     return p, BlockStructure(sizes=sizes)
 
 
-def make_state(config, p, b, seed=0):
-    return ChainState.from_config(np.asarray(config), b, p,
-                                  np.random.default_rng(seed))
+def table_conditional(config, site, p, b):
+    """A site's conditional as run_chain draws it: weights read from the two
+    exponential tables at the leave-one-out counts, normalised."""
+    ein, eout = _weight_tables(b, p)
+    B = count_matrix(config, b, p.q)
+    k = b.site_blocks[site]
+    B[k, config[site]] -= 1
+    tot = B.sum(axis=0)
+    w = np.array([ein[B[k, c]] * eout[tot[c]] for c in range(p.q)])
+    return w / w.sum()
+
+
+def brute(config, site, p, b):
+    return np.asarray(brute_conditional(list(config), site, b.sizes, p.q, p.alpha, p.beta))
 
 
 def test_field_zero_couplings_gives_uniform():
     p, b = make(3, (2, 2), 0.0, 0.0)
-    st = make_state([0, 1, 2, 0], p, b)
-    F = conditional_field(st, 1)
-    assert np.allclose(F, 0.0)
-    assert np.allclose(softmax(F), 1 / 3)
+    assert np.array_equal(table_conditional([0, 1, 2, 0], 1, p, b), np.full(3, 1 / 3))
 
 
 def test_field_all_other_sites_one_color():
     p, b = make(3, (3, 3), 0.5, 1.0)
-    st = make_state([0] * 6, p, b)
-    F = conditional_field(st, 0)
+    probs = table_conditional([0] * 6, 0, p, b)
     N, nk = 6, 3
     expected = (1.0 * (nk - 1) + 0.5 * (N - nk)) / N
-    assert F[0] == pytest.approx(expected, abs=1e-15)
-    assert F[1] == F[2] == 0.0
-    cond = exact_conditional(np.zeros(6, dtype=int), 0, b, p)
-    assert np.max(np.abs(softmax(F) - cond)) <= 1e-12
+    # the field of color 0 above that of the empty colors 1 and 2
+    assert math.log(probs[0] / probs[1]) == pytest.approx(expected, abs=1e-15)
+    assert probs[1] == probs[2]
+    assert np.max(np.abs(probs - brute([0] * 6, 0, p, b))) <= 1e-12
 
 
 def test_field_matches_exact_conditional_randomly():
@@ -63,9 +67,8 @@ def test_field_matches_exact_conditional_randomly():
     for _ in range(100):
         cfg = rng.integers(0, 3, size=6)
         site = int(rng.integers(0, 6))
-        st = make_state(cfg, p, b)
-        probs = softmax(conditional_field(st, site))
-        assert np.max(np.abs(probs - exact_conditional(cfg, site, b, p))) <= 1e-12
+        probs = table_conditional(cfg, site, p, b)
+        assert np.max(np.abs(probs - brute(cfg, site, p, b))) <= 1e-12
 
 
 def test_conditional_floor_and_normalization():
@@ -74,39 +77,21 @@ def test_conditional_floor_and_normalization():
     floor = 1.0 / (1.0 + 2.0 * math.exp(0.8))
     for _ in range(200):
         cfg = rng.integers(0, 3, size=7)
-        st = make_state(cfg, p, b)
-        probs = softmax(conditional_field(st, int(rng.integers(0, 7))))
+        probs = table_conditional(cfg, int(rng.integers(0, 7)), p, b)
         assert abs(probs.sum() - 1.0) <= 1e-14
         assert probs.min() >= floor
 
 
 def test_step_near_deterministic_conditional():
-    # all other sites color 1, beta large: the site must land on color 1
+    # all other sites color 1, beta large: the site lands on color 1 and no
+    # site ever leaves it
     p, b = make(3, (6,), 0.0, 40.0)
     cfg = np.ones(6, dtype=int)
     cfg[0] = 2
-    st = make_state(cfg, p, b, seed=99)
-    probs = softmax(conditional_field(st, 0))
-    # vectorized equivalent of the step's inverse-cdf draw, 10^6 draws
-    draws = np.searchsorted(np.cumsum(probs),
-                            np.random.default_rng(1).random(1_000_000),
-                            side="right")
-    assert np.mean(draws == 1) >= 1.0 - 1e-6
-    # and the actual step function, many times
-    hits = 0
-    for _ in range(10_000):
-        heat_bath_step(st, 0)
-        hits += st.config[0] == 1
-    assert hits == 10_000
-
-
-def test_step_updates_counts_incrementally():
-    p, b = make(3, (3, 3), 0.4, 1.0)
-    st = make_state([0, 1, 2, 0, 1, 2], p, b, seed=5)
-    for step in range(200):
-        heat_bath_step(st, step % 6)
-        assert np.array_equal(st.counts, count_matrix(st.config, b, 3))
-    assert st.step == 200
+    assert table_conditional(cfg, 0, p, b)[1] >= 1.0 - 1e-6
+    summary = run_chain(b, p, sweeps=2000, seed=99, init=cfg, audit=True)
+    assert summary.samples.shape == (2000, 1, 3)
+    assert np.all(summary.samples == [[0, 6, 0]])
 
 
 def _heat_bath_kernel(p, b):
@@ -118,9 +103,8 @@ def _heat_bath_kernel(p, b):
     place = p.q ** np.arange(N)
     for idx in range(P):
         cfg = full.configs[idx].astype(np.int64)
-        st = make_state(cfg, p, b)
         for i in range(N):
-            probs = softmax(conditional_field(st, i))
+            probs = brute(cfg.tolist(), i, p, b)
             for c in range(p.q):
                 j = idx + (c - cfg[i]) * place[i]
                 K[idx, j] += probs[c] / N
@@ -161,20 +145,14 @@ def test_run_chain_sample_count_and_audit():
 def test_weight_tables_match_exact_conditional(q, sizes, alpha, beta):
     # every count matrix B and every color c a site of block k can leave
     p, b = make(q, sizes, alpha, beta)
-    ein, eout = _weight_tables(b, p)
     first_site = np.cumsum((0,) + sizes[:-1])
     errors = []
     for B in count_matrix_support(sizes, q, cap=10_000):
-        config = np.concatenate([np.repeat(np.arange(q), row) for row in B])
+        config = np.concatenate([np.repeat(np.arange(q), row) for row in B]).tolist()
         for k, c in zip(*np.nonzero(B)):
-            row = B[k].copy()
-            tot = B.sum(axis=0)
-            row[c] -= 1
-            tot[c] -= 1
-            w = np.array([ein[row[d]] * eout[tot[d]] for d in range(q)])
-            site = first_site[k] + B[k, :c].sum()
-            exact = exact_conditional(config, site, b, p)
-            errors.append(np.max(np.abs(w / w.sum() - exact)))
+            site = int(first_site[k] + B[k, :c].sum())
+            probs = table_conditional(config, site, p, b)
+            errors.append(np.max(np.abs(probs - brute(config, site, p, b))))
     assert np.max(errors) <= 1e-12  # NaN fails too
 
 

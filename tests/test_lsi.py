@@ -15,7 +15,6 @@ from blockpotts import (
     concentration_report,
     entropy_functional,
     exact_distribution,
-    fit_inverse_n_coefficient,
     full_configuration_distribution,
     gamma1_exact,
     gamma1_floor,
@@ -104,7 +103,7 @@ def test_matrix_norms_match_svd_on_random_matrices():
 def test_fit_inverse_n_coefficient_recovers_exact_fit():
     a, c = 0.66, -0.8
     data = {n: a + c / n for n in (6, 8, 10)}
-    a_hat, c_hat = fit_inverse_n_coefficient(data)
+    a_hat, c_hat = oracles.fit_inverse_n_coefficient(data)
     assert a_hat == pytest.approx(a, abs=1e-12)
     assert c_hat == pytest.approx(c, abs=1e-12)
 
@@ -123,13 +122,11 @@ def test_gamma1_above_analytic_floor():
 def test_gamma1_matches_brute_force_minimum():
     import itertools
 
-    from blockpotts import exact_conditional
-
     p, b = make(3, (2, 2), 0.3, 0.7)
     best = 1.0
     for cfg in itertools.product(range(3), repeat=4):
         for site in range(4):
-            best = min(best, exact_conditional(np.array(cfg), site, b, p).min())
+            best = min(best, min(oracles.brute_conditional(cfg, site, b.sizes, 3, 0.3, 0.7)))
     assert gamma1_exact(b, p) == pytest.approx(best, abs=1e-14)
 
 
@@ -197,7 +194,7 @@ def test_difference_operator_product_measure_two_routes():
     # mean equals twice the one-coordinate variance p(1-p)
     full = full_configuration_distribution(b, p)
     ws = ConfigWorkspace(b, p)
-    fvals = ws.values(f)
+    fvals = np.asarray([f(cfg) for cfg in ws.dist.configs], dtype=np.float64)
     mean_dsq = float(full.probabilities @ ws.difference_sq_all(fvals))
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
@@ -305,6 +302,24 @@ def test_suite_rejects_failed_condition():
     p, b = make(3, (2, 2), 0.05, 0.2)
     with pytest.raises(ConditionNotMetError):
         verify_lsi_suite(b, p, num_f=5, seed=0)
+
+
+@pytest.mark.parametrize("options", [{"amplitude": math.nan}, {"amplitude": math.inf},
+                                     {"num_f": -5}])
+def test_suite_rejects_nonfinite_amplitude_and_negative_num_f(options):
+    p, b = make(3, (2, 2), 0.05, 0.1)
+    with pytest.raises(InvalidInputError):
+        verify_lsi_suite(b, p, **options)
+
+
+def test_suite_counts_nan_sides_as_violations():
+    # at amplitude 1e3, e^f overflows for every Gaussian observable, so both
+    # exp-form inequalities read inf - inf = NaN on the left: two violations
+    # each, where a plain lhs > rhs comparison would count none
+    p, b = make(3, (2, 2), 0.05, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_lsi_suite(b, p, num_f=3, seed=0, amplitude=1e3)
+    assert report.violations == 2 * 3
 
 
 def test_exp_inequalities_invariant_under_constant_shift():

@@ -1,4 +1,4 @@
-"""Core model types, count matrices, and the two Hamiltonian evaluations."""
+"""Core model types, count matrices, and the energy as a count-matrix form."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from blockpotts import (
     InvalidInputError,
     ModelParams,
     count_matrix,
-    hamiltonian_direct,
-    hamiltonian_quadratic,
-    model_from_json,
+    interaction_form,
     model_to_json,
 )
 
@@ -19,6 +17,15 @@ import oracles
 
 def params_s1(q=3, beta=1.0, alpha=0.0):
     return ModelParams(q=q, s=1, alpha=alpha, beta=beta, gamma=(1.0,))
+
+
+def energy_of_counts(B, params, N):
+    """H = -<B, A B> / (2N), the energy as the package computes it."""
+    return -float(interaction_form(B, params)) / (2.0 * N)
+
+
+def energy(config, blocks, params):
+    return energy_of_counts(count_matrix(config, blocks, params.q), params, blocks.N)
 
 
 def test_count_matrix_one_of_each_color():
@@ -52,14 +59,14 @@ def test_count_matrix_length_mismatch_is_error():
 def test_hamiltonian_two_aligned_spins():
     # 4 ordered equal pairs including both diagonals: H = -1*4/(2*2)
     b = BlockStructure(sizes=(2,))
-    assert hamiltonian_direct([0, 0], b, params_s1()) == pytest.approx(-1.0, abs=1e-15)
+    assert energy([0, 0], b, params_s1()) == pytest.approx(-1.0, abs=1e-15)
     assert oracles.pair_hamiltonian([0, 0], (2,), 0.0, 1.0) == pytest.approx(-1.0)
 
 
 def test_hamiltonian_two_distinct_spins():
     # only the two diagonal pairs are equal-color
     b = BlockStructure(sizes=(2,))
-    assert hamiltonian_direct([0, 1], b, params_s1()) == pytest.approx(-0.5, abs=1e-15)
+    assert energy([0, 1], b, params_s1()) == pytest.approx(-0.5, abs=1e-15)
     assert oracles.pair_hamiltonian([0, 1], (2,), 0.0, 1.0) == pytest.approx(-0.5)
 
 
@@ -69,7 +76,7 @@ def test_hamiltonian_zero_couplings():
     rng = np.random.default_rng(1)
     for _ in range(10):
         cfg = rng.integers(0, 3, size=b.N)
-        assert hamiltonian_direct(cfg, b, p) == 0.0
+        assert energy(cfg, b, p) == 0.0
 
 
 def test_quadratic_hand_expansion():
@@ -77,7 +84,7 @@ def test_quadratic_hand_expansion():
     p = ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.5, 0.5))
     b = BlockStructure(sizes=(2, 2))
     B = np.array([[2, 0, 0], [0, 2, 0]])
-    assert hamiltonian_quadratic(B, p, b) == pytest.approx(-1.0, abs=1e-15)
+    assert energy_of_counts(B, p, b.N) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_direct_equals_quadratic_random_instances():
@@ -95,11 +102,9 @@ def test_direct_equals_quadratic_random_instances():
             gamma = (1.0,)
         p = ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma)
         cfg = rng.integers(0, q, size=b.N)
-        h1 = hamiltonian_direct(cfg, b, p)
-        h2 = hamiltonian_quadratic(count_matrix(cfg, b, q), p, b)
+        h1 = energy(cfg, b, p)
+        h2 = oracles.pair_hamiltonian(cfg.tolist(), sizes, alpha, beta)
         assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1))
-        h3 = oracles.pair_hamiltonian(cfg.tolist(), sizes, alpha, beta)
-        assert abs(h1 - h3) <= 1e-12 * max(1.0, abs(h1))
 
 
 def test_global_color_permutation_invariance():
@@ -109,8 +114,8 @@ def test_global_color_permutation_invariance():
     for _ in range(20):
         cfg = rng.integers(0, 4, size=b.N)
         perm = rng.permutation(4)
-        assert hamiltonian_direct(cfg, b, p) == pytest.approx(
-            hamiltonian_direct(perm[cfg], b, p), abs=1e-14
+        assert energy(cfg, b, p) == pytest.approx(
+            energy(perm[cfg], b, p), abs=1e-14
         )
 
 
@@ -123,8 +128,8 @@ def test_within_block_site_permutation_invariance():
         shuffled = cfg.copy()
         shuffled[:4] = rng.permutation(cfg[:4])
         shuffled[4:] = rng.permutation(cfg[4:])
-        assert hamiltonian_direct(cfg, b, p) == pytest.approx(
-            hamiltonian_direct(shuffled, b, p), abs=1e-14
+        assert energy(cfg, b, p) == pytest.approx(
+            energy(shuffled, b, p), abs=1e-14
         )
 
 
@@ -135,8 +140,8 @@ def test_cross_block_invariance_when_alpha_equals_beta():
     for _ in range(20):
         cfg = rng.integers(0, 3, size=b.N)
         shuffled = rng.permutation(cfg)
-        assert hamiltonian_direct(cfg, b, p) == pytest.approx(
-            hamiltonian_direct(shuffled, b, p), abs=1e-14
+        assert energy(cfg, b, p) == pytest.approx(
+            energy(shuffled, b, p), abs=1e-14
         )
 
 
@@ -145,8 +150,8 @@ def test_alpha_equals_beta_depends_on_column_sums_only():
     b = BlockStructure(sizes=(2, 2))
     B1 = np.array([[2, 0, 0], [0, 1, 1]])
     B2 = np.array([[1, 1, 0], [1, 0, 1]])  # same column sums
-    assert hamiltonian_quadratic(B1, p, b) == pytest.approx(
-        hamiltonian_quadratic(B2, p, b), abs=1e-14
+    assert energy_of_counts(B1, p, b.N) == pytest.approx(
+        energy_of_counts(B2, p, b.N), abs=1e-14
     )
 
 
@@ -167,18 +172,3 @@ def test_json_round_trip():
     doc = model_to_json(p, b)
     assert doc == {"q": 3, "s": 2, "alpha": 0.5, "beta": 1.2,
                    "gamma": [0.5, 0.5], "sizes": [50, 50]}
-    p2, b2 = model_from_json(doc)
-    assert p2 == p
-    assert b2 == b
-
-
-def test_config_json_uses_one_based_colors():
-    from blockpotts import config_from_json, config_to_json
-
-    b = BlockStructure(sizes=(2, 2))
-    cfg = np.array([0, 2, 1, 0])
-    doc = config_to_json(cfg)
-    assert doc == [1, 3, 2, 1]
-    assert np.array_equal(config_from_json(doc, b, 3), cfg)
-    with pytest.raises(InvalidInputError):
-        config_from_json([1, 2, 3, 4], b, 3)  # color 4 out of range
