@@ -327,6 +327,12 @@ def cmd_phase_diagram(args):
     return 0
 
 
+def _json_numbers(values):
+    """A name -> float dict with every non-finite value (a NaN worst value)
+    as None, which JSON writes as null: the file stays strict JSON."""
+    return {name: value if math.isfinite(value) else None for name, value in values.items()}
+
+
 def cmd_lsi_check(args):
     cfg = _load_config(args)
     params, blocks = _resolve_model(args, cfg)
@@ -349,8 +355,8 @@ def cmd_lsi_check(args):
             "sigma3_sq": report.constants.sigma3_sq,
         },
         "num_observables": report.num_observables,
-        "worst_slack": report.worst_slack,
-        "worst_ratio": report.worst_ratio,
+        "worst_slack": _json_numbers(report.worst_slack),
+        "worst_ratio": _json_numbers(report.worst_ratio),
         "violations": report.violations,
         "pass": report.violations == 0,
     }

@@ -199,6 +199,16 @@ class ConfigurationDistribution:
         return self.configs.shape[0]
 
 
+def site_view(values, site, q):
+    """Per-configuration values (..., q^N) as (..., q^(N-1-site), q, q^site).
+
+    Configuration codes are sum_i x_i q^i, so axis -2 lists the q colors of
+    `site` with every other site fixed.  Splitting one axis never copies, so
+    writing to the result writes to values, strided or not.
+    """
+    return values.reshape(*values.shape[:-1], -1, q, q**site)
+
+
 def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Enumerate all q^N configurations and their exact Gibbs probabilities."""
     check_consistent(params, blocks)
@@ -209,17 +219,19 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
             f"full enumeration needs {required} configurations, cap is {cap}",
             required=required,
         )
-    codes = np.arange(required, dtype=np.int64)
-    place = q ** np.arange(N, dtype=np.int64)
-    configs = (codes[:, None] // place[None, :]) % q
-    onehot = (configs[:, :, None] == np.arange(q)).astype(np.int16)
-    counts = np.add.reduceat(onehot, blocks.offsets[:-1], axis=1)
+    configs = np.empty((required, N), dtype=np.int8)
+    for i in range(N):
+        site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]
+    counts = np.empty((required, blocks.s, q), dtype=np.int16)
+    for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets)):
+        for c in range(q):
+            counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
     log_weights = interaction_form(counts, params) / (2.0 * N)
     log_Z = logsumexp_tree(log_weights)
     probabilities = np.exp(log_weights - log_Z)
     return ConfigurationDistribution(
-        configs=configs.astype(np.int8),
-        count_matrices=counts.astype(np.int16),
+        configs=configs,
+        count_matrices=counts,
         log_weights=log_weights,
         log_Z=log_Z,
         probabilities=probabilities,

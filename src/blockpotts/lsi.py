@@ -27,6 +27,7 @@ asymptotic smallness condition 2 q beta e^beta < 1 is reported separately.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ from .exact import (
     block_compositions,
     exact_observable_distribution,
     full_configuration_distribution,
+    site_view,
 )
 from .glauber import tail_estimate
 from .model import field_from_sums
@@ -52,6 +54,10 @@ NORM_MAX_ITER = 20_000
 # Relative rounding allowance of the inequality checks: the contract is zero
 # violations, and this absorbs last-ulp rounding only.
 FP_SLACK = 1e-12
+# Largest (F, P) float64 block of observables the LSI suite evaluates at
+# once: a few such blocks stay in cache, and memory does not grow with the
+# number of observables.
+CHUNK_BYTES = 1 << 19
 
 
 def lsi_condition(q, beta):
@@ -231,58 +237,87 @@ def matrix_norms(J):
 class ConfigWorkspace:
     """Full configuration-space machinery for the exhaustive checks.
 
-    Holds the exact joint law, the index of every single-site recoloring,
-    and the exact single-site conditionals of every configuration.
+    Holds the exact joint law and cond, the (P, N, q) array of exact
+    single-site conditionals: cond[p, i, c] is the probability of color c at
+    site i given the other sites of configuration p.  No recoloring index is
+    stored: site_view reshapes any per-configuration vector to
+    (q^(N-1-i), q, q^i), whose middle axis lists the q recolorings of site
+    i.  On that view site i's conditional is the joint law divided by its
+    sum over the middle axis, and that sum is the marginal law of the other
+    sites.  The observable methods take values of shape (..., P), one row
+    per observable.
     """
 
     def __init__(self, blocks, params):
         self.blocks = blocks
         self.params = params
         self.dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
-        P = len(self.dist)
         N, q = blocks.N, params.q
-        place = params.q ** np.arange(N, dtype=np.int64)
-        codes = np.arange(P, dtype=np.int64)
-        digits = self.dist.configs.astype(np.int64)
-        self.flip = (
-            codes[:, None, None]
-            + (np.arange(q)[None, None, :] - digits[:, :, None]) * place[None, :, None]
-        )
-        joint = self.dist.probabilities[self.flip]
-        self.cond = joint / joint.sum(axis=2, keepdims=True)
+        self.cond = np.empty((len(self.dist), N, q))
+        for i in range(N):
+            site_cond, _ = self._site_laws(i)
+            # whatever color site i has, cond[., i, c] = site_cond[:, c, :]
+            site_view(self.cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
 
     @property
     def probabilities(self):
         return self.dist.probabilities
 
+    def _site_laws(self, i):
+        """Site i's conditional (A, q, B) and the marginal law (A, B) of the
+        other sites, on the site-i view."""
+        joint = site_view(self.probabilities, i, self.params.q)
+        marginal = joint.sum(axis=1)
+        return joint / marginal[:, None, :], marginal
+
     def difference_sq_all(self, fvals):
-        """|df|^2 at every configuration: summed conditional local variances."""
-        diff = fvals[:, None, None] - fvals[self.flip]
-        return np.einsum("pic,pic->p", self.cond, diff * diff)
+        """|df|^2 at every configuration, shape (..., P): summed conditional
+        local variances sum_i sum_c cond_i(c) (f(x) - f(x with x_i = c))^2."""
+        fvals = np.asarray(fvals, dtype=np.float64)
+        out = np.zeros(fvals.shape)
+        for i in range(self.blocks.N):
+            site_cond, _ = self._site_laws(i)
+            f = site_view(fvals, i, self.params.q)
+            acc = site_view(out, i, self.params.q)
+            term = np.empty(f.shape)
+            for c in range(self.params.q):
+                np.subtract(f, f[..., c : c + 1, :], out=term)
+                term *= term
+                term *= site_cond[:, c : c + 1, :]
+                acc += term
+        return out
 
     def covariance_terms(self, fvals):
-        """Per-site integrated conditional covariances of (f, e^f), length N."""
-        fv = fvals[self.flip]
-        ef = np.exp(fv)
-        m_f = np.einsum("pic,pic->pi", self.cond, fv)
-        m_e = np.einsum("pic,pic->pi", self.cond, ef)
-        m_fe = np.einsum("pic,pic->pi", self.cond, fv * ef)
-        cov = m_fe - m_f * m_e
-        return self.probabilities @ cov
+        """Per-site integrated conditional covariances E Cov_i(f, e^f), shape
+        (..., N).  Cov_i depends on the other sites only, so it is an (A, B)
+        array on the site-i view, weighted by their marginal law."""
+        fvals = np.asarray(fvals, dtype=np.float64)
+        ef = np.exp(fvals)
+        fef = fvals * ef
+        out = np.empty(fvals.shape[:-1] + (self.blocks.N,))
+        for i in range(self.blocks.N):
+            site_cond, marginal = self._site_laws(i)
+            m_f, m_e, m_fe = (
+                np.einsum("...acb,acb->...ab", site_view(values, i, self.params.q), site_cond)
+                for values in (fvals, ef, fef)
+            )
+            out[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
+        return out
 
 
 def entropy_functional(f, dist):
-    """Ent(f) = E[f log f] - E[f] log E[f] for a nonnegative array f of values
-    on the support of an exact law."""
+    """Ent(f) = E[f log f] - E[f] log E[f] for nonnegative values f on the
+    support of an exact law: a float for one (P,) array, an (F,) array for F
+    observables given as an (F, P) array."""
     values = np.asarray(f, dtype=np.float64)
     if np.any(values < 0.0):
         raise InvalidInputError("entropy functional needs a nonnegative observable")
     p = dist.probabilities
     flogf = np.where(values > 0.0, values * np.log(np.maximum(values, 1e-300)), 0.0)
-    mean = float(p @ values)
-    if mean <= 0.0:
-        return 0.0
-    return float(p @ flogf - mean * math.log(mean))
+    mean = values @ p
+    ent = flogf @ p - mean * np.log(np.where(mean > 0.0, mean, 1.0))
+    ent = np.where(mean <= 0.0, 0.0, ent)
+    return float(ent) if ent.ndim == 0 else ent
 
 
 @dataclass(frozen=True)
@@ -302,26 +337,40 @@ class LsiSuiteReport:
 
 
 def _structured_battery(workspace, rng, n_products=8, n_linear=2):
+    """Indicators, block counts, products of indicators and linear forms,
+    one observable at a time, drawing from rng as they are made."""
     cfgs = workspace.dist.configs
     counts = workspace.dist.count_matrices
     P, N = cfgs.shape
     q = workspace.params.q
-    obs = [np.zeros(P)]
+    yield np.zeros(P)
     for i in range(N):
         for c in range(q):
-            obs.append((cfgs[:, i] == c).astype(np.float64))
+            yield (cfgs[:, i] == c).astype(np.float64)
     for k in range(workspace.blocks.s):
         for c in range(q):
-            obs.append(counts[:, k, c].astype(np.float64))
+            yield counts[:, k, c].astype(np.float64)
     for _ in range(n_products):
         i, j = rng.choice(N, size=2, replace=False)
         c1, c2 = rng.integers(0, q, size=2)
-        obs.append(((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64))
+        yield ((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64)
     for _ in range(n_linear):
         coef = rng.standard_normal(N)
         target = rng.integers(0, q, size=N)
-        obs.append(((cfgs == target[None, :]).astype(np.float64) * coef[None, :]).sum(axis=1))
-    return obs
+        yield ((cfgs == target[None, :]).astype(np.float64) * coef[None, :]).sum(axis=1)
+
+
+def _observable_chunks(workspace, rng, num_f, amplitude):
+    """The suite's observables as (F, P) arrays of at most CHUNK_BYTES: the
+    num_f Gaussian ones, then the structured battery, drawn from rng in
+    that order."""
+    P = len(workspace.dist)
+    rows = max(1, CHUNK_BYTES // (8 * P))
+    for start in range(0, num_f, rows):
+        yield rng.standard_normal((min(rows, num_f - start), P)) * amplitude
+    battery = _structured_battery(workspace, rng)
+    while chunk := list(itertools.islice(battery, rows)):
+        yield np.stack(chunk)
 
 
 def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
@@ -331,9 +380,11 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     exact two-norm of the interdependence matrix, evaluates all integrals by
     full enumeration for num_f centered Gaussian observables plus a
     structured battery (indicators, block counts, products of indicators,
-    linear forms), and reports the worst slack of each inequality.  The
-    contract is zero violations; FP_SLACK only absorbs last-ulp rounding,
-    and a side that is NaN counts as a violation.
+    linear forms), and reports the worst slack and ratio of each
+    inequality.  The contract is zero violations; FP_SLACK only absorbs
+    last-ulp rounding, and a side that is NaN counts as a violation and
+    makes that inequality's worst slack (and ratio) NaN.  Observables are
+    evaluated in chunks, so memory does not grow with num_f.
     """
     if num_f < 0:
         raise InvalidInputError(f"num_f must be >= 0, got {num_f}")
@@ -354,34 +405,34 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         )
     constants = lsi_constants(g1, g2)
 
-    rng = np.random.default_rng(seed)
-    observables = [rng.standard_normal(len(workspace.dist)) * amplitude for _ in range(num_f)]
-    observables.extend(_structured_battery(workspace, rng))
-
     p = workspace.probabilities
     names = ("entropy_f2", "entropy_expf_cov", "entropy_expf_dirichlet")
     worst_slack = {name: math.inf for name in names}
     worst_ratio = {name: 0.0 for name in names}
     violations = 0
-    for fvals in observables:
-        dsq = workspace.difference_sq_all(fvals)
-        ef = np.exp(fvals)
-        lhs1 = entropy_functional(fvals * fvals, workspace.dist)
-        rhs1 = 2.0 * constants.sigma1_sq * float(p @ dsq)
-        lhs23 = float(p @ (ef * fvals) - (p @ ef) * math.log(p @ ef))
-        rhs2 = constants.sigma2_sq * float(workspace.covariance_terms(fvals).sum())
-        rhs3 = 0.5 * constants.sigma3_sq * float(p @ (dsq * ef))
-        for name, lhs, rhs in (
-            (names[0], lhs1, rhs1),
-            (names[1], lhs23, rhs2),
-            (names[2], lhs23, rhs3),
-        ):
-            slack = rhs - lhs
-            worst_slack[name] = min(worst_slack[name], slack)
-            if rhs > 0.0:
-                worst_ratio[name] = max(worst_ratio[name], lhs / rhs)
-            if not lhs <= rhs + FP_SLACK * max(1.0, abs(lhs), abs(rhs)):
-                violations += 1
+    num_observables = 0
+    # e^f can overflow at a large amplitude; the NaN sides that follow are
+    # counted as violations and reported as NaN worst values
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for fvals in _observable_chunks(workspace, np.random.default_rng(seed), num_f,
+                                        amplitude):
+            num_observables += len(fvals)
+            dsq = workspace.difference_sq_all(fvals)
+            ef = np.exp(fvals)
+            mean_ef = ef @ p
+            lhs23 = (ef * fvals) @ p - mean_ef * np.log(mean_ef)
+            sides = (
+                (entropy_functional(fvals * fvals, workspace.dist),
+                 2.0 * constants.sigma1_sq * (dsq @ p)),
+                (lhs23, constants.sigma2_sq * workspace.covariance_terms(fvals).sum(axis=1)),
+                (lhs23, 0.5 * constants.sigma3_sq * ((dsq * ef) @ p)),
+            )
+            for name, (lhs, rhs) in zip(names, sides):
+                worst_slack[name] = float(np.minimum(worst_slack[name], (rhs - lhs).min()))
+                ratio = np.where(rhs <= 0.0, 0.0, lhs / rhs)
+                worst_ratio[name] = float(np.maximum(worst_ratio[name], ratio.max()))
+                tol = FP_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+                violations += int(np.count_nonzero(~(lhs <= rhs + tol)))
     return LsiSuiteReport(
         condition_asymptotic=lsi_condition(params.q, params.beta),
         gamma1=g1,
@@ -389,7 +440,7 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         inf_norm=inf_norm,
         two_norm=two_norm,
         constants=constants,
-        num_observables=len(observables),
+        num_observables=num_observables,
         worst_slack=worst_slack,
         worst_ratio=worst_ratio,
         violations=violations,

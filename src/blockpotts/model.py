@@ -119,11 +119,6 @@ class BlockStructure:
         """Array of length N mapping each site to its block index."""
         return np.repeat(np.arange(self.s, dtype=np.int64), self.sizes)
 
-    def block_of(self, site):
-        if not 0 <= site < self.N:
-            raise InvalidInputError(f"site {site} out of range [0, {self.N})")
-        return int(self.site_blocks[site])
-
 
 def check_consistent(params, blocks):
     """Raise unless params and blocks agree on the number of blocks."""

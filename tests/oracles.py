@@ -254,14 +254,34 @@ def difference_operator_sq(f, config, blocks, params):
     return total
 
 
-def covariance_term(f, site, workspace):
-    """Site summand of the covariance-form inequality: E Cov_i(f, e^f) >= 0.
+def covariance_term(f, site, blocks, params):
+    """Site summand of the covariance-form inequality, E Cov_site(f, e^f),
+    from the definition: the brute-force law, brute conditionals, and f a
+    function of a configuration."""
+    law = brute_force_law(blocks.sizes, params.q, params.alpha, params.beta)
+    total = 0.0
+    for config, prob in law.items():
+        cond = brute_conditional(config, site, blocks.sizes, params.q, params.alpha, params.beta)
+        values = []
+        for c in range(params.q):
+            other = np.array(config)
+            other[site] = c
+            values.append(float(f(other)))
+        m_f = sum(w * v for w, v in zip(cond, values))
+        m_e = sum(w * math.exp(v) for w, v in zip(cond, values))
+        m_fe = sum(w * v * math.exp(v) for w, v in zip(cond, values))
+        total += prob * (m_fe - m_f * m_e)
+    return total
 
-    f holds the observable's values on every configuration.  Unlike the
-    rest of this module, a thin wrapper over the package's
-    ConfigWorkspace.covariance_terms, which the tests check against a loop.
-    """
-    return float(workspace.covariance_terms(f)[site])
+
+def block_of(blocks, site):
+    """Block index of a site: blocks hold consecutive runs of sites, in order."""
+    start = 0
+    for k, n in enumerate(blocks.sizes):
+        if start <= site < start + n:
+            return k
+        start += n
+    raise InvalidInputError(f"site {site} out of range [0, {blocks.N})")
 
 
 def fit_inverse_n_coefficient(norms_by_n):

@@ -1,12 +1,19 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockpotts
 from blockpotts.cli import main
+
+SRC = str(Path(blockpotts.__file__).resolve().parents[1])
 
 
 def run(args):
@@ -145,6 +152,42 @@ def test_lsi_check_pass_and_condition_failure(tmp_path):
     rc = run(["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05",
               "--beta", "0.2", "--out", str(tmp_path / "x.json")])
     assert rc == 5
+
+
+def python_m_blockpotts(args, **kwargs):
+    """Run `python -m blockpotts` from the source tree this test imports."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "blockpotts", *args], capture_output=True,
+                          text=True, env=env, timeout=300, **kwargs)
+
+
+def test_python_m_blockpotts_runs_the_cli():
+    proc = python_m_blockpotts(["lsi-check", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "lsi-check" in proc.stdout
+
+
+def test_lsi_check_nan_worst_values_are_null(tmp_path):
+    # at amplitude 1e3 e^f overflows: both exp-form inequalities read NaN on
+    # three Gaussian observables, which count as violations and are written
+    # as null, with no numpy warning on stderr
+    out = tmp_path / "lsi.json"
+    proc = python_m_blockpotts(["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05",
+                                "--beta", "0.1", "--num-f", "3", "--amplitude", "1e3",
+                                "--out", str(out)])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+    def fail(constant):
+        raise AssertionError(f"{constant} is not strict JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=fail)
+    assert doc["violations"] == 6
+    assert doc["pass"] is False
+    for worst in (doc["worst_slack"], doc["worst_ratio"]):
+        assert worst["entropy_expf_cov"] is None
+        assert worst["entropy_expf_dirichlet"] is None
+        assert isinstance(worst["entropy_f2"], float)
 
 
 def test_concentration_outputs_table(tmp_path):

@@ -80,7 +80,7 @@ def test_loo_field_softmax_is_brute_force_conditional(system, data):
     params, blocks, config = system
     site = data.draw(st.integers(0, blocks.N - 1))
     B = count_matrix(config, blocks, params.q)
-    k = blocks.block_of(site)
+    k = oracles.block_of(blocks, site)
     B[k, config[site]] -= 1
     probs = softmax(interaction_field(B, params)[k] / blocks.N)
     brute = oracles.brute_conditional(config.tolist(), site, blocks.sizes, params.q,

@@ -1,6 +1,7 @@
 """Interdependence matrix, explicit constants, entropy inequalities, tails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,19 +200,29 @@ def test_difference_operator_product_measure_two_routes():
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
 
+def on_configs(fvals, q, N):
+    """fvals, indexed by configuration code sum_i x_i q^i, as a function of a configuration."""
+    place = q ** np.arange(N, dtype=np.int64)
+
+    def f(config):
+        return fvals[int(np.dot(np.asarray(config, dtype=np.int64), place))]
+
+    return f
+
+
+def close(value, reference, tol):
+    return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+
 def test_difference_operator_function_vs_workspace():
     rng = np.random.default_rng(13)
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
     fvals = rng.standard_normal(len(ws.dist))
     all_dsq = ws.difference_sq_all(fvals)
-    place = 3 ** np.arange(4)
+    f = on_configs(fvals, 3, 4)
     for idx in rng.integers(0, len(ws.dist), size=10):
         cfg = ws.dist.configs[idx].astype(np.int64)
-
-        def f(c, fvals=fvals):
-            return fvals[int(np.dot(np.asarray(c, dtype=np.int64), place))]
-
         assert difference_operator_sq(f, cfg, b, p) == pytest.approx(
             float(all_dsq[idx]), rel=1e-11, abs=1e-12
         )
@@ -231,6 +242,13 @@ def test_entropy_functional_basics():
     )
     with pytest.raises(InvalidInputError):
         entropy_functional(np.array([1.0, -0.5, 2.0]), dist)
+    # an (F, P) batch gives each row's value, a zero row included
+    rows = np.stack([f, 7.0 * f, np.full(3, 2.5), np.zeros(3)])
+    batch = entropy_functional(rows, dist)
+    assert batch.shape == (4,)
+    np.testing.assert_allclose(batch, [entropy_functional(row, dist) for row in rows],
+                               rtol=1e-14, atol=1e-15)
+    assert batch[3] == 0.0
 
 
 def test_entropy_nonnegative_zero_only_for_constants():
@@ -249,11 +267,10 @@ def test_covariance_term_constant_and_nonnegative():
     rng = np.random.default_rng(15)
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
-    assert covariance_term(np.zeros(len(ws.dist)), 0, ws) == pytest.approx(0.0, abs=1e-15)
-    for _ in range(100):
-        f = rng.standard_normal(len(ws.dist))
-        for site in (0, 3):
-            assert covariance_term(f, site, ws) >= -1e-13
+    assert np.all(np.abs(ws.covariance_terms(np.zeros(len(ws.dist)))) <= 1e-15)
+    terms = ws.covariance_terms(rng.standard_normal((100, len(ws.dist))))
+    assert terms.shape == (100, 4)
+    assert np.all(terms >= -1e-13)
 
 
 def test_covariance_sum_matches_direct_implementation():
@@ -276,9 +293,58 @@ def test_covariance_sum_matches_direct_implementation():
                 ef = np.exp(fv)
                 cov = float(cond @ (fv * ef) - (cond @ fv) * (cond @ ef))
                 total += probs[idx] * cov
-        assert sum(covariance_term(f, i, ws) for i in range(4)) == pytest.approx(
-            total, rel=1e-10, abs=1e-12
-        )
+        assert float(ws.covariance_terms(f).sum()) == pytest.approx(total, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (2, 1, 2), (3,)])
+@pytest.mark.parametrize("q", [3, 4])
+def test_batched_workspace_matches_brute_force_oracles(q, sizes):
+    # unequal block sizes put sites of one block on different view axes, so
+    # a wrong site <-> axis order shows as a mismatch
+    p, b = make(q, sizes, 0.3, 0.8)
+    ws = ConfigWorkspace(b, p)
+    fvals = np.random.default_rng(q * 100 + b.N).standard_normal((2, len(ws.dist)))
+    dsq = ws.difference_sq_all(fvals)
+    cov = ws.covariance_terms(fvals)
+    assert dsq.shape == fvals.shape
+    assert cov.shape == (2, b.N)
+    for row, f_row in enumerate(fvals):
+        f = on_configs(f_row, q, b.N)
+        for idx, config in enumerate(ws.dist.configs):
+            assert close(dsq[row, idx], difference_operator_sq(f, config, b, p), 1e-12)
+        for site in range(b.N):
+            assert close(cov[row, site], covariance_term(f, site, b, p), 1e-12)
+        # a batch row equals the single-row call
+        np.testing.assert_allclose(ws.difference_sq_all(f_row), dsq[row], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(ws.covariance_terms(f_row), cov[row], rtol=1e-14, atol=0)
+
+
+def test_suite_peak_memory_does_not_grow_with_observables():
+    p, b = make(3, (4, 4), 0.05, 0.1)
+    peaks = {}
+    for num_f in (100, 400):
+        tracemalloc.start()
+        try:
+            verify_lsi_suite(b, p, num_f=num_f, seed=1)
+            peaks[num_f] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] <= 1.10 * peaks[100]
+
+
+def test_workspace_peak_memory_is_its_outputs():
+    p, b = make(3, (5, 5), 0.05, 0.1)
+    tracemalloc.start()
+    try:
+        ws = ConfigWorkspace(b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = ws.dist
+    outputs = ws.cond.nbytes + sum(
+        a.nbytes for a in (d.configs, d.count_matrices, d.log_weights, d.probabilities)
+    )
+    assert peak <= 1.25 * outputs
 
 
 def test_suite_product_measure_zero_violations():
@@ -338,8 +404,8 @@ def test_exp_inequalities_invariant_under_constant_shift():
 
     scale = math.exp(shift)
     assert ent_exp(f + shift) == pytest.approx(scale * ent_exp(f), rel=1e-10)
-    cov0 = sum(covariance_term(f, i, ws) for i in range(4))
-    cov1 = sum(covariance_term(f + shift, i, ws) for i in range(4))
+    cov0 = float(ws.covariance_terms(f).sum())
+    cov1 = float(ws.covariance_terms(f + shift).sum())
     assert cov1 == pytest.approx(scale * cov0, rel=1e-10)
     dsq = ws.difference_sq_all(f)
     dsq_shift = ws.difference_sq_all(f + shift)
