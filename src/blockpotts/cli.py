@@ -7,8 +7,10 @@ reproducible from the manifest alone.  Exit codes: 0 success, 1 I/O
 failure, 2 usage, 3 capacity, 4 non-convergence, 5 analytic condition not
 met.
 
-Flags can be preloaded from a JSON file via --config (keys are flag names
-with dashes replaced by underscores); explicit flags override the file.
+Each option's type and default are declared once, in build_parser.  A
+--config JSON file holds option values under the option names with dashes
+replaced by underscores; they are parsed as flags typed before the explicit
+ones, which therefore win.
 CSV output uses a header row, comma separators and '.' decimals; JSON is
 UTF-8 with keys in fixed order.
 """
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
-    CRITICAL_BAND,
     SearchOptions,
     classify_phase,
     critical_temperature,
@@ -46,10 +47,7 @@ from .glauber import check_run_options, run_chain
 from .lsi import (
     asymptotic_constants,
     concentration_report,
-    gamma1_exact,
-    interdependence_matrix_exact,
-    lsi_constants,
-    matrix_norms,
+    measured_constants,
     verify_lsi_suite,
 )
 from .model import BlockStructure, ModelParams, model_to_json
@@ -66,45 +64,77 @@ def _fmt(x):
     return format(float(x), _FLOAT_FMT)
 
 
-def _parse_int_list(text):
-    return tuple(int(p) for p in str(text).replace(" ", "").split(",") if p != "")
+def int_list(text):
+    """Comma-separated integers, e.g. '50,50'."""
+    return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
 
 
-def _parse_float_list(text):
-    return tuple(float(p) for p in str(text).replace(" ", "").split(",") if p != "")
+def float_list(text):
+    """Comma-separated numbers, e.g. '0.4,0.6'."""
+    return tuple(float(p) for p in text.replace(" ", "").split(",") if p != "")
 
 
-def _load_config(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInputError(f"--config file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidInputError("--config file must hold a JSON object")
-    return doc
+def _config_path(argv):
+    """The value of the last --config flag in argv, or None."""
+    path = None
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag == "--config":
+            path = value
+        elif flag.startswith("--config="):
+            path = flag.partition("=")[2]
+    return path
 
 
-def _opt(args, cfg, key, default=None, required=False, cast=None):
-    """Effective option value: explicit flag, then config file, then default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key)
-    if value is None:
-        value = default
-    if value is None and required:
-        raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
-    if cast is not None and value is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"invalid value for --{key.replace('_', '-')}: {value!r}"
-            ) from None
-    return value
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors are one 'error: ...' line with exit code 2,
+    with no abbreviated flags, and whose subcommands read their --config
+    file as flags typed before the explicit ones."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.get_default("func") is not None:  # a subcommand's parser
+            path = _config_path(args)
+            if path is not None:
+                args = self._config_argv(path) + args
+        return super().parse_known_args(args, namespace)
+
+    def _config_argv(self, path):
+        """The --config file's values as '--flag=text' arguments.  A key must
+        be an option of this subcommand; a string is the text typed after
+        the flag, and a number is accepted only by a numeric option that it
+        converts to exactly (2.9 is not an int)."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                self.error(f"--config file is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            self.error("--config file must hold a JSON object")
+        options = {action.dest: action for action in self._actions
+                   if action.option_strings and action.dest not in ("help", "config")}
+        argv = []
+        for key, value in doc.items():
+            action = options.get(key)
+            if action is None:
+                self.error(f"--config key {key!r} is not an option of {self.prog}")
+            text = value if isinstance(value, str) else None
+            if type(value) in (int, float) and action.type in (int, float):
+                try:
+                    converted = action.type(value)
+                except (OverflowError, ValueError):
+                    converted = None
+                if converted == value:
+                    text = str(converted)
+            if text is None:
+                self.error(f"--config value {value!r} is not valid for "
+                           f"{action.option_strings[0]}")
+            argv.append(f"{action.option_strings[0]}={text}")
+        return argv
 
 
 def _at_least_one(key, value):
@@ -113,45 +143,28 @@ def _at_least_one(key, value):
     return value
 
 
-def _resolve_model(args, cfg, need_sizes=True):
-    """Build (params, blocks) from flags, with the --s vs --sizes consistency check."""
-    q = _opt(args, cfg, "q", required=True, cast=int)
-    alpha = _opt(args, cfg, "alpha", required=True, cast=float)
-    beta = _opt(args, cfg, "beta", required=True, cast=float)
-    sizes = _opt(args, cfg, "sizes", cast=_parse_int_list,
-                 required=need_sizes)
-    s = _opt(args, cfg, "s", cast=int)
-    if sizes is not None:
-        if s is not None and s != len(sizes):
-            raise InvalidInputError(
-                f"--s {s} conflicts with --sizes of length {len(sizes)}"
-            )
-        s = len(sizes)
+def _resolve_model(args):
+    """(params, blocks) from the model flags.  --sizes, when given, fixes s
+    and the proportions gamma = sizes / N; only equilibria also has --s and
+    --gamma, for a model without blocks or with other proportions."""
+    s, gamma, blocks = getattr(args, "s", None), getattr(args, "gamma", None), None
+    if args.sizes is not None:
+        blocks = BlockStructure(sizes=args.sizes)
+        if s is not None and s != blocks.s:
+            raise InvalidInputError(f"--s {s} conflicts with --sizes of length {blocks.s}")
+        s = blocks.s
+        if gamma is None:
+            gamma = tuple(n / blocks.N for n in blocks.sizes)
     if s is None:
         raise InvalidInputError("one of --s or --sizes is required")
-    gamma = _opt(args, cfg, "gamma", cast=_parse_float_list)
     if gamma is None:
-        if sizes is not None:
-            total = float(sum(sizes))
-            gamma = tuple(n / total for n in sizes)
-        else:
-            gamma = tuple(1.0 / s for _ in range(s))
-    params = ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma)
-    blocks = BlockStructure(sizes=sizes) if sizes is not None else None
+        gamma = tuple(1.0 / s for _ in range(s))
+    params = ModelParams(q=args.q, s=s, alpha=args.alpha, beta=args.beta, gamma=gamma)
     return params, blocks
 
 
-def _path_text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"a path must be a string, got {value!r}")
-    return value
-
-
-def _out_path(args, cfg, key, default_name):
-    out_dir = Path(_opt(args, cfg, "out_dir", default=".", cast=_path_text))
-    path = Path(_opt(args, cfg, key, default=default_name, cast=_path_text))
-    if not path.is_absolute():
-        path = out_dir / path
+def _out_path(out_dir, name):
+    path = Path(out_dir, name)  # an absolute name ignores out_dir
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -184,7 +197,7 @@ def _write_manifest(primary_output, command, seed, outputs, params=None,
 
 
 def _parse_init(text, q):
-    if text is None or text == "random":
+    if text == "random":
         return "random"
     if text.startswith("uniform-color:"):
         try:
@@ -198,20 +211,16 @@ def _parse_init(text, q):
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args)
-    params, blocks = _resolve_model(args, cfg)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    sweeps = _opt(args, cfg, "sweeps", default=1000, cast=int)
-    thin = _opt(args, cfg, "thin", default=1, cast=int)
-    burn_in = _opt(args, cfg, "burn_in", cast=int)
-    chains = _at_least_one("chains", _opt(args, cfg, "chains", default=1, cast=int))
-    init = _parse_init(_opt(args, cfg, "init", default="random", cast=str), params.q)
-    out = _out_path(args, cfg, "out", "simulate.csv")
+    params, blocks = _resolve_model(args)
+    chains = _at_least_one("chains", args.chains)
+    init = _parse_init(args.init, params.q)
+    out = _out_path(args.out_dir, args.out)
+    sweeps, thin, burn_in = args.sweeps, args.thin, args.burn_in
     # a rejected run must not leave a header-only CSV behind
     check_run_options(blocks, params, sweeps, thin, burn_in)
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
-                   np.random.SeedSequence(seed).spawn(chains)]
+                   np.random.SeedSequence(args.seed).spawn(chains)]
     cols = [f"b_{k + 1}_{c + 1}" for k in range(blocks.s) for c in range(params.q)]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(",".join(["chain", "sweep"] + cols) + "\n")
@@ -223,21 +232,18 @@ def cmd_simulate(args):
                 cells = [str(chain_id), str((idx + 1) * thin)]
                 cells.extend(str(int(v)) for v in row)
                 fh.write(",".join(cells) + "\n")
-    _write_manifest(out, "simulate", seed, [out], params, blocks,
+    _write_manifest(out, "simulate", args.seed, [out], params, blocks,
                     extra={"sweeps": sweeps, "thin": thin, "chains": chains,
                            "child_seeds": child_seeds})
     return 0
 
 
 def cmd_exact(args):
-    cfg = _load_config(args)
-    params, blocks = _resolve_model(args, cfg)
-    cap = _opt(args, cfg, "cap", default=DEFAULT_SUPPORT_CAP, cast=int)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    out = _out_path(args, cfg, "out", "exact.csv")
-    dist = exact_distribution(blocks, params, cap=cap)
+    params, blocks = _resolve_model(args)
+    out = _out_path(args.out_dir, args.out)
+    dist = exact_distribution(blocks, params, cap=args.cap)
     export_csv(dist, out)
-    _write_manifest(out, "exact", seed, [out], params, blocks,
+    _write_manifest(out, "exact", None, [out], params, blocks,
                     extra={"log_Z": dist.log_Z, "support_size": len(dist)})
     return 0
 
@@ -261,25 +267,19 @@ def _report_to_json(report):
 
 
 def cmd_equilibria(args):
-    cfg = _load_config(args)
-    params, blocks = _resolve_model(args, cfg, need_sizes=False)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    restarts = _opt(args, cfg, "restarts", default=32, cast=int)
-    out = _out_path(args, cfg, "out", "equilibria.json")
-    options = SearchOptions(restarts=restarts, seed=seed)
-    land_out = _opt(args, cfg, "landscape_out")
-    if land_out is not None:
+    params, blocks = _resolve_model(args)
+    out = _out_path(args.out_dir, args.out)
+    options = SearchOptions(restarts=args.restarts, seed=args.seed)
+    if args.landscape_out is not None:
         # sampled before anything is written, so a bad r or mesh leaves no file
-        r = _opt(args, cfg, "landscape_r", default=1, cast=int)
-        mesh = _opt(args, cfg, "landscape_mesh", default=25, cast=int)
-        land_path = _out_path(args, cfg, "landscape_out", "landscape.csv")
-        rows = two_column_landscape(params, r, mesh=mesh)
+        land_path = _out_path(args.out_dir, args.landscape_out)
+        rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
     report = maximize_G(params, options=options)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(_report_to_json(report), fh, indent=2)
         fh.write("\n")
     outputs = [out]
-    if land_out is not None:
+    if args.landscape_out is not None:
         header = ["r"] + [f"mu_plus_{k + 1}" for k in range(params.s)] + ["G"]
         with open(land_path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
@@ -287,21 +287,15 @@ def cmd_equilibria(args):
                 fh.write(",".join([str(int(row[0]))]
                                   + [_fmt(v) for v in row[1:]]) + "\n")
         outputs.append(land_path)
-    _write_manifest(out, "equilibria", seed, outputs, params, blocks,
-                    extra={"restarts": restarts})
+    _write_manifest(out, "equilibria", args.seed, outputs, params, blocks,
+                    extra={"restarts": args.restarts})
     return 0
 
 
 def cmd_phase_diagram(args):
-    cfg = _load_config(args)
-    q = _opt(args, cfg, "q", required=True, cast=int)
-    s = _at_least_one("s", _opt(args, cfg, "s", required=True, cast=int))
-    g_min = _opt(args, cfg, "g_min", required=True, cast=float)
-    g_max = _opt(args, cfg, "g_max", required=True, cast=float)
-    g_step = _opt(args, cfg, "g_step", default=0.05, cast=float)
-    band = _opt(args, cfg, "critical_band", default=CRITICAL_BAND, cast=float)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    out = _out_path(args, cfg, "out", "phase_diagram.csv")
+    q, g_min, g_max, g_step = args.q, args.g_min, args.g_max, args.g_step
+    s = _at_least_one("s", args.s)
+    out = _out_path(args.out_dir, args.out)
     if not (g_step > 0 and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
@@ -316,12 +310,12 @@ def cmd_phase_diagram(args):
         for idx in range(count):
             g = g_min + idx * g_step
             u = potts_fixed_point_u(g, q)
-            phase = classify_phase(g, q, band)
+            phase = classify_phase(g, q)
             G_Q = potts_functional(uniform, g) + math.log(s)
             G_nu1 = potts_functional(s * phi(u, q, s), g) + math.log(s)
             fh.write(",".join([_fmt(g), phase.value, _fmt(u), _fmt(G_Q),
                                _fmt(G_nu1)]) + "\n")
-    _write_manifest(out, "phase-diagram", seed, [out],
+    _write_manifest(out, "phase-diagram", None, [out],
                     extra={"q": q, "s": s, "g_min": g_min, "g_max": g_max,
                            "g_step": g_step, "zeta_q": zeta})
     return 0
@@ -334,14 +328,10 @@ def _json_numbers(values):
 
 
 def cmd_lsi_check(args):
-    cfg = _load_config(args)
-    params, blocks = _resolve_model(args, cfg)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    num_f = _opt(args, cfg, "num_f", default=100, cast=int)
-    amplitude = _opt(args, cfg, "amplitude", default=1.0, cast=float)
-    out = _out_path(args, cfg, "out", "lsi_report.json")
-    report = verify_lsi_suite(blocks, params, num_f=num_f, seed=seed,
-                              amplitude=amplitude)
+    params, blocks = _resolve_model(args)
+    out = _out_path(args.out_dir, args.out)
+    report = verify_lsi_suite(blocks, params, num_f=args.num_f, seed=args.seed,
+                              amplitude=args.amplitude)
     doc = {
         "condition_asymptotic": report.condition_asymptotic,
         "gamma1": report.gamma1,
@@ -363,46 +353,29 @@ def cmd_lsi_check(args):
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    _write_manifest(out, "lsi-check", seed, [out], params, blocks,
-                    extra={"num_f": num_f, "amplitude": amplitude})
+    _write_manifest(out, "lsi-check", args.seed, [out], params, blocks,
+                    extra={"num_f": args.num_f, "amplitude": args.amplitude})
     return 0
 
 
 def cmd_concentration(args):
-    cfg = _load_config(args)
-    params, blocks = _resolve_model(args, cfg)
-    seed = _opt(args, cfg, "seed", default=0, cast=int)
-    sweeps = _opt(args, cfg, "sweeps", default=2000, cast=int)
-    thin = _opt(args, cfg, "thin", default=1, cast=int)
-    burn_in = _opt(args, cfg, "burn_in", cast=int)
-    k = _opt(args, cfg, "k", default=1, cast=int) - 1
-    c = _opt(args, cfg, "c", default=1, cast=int) - 1
-    mode = _opt(args, cfg, "constants", default="asymptotic")
-    t_max = _opt(args, cfg, "t_max", cast=float)
-    t_points = _at_least_one("t_points", _opt(args, cfg, "t_points", default=10, cast=int))
-    out = _out_path(args, cfg, "out", "concentration.csv")
+    params, blocks = _resolve_model(args)
+    k, c = args.k - 1, args.c - 1
+    t_points = _at_least_one("t_points", args.t_points)
+    out = _out_path(args.out_dir, args.out)
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")
     if not 0 <= c < params.q:
         raise InvalidInputError(f"--c must lie in 1..{params.q}")
-    if mode == "asymptotic":
+    if args.constants == "asymptotic":
         constants = asymptotic_constants(params.q, params.beta)
-    elif mode == "measured":
-        g1 = gamma1_exact(blocks, params)
-        _, two_norm = matrix_norms(interdependence_matrix_exact(blocks, params))
-        if two_norm >= 1.0:
-            raise ConditionNotMetError(
-                f"interdependence two-norm {two_norm} is not below 1"
-            )
-        constants = lsi_constants(g1, 1.0 - two_norm)
     else:
-        raise InvalidInputError("--constants must be 'asymptotic' or 'measured'")
-    if t_max is None:
-        t_max = float(blocks.sizes[k])
+        constants = measured_constants(blocks, params)[0]
+    t_max = float(blocks.sizes[k]) if args.t_max is None else args.t_max
     if not t_max >= 0.0:
         raise InvalidInputError(f"--t-max must be >= 0, got {t_max}")
-    summary = run_chain(blocks, params, sweeps, thin=thin, seed=seed,
-                        burn_in=burn_in)
+    summary = run_chain(blocks, params, args.sweeps, thin=args.thin, seed=args.seed,
+                        burn_in=args.burn_in)
     t_grid = np.linspace(0.0, t_max, t_points)
     rows = concentration_report(summary, constants, k, c, t_grid)
     with open(out, "w", encoding="utf-8") as fh:
@@ -411,95 +384,92 @@ def cmd_concentration(args):
             fh.write(",".join([_fmt(row.t), _fmt(row.tail), _fmt(row.bound),
                                _fmt(row.std_error),
                                "1" if row.flagged else "0"]) + "\n")
-    _write_manifest(out, "concentration", seed, [out], params, blocks,
-                    extra={"sweeps": sweeps, "thin": thin, "k": k + 1,
-                           "c": c + 1, "constants_mode": mode,
+    _write_manifest(out, "concentration", args.seed, [out], params, blocks,
+                    extra={"sweeps": args.sweeps, "thin": args.thin, "k": k + 1,
+                           "c": c + 1, "constants_mode": args.constants,
                            "sigma3_sq": constants.sigma3_sq})
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--out-dir", dest="out_dir", help="directory for outputs")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--config", help="JSON file of default option values")
+def _add_common(parser, out, seed=True):
+    parser.add_argument("--out", default=out, help=f"output file (default {out})")
+    parser.add_argument("--out-dir", default=".", help="directory for relative outputs")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--config", help="JSON file of option values")
 
 
-def _add_model(parser):
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--sizes", help="comma-separated block sizes, e.g. 50,50")
-    parser.add_argument("--gamma", help="comma-separated block proportions")
+def _add_model(parser, sizes_required=True):
+    parser.add_argument("--q", type=int, required=True)
+    parser.add_argument("--alpha", type=float, required=True)
+    parser.add_argument("--beta", type=float, required=True)
+    parser.add_argument("--sizes", type=int_list, required=sizes_required,
+                        help="comma-separated block sizes, e.g. 50,50")
+
+
+def _add_chain(parser, sweeps):
+    parser.add_argument("--sweeps", type=int, default=sweeps)
+    parser.add_argument("--thin", type=int, default=1)
+    parser.add_argument("--burn-in", type=int,
+                        help="unrecorded sweeps first (default 10 percent of --sweeps)")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="blockpotts",
-        description="Block spin Potts model experiments",
-    )
+    parser = _Parser(prog="blockpotts", description="Block spin Potts model experiments")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="heat-bath trajectories as CSV")
-    _add_common(p)
+    _add_common(p, "simulate.csv")
     _add_model(p)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--init", help="random | uniform-color:c (1-based)")
-    p.add_argument("--out")
+    _add_chain(p, sweeps=1000)
+    p.add_argument("--chains", type=int, default=1)
+    p.add_argument("--init", default="random", help="random | uniform-color:c (1-based)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("exact", help="exact count-matrix law as CSV")
-    _add_common(p)
+    _add_common(p, "exact.csv", seed=False)
     _add_model(p)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
+    p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("equilibria", help="maximizers of the free energy functional")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--landscape-out", dest="landscape_out",
+    _add_common(p, "equilibria.json")
+    _add_model(p, sizes_required=False)
+    p.add_argument("--s", type=int, help="number of blocks, when --sizes is not given")
+    p.add_argument("--gamma", type=float_list,
+                   help="comma-separated block proportions (default sizes / N, or 1/s)")
+    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--landscape-out",
                    help="also sample G on the two-column manifold into this CSV")
-    p.add_argument("--landscape-r", dest="landscape_r", type=int)
-    p.add_argument("--landscape-mesh", dest="landscape_mesh", type=int)
-    p.add_argument("--out")
+    p.add_argument("--landscape-r", type=int, default=1)
+    p.add_argument("--landscape-mesh", type=int, default=25)
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("phase-diagram", help="sweep the effective coupling g")
-    _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--g-min", dest="g_min", type=float)
-    p.add_argument("--g-max", dest="g_max", type=float)
-    p.add_argument("--g-step", dest="g_step", type=float)
-    p.add_argument("--critical-band", dest="critical_band", type=float)
-    p.add_argument("--out")
+    _add_common(p, "phase_diagram.csv", seed=False)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--g-min", type=float, required=True)
+    p.add_argument("--g-max", type=float, required=True)
+    p.add_argument("--g-step", type=float, default=0.05)
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("lsi-check", help="verify the entropy inequalities exhaustively")
-    _add_common(p)
+    _add_common(p, "lsi_report.json")
     _add_model(p)
-    p.add_argument("--num-f", dest="num_f", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--out")
+    p.add_argument("--num-f", type=int, default=100)
+    p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_lsi_check)
 
     p = sub.add_parser("concentration", help="tail bounds for block color counts")
-    _add_common(p)
+    _add_common(p, "concentration.csv")
     _add_model(p)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--k", type=int, help="block index, 1-based")
-    p.add_argument("--c", type=int, help="color index, 1-based")
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-points", dest="t_points", type=int)
-    p.add_argument("--constants", help="asymptotic | measured")
-    p.add_argument("--out")
+    _add_chain(p, sweeps=2000)
+    p.add_argument("--k", type=int, default=1, help="block index, 1-based")
+    p.add_argument("--c", type=int, default=1, help="color index, 1-based")
+    p.add_argument("--t-max", type=float, help="largest t (default the size of block k)")
+    p.add_argument("--t-points", type=int, default=10)
+    p.add_argument("--constants", choices=("asymptotic", "measured"), default="asymptotic")
     p.set_defaults(func=cmd_concentration)
 
     return parser
@@ -509,13 +479,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return 2
-    try:
-        return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,10 @@ STEP_TOL = 1e-12
 MARGIN = 1e-9
 # Half-width of the CRITICAL band of g around zeta_q.
 CRITICAL_BAND = 1e-9
+# Iterations of the Newton polish of a two-column candidate.
+NEWTON_ITERS = 60
+# Largest entry-wise distance at which two maximizers count as one.
+DEDUPE_TOL = 1e-7
 # Relative inset of the landscape mesh from both ends of each mu_plus box;
 # at the upper end the small columns would be exactly zero.
 LANDSCAPE_INSET = 1e-6
@@ -59,10 +63,10 @@ def critical_temperature(q):
     return 2.0 * (q - 1.0) / (q - 2.0) * math.log(q - 1.0)
 
 
-def classify_phase(g, q, band):
-    """Phase at effective coupling g: CRITICAL within band of zeta_q, else by side."""
+def classify_phase(g, q):
+    """Phase at effective coupling g: CRITICAL within CRITICAL_BAND of zeta_q, else by side."""
     zeta = critical_temperature(q)
-    if abs(g - zeta) <= band:
+    if abs(g - zeta) <= CRITICAL_BAND:
         return Phase.CRITICAL
     return Phase.SUBCRITICAL if g < zeta else Phase.SUPERCRITICAL
 
@@ -140,7 +144,7 @@ def gradient_G(mu, params):
     return interaction_field(mu, params) - np.log(np.maximum(mu, 1e-300)) - 1.0
 
 
-def critical_residual(mu, params, gamma=None):
+def critical_residual(mu, params):
     """Residual matrix of the Lagrange critical equations of G on C(gamma).
 
     Entry (k, c) is beta (mu_kc - gamma_k / q) + alpha sum_{k' != k}
@@ -148,7 +152,7 @@ def critical_residual(mu, params, gamma=None):
     row k; every interior maximizer must solve these equations.  Requires
     strictly positive entries.
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
+    gamma = params.gamma_array
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (gamma.size, params.q):
         raise InvalidInputError(f"matrix shape {mu.shape}, expected ({gamma.size}, {params.q})")
@@ -236,7 +240,7 @@ def _reduced_gradient(r, mu_plus, params, gamma):
             - np.log(mu_plus / mu_minus))
 
 
-def _newton_two_column(r, mu_plus, params, gamma, iters=60):
+def _newton_two_column(r, mu_plus, params, gamma):
     """Polish a two-column candidate to a root of the reduced gradient.
 
     Damped Newton with the analytic Jacobian; returns None when the
@@ -248,7 +252,7 @@ def _newton_two_column(r, mu_plus, params, gamma, iters=60):
     x = np.clip(mu_plus.astype(np.float64), lo + 1e-14, hi - 1e-14)
     d = params.beta - params.alpha
     scale = q / (q - r)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         h = _reduced_gradient(r, x, params, gamma)
         hnorm = np.max(np.abs(h))
         if hnorm < 1e-13:
@@ -350,10 +354,10 @@ def _multistart(params, gamma, opts):
     return r_rows, two_column, full_matrix
 
 
-def _dedupe_matrices(mats, tol=1e-7):
+def _dedupe_matrices(mats):
     kept = []
     for m in mats:
-        if not any(np.max(np.abs(m - other)) < tol for other in kept):
+        if not any(np.max(np.abs(m - other)) < DEDUPE_TOL for other in kept):
             kept.append(m)
     return kept
 
@@ -421,7 +425,7 @@ def _color_permutations(mats, q):
     return _dedupe_matrices(out)
 
 
-def maximize_G(params, gamma=None, options=None):
+def maximize_G(params, options=None):
     """Find and classify the maximizers of G on C(gamma).
 
     Uniform gamma: classify through g against zeta_q, return the closed-form
@@ -432,22 +436,19 @@ def maximize_G(params, gamma=None, options=None):
     carrying no closed-form certificate.
     """
     opts = options or SearchOptions()
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
-    q, s = params.q, params.s
-    if gamma.size != s:
-        raise InvalidInputError(f"gamma has {gamma.size} entries, expected s={s}")
+    q = params.q
     g = params.effective_coupling
     zeta = critical_temperature(q)
-    uniform = bool(np.max(np.abs(gamma - 1.0 / s)) <= 1e-12)
-    candidates, probe_max, probe_best, stats = _numerical_candidates(params, gamma, opts)
+    candidates, probe_max, probe_best, stats = _numerical_candidates(
+        params, params.gamma_array, opts)
 
-    if uniform:
+    if params.uniform_gamma:
         u = potts_fixed_point_u(g, q)
         Q, nus = equilibrium_matrices(g, params)
-        phase = classify_phase(g, q, CRITICAL_BAND)
+        phase = classify_phase(g, q)
         best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
                 Phase.SUPERCRITICAL: nus}[phase]
-        sup_G = max(free_energy_G(m, params, gamma) for m in best)
+        sup_G = max(free_energy_G(m, params) for m in best)
         if probe_max > sup_G + MARGIN:
             raise NonConvergenceError(
                 f"multistart ascent found G = {probe_max} above the closed-form "
@@ -472,7 +473,7 @@ def maximize_G(params, gamma=None, options=None):
         best = _color_permutations(best, q)
         best = [m for m in best if _free_energy(m, params) >= sup_G - 1e-10]
         best = _sort_maximizers(_dedupe_matrices(best))
-        has_flat = any(np.max(np.abs(m - candidates[0])) < 1e-7 for m in best)
+        has_flat = any(np.max(np.abs(m - candidates[0])) < DEDUPE_TOL for m in best)
         if has_flat and len(best) == 1:
             phase = Phase.SUBCRITICAL
         elif has_flat:
@@ -481,7 +482,7 @@ def maximize_G(params, gamma=None, options=None):
             phase = Phase.SUPERCRITICAL
         certificate = "numerical, no closed-form certificate"
     residual_max = max(
-        float(np.max(np.abs(critical_residual(m, params, gamma)))) for m in best
+        float(np.max(np.abs(critical_residual(m, params)))) for m in best
     )
     return EquilibriumReport(
         phase=phase,
@@ -497,14 +498,13 @@ def maximize_G(params, gamma=None, options=None):
     )
 
 
-def structure_certificate(mu, params, gamma=None, tol=1e-9):
+def structure_certificate(mu, params, tol=1e-9):
     """Check the structural properties every reported maximizer must satisfy.
 
     Returns a dict with: strictly positive entries, all rows ordered the
     same way, at most two distinct values per row, and the maximal
     critical-equation residual.
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     positive = bool(np.all(mu > 0.0))
     # a common ordering exists iff the columns are totally ordered entrywise;
@@ -524,7 +524,7 @@ def structure_certificate(mu, params, gamma=None, tol=1e-9):
                 distinct.append(v)
         if len(distinct) > 2:
             two_values = False
-    residual = float(np.max(np.abs(critical_residual(mu, params, gamma)))) if positive else math.inf
+    residual = float(np.max(np.abs(critical_residual(mu, params)))) if positive else math.inf
     return {
         "positive": positive,
         "common_order": common,
@@ -533,14 +533,14 @@ def structure_certificate(mu, params, gamma=None, tol=1e-9):
     }
 
 
-def two_column_landscape(params, r, mesh=25, gamma=None):
+def two_column_landscape(params, r, mesh=25):
     """Sample G on a mesh of the two-column manifold for a fixed r.
 
     Each mu_plus_k runs over mesh points of its box, inset by LANDSCAPE_INSET
     of the box width at both ends.  Returns an array with rows (r,
     mu_plus_1, .., mu_plus_s, G).
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
+    gamma = params.gamma_array
     q = params.q
     if not 1 <= r <= q - 1:
         raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")

@@ -49,8 +49,6 @@ class ChainSummary:
     """Thinned count-matrix samples of one chain plus running summaries."""
 
     samples: np.ndarray
-    sweep_count: int
-    seed: int
     empirical_M_prime: np.ndarray
 
 
@@ -164,8 +162,6 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
     empirical = samples.mean(axis=0) / N if len(samples) else np.zeros((s, q))
     return ChainSummary(
         samples=samples,
-        sweep_count=sweeps,
-        seed=seed,
         empirical_M_prime=empirical,
     )
 

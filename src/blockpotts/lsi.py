@@ -58,11 +58,21 @@ FP_SLACK = 1e-12
 # once: a few such blocks stay in cache, and memory does not grow with the
 # number of observables.
 CHUNK_BYTES = 1 << 19
+# Random indicator products and random linear forms in the structured battery.
+BATTERY_PRODUCTS = 8
+BATTERY_LINEAR = 2
 
 
 def lsi_condition(q, beta):
     """Asymptotic smallness condition 2 q beta e^beta < 1."""
     return 2.0 * q * beta * math.exp(beta) < 1.0
+
+
+def _require_lsi_condition(q, beta):
+    if not lsi_condition(q, beta):
+        raise ConditionNotMetError(
+            f"2 q beta e^beta = {2 * q * beta * math.exp(beta):.6g} >= 1"
+        )
 
 
 def gamma1_floor(q, beta):
@@ -118,10 +128,7 @@ def asymptotic_constants(q, beta):
     Valid for N large enough that the exact norm sits below its asymptote;
     raises when the smallness condition fails outright.
     """
-    if not lsi_condition(q, beta):
-        raise ConditionNotMetError(
-            f"2 q beta e^beta = {2 * q * beta * math.exp(beta):.6g} >= 1"
-        )
+    _require_lsi_condition(q, beta)
     return lsi_constants(gamma1_floor(q, beta), gamma2_asymptotic(q, beta))
 
 
@@ -234,12 +241,30 @@ def matrix_norms(J):
     return inf_norm, two_norm
 
 
+def measured_constants(blocks, params):
+    """Constants from the measured gamma1 (exact conditional floor) and
+    gamma2 = 1 minus the exact two-norm of the interdependence matrix.
+
+    Returns (constants, inf_norm, two_norm); raises ConditionNotMetError
+    when the two-norm is not below 1.
+    """
+    g1 = gamma1_exact(blocks, params)
+    inf_norm, two_norm = matrix_norms(interdependence_matrix_exact(blocks, params))
+    g2 = 1.0 - two_norm
+    if g2 <= 0.0:
+        raise ConditionNotMetError(
+            f"interdependence two-norm {two_norm} is not below 1 at N={blocks.N}"
+        )
+    return lsi_constants(g1, g2), inf_norm, two_norm
+
+
 class ConfigWorkspace:
     """Full configuration-space machinery for the exhaustive checks.
 
-    Holds the exact joint law and cond, the (P, N, q) array of exact
-    single-site conditionals: cond[p, i, c] is the probability of color c at
-    site i given the other sites of configuration p.  No recoloring index is
+    Holds the exact joint law.  cond, the (P, N, q) array of exact
+    single-site conditionals (cond[p, i, c] is the probability of color c at
+    site i given the other sites of configuration p), is built on first
+    read: the observable methods do not need it.  No recoloring index is
     stored: site_view reshapes any per-configuration vector to
     (q^(N-1-i), q, q^i), whose middle axis lists the q recolorings of site
     i.  On that view site i's conditional is the joint law divided by its
@@ -252,12 +277,16 @@ class ConfigWorkspace:
         self.blocks = blocks
         self.params = params
         self.dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
-        N, q = blocks.N, params.q
-        self.cond = np.empty((len(self.dist), N, q))
+
+    @functools.cached_property
+    def cond(self):
+        N, q = self.blocks.N, self.params.q
+        cond = np.empty((len(self.dist), N, q))
         for i in range(N):
             site_cond, _ = self._site_laws(i)
             # whatever color site i has, cond[., i, c] = site_cond[:, c, :]
-            site_view(self.cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
+            site_view(cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
+        return cond
 
     @property
     def probabilities(self):
@@ -336,7 +365,7 @@ class LsiSuiteReport:
     violations: int
 
 
-def _structured_battery(workspace, rng, n_products=8, n_linear=2):
+def _structured_battery(workspace, rng):
     """Indicators, block counts, products of indicators and linear forms,
     one observable at a time, drawing from rng as they are made."""
     cfgs = workspace.dist.configs
@@ -350,11 +379,11 @@ def _structured_battery(workspace, rng, n_products=8, n_linear=2):
     for k in range(workspace.blocks.s):
         for c in range(q):
             yield counts[:, k, c].astype(np.float64)
-    for _ in range(n_products):
+    for _ in range(BATTERY_PRODUCTS):
         i, j = rng.choice(N, size=2, replace=False)
         c1, c2 = rng.integers(0, q, size=2)
         yield ((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64)
-    for _ in range(n_linear):
+    for _ in range(BATTERY_LINEAR):
         coef = rng.standard_normal(N)
         target = rng.integers(0, q, size=N)
         yield ((cfgs == target[None, :]).astype(np.float64) * coef[None, :]).sum(axis=1)
@@ -390,20 +419,9 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         raise InvalidInputError(f"num_f must be >= 0, got {num_f}")
     if not math.isfinite(amplitude):
         raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
-    if not lsi_condition(params.q, params.beta):
-        raise ConditionNotMetError(
-            f"2 q beta e^beta = {2 * params.q * params.beta * math.exp(params.beta):.6g} >= 1"
-        )
+    _require_lsi_condition(params.q, params.beta)
     workspace = ConfigWorkspace(blocks, params)
-    g1 = gamma1_exact(blocks, params)
-    J = interdependence_matrix_exact(blocks, params)
-    inf_norm, two_norm = matrix_norms(J)
-    g2 = 1.0 - two_norm
-    if g2 <= 0.0:
-        raise ConditionNotMetError(
-            f"interdependence two-norm {two_norm} is not below 1 at N={blocks.N}"
-        )
-    constants = lsi_constants(g1, g2)
+    constants, inf_norm, two_norm = measured_constants(blocks, params)
 
     p = workspace.probabilities
     names = ("entropy_f2", "entropy_expf_cov", "entropy_expf_dirichlet")
@@ -435,8 +453,8 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
                 violations += int(np.count_nonzero(~(lhs <= rhs + tol)))
     return LsiSuiteReport(
         condition_asymptotic=lsi_condition(params.q, params.beta),
-        gamma1=g1,
-        gamma2=g2,
+        gamma1=constants.gamma1,
+        gamma2=constants.gamma2,
         inf_norm=inf_norm,
         two_norm=two_norm,
         constants=constants,

@@ -85,14 +85,14 @@ def _free_energy(mu, params):
     return 0.5 * interaction_form(mu, params) - _entropy_term(mu, axis=(-2, -1))
 
 
-def free_energy_G(mu, params, gamma=None):
+def free_energy_G(mu, params):
     """Free energy functional G(mu) = <mu, mu>_A / 2 - sum mu log mu on C(gamma).
 
     mu must be a BLOCK matrix: entry-wise nonnegative with row k summing to
     gamma_k (within 1e-10; inputs inside the tolerance are renormalized).
     Zero entries are allowed, with 0 log 0 = 0.
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
+    gamma = params.gamma_array
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (gamma.size, params.q):
         raise InvalidInputError(f"matrix shape {mu.shape}, expected ({gamma.size}, {params.q})")
@@ -131,13 +131,13 @@ class RateEvaluation:
     argument: np.ndarray
 
 
-def rate_J_prime(nu, params, sup_G, gamma=None):
+def rate_J_prime(nu, params, sup_G):
     """LDP rate of the mass matrix M'_N: J'(nu) = sup_G - G(nu) on C(gamma), else infinite.
 
     sup_G is the maximum of G over C(gamma); computing it is the equilibrium
     solver's job and it is passed in explicitly so sweeps do not recompute it.
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
+    gamma = params.gamma_array
     clean = _clean_rows(nu, gamma)
     if clean is None:
         return RateEvaluation(False, math.inf, sup_G, np.asarray(nu, dtype=np.float64))
@@ -146,7 +146,7 @@ def rate_J_prime(nu, params, sup_G, gamma=None):
     return RateEvaluation(True, sup_G - float(_free_energy(clean, params)), sup_G, clean)
 
 
-def rate_J(nu, params, sup_term, gamma=None):
+def rate_J(nu, params, sup_term):
     """LDP rate of the block empirical matrix M_N under the Gibbs measure.
 
     J(nu) = -[<Gamma nu, Gamma nu>_A / 2 - I(nu)] + sup_term for ROW
@@ -156,7 +156,7 @@ def rate_J(nu, params, sup_term, gamma=None):
     sum (Gamma nu) log(Gamma nu) = I(nu) - log q + sum_k gamma_k log gamma_k.
     The change of variables gives J(nu) = J'(Gamma nu).
     """
-    gamma = params.gamma_array if gamma is None else np.asarray(gamma, dtype=np.float64)
+    gamma = params.gamma_array
     clean = _clean_rows(nu, np.ones(gamma.size))
     if clean is None:
         return RateEvaluation(False, math.inf, sup_term, np.asarray(nu, dtype=np.float64))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import blockpotts
-from blockpotts.cli import main
+from blockpotts.cli import build_parser, main
 
 SRC = str(Path(blockpotts.__file__).resolve().parents[1])
 
@@ -276,6 +278,21 @@ def test_missing_required_option_is_usage_error(tmp_path):
      "--num-f", "-5"],
     ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
      "--t-max", "-1"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--sweeps", "x"],
+    # flags that fixed nothing are gone: --sizes fixes the model, and the
+    # phase band is CRITICAL_BAND, as in maximize_G
+    ["exact", "--q", "3", "--sizes", "1,3", "--alpha", "0.2", "--beta", "0.8", "--seed", "1"],
+    ["exact", "--q", "3", "--sizes", "1,3", "--alpha", "0.2", "--beta", "0.8",
+     "--gamma", "0.5,0.5"],
+    ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "2.0", "--g-max", "3.0",
+     "--critical-band", "0.5"],
+    # no abbreviations: --siz is not --sizes
+    ["exact", "--q", "3", "--siz", "2,2", "--alpha", "0.2", "--beta", "0.8"],
+    ["exact", "--q", "3", "--sizes", "0,0", "--alpha", "0.2", "--beta", "0.8"],
+    # only equilibria takes --s beside --sizes, and needs one of them
+    ["equilibria", "--q", "3", "--s", "3", "--sizes", "2,2", "--alpha", "2.5", "--beta", "3.5"],
+    ["equilibria", "--q", "3", "--alpha", "2.5", "--beta", "3.5"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -316,3 +333,63 @@ def test_config_non_string_path_is_usage_error(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [{"sweps": 3}, {"sweeps": 2.9}, {"q": "x"}, {"seed": True},
+                                   {"config": "other.json"}, {"sizes": [2, 2]}])
+def test_bad_config_is_one_line_usage_error(entry, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "sizes": "2,2", "alpha": 0.2, "beta": 0.8, **entry}))
+    out = tmp_path / "out.csv"
+    rc = run(["simulate", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_strings_parse_as_typed_and_numbers_convert_exactly(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": "3", "sizes": "2,2", "alpha": 0, "beta": "0.8",
+                               "sweeps": 4.0, "thin": "2", "seed": 5}))
+    out = tmp_path / "c.csv"
+    assert run(["simulate", f"--config={cfg}", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    assert manifest["seed"] == 5
+    assert manifest["params"]["alpha"] == 0.0
+    assert manifest["result"]["sweeps"] == 4 and manifest["result"]["thin"] == 2
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_exact_and_phase_diagram_manifests_carry_no_seed(tmp_path):
+    assert run(["exact", "--q", "3", "--sizes", "2,2", "--alpha", "0.5", "--beta", "1.0",
+                "--out-dir", str(tmp_path)]) == 0
+    assert run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "2.0", "--g-max", "2.1",
+                "--out-dir", str(tmp_path)]) == 0
+    for name in ("exact.csv", "phase_diagram.csv"):
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["seed"] is None
+
+
+def _readme_commands():
+    """Every `blockpotts ...` command of the README's sh blocks, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "blockpotts":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "simulate", "exact", "equilibria", "phase-diagram", "lsi-check", "concentration"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: blockpotts {shlex.join(argv)}")

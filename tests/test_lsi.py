@@ -337,14 +337,28 @@ def test_workspace_peak_memory_is_its_outputs():
     tracemalloc.start()
     try:
         ws = ConfigWorkspace(b, p)
+        cond = ws.cond
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     d = ws.dist
-    outputs = ws.cond.nbytes + sum(
+    outputs = cond.nbytes + sum(
         a.nbytes for a in (d.configs, d.count_matrices, d.log_weights, d.probabilities)
     )
     assert peak <= 1.25 * outputs
+
+
+def test_suite_does_not_build_the_conditional_array():
+    # the suite reads the per-site laws only, so its peak stays well below
+    # the workspace's (P, N, q) conditional array plus the joint law
+    p, b = make(3, (5, 5), 0.05, 0.1)
+    tracemalloc.start()
+    try:
+        verify_lsi_suite(b, p, num_f=0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ConfigWorkspace(b, p).cond.nbytes
 
 
 def test_suite_product_measure_zero_violations():
