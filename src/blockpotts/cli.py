@@ -55,9 +55,9 @@ from .rates import potts_functional
 
 _FLOAT_FMT = ".17g"
 
-# Most rows phase-diagram writes: a g grid finer than this is refused
-# (exit 3) before the CSV is opened.
-MAX_PHASE_ROWS = 10_000_000
+# Most rows a command may write to one CSV (simulate: over all chains):
+# a larger request is refused (exit 3) before anything is allocated or opened.
+MAX_ROWS = 10_000_000
 
 
 def _fmt(x):
@@ -143,6 +143,11 @@ def _at_least_one(key, value):
     return value
 
 
+def _check_rows(what, rows):
+    if rows > MAX_ROWS:
+        raise CapacityError(f"{what} needs more than {MAX_ROWS} rows", required=rows)
+
+
 def _resolve_model(args):
     """(params, blocks) from the model flags.  --sizes, when given, fixes s
     and the proportions gamma = sizes / N; only equilibria also has --s and
@@ -218,6 +223,7 @@ def cmd_simulate(args):
     sweeps, thin, burn_in = args.sweeps, args.thin, args.burn_in
     # a rejected run must not leave a header-only CSV behind
     check_run_options(blocks, params, sweeps, thin, burn_in)
+    _check_rows(f"--chains {chains} of {sweeps // thin} samples", chains * (sweeps // thin))
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
                    np.random.SeedSequence(args.seed).spawn(chains)]
@@ -249,7 +255,8 @@ def cmd_exact(args):
 
 
 _DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
-                "restarts_converged", "newton_failures", "certificate_margin")
+                "restarts_converged", "newton_handoffs", "newton_failures",
+                "certificate_margin")
 
 
 def _report_to_json(report):
@@ -271,6 +278,8 @@ def cmd_equilibria(args):
     out = _out_path(args.out_dir, args.out)
     options = SearchOptions(restarts=args.restarts, seed=args.seed)
     if args.landscape_out is not None:
+        _check_rows(f"--landscape-mesh {args.landscape_mesh} over {params.s} blocks",
+                    args.landscape_mesh ** params.s)
         # sampled before anything is written, so a bad r or mesh leaves no file
         land_path = _out_path(args.out_dir, args.landscape_out)
         rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
@@ -299,9 +308,7 @@ def cmd_phase_diagram(args):
     if not (g_step > 0 and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
-    if steps >= MAX_PHASE_ROWS:
-        raise CapacityError(f"the g grid needs {steps + 1:.6g} rows, more than "
-                            f"{MAX_PHASE_ROWS}", required=steps + 1)
+    _check_rows(f"the g grid of step {g_step}", steps + 1)
     zeta = critical_temperature(q)
     uniform = np.full(q, 1.0 / q)
     count = math.floor(steps) + 1
@@ -362,6 +369,7 @@ def cmd_concentration(args):
     params, blocks = _resolve_model(args)
     k, c = args.k - 1, args.c - 1
     t_points = _at_least_one("t_points", args.t_points)
+    _check_rows(f"--t-points {t_points}", t_points)
     out = _out_path(args.out_dir, args.out)
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")

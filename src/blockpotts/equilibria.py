@@ -41,8 +41,14 @@ STEP_TOL = 1e-12
 MARGIN = 1e-9
 # Half-width of the CRITICAL band of g around zeta_q.
 CRITICAL_BAND = 1e-9
-# Iterations of the Newton polish of a two-column candidate.
+# Newton on the two-column manifold: at most NEWTON_ITERS steps, each tried
+# at NEWTON_TRIES lengths 1, 1/2, ..; a root has max|h| below NEWTON_TOL.
 NEWTON_ITERS = 60
+NEWTON_TRIES = 40
+NEWTON_TOL = 1e-13
+# A two-column restart tries an undamped Newton finish after every
+# HANDOFF_EVERY of its iterations.
+HANDOFF_EVERY = 16
 # Largest entry-wise distance at which two maximizers count as one.
 DEDUPE_TOL = 1e-7
 # Relative inset of the landscape mesh from both ends of each mu_plus box;
@@ -203,9 +209,11 @@ class EquilibriumReport:
     restarts ascents ran (opts.restarts per column multiplicity plus as many
     full-matrix ones) for ascent_iterations in all, max_ascent_iterations
     the longest; restarts_converged of them stopped on a convergence rule
-    before MAX_ITER, and newton_failures two-column endpoints could not be
-    polished to a critical point.  certificate_margin is sup_G minus the
-    best value any ascent reached: it is >= -MARGIN for every report.
+    before MAX_ITER, newton_handoffs of those at a Newton root (a two-column
+    restart tries that every HANDOFF_EVERY iterations), and newton_failures
+    two-column endpoints could not be polished to a critical point.
+    certificate_margin is sup_G minus the best value any ascent reached: it
+    is >= -MARGIN for every report.
     """
 
     phase: Phase
@@ -220,6 +228,7 @@ class EquilibriumReport:
     ascent_iterations: int
     max_ascent_iterations: int
     restarts_converged: int
+    newton_handoffs: int
     newton_failures: int
     certificate_margin: float
 
@@ -240,45 +249,67 @@ def _reduced_gradient(r, mu_plus, params, gamma):
             - np.log(mu_plus / mu_minus))
 
 
-def _newton_two_column(r, mu_plus, params, gamma):
-    """Polish a two-column candidate to a root of the reduced gradient.
+@np.errstate(invalid="ignore", divide="ignore")  # h of a step out of the box is NaN
+def _newton_two_column(r, mu_plus, params, gamma, tries=NEWTON_TRIES):
+    """Polish two-column points to roots of the reduced gradient, row by row.
 
-    Damped Newton with the analytic Jacobian; returns None when the
-    iteration leaves the open box gamma/q < mu_plus < gamma/r or stalls.
+    mu_plus is (R, s) with one r per row.  Newton with the analytic
+    Jacobian, all rows in one solve per iteration; a row's step is halved
+    up to tries - 1 times until it stays in the open box gamma/q < mu_plus
+    < gamma/r and shrinks max|h|.  A row fails when no halving does, when
+    its Jacobian is singular, or when max|h| is still at least NEWTON_TOL
+    after NEWTON_ITERS steps.  Rows do not interact.  Returns (roots, ok).
     """
     q = params.q
-    lo = gamma / q
-    hi = gamma / r
+    r = np.asarray(r)[:, None]
+    lo, hi = gamma / q, gamma / r
     x = np.clip(mu_plus.astype(np.float64), lo + 1e-14, hi - 1e-14)
-    d = params.beta - params.alpha
-    scale = q / (q - r)
-    for _ in range(NEWTON_ITERS):
-        h = _reduced_gradient(r, x, params, gamma)
-        hnorm = np.max(np.abs(h))
-        if hnorm < 1e-13:
-            return x
-        mu_minus = (gamma - r * x) / (q - r)
-        jac = scale * (d * np.eye(x.size) + params.alpha * np.ones((x.size, x.size)))
-        jac -= np.diag(1.0 / x + (r / (q - r)) / mu_minus)
-        try:
-            step = np.linalg.solve(jac, -h)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(40):
-            y = x + t * step
-            if (np.all(y > lo) and np.all(y < hi)
-                    and np.max(np.abs(_reduced_gradient(r, y, params, gamma))) < hnorm):
-                x = y
-                break
-            t *= 0.5
-        else:
-            return None
+    s = x.shape[1]
+    base = (q / (q - r))[..., None] * ((params.beta - params.alpha) * np.eye(s) + params.alpha)
     h = _reduced_gradient(r, x, params, gamma)
-    return x if np.max(np.abs(h)) < 1e-13 else None
+    hnorm = np.max(np.abs(h), axis=1)
+    live = hnorm >= NEWTON_TOL
+    for _ in range(NEWTON_ITERS):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        xr, rr = x[rows], r[rows]
+        mu_minus = (gamma - rr * xr) / (q - rr)
+        jac = base[rows] - (1.0 / xr + (rr / (q - rr)) / mu_minus)[..., None] * np.eye(s)
+        step = _solve_rows(jac, -h[rows])
+        t = np.ones((rows.size, 1))
+        searching = np.all(np.isfinite(step), axis=1)
+        for _ in range(tries):
+            y = xr + t * step
+            hy = _reduced_gradient(rr, y, params, gamma)
+            ny = np.max(np.abs(hy), axis=1)
+            good = (searching & np.all(y > lo, axis=1) & np.all(y < hi[rows], axis=1)
+                    & (ny < hnorm[rows]))
+            x[rows[good]], h[rows[good]], hnorm[rows[good]] = y[good], hy[good], ny[good]
+            searching &= ~good
+            if not searching.any():
+                break
+            t[searching] *= 0.5
+        live[rows[searching]] = False
+        live &= hnorm >= NEWTON_TOL
+    return x, hnorm < NEWTON_TOL
 
 
-def _ascend(x0, value, gradient, project):
+def _solve_rows(jac, rhs):
+    """Solve every system of the stack; a singular one gives a row of NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (a, b) in enumerate(zip(jac, rhs)):
+            try:
+                out[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _ascend(x0, value, gradient, project, newton=None):
     """Projected gradient ascent of the R restarts stacked along axis 0 of x0.
 
     value maps a stack to its R values, gradient to its ascent directions
@@ -286,16 +317,21 @@ def _ascend(x0, value, gradient, project):
     line search starts from the last accepted step, doubles it on success
     and halves it until the value rises or the step drops below STEP_TOL.
     A restart stops on no ascent, a move below STEP_TOL or a projected
-    gradient below GRAD_TOL.  Returns per restart (x, fx, iterations,
-    converged), converged meaning stopped by one of those rules.
+    gradient below GRAD_TOL.  With newton, which maps (points, row indices)
+    to (roots, ok), every HANDOFF_EVERY iterations each restart still
+    running is handed to it, and stops at its root when newton succeeds and
+    the root's value is at least its own.  Returns per restart (x, fx,
+    iterations, converged, handed off), converged meaning stopped by one of
+    those rules.
     """
     x = project(np.asarray(x0, dtype=np.float64))
     fx = value(x)
     axes = tuple(range(1, x.ndim))
     step = np.ones(x.shape[0])
     active = np.ones(x.shape[0], dtype=bool)
+    handed = np.zeros(x.shape[0], dtype=bool)
     iterations = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(MAX_ITER):
+    for iteration in range(1, MAX_ITER + 1):
         if not active.any():
             break
         iterations += active
@@ -318,17 +354,31 @@ def _ascend(x0, value, gradient, project):
         x, fx = y, fy
         projected_grad = np.max(np.abs(project(x + grad) - x), axis=axes)
         active &= rose & (moved >= STEP_TOL) & (projected_grad >= GRAD_TOL)
-    return x, fx, iterations, ~active
+        if newton is not None and iteration % HANDOFF_EVERY == 0 and active.any():
+            rows = np.flatnonzero(active)
+            roots, ok = newton(x[rows], rows)
+            cand = x.copy()
+            cand[rows] = roots
+            fcand = value(cand)
+            done = np.zeros_like(active)
+            done[rows] = ok
+            done &= fcand >= fx
+            x[done], fx[done] = cand[done], fcand[done]
+            active &= ~done
+            handed |= done
+    return x, fx, iterations, ~active, handed
 
 
 def _multistart(params, gamma, opts):
     """Every ascent of the multistart search, in two batches from one generator.
 
     First opts.restarts ascents per multiplicity r = 1..q-1 (r-major) in the
-    mu_plus box, from uniform points of it; then opts.restarts row-simplex
-    ascents over C(gamma), from Dirichlet rows scaled by gamma.  Returns
-    (r_rows, two_column, full_matrix): each two-column restart's r and the
-    _ascend results of the two batches.
+    mu_plus box, from uniform points of it, each handed to an undamped
+    Newton finish (_newton_two_column with one try per step) as soon as that
+    succeeds; then opts.restarts row-simplex ascents over C(gamma), from
+    Dirichlet rows scaled by gamma.  Returns (r_rows, two_column,
+    full_matrix): each two-column restart's r and the _ascend results of the
+    two batches.
     """
     q, s = params.q, gamma.size
     rng = np.random.default_rng(opts.seed)
@@ -343,6 +393,7 @@ def _multistart(params, gamma, opts):
         lambda x: _free_energy(_two_column(r_rows, x, gamma, q), params),
         lambda x: r_col * _reduced_gradient(r_col, x, params, gamma),
         lambda x: np.clip(x, box_lo, box_hi),
+        newton=lambda x, rows: _newton_two_column(r_rows[rows], x, params, gamma, tries=1),
     )
     raw = rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None]
     full_matrix = _ascend(
@@ -384,36 +435,26 @@ def _numerical_candidates(params, gamma, opts):
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    r_rows, (x2, f2, it2, conv2), (xf, ff, itf, convf) = _multistart(params, gamma, opts)
+    r_rows, (x2, f2, it2, conv2, handed), (xf, ff, itf, convf, _) = _multistart(
+        params, gamma, opts)
     flat = np.tile(gamma[:, None] / q, (1, q))
-    candidates = [flat]
-    probe_max, probe_best = _free_energy(flat, params), flat
-    failures = 0
-    for r, x, fx in zip(r_rows.tolist(), x2, f2):
-        if fx > probe_max:
-            probe_max, probe_best = fx, _two_column(r, x, gamma, q)
-        polished = _newton_two_column(r, x, params, gamma)
-        if polished is None:
-            failures += 1
-            continue
-        mat = _two_column(r, polished, gamma, q)
-        if np.all(mat > 0.0):
-            candidates.append(mat)
-            fmat = _free_energy(mat, params)
-            if fmat > probe_max:
-                probe_max, probe_best = fmat, mat
-    for x, fx in zip(xf, ff):
-        if fx > probe_max:
-            probe_max, probe_best = fx, x
+    roots, ok = _newton_two_column(r_rows, x2, params, gamma)
+    polished = _two_column(r_rows[ok], roots[ok], gamma, q)
+    polished = polished[np.all(polished > 0.0, axis=(1, 2))]
+    probes = np.concatenate([flat[None], _two_column(r_rows, x2, gamma, q), polished, xf])
+    values = np.concatenate([_free_energy(flat, params)[None], f2,
+                             _free_energy(polished, params), ff])
+    best = int(np.argmax(values))
     iterations = np.concatenate([it2, itf])
     stats = {
         "restarts": int(iterations.size),
         "ascent_iterations": int(iterations.sum()),
         "max_ascent_iterations": int(iterations.max()),
         "restarts_converged": int(conv2.sum() + convf.sum()),
-        "newton_failures": failures,
+        "newton_handoffs": int(handed.sum()),
+        "newton_failures": int(np.count_nonzero(~ok)),
     }
-    return candidates, float(probe_max), probe_best, stats
+    return [flat, *polished], float(values[best]), probes[best], stats
 
 
 def _color_permutations(mats, q):

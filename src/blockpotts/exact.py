@@ -66,13 +66,16 @@ def block_compositions(sizes, q, cap):
     """The composition table of each block, (P_k, q) int64, in block order.
 
     The support size P = prod_k C(sizes[k]+q-1, q-1) is checked against cap
-    before anything is enumerated, and a CapacityError names it.  Blocks of
+    before anything is enumerated, and a CapacityError names it; a cap
+    below 1 is invalid input.  Blocks of
     2^15 sites or more are refused too, since the support stores int16
     counts (at q >= 3 such a block alone has over 5e8 compositions).
     """
     sizes = [int(n) for n in sizes]
     if not sizes or min(sizes) < 0 or q < 1:
         raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
+    if cap < 1:
+        raise InvalidInputError(f"cap must be >= 1, got {cap}")
     required = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
     if required > cap:
         raise CapacityError(
@@ -210,9 +213,14 @@ def site_view(values, site, q):
 
 
 def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
-    """Enumerate all q^N configurations and their exact Gibbs probabilities."""
+    """Enumerate all q^N configurations and their exact Gibbs probabilities.
+
+    q^N is checked against cap (at least 1) before anything is allocated.
+    """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
+    if cap < 1:
+        raise InvalidInputError(f"cap must be >= 1, got {cap}")
     required = q**N
     if required > cap:
         raise CapacityError(

@@ -153,13 +153,47 @@ def two_column_point(r, mu_plus, gamma, q):
     return np.column_stack([mu_minus] * (q - r) + [mu_plus] * r)
 
 
+def two_column_reduced_gradient(r, mu_plus, gamma, q, alpha, beta):
+    """h_k: derivative of G at a large entry of row k minus at a small one."""
+    mu_minus = (gamma - r * mu_plus) / (q - r)
+    return ((beta - alpha) * (mu_plus - mu_minus)
+            + alpha * (mu_plus.sum() - mu_minus.sum())
+            - np.log(mu_plus / mu_minus))
+
+
 def two_column_ascent_direction(r, mu_plus, gamma, q, alpha, beta):
     """r times the derivative of G along mu_plus on the two-column manifold."""
-    mu_minus = (gamma - r * mu_plus) / (q - r)
-    h = ((beta - alpha) * (mu_plus - mu_minus)
-         + alpha * (mu_plus.sum() - mu_minus.sum())
-         - np.log(mu_plus / mu_minus))
-    return r * h
+    return r * two_column_reduced_gradient(r, mu_plus, gamma, q, alpha, beta)
+
+
+def two_column_newton(r, mu_plus, gamma, q, alpha, beta, max_iter, tol):
+    """Undamped Newton on the reduced gradient h, written as a plain loop.
+
+    Returns the first point with max|h| below tol, or None at the first
+    step that leaves the open box gamma/q < mu_plus < gamma/r or does not
+    shrink max|h|, or after max_iter steps.
+    """
+    lo, hi = gamma / q, gamma / r
+    x = np.clip(mu_plus, lo + 1e-14, hi - 1e-14)
+    s = x.size
+    h = two_column_reduced_gradient(r, x, gamma, q, alpha, beta)
+    for _ in range(max_iter):
+        if np.max(np.abs(h)) < tol:
+            return x
+        mu_minus = (gamma - r * x) / (q - r)
+        jac = np.empty((s, s))
+        for k in range(s):
+            for j in range(s):
+                jac[k, j] = q / (q - r) * ((beta - alpha) * (k == j) + alpha)
+            jac[k, k] -= 1.0 / x[k] + r / (q - r) / mu_minus[k]
+        y = x - np.linalg.solve(jac, h)
+        if not (np.all(y > lo) and np.all(y < hi)):
+            return None
+        hy = two_column_reduced_gradient(r, y, gamma, q, alpha, beta)
+        if not np.max(np.abs(hy)) < np.max(np.abs(h)):
+            return None
+        x, h = y, hy
+    return x if np.max(np.abs(h)) < tol else None
 
 
 def project_row_simplex(x, total):
@@ -170,14 +204,17 @@ def project_row_simplex(x, total):
     return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
 
 
-def projected_ascent(x0, value, gradient, project, max_iter, step_tol, grad_tol):
+def projected_ascent(x0, value, gradient, project, max_iter, step_tol, grad_tol,
+                     newton=None, handoff_every=None):
     """One restart of projected gradient ascent, written as a plain loop.
 
     The line search starts from the last accepted step, doubles it on
     success and halves it until the value rises or the step falls below
     step_tol.  The ascent stops on no ascent, a move below step_tol or a
-    projected gradient below grad_tol.  Returns (x, value, iterations,
-    stopped before max_iter).
+    projected gradient below grad_tol.  With newton (a point -> root or
+    None), after every handoff_every-th iteration it also stops at
+    newton's root when that exists and its value is at least the ascent's.
+    Returns (x, value, iterations, stopped before max_iter).
     """
     x = project(np.asarray(x0, dtype=np.float64))
     fx = value(x)
@@ -201,6 +238,10 @@ def projected_ascent(x0, value, gradient, project, max_iter, step_tol, grad_tol)
         x, fx = y, fy
         if moved < step_tol or np.max(np.abs(project(x + grad) - x)) < grad_tol:
             return x, fx, iteration, True
+        if newton is not None and iteration % handoff_every == 0:
+            root = newton(x)
+            if root is not None and value(root) >= fx:
+                return root, value(root), iteration, True
     return x, fx, max_iter, False
 
 

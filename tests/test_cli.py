@@ -112,6 +112,7 @@ def test_equilibria_json_round_trips(tmp_path):
     assert diag["restarts"] == 3 * 4
     assert 0 < diag["restarts_converged"] <= diag["restarts"]
     assert 1 <= diag["max_ascent_iterations"] <= diag["ascent_iterations"]
+    assert 0 < diag["newton_handoffs"] <= diag["restarts_converged"]
     assert diag["newton_failures"] >= 0
     assert diag["certificate_margin"] >= -1e-9
 
@@ -293,6 +294,9 @@ def test_missing_required_option_is_usage_error(tmp_path):
     # only equilibria takes --s beside --sizes, and needs one of them
     ["equilibria", "--q", "3", "--s", "3", "--sizes", "2,2", "--alpha", "2.5", "--beta", "3.5"],
     ["equilibria", "--q", "3", "--alpha", "2.5", "--beta", "3.5"],
+    # a cap below 1 is invalid input, not a capacity error
+    ["exact", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8", "--cap", "0"],
+    ["exact", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8", "--cap", "-1"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -311,17 +315,31 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
-def test_phase_diagram_row_cap_exits_before_writing(tmp_path, capsys):
-    out = tmp_path / "pd.csv"
+# Each of these would allocate 8 GB or more if it were not refused first:
+# never run them against a version without the row cap.
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", "1",
+     "--g-step", "1e-15"],
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--t-points", "1000000000"],
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+     "--sweeps", "1000000", "--chains", "1000000000"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-out", "LANDSCAPE", "--landscape-mesh", "100000"],
+    ["equilibria", "--q", "3", "--s", "400", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-out", "LANDSCAPE", "--landscape-mesh", "2"],
+], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks"])
+def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "land.csv") if a == "LANDSCAPE" else a for a in argv]
     start = time.perf_counter()
-    rc = run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", "1",
-              "--g-step", "1e-15", "--out", str(out)])
+    rc = run(argv + ["--out", str(out)])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert rc == 3
     assert elapsed < 1.0
     assert err.startswith("capacity error: ") and len(err.strip().splitlines()) == 1
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key", ["out_dir", "out"])

@@ -29,6 +29,7 @@ from oracles import (
     project_row_simplex,
     projected_ascent,
     two_column_ascent_direction,
+    two_column_newton,
     two_column_point,
     w_profile,
     w_profile_prime,
@@ -363,6 +364,7 @@ def test_batched_ascent_matches_scalar_reference(params):
     a, b = params.alpha, params.beta
     r_rows, two_column, full_matrix = equilibria._multistart(params, gamma, opts)
     tols = (equilibria.MAX_ITER, equilibria.STEP_TOL, equilibria.GRAD_TOL)
+    newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_TOL)
     rng = np.random.default_rng(opts.seed)
     runs = []
     for r in range(1, q):
@@ -375,7 +377,9 @@ def test_batched_ascent_matches_scalar_reference(params):
                 lambda m, r=r: block_free_energy(two_column_point(r, m, gamma, q), a, b),
                 lambda m, r=r: two_column_ascent_direction(r, m, gamma, q, a, b),
                 lambda m, box_lo=box_lo, box_hi=box_hi: np.clip(m, box_lo, box_hi),
-                *tols)))
+                *tols,
+                newton=lambda m, r=r: two_column_newton(r, m, gamma, q, a, b, *newton_tols),
+                handoff_every=equilibria.HANDOFF_EVERY)))
     assert r_rows.tolist() == [r for r, _ in runs]
     for k, (_, (x, fx, iterations, converged)) in enumerate(runs):
         assert np.max(np.abs(two_column[0][k] - x)) <= 1e-12
@@ -414,6 +418,28 @@ def test_report_diagnostics(params):
     assert report.max_ascent_iterations == iterations.max()
     converged = np.concatenate([two_column[3], full_matrix[3]])
     assert report.restarts_converged == converged.sum()
+    assert report.newton_handoffs == two_column[4].sum()
+    assert not full_matrix[4].any()
+    assert not (two_column[4] & ~two_column[3]).any()
+
+
+@pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
+def test_two_column_restarts_stop_before_max_iter(params):
+    # without the Newton handoff, r=2 restarts at g = q crept toward the flat
+    # point and the gamma=(0.4, 0.6) r=1 restarts zigzagged next to their
+    # root, both until MAX_ITER
+    _, two_column, _ = equilibria._multistart(params, params.gamma_array, FAST)
+    assert two_column[2].max() < equilibria.MAX_ITER
+    assert two_column[3].all()
+    report = maximize_G(params, options=FAST)
+    best_ascent = report.sup_G - report.certificate_margin
+    if params.uniform_gamma:
+        Q, nus = equilibrium_matrices(params.effective_coupling, params)
+        closed = max(free_energy_G(m, params) for m in [Q, *nus])
+        assert abs(report.sup_G - closed) <= 1e-12
+        assert abs(best_ascent - closed) <= 1e-12
+    else:
+        assert abs(best_ascent - report.sup_G) <= 1e-12
 
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -4)])
