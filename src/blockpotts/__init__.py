@@ -22,7 +22,6 @@ from .equilibria import (
     potts_fixed_point_u,
     structure_certificate,
     two_column_landscape,
-    two_column_matrix,
 )
 from .errors import (
     CapacityError,

@@ -176,19 +176,12 @@ def _out_path(out_dir, name):
 
 def _write_manifest(primary_output, command, seed, outputs, params=None,
                     blocks=None, extra=None):
-    if params is not None and blocks is not None:
-        params_doc = model_to_json(params, blocks)
-    elif params is not None:
-        params_doc = {"q": params.q, "s": params.s, "alpha": params.alpha,
-                      "beta": params.beta, "gamma": list(params.gamma)}
-    else:
-        params_doc = None
     doc = {
         "command": command,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
-        "params": params_doc,
+        "params": model_to_json(params, blocks) if params is not None else None,
         "blocks": {"sizes": list(blocks.sizes)} if blocks is not None else None,
         "output_paths": [str(p) for p in outputs],
     }

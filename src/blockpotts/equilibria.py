@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .model import interaction_field
+from .model import field_from_sums, interaction_field
 from .numutil import project_simplex
 from .rates import _free_energy, free_energy_G
 
@@ -170,24 +170,17 @@ def critical_residual(mu, params):
 
 
 def _two_column(r, mu_plus, gamma, q):
-    """two_column_matrix unchecked and batched: (..., s) mu_plus, r an int or (...) array."""
+    """BLOCK matrices with q-r small columns and r large columns per row.
+
+    Batched over leading axes: (..., s) mu_plus, r an int or a (...) array
+    in 1..q-1 (unchecked).  The small value is determined by the row
+    constraint, mu_minus = (gamma - r mu_plus) / (q - r), and the small
+    columns come first.
+    """
     r = np.asarray(r)[..., None]
     mu_minus = (gamma - r * mu_plus) / (q - r)
     large = np.arange(q) >= q - r[..., None]
     return np.where(large, mu_plus[..., None], mu_minus[..., None])
-
-
-def two_column_matrix(r, mu_plus, gamma, q):
-    """BLOCK matrix with q-r small columns and r large columns per row.
-
-    The small value is determined by the row constraint:
-    mu_minus = (gamma - r mu_plus) / (q - r); columns are emitted in
-    increasing order (small columns first).
-    """
-    if not 1 <= r <= q - 1:
-        raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
-    return _two_column(r, np.asarray(mu_plus, dtype=np.float64),
-                       np.asarray(gamma, dtype=np.float64), q)
 
 
 @dataclass(frozen=True)
@@ -240,13 +233,9 @@ def _reduced_gradient(r, mu_plus, params, gamma):
     its zeros are exactly the critical points with this column structure.
     Batched over leading axes of mu_plus, with r a scalar or a (..., 1) array.
     """
-    q = params.q
-    mu_minus = (gamma - r * mu_plus) / (q - r)
-    s_plus = mu_plus.sum(axis=-1, keepdims=True)
-    s_minus = mu_minus.sum(axis=-1, keepdims=True)
-    d = params.beta - params.alpha
-    return (d * (mu_plus - mu_minus) + params.alpha * (s_plus - s_minus)
-            - np.log(mu_plus / mu_minus))
+    mu_minus = (gamma - r * mu_plus) / (params.q - r)
+    col = mu_plus.sum(axis=-1, keepdims=True) - mu_minus.sum(axis=-1, keepdims=True)
+    return field_from_sums(mu_plus - mu_minus, col, params) - np.log(mu_plus / mu_minus)
 
 
 @np.errstate(invalid="ignore", divide="ignore")  # h of a step out of the box is NaN
@@ -405,14 +394,6 @@ def _multistart(params, gamma, opts):
     return r_rows, two_column, full_matrix
 
 
-def _dedupe_matrices(mats):
-    kept = []
-    for m in mats:
-        if not any(np.max(np.abs(m - other)) < DEDUPE_TOL for other in kept):
-            kept.append(m)
-    return kept
-
-
 def _sort_maximizers(mats):
     """Deterministic order: flat point first, then by index of the large column."""
 
@@ -458,23 +439,26 @@ def _numerical_candidates(params, gamma, opts):
 
 
 def _color_permutations(mats, q):
-    """Close a set of matrices under all column permutations (G is symmetric)."""
-    out = []
+    """Close a set of matrices under all column permutations (G is symmetric),
+    keeping the first of any that lie within DEDUPE_TOL of each other."""
+    kept = []
     for m in mats:
         for perm in itertools.permutations(range(q)):
-            out.append(m[:, perm])
-    return _dedupe_matrices(out)
+            mp = m[:, perm]
+            if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
+                kept.append(mp)
+    return kept
 
 
 def maximize_G(params, options=None):
     """Find and classify the maximizers of G on C(gamma).
 
-    Uniform gamma: classify through g against zeta_q, return the closed-form
-    maximizer set, and certify it by checking the critical-equation
-    residuals and by running the multistart ascent, which must not beat the
-    closed-form value by more than MARGIN.
-    Non-uniform gamma: numerical search only; the report is flagged as
-    carrying no closed-form certificate.
+    Uniform gamma: classify through g against zeta_q and take the
+    closed-form maximizer set.  Non-uniform gamma: take the best polished
+    critical points under every column permutation, flagged as carrying no
+    closed-form certificate.  Either way the multistart ascent certifies
+    the set: NonConvergenceError when any ascent beats its sup_G by more
+    than MARGIN.
     """
     opts = options or SearchOptions()
     q = params.q
@@ -490,41 +474,26 @@ def maximize_G(params, options=None):
         best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
                 Phase.SUPERCRITICAL: nus}[phase]
         sup_G = max(free_energy_G(m, params) for m in best)
-        if probe_max > sup_G + MARGIN:
-            raise NonConvergenceError(
-                f"multistart ascent found G = {probe_max} above the closed-form "
-                f"supremum {sup_G}",
-                best=probe_best,
-                best_value=probe_max,
-            )
-        if phase is Phase.CRITICAL:
-            best = _sort_maximizers(best)
         certificate = "closed-form, certified by multistart ascent"
     else:
         u = math.nan
         values = _free_energy(np.stack(candidates), params)
         sup_G = float(values.max())
-        if probe_max > sup_G + MARGIN:
-            raise NonConvergenceError(
-                f"ascent reached G = {probe_max} but no polished critical point matches",
-                best=probe_best,
-                best_value=probe_max,
-            )
-        best = [m for m, v in zip(candidates, values) if v >= sup_G - 1e-10]
-        best = _color_permutations(best, q)
-        best = [m for m in best if _free_energy(m, params) >= sup_G - 1e-10]
-        best = _sort_maximizers(_dedupe_matrices(best))
+        best = _color_permutations(
+            [m for m, v in zip(candidates, values) if v >= sup_G - 1e-10], q)
         has_flat = any(np.max(np.abs(m - candidates[0])) < DEDUPE_TOL for m in best)
-        if has_flat and len(best) == 1:
-            phase = Phase.SUBCRITICAL
-        elif has_flat:
-            phase = Phase.CRITICAL
-        else:
-            phase = Phase.SUPERCRITICAL
+        phase = ((Phase.SUBCRITICAL if len(best) == 1 else Phase.CRITICAL) if has_flat
+                 else Phase.SUPERCRITICAL)
         certificate = "numerical, no closed-form certificate"
-    residual_max = max(
-        float(np.max(np.abs(critical_residual(m, params)))) for m in best
-    )
+    if probe_max > sup_G + MARGIN:
+        raise NonConvergenceError(
+            f"multistart ascent reached G = {probe_max}, more than MARGIN = "
+            f"{MARGIN} above the reported supremum {sup_G}",
+            best=probe_best,
+            best_value=probe_max,
+        )
+    best = _sort_maximizers(best)
+    residual_max = max(float(np.max(np.abs(critical_residual(m, params)))) for m in best)
     return EquilibriumReport(
         phase=phase,
         g=g,
@@ -587,13 +556,9 @@ def two_column_landscape(params, r, mesh=25):
         raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
     if mesh < 1:
         raise InvalidInputError(f"mesh must be >= 1, got {mesh}")
-    axes = []
-    for k in range(gamma.size):
-        lo = gamma[k] / q
-        hi = gamma[k] / r
-        pad = LANDSCAPE_INSET * (hi - lo) if hi > lo else 0.0
-        axes.append(np.linspace(lo + pad, hi - pad, mesh) if hi > lo
-                    else np.array([lo]))
+    lo, hi = gamma / q, gamma / r
+    pad = LANDSCAPE_INSET * (hi - lo)
+    axes = np.linspace(lo + pad, hi - pad, mesh, axis=-1)
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gamma.size)
     values = _free_energy(_two_column(r, grid, gamma, q), params)
     return np.column_stack([np.full(values.size, float(r)), grid, values])

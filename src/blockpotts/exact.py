@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import check_consistent, form_from_sums, interaction_form
+from .model import check_consistent, form_from_sums, interaction_form, model_to_json
 from .numutil import log_factorials, logsumexp_tree
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -62,6 +62,16 @@ def enumerate_block_compositions(n, q):
     return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[:, ::-1])
 
 
+def _check_cap(required, cap, what, unit):
+    """Raise InvalidInputError for a cap below 1 and CapacityError naming
+    required when it exceeds cap."""
+    if cap < 1:
+        raise InvalidInputError(f"cap must be >= 1, got {cap}")
+    if required > cap:
+        raise CapacityError(f"{what} needs {required} {unit}, cap is {cap}",
+                            required=required)
+
+
 def block_compositions(sizes, q, cap):
     """The composition table of each block, (P_k, q) int64, in block order.
 
@@ -74,14 +84,8 @@ def block_compositions(sizes, q, cap):
     sizes = [int(n) for n in sizes]
     if not sizes or min(sizes) < 0 or q < 1:
         raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
-    if cap < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {cap}")
     required = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
-    if required > cap:
-        raise CapacityError(
-            f"count-matrix support needs {required} matrices, cap is {cap}",
-            required=required,
-        )
+    _check_cap(required, cap, "count-matrix support", "matrices")
     if max(sizes) > INT16_MAX:
         raise CapacityError(
             f"block size {max(sizes)} exceeds {INT16_MAX}, the largest int16 count",
@@ -219,14 +223,8 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
-    if cap < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {cap}")
     required = q**N
-    if required > cap:
-        raise CapacityError(
-            f"full enumeration needs {required} configurations, cap is {cap}",
-            required=required,
-        )
+    _check_cap(required, cap, "full enumeration", "configurations")
     configs = np.empty((required, N), dtype=np.int8)
     for i in range(N):
         site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]
@@ -274,15 +272,7 @@ def export_csv(dist, path):
     """
     s = dist.support.shape[1]
     q = dist.support.shape[2]
-    header = {
-        "q": q,
-        "s": s,
-        "alpha": dist.params.alpha,
-        "beta": dist.params.beta,
-        "gamma": list(dist.params.gamma),
-        "sizes": list(dist.blocks.sizes),
-        "log_Z": dist.log_Z,
-    }
+    header = {**model_to_json(dist.params, dist.blocks), "log_Z": dist.log_Z}
     cols = [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(header) + "\n")

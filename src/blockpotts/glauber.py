@@ -46,10 +46,9 @@ MAX_BETA = 1400.0
 
 @dataclass(frozen=True)
 class ChainSummary:
-    """Thinned count-matrix samples of one chain plus running summaries."""
+    """Thinned count-matrix samples of one chain, (len, s, q) int64."""
 
     samples: np.ndarray
-    empirical_M_prime: np.ndarray
 
 
 def _initial_config(init, blocks, q, rng):
@@ -158,12 +157,7 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
                                         np.asarray(cnt)):
             raise AssertionError("maintained counts diverged from recount")
 
-    samples = np.asarray(samples, dtype=np.int64).reshape(-1, s, q)
-    empirical = samples.mean(axis=0) / N if len(samples) else np.zeros((s, q))
-    return ChainSummary(
-        samples=samples,
-        empirical_M_prime=empirical,
-    )
+    return ChainSummary(samples=np.asarray(samples, dtype=np.int64).reshape(-1, s, q))
 
 
 def tail_estimate(summary, k, c, t):

@@ -37,7 +37,6 @@ from .errors import ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
     block_compositions,
-    exact_observable_distribution,
     full_configuration_distribution,
     site_view,
 )
@@ -474,30 +473,20 @@ class ConcentrationRow:
     flagged: bool
 
 
-def concentration_report(summary, constants, k, c, t_grid, exact_dist=None):
+def concentration_report(summary, constants, k, c, t_grid):
     """Tail of the block-color count against 2 exp(-t^2 / (2 |S_k| sigma3^2)).
 
-    The tail is empirical (from the chain summary) unless an exact law is
-    supplied.  A row is flagged when the tail exceeds the bound beyond three
-    Monte Carlo standard errors; bounds at or above one can never flag.
+    The tail is empirical, from the chain summary.  A row is flagged when
+    the tail exceeds the bound beyond three Monte Carlo standard errors;
+    bounds at or above one can never flag.
     """
     rows = []
-    if exact_dist is not None:
-        law = exact_observable_distribution(exact_dist, k, c)
-        values = np.arange(law.size, dtype=np.float64)
-        mean = float(law @ values)
-        size_k = law.size - 1
-    else:
-        size_k = int(summary.samples[0, k].sum())
+    size_k = int(summary.samples[0, k].sum())
+    n = summary.samples.shape[0]
     for t in np.asarray(t_grid, dtype=np.float64):
         bound = 2.0 * math.exp(-(t * t) / (2.0 * size_k * constants.sigma3_sq))
-        if exact_dist is not None:
-            tail = float(law[np.abs(values - mean) >= t].sum())
-            se = 0.0
-        else:
-            tail = tail_estimate(summary, k, c, t)
-            n = summary.samples.shape[0]
-            se = math.sqrt(max(tail * (1.0 - tail), 0.0) / n)
+        tail = tail_estimate(summary, k, c, t)
+        se = math.sqrt(max(tail * (1.0 - tail), 0.0) / n)
         flagged = bound < 1.0 and tail > bound + 3.0 * se
         rows.append(ConcentrationRow(float(t), tail, bound, se, flagged))
     return rows

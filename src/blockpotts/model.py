@@ -209,14 +209,16 @@ def form_from_sums(squares, col_sq, params):
     return (params.beta - params.alpha) * squares + params.alpha * col_sq
 
 
-def model_to_json(params, blocks):
-    """Single JSON document describing params and block sizes."""
-    check_consistent(params, blocks)
-    return {
+def model_to_json(params, blocks=None):
+    """Single JSON document describing params and, unless None, block sizes."""
+    doc = {
         "q": params.q,
         "s": params.s,
         "alpha": params.alpha,
         "beta": params.beta,
         "gamma": list(params.gamma),
-        "sizes": list(blocks.sizes),
     }
+    if blocks is not None:
+        check_consistent(params, blocks)
+        doc["sizes"] = list(blocks.sizes)
+    return doc

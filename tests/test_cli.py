@@ -117,6 +117,16 @@ def test_equilibria_json_round_trips(tmp_path):
     assert diag["certificate_margin"] >= -1e-9
 
 
+def test_equilibria_non_convergence_exits_4_without_output(tmp_path, capsys, probe_above_sup_G):
+    rc = run(["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+              "--restarts", "4", "--out-dir", str(tmp_path), "--out", "eq.json"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("non-convergence: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_equilibria_landscape_export(tmp_path):
     out = tmp_path / "eq.json"
     land = tmp_path / "land.csv"
@@ -411,3 +421,24 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: blockpotts {shlex.join(argv)}")
+
+
+def _readme_number(text):
+    """A number as the README writes it: 500, 1e-9 or 10^7."""
+    base, _, exponent = text.partition("^")
+    return float(base) ** int(exponent) if exponent else float(text)
+
+
+def test_readme_constants_match_code():
+    from blockpotts import cli, equilibria, exact, glauber
+
+    owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "GRAD_TOL",
+                                            "STEP_TOL", "MARGIN", "CRITICAL_BAND")}
+    owners.update(MAX_ROWS=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
+                  DEFAULT_SUPPORT_CAP=exact)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)
+    assert {name for name, _ in quoted} == set(owners)
+    for name, text in quoted:
+        value = getattr(owners[name], name)
+        assert _readme_number(text) == value, f"README says {name} = {text}, code has {value}"

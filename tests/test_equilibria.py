@@ -9,6 +9,7 @@ from blockpotts import equilibria
 from blockpotts import (
     InvalidInputError,
     ModelParams,
+    NonConvergenceError,
     Phase,
     SearchOptions,
     critical_residual,
@@ -21,7 +22,6 @@ from blockpotts import (
     potts_fixed_point_u,
     structure_certificate,
     two_column_landscape,
-    two_column_matrix,
 )
 from oracles import (
     block_free_energy,
@@ -257,7 +257,7 @@ def test_uniform_gamma_maximizers_have_identical_rows():
 
 def test_two_column_matrix_structure():
     gamma = np.array([0.5, 0.5])
-    mat = two_column_matrix(1, np.array([0.25, 0.25]), gamma, 3)
+    mat = equilibria._two_column(1, np.array([0.25, 0.25]), gamma, 3)
     assert mat.shape == (2, 3)
     assert np.allclose(mat.sum(axis=1), gamma)
     assert np.allclose(mat[:, -1], 0.25)
@@ -442,6 +442,16 @@ def test_two_column_restarts_stop_before_max_iter(params):
         assert abs(best_ascent - report.sup_G) <= 1e-12
 
 
+@pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5]], ids=["uniform", "nonuniform"])
+def test_ascent_above_sup_G_raises_non_convergence(params, probe_above_sup_G):
+    # closed-form and numerical reports share one certificate check
+    with pytest.raises(NonConvergenceError, match="above the reported supremum") as info:
+        maximize_G(params, options=FAST)
+    [(probe_max, probe_best)] = probe_above_sup_G
+    assert info.value.best_value == probe_max
+    assert info.value.best is probe_best
+
+
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -4)])
 def test_search_options_reject_empty_or_invalid_search(field, value):
     with pytest.raises(InvalidInputError):
@@ -452,5 +462,5 @@ def test_two_column_landscape_matches_scalar_matrices():
     p = AC5_SET[5]
     rows = two_column_landscape(p, 2, mesh=6)
     for row in rows[::7]:
-        mat = two_column_matrix(2, row[1:-1], p.gamma_array, p.q)
+        mat = two_column_point(2, row[1:-1], p.gamma_array, p.q)
         assert row[-1] == pytest.approx(free_energy_G(mat, p), abs=1e-13)

@@ -16,6 +16,7 @@ from blockpotts import (
     concentration_report,
     entropy_functional,
     exact_distribution,
+    exact_observable_distribution,
     full_configuration_distribution,
     gamma1_exact,
     gamma1_floor,
@@ -449,9 +450,12 @@ def test_concentration_exact_tails_never_violate():
     summary = run_chain(b, p, sweeps=100, seed=6)
     constants = asymptotic_constants(3, 0.1)
     t_grid = np.linspace(0.0, 4.0, 9)
-    rows = concentration_report(summary, constants, 0, 0, t_grid, exact_dist=dist)
-    assert not any(row.flagged for row in rows)
-    assert rows[0].tail == pytest.approx(1.0, abs=1e-12)
+    rows = concentration_report(summary, constants, 0, 0, t_grid)
+    law = exact_observable_distribution(dist, 0, 0)
+    values = np.arange(law.size, dtype=np.float64)
+    tails = [law[np.abs(values - law @ values) >= t].sum() for t in t_grid]
+    assert not any(row.bound < 1.0 and tail > row.bound for row, tail in zip(rows, tails))
+    assert tails[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concentration_bound_formulas_converge():

@@ -172,3 +172,5 @@ def test_json_round_trip():
     doc = model_to_json(p, b)
     assert doc == {"q": 3, "s": 2, "alpha": 0.5, "beta": 1.2,
                    "gamma": [0.5, 0.5], "sizes": [50, 50]}
+    # without blocks the same document, in the same key order, lacks only sizes
+    assert list(model_to_json(p).items()) == list(doc.items())[:-1]
