@@ -182,7 +182,6 @@ def _write_manifest(primary_output, command, seed, outputs, params=None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "params": model_to_json(params, blocks) if params is not None else None,
-        "blocks": {"sizes": list(blocks.sizes)} if blocks is not None else None,
         "output_paths": [str(p) for p in outputs],
     }
     if extra is not None:

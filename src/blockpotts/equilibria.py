@@ -7,9 +7,11 @@ zeta_q = 2 (q-1)/(q-2) log(q-1) the flat matrix Q is the unique maximum,
 above it the q color-swapped matrices built from the largest fixed point of
 u = (1 - e^{-gu}) / (1 + (q-1) e^{-gu}) take over, and at zeta_q both
 families tie.  The closed forms are certified numerically: the critical
-equation residuals must vanish and a multistart projected ascent over the
-two-column manifold (every interior critical point has at most two distinct
-values per row, with all rows ordered alike) must find nothing better.
+equation residuals must vanish and a multistart ascent by the mean-field
+map mu_k -> gamma_k softmax((A mu)_k), run on the two-column manifold
+(every interior critical point has at most two distinct values per row,
+with all rows ordered alike) and over all of C(gamma), must find nothing
+better.
 
 For non-uniform proportions no closed form is known and the same numerical
 search is performed on its own; its reports are flagged as carrying no
@@ -27,14 +29,12 @@ import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
 from .model import field_from_sums, interaction_field
-from .numutil import project_simplex
+from .numutil import softmax
 from .rates import _free_energy, free_energy_G
 
-# Stopping rules of each projected ascent: at most MAX_ITER iterations; a
-# restart stops early on no ascent, a move below STEP_TOL or a projected
-# gradient below GRAD_TOL, and its line search gives up below STEP_TOL.
+# Stopping rule of each mean-field restart: at most MAX_ITER steps; a
+# restart stops early when a step moves no entry by STEP_TOL or more.
 MAX_ITER = 500
-GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
 # How far any ascent may climb above the reported supremum before the
 # search raises NonConvergenceError.
@@ -47,7 +47,7 @@ NEWTON_ITERS = 60
 NEWTON_TRIES = 40
 NEWTON_TOL = 1e-13
 # A two-column restart tries an undamped Newton finish after every
-# HANDOFF_EVERY of its iterations.
+# HANDOFF_EVERY of its steps.
 HANDOFF_EVERY = 16
 # Largest entry-wise distance at which two maximizers count as one.
 DEDUPE_TOL = 1e-7
@@ -199,14 +199,15 @@ class SearchOptions:
 class EquilibriumReport:
     """Classified maximizer set of G on C(gamma), with what the search did.
 
-    restarts ascents ran (opts.restarts per column multiplicity plus as many
-    full-matrix ones) for ascent_iterations in all, max_ascent_iterations
-    the longest; restarts_converged of them stopped on a convergence rule
-    before MAX_ITER, newton_handoffs of those at a Newton root (a two-column
-    restart tries that every HANDOFF_EVERY iterations), and newton_failures
-    two-column endpoints could not be polished to a critical point.
-    certificate_margin is sup_G minus the best value any ascent reached: it
-    is >= -MARGIN for every report.
+    restarts mean-field restarts ran (opts.restarts per column multiplicity
+    plus as many full-matrix ones) for ascent_iterations map steps in all,
+    max_ascent_iterations the longest; restarts_converged of them stopped
+    before MAX_ITER, on a move below STEP_TOL or at a Newton root,
+    newton_handoffs of those at a Newton root (a two-column restart tries
+    that every HANDOFF_EVERY steps), and newton_failures two-column
+    endpoints could not be polished to a critical point.  certificate_margin
+    is sup_G minus the best value any restart reached: it is >= -MARGIN for
+    every report.
     """
 
     phase: Phase
@@ -298,100 +299,56 @@ def _solve_rows(jac, rhs):
         return out
 
 
-def _ascend(x0, value, gradient, project, newton=None):
-    """Projected gradient ascent of the R restarts stacked along axis 0 of x0.
-
-    value maps a stack to its R values, gradient to its ascent directions
-    and project onto the feasible set.  Each restart has its own step: the
-    line search starts from the last accepted step, doubles it on success
-    and halves it until the value rises or the step drops below STEP_TOL.
-    A restart stops on no ascent, a move below STEP_TOL or a projected
-    gradient below GRAD_TOL.  With newton, which maps (points, row indices)
-    to (roots, ok), every HANDOFF_EVERY iterations each restart still
-    running is handed to it, and stops at its root when newton succeeds and
-    the root's value is at least its own.  Returns per restart (x, fx,
-    iterations, converged, handed off), converged meaning stopped by one of
-    those rules.
-    """
-    x = project(np.asarray(x0, dtype=np.float64))
-    fx = value(x)
-    axes = tuple(range(1, x.ndim))
-    step = np.ones(x.shape[0])
-    active = np.ones(x.shape[0], dtype=bool)
-    handed = np.zeros(x.shape[0], dtype=bool)
-    iterations = np.zeros(x.shape[0], dtype=np.int64)
-    for iteration in range(1, MAX_ITER + 1):
-        if not active.any():
-            break
-        iterations += active
-        grad = gradient(x)
-        t = step.copy()
-        y, fy = x.copy(), fx.copy()
-        searching = active.copy()
-        for _ in range(60):
-            cand = project(x + np.expand_dims(t, axes) * grad)
-            fcand = value(cand)
-            up = searching & (fcand > fx)
-            y[up], fy[up], step[up] = cand[up], fcand[up], t[up] * 2.0
-            searching &= ~up
-            t[searching] *= 0.5
-            searching &= t >= STEP_TOL
-            if not searching.any():
-                break
-        rose = fy > fx
-        moved = np.max(np.abs(y - x), axis=axes)
-        x, fx = y, fy
-        projected_grad = np.max(np.abs(project(x + grad) - x), axis=axes)
-        active &= rose & (moved >= STEP_TOL) & (projected_grad >= GRAD_TOL)
-        if newton is not None and iteration % HANDOFF_EVERY == 0 and active.any():
-            rows = np.flatnonzero(active)
-            roots, ok = newton(x[rows], rows)
-            cand = x.copy()
-            cand[rows] = roots
-            fcand = value(cand)
-            done = np.zeros_like(active)
-            done[rows] = ok
-            done &= fcand >= fx
-            x[done], fx[done] = cand[done], fcand[done]
-            active &= ~done
-            handed |= done
-    return x, fx, iterations, ~active, handed
+def _mean_field_map(mu, params, gamma):
+    """One mean-field step mu_k -> gamma_k softmax((A mu)_k), batched over leading axes."""
+    return gamma[:, None] * softmax(interaction_field(mu, params))
 
 
 def _multistart(params, gamma, opts):
-    """Every ascent of the multistart search, in two batches from one generator.
+    """Every restart of the multistart search, as one mean-field batch.
 
-    First opts.restarts ascents per multiplicity r = 1..q-1 (r-major) in the
-    mu_plus box, from uniform points of it, each handed to an undamped
-    Newton finish (_newton_two_column with one try per step) as soon as that
-    succeeds; then opts.restarts row-simplex ascents over C(gamma), from
-    Dirichlet rows scaled by gamma.  Returns (r_rows, two_column,
-    full_matrix): each two-column restart's r and the _ascend results of the
-    two batches.
+    The first opts.restarts rows per multiplicity r = 1..q-1 (r-major)
+    start on the two-column manifold, from mu_plus uniform in its box; the
+    last opts.restarts start from Dirichlet rows scaled by gamma, all drawn
+    from one generator.  Each step applies _mean_field_map to every running
+    restart.  With 0 <= alpha <= beta, A is PSD and the map is the
+    concave-convex procedure: G never falls, the iterates stay inside
+    C(gamma), and a two-column point stays two-column with its large
+    columns large.  A restart stops when a step moves it less than
+    STEP_TOL; every HANDOFF_EVERY steps each running two-column restart
+    also tries an undamped Newton finish (_newton_two_column with one try
+    per step) and stops at its root when Newton succeeds and the root's G
+    is at least its own.  Returns (r_rows, x, fx, iterations, converged,
+    handed): each two-column restart's r, then per restart its endpoint,
+    its G, its steps, whether it stopped before MAX_ITER and whether at a
+    Newton root.
     """
     q, s = params.q, gamma.size
     rng = np.random.default_rng(opts.seed)
     r_rows = np.repeat(np.arange(1, q), opts.restarts)
-    r_col = r_rows[:, None]
-    lo, hi = gamma / q, gamma / r_col
-    x0 = lo + rng.random((r_rows.size, s)) * (hi - lo)
-    eps = 1e-11
-    box_lo, box_hi = lo * (1.0 + eps) + 1e-15, hi * (1.0 - eps)
-    two_column = _ascend(
-        x0,
-        lambda x: _free_energy(_two_column(r_rows, x, gamma, q), params),
-        lambda x: r_col * _reduced_gradient(r_col, x, params, gamma),
-        lambda x: np.clip(x, box_lo, box_hi),
-        newton=lambda x, rows: _newton_two_column(r_rows[rows], x, params, gamma, tries=1),
-    )
-    raw = rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None]
-    full_matrix = _ascend(
-        raw,
-        lambda x: _free_energy(x, params),
-        lambda x: gradient_G(x, params),
-        lambda x: project_simplex(x, gamma),
-    )
-    return r_rows, two_column, full_matrix
+    lo, hi = gamma / q, gamma / r_rows[:, None]
+    x = np.concatenate([
+        _two_column(r_rows, lo + rng.random((r_rows.size, s)) * (hi - lo), gamma, q),
+        rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None],
+    ])
+    running = np.ones(len(x), dtype=bool)
+    handed = np.zeros(len(x), dtype=bool)
+    iterations = np.zeros(len(x), dtype=np.int64)
+    for iteration in range(1, MAX_ITER + 1):
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
+            break
+        iterations[rows] += 1
+        y = _mean_field_map(x[rows], params, gamma)
+        running[rows] = np.max(np.abs(y - x[rows]), axis=(1, 2)) >= STEP_TOL
+        x[rows] = y
+        rows = np.flatnonzero(running[:r_rows.size])
+        if iteration % HANDOFF_EVERY == 0 and rows.size:
+            roots, ok = _newton_two_column(r_rows[rows], x[rows, :, -1], params, gamma, tries=1)
+            cand = _two_column(r_rows[rows], roots, gamma, q)
+            ok &= _free_energy(cand, params) >= _free_energy(x[rows], params)
+            x[rows[ok]], running[rows[ok]], handed[rows[ok]] = cand[ok], False, True
+    return r_rows, x, _free_energy(x, params), iterations, ~running, handed
 
 
 def _sort_maximizers(mats):
@@ -412,26 +369,24 @@ def _numerical_candidates(params, gamma, opts):
     Returns (candidates, probe_max, probe_best, stats): Newton-polished
     critical points, the best value seen by any ascent (polished or not),
     the matrix that achieved it, and the search diagnostics of
-    EquilibriumReport.  The full-matrix ascents are a safety net for the
+    EquilibriumReport.  The full-matrix restarts are a safety net for the
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    r_rows, (x2, f2, it2, conv2, handed), (xf, ff, itf, convf, _) = _multistart(
-        params, gamma, opts)
+    r_rows, x, fx, iterations, converged, handed = _multistart(params, gamma, opts)
     flat = np.tile(gamma[:, None] / q, (1, q))
-    roots, ok = _newton_two_column(r_rows, x2, params, gamma)
+    roots, ok = _newton_two_column(r_rows, x[:r_rows.size, :, -1], params, gamma)
     polished = _two_column(r_rows[ok], roots[ok], gamma, q)
     polished = polished[np.all(polished > 0.0, axis=(1, 2))]
-    probes = np.concatenate([flat[None], _two_column(r_rows, x2, gamma, q), polished, xf])
-    values = np.concatenate([_free_energy(flat, params)[None], f2,
-                             _free_energy(polished, params), ff])
+    probes = np.concatenate([flat[None], x, polished])
+    values = np.concatenate([_free_energy(flat, params)[None], fx,
+                             _free_energy(polished, params)])
     best = int(np.argmax(values))
-    iterations = np.concatenate([it2, itf])
     stats = {
         "restarts": int(iterations.size),
         "ascent_iterations": int(iterations.sum()),
         "max_ascent_iterations": int(iterations.max()),
-        "restarts_converged": int(conv2.sum() + convf.sum()),
+        "restarts_converged": int(converged.sum()),
         "newton_handoffs": int(handed.sum()),
         "newton_failures": int(np.count_nonzero(~ok)),
     }

@@ -1,5 +1,4 @@
-"""Small numeric helpers: stable softmax, tree log-sum-exp, log-factorials,
-simplex projection."""
+"""Small numeric helpers: stable softmax, tree log-sum-exp, log-factorials."""
 
 import math
 
@@ -40,17 +39,3 @@ def log_factorials(n):
     """Array of log(k!) for k = 0..n."""
     return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
-
-def project_simplex(x, total=1.0):
-    """Euclidean projection of every row x[..., :] onto {y >= 0, sum(y) = total}.
-
-    total is a scalar or an array broadcasting against x[..., 0].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    u = np.sort(x, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - np.asarray(total, dtype=np.float64)[..., None]
-    # last index where the sorted entry still exceeds the running threshold
-    rho = n - 1 - np.argmax((u * np.arange(1, n + 1) > css)[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
-    return np.maximum(x - theta, 0.0)

@@ -142,11 +142,6 @@ def block_free_energy(mu, alpha, beta):
     return 0.5 * quad - np.sum(np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0))
 
 
-def block_free_energy_gradient(mu, alpha, beta):
-    """Entrywise gradient (beta - alpha) mu + alpha colsum - log mu - 1 of G."""
-    return (beta - alpha) * mu + alpha * mu.sum(axis=0) - np.log(np.maximum(mu, 1e-300)) - 1.0
-
-
 def two_column_point(r, mu_plus, gamma, q):
     """q-r small columns (fixed by the row sums gamma), then r columns of mu_plus."""
     mu_minus = (gamma - r * mu_plus) / (q - r)
@@ -159,11 +154,6 @@ def two_column_reduced_gradient(r, mu_plus, gamma, q, alpha, beta):
     return ((beta - alpha) * (mu_plus - mu_minus)
             + alpha * (mu_plus.sum() - mu_minus.sum())
             - np.log(mu_plus / mu_minus))
-
-
-def two_column_ascent_direction(r, mu_plus, gamma, q, alpha, beta):
-    """r times the derivative of G along mu_plus on the two-column manifold."""
-    return r * two_column_reduced_gradient(r, mu_plus, gamma, q, alpha, beta)
 
 
 def two_column_newton(r, mu_plus, gamma, q, alpha, beta, max_iter, tol):
@@ -196,53 +186,37 @@ def two_column_newton(r, mu_plus, gamma, q, alpha, beta, max_iter, tol):
     return x if np.max(np.abs(h)) < tol else None
 
 
-def project_row_simplex(x, total):
-    """Euclidean projection of one vector onto {y >= 0, sum(y) = total}, by sorting."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total
-    rho = np.nonzero(u * np.arange(1, x.size + 1) > css)[0][-1]
-    return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
+def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
+                      handoff_every=None):
+    """One restart of the mean-field map mu_k -> gamma_k softmax((A mu)_k), as a plain loop.
 
-
-def projected_ascent(x0, value, gradient, project, max_iter, step_tol, grad_tol,
-                     newton=None, handoff_every=None):
-    """One restart of projected gradient ascent, written as a plain loop.
-
-    The line search starts from the last accepted step, doubles it on
-    success and halves it until the value rises or the step falls below
-    step_tol.  The ascent stops on no ascent, a move below step_tol or a
-    projected gradient below grad_tol.  With newton (a point -> root or
-    None), after every handoff_every-th iteration it also stops at
-    newton's root when that exists and its value is at least the ascent's.
-    Returns (x, value, iterations, stopped before max_iter).
+    Each step rebuilds every row from the literal field (beta - alpha) mu_kc
+    + alpha colsum_c.  The restart stops when a step moves no entry by
+    step_tol or more.  With newton (a matrix -> root matrix or None), after
+    every handoff_every-th step it also stops at newton's root when that
+    exists and its value is at least the restart's.  Returns (x, value,
+    steps, stopped before max_iter).
     """
-    x = project(np.asarray(x0, dtype=np.float64))
-    fx = value(x)
-    step = 1.0
+    x = np.array(mu0, dtype=np.float64)
+    s, q = x.shape
     for iteration in range(1, max_iter + 1):
-        grad = gradient(x)
-        t = step
-        y, fy = x, fx
-        for _ in range(60):
-            cand = project(x + t * grad)
-            fcand = value(cand)
-            if fcand > fx:
-                y, fy, step = cand, fcand, t * 2.0
-                break
-            t *= 0.5
-            if t < step_tol:
-                break
-        if fy <= fx:
-            return x, fx, iteration, True
+        col = [sum(x[k, c] for k in range(s)) for c in range(q)]
+        y = np.empty_like(x)
+        for k in range(s):
+            field = np.array([(beta - alpha) * x[k, c] + alpha * col[c] for c in range(q)])
+            weights = np.exp(field - field.max())
+            y[k] = gamma[k] * weights / weights.sum()
         moved = np.max(np.abs(y - x))
-        x, fx = y, fy
-        if moved < step_tol or np.max(np.abs(project(x + grad) - x)) < grad_tol:
-            return x, fx, iteration, True
+        x = y
+        if moved < step_tol:
+            return x, block_free_energy(x, alpha, beta), iteration, True
         if newton is not None and iteration % handoff_every == 0:
             root = newton(x)
-            if root is not None and value(root) >= fx:
-                return root, value(root), iteration, True
-    return x, fx, max_iter, False
+            if root is not None:
+                value = block_free_energy(root, alpha, beta)
+                if value >= block_free_energy(x, alpha, beta):
+                    return root, value, iteration, True
+    return x, block_free_energy(x, alpha, beta), max_iter, False
 
 
 def w_profile(x, q, r, s):

@@ -134,10 +134,15 @@ def test_ac03_sampler_correctness():
     blocks6 = BlockStructure(sizes=(3, 3))
     dist = exact_distribution(blocks6, params)
     summary = run_chain(blocks6, params, sweeps=1_000_000, seed=2024)
-    keys = {tuple(dist.support[i].ravel()): i for i in range(len(dist))}
+    # one mixed-radix code per count matrix, entries in 0..N
+    place = (blocks6.N + 1) ** np.arange(dist.support[0].size)
+    support_codes = dist.support.reshape(len(dist), -1) @ place
+    sample_codes = summary.samples.reshape(len(summary.samples), -1) @ place
+    order = np.argsort(support_codes)
+    slot = np.searchsorted(support_codes[order], sample_codes)
+    assert np.array_equal(support_codes[order][slot], sample_codes)
     emp = np.zeros(len(dist))
-    for sample in summary.samples:
-        emp[keys[tuple(sample.ravel())]] += 1.0
+    emp[order] = np.bincount(slot, minlength=len(dist))
     emp /= emp.sum()
     tv = 0.5 * float(np.abs(emp - dist.probabilities).sum())
 

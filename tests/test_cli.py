@@ -35,6 +35,7 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 1
     assert manifest["params"]["sizes"] == [3, 3]
+    assert "blocks" not in manifest
     assert str(out) in manifest["output_paths"]
 
 
@@ -432,8 +433,8 @@ def _readme_number(text):
 def test_readme_constants_match_code():
     from blockpotts import cli, equilibria, exact, glauber
 
-    owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "GRAD_TOL",
-                                            "STEP_TOL", "MARGIN", "CRITICAL_BAND")}
+    owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
+                                            "MARGIN", "CRITICAL_BAND")}
     owners.update(MAX_ROWS=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
                   DEFAULT_SUPPORT_CAP=exact)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

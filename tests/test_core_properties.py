@@ -21,9 +21,10 @@ from blockpotts import (
     interaction_field,
     interaction_form,
 )
+from blockpotts.equilibria import _mean_field_map, _two_column
 from blockpotts.lsi import _loo_fields_by_color
-from blockpotts.numutil import log_factorials, logsumexp_tree, project_simplex, softmax
-from blockpotts.rates import _clean_rows
+from blockpotts.numutil import log_factorials, logsumexp_tree, softmax
+from blockpotts.rates import _clean_rows, _free_energy
 
 import oracles
 
@@ -181,10 +182,23 @@ def test_G_invariant_under_column_permutation(q, s, ab, data):
 
 
 @SETTINGS
-@given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-10.0, 10.0)),
-       st.floats(0.01, 5.0))
-def test_project_simplex_lands_on_scaled_simplex(x, total):
-    y = project_simplex(x, total=total)
-    assert y.shape == x.shape
-    assert np.all(y >= 0.0)
-    assert y.sum() == pytest.approx(total, abs=1e-12 * max(1.0, np.abs(x).sum()))
+@given(st.integers(3, 5), st.integers(1, 3), couplings, st.data())
+def test_mean_field_step_raises_G_and_keeps_two_columns(q, s, ab, data):
+    # with 0 <= alpha <= beta, A is PSD and the map is a concave-convex
+    # step: G may fall only by the rounding of an O(1) sum, and columns
+    # that are equal stay bitwise equal
+    gamma = np.asarray(data.draw(st.lists(st.floats(0.1, 1.0), min_size=s, max_size=s)))
+    params = ModelParams(q=q, s=s, alpha=ab[0], beta=ab[1],
+                         gamma=(1.0,) if s == 1 else tuple(gamma / gamma.sum()))
+    gamma = params.gamma_array
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = rng.integers(1, q, size=8)
+    mu_plus = gamma / q + rng.random((8, s)) * (gamma / r[:, None] - gamma / q)
+    x = np.concatenate([_two_column(r, mu_plus, gamma, q),
+                        rng.dirichlet(np.ones(q), size=(8, s)) * gamma[:, None]])
+    large = np.arange(q) >= q - r[:, None, None]
+    for _ in range(20):
+        y = _mean_field_map(x, params, gamma)
+        assert np.all(_free_energy(y, params) >= _free_energy(x, params) - 1e-13)
+        assert np.array_equal(y[:8], np.where(large, y[:8, :, -1:], y[:8, :, :1]))
+        x = y

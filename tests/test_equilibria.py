@@ -24,11 +24,7 @@ from blockpotts import (
     two_column_landscape,
 )
 from oracles import (
-    block_free_energy,
-    block_free_energy_gradient,
-    project_row_simplex,
-    projected_ascent,
-    two_column_ascent_direction,
+    mean_field_ascent,
     two_column_newton,
     two_column_point,
     w_profile,
@@ -58,6 +54,13 @@ AC5_SET = [
     uniform_params(4, 2, critical_temperature(4) + 0.2),
     ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6)),
     ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.3, 0.7)),
+]
+
+# (model, search seed) pairs where projected line-search ascent left
+# restarts at MAX_ITER
+MAX_ITER_CASES = [
+    (ModelParams(q=5, s=2, alpha=1.575, beta=3.989, gamma=(0.5, 0.5)), 0),
+    (ModelParams(q=4, s=2, alpha=1.167, beta=1.354, gamma=(0.5267, 0.4733)), 53),
 ]
 
 
@@ -362,40 +365,32 @@ def test_batched_ascent_matches_scalar_reference(params):
     opts = SearchOptions(restarts=4, seed=5)
     gamma, q = params.gamma_array, params.q
     a, b = params.alpha, params.beta
-    r_rows, two_column, full_matrix = equilibria._multistart(params, gamma, opts)
-    tols = (equilibria.MAX_ITER, equilibria.STEP_TOL, equilibria.GRAD_TOL)
+    r_rows, x, fx, iterations, converged, _ = equilibria._multistart(params, gamma, opts)
+    tols = (equilibria.MAX_ITER, equilibria.STEP_TOL)
     newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_TOL)
+
+    def newton(m, r):
+        root = two_column_newton(r, m[:, -1], gamma, q, a, b, *newton_tols)
+        return None if root is None else two_column_point(r, root, gamma, q)
+
     rng = np.random.default_rng(opts.seed)
     runs = []
     for r in range(1, q):
         lo, hi = gamma / q, gamma / r
-        box_lo, box_hi = lo * (1 + 1e-11) + 1e-15, hi * (1 - 1e-11)
         for _ in range(opts.restarts):
-            x0 = lo + rng.random(gamma.size) * (hi - lo)
-            runs.append((r, projected_ascent(
-                x0,
-                lambda m, r=r: block_free_energy(two_column_point(r, m, gamma, q), a, b),
-                lambda m, r=r: two_column_ascent_direction(r, m, gamma, q, a, b),
-                lambda m, box_lo=box_lo, box_hi=box_hi: np.clip(m, box_lo, box_hi),
-                *tols,
-                newton=lambda m, r=r: two_column_newton(r, m, gamma, q, a, b, *newton_tols),
+            x0 = two_column_point(r, lo + rng.random(gamma.size) * (hi - lo), gamma, q)
+            runs.append((r, mean_field_ascent(
+                x0, gamma, a, b, *tols, newton=lambda m, r=r: newton(m, r),
                 handoff_every=equilibria.HANDOFF_EVERY)))
     assert r_rows.tolist() == [r for r, _ in runs]
-    for k, (_, (x, fx, iterations, converged)) in enumerate(runs):
-        assert np.max(np.abs(two_column[0][k] - x)) <= 1e-12
-        assert abs(two_column[1][k] - fx) <= 1e-12
-        assert (two_column[2][k], two_column[3][k]) == (iterations, converged)
-    for k in range(opts.restarts):
+    for _ in range(opts.restarts):
         raw = rng.dirichlet(np.ones(q), size=gamma.size) * gamma[:, None]
-        x, fx, iterations, converged = projected_ascent(
-            raw,
-            lambda m: block_free_energy(m, a, b),
-            lambda m: block_free_energy_gradient(m, a, b),
-            lambda m: np.array([project_row_simplex(row, g) for row, g in zip(m, gamma)]),
-            *tols)
-        assert np.max(np.abs(full_matrix[0][k] - x)) <= 1e-12
-        assert abs(full_matrix[1][k] - fx) <= 1e-12
-        assert (full_matrix[2][k], full_matrix[3][k]) == (iterations, converged)
+        runs.append((None, mean_field_ascent(raw, gamma, a, b, *tols)))
+    assert len(runs) == len(x)
+    for k, (_, (xk, fk, steps, stopped)) in enumerate(runs):
+        assert np.max(np.abs(x[k] - xk)) <= 1e-12
+        assert abs(fx[k] - fk) <= 1e-12
+        assert (iterations[k], converged[k]) == (steps, stopped)
 
 
 @pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5]], ids=["uniform", "nonuniform"])
@@ -408,30 +403,32 @@ def test_report_diagnostics(params):
     assert report.ascent_iterations <= report.restarts * report.max_ascent_iterations
     assert 0 <= report.restarts_converged <= report.restarts
     assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
-    # the ascents' best value, recomputed from the per-restart endpoints
-    _, two_column, full_matrix = equilibria._multistart(params, params.gamma_array, FAST)
-    probe = max(two_column[1].max(), full_matrix[1].max(),
-                free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
+    # the restarts' best value, recomputed from the per-restart endpoints
+    r_rows, _, fx, iterations, converged, handed = equilibria._multistart(
+        params, params.gamma_array, FAST)
+    probe = max(fx.max(), free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
     assert -equilibria.MARGIN <= report.certificate_margin <= report.sup_G - probe + 1e-12
-    iterations = np.concatenate([two_column[2], full_matrix[2]])
     assert report.ascent_iterations == iterations.sum()
     assert report.max_ascent_iterations == iterations.max()
-    converged = np.concatenate([two_column[3], full_matrix[3]])
     assert report.restarts_converged == converged.sum()
-    assert report.newton_handoffs == two_column[4].sum()
-    assert not full_matrix[4].any()
-    assert not (two_column[4] & ~two_column[3]).any()
+    assert report.newton_handoffs == handed.sum()
+    assert not handed[r_rows.size:].any()
+    assert not (handed & ~converged).any()
 
 
-@pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
-def test_two_column_restarts_stop_before_max_iter(params):
-    # without the Newton handoff, r=2 restarts at g = q crept toward the flat
+@pytest.mark.parametrize("params, seed", [*((p, 0) for p in AC5_SET), *MAX_ITER_CASES],
+                         ids=[*range(len(AC5_SET)), "q5-gamma-half", "q4-seed53"])
+def test_two_column_restarts_stop_before_max_iter(params, seed):
+    # before the Newton handoff, r=2 restarts at g = q crept toward the flat
     # point and the gamma=(0.4, 0.6) r=1 restarts zigzagged next to their
-    # root, both until MAX_ITER
-    _, two_column, _ = equilibria._multistart(params, params.gamma_array, FAST)
-    assert two_column[2].max() < equilibria.MAX_ITER
-    assert two_column[3].all()
-    report = maximize_G(params, options=FAST)
+    # root until MAX_ITER; with it, projected line-search ascent still ran
+    # the MAX_ITER_CASES there: r=1 restarts pinned at the lower box edge
+    # (q=5) and the full-matrix restarts (q=4)
+    opts = SearchOptions(restarts=FAST.restarts, seed=seed)
+    _, _, _, iterations, converged, _ = equilibria._multistart(params, params.gamma_array, opts)
+    assert iterations.max() < equilibria.MAX_ITER
+    assert converged.all()
+    report = maximize_G(params, options=opts)
     best_ascent = report.sup_G - report.certificate_margin
     if params.uniform_gamma:
         Q, nus = equilibrium_matrices(params.effective_coupling, params)
