@@ -22,6 +22,15 @@ where |df|^2 sums the conditional local variances of f over the sites.
 These hold whenever the conditional floor and the norm gap do, so a
 violation at any tested observable is a bug, not a tolerance issue.  The
 asymptotic smallness condition 2 q beta e^beta < 1 is reported separately.
+
+Two identities give one softmax per interdependence entry and one moment
+pass per site.  (1) Recoloring site j from b to a multiplies color a's
+weight in site i's conditional by e^boost, so with p the softmax of the
+leave-two-out field, t = expm1(boost) >= 0 and hi, lo the max and min of
+p[a], p[b], TV(p_a, p_b) = hi ((1+t)/(1+t hi) - 1/(1+t lo)) =
+t hi (1 - hi + (1+t) lo) / ((1+t hi)(1+t lo)), free of cancellation.
+(2) With m_f site i's conditional mean of f, sum_c cond_i(c) (f(x) - f_c)^2
+= (f(x) - m_f)^2 + sum_c cond_i(c) (f_c - m_f)^2, a sum of squares.
 """
 
 from __future__ import annotations
@@ -171,6 +180,15 @@ def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     return best
 
 
+def _recoloring_tv(fields, boost):
+    """Identity (1): TV(p_a, p_b) for every color pair a < b at site j, shape
+    (q(q-1)/2, ...), from site i's leave-two-out fields (q, ...)."""
+    p, t = softmax(fields, axis=0), math.expm1(boost)
+    first, second = np.triu_indices(len(p), 1)
+    hi, lo = np.maximum(p[first], p[second]), np.minimum(p[first], p[second])
+    return t * hi * (1.0 - hi + (1.0 + t) * lo) / ((1.0 + t * hi) * (1.0 + t * lo))
+
+
 def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Exact N x N matrix of worst-case conditional total variation responses.
 
@@ -179,24 +197,20 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     conditionals.  The conditional sees only leave-one-out counts, so the
     supremum reduces to all count matrices of the remaining N-2 sites times
     the q(q-1)/2 unordered color pairs at j; the entry therefore depends on
-    (block(i), block(j)) only.  The diagonal is zero and J need not be
-    symmetric when block sizes differ.
+    (block(i), block(j)) only, with each distance from identity (1).  The
+    diagonal is zero and J need not be symmetric when block sizes differ.
     """
-    q, s = params.q, blocks.s
-    first, second = np.triu_indices(q, 1)
-    table = np.zeros((s, s), dtype=np.float64)
-    for ki in range(s):
-        for kj in range(s):
+    table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
+    for ki in range(blocks.s):
+        for kj in range(blocks.s):
             reduced = list(blocks.sizes)
             reduced[ki] -= 1
             reduced[kj] -= 1
             if min(reduced) < 0:
                 continue  # no ordered site pair with these block labels
-            base = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
+            fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
             boost = (params.beta if ki == kj else params.alpha) / blocks.N
-            # probs[a] is site i's conditional when site j has color a
-            probs = softmax(base + boost * np.eye(q)[:, :, None], axis=1)
-            table[ki, kj] = (0.5 * np.abs(probs[first] - probs[second]).sum(axis=1)).max()
+            table[ki, kj] = _recoloring_tv(fields, boost).max()
     site_blocks = blocks.site_blocks
     J = table[site_blocks[:, None], site_blocks[None, :]]
     np.fill_diagonal(J, 0.0)
@@ -263,13 +277,11 @@ class ConfigWorkspace:
     Holds the exact joint law.  cond, the (P, N, q) array of exact
     single-site conditionals (cond[p, i, c] is the probability of color c at
     site i given the other sites of configuration p), is built on first
-    read: the observable methods do not need it.  No recoloring index is
-    stored: site_view reshapes any per-configuration vector to
-    (q^(N-1-i), q, q^i), whose middle axis lists the q recolorings of site
-    i.  On that view site i's conditional is the joint law divided by its
-    sum over the middle axis, and that sum is the marginal law of the other
-    sites.  The observable methods take values of shape (..., P), one row
-    per observable.
+    read: local_terms does not need it.  No recoloring index is stored:
+    site_view reshapes any per-configuration vector to (q^(N-1-i), q, q^i),
+    whose middle axis lists the q recolorings of site i.  On that view site
+    i's conditional is the joint law divided by its sum over the middle
+    axis, and that sum is the marginal law of the other sites.
     """
 
     def __init__(self, blocks, params):
@@ -298,39 +310,26 @@ class ConfigWorkspace:
         marginal = joint.sum(axis=1)
         return joint / marginal[:, None, :], marginal
 
-    def difference_sq_all(self, fvals):
-        """|df|^2 at every configuration, shape (..., P): summed conditional
-        local variances sum_i sum_c cond_i(c) (f(x) - f(x with x_i = c))^2."""
+    def local_terms(self, fvals):
+        """(dsq, cov) for values of shape (..., P): |df|^2 at every
+        configuration by identity (2), shape (..., P), and the per-site
+        E Cov_i(f, e^f), shape (..., N), from one pass over the conditional
+        moments of (f, e^f, f e^f).  Cov_i depends on the other sites only:
+        an (A, B) array on the site-i view, weighted by their marginal law."""
         fvals = np.asarray(fvals, dtype=np.float64)
-        out = np.zeros(fvals.shape)
-        for i in range(self.blocks.N):
-            site_cond, _ = self._site_laws(i)
-            f = site_view(fvals, i, self.params.q)
-            acc = site_view(out, i, self.params.q)
-            term = np.empty(f.shape)
-            for c in range(self.params.q):
-                np.subtract(f, f[..., c : c + 1, :], out=term)
-                term *= term
-                term *= site_cond[:, c : c + 1, :]
-                acc += term
-        return out
-
-    def covariance_terms(self, fvals):
-        """Per-site integrated conditional covariances E Cov_i(f, e^f), shape
-        (..., N).  Cov_i depends on the other sites only, so it is an (A, B)
-        array on the site-i view, weighted by their marginal law."""
-        fvals = np.asarray(fvals, dtype=np.float64)
+        q = self.params.q
         ef = np.exp(fvals)
-        fef = fvals * ef
-        out = np.empty(fvals.shape[:-1] + (self.blocks.N,))
+        moments = np.stack((fvals, ef, fvals * ef))
+        dsq = np.zeros(fvals.shape)
+        cov = np.empty(fvals.shape[:-1] + (self.blocks.N,))
         for i in range(self.blocks.N):
             site_cond, marginal = self._site_laws(i)
-            m_f, m_e, m_fe = (
-                np.einsum("...acb,acb->...ab", site_view(values, i, self.params.q), site_cond)
-                for values in (fvals, ef, fef)
-            )
-            out[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
-        return out
+            m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
+            cov[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
+            sq = np.square(site_view(fvals, i, q) - m_f[..., None, :])
+            sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
+            site_view(dsq, i, q)[...] += sq
+        return dsq, cov
 
 
 def entropy_functional(f, dist):
@@ -378,7 +377,7 @@ def _structured_battery(workspace, rng):
     for k in range(workspace.blocks.s):
         for c in range(q):
             yield counts[:, k, c].astype(np.float64)
-    for _ in range(BATTERY_PRODUCTS):
+    for _ in range(BATTERY_PRODUCTS if N >= 2 else 0):  # products need two sites
         i, j = rng.choice(N, size=2, replace=False)
         c1, c2 = rng.integers(0, q, size=2)
         yield ((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64)
@@ -434,14 +433,14 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         for fvals in _observable_chunks(workspace, np.random.default_rng(seed), num_f,
                                         amplitude):
             num_observables += len(fvals)
-            dsq = workspace.difference_sq_all(fvals)
+            dsq, cov = workspace.local_terms(fvals)
             ef = np.exp(fvals)
             mean_ef = ef @ p
             lhs23 = (ef * fvals) @ p - mean_ef * np.log(mean_ef)
             sides = (
                 (entropy_functional(fvals * fvals, workspace.dist),
                  2.0 * constants.sigma1_sq * (dsq @ p)),
-                (lhs23, constants.sigma2_sq * workspace.covariance_terms(fvals).sum(axis=1)),
+                (lhs23, constants.sigma2_sq * cov.sum(axis=1)),
                 (lhs23, 0.5 * constants.sigma3_sq * ((dsq * ef) @ p)),
             )
             for name, (lhs, rhs) in zip(names, sides):

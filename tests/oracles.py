@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible (python loops, literal
 definitions) and deliberately shares no code path with the package, so the
-two sides of every comparison stay independent.
+two sides of every comparison stay independent.  The exceptions are the two
+LSI references at the end, which take the package's leave-two-out fields and
+site laws and pin only the algebra the package applies to them.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import math
 import numpy as np
 
 from blockpotts.errors import InvalidInputError
+from blockpotts.exact import site_view
+from blockpotts.lsi import _loo_fields_by_color
 
 
 def pair_hamiltonian(config, sizes, alpha, beta):
@@ -316,3 +320,53 @@ def sup_term_for_J(sup_G, q, gamma):
     pictures.
     """
     return sup_G - math.log(q) + sum(g * math.log(g) for g in gamma if g > 0.0)
+
+
+def recolored_tv(fields, boost):
+    """TV distance between site i's conditionals for every color pair a < b
+    at site j, shape (q(q-1)/2, ...), from the definition: half the L1
+    distance between softmax(fields + boost e_a) and softmax(fields + boost
+    e_b), with both softmaxes over the color axis 0 of fields (q, ...)."""
+    fields = np.asarray(fields, dtype=np.float64)
+    q = fields.shape[0]
+    # shifted[a] is the field of site i when site j has color a
+    shifted = fields[None] + boost * np.eye(q).reshape(q, q, *(1,) * (fields.ndim - 1))
+    weights = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    first, second = np.triu_indices(q, 1)
+    return 0.5 * np.abs(probs[first] - probs[second]).sum(axis=1)
+
+
+def interdependence_by_recolored_softmax(blocks, params):
+    """Interdependence matrix with every recolored conditional spelled out:
+    recolored_tv on the package's leave-two-out fields of each block pair."""
+    table = np.zeros((blocks.s, blocks.s))
+    for ki in range(blocks.s):
+        for kj in range(blocks.s):
+            reduced = list(blocks.sizes)
+            reduced[ki] -= 1
+            reduced[kj] -= 1
+            if min(reduced) < 0:
+                continue
+            fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap=10**7)
+            boost = (params.beta if ki == kj else params.alpha) / blocks.N
+            table[ki, kj] = recolored_tv(fields, boost).max()
+    J = table[blocks.site_blocks[:, None], blocks.site_blocks[None, :]]
+    np.fill_diagonal(J, 0.0)
+    return J
+
+
+def difference_sq_by_colors(workspace, fvals):
+    """|df|^2 at every configuration, shape (..., P), in the difference form
+    sum_i sum_c cond_i(c) (f(x) - f(x with x_i = c))^2, one color at a time
+    on the package's site-i view and site laws."""
+    fvals = np.asarray(fvals, dtype=np.float64)
+    q = workspace.params.q
+    out = np.zeros(fvals.shape)
+    for i in range(workspace.blocks.N):
+        site_cond, _ = workspace._site_laws(i)
+        f = site_view(fvals, i, q)
+        acc = site_view(out, i, q)
+        for c in range(q):
+            acc += (f - f[..., c : c + 1, :]) ** 2 * site_cond[:, c : c + 1, :]
+    return out

@@ -204,6 +204,20 @@ def test_lsi_check_nan_worst_values_are_null(tmp_path):
         assert isinstance(worst["entropy_f2"], float)
 
 
+def test_lsi_check_one_site_system(tmp_path):
+    # one site has no pair of distinct sites for the battery's indicator
+    # products: 100 Gaussian observables, the zero one, 3 indicators, 3
+    # block counts and 2 linear forms
+    out = tmp_path / "lsi.json"
+    proc = python_m_blockpotts(["lsi-check", "--q", "3", "--sizes", "1", "--alpha", "0.05",
+                                "--beta", "0.1", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["num_observables"] == 109
+    assert doc["violations"] == 0
+
+
 def test_concentration_outputs_table(tmp_path):
     out = tmp_path / "conc.csv"
     rc = run(["concentration", "--q", "3", "--sizes", "5,5", "--alpha", "0.05",

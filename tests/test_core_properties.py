@@ -1,6 +1,7 @@
 """Property tests of the count-matrix core: the interaction form and field,
 the block-product routes of the exact law and the leave-one-out fields,
-the C(gamma) row clean-up, G's color symmetry and the simplex projection.
+the closed-form recoloring distance of the interdependence matrix, the
+C(gamma) row clean-up, G's color symmetry and the mean-field step.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -22,7 +23,7 @@ from blockpotts import (
     interaction_form,
 )
 from blockpotts.equilibria import _mean_field_map, _two_column
-from blockpotts.lsi import _loo_fields_by_color
+from blockpotts.lsi import _loo_fields_by_color, _recoloring_tv
 from blockpotts.numutil import log_factorials, logsumexp_tree, softmax
 from blockpotts.rates import _clean_rows, _free_energy
 
@@ -134,6 +135,15 @@ def test_loo_fields_on_block_grid_equal_interaction_field(system, data):
     fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap=10**7)
     assert fields.flags.c_contiguous
     assert np.array_equal(fields, interaction_field(support, params)[:, ki, :].T / blocks.N)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(1, 6), st.floats(0.0, 20.0), st.data())
+def test_recoloring_tv_is_half_l1_of_recolored_softmaxes(q, P, boost, data):
+    fields = data.draw(hnp.arrays(np.float64, (q, P), elements=st.floats(-10.0, 10.0)))
+    tv = _recoloring_tv(fields, boost)
+    assert tv.shape == (q * (q - 1) // 2, P)
+    assert np.max(np.abs(tv - oracles.recolored_tv(fields, boost))) <= 1e-14
 
 
 @SETTINGS

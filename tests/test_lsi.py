@@ -72,6 +72,15 @@ def test_interdependence_matches_brute_force():
         assert np.max(np.abs(J - brute)) <= 1e-13
 
 
+@pytest.mark.parametrize("q, sizes", [(3, (30, 30)), (4, (3, 5, 2))])
+def test_interdependence_matches_recolored_softmax(q, sizes):
+    # the closed form of each color pair's distance against the (q, q, P)
+    # softmax of every recolored field
+    p, b = make(q, sizes, 0.05, 0.1)
+    J = interdependence_matrix_exact(b, p)
+    assert np.max(np.abs(J - oracles.interdependence_by_recolored_softmax(b, p))) <= 1e-14
+
+
 def test_interdependence_monotone_in_beta():
     p1, b = make(3, (3, 3), 0.025, 0.05)
     p2, _ = make(3, (3, 3), 0.05, 0.1)
@@ -197,7 +206,7 @@ def test_difference_operator_product_measure_two_routes():
     full = full_configuration_distribution(b, p)
     ws = ConfigWorkspace(b, p)
     fvals = np.asarray([f(cfg) for cfg in ws.dist.configs], dtype=np.float64)
-    mean_dsq = float(full.probabilities @ ws.difference_sq_all(fvals))
+    mean_dsq = float(full.probabilities @ ws.local_terms(fvals)[0])
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
 
@@ -220,7 +229,7 @@ def test_difference_operator_function_vs_workspace():
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
     fvals = rng.standard_normal(len(ws.dist))
-    all_dsq = ws.difference_sq_all(fvals)
+    all_dsq, _ = ws.local_terms(fvals)
     f = on_configs(fvals, 3, 4)
     for idx in rng.integers(0, len(ws.dist), size=10):
         cfg = ws.dist.configs[idx].astype(np.int64)
@@ -268,8 +277,8 @@ def test_covariance_term_constant_and_nonnegative():
     rng = np.random.default_rng(15)
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
-    assert np.all(np.abs(ws.covariance_terms(np.zeros(len(ws.dist)))) <= 1e-15)
-    terms = ws.covariance_terms(rng.standard_normal((100, len(ws.dist))))
+    assert np.all(np.abs(ws.local_terms(np.zeros(len(ws.dist)))[1]) <= 1e-15)
+    _, terms = ws.local_terms(rng.standard_normal((100, len(ws.dist))))
     assert terms.shape == (100, 4)
     assert np.all(terms >= -1e-13)
 
@@ -294,7 +303,7 @@ def test_covariance_sum_matches_direct_implementation():
                 ef = np.exp(fv)
                 cov = float(cond @ (fv * ef) - (cond @ fv) * (cond @ ef))
                 total += probs[idx] * cov
-        assert float(ws.covariance_terms(f).sum()) == pytest.approx(total, rel=1e-10, abs=1e-12)
+        assert float(ws.local_terms(f)[1].sum()) == pytest.approx(total, rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (2, 1, 2), (3,)])
@@ -305,8 +314,7 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
     p, b = make(q, sizes, 0.3, 0.8)
     ws = ConfigWorkspace(b, p)
     fvals = np.random.default_rng(q * 100 + b.N).standard_normal((2, len(ws.dist)))
-    dsq = ws.difference_sq_all(fvals)
-    cov = ws.covariance_terms(fvals)
+    dsq, cov = ws.local_terms(fvals)
     assert dsq.shape == fvals.shape
     assert cov.shape == (2, b.N)
     for row, f_row in enumerate(fvals):
@@ -316,8 +324,34 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
         for site in range(b.N):
             assert close(cov[row, site], covariance_term(f, site, b, p), 1e-12)
         # a batch row equals the single-row call
-        np.testing.assert_allclose(ws.difference_sq_all(f_row), dsq[row], rtol=1e-14, atol=0)
-        np.testing.assert_allclose(ws.covariance_terms(f_row), cov[row], rtol=1e-14, atol=0)
+        dsq_row, cov_row = ws.local_terms(f_row)
+        np.testing.assert_allclose(dsq_row, dsq[row], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cov_row, cov[row], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("q, sizes", [(3, (2, 2)), (4, (1, 3)), (3, (2, 1, 2)), (3, (4, 4))])
+def test_local_terms_match_difference_form(q, sizes):
+    p, b = make(q, sizes, 0.3, 0.8)
+    ws = ConfigWorkspace(b, p)
+    cfgs, counts = ws.dist.configs, ws.dist.count_matrices
+    structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
+                          + [counts[:, k, c] for k in range(b.s) for c in range(q)])
+    structured = structured.astype(np.float64)
+    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((4, len(ws.dist)))
+    for fvals in (gaussian, structured):
+        dsq, _ = ws.local_terms(fvals)
+        reference = oracles.difference_sq_by_colors(ws, fvals)
+        assert np.all(np.abs(dsq - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+        assert np.all(dsq >= 0.0)
+    # the sum-of-squares form keeps dsq shift invariant: each site's m_f
+    # carries a few ulps of the shift, where E f^2 - m_f^2 would carry ulps
+    # of its square; e^f overflows at this shift, and only dsq is read
+    shift = 1e6
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted, _ = ws.local_terms(structured + shift)
+    assert np.all(shifted >= 0.0)
+    unshifted, _ = ws.local_terms(structured)
+    assert np.max(np.abs(shifted - unshifted)) <= 16 * b.N * np.finfo(np.float64).eps * shift
 
 
 def test_suite_peak_memory_does_not_grow_with_observables():
@@ -419,11 +453,9 @@ def test_exp_inequalities_invariant_under_constant_shift():
 
     scale = math.exp(shift)
     assert ent_exp(f + shift) == pytest.approx(scale * ent_exp(f), rel=1e-10)
-    cov0 = float(ws.covariance_terms(f).sum())
-    cov1 = float(ws.covariance_terms(f + shift).sum())
-    assert cov1 == pytest.approx(scale * cov0, rel=1e-10)
-    dsq = ws.difference_sq_all(f)
-    dsq_shift = ws.difference_sq_all(f + shift)
+    dsq, cov0 = ws.local_terms(f)
+    dsq_shift, cov1 = ws.local_terms(f + shift)
+    assert float(cov1.sum()) == pytest.approx(scale * float(cov0.sum()), rel=1e-10)
     assert np.max(np.abs(dsq - dsq_shift)) <= 1e-12
     rhs0 = float(probs @ (dsq * np.exp(f)))
     rhs1 = float(probs @ (dsq_shift * np.exp(f + shift)))
