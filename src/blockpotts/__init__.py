@@ -16,7 +16,6 @@ from .equilibria import (
     critical_residual,
     critical_temperature,
     equilibrium_matrices,
-    gradient_G,
     maximize_G,
     phi,
     potts_fixed_point_u,

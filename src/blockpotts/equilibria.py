@@ -144,12 +144,6 @@ def equilibrium_matrices(g, params):
     return Q, nus
 
 
-def gradient_G(mu, params):
-    """Entrywise gradient of G: (beta-alpha) mu + alpha colsum - log mu - 1."""
-    mu = np.asarray(mu, dtype=np.float64)
-    return interaction_field(mu, params) - np.log(np.maximum(mu, 1e-300)) - 1.0
-
-
 def critical_residual(mu, params):
     """Residual matrix of the Lagrange critical equations of G on C(gamma).
 

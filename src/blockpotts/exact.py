@@ -15,9 +15,12 @@ splits over it: the log multinomial is a sum of per-block terms, and
 
 so the law is built on the (P_0, .., P_{s-1}) grid of per-block
 compositions from per-block vectors and one P_k x P_l Gram matrix per
-block pair, never from the materialised support.  The support itself is
-returned as int16 counts (blocks of 2^15 sites or more are refused), and
-its size is checked against the cap before anything is enumerated.
+block pair, never from the materialised support.  It is built in slabs of
+block-0 compositions, each about numutil.CHUNK_BYTES per temporary, written
+into the preallocated weights, so the memory beyond the outputs is set by
+the slab, not by the support size.  The support itself is returned as
+int16 counts (blocks of 2^15 sites or more are refused), and its size is
+checked against the cap before anything is enumerated.
 
 Everything is normalized in log space.  This module is the brute-force
 oracle for the sampler, the rate functions and the log-Sobolev checks; for
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .model import check_consistent, form_from_sums, interaction_form, model_to_json
-from .numutil import log_factorials, logsumexp_tree
+from .numutil import LEAF, log_factorials, logsumexp_tree
 
 DEFAULT_SUPPORT_CAP = 10_000_000
 INT16_MAX = np.iinfo(np.int16).max
@@ -96,12 +99,15 @@ def block_compositions(sizes, q, cap):
 
 def _fill_support(comps):
     """The (P, s, q) int16 product of per-block composition tables, block 0
-    outermost."""
+    outermost.  Each composition is copied as one 2q-byte row."""
     shape = [c.shape[0] for c in comps]
     s, q = len(comps), comps[0].shape[1]
+    row = np.dtype((np.void, 2 * q))
     support = np.empty((*shape, s, q), dtype=np.int16)
+    rows = support.view(row)[..., 0]
     for k, c in enumerate(comps):
-        support[..., k, :] = c.reshape([-1 if j == k else 1 for j in range(s)] + [q])
+        rows[..., k] = c.astype(np.int16).view(row)[:, 0].reshape(
+            [-1 if j == k else 1 for j in range(s)])
     return support.reshape(-1, s, q)
 
 
@@ -153,36 +159,50 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     |colsum B|^2 adds 2 C_k C_l^T to sum B^2 for each block pair k < l (C_k
     the composition table of block k).  Both sums are exact int64, so the
     weights are those of interaction_form on the materialised support, bit
-    for bit, without its (P, s, q) temporaries.
+    for bit, without its (P, s, q) temporaries.  They are written slab by
+    slab, each slab a run of block-0 compositions of about CHUNK_BYTES per
+    temporary (one block-0 row at least), so beyond the outputs (28 bytes
+    per point at s=2, q=3) memory does not grow with P.
     """
     check_consistent(params, blocks)
     comps = block_compositions(blocks.sizes, params.q, cap)
     s = len(comps)
     log_fact = log_factorials(max(blocks.sizes))
-    log_mult = functools.reduce(
-        np.add.outer, [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)])
-    squares = functools.reduce(np.add.outer, [np.square(c).sum(axis=1) for c in comps])
-    col_sq = squares.copy()
-    for k, l in itertools.combinations(range(s), 2):
-        gram = comps[k] @ comps[l].T
-        on_axes = [1] * s
-        on_axes[k], on_axes[l] = gram.shape
-        col_sq += 2 * gram.reshape(on_axes)
-    log_weights = form_from_sums(squares, col_sq, params).ravel()
-    del squares, col_sq
-    log_weights /= 2.0 * blocks.N
-    log_weights += log_mult.ravel()
+    log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
+    squares = [np.square(c).sum(axis=1) for c in comps]
+    # the Gram matrices without block 0 are shared by every slab
+    grams = {(k, l): comps[k] @ comps[l].T for k, l in itertools.combinations(range(1, s), 2)}
+    rest = math.prod(c.shape[0] for c in comps[1:])
+    step = max(1, LEAF // rest)
+    log_weights = np.empty(comps[0].shape[0] * rest)
+    for lo in range(0, comps[0].shape[0], step):
+        head = slice(lo, lo + step)
+        slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
+        col_sq = slab_sq.copy()
+        for k, l in itertools.combinations(range(s), 2):
+            gram = comps[0][head] @ comps[l].T if k == 0 else grams[k, l]
+            on_axes = [1] * s
+            on_axes[k], on_axes[l] = gram.shape
+            col_sq += 2 * gram.reshape(on_axes)
+        out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
+        out[...] = form_from_sums(slab_sq, col_sq, params)
+        out /= 2.0 * blocks.N
+        out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
     log_Z = logsumexp_tree(log_weights)
-    probabilities = log_weights - log_Z
-    np.exp(probabilities, out=probabilities)
     return ExactDistribution(
         support=_fill_support(comps),
         log_weights=log_weights,
         log_Z=log_Z,
-        probabilities=probabilities,
+        probabilities=_normalized(log_weights, log_Z),
         params=params,
         blocks=blocks,
     )
+
+
+def _normalized(log_weights, log_Z):
+    """exp(log_weights - log_Z), computed in its output array."""
+    probabilities = np.subtract(log_weights, log_Z)
+    return np.exp(probabilities, out=probabilities)
 
 
 @dataclass(frozen=True)
@@ -234,13 +254,12 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
             counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
     log_weights = interaction_form(counts, params) / (2.0 * N)
     log_Z = logsumexp_tree(log_weights)
-    probabilities = np.exp(log_weights - log_Z)
     return ConfigurationDistribution(
         configs=configs,
         count_matrices=counts,
         log_weights=log_weights,
         log_Z=log_Z,
-        probabilities=probabilities,
+        probabilities=_normalized(log_weights, log_Z),
         params=params,
         blocks=blocks,
     )

@@ -31,6 +31,12 @@ p[a], p[b], TV(p_a, p_b) = hi ((1+t)/(1+t hi) - 1/(1+t lo)) =
 t hi (1 - hi + (1+t) lo) / ((1+t hi)(1+t lo)), free of cancellation.
 (2) With m_f site i's conditional mean of f, sum_c cond_i(c) (f(x) - f_c)^2
 = (f(x) - m_f)^2 + sum_c cond_i(c) (f_c - m_f)^2, a sum of squares.
+
+Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
+conditional floor and the interdependence entries take their minima and
+maxima over column slabs of the leave-one-out fields, and the suite
+evaluates its observables in (F, P) chunks, so memory beyond the fields and
+the joint law grows neither with the support nor with the observables.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .exact import (
 )
 from .glauber import tail_estimate
 from .model import field_from_sums
-from .numutil import softmax
+from .numutil import CHUNK_BYTES, softmax
 
 # Largest q^N the full configuration workspace enumerates.
 WORKSPACE_CAP = 4_000_000
@@ -62,10 +68,6 @@ NORM_MAX_ITER = 20_000
 # Relative rounding allowance of the inequality checks: the contract is zero
 # violations, and this absorbs last-ulp rounding only.
 FP_SLACK = 1e-12
-# Largest (F, P) float64 block of observables the LSI suite evaluates at
-# once: a few such blocks stay in cache, and memory does not grow with the
-# number of observables.
-CHUNK_BYTES = 1 << 19
 # Random indicator products and random linear forms in the structured battery.
 BATTERY_PRODUCTS = 8
 BATTERY_LINEAR = 2
@@ -163,20 +165,29 @@ def _loo_fields_by_color(sizes, ki, params, N, cap):
     return fields
 
 
+def _column_slabs(fields):
+    """Leave-one-out fields (q, P) as (q, w) column slabs of at most
+    CHUNK_BYTES, so the softmax and the pair distances taken on each stay
+    slab-sized."""
+    width = max(1, CHUNK_BYTES // fields[:, :1].nbytes)
+    return (fields[:, lo : lo + width] for lo in range(0, fields.shape[1], width))
+
+
 def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Exact minimum single-site conditional probability over all configurations.
 
     For a site in block k the conditional is softmax of the leave-one-out
     field, which depends only on the leave-one-out count matrix, so the
     minimum is taken over all count matrices with row sums
-    sizes - e_k, for every k.
+    sizes - e_k, for every k, one column slab of the fields at a time.
     """
     best = 1.0
     for ki in range(blocks.s):
         reduced = list(blocks.sizes)
         reduced[ki] -= 1
         fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
-        best = min(best, float(softmax(fields, axis=0).min()))
+        slab_min = [softmax(cols, axis=0).min() for cols in _column_slabs(fields)]
+        best = min(best, float(np.min(slab_min)))
     return best
 
 
@@ -199,6 +210,8 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     the q(q-1)/2 unordered color pairs at j; the entry therefore depends on
     (block(i), block(j)) only, with each distance from identity (1).  The
     diagonal is zero and J need not be symmetric when block sizes differ.
+    The distances are taken on column slabs of the fields and only their
+    maximum is kept.
     """
     table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
     for ki in range(blocks.s):
@@ -210,7 +223,8 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
                 continue  # no ordered site pair with these block labels
             fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
             boost = (params.beta if ki == kj else params.alpha) / blocks.N
-            table[ki, kj] = _recoloring_tv(fields, boost).max()
+            table[ki, kj] = np.max([_recoloring_tv(cols, boost).max()
+                                    for cols in _column_slabs(fields)])
     site_blocks = blocks.site_blocks
     J = table[site_blocks[:, None], site_blocks[None, :]]
     np.fill_diagonal(J, 0.0)
@@ -310,16 +324,15 @@ class ConfigWorkspace:
         marginal = joint.sum(axis=1)
         return joint / marginal[:, None, :], marginal
 
-    def local_terms(self, fvals):
-        """(dsq, cov) for values of shape (..., P): |df|^2 at every
-        configuration by identity (2), shape (..., P), and the per-site
-        E Cov_i(f, e^f), shape (..., N), from one pass over the conditional
-        moments of (f, e^f, f e^f).  Cov_i depends on the other sites only:
-        an (A, B) array on the site-i view, weighted by their marginal law."""
-        fvals = np.asarray(fvals, dtype=np.float64)
+    def local_terms(self, moments):
+        """(dsq, cov) for observables f of shape (..., P), given as
+        moments = exp_moments(f): |df|^2 at every configuration by identity
+        (2), shape (..., P), and the per-site E Cov_i(f, e^f), shape
+        (..., N), from one pass over the conditional moments of
+        (f, e^f, f e^f).  Cov_i depends on the other sites only: an (A, B)
+        array on the site-i view, weighted by their marginal law."""
+        fvals = moments[0]
         q = self.params.q
-        ef = np.exp(fvals)
-        moments = np.stack((fvals, ef, fvals * ef))
         dsq = np.zeros(fvals.shape)
         cov = np.empty(fvals.shape[:-1] + (self.blocks.N,))
         for i in range(self.blocks.N):
@@ -330,6 +343,15 @@ class ConfigWorkspace:
             sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
             site_view(dsq, i, q)[...] += sq
         return dsq, cov
+
+
+def exp_moments(fvals):
+    """(f, e^f, f e^f) of observables f of shape (..., P), stacked as one
+    (3, ..., P) array: the moments local_terms averages and the exp-form
+    inequalities integrate, each computed once."""
+    fvals = np.asarray(fvals, dtype=np.float64)
+    ef = np.exp(fvals)
+    return np.stack((fvals, ef, fvals * ef))
 
 
 def entropy_functional(f, dist):
@@ -433,10 +455,11 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         for fvals in _observable_chunks(workspace, np.random.default_rng(seed), num_f,
                                         amplitude):
             num_observables += len(fvals)
-            dsq, cov = workspace.local_terms(fvals)
-            ef = np.exp(fvals)
+            moments = exp_moments(fvals)
+            dsq, cov = workspace.local_terms(moments)
+            _, ef, fef = moments
             mean_ef = ef @ p
-            lhs23 = (ef * fvals) @ p - mean_ef * np.log(mean_ef)
+            lhs23 = fef @ p - mean_ef * np.log(mean_ef)
             sides = (
                 (entropy_functional(fvals * fvals, workspace.dist),
                  2.0 * constants.sigma1_sq * (dsq @ p)),

@@ -62,6 +62,26 @@ def count_key(config, sizes, q):
     return tuple(out)
 
 
+def logsumexp_levels(x):
+    """log(sum(exp(x))) with max shift, summed by the pairwise tree one whole
+    level at a time: neighbours (0,1), (2,3), .. are added and an odd last
+    element is carried up, until one value is left."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size == 0:
+        return -np.inf
+    m = np.max(x)
+    if not np.isfinite(m):
+        return float(m)
+    t = np.exp(x - m)
+    while t.size > 1:
+        half = t.size // 2
+        pair = t[: 2 * half : 2] + t[1 : 2 * half : 2]
+        if t.size % 2:
+            pair = np.concatenate([pair, t[-1:]])
+        t = pair
+    return float(m + np.log(t[0]))
+
+
 def recursive_compositions(n, q):
     """Compositions of n into q parts, last coordinate slowest, by recursion
     on the last coordinate: the reference order of the stars-and-bars
@@ -144,6 +164,13 @@ def block_free_energy(mu, alpha, beta):
     col = mu.sum(axis=0)
     quad = (beta - alpha) * np.square(mu).sum() + alpha * np.dot(col, col)
     return 0.5 * quad - np.sum(np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0))
+
+
+def gradient_G(mu, params):
+    """Entrywise gradient of G: (beta-alpha) mu + alpha colsum - log mu - 1."""
+    mu = np.asarray(mu, dtype=np.float64)
+    field = (params.beta - params.alpha) * mu + params.alpha * mu.sum(axis=0)
+    return field - np.log(np.maximum(mu, 1e-300)) - 1.0
 
 
 def two_column_point(r, mu_plus, gamma, q):

@@ -24,7 +24,6 @@ from blockpotts import (
     full_configuration_distribution,
     gamma1_exact,
     gamma1_floor,
-    gradient_G,
     interaction_form,
     interdependence_matrix_exact,
     lsi_condition,
@@ -38,7 +37,7 @@ from blockpotts import (
     verify_lsi_suite,
 )
 
-from oracles import brute_conditional, fit_inverse_n_coefficient, pair_hamiltonian
+from oracles import brute_conditional, fit_inverse_n_coefficient, gradient_G, pair_hamiltonian
 
 
 def _report(name, ok, started, detail=""):

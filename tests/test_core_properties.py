@@ -1,7 +1,8 @@
 """Property tests of the count-matrix core: the interaction form and field,
-the block-product routes of the exact law and the leave-one-out fields,
-the closed-form recoloring distance of the interdependence matrix, the
-C(gamma) row clean-up, G's color symmetry and the mean-field step.
+the block-product routes of the exact law and the leave-one-out fields, the
+leafwise tree log-sum-exp, the closed-form recoloring distance of the
+interdependence matrix, the C(gamma) row clean-up, G's color symmetry and
+the mean-field step.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -24,7 +25,7 @@ from blockpotts import (
 )
 from blockpotts.equilibria import _mean_field_map, _two_column
 from blockpotts.lsi import _loo_fields_by_color, _recoloring_tv
-from blockpotts.numutil import log_factorials, logsumexp_tree, softmax
+from blockpotts.numutil import LEAF, log_factorials, logsumexp_tree, softmax
 from blockpotts.rates import _clean_rows, _free_energy
 
 import oracles
@@ -104,10 +105,9 @@ def product_grids(draw):
     return ModelParams(q=q, s=s, alpha=alpha, beta=beta, gamma=gamma), BlockStructure(sizes)
 
 
-@SETTINGS
-@given(product_grids())
-def test_exact_law_on_block_grid_equals_materialised_support(system):
-    params, blocks = system
+def assert_exact_law_equals_materialised_support(params, blocks):
+    """Every field of exact_distribution equals, bit for bit, the law built
+    on the materialised support and summed by the level-by-level tree."""
     dist = exact_distribution(blocks, params)
     support = count_matrix_support(blocks.sizes, params.q, cap=10**7).astype(np.int64)
     assert dist.support.dtype == np.int16
@@ -118,10 +118,57 @@ def test_exact_law_on_block_grid_equals_materialised_support(system):
     for k in range(1, blocks.s):
         log_mult = log_mult + (log_fact[blocks.sizes[k]] - log_fact[support[:, k]].sum(axis=1))
     log_weights = log_mult + interaction_form(support, params) / (2.0 * blocks.N)
-    log_Z = logsumexp_tree(log_weights)
+    log_Z = oracles.logsumexp_levels(log_weights)
     assert np.array_equal(dist.log_weights, log_weights)
     assert dist.log_Z == log_Z
     assert np.array_equal(dist.probabilities, np.exp(log_weights - log_Z))
+
+
+@SETTINGS
+@given(product_grids())
+def test_exact_law_on_block_grid_equals_materialised_support(system):
+    assert_exact_law_equals_materialised_support(*system)
+
+
+@pytest.mark.parametrize("sizes", [(40, 40), (2, 23, 21)])
+def test_exact_law_over_many_slabs_equals_materialised_support(sizes):
+    # (40, 40): 861 compositions per block, P = 741 321 over 12 slabs of 76
+    # block-0 rows; (2, 23, 21): one block-0 row holds 300 * 253 = 75 900
+    # points, more than a slab, so each of the 6 slabs is one row
+    params = ModelParams(q=3, s=len(sizes), alpha=0.5, beta=1.0,
+                         gamma=tuple(n / sum(sizes) for n in sizes))
+    assert_exact_law_equals_materialised_support(params, BlockStructure(sizes))
+
+
+def log_weights_near_one(n, spread, seed):
+    """n log-weights: one 0, the rest drawn around log(0.5 / n), so the sum
+    of exps is about 1.5 and log-sum-exp about 0.4.  The result's ulp is
+    then far below the rounding of the sum, so a different summation tree
+    shows in its bits; a sum of order n would hide it."""
+    rng = np.random.default_rng(seed)
+    x = np.log(0.5 / n) + spread * rng.standard_normal(n)
+    x[rng.integers(n)] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 3 * LEAF + 7])
+def test_leafwise_tree_equals_level_tree(n):
+    x = log_weights_near_one(n, 0.5, n)
+    assert logsumexp_tree(x) == oracles.logsumexp_levels(x)
+
+
+@SETTINGS
+@given(st.integers(1, 4 * LEAF), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_leafwise_tree_equals_level_tree_on_drawn_sizes(n, spread, seed):
+    x = log_weights_near_one(n, spread, seed)
+    assert logsumexp_tree(x) == oracles.logsumexp_levels(x)
+
+
+@pytest.mark.parametrize("x", [[], [-np.inf], [-np.inf, -np.inf], [1.0, np.inf],
+                               [np.nan, 1.0], [np.inf, np.nan], np.full(LEAF + 1, -np.inf)])
+def test_tree_special_inputs_match_level_tree(x):
+    got, want = logsumexp_tree(x), oracles.logsumexp_levels(x)
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 @SETTINGS

@@ -16,7 +16,6 @@ from blockpotts import (
     critical_temperature,
     equilibrium_matrices,
     free_energy_G,
-    gradient_G,
     maximize_G,
     phi,
     potts_fixed_point_u,
@@ -24,6 +23,7 @@ from blockpotts import (
     two_column_landscape,
 )
 from oracles import (
+    gradient_G,
     mean_field_ascent,
     two_column_newton,
     two_column_point,

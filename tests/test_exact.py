@@ -186,8 +186,9 @@ def test_exact_peak_memory_per_support_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the outputs alone take 12 + 8 + 8 bytes per point
-    assert peak / len(dist) <= 96
+    # the outputs take 12 + 8 + 8 bytes per point, and the slabs less than
+    # 10 more at this P
+    assert peak / len(dist) <= 40
 
 
 def workspace_conditional(ws, config, site):

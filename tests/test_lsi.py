@@ -27,6 +27,7 @@ from blockpotts import (
     run_chain,
     verify_lsi_suite,
 )
+from blockpotts.lsi import exp_moments
 
 import oracles
 from oracles import covariance_term, difference_operator_sq
@@ -206,7 +207,7 @@ def test_difference_operator_product_measure_two_routes():
     full = full_configuration_distribution(b, p)
     ws = ConfigWorkspace(b, p)
     fvals = np.asarray([f(cfg) for cfg in ws.dist.configs], dtype=np.float64)
-    mean_dsq = float(full.probabilities @ ws.local_terms(fvals)[0])
+    mean_dsq = float(full.probabilities @ ws.local_terms(exp_moments(fvals))[0])
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
 
@@ -229,7 +230,7 @@ def test_difference_operator_function_vs_workspace():
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
     fvals = rng.standard_normal(len(ws.dist))
-    all_dsq, _ = ws.local_terms(fvals)
+    all_dsq, _ = ws.local_terms(exp_moments(fvals))
     f = on_configs(fvals, 3, 4)
     for idx in rng.integers(0, len(ws.dist), size=10):
         cfg = ws.dist.configs[idx].astype(np.int64)
@@ -277,8 +278,8 @@ def test_covariance_term_constant_and_nonnegative():
     rng = np.random.default_rng(15)
     p, b = make(3, (2, 2), 0.3, 0.7)
     ws = ConfigWorkspace(b, p)
-    assert np.all(np.abs(ws.local_terms(np.zeros(len(ws.dist)))[1]) <= 1e-15)
-    _, terms = ws.local_terms(rng.standard_normal((100, len(ws.dist))))
+    assert np.all(np.abs(ws.local_terms(exp_moments(np.zeros(len(ws.dist))))[1]) <= 1e-15)
+    _, terms = ws.local_terms(exp_moments(rng.standard_normal((100, len(ws.dist)))))
     assert terms.shape == (100, 4)
     assert np.all(terms >= -1e-13)
 
@@ -303,7 +304,8 @@ def test_covariance_sum_matches_direct_implementation():
                 ef = np.exp(fv)
                 cov = float(cond @ (fv * ef) - (cond @ fv) * (cond @ ef))
                 total += probs[idx] * cov
-        assert float(ws.local_terms(f)[1].sum()) == pytest.approx(total, rel=1e-10, abs=1e-12)
+        cov = ws.local_terms(exp_moments(f))[1]
+        assert float(cov.sum()) == pytest.approx(total, rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (2, 1, 2), (3,)])
@@ -314,7 +316,7 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
     p, b = make(q, sizes, 0.3, 0.8)
     ws = ConfigWorkspace(b, p)
     fvals = np.random.default_rng(q * 100 + b.N).standard_normal((2, len(ws.dist)))
-    dsq, cov = ws.local_terms(fvals)
+    dsq, cov = ws.local_terms(exp_moments(fvals))
     assert dsq.shape == fvals.shape
     assert cov.shape == (2, b.N)
     for row, f_row in enumerate(fvals):
@@ -324,7 +326,7 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
         for site in range(b.N):
             assert close(cov[row, site], covariance_term(f, site, b, p), 1e-12)
         # a batch row equals the single-row call
-        dsq_row, cov_row = ws.local_terms(f_row)
+        dsq_row, cov_row = ws.local_terms(exp_moments(f_row))
         np.testing.assert_allclose(dsq_row, dsq[row], rtol=1e-14, atol=0)
         np.testing.assert_allclose(cov_row, cov[row], rtol=1e-14, atol=0)
 
@@ -339,7 +341,7 @@ def test_local_terms_match_difference_form(q, sizes):
     structured = structured.astype(np.float64)
     gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((4, len(ws.dist)))
     for fvals in (gaussian, structured):
-        dsq, _ = ws.local_terms(fvals)
+        dsq, _ = ws.local_terms(exp_moments(fvals))
         reference = oracles.difference_sq_by_colors(ws, fvals)
         assert np.all(np.abs(dsq - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
         assert np.all(dsq >= 0.0)
@@ -348,9 +350,9 @@ def test_local_terms_match_difference_form(q, sizes):
     # of its square; e^f overflows at this shift, and only dsq is read
     shift = 1e6
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted, _ = ws.local_terms(structured + shift)
+        shifted, _ = ws.local_terms(exp_moments(structured + shift))
     assert np.all(shifted >= 0.0)
-    unshifted, _ = ws.local_terms(structured)
+    unshifted, _ = ws.local_terms(exp_moments(structured))
     assert np.max(np.abs(shifted - unshifted)) <= 16 * b.N * np.finfo(np.float64).eps * shift
 
 
@@ -453,8 +455,8 @@ def test_exp_inequalities_invariant_under_constant_shift():
 
     scale = math.exp(shift)
     assert ent_exp(f + shift) == pytest.approx(scale * ent_exp(f), rel=1e-10)
-    dsq, cov0 = ws.local_terms(f)
-    dsq_shift, cov1 = ws.local_terms(f + shift)
+    dsq, cov0 = ws.local_terms(exp_moments(f))
+    dsq_shift, cov1 = ws.local_terms(exp_moments(f + shift))
     assert float(cov1.sum()) == pytest.approx(scale * float(cov0.sum()), rel=1e-10)
     assert np.max(np.abs(dsq - dsq_shift)) <= 1e-12
     rhs0 = float(probs @ (dsq * np.exp(f)))
