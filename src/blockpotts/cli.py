@@ -367,13 +367,17 @@ def cmd_concentration(args):
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")
     if not 0 <= c < params.q:
         raise InvalidInputError(f"--c must lie in 1..{params.q}")
+    t_max = float(blocks.sizes[k]) if args.t_max is None else args.t_max
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise InvalidInputError(f"--t-max must be finite and >= 0, got {t_max}")
+    check_run_options(blocks, params, args.sweeps, args.thin, args.burn_in)
+    if args.sweeps // args.thin < 1:
+        raise InvalidInputError(f"--sweeps {args.sweeps} with --thin {args.thin} "
+                                "records no sample")
     if args.constants == "asymptotic":
         constants = asymptotic_constants(params.q, params.beta)
     else:
         constants = measured_constants(blocks, params)[0]
-    t_max = float(blocks.sizes[k]) if args.t_max is None else args.t_max
-    if not t_max >= 0.0:
-        raise InvalidInputError(f"--t-max must be >= 0, got {t_max}")
     summary = run_chain(blocks, params, args.sweeps, thin=args.thin, seed=args.seed,
                         burn_in=args.burn_in)
     t_grid = np.linspace(0.0, t_max, t_points)

@@ -99,15 +99,13 @@ def check_run_options(blocks, params, sweeps, thin, burn_in):
     return burn_in
 
 
-def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
-              burn_in=None, audit=False):
+def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=None):
     """Run sweeps x N heat-bath updates and record thinned count matrices.
 
     Sites are chosen by uniform random scan.  burn_in extra sweeps are run
     first without recording, default 10 percent of sweeps; one count-matrix
     sample is recorded at the end of every thin-th recorded sweep, so
-    len(samples) == sweeps // thin.  With audit set, the maintained counts
-    are checked against a recount at the end of every chunk of draws.
+    len(samples) == sweeps // thin.
     """
     burn_in = check_run_options(blocks, params, sweeps, thin, burn_in)
     ein, eout = _weight_tables(blocks, params)
@@ -153,9 +151,6 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random",
             if sweep >= 0 and (sweep + 1) % thin == 0:
                 for r in cnt:
                     record(r)
-        if audit and not np.array_equal(count_matrix(np.asarray(cfg), blocks, q),
-                                        np.asarray(cnt)):
-            raise AssertionError("maintained counts diverged from recount")
 
     return ChainSummary(samples=np.asarray(samples, dtype=np.int64).reshape(-1, s, q))
 

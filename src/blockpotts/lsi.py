@@ -4,10 +4,19 @@ systems.
 
 The single-site conditionals of the Gibbs measure depend on a configuration
 only through leave-one-out counts, so the worst-case total variation
-response of site i to a flip at site j (the interdependence matrix J) and
-the uniform conditional floor gamma1 can be computed exactly by enumerating
-reduced count matrices instead of q^(N-2) configurations.  From measured
-gamma1 and gamma2 = 1 - ||J||_{2->2} the explicit constants
+response of site i to a flip at site j (the interdependence matrix J) can
+be computed exactly by enumerating reduced count matrices instead of
+q^(N-2) configurations.  The uniform conditional floor gamma1 has a closed
+form: for a site in block k the leave-one-out field F satisfies F >= 0 and
+sum_d F_d = S_k = ((beta - alpha)(n_k - 1) + alpha (N - 1)) / N for every
+count matrix of the other sites, so by convexity of exp on that simplex
+
+    1 / p_c = sum_d e^(F_d - F_c) <= q - 1 + e^(S_k),
+
+with equality when every other site has one color d != c (F = S_k e_d).
+S_k grows with n_k because beta >= alpha, so gamma1 = 1 / (q - 1 + e^S)
+at the largest block.  From gamma1 and gamma2 = 1 - ||J||_{2->2} the
+explicit constants
 
     C = 1 / (gamma1 gamma2^2),  sigma2^2 = sigma3^2 = C,
     sigma1^2 = log(1/gamma1) C / log 4
@@ -33,10 +42,10 @@ t hi (1 - hi + (1+t) lo) / ((1+t hi)(1+t lo)), free of cancellation.
 = (f(x) - m_f)^2 + sum_c cond_i(c) (f_c - m_f)^2, a sum of squares.
 
 Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
-conditional floor and the interdependence entries take their minima and
-maxima over column slabs of the leave-one-out fields, and the suite
-evaluates its observables in (F, P) chunks, so memory beyond the fields and
-the joint law grows neither with the support nor with the observables.
+interdependence entries take their maxima over column slabs of the
+leave-one-out fields, and the suite evaluates its observables in (F, P)
+chunks, so memory beyond the fields and the joint law grows neither with
+the support nor with the observables.
 """
 
 from __future__ import annotations
@@ -56,15 +65,11 @@ from .exact import (
     site_view,
 )
 from .glauber import tail_estimate
-from .model import field_from_sums
+from .model import check_consistent, field_from_sums
 from .numutil import CHUNK_BYTES, softmax
 
 # Largest q^N the full configuration workspace enumerates.
 WORKSPACE_CAP = 4_000_000
-# Relative tolerance and iteration budget of the power iteration for the
-# two-norm of J.
-NORM_TOL = 1e-10
-NORM_MAX_ITER = 20_000
 # Relative rounding allowance of the inequality checks: the contract is zero
 # violations, and this absorbs last-ulp rounding only.
 FP_SLACK = 1e-12
@@ -173,22 +178,17 @@ def _column_slabs(fields):
     return (fields[:, lo : lo + width] for lo in range(0, fields.shape[1], width))
 
 
-def gamma1_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+def gamma1_exact(blocks, params):
     """Exact minimum single-site conditional probability over all configurations.
 
-    For a site in block k the conditional is softmax of the leave-one-out
-    field, which depends only on the leave-one-out count matrix, so the
-    minimum is taken over all count matrices with row sums
-    sizes - e_k, for every k, one column slab of the fields at a time.
+    The closed form 1 / (q - 1 + e^top) of the module docstring, with top
+    the leave-one-out field of a site in the largest block whose other
+    sites all share one color, evaluated as the smallest entry of the
+    softmax of that field.
     """
-    best = 1.0
-    for ki in range(blocks.s):
-        reduced = list(blocks.sizes)
-        reduced[ki] -= 1
-        fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
-        slab_min = [softmax(cols, axis=0).min() for cols in _column_slabs(fields)]
-        best = min(best, float(np.min(slab_min)))
-    return best
+    check_consistent(params, blocks)
+    top = field_from_sums(max(blocks.sizes) - 1, blocks.N - 1, params) / blocks.N
+    return float(softmax(top * np.eye(params.q), axis=0).min())
 
 
 def _recoloring_tv(fields, boost):
@@ -213,6 +213,7 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     The distances are taken on column slabs of the fields and only their
     maximum is kept.
     """
+    check_consistent(params, blocks)
     table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
     for ki in range(blocks.s):
         for kj in range(blocks.s):
@@ -232,40 +233,12 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
 
 
 def matrix_norms(J):
-    """(inf_norm, two_norm) of a matrix.
-
-    inf_norm is the maximum absolute row sum; two_norm is the largest
-    singular value, obtained by power iteration on J^t J to relative
-    tolerance NORM_TOL within NORM_MAX_ITER steps.  The result is checked
-    against the interpolation bound two_norm <= sqrt(one_norm * inf_norm).
-    """
+    """(inf_norm, two_norm) of a matrix: the maximum absolute row sum and
+    the largest singular value, from LAPACK's SVD (np.linalg.norm(J, 2))."""
     J = np.asarray(J, dtype=np.float64)
-    inf_norm = float(np.abs(J).sum(axis=1).max()) if J.size else 0.0
-    one_norm = float(np.abs(J).sum(axis=0).max()) if J.size else 0.0
-    n = J.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n)) if n else np.zeros(0)
-    lam = 0.0
-    two_norm = 0.0
-    for _ in range(NORM_MAX_ITER):
-        w = J.T @ (J @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            two_norm = 0.0
-            break
-        v = w / norm_w
-        if abs(norm_w - lam) <= NORM_TOL * max(1.0, norm_w):
-            lam = norm_w
-            two_norm = math.sqrt(lam)
-            break
-        lam = norm_w
-    else:
-        two_norm = math.sqrt(lam)
-    cross = math.sqrt(one_norm * inf_norm)
-    if two_norm > cross * (1.0 + 1e-9) + 1e-300:
-        raise RuntimeError(
-            f"power iteration returned {two_norm} above sqrt(one*inf) = {cross}"
-        )
-    return inf_norm, two_norm
+    if J.size == 0:
+        return 0.0, 0.0
+    return float(np.abs(J).sum(axis=1).max()), float(np.linalg.norm(J, 2))
 
 
 def measured_constants(blocks, params):

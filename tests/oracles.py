@@ -2,9 +2,12 @@
 
 Everything here is written as plainly as possible (python loops, literal
 definitions) and deliberately shares no code path with the package, so the
-two sides of every comparison stay independent.  The exceptions are the two
-LSI references at the end, which take the package's leave-two-out fields and
-site laws and pin only the algebra the package applies to them.
+two sides of every comparison stay independent.  The exceptions are the
+heat-bath replay, which reads the package's weight tables and draws its
+random numbers in the package's order to pin the sampler's bookkeeping, and
+the LSI references at the end, which take the package's leave-one-out and
+leave-two-out fields and site laws and pin only the algebra the package
+applies to them.
 """
 
 import itertools
@@ -13,8 +16,10 @@ import math
 import numpy as np
 
 from blockpotts.errors import InvalidInputError
-from blockpotts.exact import site_view
-from blockpotts.lsi import _loo_fields_by_color
+from blockpotts.exact import DEFAULT_SUPPORT_CAP, site_view
+from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
+from blockpotts.lsi import _column_slabs, _loo_fields_by_color
+from blockpotts.numutil import softmax
 
 
 def pair_hamiltonian(config, sizes, alpha, beta):
@@ -152,6 +157,54 @@ def brute_interdependence(sizes, q, alpha, beta):
                         worst = max(worst, tv)
             J[i, j] = worst
     return J
+
+
+def heat_bath_replay(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=None):
+    """run_chain's samples with no incremental state: the same PCG64 draws
+    (random initial colors, then per chunk of max(1, CHUNK_UPDATES // N)
+    sweeps one block of site indices and one block of uniforms), and before
+    every update the leave-one-out counts are recounted from the whole
+    configuration and looked up in the package's weight tables."""
+    N, q = blocks.N, params.q
+    if burn_in is None:
+        burn_in = sweeps // 10
+    ein, eout = _weight_tables(blocks, params)
+    rng = np.random.default_rng(seed)
+    if isinstance(init, str):
+        config = rng.integers(0, q, size=N, dtype=np.int64).tolist()
+    else:
+        config = [int(c) for c in init]
+    block = [block_of(blocks, i) for i in range(N)]
+    chunk = max(1, CHUNK_UPDATES // N)
+    samples = []
+    for first in range(-burn_in, sweeps, chunk):
+        stop = min(first + chunk, sweeps)
+        n = (stop - first) * N
+        sites = rng.integers(0, N, size=n).tolist()
+        uniforms = rng.random(n).tolist()
+        for sweep in range(first, stop):
+            for step in range((sweep - first) * N, (sweep - first + 1) * N):
+                i = sites[step]
+                own = [0] * q
+                total = [0] * q
+                for j in range(N):
+                    if j != i:
+                        total[config[j]] += 1
+                        if block[j] == block[i]:
+                            own[config[j]] += 1
+                cumulative = []
+                acc = 0.0
+                for c in range(q):
+                    acc += ein[own[c]] * eout[total[c]]
+                    cumulative.append(acc)
+                target = uniforms[step] * acc
+                config[i] = next((c for c in range(q) if cumulative[c] > target), q - 1)
+            if sweep >= 0 and (sweep + 1) % thin == 0:
+                counts = np.zeros((blocks.s, q), dtype=np.int64)
+                for j in range(N):
+                    counts[block[j], config[j]] += 1
+                samples.append(counts)
+    return np.asarray(samples, dtype=np.int64).reshape(-1, blocks.s, q)
 
 
 def binomial_pmf(n, p):
@@ -381,6 +434,20 @@ def interdependence_by_recolored_softmax(blocks, params):
     J = table[blocks.site_blocks[:, None], blocks.site_blocks[None, :]]
     np.fill_diagonal(J, 0.0)
     return J
+
+
+def gamma1_by_enumeration(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+    """Minimum single-site conditional probability over every leave-one-out
+    count matrix of every block: the softmax of the package's fields, one
+    column slab at a time."""
+    best = 1.0
+    for ki in range(blocks.s):
+        reduced = list(blocks.sizes)
+        reduced[ki] -= 1
+        fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
+        slab_min = [softmax(cols, axis=0).min() for cols in _column_slabs(fields)]
+        best = min(best, float(np.min(slab_min)))
+    return best
 
 
 def difference_sq_by_colors(workspace, fvals):

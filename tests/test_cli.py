@@ -304,6 +304,11 @@ def test_missing_required_option_is_usage_error(tmp_path):
      "--num-f", "-5"],
     ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
      "--t-max", "-1"],
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--t-max", "inf"],
+    # thinning every 10th of 5 sweeps records no sample to take tails of
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--sweeps", "5", "--thin", "10"],
     ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
      "--sweeps", "x"],
     # flags that fixed nothing are gone: --sizes fixes the model, and the

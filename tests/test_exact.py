@@ -19,7 +19,6 @@ from blockpotts import (
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
-    gamma1_exact,
     interdependence_matrix_exact,
 )
 from blockpotts.exact import export_csv
@@ -152,7 +151,7 @@ def test_capacity_checked_before_enumeration():
     # 500001500001 compositions of 10^6 sites into 3 colors: enumerating
     # them first would never return
     p, b = make(3, (10**6,), 0.2, 0.5)
-    for route in (exact_distribution, gamma1_exact, interdependence_matrix_exact):
+    for route in (exact_distribution, interdependence_matrix_exact):
         start = time.perf_counter()
         with pytest.raises(CapacityError) as err:
             route(b, p, cap=10)

@@ -19,6 +19,7 @@ from blockpotts import (
 )
 from blockpotts.glauber import MAX_BETA, _weight_tables
 
+import oracles
 from oracles import brute_conditional
 
 
@@ -89,9 +90,11 @@ def test_step_near_deterministic_conditional():
     cfg = np.ones(6, dtype=int)
     cfg[0] = 2
     assert table_conditional(cfg, 0, p, b)[1] >= 1.0 - 1e-6
-    summary = run_chain(b, p, sweeps=2000, seed=99, init=cfg, audit=True)
+    summary = run_chain(b, p, sweeps=2000, seed=99, init=cfg)
     assert summary.samples.shape == (2000, 1, 3)
     assert np.all(summary.samples == [[0, 6, 0]])
+    replay = oracles.heat_bath_replay(b, p, sweeps=2000, seed=99, init=cfg)
+    assert np.array_equal(summary.samples, replay)
 
 
 def _heat_bath_kernel(p, b):
@@ -133,10 +136,13 @@ def test_run_chain_deterministic_for_fixed_seed():
 
 
 def test_run_chain_sample_count_and_audit():
+    # the maintained counts against a replay that recounts before every update
     p, b = make(3, (3, 3), 0.5, 1.0)
-    summary = run_chain(b, p, sweeps=1000, thin=7, seed=3, audit=True)
+    summary = run_chain(b, p, sweeps=1000, thin=7, seed=3)
     assert summary.samples.shape == (1000 // 7, 2, 3)
     assert np.all(summary.samples.sum(axis=2) == np.array([3, 3]))
+    replay = oracles.heat_bath_replay(b, p, sweeps=1000, thin=7, seed=3)
+    assert np.array_equal(summary.samples, replay)
 
 
 @pytest.mark.parametrize("q, sizes", [(4, (3, 4)), (3, (2, 2, 3))])

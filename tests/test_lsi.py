@@ -1,10 +1,13 @@
 """Interdependence matrix, explicit constants, entropy inequalities, tails."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockpotts import (
     BlockStructure,
@@ -92,6 +95,9 @@ def test_interdependence_monotone_in_beta():
 
 def test_matrix_norms_zero_and_rank_one():
     assert matrix_norms(np.zeros((4, 4))) == (0.0, 0.0)
+    assert matrix_norms(np.zeros((0, 0))) == (0.0, 0.0)
+    # the all-ones vector lies in this matrix's null space
+    assert matrix_norms([[1.0, -1.0], [-1.0, 1.0]]) == (2.0, 2.0)
     N, a = 7, 0.3
     J = np.full((N, N), a)
     np.fill_diagonal(J, 0.0)
@@ -110,6 +116,16 @@ def test_matrix_norms_match_svd_on_random_matrices():
         assert two_n == pytest.approx(np.linalg.svd(J, compute_uv=False)[0], rel=1e-8)
         one_n = np.abs(J).sum(axis=0).max()
         assert two_n <= math.sqrt(one_n * inf_n) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("q, sizes, alpha, beta", [(3, (10, 20), 0.02, 0.05),
+                                                   (4, (5, 6, 7), 0.02, 0.05),
+                                                   (3, (30, 30), 0.05, 0.1)])
+def test_two_norm_of_interdependence_matches_eigenvalues(q, sizes, alpha, beta):
+    p, b = make(q, sizes, alpha, beta)
+    J = interdependence_matrix_exact(b, p)
+    reference = math.sqrt(np.linalg.eigvalsh(J.T @ J).max())
+    assert abs(matrix_norms(J)[1] - reference) <= 1e-14 * reference
 
 
 def test_fit_inverse_n_coefficient_recovers_exact_fit():
@@ -140,6 +156,28 @@ def test_gamma1_matches_brute_force_minimum():
         for site in range(4):
             best = min(best, min(oracles.brute_conditional(cfg, site, b.sizes, 3, 0.3, 0.7)))
     assert gamma1_exact(b, p) == pytest.approx(best, abs=1e-14)
+
+
+@pytest.mark.parametrize("sizes", [(30, 30), (4, 4), (3, 3)])
+def test_gamma1_closed_form_equals_enumeration(sizes):
+    p, b = make(3, sizes, 0.05, 0.1)
+    assert gamma1_exact(b, p) == oracles.gamma1_by_enumeration(b, p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(3, 5), st.lists(st.integers(1, 8), min_size=1, max_size=3),
+       st.floats(0.0, 4.0), st.floats(0.0, 8.0))
+def test_gamma1_closed_form_equals_enumeration_drawn(q, sizes, alpha, beta):
+    p, b = make(q, tuple(sizes), min(alpha, beta), beta)
+    assert gamma1_exact(b, p) == oracles.gamma1_by_enumeration(b, p)
+
+
+def test_gamma1_enumerates_nothing():
+    # enumeration would visit 500000500000 leave-one-out count matrices
+    p, b = make(3, (10**6,), 0.2, 0.5)
+    start = time.perf_counter()
+    assert gamma1_exact(b, p) >= gamma1_floor(3, 0.5)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gamma1_decreasing_in_beta():

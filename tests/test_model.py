@@ -5,12 +5,20 @@ import pytest
 
 from blockpotts import (
     BlockStructure,
+    ConfigWorkspace,
     InvalidInputError,
     ModelParams,
     count_matrix,
+    exact_distribution,
+    full_configuration_distribution,
+    gamma1_exact,
     interaction_form,
+    interdependence_matrix_exact,
     model_to_json,
+    run_chain,
+    verify_lsi_suite,
 )
+from blockpotts.lsi import measured_constants
 
 import oracles
 
@@ -164,6 +172,25 @@ def test_params_validation():
         ModelParams(q=3, s=2, alpha=0.1, beta=1.0, gamma=(0.6, 0.6))
     with pytest.raises(InvalidInputError):
         BlockStructure(sizes=(0, 2))
+
+
+@pytest.mark.parametrize("route", [
+    exact_distribution,
+    full_configuration_distribution,
+    ConfigWorkspace,
+    gamma1_exact,
+    interdependence_matrix_exact,
+    measured_constants,
+    verify_lsi_suite,
+    lambda blocks, params: run_chain(blocks, params, sweeps=1),
+    lambda blocks, params: model_to_json(params, blocks),
+], ids=["exact_distribution", "full_configuration_distribution", "ConfigWorkspace",
+        "gamma1_exact", "interdependence_matrix_exact", "measured_constants",
+        "verify_lsi_suite", "run_chain", "model_to_json"])
+def test_block_count_mismatch_is_refused(route):
+    # params for one block against a structure of two
+    with pytest.raises(InvalidInputError, match="s=1"):
+        route(BlockStructure(sizes=(3, 3)), params_s1(beta=0.1, alpha=0.05))
 
 
 def test_json_round_trip():
