@@ -174,6 +174,13 @@ def _out_path(out_dir, name):
     return path
 
 
+def _write_json(path, doc):
+    """Write doc as two-space-indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_manifest(primary_output, command, seed, outputs, params=None,
                     blocks=None, extra=None):
     doc = {
@@ -187,9 +194,7 @@ def _write_manifest(primary_output, command, seed, outputs, params=None,
     if extra is not None:
         doc["result"] = extra
     path = Path(str(primary_output) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
@@ -276,9 +281,7 @@ def cmd_equilibria(args):
         land_path = _out_path(args.out_dir, args.landscape_out)
         rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
     report = maximize_G(params, options=options)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(_report_to_json(report), fh, indent=2)
-        fh.write("\n")
+    _write_json(out, _report_to_json(report))
     outputs = [out]
     if args.landscape_out is not None:
         header = ["r"] + [f"mu_plus_{k + 1}" for k in range(params.s)] + ["G"]
@@ -349,9 +352,7 @@ def cmd_lsi_check(args):
         "violations": report.violations,
         "pass": report.violations == 0,
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, doc)
     _write_manifest(out, "lsi-check", args.seed, [out], params, blocks,
                     extra={"num_f": args.num_f, "amplitude": args.amplitude})
     return 0

@@ -137,8 +137,8 @@ class ExactDistribution:
     log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
-    params: "ModelParams" = None
-    blocks: "BlockStructure" = None
+    params: "ModelParams"
+    blocks: "BlockStructure"
 
     def __len__(self):
         return self.support.shape[0]
@@ -219,8 +219,8 @@ class ConfigurationDistribution:
     log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
-    params: "ModelParams" = None
-    blocks: "BlockStructure" = None
+    params: "ModelParams"
+    blocks: "BlockStructure"
 
     def __len__(self):
         return self.configs.shape[0]

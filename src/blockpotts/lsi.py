@@ -5,11 +5,12 @@ systems.
 The single-site conditionals of the Gibbs measure depend on a configuration
 only through leave-one-out counts, so the worst-case total variation
 response of site i to a flip at site j (the interdependence matrix J) can
-be computed exactly by enumerating reduced count matrices instead of
-q^(N-2) configurations.  The uniform conditional floor gamma1 has a closed
-form: for a site in block k the leave-one-out field F satisfies F >= 0 and
-sum_d F_d = S_k = ((beta - alpha)(n_k - 1) + alpha (N - 1)) / N for every
-count matrix of the other sites, so by convexity of exp on that simplex
+be computed exactly by enumerating two color-count vectors (identity (3)
+below) instead of q^(N-2) configurations.  The uniform conditional floor
+gamma1 has a closed form: for a site in block k the leave-one-out field F
+satisfies F >= 0 and sum_d F_d = S_k = ((beta - alpha)(n_k - 1) + alpha
+(N - 1)) / N for every count matrix of the other sites, so by convexity of
+exp on that simplex
 
     1 / p_c = sum_d e^(F_d - F_c) <= q - 1 + e^(S_k),
 
@@ -32,20 +33,30 @@ These hold whenever the conditional floor and the norm gap do, so a
 violation at any tested observable is a bug, not a tolerance issue.  The
 asymptotic smallness condition 2 q beta e^beta < 1 is reported separately.
 
-Two identities give one softmax per interdependence entry and one moment
-pass per site.  (1) Recoloring site j from b to a multiplies color a's
-weight in site i's conditional by e^boost, so with p the softmax of the
-leave-two-out field, t = expm1(boost) >= 0 and hi, lo the max and min of
-p[a], p[b], TV(p_a, p_b) = hi ((1+t)/(1+t hi) - 1/(1+t lo)) =
-t hi (1 - hi + (1+t) lo) / ((1+t hi)(1+t lo)), free of cancellation.
+Three identities give one softmax per interdependence entry, one moment
+pass per site and one two-axis grid per block size.  (1) Recoloring site j
+from b to a multiplies color a's weight in site i's conditional by
+e^boost, so with p the softmax of the leave-two-out field, t = expm1(boost)
+>= 0 and hi, lo the max and min of p[a], p[b], TV(p_a, p_b) =
+hi ((1+t)/(1+t hi) - 1/(1+t lo)) = t hi (1 - hi + (1+t) lo) /
+((1+t hi)(1+t lo)), free of cancellation.
 (2) With m_f site i's conditional mean of f, sum_c cond_i(c) (f(x) - f_c)^2
 = (f(x) - m_f)^2 + sum_c cond_i(c) (f_c - m_f)^2, a sum of squares.
+(3) Let site i lie in block k and site j be recolored.  Site i's
+leave-two-out field is F_c = ((beta - alpha) x_c + alpha (x_c + y_c)) / N,
+with x the color counts of the own = n_k - 2 other sites of block k when j
+is in block k (else own = n_k - 1), and y those of the rest = N - n_k
+(resp. N - n_k - 1) sites outside block k other than j.  Every composition
+of rest sites is a sum of per-block compositions, so comps(own) x
+comps(rest) reaches exactly the fields that the count matrices of the N - 2
+other sites reach.  J[i, j] therefore depends only on n_k and on whether j
+shares i's block, with boost beta / N when it does and alpha / N when not.
 
 Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
-interdependence entries take their maxima over column slabs of the
-leave-one-out fields, and the suite evaluates its observables in (F, P)
-chunks, so memory beyond the fields and the joint law grows neither with
-the support nor with the observables.
+interdependence entries take their maxima over slabs of each grid's
+leave-two-out fields, and the suite evaluates its observables in (F, P)
+chunks, so memory beyond the composition tables and the joint law grows
+neither with the support nor with the observables.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from .exact import (
 )
 from .glauber import tail_estimate
 from .model import check_consistent, field_from_sums
-from .numutil import CHUNK_BYTES, softmax
+from .numutil import CHUNK_BYTES, LEAF, softmax
 
 # Largest q^N the full configuration workspace enumerates.
 WORKSPACE_CAP = 4_000_000
@@ -147,37 +158,6 @@ def asymptotic_constants(q, beta):
     return lsi_constants(gamma1_floor(q, beta), gamma2_asymptotic(q, beta))
 
 
-def _loo_fields_by_color(sizes, ki, params, N, cap):
-    """Leave-one-out fields of a site in block ki for every count matrix of
-    the other sites (block sizes `sizes`), as a C-ordered (q, P) array: the
-    softmax over colors then reduces q rows of length P instead of P rows
-    of length q.
-
-    Row c is ((beta - alpha) B[ki, c] + alpha colsum(B)[c]) / N, built on
-    the block product grid from the per-block composition tables, in the
-    support order of count_matrix_support and with the bits of
-    interaction_field on that support.
-    """
-    comps = block_compositions(sizes, params.q, cap)
-    s = len(comps)
-    along_ki = [-1 if j == ki else 1 for j in range(s)]
-    fields = np.empty((params.q, *(c.shape[0] for c in comps)))
-    for c in range(params.q):
-        col = functools.reduce(np.add.outer, [comp[:, c] for comp in comps])
-        fields[c] = field_from_sums(comps[ki][:, c].reshape(along_ki), col, params)
-    fields = fields.reshape(params.q, -1)
-    fields /= N
-    return fields
-
-
-def _column_slabs(fields):
-    """Leave-one-out fields (q, P) as (q, w) column slabs of at most
-    CHUNK_BYTES, so the softmax and the pair distances taken on each stay
-    slab-sized."""
-    width = max(1, CHUNK_BYTES // fields[:, :1].nbytes)
-    return (fields[:, lo : lo + width] for lo in range(0, fields.shape[1], width))
-
-
 def gamma1_exact(blocks, params):
     """Exact minimum single-site conditional probability over all configurations.
 
@@ -200,34 +180,48 @@ def _recoloring_tv(fields, boost):
     return t * hi * (1.0 - hi + (1.0 + t) * lo) / ((1.0 + t * hi) * (1.0 + t * lo))
 
 
+def _worst_recoloring_tv(own, rest, boost, params, N, cap):
+    """Largest identity (1) distance over the grid comps(own) x comps(rest)
+    of identity (3), taken on slabs of rows of comps(own) whose fields hold
+    about LEAF elements; 0 when a count is negative, since then no site
+    pair has these counts."""
+    if min(own, rest) < 0:
+        return 0.0
+    # color-major tables keep each slab's fields C-ordered (q, rows, len(y)):
+    # the softmax then sums whole rows, color by color in order, which is
+    # both fast and the summation order of a (q, P) field array
+    x, y = (np.ascontiguousarray(c.T) for c in block_compositions((own, rest), params.q, cap))
+    rows = max(1, LEAF // (params.q * y.shape[1]))
+    worst = 0.0
+    for lo in range(0, x.shape[1], rows):
+        xs = x[:, lo : lo + rows, None]
+        fields = field_from_sums(xs, xs + y[:, None, :], params)
+        fields /= N
+        worst = max(worst, _recoloring_tv(fields, boost).max())
+    return worst
+
+
 def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Exact N x N matrix of worst-case conditional total variation responses.
 
     Entry (i, j), i != j, is the supremum over configuration pairs differing
     at site j only of the total variation distance between site i's
-    conditionals.  The conditional sees only leave-one-out counts, so the
-    supremum reduces to all count matrices of the remaining N-2 sites times
-    the q(q-1)/2 unordered color pairs at j; the entry therefore depends on
-    (block(i), block(j)) only, with each distance from identity (1).  The
-    diagonal is zero and J need not be symmetric when block sizes differ.
-    The distances are taken on column slabs of the fields and only their
-    maximum is kept.
+    conditionals, over the q(q-1)/2 unordered color pairs at j, each from
+    identity (1).  By identity (3) the entry depends only on the size of
+    site i's block and on whether j shares it, so one grid of the color
+    counts of i's other block-mates times those of every other site
+    outside the block (each grid checked against cap) gives both entries
+    of each distinct block size.  The diagonal is zero and J need not be
+    symmetric when block sizes differ.
     """
     check_consistent(params, blocks)
-    table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
-    for ki in range(blocks.s):
-        for kj in range(blocks.s):
-            reduced = list(blocks.sizes)
-            reduced[ki] -= 1
-            reduced[kj] -= 1
-            if min(reduced) < 0:
-                continue  # no ordered site pair with these block labels
-            fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
-            boost = (params.beta if ki == kj else params.alpha) / blocks.N
-            table[ki, kj] = np.max([_recoloring_tv(cols, boost).max()
-                                    for cols in _column_slabs(fields)])
+    N = blocks.N
+    worst = {n: (_worst_recoloring_tv(n - 2, N - n, params.beta / N, params, N, cap),
+                 _worst_recoloring_tv(n - 1, N - n - 1, params.alpha / N, params, N, cap))
+             for n in dict.fromkeys(blocks.sizes)}
     site_blocks = blocks.site_blocks
-    J = table[site_blocks[:, None], site_blocks[None, :]]
+    same, other = np.array([worst[n] for n in blocks.sizes])[site_blocks].T
+    J = np.where(site_blocks[:, None] == site_blocks, same[:, None], other[:, None])
     np.fill_diagonal(J, 0.0)
     return J
 
@@ -473,8 +467,11 @@ def concentration_report(summary, constants, k, c, t_grid):
 
     The tail is empirical, from the chain summary.  A row is flagged when
     the tail exceeds the bound beyond three Monte Carlo standard errors;
-    bounds at or above one can never flag.
+    bounds at or above one can never flag.  An empty summary is invalid
+    input.
     """
+    if summary.samples.size == 0:
+        raise InvalidInputError("chain summary holds no samples")
     rows = []
     size_k = int(summary.samples[0, k].sum())
     n = summary.samples.shape[0]

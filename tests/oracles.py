@@ -5,21 +5,25 @@ definitions) and deliberately shares no code path with the package, so the
 two sides of every comparison stay independent.  The exceptions are the
 heat-bath replay, which reads the package's weight tables and draws its
 random numbers in the package's order to pin the sampler's bookkeeping, and
-the LSI references at the end, which take the package's leave-one-out and
-leave-two-out fields and site laws and pin only the algebra the package
-applies to them.
+the LSI references at the end, which build the leave-one-out and
+leave-two-out fields on the block product grid from the package's
+composition tables and field coefficients, read its recoloring distances
+and site laws, and pin only the enumeration or algebra the package applies
+to them.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from blockpotts.errors import InvalidInputError
-from blockpotts.exact import DEFAULT_SUPPORT_CAP, site_view
+from blockpotts.exact import DEFAULT_SUPPORT_CAP, block_compositions, site_view
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
-from blockpotts.lsi import _column_slabs, _loo_fields_by_color
-from blockpotts.numutil import softmax
+from blockpotts.lsi import _recoloring_tv
+from blockpotts.model import check_consistent, field_from_sums
+from blockpotts.numutil import CHUNK_BYTES, softmax
 
 
 def pair_hamiltonian(config, sizes, alpha, beta):
@@ -415,6 +419,61 @@ def recolored_tv(fields, boost):
     probs = weights / weights.sum(axis=1, keepdims=True)
     first, second = np.triu_indices(q, 1)
     return 0.5 * np.abs(probs[first] - probs[second]).sum(axis=1)
+
+
+def _loo_fields_by_color(sizes, ki, params, N, cap):
+    """Leave-one-out fields of a site in block ki for every count matrix of
+    the other sites (block sizes `sizes`), as a C-ordered (q, P) array: the
+    softmax over colors then reduces q rows of length P instead of P rows
+    of length q.
+
+    Row c is ((beta - alpha) B[ki, c] + alpha colsum(B)[c]) / N, built on
+    the block product grid from the per-block composition tables, in the
+    support order of count_matrix_support and with the bits of
+    interaction_field on that support.
+    """
+    comps = block_compositions(sizes, params.q, cap)
+    s = len(comps)
+    along_ki = [-1 if j == ki else 1 for j in range(s)]
+    fields = np.empty((params.q, *(c.shape[0] for c in comps)))
+    for c in range(params.q):
+        col = functools.reduce(np.add.outer, [comp[:, c] for comp in comps])
+        fields[c] = field_from_sums(comps[ki][:, c].reshape(along_ki), col, params)
+    fields = fields.reshape(params.q, -1)
+    fields /= N
+    return fields
+
+
+def _column_slabs(fields):
+    """Leave-one-out fields (q, P) as (q, w) column slabs of at most
+    CHUNK_BYTES, so the softmax and the pair distances taken on each stay
+    slab-sized."""
+    width = max(1, CHUNK_BYTES // fields[:, :1].nbytes)
+    return (fields[:, lo : lo + width] for lo in range(0, fields.shape[1], width))
+
+
+def interdependence_on_block_grid(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+    """Interdependence matrix from the block product grid: for each of the
+    s^2 block pairs, the package's distances on every count matrix of the
+    other N - 2 sites, as the package built it before identity (3)."""
+    check_consistent(params, blocks)
+    table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
+    for ki in range(blocks.s):
+        for kj in range(blocks.s):
+            reduced = list(blocks.sizes)
+            reduced[ki] -= 1
+            reduced[kj] -= 1
+            if min(reduced) < 0:
+                continue  # no ordered site pair with these block labels
+            fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
+            boost = (params.beta if ki == kj else params.alpha) / blocks.N
+            table[ki, kj] = np.max([_recoloring_tv(cols, boost).max()
+                                    for cols in _column_slabs(fields)])
+    site_blocks = blocks.site_blocks
+    J = table[site_blocks[:, None], site_blocks[None, :]]
+    np.fill_diagonal(J, 0.0)
+    return J
+
 
 
 def interdependence_by_recolored_softmax(blocks, params):

@@ -1,7 +1,7 @@
 """Property tests of the count-matrix core: the interaction form and field,
 the block-product routes of the exact law and the leave-one-out fields, the
-leafwise tree log-sum-exp, the closed-form recoloring distance of the
-interdependence matrix, the C(gamma) row clean-up, G's color symmetry and
+leafwise tree log-sum-exp, the two-axis grids and closed-form recoloring
+distance of the interdependence matrix, the C(gamma) row clean-up, G's color symmetry and
 the mean-field step.
 
 Hypothesis runs derandomized, so every run draws the same examples.
@@ -22,9 +22,10 @@ from blockpotts import (
     free_energy_G,
     interaction_field,
     interaction_form,
+    interdependence_matrix_exact,
 )
 from blockpotts.equilibria import _mean_field_map, _two_column
-from blockpotts.lsi import _loo_fields_by_color, _recoloring_tv
+from blockpotts.lsi import _recoloring_tv
 from blockpotts.numutil import LEAF, log_factorials, logsumexp_tree, softmax
 from blockpotts.rates import _clean_rows, _free_energy
 
@@ -179,9 +180,17 @@ def test_loo_fields_on_block_grid_equal_interaction_field(system, data):
     reduced = list(blocks.sizes)
     reduced[ki] -= 1
     support = count_matrix_support(reduced, params.q, cap=10**7).astype(np.int64)
-    fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap=10**7)
+    fields = oracles._loo_fields_by_color(reduced, ki, params, blocks.N, cap=10**7)
     assert fields.flags.c_contiguous
     assert np.array_equal(fields, interaction_field(support, params)[:, ki, :].T / blocks.N)
+
+
+@SETTINGS
+@given(product_grids())
+def test_interdependence_on_two_axis_grids_equals_block_grid(system):
+    params, blocks = system
+    J = interdependence_matrix_exact(blocks, params)
+    assert np.array_equal(J, oracles.interdependence_on_block_grid(blocks, params))
 
 
 @SETTINGS

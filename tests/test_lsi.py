@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from blockpotts import (
     BlockStructure,
+    CapacityError,
     ConditionNotMetError,
     ConfigWorkspace,
     InvalidInputError,
@@ -83,6 +84,44 @@ def test_interdependence_matches_recolored_softmax(q, sizes):
     p, b = make(q, sizes, 0.05, 0.1)
     J = interdependence_matrix_exact(b, p)
     assert np.max(np.abs(J - oracles.interdependence_by_recolored_softmax(b, p))) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.05, 0.1), (0.02, 0.05)])
+@pytest.mark.parametrize("q, sizes", [
+    (3, (30, 30)), (3, (4, 4)), (3, (3, 3)), (3, (10, 20)), (4, (5, 6, 7)), (4, (4, 3, 2)),
+    (3, (9,)), (3, (1,)), (3, (1, 1)), (3, (1, 5, 2)), (3, (2, 2, 2, 2)),
+])
+def test_interdependence_equals_block_grid(q, sizes, alpha, beta):
+    # identity (3): one two-axis grid per block size reaches every field of
+    # the s-axis product grid of each block pair, so J keeps its bits
+    p, b = make(q, sizes, alpha, beta)
+    J = interdependence_matrix_exact(b, p)
+    assert np.array_equal(J, oracles.interdependence_on_block_grid(b, p))
+
+
+def test_interdependence_cap_counts_the_two_axis_grid():
+    # (8,8,8,8): the largest grid is comps(7) x comps(23), 36 * 300 = 10 800
+    # matrices; the product grid of a block pair had 28 * 45^3 = 2 551 500
+    p, b = make(3, (8, 8, 8, 8), 0.05, 0.1)
+    J = interdependence_matrix_exact(b, p, cap=10_800)
+    assert J.shape == (32, 32) and np.all(np.diag(J) == 0.0) and np.all(J[0, 1:] > 0.0)
+    with pytest.raises(CapacityError) as err:
+        interdependence_matrix_exact(b, p, cap=10_799)
+    assert err.value.required == 10_800
+    assert "10800" in str(err.value)
+
+
+def test_interdependence_peak_memory_is_slab_sized():
+    # (40, 40): the grids hold 671 580 and 672 400 points, whose fields
+    # would take 16 MB whole; slabs keep the peak near a few LEAF arrays
+    p, b = make(3, (40, 40), 0.05, 0.1)
+    tracemalloc.start()
+    try:
+        interdependence_matrix_exact(b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_interdependence_monotone_in_beta():
@@ -528,6 +567,14 @@ def test_concentration_exact_tails_never_violate():
     tails = [law[np.abs(values - law @ values) >= t].sum() for t in t_grid]
     assert not any(row.bound < 1.0 and tail > row.bound for row, tail in zip(rows, tails))
     assert tails[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_concentration_refuses_empty_summary():
+    p, b = make(3, (3, 3), 0.05, 0.1)
+    summary = run_chain(b, p, sweeps=5, thin=10)
+    assert summary.samples.size == 0
+    with pytest.raises(InvalidInputError, match="no samples"):
+        concentration_report(summary, asymptotic_constants(3, 0.1), 0, 0, [1.0])
 
 
 def test_concentration_bound_formulas_converge():
