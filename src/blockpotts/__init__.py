@@ -31,7 +31,6 @@ from .errors import (
 from .exact import (
     ConfigurationDistribution,
     ExactDistribution,
-    count_matrix_support,
     enumerate_block_compositions,
     exact_distribution,
     exact_observable_distribution,

@@ -18,9 +18,11 @@ compositions from per-block vectors and one P_k x P_l Gram matrix per
 block pair, never from the materialised support.  It is built in slabs of
 block-0 compositions, each about numutil.CHUNK_BYTES per temporary, written
 into the preallocated weights, so the memory beyond the outputs is set by
-the slab, not by the support size.  The support itself is returned as
-int16 counts (blocks of 2^15 sites or more are refused), and its size is
-checked against the cap before anything is enumerated.
+the slab, not by the support size.  The law holds the per-block
+composition tables, not the support: the (P, s, q) int16 support is built
+only when its `support` attribute is first read (blocks of 2^15 sites or
+more are refused), and the support size is checked against the cap before
+anything is enumerated.
 
 Everything is normalized in log space.  This module is the brute-force
 oracle for the sampler, the rate functions and the log-Sobolev checks; for
@@ -111,29 +113,21 @@ def _fill_support(comps):
     return support.reshape(-1, s, q)
 
 
-def count_matrix_support(sizes, q, cap):
-    """All count matrices with row sums `sizes`, as a (P, s, q) int16 array.
-
-    Rows are compositions in the order of enumerate_block_compositions,
-    block 0 outermost, so the support is the product grid
-    (P_0, .., P_{s-1}) of per-block compositions, flattened.
-    P = prod_k C(sizes[k]+q-1, q-1); a CapacityError naming P is raised,
-    before any enumeration, when it exceeds cap.
-    """
-    return _fill_support(block_compositions(sizes, q, cap))
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact Gibbs law of the count matrix.
 
-    support is a (P, s, q) int16 array enumerating every count matrix,
-    ordered colexicographically per block with block 0 outermost: the
-    flattened product grid (P_0, .., P_{s-1}) of per-block compositions.
-    probabilities[i] = exp(log_weights[i] - log_Z).
+    compositions holds each block's (P_k, q) int64 composition table, in
+    the order of enumerate_block_compositions.  The law lives on their
+    product grid (P_0, .., P_{s-1}), flattened with block 0 outermost:
+    point i is the count matrix whose row k is compositions[k][i_k] for the
+    grid index (i_0, .., i_{s-1}) of i, and
+    probabilities[i] = exp(log_weights[i] - log_Z).  support, the (P, s, q)
+    int16 array of those count matrices, is built on its first read and
+    kept.
     """
 
-    support: np.ndarray
+    compositions: tuple
     log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
@@ -141,7 +135,11 @@ class ExactDistribution:
     blocks: "BlockStructure"
 
     def __len__(self):
-        return self.support.shape[0]
+        return math.prod(c.shape[0] for c in self.compositions)
+
+    @functools.cached_property
+    def support(self):
+        return _fill_support(self.compositions)
 
 
 def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
@@ -152,26 +150,30 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     cap.  Multinomial coefficients are accumulated from a table of
     log-factorials so block sizes well beyond 170 stay finite, and the
     normalization uses the pairwise-tree log-sum-exp, making log_Z
-    bit-reproducible.
+    bit-reproducible.  Couplings so large that a weight overflows make
+    log_Z infinite, and are refused with an InvalidInputError.
 
     The weights are built on the block product grid (P_0, .., P_{s-1}): the
     log multinomial and sum B^2 are outer sums of per-block vectors, and
     |colsum B|^2 adds 2 C_k C_l^T to sum B^2 for each block pair k < l (C_k
-    the composition table of block k).  Both sums are exact int64, so the
-    weights are those of interaction_form on the materialised support, bit
-    for bit, without its (P, s, q) temporaries.  They are written slab by
-    slab, each slab a run of block-0 compositions of about CHUNK_BYTES per
-    temporary (one block-0 row at least), so beyond the outputs (28 bytes
-    per point at s=2, q=3) memory does not grow with P.
+    the composition table of block k).  Both sums are taken in float64 from
+    float64 copies of the tables, the Gram products by BLAS: every term is
+    an integer below 2^53, so they are exact, and the weights are those of
+    interaction_form on the materialised support, bit for bit, without its
+    (P, s, q) temporaries.  They are written slab by slab, each slab a run
+    of block-0 compositions of about CHUNK_BYTES per temporary (one block-0
+    row at least), so beyond the outputs (16 bytes per point) memory does
+    not grow with P.
     """
     check_consistent(params, blocks)
     comps = block_compositions(blocks.sizes, params.q, cap)
     s = len(comps)
     log_fact = log_factorials(max(blocks.sizes))
     log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
-    squares = [np.square(c).sum(axis=1) for c in comps]
+    tables = [c.astype(np.float64) for c in comps]
+    squares = [np.square(t).sum(axis=1) for t in tables]
     # the Gram matrices without block 0 are shared by every slab
-    grams = {(k, l): comps[k] @ comps[l].T for k, l in itertools.combinations(range(1, s), 2)}
+    grams = {(k, l): tables[k] @ tables[l].T for k, l in itertools.combinations(range(1, s), 2)}
     rest = math.prod(c.shape[0] for c in comps[1:])
     step = max(1, LEAF // rest)
     log_weights = np.empty(comps[0].shape[0] * rest)
@@ -180,23 +182,39 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
         slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
         col_sq = slab_sq.copy()
         for k, l in itertools.combinations(range(s), 2):
-            gram = comps[0][head] @ comps[l].T if k == 0 else grams[k, l]
+            gram = tables[0][head] @ tables[l].T if k == 0 else grams[k, l]
             on_axes = [1] * s
             on_axes[k], on_axes[l] = gram.shape
             col_sq += 2 * gram.reshape(on_axes)
         out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
-        out[...] = form_from_sums(slab_sq, col_sq, params)
+        with np.errstate(over="ignore"):
+            out[...] = form_from_sums(slab_sq, col_sq, params)
         out /= 2.0 * blocks.N
         out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
-    log_Z = logsumexp_tree(log_weights)
+    log_Z = _finite_log_Z(log_weights, params)
     return ExactDistribution(
-        support=_fill_support(comps),
+        compositions=tuple(comps),
         log_weights=log_weights,
         log_Z=log_Z,
         probabilities=_normalized(log_weights, log_Z),
         params=params,
         blocks=blocks,
     )
+
+
+def _finite_log_Z(log_weights, params):
+    """The tree log-sum-exp of log_weights, refused unless finite.
+
+    For finite 0 <= alpha <= beta every weight is finite or +inf, and one is
+    +inf exactly when the couplings overflow the form, which leaves nothing
+    to normalize.
+    """
+    log_Z = logsumexp_tree(log_weights)
+    if not math.isfinite(log_Z):
+        raise InvalidInputError(
+            f"log_Z is {log_Z}: alpha={params.alpha}, beta={params.beta} "
+            "overflow the Gibbs weights")
+    return log_Z
 
 
 def _normalized(log_weights, log_Z):
@@ -240,6 +258,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Enumerate all q^N configurations and their exact Gibbs probabilities.
 
     q^N is checked against cap (at least 1) before anything is allocated.
+    Couplings that overflow a weight are refused as in exact_distribution.
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
@@ -252,8 +271,9 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets)):
         for c in range(q):
             counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
-    log_weights = interaction_form(counts, params) / (2.0 * N)
-    log_Z = logsumexp_tree(log_weights)
+    with np.errstate(over="ignore"):
+        log_weights = interaction_form(counts, params) / (2.0 * N)
+    log_Z = _finite_log_Z(log_weights, params)
     return ConfigurationDistribution(
         configs=configs,
         count_matrices=counts,
@@ -268,18 +288,18 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
 def exact_observable_distribution(dist, k, c):
     """Marginal law of the block-color count b_{k,c} under an exact law.
 
-    Returns an array of length |S_k| + 1 whose index v holds P(b_{k,c} = v).
+    Returns an array of length |S_k| + 1 whose index v holds P(b_{k,c} = v):
+    the law of block k's composition, summed out of the product grid, then
+    binned by its color-c count.
     """
-    if not 0 <= k < dist.support.shape[1]:
+    comps = dist.compositions
+    if not 0 <= k < len(comps):
         raise InvalidInputError(f"block index {k} out of range")
-    if not 0 <= c < dist.support.shape[2]:
+    if not 0 <= c < dist.params.q:
         raise InvalidInputError(f"color index {c} out of range")
-    size_k = int(dist.support[0, k].sum())
-    return np.bincount(
-        dist.support[:, k, c].astype(np.int64),
-        weights=dist.probabilities,
-        minlength=size_k + 1,
-    )
+    grid = dist.probabilities.reshape([t.shape[0] for t in comps])
+    block_law = grid.sum(axis=tuple(j for j in range(len(comps)) if j != k))
+    return np.bincount(comps[k][:, c], weights=block_law, minlength=dist.blocks.sizes[k] + 1)
 
 
 def export_csv(dist, path):
@@ -287,18 +307,22 @@ def export_csv(dist, path):
 
     The first line is '# ' + a JSON object carrying the model constants and
     log_Z; then a header row b_1_1,..,b_s_q,log_weight,probability with
-    1-based block and color indices, and one row per support point.
+    1-based block and color indices, and one row per support point.  Each
+    composition is formatted once per block, and the rows are written a
+    slab of LEAF points at a time.
     """
-    s = dist.support.shape[1]
-    q = dist.support.shape[2]
+    s, q = len(dist.compositions), dist.params.q
     header = {**model_to_json(dist.params, dist.blocks), "log_Z": dist.log_Z}
     cols = [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
+    counts = itertools.product(*[[",".join(map(str, row)) for row in c.tolist()]
+                                 for c in dist.compositions])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(header) + "\n")
         fh.write(",".join(cols + ["log_weight", "probability"]) + "\n")
-        flat = dist.support.reshape(len(dist), s * q)
-        for row, lw, p in zip(flat, dist.log_weights, dist.probabilities):
-            cells = [str(int(v)) for v in row]
-            cells.append(format(float(lw), ".17g"))
-            cells.append(format(float(p), ".17g"))
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, len(dist), LEAF):
+            # the slab's values go first in the zip below, so it stops at
+            # the slab's end without drawing the next row from counts
+            values = zip(dist.log_weights[lo : lo + LEAF].tolist(),
+                         dist.probabilities[lo : lo + LEAF].tolist())
+            fh.write("".join(f"{','.join(row)},{lw:.17g},{p:.17g}\n"
+                             for (lw, p), row in zip(values, counts)))

@@ -4,26 +4,34 @@ Everything here is written as plainly as possible (python loops, literal
 definitions) and deliberately shares no code path with the package, so the
 two sides of every comparison stay independent.  The exceptions are the
 heat-bath replay, which reads the package's weight tables and draws its
-random numbers in the package's order to pin the sampler's bookkeeping, and
-the LSI references at the end, which build the leave-one-out and
-leave-two-out fields on the block product grid from the package's
-composition tables and field coefficients, read its recoloring distances
-and site laws, and pin only the enumeration or algebra the package applies
-to them.
+random numbers in the package's order to pin the sampler's bookkeeping; the
+exact-law references, which keep the package's earlier int64 slab loop, its
+support fill and its row-by-row CSV writer to pin the composition-table law
+bit for bit; and the LSI references at the end, which build the
+leave-one-out and leave-two-out fields on the block product grid from the
+package's composition tables and field coefficients, read its recoloring
+distances and site laws, and pin only the enumeration or algebra the
+package applies to them.
 """
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 
 from blockpotts.errors import InvalidInputError
-from blockpotts.exact import DEFAULT_SUPPORT_CAP, block_compositions, site_view
+from blockpotts.exact import (
+    DEFAULT_SUPPORT_CAP,
+    _fill_support,
+    block_compositions,
+    site_view,
+)
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
 from blockpotts.lsi import _recoloring_tv
-from blockpotts.model import check_consistent, field_from_sums
-from blockpotts.numutil import CHUNK_BYTES, softmax
+from blockpotts.model import check_consistent, field_from_sums, form_from_sums, model_to_json
+from blockpotts.numutil import CHUNK_BYTES, LEAF, log_factorials, logsumexp_tree, softmax
 
 
 def pair_hamiltonian(config, sizes, alpha, beta):
@@ -113,6 +121,78 @@ def brute_count_law(sizes, q, alpha, beta):
         key = count_key(cfg, sizes, q)
         out[key] = out.get(key, 0.0) + p
     return out
+
+
+def count_matrix_support(sizes, q, cap):
+    """All count matrices with row sums `sizes`, as a (P, s, q) int16 array.
+
+    Rows are compositions in the order of enumerate_block_compositions,
+    block 0 outermost, so the support is the product grid
+    (P_0, .., P_{s-1}) of per-block compositions, flattened.
+    P = prod_k C(sizes[k]+q-1, q-1); a CapacityError naming P is raised,
+    before any enumeration, when it exceeds cap.
+    """
+    return _fill_support(block_compositions(sizes, q, cap))
+
+
+def exact_law_int64_slabs(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+    """(log_weights, log_Z, probabilities) of the exact count-matrix law by
+    the package's earlier slab loop: squares and Gram products summed in
+    int64 from the int64 composition tables, one Gram product per block
+    pair and slab."""
+    check_consistent(params, blocks)
+    comps = block_compositions(blocks.sizes, params.q, cap)
+    s = len(comps)
+    log_fact = log_factorials(max(blocks.sizes))
+    log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
+    squares = [np.square(c).sum(axis=1) for c in comps]
+    # the Gram matrices without block 0 are shared by every slab
+    grams = {(k, l): comps[k] @ comps[l].T for k, l in itertools.combinations(range(1, s), 2)}
+    rest = math.prod(c.shape[0] for c in comps[1:])
+    step = max(1, LEAF // rest)
+    log_weights = np.empty(comps[0].shape[0] * rest)
+    for lo in range(0, comps[0].shape[0], step):
+        head = slice(lo, lo + step)
+        slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
+        col_sq = slab_sq.copy()
+        for k, l in itertools.combinations(range(s), 2):
+            gram = comps[0][head] @ comps[l].T if k == 0 else grams[k, l]
+            on_axes = [1] * s
+            on_axes[k], on_axes[l] = gram.shape
+            col_sq += 2 * gram.reshape(on_axes)
+        out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
+        out[...] = form_from_sums(slab_sq, col_sq, params)
+        out /= 2.0 * blocks.N
+        out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
+    log_Z = logsumexp_tree(log_weights)
+    probabilities = np.subtract(log_weights, log_Z)
+    return log_weights, log_Z, np.exp(probabilities, out=probabilities)
+
+
+def export_csv_on_support(dist, path):
+    """The exact law's CSV, written row by row from its materialised
+    support (dist.support, built on this read) by the package's earlier
+    writer."""
+    s = dist.support.shape[1]
+    q = dist.support.shape[2]
+    header = {**model_to_json(dist.params, dist.blocks), "log_Z": dist.log_Z}
+    cols = [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + json.dumps(header) + "\n")
+        fh.write(",".join(cols + ["log_weight", "probability"]) + "\n")
+        flat = dist.support.reshape(len(dist), s * q)
+        for row, lw, p in zip(flat, dist.log_weights, dist.probabilities):
+            cells = [str(int(v)) for v in row]
+            cells.append(format(float(lw), ".17g"))
+            cells.append(format(float(p), ".17g"))
+            fh.write(",".join(cells) + "\n")
+
+
+def observable_law_on_support(dist, k, c):
+    """Law of b_{k,c}: the bincount of block k's color-c count over the
+    materialised support, weighted by the probabilities."""
+    return np.bincount(dist.support[:, k, c].astype(np.int64), weights=dist.probabilities,
+                       minlength=dist.blocks.sizes[k] + 1)
 
 
 def brute_conditional(config, site, sizes, q, alpha, beta):

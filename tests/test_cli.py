@@ -327,6 +327,9 @@ def test_missing_required_option_is_usage_error(tmp_path):
     # a cap below 1 is invalid input, not a capacity error
     ["exact", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8", "--cap", "0"],
     ["exact", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8", "--cap", "-1"],
+    # couplings that overflow a Gibbs weight leave log_Z infinite
+    ["exact", "--q", "3", "--sizes", "3,3", "--alpha", "0.5", "--beta", "1e308"],
+    ["exact", "--q", "3", "--sizes", "3,3", "--alpha", "1e308", "--beta", "1e308"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"

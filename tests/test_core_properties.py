@@ -17,7 +17,6 @@ from blockpotts import (
     BlockStructure,
     ModelParams,
     count_matrix,
-    count_matrix_support,
     exact_distribution,
     free_energy_G,
     interaction_field,
@@ -30,6 +29,7 @@ from blockpotts.numutil import LEAF, log_factorials, logsumexp_tree, softmax
 from blockpotts.rates import _clean_rows, _free_energy
 
 import oracles
+from oracles import count_matrix_support
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -129,6 +129,17 @@ def assert_exact_law_equals_materialised_support(params, blocks):
 @given(product_grids())
 def test_exact_law_on_block_grid_equals_materialised_support(system):
     assert_exact_law_equals_materialised_support(*system)
+
+
+@SETTINGS
+@given(product_grids())
+def test_exact_law_on_block_grid_equals_int64_slab_loop(system):
+    params, blocks = system
+    dist = exact_distribution(blocks, params)
+    log_weights, log_Z, probabilities = oracles.exact_law_int64_slabs(blocks, params)
+    assert np.array_equal(dist.log_weights, log_weights)
+    assert dist.log_Z == log_Z
+    assert np.array_equal(dist.probabilities, probabilities)
 
 
 @pytest.mark.parametrize("sizes", [(40, 40), (2, 23, 21)])

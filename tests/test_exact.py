@@ -14,7 +14,6 @@ from blockpotts import (
     ConfigWorkspace,
     InvalidInputError,
     ModelParams,
-    count_matrix_support,
     enumerate_block_compositions,
     exact_distribution,
     exact_observable_distribution,
@@ -24,6 +23,7 @@ from blockpotts import (
 from blockpotts.exact import export_csv
 
 import oracles
+from oracles import count_matrix_support
 
 
 def make(q, sizes, alpha, beta):
@@ -185,9 +185,71 @@ def test_exact_peak_memory_per_support_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the outputs take 12 + 8 + 8 bytes per point, and the slabs less than
-    # 10 more at this P
-    assert peak / len(dist) <= 40
+    # the outputs take 8 + 8 bytes per point, and the slabs less than 4
+    # more at this P
+    assert peak / len(dist) <= 20
+
+
+def test_law_holds_composition_tables_and_builds_support_on_read():
+    p, b = make(3, (3, 1, 2), 0.4, 1.1)
+    dist = exact_distribution(b, p)
+    assert "support" not in vars(dist)
+    assert [c.shape for c in dist.compositions] == [(10, 3), (3, 3), (6, 3)]
+    assert len(dist) == 180
+    support = dist.support
+    assert np.array_equal(support, count_matrix_support(b.sizes, 3, cap=1000))
+    assert dist.support is support
+
+
+# every weight is built from the composition tables, each slab's sums in
+# float64 by BLAS; all of them are integers below 2^53, so every output
+# equals, as doubles, the earlier int64 slab loop's
+@pytest.mark.parametrize("q, sizes", [
+    (3, (60, 60)), (3, (40, 40)), (4, (5, 6, 7)), (5, (4, 3, 2, 5)), (3, (2, 23, 21)),
+    (3, (9,)), (3, (1, 1)), (3, (1, 2)),
+])
+def test_exact_law_equals_int64_slab_loop(q, sizes):
+    p, b = make(q, sizes, 0.5, 1.0)
+    dist = exact_distribution(b, p)
+    log_weights, log_Z, probabilities = oracles.exact_law_int64_slabs(b, p)
+    assert np.array_equal(dist.log_weights, log_weights)
+    assert dist.log_Z == log_Z
+    assert np.array_equal(dist.probabilities, probabilities)
+
+
+@pytest.mark.parametrize("q, sizes", [(3, (4, 4)), (3, (30, 30)), (4, (3, 2, 4))])
+def test_export_csv_bytes_equal_row_by_row_writer(q, sizes, tmp_path):
+    p, b = make(q, sizes, 0.5, 1.0)
+    dist = exact_distribution(b, p)
+    export_csv(dist, tmp_path / "slabs.csv")
+    oracles.export_csv_on_support(dist, tmp_path / "rows.csv")
+    assert (tmp_path / "slabs.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("q, sizes", [
+    (3, (3, 3)), (3, (4, 4)), (3, (40, 40)), (4, (5, 6, 7)), (3, (2, 23, 21)), (3, (9,)),
+])
+def test_observable_distribution_matches_bincount_over_support(q, sizes):
+    # the block law is summed out of the product grid, not binned point by
+    # point, so the sums run in another order: equal to rounding only
+    p, b = make(q, sizes, 0.5, 1.0)
+    dist = exact_distribution(b, p)
+    for k in range(b.s):
+        for c in range(q):
+            law = exact_observable_distribution(dist, k, c)
+            assert law.shape == (sizes[k] + 1,)
+            assert np.max(np.abs(law - oracles.observable_law_on_support(dist, k, c))) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1e308), (1e308, 1e308)])
+def test_overflowing_couplings_are_invalid_input(alpha, beta):
+    # a weight overflows to +inf exactly when log_Z does; the overflow
+    # must be refused before any warning (the test settings turn warnings
+    # into errors)
+    p, b = make(3, (3, 3), alpha, beta)
+    for route in (exact_distribution, full_configuration_distribution):
+        with pytest.raises(InvalidInputError, match="log_Z is inf"):
+            route(b, p)
 
 
 def workspace_conditional(ws, config, site):

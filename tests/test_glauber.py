@@ -10,7 +10,6 @@ from blockpotts import (
     InvalidInputError,
     ModelParams,
     count_matrix,
-    count_matrix_support,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
@@ -20,7 +19,7 @@ from blockpotts import (
 from blockpotts.glauber import MAX_BETA, _weight_tables
 
 import oracles
-from oracles import brute_conditional
+from oracles import brute_conditional, count_matrix_support
 
 
 def make(q, sizes, alpha, beta):
