@@ -1,18 +1,19 @@
 """Command-line interface tying the modules into reproducible experiments.
 
 Commands: simulate, exact, equilibria, phase-diagram, lsi-check,
-concentration.  Every command writes its data files plus a manifest JSON
-capturing exactly the inputs that produced them, so outputs are
-reproducible from the manifest alone.  Exit codes: 0 success, 1 I/O
-failure, 2 usage, 3 capacity, 4 non-convergence, 5 analytic condition not
-met.
+concentration.  Every command writes its data files plus a manifest JSON,
+written by _write_manifest alone: its `options` hold every parsed option
+after --config merging, so replaying them as flags rewrites the same data
+files, and its `result` holds only values the run computed.  Exit codes:
+0 success, 1 I/O failure, 2 usage, 3 capacity, 4 non-convergence, 5
+analytic condition not met.
 
 Each option's type and default are declared once, in build_parser.  A
 --config JSON file holds option values under the option names with dashes
 replaced by underscores; they are parsed as flags typed before the explicit
 ones, which therefore win.
-CSV output uses a header row, comma separators and '.' decimals; JSON is
-UTF-8 with keys in fixed order.
+Every CSV but exact's goes through _write_csv: a header row, comma
+separators and '.' decimals.  JSON is strict (no NaN), UTF-8, keys in fixed order.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
 )
-from .exact import DEFAULT_SUPPORT_CAP, exact_distribution, export_csv
+from .exact import DEFAULT_SUPPORT_CAP, count_columns, exact_distribution, export_csv
 from .glauber import check_run_options, run_chain
 from .lsi import (
     asymptotic_constants,
@@ -67,6 +68,13 @@ def _fmt(x):
 def int_list(text):
     """Comma-separated integers, e.g. '50,50'."""
     return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
+
+
+def non_negative_int(text):
+    """An integer >= 0, e.g. a seed."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"{value} is negative")
+    return value
 
 
 def float_list(text):
@@ -123,7 +131,7 @@ class _Parser(argparse.ArgumentParser):
             if action is None:
                 self.error(f"--config key {key!r} is not an option of {self.prog}")
             text = value if isinstance(value, str) else None
-            if type(value) in (int, float) and action.type in (int, float):
+            if type(value) in (int, float) and action.type in (int, float, non_negative_int):
                 try:
                     converted = action.type(value)
                 except (OverflowError, ValueError):
@@ -175,27 +183,37 @@ def _out_path(out_dir, name):
 
 
 def _write_json(path, doc):
-    """Write doc as two-space-indented JSON and a final newline."""
+    """Write doc as two-space-indented strict JSON and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _write_manifest(primary_output, command, seed, outputs, params=None,
-                    blocks=None, extra=None):
+def _write_csv(path, header, rows):
+    """Write the header row, then each row with floats in _fmt and every
+    other cell as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def _write_manifest(args, outputs, params=None, blocks=None, result=None):
+    """Write <outputs[0]>.manifest.json; `result` holds what the run computed."""
     doc = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "params": model_to_json(params, blocks) if params is not None else None,
+        "options": {key: value for key, value in vars(args).items()
+                    if key not in ("command", "func")},
         "output_paths": [str(p) for p in outputs],
     }
-    if extra is not None:
-        doc["result"] = extra
-    path = Path(str(primary_output) + ".manifest.json")
-    _write_json(path, doc)
-    return path
+    if result is not None:
+        doc["result"] = result
+    _write_json(Path(str(outputs[0]) + ".manifest.json"), doc)
 
 
 def _parse_init(text, q):
@@ -224,20 +242,17 @@ def cmd_simulate(args):
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
                    np.random.SeedSequence(args.seed).spawn(chains)]
-    cols = [f"b_{k + 1}_{c + 1}" for k in range(blocks.s) for c in range(params.q)]
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["chain", "sweep"] + cols) + "\n")
+
+    def rows():  # one chain at a time, so only one chain's samples are held
         for chain_id, child in enumerate(child_seeds, start=1):
             summary = run_chain(blocks, params, sweeps, thin=thin,
                                 seed=child, init=init, burn_in=burn_in)
-            for idx in range(summary.samples.shape[0]):
-                row = summary.samples[idx].reshape(-1)
-                cells = [str(chain_id), str((idx + 1) * thin)]
-                cells.extend(str(int(v)) for v in row)
-                fh.write(",".join(cells) + "\n")
-    _write_manifest(out, "simulate", args.seed, [out], params, blocks,
-                    extra={"sweeps": sweeps, "thin": thin, "chains": chains,
-                           "child_seeds": child_seeds})
+            flat = summary.samples.reshape(-1, blocks.s * params.q).tolist()
+            for idx, counts in enumerate(flat, start=1):
+                yield [chain_id, idx * thin, *counts]
+
+    _write_csv(out, ["chain", "sweep", *count_columns(blocks.s, params.q)], rows())
+    _write_manifest(args, [out], params, blocks, result={"child_seeds": child_seeds})
     return 0
 
 
@@ -246,8 +261,8 @@ def cmd_exact(args):
     out = _out_path(args.out_dir, args.out)
     dist = exact_distribution(blocks, params, cap=args.cap)
     export_csv(dist, out)
-    _write_manifest(out, "exact", None, [out], params, blocks,
-                    extra={"log_Z": dist.log_Z, "support_size": len(dist)})
+    _write_manifest(args, [out], params, blocks,
+                    result={"log_Z": dist.log_Z, "support_size": len(dist)})
     return 0
 
 
@@ -284,15 +299,10 @@ def cmd_equilibria(args):
     _write_json(out, _report_to_json(report))
     outputs = [out]
     if args.landscape_out is not None:
-        header = ["r"] + [f"mu_plus_{k + 1}" for k in range(params.s)] + ["G"]
-        with open(land_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join([str(int(row[0]))]
-                                  + [_fmt(v) for v in row[1:]]) + "\n")
+        header = ["r", *(f"mu_plus_{k + 1}" for k in range(params.s)), "G"]
+        _write_csv(land_path, header, ([int(r), *rest] for r, *rest in rows.tolist()))
         outputs.append(land_path)
-    _write_manifest(out, "equilibria", args.seed, outputs, params, blocks,
-                    extra={"restarts": args.restarts})
+    _write_manifest(args, outputs, params, blocks)
     return 0
 
 
@@ -300,26 +310,23 @@ def cmd_phase_diagram(args):
     q, g_min, g_max, g_step = args.q, args.g_min, args.g_max, args.g_step
     s = _at_least_one("s", args.s)
     out = _out_path(args.out_dir, args.out)
-    if not (g_step > 0 and g_max >= g_min and math.isfinite(g_max - g_min)):
-        raise InvalidInputError("need g_step > 0 and finite g_max >= g_min")
+    if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
+        raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
     _check_rows(f"the g grid of step {g_step}", steps + 1)
     zeta = critical_temperature(q)
     uniform = np.full(q, 1.0 / q)
-    count = math.floor(steps) + 1
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("g,phase,u,G_Q,G_nu1\n")
-        for idx in range(count):
+
+    def rows():
+        for idx in range(math.floor(steps) + 1):
             g = g_min + idx * g_step
             u = potts_fixed_point_u(g, q)
-            phase = classify_phase(g, q)
-            G_Q = potts_functional(uniform, g) + math.log(s)
-            G_nu1 = potts_functional(s * phi(u, q, s), g) + math.log(s)
-            fh.write(",".join([_fmt(g), phase.value, _fmt(u), _fmt(G_Q),
-                               _fmt(G_nu1)]) + "\n")
-    _write_manifest(out, "phase-diagram", None, [out],
-                    extra={"q": q, "s": s, "g_min": g_min, "g_max": g_max,
-                           "g_step": g_step, "zeta_q": zeta})
+            yield [g, classify_phase(g, q).value, u,
+                   potts_functional(uniform, g) + math.log(s),
+                   potts_functional(s * phi(u, q, s), g) + math.log(s)]
+
+    _write_csv(out, ["g", "phase", "u", "G_Q", "G_nu1"], rows())
+    _write_manifest(args, [out], result={"zeta_q": zeta})
     return 0
 
 
@@ -353,8 +360,7 @@ def cmd_lsi_check(args):
         "pass": report.violations == 0,
     }
     _write_json(out, doc)
-    _write_manifest(out, "lsi-check", args.seed, [out], params, blocks,
-                    extra={"num_f": args.num_f, "amplitude": args.amplitude})
+    _write_manifest(args, [out], params, blocks)
     return 0
 
 
@@ -381,18 +387,10 @@ def cmd_concentration(args):
         constants = measured_constants(blocks, params)[0]
     summary = run_chain(blocks, params, args.sweeps, thin=args.thin, seed=args.seed,
                         burn_in=args.burn_in)
-    t_grid = np.linspace(0.0, t_max, t_points)
-    rows = concentration_report(summary, constants, k, c, t_grid)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,tail,bound,std_error,flagged\n")
-        for row in rows:
-            fh.write(",".join([_fmt(row.t), _fmt(row.tail), _fmt(row.bound),
-                               _fmt(row.std_error),
-                               "1" if row.flagged else "0"]) + "\n")
-    _write_manifest(out, "concentration", args.seed, [out], params, blocks,
-                    extra={"sweeps": args.sweeps, "thin": args.thin, "k": k + 1,
-                           "c": c + 1, "constants_mode": args.constants,
-                           "sigma3_sq": constants.sigma3_sq})
+    rows = concentration_report(summary, constants, k, c, np.linspace(0.0, t_max, t_points))
+    _write_csv(out, ["t", "tail", "bound", "std_error", "flagged"],
+               ([r.t, r.tail, r.bound, r.std_error, int(r.flagged)] for r in rows))
+    _write_manifest(args, [out], params, blocks, result={"sigma3_sq": constants.sigma3_sq})
     return 0
 
 
@@ -400,7 +398,7 @@ def _add_common(parser, out, seed=True):
     parser.add_argument("--out", default=out, help=f"output file (default {out})")
     parser.add_argument("--out-dir", default=".", help="directory for relative outputs")
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="master seed")
+        parser.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
     parser.add_argument("--config", help="JSON file of option values")
 
 

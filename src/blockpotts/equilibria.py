@@ -96,7 +96,10 @@ def potts_fixed_point_u(g, q):
         e = math.exp(-g * u)
         return (1.0 - e) / (1.0 + (q - 1.0) * e) - u
 
-    lo, hi = math.log(0.5 * (math.sqrt(disc) - b)) / g, 1.0
+    # b * b overflows only when gq > 1e154: u_c ~ log(gq) / g then lies far
+    # below 1/2, where f is still positive (f(1/2) = 1/2 once e^{-g/2} underflows)
+    lo = 0.5 if disc == math.inf else math.log(0.5 * (math.sqrt(disc) - b)) / g
+    hi = 1.0
     if not 0.0 < lo < 1.0 or f(lo) < 0.0:
         return 0.0
     while lo < 0.5 * (lo + hi) < hi:
@@ -389,11 +392,19 @@ def _numerical_candidates(params, gamma, opts):
 
 def _color_permutations(mats, q):
     """Close a set of matrices under all column permutations (G is symmetric),
-    keeping the first of any that lie within DEDUPE_TOL of each other."""
+    keeping the first of any that lie within DEDUPE_TOL of each other.
+
+    Each matrix is the flat point or a _two_column matrix, whose r columns
+    equal to its last are large and whose others are small.  Its distinct
+    permutations are then the C(q, r) placements of the small columns, met
+    in the lexicographic order of combinations, the order in which
+    itertools.permutations first yields each placement.
+    """
     kept = []
     for m in mats:
-        for perm in itertools.permutations(range(q)):
-            mp = m[:, perm]
+        r = int(np.count_nonzero(np.all(m == m[:, -1:], axis=0)))
+        for small in itertools.combinations(range(q), q - r):
+            mp = m[:, [0 if c in small else q - 1 for c in range(q)]]
             if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
                 kept.append(mp)
     return kept

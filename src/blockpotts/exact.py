@@ -302,6 +302,12 @@ def exact_observable_distribution(dist, k, c):
     return np.bincount(comps[k][:, c], weights=block_law, minlength=dist.blocks.sizes[k] + 1)
 
 
+def count_columns(s, q):
+    """CSV column names b_1_1,..,b_s_q of a flattened s x q count matrix,
+    with 1-based block and color indices."""
+    return [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
+
+
 def export_csv(dist, path):
     """Write the exact law as CSV with a JSON comment header.
 
@@ -313,12 +319,11 @@ def export_csv(dist, path):
     """
     s, q = len(dist.compositions), dist.params.q
     header = {**model_to_json(dist.params, dist.blocks), "log_Z": dist.log_Z}
-    cols = [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
     counts = itertools.product(*[[",".join(map(str, row)) for row in c.tolist()]
                                  for c in dist.compositions])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(header) + "\n")
-        fh.write(",".join(cols + ["log_weight", "probability"]) + "\n")
+        fh.write(",".join(count_columns(s, q) + ["log_weight", "probability"]) + "\n")
         for lo in range(0, len(dist), LEAF):
             # the slab's values go first in the zip below, so it stops at
             # the slab's end without drawing the next row from counts

@@ -11,7 +11,9 @@ bit for bit; and the LSI references at the end, which build the
 leave-one-out and leave-two-out fields on the block product grid from the
 package's composition tables and field coefficients, read its recoloring
 distances and site laws, and pin only the enumeration or algebra the
-package applies to them.
+package applies to them; and the closure under column permutations, which
+keeps the package's earlier loop over all q! permutations and its
+DEDUPE_TOL.
 """
 
 import functools
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from blockpotts.equilibria import DEDUPE_TOL
 from blockpotts.errors import InvalidInputError
 from blockpotts.exact import (
     DEFAULT_SUPPORT_CAP,
@@ -289,6 +292,18 @@ def heat_bath_replay(blocks, params, sweeps, thin=1, seed=0, init="random", burn
                     counts[block[j], config[j]] += 1
                 samples.append(counts)
     return np.asarray(samples, dtype=np.int64).reshape(-1, blocks.s, q)
+
+
+def color_permutations_by_all_perms(mats, q):
+    """Close a set of matrices under all column permutations (G is symmetric),
+    keeping the first of any that lie within DEDUPE_TOL of each other."""
+    kept = []
+    for m in mats:
+        for perm in itertools.permutations(range(q)):
+            mp = m[:, perm]
+            if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
+                kept.append(mp)
+    return kept
 
 
 def binomial_pmf(n, p):

@@ -330,11 +330,24 @@ def test_missing_required_option_is_usage_error(tmp_path):
     # couplings that overflow a Gibbs weight leave log_Z infinite
     ["exact", "--q", "3", "--sizes", "3,3", "--alpha", "0.5", "--beta", "1e308"],
     ["exact", "--q", "3", "--sizes", "3,3", "--alpha", "1e308", "--beta", "1e308"],
+    # a seed is a non-negative integer, on every command that takes one
+    ["simulate", "--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8", "--seed", "-1"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5", "--seed", "-1"],
+    ["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.1",
+     "--seed", "-1"],
+    ["concentration", "--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+     "--seed", "-1"],
+    ["simulate", "--config", "NEGATIVE_SEED"],
+    # an infinite step would write a row at g = g_min + 0 * inf = nan
+    ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "1", "--g-max", "2", "--g-step", "inf"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    paths = {"MALFORMED": str(bad), "LANDSCAPE": str(tmp_path / "land.csv")}
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"q": 3, "sizes": "2,2", "alpha": 0.2, "beta": 0.8, "seed": -1}))
+    paths = {"MALFORMED": str(bad), "NEGATIVE_SEED": str(seed),
+             "LANDSCAPE": str(tmp_path / "land.csv")}
     argv = [paths.get(a, a) for a in argv]
     out = tmp_path / "out"
     rc = run(argv + ["--out", str(out)])
@@ -345,7 +358,7 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
     assert not out.exists()
     # no other output either: no manifest, no landscape
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "seed.json"]
 
 
 # Each of these would allocate 8 GB or more if it were not refused first:
@@ -408,7 +421,7 @@ def test_config_strings_parse_as_typed_and_numbers_convert_exactly(tmp_path):
     manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["params"]["alpha"] == 0.0
-    assert manifest["result"]["sweeps"] == 4 and manifest["result"]["thin"] == 2
+    assert manifest["options"]["sweeps"] == 4 and manifest["options"]["thin"] == 2
     assert len(out.read_text().splitlines()) == 3
 
 
@@ -465,3 +478,70 @@ def test_readme_constants_match_code():
     for name, text in quoted:
         value = getattr(owners[name], name)
         assert _readme_number(text) == value, f"README says {name} = {text}, code has {value}"
+
+
+# One run of each command, with the options its manifest once dropped
+# (--burn-in, --init, --t-max, --t-points, --landscape-*, --cap); outputs
+# are relative to --out-dir, so a replay can write them elsewhere.
+MANIFEST_RUNS = {
+    "simulate": ["--q", "3", "--sizes", "2,2", "--alpha", "0.2", "--beta", "0.8",
+                 "--sweeps", "20", "--thin", "2", "--burn-in", "7", "--init", "uniform-color:2",
+                 "--chains", "2", "--seed", "3", "--out", "traj.csv"],
+    "exact": ["--q", "3", "--sizes", "2,2", "--alpha", "0.5", "--beta", "1.0", "--cap", "100",
+              "--out", "exact.csv"],
+    "equilibria": ["--q", "3", "--s", "2", "--gamma", "0.4,0.6", "--alpha", "2.5",
+                   "--beta", "3.5", "--restarts", "2", "--seed", "4",
+                   "--landscape-out", "land.csv", "--landscape-r", "2",
+                   "--landscape-mesh", "4", "--out", "eq.json"],
+    "phase-diagram": ["--q", "3", "--s", "2", "--g-min", "2.0", "--g-max", "2.5",
+                      "--g-step", "0.1", "--out", "pd.csv"],
+    "lsi-check": ["--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.1",
+                  "--num-f", "5", "--amplitude", "0.5", "--seed", "3", "--out", "lsi.json"],
+    "concentration": ["--q", "3", "--sizes", "3,3", "--alpha", "0.05", "--beta", "0.1",
+                      "--sweeps", "50", "--burn-in", "3", "--t-max", "2.5", "--t-points", "4",
+                      "--seed", "2", "--out", "conc.csv"],
+}
+
+
+def _run_for_manifest(command, out_dir):
+    """Run one MANIFEST_RUNS command into out_dir; its manifest and data files."""
+    assert run([command, *MANIFEST_RUNS[command], "--out-dir", str(out_dir)]) == 0
+    [manifest] = out_dir.glob("*.manifest.json")
+    data = {p.name: p.read_bytes() for p in out_dir.iterdir() if p != manifest}
+    return json.loads(manifest.read_text()), data
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_RUNS))
+def test_manifest_options_replay_to_identical_files(command, tmp_path):
+    manifest, first = _run_for_manifest(command, tmp_path / "first")
+    argv = [command, "--out-dir", str(tmp_path / "replay")]
+    for key, value in manifest["options"].items():
+        if value is None or key in ("config", "out_dir"):
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [f"--{key.replace('_', '-')}", text]
+    assert run(argv) == 0
+    replay = {p.name: p.read_bytes() for p in (tmp_path / "replay").iterdir()
+              if not p.name.endswith(".manifest.json")}
+    assert replay == first
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_RUNS))
+def test_manifest_options_are_every_option(command, tmp_path):
+    manifest, _ = _run_for_manifest(command, tmp_path)
+    [commands] = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for a in commands[command]._actions if a.option_strings and a.dest != "help"}
+    assert set(manifest["options"]) == dests
+    assert manifest["command"] == command
+
+
+def test_phase_diagram_huge_g_is_supercritical_with_u_near_one(tmp_path):
+    # g q above 1e154 overflows the discriminant of the fixed-point equation
+    out = tmp_path / "pd.csv"
+    assert run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "1e150", "--g-max", "1e160",
+                "--g-step", "3e159", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for _, phase, u, G_Q, G_nu1 in rows:
+        assert phase == "SUPERCRITICAL"
+        assert float(u) > 0.5 and float(G_nu1) > float(G_Q)

@@ -1,6 +1,7 @@
 """Critical temperature, fixed point, closed-form maximizers, and the search."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from blockpotts import (
     two_column_landscape,
 )
 from oracles import (
+    color_permutations_by_all_perms,
     gradient_G,
     mean_field_ascent,
     two_column_newton,
@@ -98,6 +100,11 @@ def test_fixed_point_nondecreasing_above_zeta():
     grid = np.linspace(zeta, zeta + 2.0, 40)
     us = [potts_fixed_point_u(g, 3) for g in grid]
     assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
+
+
+def test_fixed_point_huge_g_is_one_below_one():
+    # b * b overflows at g q > 1e154, where u is 1 to the last bit
+    assert potts_fixed_point_u(1e200, 3) == np.nextafter(1.0, 0.0)
 
 
 def _spinodal(q):
@@ -461,3 +468,68 @@ def test_two_column_landscape_matches_scalar_matrices():
     for row in rows[::7]:
         mat = two_column_point(2, row[1:-1], p.gamma_array, p.q)
         assert row[-1] == pytest.approx(free_energy_G(mat, p), abs=1e-13)
+
+
+def _two_column_set(q, s, seed):
+    """The flat point, then a two-column matrix for every r in 1..q-1, and a
+    nearly flat one whose column placements lie within DEDUPE_TOL."""
+    rng = np.random.default_rng(seed)
+    gamma = rng.dirichlet(np.ones(s))
+    mats = [np.repeat(gamma[:, None] / q, q, axis=1)]
+    for r in range(1, q):
+        mats.append(equilibria._two_column(r, gamma / q + rng.random(s) * (gamma / r - gamma / q),
+                                           gamma, q))
+    mats.append(equilibria._two_column(1, gamma / q + 1e-9, gamma, q))
+    return mats
+
+
+@pytest.mark.parametrize("q,s,seed", [(3, 2, 0), (4, 3, 1), (5, 2, 2), (6, 2, 3)])
+def test_color_permutations_match_all_permutations(q, s, seed):
+    mats = _two_column_set(q, s, seed)
+    got = equilibria._color_permutations(mats, q)
+    want = color_permutations_by_all_perms(mats, q)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _report_fields(report):
+    return {**vars(report), "maximizers": [m.tolist() for m in report.maximizers]}
+
+
+def test_nonuniform_reports_match_all_permutations(monkeypatch):
+    # random non-uniform models, among them supercritical ones with q
+    # maximizers at q = 5 and 6
+    rng = np.random.default_rng(11)
+    for seed in range(12):
+        q, s = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        gamma = rng.dirichlet(np.ones(s) * 4)
+        alpha = float(rng.uniform(0, 3))
+        params = ModelParams(q=q, s=s, alpha=alpha, beta=alpha + float(rng.uniform(0, 6)),
+                             gamma=tuple(gamma / gamma.sum()))
+        options = SearchOptions(restarts=4, seed=seed)
+        report = maximize_G(params, options=options)
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibria, "_color_permutations", color_permutations_by_all_perms)
+            reference = maximize_G(params, options=options)
+        assert _report_fields(report) == _report_fields(reference)
+
+
+def test_nonuniform_q8_search_is_fast():
+    # all 8! column permutations of every candidate took seconds here
+    params = ModelParams(q=8, s=2, alpha=1.0, beta=2.0, gamma=(0.4, 0.6))
+    start = time.perf_counter()
+    maximize_G(params, options=SearchOptions(restarts=4))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_solve_rows_singular_system_is_a_nan_row():
+    rng = np.random.default_rng(5)
+    jac = rng.standard_normal((4, 3, 3))
+    jac[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    rhs = rng.standard_normal((4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, rhs[..., None])
+    out = equilibria._solve_rows(jac, rhs)
+    assert np.all(np.isnan(out[2]))
+    for i in (0, 1, 3):
+        assert np.array_equal(out[i], np.linalg.solve(jac[i], rhs[i]))
