@@ -35,6 +35,7 @@ from .equilibria import (
     maximize_G,
     phi,
     potts_fixed_point_u,
+    structure_certificate,
     two_column_landscape,
 )
 from .errors import (
@@ -271,7 +272,8 @@ _DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
                 "certificate_margin")
 
 
-def _report_to_json(report):
+def _report_to_json(report, params):
+    structure = [structure_certificate(m, params) for m in report.maximizers]
     return {
         "phase": report.phase.value,
         "g": report.g,
@@ -281,6 +283,9 @@ def _report_to_json(report):
         "residual_max": report.residual_max,
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
+        # residual_max is inf, written as null, only where an entry is not positive
+        "structure": [{**c, "residual_max": c["residual_max"] if c["positive"] else None}
+                      for c in structure],
         "diagnostics": {key: getattr(report, key) for key in _DIAGNOSTICS},
     }
 
@@ -296,7 +301,7 @@ def cmd_equilibria(args):
         land_path = _out_path(args.out_dir, args.landscape_out)
         rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
     report = maximize_G(params, options=options)
-    _write_json(out, _report_to_json(report))
+    _write_json(out, _report_to_json(report, params))
     outputs = [out]
     if args.landscape_out is not None:
         header = ["r", *(f"mu_plus_{k + 1}" for k in range(params.s)), "G"]

@@ -63,10 +63,12 @@ def logsumexp_tree(x):
 
 
 def softmax(x, axis=-1):
-    """Normalized exponentials of x along axis, evaluated with max subtraction."""
+    """Normalized exponentials of x along axis, with max subtraction; x is never written."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_factorials(n):

@@ -27,27 +27,46 @@ FEASIBILITY_TOL = 1e-10
 
 
 def _entropy_term(m, axis=None):
-    """sum m log m over axis (default: all of m), with 0 log 0 := 0 taken explicitly."""
-    m = np.asarray(m, dtype=np.float64)
-    return np.sum(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
+    """sum m log m of a float64 array over axis (default: all), with 0 log 0 := 0 explicitly."""
+    return np.add.reduce(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
 
 
 def _clean_rows(nu, totals):
-    """Clip and rescale every row of nu, row k to sum to totals[k], when each
-    row is within FEASIBILITY_TOL of its scaled simplex: no entry below
-    -FEASIBILITY_TOL and a row sum within FEASIBILITY_TOL of its total.
-
-    Returns None when nu is not a matrix with one row per total or any row
-    is infeasible (negative mass or wrong total).
+    """Clip and rescale every row of the C-contiguous float64 matrix nu, row k
+    to sum to totals[k] (or a scalar total), when each row is within
+    FEASIBILITY_TOL of its scaled simplex: no entry below -FEASIBILITY_TOL
+    and a row sum within FEASIBILITY_TOL of its total.  Returns None when a
+    row is not; the checks are written so that NaN fails them, and an
+    infinite entry fails one of them.
     """
-    nu = np.ascontiguousarray(nu, dtype=np.float64)
-    if nu.ndim != 2 or nu.shape[0] != totals.size:
-        return None
     tol = FEASIBILITY_TOL
-    if np.any(nu < -tol) or np.any(np.abs(nu.sum(axis=1) - totals) > tol):
+    lowest = np.minimum.reduce(nu, axis=None, initial=math.inf)
+    if not lowest >= -tol:
         return None
-    nu = np.maximum(nu, 0.0)
-    return nu * (totals / nu.sum(axis=1))[:, None]
+    sums = np.add.reduce(nu, axis=1)
+    if not np.maximum.reduce(np.abs(sums - totals), axis=None, initial=0.0) <= tol:
+        return None
+    clean = np.maximum(nu, 0.0)
+    if lowest < 0.0:
+        sums = np.add.reduce(clean, axis=1)
+    clean *= (totals / sums)[:, None]
+    return clean
+
+
+def _block_matrix(mu, params):
+    """mu as a C-contiguous float64 (s, q) matrix; InvalidInputError for any other shape."""
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
+    if mu.shape != (params.s, params.q):
+        raise InvalidInputError(f"matrix shape {mu.shape}, expected ({params.s}, {params.q})")
+    return mu
+
+
+def _vector(v):
+    """v as a C-contiguous float64 (1, n) row; InvalidInputError unless v is 1-D."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise InvalidInputError(f"expected a vector, got shape {v.shape}")
+    return np.ascontiguousarray(v[None])
 
 
 def relative_entropy(nu):
@@ -55,30 +74,30 @@ def relative_entropy(nu):
 
     Equals sum_c nu_c log(q nu_c), lies in [0, log q], and is infinite for
     vectors that are not probability distributions (the usual convention
-    for rate functions).
+    for rate functions).  Raises InvalidInputError unless nu is 1-D.
     """
-    nu = np.asarray(nu, dtype=np.float64)
-    clean = _clean_rows(nu[None], np.ones(1))
+    row = _vector(nu)
+    clean = _clean_rows(row, 1.0)
     if clean is None:
         return math.inf
-    return _entropy_term(clean) + math.log(nu.size)
+    return float(_entropy_term(clean) + math.log(row.size))
 
 
 def rate_I(nu, gamma):
     """Entropy rate of the block empirical color matrix: sum_k gamma_k H(nu_k | uniform)."""
-    nu = np.asarray(nu, dtype=np.float64)
+    nu = np.ascontiguousarray(nu, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     if nu.ndim != 2 or nu.shape[0] != gamma.size:
         raise InvalidInputError(f"matrix shape {nu.shape} does not match {gamma.size} blocks")
-    clean = _clean_rows(nu, np.ones(gamma.size))
+    clean = _clean_rows(nu, 1.0)
     if clean is None:
         return math.inf
     # the builtin sum adds the blocks in order, as a running total does
-    return sum(gamma * (_entropy_term(clean, axis=1) + math.log(nu.shape[1])))
+    return float(sum(gamma * (_entropy_term(clean, axis=1) + math.log(nu.shape[1]))))
 
 
 def _free_energy(mu, params):
-    """G of (..., s, q) matrices already on C(gamma), one value per matrix.
+    """G of (..., s, q) float64 matrices already on C(gamma), one value per matrix.
 
     Internal: no validation, for callers that build their points on C(gamma).
     """
@@ -90,17 +109,15 @@ def free_energy_G(mu, params):
 
     mu must be a BLOCK matrix: entry-wise nonnegative with row k summing to
     gamma_k (within 1e-10; inputs inside the tolerance are renormalized).
-    Zero entries are allowed, with 0 log 0 = 0.
+    Zero entries are allowed, with 0 log 0 = 0.  Any other shape, and any
+    NaN or infinite entry, raises InvalidInputError.
     """
     gamma = params.gamma_array
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (gamma.size, params.q):
-        raise InvalidInputError(f"matrix shape {mu.shape}, expected ({gamma.size}, {params.q})")
+    mu = _block_matrix(mu, params)
     clean = _clean_rows(mu, gamma)
     if clean is None:
-        raise InvalidInputError(
-            f"matrix violates the C(gamma) constraint: row sums {mu.sum(axis=1)} vs {gamma}"
-        )
+        raise InvalidInputError(f"matrix is not on C(gamma), finite nonnegative rows "
+                                f"summing to {gamma}: {mu.tolist()}")
     return float(_free_energy(clean, params))
 
 
@@ -110,11 +127,10 @@ def potts_functional(v, g):
     With g = (beta + (s-1) alpha) / s this governs the uniform-block model:
     a BLOCK matrix whose rows all equal v/s has G = G^P(v) + log s.
     """
-    v = np.asarray(v, dtype=np.float64)
-    clean = _clean_rows(v[None], np.ones(1))
+    clean = _clean_rows(_vector(v), 1.0)
     if clean is None:
         raise InvalidInputError(f"v is not a probability vector: {v}")
-    return 0.5 * g * float(np.dot(clean[0], clean[0])) - _entropy_term(clean)
+    return float(0.5 * g * float(np.dot(clean[0], clean[0])) - _entropy_term(clean))
 
 
 @dataclass(frozen=True)
@@ -136,14 +152,13 @@ def rate_J_prime(nu, params, sup_G):
 
     sup_G is the maximum of G over C(gamma); computing it is the equilibrium
     solver's job and it is passed in explicitly so sweeps do not recompute it.
+    A matrix of any shape other than (s, q) raises InvalidInputError.
     """
-    gamma = params.gamma_array
-    clean = _clean_rows(nu, gamma)
+    nu = _block_matrix(nu, params)
+    clean = _clean_rows(nu, params.gamma_array)
     if clean is None:
-        return RateEvaluation(False, math.inf, sup_G, np.asarray(nu, dtype=np.float64))
-    if clean.shape[1] != params.q:
-        raise InvalidInputError(f"matrix shape {clean.shape}, expected ({gamma.size}, {params.q})")
-    return RateEvaluation(True, sup_G - float(_free_energy(clean, params)), sup_G, clean)
+        return RateEvaluation(False, math.inf, sup_G, nu)
+    return RateEvaluation(True, float(sup_G - float(_free_energy(clean, params))), sup_G, clean)
 
 
 def rate_J(nu, params, sup_term):
@@ -154,12 +169,14 @@ def rate_J(nu, params, sup_term):
     bracket over ROW matrices, sup_G - log q + sum_k gamma_k log gamma_k
     with sup_G the supremum of G over C(gamma); the constant follows from
     sum (Gamma nu) log(Gamma nu) = I(nu) - log q + sum_k gamma_k log gamma_k.
-    The change of variables gives J(nu) = J'(Gamma nu).
+    The change of variables gives J(nu) = J'(Gamma nu).  A matrix of any
+    shape other than (s, q) raises InvalidInputError.
     """
     gamma = params.gamma_array
-    clean = _clean_rows(nu, np.ones(gamma.size))
+    nu = _block_matrix(nu, params)
+    clean = _clean_rows(nu, 1.0)
     if clean is None:
-        return RateEvaluation(False, math.inf, sup_term, np.asarray(nu, dtype=np.float64))
+        return RateEvaluation(False, math.inf, sup_term, nu)
     scaled = gamma[:, None] * clean
     bracket = 0.5 * float(interaction_form(scaled, params)) - rate_I(clean, gamma)
-    return RateEvaluation(True, -bracket + sup_term, sup_term, clean)
+    return RateEvaluation(True, float(-bracket + sup_term), sup_term, clean)

@@ -11,9 +11,11 @@ bit for bit; and the LSI references at the end, which build the
 leave-one-out and leave-two-out fields on the block product grid from the
 package's composition tables and field coefficients, read its recoloring
 distances and site laws, and pin only the enumeration or algebra the
-package applies to them; and the closure under column permutations, which
+package applies to them; the closure under column permutations, which
 keeps the package's earlier loop over all q! permutations and its
-DEDUPE_TOL.
+DEDUPE_TOL; and the rate-function references, which keep the package's
+earlier C(gamma) clean-up, entropy sum and quadratic form (numpy's
+reduction wrappers, two row sums), to pin the leaner versions bit for bit.
 """
 
 import functools
@@ -618,3 +620,36 @@ def difference_sq_by_colors(workspace, fvals):
         for c in range(q):
             acc += (f - f[..., c : c + 1, :]) ** 2 * site_cond[:, c : c + 1, :]
     return out
+
+
+def entropy_term_by_sum(m, axis=None):
+    """sum m log m with 0 log 0 = 0, through the np.sum wrapper."""
+    m = np.asarray(m, dtype=np.float64)
+    return np.sum(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
+
+
+def clean_rows_by_any(nu, totals, tol=1e-10):
+    """C(gamma) clean-up with np.any checks and two row sums, None when a row
+    is infeasible.  NaN entries pass its checks; callers skip them."""
+    nu = np.ascontiguousarray(nu, dtype=np.float64)
+    if nu.ndim != 2 or nu.shape[0] != totals.size:
+        return None
+    if np.any(nu < -tol) or np.any(np.abs(nu.sum(axis=1) - totals) > tol):
+        return None
+    nu = np.maximum(nu, 0.0)
+    return nu * (totals / nu.sum(axis=1))[:, None]
+
+
+def interaction_form_by_issubdtype(mu, params):
+    """<mu, A mu> batched over leading axes, integer input summed in int64."""
+    mu = np.asarray(mu)
+    acc = np.int64 if np.issubdtype(mu.dtype, np.integer) else None
+    col = np.einsum("...kc->...c", mu, dtype=acc)[..., None, :]
+    squares = np.square(mu, dtype=acc).sum(axis=(-2, -1))
+    col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
+    return form_from_sums(squares, col_sq, params)
+
+
+def free_energy_by_wrappers(mu, params):
+    """G of (..., s, q) matrices on C(gamma) from the two formulas above."""
+    return 0.5 * interaction_form_by_issubdtype(mu, params) - entropy_term_by_sum(mu, (-2, -1))

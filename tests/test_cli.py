@@ -118,6 +118,24 @@ def test_equilibria_json_round_trips(tmp_path):
     assert diag["certificate_margin"] >= -1e-9
 
 
+@pytest.mark.parametrize("model", [
+    ["--s", "2", "--alpha", "2.5", "--beta", "3.5"],
+    ["--s", "2", "--alpha", "3.0", "--beta", "4.0"],
+    ["--s", "3", "--gamma", "0.2,0.3,0.5", "--alpha", "1.5", "--beta", "3.5"],
+], ids=["subcritical", "supercritical", "nonuniform"])
+def test_equilibria_json_reports_each_maximizers_structure(tmp_path, model):
+    out = tmp_path / "eq.json"
+    assert run(["equilibria", "--q", "4", *model, "--restarts", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    keys = list(doc)
+    assert keys[keys.index("maximizers") + 1] == "structure"
+    assert len(doc["structure"]) == len(doc["maximizers"]) >= 1
+    for cert in doc["structure"]:
+        assert set(cert) == {"positive", "common_order", "at_most_two_values", "residual_max"}
+        assert cert["positive"] and cert["common_order"] and cert["at_most_two_values"]
+        assert 0.0 <= cert["residual_max"] <= 1e-8
+
+
 def test_equilibria_non_convergence_exits_4_without_output(tmp_path, capsys, probe_above_sup_G):
     rc = run(["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
               "--restarts", "4", "--out-dir", str(tmp_path), "--out", "eq.json"])

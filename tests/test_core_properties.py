@@ -235,13 +235,29 @@ def test_clean_rows_matches_per_row_clean(s, q, data):
     per_row = [_clean_rows(rows[k:k + 1], totals[k:k + 1]) for k in range(s)]
     assert [r is not None for r in per_row] == feasible
     batched = _clean_rows(rows, totals)
+    # the same matrix, or None, as the np.any form with two row sums
+    reference = oracles.clean_rows_by_any(rows, totals)
+    assert (batched is None) == (reference is None)
     if not all(feasible):
         assert batched is None
     else:
         assert batched is not None
         assert np.array_equal(batched, np.vstack(per_row))
+        assert np.array_equal(batched, reference)
         assert np.all(batched >= 0.0)
         assert np.allclose(batched.sum(axis=1), totals, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("axis", [-1, 0, 1])
+def test_softmax_leaves_its_input_alone(axis):
+    # it works in place on its own temporary, with the bits of
+    # exp(x - max) / sum
+    x = np.random.default_rng(4).normal(size=(5, 3, 4)) * 30.0
+    before = x.copy()
+    p = softmax(x, axis=axis)
+    assert np.array_equal(x, before) and not np.shares_memory(p, x)
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    assert np.array_equal(p, e / e.sum(axis=axis, keepdims=True))
 
 
 @SETTINGS

@@ -32,6 +32,7 @@ from oracles import (
     w_profile,
     w_profile_prime,
 )
+from pinned_reports import REPORTS
 
 
 def uniform_params(q, s, g, split=0.5):
@@ -533,3 +534,17 @@ def test_solve_rows_singular_system_is_a_nan_row():
     assert np.all(np.isnan(out[2]))
     for i in (0, 1, 3):
         assert np.array_equal(out[i], np.linalg.solve(jac[i], rhs[i]))
+
+
+@pytest.mark.parametrize("key", sorted(REPORTS),
+                         ids=[f"restarts{r}-seed{sd}-model{i}" for r, sd, i in sorted(REPORTS)])
+def test_reports_equal_the_pinned_literals(key):
+    # maximizers, sup_G and every diagnostic of the solve battery (8
+    # restarts, seed 0) and of AC5 (16 restarts, seed 5), compared with ==
+    restarts, seed, index = key
+    report = maximize_G(AC5_SET[index], options=SearchOptions(restarts=restarts, seed=seed))
+    want = REPORTS[key]
+    got = {field: getattr(report, field) for field in want}
+    got["phase"] = report.phase.value
+    got["maximizers"] = [m.tolist() for m in report.maximizers]
+    assert got == want

@@ -17,7 +17,16 @@ from blockpotts import (
     relative_entropy,
 )
 
-from oracles import sup_term_for_J
+from blockpotts.model import interaction_form
+from blockpotts.rates import FEASIBILITY_TOL, _free_energy
+
+from oracles import (
+    clean_rows_by_any,
+    entropy_term_by_sum,
+    free_energy_by_wrappers,
+    interaction_form_by_issubdtype,
+    sup_term_for_J,
+)
 
 
 P2 = ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.5, 0.5))
@@ -192,3 +201,155 @@ def test_rate_J_minimizer_and_infeasible(sup_G_subcritical):
     assert rate_J(uniform, P2, sup_term).value == pytest.approx(0.0, abs=1e-10)
     bad = rate_J(np.array([[0.9, 0.2, 0.1], [0.2, 0.4, 0.4]]), P2, sup_term)
     assert not bad.feasible and math.isinf(bad.value)
+
+
+PIN_MODELS = [
+    P2,
+    ModelParams(q=4, s=3, alpha=1.5, beta=3.5, gamma=(0.2, 0.3, 0.5)),
+    ModelParams(q=9, s=2, alpha=1.0, beta=2.0, gamma=(0.4, 0.6)),
+]
+
+
+def _pin_points(params, seed, n=80):
+    """BLOCK matrices on and around C(gamma): Dirichlet rows, rows with exact
+    zeros, an entry or a row sum just inside or outside FEASIBILITY_TOL,
+    and Fortran-ordered copies."""
+    rng = np.random.default_rng(seed)
+    gamma, tol = params.gamma_array, FEASIBILITY_TOL
+    points = []
+    for i in range(n):
+        shape = np.full(params.q, rng.choice([0.2, 1.0, 5.0]))
+        m = rng.dirichlet(shape, size=params.s) * gamma[:, None]
+        k = rng.integers(params.s)
+        if i % 5 == 1:
+            m[:, rng.integers(params.q)] = 0.0
+            m *= (gamma / m.sum(axis=1))[:, None]
+        elif i % 5 == 2:
+            moved = m[k, 0] + tol * rng.choice([0.5, 0.999, 1.001])
+            m[k, 0] -= moved
+            m[k, 1] += moved
+        elif i % 5 == 3:
+            m[k, -1] += tol * rng.choice([-1.001, -0.9, 0.9, 1.001])
+        elif i % 5 == 4:
+            m = np.asfortranarray(m)
+        points.append(m)
+    return points
+
+
+@pytest.mark.parametrize("params", PIN_MODELS, ids=["q3s2", "q4s3-nonuniform", "q9s2"])
+def test_rate_functions_equal_the_wrapper_formulas_bit_for_bit(params):
+    # the np.any/np.sum forms of the clean-up, entropy and form (oracles)
+    # against the package's direct ufunc reductions, on C(gamma), on exact
+    # zeros and at the tolerance edge, compared with ==
+    gamma, q, s = params.gamma_array, params.q, params.s
+    sup = 2.5
+    sup_term = sup_term_for_J(sup, q, gamma)
+    cleaned = []
+    for m in _pin_points(params, seed=q):
+        ref = clean_rows_by_any(m, gamma)
+        jp = rate_J_prime(m, params, sup)
+        if ref is None:
+            with pytest.raises(InvalidInputError):
+                free_energy_G(m, params)
+            assert not jp.feasible and jp.value == math.inf
+        else:
+            cleaned.append(ref)
+            g_ref = float(free_energy_by_wrappers(ref, params))
+            assert free_energy_G(m, params) == g_ref
+            assert jp.feasible and jp.value == sup - g_ref
+            assert np.array_equal(jp.argument, ref)
+        rows = m / gamma[:, None]
+        row_ref = clean_rows_by_any(rows, np.ones(s))
+        j = rate_J(rows, params, sup_term)
+        assert j.feasible == (row_ref is not None)
+        if row_ref is not None:
+            again = clean_rows_by_any(row_ref, np.ones(s))
+            i_ref = sum(gamma * (entropy_term_by_sum(again, axis=1) + math.log(q)))
+            assert rate_I(row_ref, gamma) == i_ref
+            form = interaction_form_by_issubdtype(gamma[:, None] * row_ref, params)
+            assert j.value == -(0.5 * float(form) - i_ref) + sup_term
+        v_ref = clean_rows_by_any(rows[0][None], np.ones(1))
+        if v_ref is None:
+            assert relative_entropy(rows[0]) == math.inf
+        else:
+            ent = entropy_term_by_sum(v_ref)
+            assert relative_entropy(rows[0]) == ent + math.log(q)
+            dot = float(np.dot(v_ref[0], v_ref[0]))
+            assert potts_functional(rows[0], 2.7) == 0.5 * 2.7 * dot - ent
+    assert len(cleaned) >= 40
+    batch = np.stack(cleaned)
+    assert np.array_equal(_free_energy(batch, params), free_energy_by_wrappers(batch, params))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.int64, np.float64])
+def test_interaction_form_equals_the_issubdtype_form(dtype):
+    # integer counts are summed in int64 whatever their own width
+    rng = np.random.default_rng(12)
+    batch = rng.integers(0, 250, size=(6, 3, 4)).astype(dtype)
+    want = interaction_form_by_issubdtype(batch, P2)
+    assert np.array_equal(interaction_form(batch, P2), want)
+    assert interaction_form(batch[0], P2) == want[0]
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "+inf", "-inf"])
+def test_non_finite_entries_are_off_C_gamma(bad, sup_G_subcritical):
+    # an error for G, infeasible with value inf for J' and J, and no
+    # RuntimeWarning (the suite turns warnings into failures)
+    gamma = P2.gamma_array
+    mu = np.array([[0.5, bad, 0.0], [0.5, 0.0, 0.0]]) * gamma[:, None]
+    with pytest.raises(InvalidInputError):
+        free_energy_G(mu, P2)
+    jp = rate_J_prime(mu, P2, sup_G_subcritical)
+    assert not jp.feasible and jp.value == math.inf
+    j = rate_J(mu / gamma[:, None], P2, sup_term_for_J(sup_G_subcritical, 3, gamma))
+    assert not j.feasible and j.value == math.inf
+    assert rate_I(mu / gamma[:, None], gamma) == math.inf
+    assert relative_entropy([0.5, bad, 0.5]) == math.inf
+    with pytest.raises(InvalidInputError):
+        potts_functional([0.5, bad, 0.5], 1.0)
+
+
+def test_inf_of_both_signs_in_one_row_is_off_C_gamma(sup_G_subcritical):
+    mu = np.array([[math.inf, -math.inf, 0.5], [0.5, 0.0, 0.0]])
+    with pytest.raises(InvalidInputError):
+        free_energy_G(mu, P2)
+    assert not rate_J_prime(mu, P2, sup_G_subcritical).feasible
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3), (1, 3), (6,), (1, 2, 3)])
+def test_rates_refuse_any_shape_but_s_by_q(shape, sup_G_subcritical):
+    mu = np.full(shape, 1.0 / 6)
+    with pytest.raises(InvalidInputError):
+        free_energy_G(mu, P2)
+    with pytest.raises(InvalidInputError):
+        rate_J_prime(mu, P2, sup_G_subcritical)
+    with pytest.raises(InvalidInputError):
+        rate_J(np.full(shape, 1.0 / shape[-1]), P2, 0.0)
+
+
+@pytest.mark.parametrize("nu", [np.full((1, 3), 1 / 3), np.full((3, 3), 1 / 3), 1.0])
+def test_relative_entropy_refuses_a_non_vector(nu):
+    with pytest.raises(InvalidInputError):
+        relative_entropy(nu)
+
+
+def test_every_rate_value_is_a_python_float(sup_G_subcritical):
+    gamma = P2.gamma_array
+    rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    sup_term = sup_term_for_J(sup_G_subcritical, 3, gamma)
+    values = [
+        relative_entropy(rows[0]),
+        rate_I(rows, gamma),
+        free_energy_G(gamma[:, None] * rows, P2),
+        potts_functional(rows[0], 1.5),
+        rate_J_prime(gamma[:, None] * rows, P2, sup_G_subcritical).value,
+        rate_J(rows, P2, sup_term).value,
+        rate_J_prime(rows, P2, sup_G_subcritical).value,
+        rate_J(2.0 * rows, P2, sup_term).value,
+        relative_entropy([0.5, 0.2, 0.2]),
+        rate_I(2.0 * rows, gamma),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
