@@ -283,9 +283,8 @@ def _report_to_json(report, params):
         "residual_max": report.residual_max,
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
-        # residual_max is inf, written as null, only where an entry is not positive
-        "structure": [{**c, "residual_max": c["residual_max"] if c["positive"] else None}
-                      for c in structure],
+        "structure": [{**c, "residual_max": c["residual_max"]
+                       if math.isfinite(c["residual_max"]) else None} for c in structure],
         "diagnostics": {key: getattr(report, key) for key in _DIAGNOSTICS},
     }
 

@@ -232,7 +232,7 @@ def _reduced_gradient(r, mu_plus, params, gamma):
     Batched over leading axes of mu_plus, with r a scalar or a (..., 1) array.
     """
     mu_minus = (gamma - r * mu_plus) / (params.q - r)
-    col = np.add.reduce(mu_plus, -1, keepdims=True) - np.add.reduce(mu_minus, -1, keepdims=True)
+    col = mu_plus.sum(axis=-1, keepdims=True) - mu_minus.sum(axis=-1, keepdims=True)
     return field_from_sums(mu_plus - mu_minus, col, params) - np.log(mu_plus / mu_minus)
 
 
@@ -241,48 +241,43 @@ def _newton_two_column(r, mu_plus, params, gamma, tries=NEWTON_TRIES):
     """Polish two-column points to roots of the reduced gradient, row by row.
 
     mu_plus is (R, s) with one r per row.  Newton with the analytic
-    Jacobian, the live rows in one compact batch and one solve per
-    iteration; a row's step is halved up to tries - 1 times until it stays
-    in the open box gamma/q < mu_plus < gamma/r and shrinks max|h|.  A row
-    fails when no halving does, when its Jacobian is singular, or when
-    max|h| is still at least NEWTON_TOL after NEWTON_ITERS steps.  Rows do
-    not interact.  Returns (roots, ok).
+    Jacobian, all rows in one solve per iteration; a row's step is halved
+    up to tries - 1 times until it stays in the open box gamma/q < mu_plus
+    < gamma/r and shrinks max|h|.  A row fails when no halving does, when
+    its Jacobian is singular, or when max|h| is still at least NEWTON_TOL
+    after NEWTON_ITERS steps.  Rows do not interact.  Returns (roots, ok).
     """
     q = params.q
     r = np.asarray(r)[:, None]
     lo, hi = gamma / q, gamma / r
     x = np.clip(mu_plus.astype(np.float64), lo + 1e-14, hi - 1e-14)
-    eye = np.eye(x.shape[1])
-    base = (q / (q - r))[..., None] * ((params.beta - params.alpha) * eye + params.alpha)
+    eye, q_r, c = np.eye(x.shape[1]), q - r, r / (q - r)
+    base = (q / q_r)[..., None] * ((params.beta - params.alpha) * eye + params.alpha)
     h = _reduced_gradient(r, x, params, gamma)
     hnorm = np.maximum.reduce(np.abs(h), axis=1)
-    live = np.flatnonzero(hnorm >= NEWTON_TOL)
-    # the live rows' iterate, h and its norm, and per-row constants
-    xa, ha, na, ra, q_ra, ca, basea, hia = (
-        v[live] for v in (x, h, hnorm, r, q - r, r / (q - r), base, hi))
+    live = hnorm >= NEWTON_TOL
     for _ in range(NEWTON_ITERS):
-        if live.size == 0:
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        mu_minus = (gamma - ra * xa) / q_ra
-        step = _solve_rows(basea - (1.0 / xa + ca / mu_minus)[..., None] * eye, -ha)
+        xr, rr = x[rows], r[rows]
+        mu_minus = (gamma - rr * xr) / q_r[rows]
+        jac = base[rows] - (1.0 / xr + c[rows] / mu_minus)[..., None] * eye
+        step = _solve_rows(jac, -h[rows])
         searching, t = np.logical_and.reduce(np.isfinite(step), axis=1), 1.0
         for _ in range(tries):
-            y = xa + t * step
-            hy = _reduced_gradient(ra, y, params, gamma)
+            y = xr + t * step
+            hy = _reduced_gradient(rr, y, params, gamma)
             ny = np.maximum.reduce(np.abs(hy), axis=1)
             good = (searching & np.logical_and.reduce(y > lo, axis=1)
-                    & np.logical_and.reduce(y < hia, axis=1) & (ny < na))
-            xa[good], ha[good], na[good] = y[good], hy[good], ny[good]
+                    & np.logical_and.reduce(y < hi[rows], axis=1) & (ny < hnorm[rows]))
+            x[rows[good]], h[rows[good]], hnorm[rows[good]] = y[good], hy[good], ny[good]
             searching &= ~good
             if not searching.any():
                 break
             t *= 0.5
-        keep = ~searching & (na >= NEWTON_TOL)
-        if not keep.all():
-            x[live[~keep]], hnorm[live[~keep]] = xa[~keep], na[~keep]
-            live, xa, ha, na, ra, q_ra, ca, basea, hia = (
-                v[keep] for v in (live, xa, ha, na, ra, q_ra, ca, basea, hia))
-    x[live], hnorm[live] = xa, na
+        live[rows[searching]] = False
+        live &= hnorm >= NEWTON_TOL
     return x, hnorm < NEWTON_TOL
 
 
@@ -308,20 +303,19 @@ def _mean_field_map(mu, params, gamma):
 def _multistart(params, gamma, opts):
     """Every restart of the multistart search, as one mean-field batch.
 
-    The first opts.restarts rows per multiplicity r = 1..q-1 (r-major)
-    start on the two-column manifold, from mu_plus uniform in its box; the
-    last opts.restarts start from Dirichlet rows scaled by gamma, all drawn
-    from one generator.  Each step applies _mean_field_map to the running
-    restarts, one compact batch cut down when a restart stops.  With
-    0 <= alpha <= beta, A is PSD and the map is the concave-convex
-    procedure: G never falls, the iterates stay inside C(gamma), and a
-    two-column point stays two-column with its large columns large.  A
-    restart stops when a step moves it less than STEP_TOL; every
-    HANDOFF_EVERY steps each running two-column restart also tries an
-    undamped Newton finish (_newton_two_column with one try per step) and
-    stops at its root when Newton succeeds and the root's G is at least its
-    own.  Returns (r_rows, x, fx, iterations, converged, handed): each
-    two-column restart's r, then per restart its endpoint, its G, its
+    The first opts.restarts rows per multiplicity r = 1..q-1 (r-major) start
+    on the two-column manifold, from mu_plus uniform in its box; the last
+    opts.restarts start from Dirichlet rows scaled by gamma, all drawn from
+    one generator.  Each step applies _mean_field_map to the running
+    restarts, kept as one compact batch.  With 0 <= alpha <= beta, A is PSD
+    and the map is the concave-convex procedure: G never falls, the iterates
+    stay inside C(gamma), and a two-column point stays two-column with its
+    large columns large.  A restart stops when a step moves it less than
+    STEP_TOL; every HANDOFF_EVERY steps each running two-column restart also
+    tries an undamped Newton finish (_newton_two_column with one try per
+    step) and stops at its root when Newton succeeds and the root's G is at
+    least its own.  Returns (r_rows, x, fx, iterations, converged, handed):
+    each two-column restart's r, then per restart its endpoint, its G, its
     steps, whether it stopped before MAX_ITER and whether at a Newton root.
     """
     q, s = params.q, gamma.size
@@ -332,9 +326,8 @@ def _multistart(params, gamma, opts):
         _two_column(r_rows, lo + rng.random((r_rows.size, s)) * (hi - lo), gamma, q),
         rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None],
     ])
-    running = np.ones(len(x), dtype=bool)
-    handed = np.zeros(len(x), dtype=bool)
-    iterations = np.full(len(x), MAX_ITER)
+    converged, handed = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    iterations = np.full(len(x), MAX_ITER, dtype=np.int64)
     live, xa = np.arange(len(x)), x.copy()  # the running restarts, in order
     for iteration in range(1, MAX_ITER + 1):
         y = _mean_field_map(xa, params, gamma)
@@ -348,13 +341,12 @@ def _multistart(params, gamma, opts):
             ok &= _free_energy(cand, params) >= _free_energy(xa[rows], params)
             xa[rows[ok]], stop[rows[ok]], handed[live[rows[ok]]] = cand[ok], True, True
         if stop.any():
-            done = live[stop]
-            x[done], running[done], iterations[done] = xa[stop], False, iteration
+            x[live[stop]], iterations[live[stop]] = xa[stop], iteration
             live, xa = live[~stop], xa[~stop]
             if live.size == 0:
                 break
-    x[live] = xa
-    return r_rows, x, _free_energy(x, params), iterations, ~running, handed
+    x[live], converged[live] = xa, False
+    return r_rows, x, _free_energy(x, params), iterations, converged, handed
 
 
 def _sort_maximizers(mats):

@@ -192,10 +192,10 @@ def interaction_form(mu, params):
     mu = np.asarray(mu)
     acc = np.int64 if mu.dtype.kind in "iu" else None
     col = _column_sums(mu, acc)[..., None, :]
-    squares = np.add.reduce(np.square(mu, dtype=acc), axis=(-2, -1))
+    squares = np.square(mu, dtype=acc).sum(axis=(-2, -1))
     # matmul reduces each stacked column sum as a dot product does, so a
     # batch gives the same bits as its matrices one at a time
-    col_sq = (col @ col.mT)[..., 0, 0]
+    col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
     return form_from_sums(squares, col_sq, params)
 
 

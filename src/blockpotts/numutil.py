@@ -64,11 +64,9 @@ def logsumexp_tree(x):
 
 def softmax(x, axis=-1):
     """Normalized exponentials of x along axis, with max subtraction; x is never written."""
-    x = np.asarray(x, dtype=np.float64)
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), dtype=np.float64)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
-    return e
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def log_factorials(n):

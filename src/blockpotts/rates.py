@@ -32,12 +32,10 @@ def _entropy_term(m, axis=None):
 
 
 def _clean_rows(nu, totals):
-    """Clip and rescale every row of the C-contiguous float64 matrix nu, row k
-    to sum to totals[k] (or a scalar total), when each row is within
-    FEASIBILITY_TOL of its scaled simplex: no entry below -FEASIBILITY_TOL
-    and a row sum within FEASIBILITY_TOL of its total.  Returns None when a
-    row is not; the checks are written so that NaN fails them, and an
-    infinite entry fails one of them.
+    """Clip and rescale the rows of the C-contiguous float64 matrix nu to sum to
+    totals (one per row, or a scalar) when every row is within FEASIBILITY_TOL
+    of its scaled simplex, with no entry below -FEASIBILITY_TOL; else None,
+    as for any NaN or infinite entry.
     """
     tol = FEASIBILITY_TOL
     lowest = np.minimum.reduce(nu, axis=None, initial=math.inf)
@@ -47,9 +45,7 @@ def _clean_rows(nu, totals):
     if not np.maximum.reduce(np.abs(sums - totals), axis=None, initial=0.0) <= tol:
         return None
     clean = np.maximum(nu, 0.0)
-    if lowest < 0.0:
-        sums = np.add.reduce(clean, axis=1)
-    clean *= (totals / sums)[:, None]
+    clean *= (totals / (np.add.reduce(clean, axis=1) if lowest < 0.0 else sums))[:, None]
     return clean
 
 
