@@ -12,13 +12,15 @@ Each option's type and default are declared once, in build_parser.  A
 --config JSON file holds option values under the option names with dashes
 replaced by underscores; they are parsed as flags typed before the explicit
 ones, which therefore win.
-Every CSV but exact's goes through _write_csv: a header row, comma
-separators and '.' decimals.  JSON is strict (no NaN), UTF-8, keys in fixed order.
+Every CSV goes through _write_csv: an optional '# {json}' line, a header
+row, comma separators and floats as .17g.  JSON is strict (no NaN), UTF-8,
+keys in fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -44,7 +46,7 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
 )
-from .exact import DEFAULT_SUPPORT_CAP, count_columns, exact_distribution, export_csv
+from .exact import DEFAULT_SUPPORT_CAP, exact_distribution
 from .glauber import check_run_options, run_chain
 from .lsi import (
     asymptotic_constants,
@@ -53,17 +55,12 @@ from .lsi import (
     verify_lsi_suite,
 )
 from .model import BlockStructure, ModelParams, model_to_json
+from .numutil import LEAF
 from .rates import potts_functional
-
-_FLOAT_FMT = ".17g"
 
 # Most rows a command may write to one CSV (simulate: over all chains):
 # a larger request is refused (exit 3) before anything is allocated or opened.
 MAX_ROWS = 10_000_000
-
-
-def _fmt(x):
-    return format(float(x), _FLOAT_FMT)
 
 
 def int_list(text):
@@ -190,14 +187,26 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    """Write the header row, then each row with floats in _fmt and every
-    other cell as str."""
+def count_columns(s, q):
+    """CSV column names b_1_1,..,b_s_q of a flattened s x q count matrix,
+    with 1-based block and color indices."""
+    return [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
+
+
+def _write_csv(path, header, rows, comment=None):
+    """Write the '# comment' line when given, the header row, then each row
+    through one template taken from the first row: %.17g for a float cell
+    and %s for any other.  Rows are formatted as they are drawn, so none is
+    held once it is written."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+            fh.writelines(line % tuple(r) for r in itertools.chain([first], rows))
 
 
 def _write_manifest(args, outputs, params=None, blocks=None, result=None):
@@ -250,7 +259,7 @@ def cmd_simulate(args):
                                 seed=child, init=init, burn_in=burn_in)
             flat = summary.samples.reshape(-1, blocks.s * params.q).tolist()
             for idx, counts in enumerate(flat, start=1):
-                yield [chain_id, idx * thin, *counts]
+                yield (chain_id, idx * thin, *counts)
 
     _write_csv(out, ["chain", "sweep", *count_columns(blocks.s, params.q)], rows())
     _write_manifest(args, [out], params, blocks, result={"child_seeds": child_seeds})
@@ -261,7 +270,15 @@ def cmd_exact(args):
     params, blocks = _resolve_model(args)
     out = _out_path(args.out_dir, args.out)
     dist = exact_distribution(blocks, params, cap=args.cap)
-    export_csv(dist, out)
+    # each block's compositions are formatted once, as one string per row
+    counts = itertools.product(*[[",".join(map(str, row)) for row in c.tolist()]
+                                 for c in dist.compositions])
+    values = itertools.chain.from_iterable(
+        zip(dist.log_weights[lo : lo + LEAF].tolist(),
+            dist.probabilities[lo : lo + LEAF].tolist()) for lo in range(0, len(dist), LEAF))
+    _write_csv(out, [*count_columns(blocks.s, params.q), "log_weight", "probability"],
+               map(tuple.__add__, counts, values),
+               comment=json.dumps({**model_to_json(params, blocks), "log_Z": dist.log_Z}))
     _write_manifest(args, [out], params, blocks,
                     result={"log_Z": dist.log_Z, "support_size": len(dist)})
     return 0
@@ -304,7 +321,7 @@ def cmd_equilibria(args):
     outputs = [out]
     if args.landscape_out is not None:
         header = ["r", *(f"mu_plus_{k + 1}" for k in range(params.s)), "G"]
-        _write_csv(land_path, header, ([int(r), *rest] for r, *rest in rows.tolist()))
+        _write_csv(land_path, header, ((int(r), *rest) for r, *rest in rows.tolist()))
         outputs.append(land_path)
     _write_manifest(args, outputs, params, blocks)
     return 0
@@ -325,9 +342,9 @@ def cmd_phase_diagram(args):
         for idx in range(math.floor(steps) + 1):
             g = g_min + idx * g_step
             u = potts_fixed_point_u(g, q)
-            yield [g, classify_phase(g, q).value, u,
+            yield (g, classify_phase(g, q).value, u,
                    potts_functional(uniform, g) + math.log(s),
-                   potts_functional(s * phi(u, q, s), g) + math.log(s)]
+                   potts_functional(s * phi(u, q, s), g) + math.log(s))
 
     _write_csv(out, ["g", "phase", "u", "G_Q", "G_nu1"], rows())
     _write_manifest(args, [out], result={"zeta_q": zeta})
@@ -393,7 +410,7 @@ def cmd_concentration(args):
                         burn_in=args.burn_in)
     rows = concentration_report(summary, constants, k, c, np.linspace(0.0, t_max, t_points))
     _write_csv(out, ["t", "tail", "bound", "std_error", "flagged"],
-               ([r.t, r.tail, r.bound, r.std_error, int(r.flagged)] for r in rows))
+               ((r.t, r.tail, r.bound, r.std_error, int(r.flagged)) for r in rows))
     _write_manifest(args, [out], params, blocks, result={"sigma3_sq": constants.sigma3_sq})
     return 0
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidInputError, NonConvergenceError
 from .model import field_from_sums, interaction_field
 from .numutil import softmax
-from .rates import _free_energy, free_energy_G
+from .rates import _block_matrix, _free_energy, free_energy_G
 
 # Stopping rule of each mean-field restart: at most MAX_ITER steps; a
 # restart stops early when a step moves no entry by STEP_TOL or more.
@@ -155,13 +155,10 @@ def critical_residual(mu, params):
     row k; every interior maximizer must solve these equations.  Requires
     strictly positive entries.
     """
-    gamma = params.gamma_array
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (gamma.size, params.q):
-        raise InvalidInputError(f"matrix shape {mu.shape}, expected ({gamma.size}, {params.q})")
+    mu = _block_matrix(mu, params)
     if np.any(mu <= 0.0):
         raise InvalidInputError("critical equations need strictly positive entries")
-    dev = mu - gamma[:, None] / params.q
+    dev = mu - params.gamma_array[:, None] / params.q
     log_mu = np.log(mu)
     return interaction_field(dev, params) - (log_mu - log_mu.mean(axis=1, keepdims=True))
 
@@ -480,21 +477,14 @@ def structure_certificate(mu, params, tol=1e-9):
     positive = bool(np.all(mu > 0.0))
     # a common ordering exists iff the columns are totally ordered entrywise;
     # when it does, sorting columns by their sums realizes it
-    order = np.argsort(mu.sum(axis=0), kind="stable")
-    common = True
-    for k in range(mu.shape[0]):
-        permuted = mu[k][order]
-        if np.any(permuted[:-1] > permuted[1:] + tol):
-            common = False
-    two_values = True
-    for k in range(mu.shape[0]):
-        vals = np.sort(mu[k])
-        distinct = [vals[0]]
-        for v in vals[1:]:
-            if v - distinct[-1] > tol:
-                distinct.append(v)
-        if len(distinct) > 2:
-            two_values = False
+    permuted = mu[:, np.argsort(mu.sum(axis=0), kind="stable")]
+    common = not np.any(permuted[:, :-1] > permuted[:, 1:] + tol)
+    # per row, the entries more than tol above the minimum must lie within
+    # tol of each other: the rule of clustering the sorted row greedily
+    above = mu - mu.min(axis=1, keepdims=True) > tol
+    spread = (np.max(mu, axis=1, where=above, initial=-np.inf)
+              - np.min(mu, axis=1, where=above, initial=np.inf))
+    two_values = not np.any(spread > tol)
     residual = float(np.max(np.abs(critical_residual(mu, params)))) if positive else math.inf
     return {
         "positive": positive,

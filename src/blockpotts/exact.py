@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import check_consistent, form_from_sums, interaction_form, model_to_json
+from .model import check_block_color, check_consistent, form_from_sums, interaction_form
 from .numutil import LEAF, log_factorials, logsumexp_tree
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -293,41 +292,7 @@ def exact_observable_distribution(dist, k, c):
     binned by its color-c count.
     """
     comps = dist.compositions
-    if not 0 <= k < len(comps):
-        raise InvalidInputError(f"block index {k} out of range")
-    if not 0 <= c < dist.params.q:
-        raise InvalidInputError(f"color index {c} out of range")
+    check_block_color(k, c, len(comps), dist.params.q)
     grid = dist.probabilities.reshape([t.shape[0] for t in comps])
     block_law = grid.sum(axis=tuple(j for j in range(len(comps)) if j != k))
     return np.bincount(comps[k][:, c], weights=block_law, minlength=dist.blocks.sizes[k] + 1)
-
-
-def count_columns(s, q):
-    """CSV column names b_1_1,..,b_s_q of a flattened s x q count matrix,
-    with 1-based block and color indices."""
-    return [f"b_{k + 1}_{c + 1}" for k in range(s) for c in range(q)]
-
-
-def export_csv(dist, path):
-    """Write the exact law as CSV with a JSON comment header.
-
-    The first line is '# ' + a JSON object carrying the model constants and
-    log_Z; then a header row b_1_1,..,b_s_q,log_weight,probability with
-    1-based block and color indices, and one row per support point.  Each
-    composition is formatted once per block, and the rows are written a
-    slab of LEAF points at a time.
-    """
-    s, q = len(dist.compositions), dist.params.q
-    header = {**model_to_json(dist.params, dist.blocks), "log_Z": dist.log_Z}
-    counts = itertools.product(*[[",".join(map(str, row)) for row in c.tolist()]
-                                 for c in dist.compositions])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(header) + "\n")
-        fh.write(",".join(count_columns(s, q) + ["log_weight", "probability"]) + "\n")
-        for lo in range(0, len(dist), LEAF):
-            # the slab's values go first in the zip below, so it stops at
-            # the slab's end without drawing the next row from counts
-            values = zip(dist.log_weights[lo : lo + LEAF].tolist(),
-                         dist.probabilities[lo : lo + LEAF].tolist())
-            fh.write("".join(f"{','.join(row)},{lw:.17g},{p:.17g}\n"
-                             for (lw, p), row in zip(values, counts)))

@@ -32,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_consistent, count_matrix, validate_config
+from .model import check_block_color, check_consistent, count_matrix, validate_config
 
 # Updates drawn per RNG chunk: large enough that the two numpy calls per
 # chunk cost little next to its updates, small enough that the drawn
@@ -155,10 +155,17 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=Non
     return ChainSummary(samples=np.asarray(samples, dtype=np.int64).reshape(-1, s, q))
 
 
+def check_summary_index(summary, k, c):
+    """Raise unless the summary holds samples and b_{k,c} is one of their entries."""
+    n, s, q = summary.samples.shape
+    if n == 0:
+        raise InvalidInputError("chain summary holds no samples")
+    check_block_color(k, c, s, q)
+
+
 def tail_estimate(summary, k, c, t):
     """Empirical frequency of |T_{k,c} - mean| >= t over the recorded samples."""
-    if summary.samples.size == 0:
-        raise InvalidInputError("chain summary holds no samples")
+    check_summary_index(summary, k, c)
     values = summary.samples[:, k, c].astype(np.float64)
     mean = values.mean()
     return float(np.mean(np.abs(values - mean) >= t))

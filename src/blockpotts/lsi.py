@@ -75,7 +75,7 @@ from .exact import (
     full_configuration_distribution,
     site_view,
 )
-from .glauber import tail_estimate
+from .glauber import check_summary_index, tail_estimate
 from .model import check_consistent, field_from_sums
 from .numutil import CHUNK_BYTES, LEAF, softmax
 
@@ -467,11 +467,10 @@ def concentration_report(summary, constants, k, c, t_grid):
 
     The tail is empirical, from the chain summary.  A row is flagged when
     the tail exceeds the bound beyond three Monte Carlo standard errors;
-    bounds at or above one can never flag.  An empty summary is invalid
-    input.
+    bounds at or above one can never flag.  An empty summary or a k or c
+    outside its count matrices is invalid input.
     """
-    if summary.samples.size == 0:
-        raise InvalidInputError("chain summary holds no samples")
+    check_summary_index(summary, k, c)
     rows = []
     size_k = int(summary.samples[0, k].sum())
     n = summary.samples.shape[0]

@@ -128,6 +128,14 @@ def check_consistent(params, blocks):
         )
 
 
+def check_block_color(k, c, s, q):
+    """Raise unless block k lies in 0..s-1 and color c in 0..q-1."""
+    if not 0 <= k < s:
+        raise InvalidInputError(f"block index {k} out of range 0..{s - 1}")
+    if not 0 <= c < q:
+        raise InvalidInputError(f"color index {c} out of range 0..{q - 1}")
+
+
 def validate_config(config, blocks, q):
     """Return config as an int array after checking length and color range."""
     config = np.asarray(config, dtype=np.int64)

@@ -15,7 +15,10 @@ package applies to them; the closure under column permutations, which
 keeps the package's earlier loop over all q! permutations and its
 DEDUPE_TOL; and the rate-function references, which keep the package's
 earlier C(gamma) clean-up, entropy sum and quadratic form (numpy's
-reduction wrappers, two row sums), to pin the leaner versions bit for bit.
+reduction wrappers, two row sums), to pin the leaner versions bit for bit;
+the structure-certificate flags, kept as the package's earlier row loops;
+and the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
+one template writer.
 """
 
 import functools
@@ -653,3 +656,40 @@ def interaction_form_by_issubdtype(mu, params):
 def free_energy_by_wrappers(mu, params):
     """G of (..., s, q) matrices on C(gamma) from the two formulas above."""
     return 0.5 * interaction_form_by_issubdtype(mu, params) - entropy_term_by_sum(mu, (-2, -1))
+
+
+def structure_flags_by_row_loops(mu, tol=1e-9):
+    """(common_order, at_most_two_values) of structure_certificate, by the
+    package's earlier loops: one row at a time, and the sorted row
+    clustered greedily."""
+    mu = np.asarray(mu, dtype=np.float64)
+    order = np.argsort(mu.sum(axis=0), kind="stable")
+    common = True
+    for k in range(mu.shape[0]):
+        permuted = mu[k][order]
+        if np.any(permuted[:-1] > permuted[1:] + tol):
+            common = False
+    two_values = True
+    for k in range(mu.shape[0]):
+        vals = np.sort(mu[k])
+        distinct = [vals[0]]
+        for v in vals[1:]:
+            if v - distinct[-1] > tol:
+                distinct.append(v)
+        if len(distinct) > 2:
+            two_values = False
+    return common, two_values
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def write_csv_by_cells(path, header, rows):
+    """Write the header row, then each row with floats in _fmt and every
+    other cell as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

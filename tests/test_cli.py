@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
+import ast
 import json
 import os
 import re
@@ -13,7 +14,11 @@ import numpy as np
 import pytest
 
 import blockpotts
+from blockpotts import cli, critical_residual
 from blockpotts.cli import build_parser, main
+from blockpotts.model import ModelParams
+
+import oracles
 
 SRC = str(Path(blockpotts.__file__).resolve().parents[1])
 
@@ -136,6 +141,20 @@ def test_equilibria_json_reports_each_maximizers_structure(tmp_path, model):
         assert 0.0 <= cert["residual_max"] <= 1e-8
 
 
+def test_equilibria_residual_max_is_that_of_the_maximizers_read_back(tmp_path):
+    # at q = 9 the row means of a Fortran-ordered maximizer sum in another
+    # order than those of the C-ordered matrix that JSON gives back
+    out = tmp_path / "eq.json"
+    assert run(["equilibria", "--q", "9", "--s", "3", "--gamma", "0.2,0.3,0.5",
+                "--alpha", "1", "--beta", "4", "--restarts", "8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    params = ModelParams(q=9, s=3, alpha=1.0, beta=4.0, gamma=(0.2, 0.3, 0.5))
+    residuals = [float(np.max(np.abs(critical_residual(np.array(m), params))))
+                 for m in doc["maximizers"]]
+    assert doc["residual_max"] == max(residuals)
+    assert [cert["residual_max"] for cert in doc["structure"]] == residuals
+
+
 def test_equilibria_non_convergence_exits_4_without_output(tmp_path, capsys, probe_above_sup_G):
     rc = run(["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
               "--restarts", "4", "--out-dir", str(tmp_path), "--out", "eq.json"])
@@ -157,6 +176,36 @@ def test_equilibria_landscape_export(tmp_path):
     lines = land.read_text().splitlines()
     assert lines[0] == "r,mu_plus_1,mu_plus_2,G"
     assert len(lines) == 1 + 25
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --q 4 --sizes 2,3,1 --alpha 0.5 --beta 1.0 --sweeps 50 --chains 3 --seed 4",
+    "simulate --q 3 --sizes 3,3 --alpha 0.5 --beta 1.0 --sweeps 5 --thin 10",
+    "equilibria --q 3 --s 2 --alpha 2.5 --beta 3.5 --landscape-out land.csv "
+    "--landscape-mesh 30",
+    "phase-diagram --q 3 --s 2 --g-min 2.0 --g-max 3.5 --g-step 0.05",
+    "concentration --q 3 --sizes 5,5 --alpha 0.05 --beta 0.1 --sweeps 300 --seed 2 "
+    "--t-points 6",
+], ids=["simulate", "simulate-header-only", "landscape", "phase-diagram", "concentration"])
+def test_csv_bytes_equal_the_cell_by_cell_writer(argv, tmp_path, monkeypatch):
+    assert main(shlex.split(argv) + ["--out-dir", str(tmp_path / "template")]) == 0
+    monkeypatch.setattr(cli, "_write_csv", oracles.write_csv_by_cells)
+    assert main(shlex.split(argv) + ["--out-dir", str(tmp_path / "cells")]) == 0
+    written = sorted((tmp_path / "cells").glob("*.csv"))
+    assert written
+    for path in written:
+        assert path.read_bytes() == (tmp_path / "template" / path.name).read_bytes()
+
+
+def test_only_the_cli_opens_files():
+    # file formats live in one module: no other module calls open()
+    package = Path(blockpotts.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+    assert calls == []
 
 
 def test_phase_diagram_single_label_change(tmp_path):

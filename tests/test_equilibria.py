@@ -27,6 +27,7 @@ from oracles import (
     color_permutations_by_all_perms,
     gradient_G,
     mean_field_ascent,
+    structure_flags_by_row_loops,
     two_column_newton,
     two_column_point,
     w_profile,
@@ -292,6 +293,26 @@ def test_structure_certificates_uniform_and_nonuniform():
             assert cert["common_order"]
             assert cert["at_most_two_values"]
             assert cert["residual_max"] <= 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-9, 2.0**-30], ids=["decimal", "power-of-two"])
+def test_structure_flags_equal_the_row_loops(tol):
+    # entries a few tol apart, most on a multiple of tol from their row's
+    # base and some just off it; the bases span binades, so adding tol
+    # rounds either way at 1e-9, and a power-of-two tol adds exactly, so
+    # differences equal to tol occur and every comparison goes both ways
+    rng = np.random.default_rng(0)
+    params = ModelParams(q=5, s=3, alpha=1.0, beta=2.0, gamma=(0.2, 0.3, 0.5))
+    seen = set()
+    for _ in range(900):
+        steps = rng.integers(0, 4, size=(3, 5)) + rng.choice(
+            [0.0, 0.0, 0.0, 1e-7, -1e-7, 0.3, -0.3], size=(3, 5))
+        mu = 2.0 ** -rng.uniform(1, 10, size=(3, 1)) + tol * steps
+        flags = structure_certificate(mu, params, tol=tol)
+        expected = structure_flags_by_row_loops(mu, tol=tol)
+        assert (flags["common_order"], flags["at_most_two_values"]) == expected
+        seen.add(expected)
+    assert len(seen) == 4
 
 
 def test_nonuniform_gamma_is_flagged_numerical():

@@ -20,10 +20,16 @@ from blockpotts import (
     full_configuration_distribution,
     interdependence_matrix_exact,
 )
-from blockpotts.exact import export_csv
+from blockpotts.cli import main
 
 import oracles
 from oracles import count_matrix_support
+
+
+def exact_cli(q, sizes, path):
+    """Write the exact law at alpha 0.5, beta 1.0 through `blockpotts exact`."""
+    assert main(["exact", "--q", str(q), "--sizes", ",".join(map(str, sizes)),
+                 "--alpha", "0.5", "--beta", "1.0", "--out", str(path)]) == 0
 
 
 def make(q, sizes, alpha, beta):
@@ -221,7 +227,7 @@ def test_exact_law_equals_int64_slab_loop(q, sizes):
 def test_export_csv_bytes_equal_row_by_row_writer(q, sizes, tmp_path):
     p, b = make(q, sizes, 0.5, 1.0)
     dist = exact_distribution(b, p)
-    export_csv(dist, tmp_path / "slabs.csv")
+    exact_cli(q, sizes, tmp_path / "slabs.csv")
     oracles.export_csv_on_support(dist, tmp_path / "rows.csv")
     assert (tmp_path / "slabs.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -317,7 +323,7 @@ def test_export_csv_round_trip(tmp_path):
     p, b = make(3, (2, 2), 0.5, 1.0)
     dist = exact_distribution(b, p)
     path = tmp_path / "exact.csv"
-    export_csv(dist, path)
+    exact_cli(3, (2, 2), path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0][2:])
     assert header["log_Z"] == pytest.approx(dist.log_Z)

@@ -29,6 +29,7 @@ from blockpotts import (
     lsi_constants,
     matrix_norms,
     run_chain,
+    tail_estimate,
     verify_lsi_suite,
 )
 from blockpotts.lsi import exp_moments
@@ -575,6 +576,16 @@ def test_concentration_refuses_empty_summary():
     assert summary.samples.size == 0
     with pytest.raises(InvalidInputError, match="no samples"):
         concentration_report(summary, asymptotic_constants(3, 0.1), 0, 0, [1.0])
+
+
+@pytest.mark.parametrize("k, c", [(5, 0), (0, 7), (-1, 0), (0, -1)])
+def test_concentration_path_refuses_a_block_or_color_out_of_range(k, c):
+    p, b = make(3, (3, 3), 0.05, 0.1)
+    summary = run_chain(b, p, sweeps=20, seed=1)
+    with pytest.raises(InvalidInputError, match="index -?[0-9] out of range"):
+        concentration_report(summary, asymptotic_constants(3, 0.1), k, c, [1.0])
+    with pytest.raises(InvalidInputError, match="index -?[0-9] out of range"):
+        tail_estimate(summary, k, c, 1.0)
 
 
 def test_concentration_bound_formulas_converge():
