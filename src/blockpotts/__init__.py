@@ -36,7 +36,7 @@ from .exact import (
     exact_observable_distribution,
     full_configuration_distribution,
 )
-from .glauber import ChainSummary, run_chain, tail_estimate
+from .glauber import ChainSummary, run_chain
 from .lsi import (
     ConfigWorkspace,
     LsiConstants,

@@ -54,7 +54,7 @@ from .lsi import (
     measured_constants,
     verify_lsi_suite,
 )
-from .model import BlockStructure, ModelParams, model_to_json
+from .model import BlockStructure, ModelParams, check_cap, model_to_json
 from .numutil import LEAF
 from .rates import potts_functional
 
@@ -147,11 +147,6 @@ def _at_least_one(key, value):
     if value < 1:
         raise InvalidInputError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
     return value
-
-
-def _check_rows(what, rows):
-    if rows > MAX_ROWS:
-        raise CapacityError(f"{what} needs more than {MAX_ROWS} rows", required=rows)
 
 
 def _resolve_model(args):
@@ -248,7 +243,7 @@ def cmd_simulate(args):
     sweeps, thin, burn_in = args.sweeps, args.thin, args.burn_in
     # a rejected run must not leave a header-only CSV behind
     check_run_options(blocks, params, sweeps, thin, burn_in)
-    _check_rows(f"--chains {chains} of {sweeps // thin} samples", chains * (sweeps // thin))
+    check_cap(chains * (sweeps // thin), MAX_ROWS, f"--chains {chains}", "rows")
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
                    np.random.SeedSequence(args.seed).spawn(chains)]
@@ -311,8 +306,8 @@ def cmd_equilibria(args):
     out = _out_path(args.out_dir, args.out)
     options = SearchOptions(restarts=args.restarts, seed=args.seed)
     if args.landscape_out is not None:
-        _check_rows(f"--landscape-mesh {args.landscape_mesh} over {params.s} blocks",
-                    args.landscape_mesh ** params.s)
+        check_cap(args.landscape_mesh ** params.s, MAX_ROWS,
+                  f"--landscape-mesh {args.landscape_mesh} over {params.s} blocks", "rows")
         # sampled before anything is written, so a bad r or mesh leaves no file
         land_path = _out_path(args.out_dir, args.landscape_out)
         rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
@@ -334,7 +329,7 @@ def cmd_phase_diagram(args):
     if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
-    _check_rows(f"the g grid of step {g_step}", steps + 1)
+    check_cap(steps + 1, MAX_ROWS, f"the g grid of step {g_step}", "rows")
     zeta = critical_temperature(q)
     uniform = np.full(q, 1.0 / q)
 
@@ -389,7 +384,7 @@ def cmd_concentration(args):
     params, blocks = _resolve_model(args)
     k, c = args.k - 1, args.c - 1
     t_points = _at_least_one("t_points", args.t_points)
-    _check_rows(f"--t-points {t_points}", t_points)
+    check_cap(t_points, MAX_ROWS, "--t-points", "rows")
     out = _out_path(args.out_dir, args.out)
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")

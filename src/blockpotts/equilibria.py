@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .model import field_from_sums, interaction_field
+from .model import check_cap, field_from_sums, interaction_field
 from .numutil import softmax
 from .rates import _block_matrix, _free_energy, free_energy_G
 
@@ -51,6 +51,9 @@ NEWTON_TOL = 1e-13
 HANDOFF_EVERY = 16
 # Largest entry-wise distance at which two maximizers count as one.
 DEDUPE_TOL = 1e-7
+# Most matrix entries in the multistart batch, restarts * q matrices of
+# s x q: the search holds about 55 B per entry, so 2^24 is about 0.9 GB.
+MAX_SEARCH_ENTRIES = 2**24
 # Relative inset of the landscape mesh from both ends of each mu_plus box;
 # at the upper end the small columns would be exactly zero.
 LANDSCAPE_INSET = 1e-6
@@ -396,10 +399,13 @@ def _color_permutations(mats, q):
     equal to its last are large and whose others are small.  Its distinct
     permutations are then the C(q, r) placements of the small columns, met
     in the lexicographic order of combinations, the order in which
-    itertools.permutations first yields each placement.
+    itertools.permutations first yields each placement.  A matrix within
+    DEDUPE_TOL of a kept one is skipped before its placements are listed.
     """
     kept = []
     for m in mats:
+        if any(np.max(np.abs(m - other)) < DEDUPE_TOL for other in kept):
+            continue
         r = int(np.count_nonzero(np.all(m == m[:, -1:], axis=0)))
         for small in itertools.combinations(range(q), q - r):
             mp = m[:, [0 if c in small else q - 1 for c in range(q)]]
@@ -416,10 +422,13 @@ def maximize_G(params, options=None):
     critical points under every column permutation, flagged as carrying no
     closed-form certificate.  Either way the multistart ascent certifies
     the set: NonConvergenceError when any ascent beats its sup_G by more
-    than MARGIN.
+    than MARGIN.  A batch of more than MAX_SEARCH_ENTRIES matrix entries is
+    refused with CapacityError before anything is drawn.
     """
     opts = options or SearchOptions()
     q = params.q
+    check_cap(opts.restarts * q * params.s * q, MAX_SEARCH_ENTRIES,
+              f"a multistart batch of {opts.restarts} restarts at q={q}, s={params.s}", "entries")
     g = params.effective_coupling
     zeta = critical_temperature(q)
     candidates, probe_max, probe_best, stats = _numerical_candidates(

@@ -11,7 +11,7 @@ class InvalidInputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exact enumeration would exceed the configured support cap."""
+    """A request would exceed a size cap: an enumeration, a CSV's rows or a search batch."""
 
     def __init__(self, message, required=None):
         super().__init__(message)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import check_block_color, check_consistent, form_from_sums, interaction_form
+from .model import check_block_color, check_cap, check_consistent, form_from_sums, interaction_form
 from .numutil import LEAF, log_factorials, logsumexp_tree
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -66,16 +66,6 @@ def enumerate_block_compositions(n, q):
     return np.ascontiguousarray((np.diff(edges, axis=1) - 1)[:, ::-1])
 
 
-def _check_cap(required, cap, what, unit):
-    """Raise InvalidInputError for a cap below 1 and CapacityError naming
-    required when it exceeds cap."""
-    if cap < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {cap}")
-    if required > cap:
-        raise CapacityError(f"{what} needs {required} {unit}, cap is {cap}",
-                            required=required)
-
-
 def block_compositions(sizes, q, cap):
     """The composition table of each block, (P_k, q) int64, in block order.
 
@@ -89,7 +79,7 @@ def block_compositions(sizes, q, cap):
     if not sizes or min(sizes) < 0 or q < 1:
         raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
     required = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
-    _check_cap(required, cap, "count-matrix support", "matrices")
+    check_cap(required, cap, "count-matrix support", "matrices")
     if max(sizes) > INT16_MAX:
         raise CapacityError(
             f"block size {max(sizes)} exceeds {INT16_MAX}, the largest int16 count",
@@ -262,7 +252,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
     required = q**N
-    _check_cap(required, cap, "full enumeration", "configurations")
+    check_cap(required, cap, "full enumeration", "configurations")
     configs = np.empty((required, N), dtype=np.int8)
     for i in range(N):
         site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]

@@ -20,6 +20,9 @@ last chunk may be shorter): per chunk, one block of m*N site indices
 followed by one block of m*N uniforms.  The chunking depends only on N
 and the sweep counts, so the same seed gives the same samples, byte for
 byte, on any platform, and chains with distinct seeds share no state.
+
+The module holds only the sampler; statistics of its samples, such as the
+tails of lsi.concentration_report, live with the code that needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_block_color, check_consistent, count_matrix, validate_config
+from .model import check_consistent, count_matrix, validate_config
 
 # Updates drawn per RNG chunk: large enough that the two numpy calls per
 # chunk cost little next to its updates, small enough that the drawn
@@ -154,18 +157,3 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=Non
 
     return ChainSummary(samples=np.asarray(samples, dtype=np.int64).reshape(-1, s, q))
 
-
-def check_summary_index(summary, k, c):
-    """Raise unless the summary holds samples and b_{k,c} is one of their entries."""
-    n, s, q = summary.samples.shape
-    if n == 0:
-        raise InvalidInputError("chain summary holds no samples")
-    check_block_color(k, c, s, q)
-
-
-def tail_estimate(summary, k, c, t):
-    """Empirical frequency of |T_{k,c} - mean| >= t over the recorded samples."""
-    check_summary_index(summary, k, c)
-    values = summary.samples[:, k, c].astype(np.float64)
-    mean = values.mean()
-    return float(np.mean(np.abs(values - mean) >= t))

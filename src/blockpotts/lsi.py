@@ -57,6 +57,9 @@ interdependence entries take their maxima over slabs of each grid's
 leave-two-out fields, and the suite evaluates its observables in (F, P)
 chunks, so memory beyond the composition tables and the joint law grows
 neither with the support nor with the observables.
+
+The concentration check reads every tail of a t grid from one sort of a
+chain's deviations and needs nothing of the sampler but its sample array.
 """
 
 from __future__ import annotations
@@ -75,8 +78,7 @@ from .exact import (
     full_configuration_distribution,
     site_view,
 )
-from .glauber import check_summary_index, tail_estimate
-from .model import check_consistent, field_from_sums
+from .model import check_block_color, check_consistent, field_from_sums
 from .numutil import CHUNK_BYTES, LEAF, softmax
 
 # Largest q^N the full configuration workspace enumerates.
@@ -465,19 +467,25 @@ class ConcentrationRow:
 def concentration_report(summary, constants, k, c, t_grid):
     """Tail of the block-color count against 2 exp(-t^2 / (2 |S_k| sigma3^2)).
 
-    The tail is empirical, from the chain summary.  A row is flagged when
-    the tail exceeds the bound beyond three Monte Carlo standard errors;
-    bounds at or above one can never flag.  An empty summary or a k or c
-    outside its count matrices is invalid input.
+    The tail at t is the fraction of the n chain samples with |T_kc - mean|
+    >= t.  One sort of those deviations dev gives it for the whole grid as
+    (n - searchsorted(dev, t)) / n, so T points cost O((n + T) log n).  A
+    row is flagged when the tail exceeds the bound beyond three Monte Carlo
+    standard errors; bounds at or above one can never flag.  An empty
+    summary or a k or c outside its count matrices is invalid input.
     """
-    check_summary_index(summary, k, c)
-    rows = []
+    n, s, q = summary.samples.shape
+    if n == 0:
+        raise InvalidInputError("chain summary holds no samples")
+    check_block_color(k, c, s, q)
+    values = summary.samples[:, k, c].astype(np.float64)
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    tails = (n - np.searchsorted(np.sort(np.abs(values - values.mean())), t_grid)) / n
     size_k = int(summary.samples[0, k].sum())
-    n = summary.samples.shape[0]
-    for t in np.asarray(t_grid, dtype=np.float64):
+    rows = []
+    for t, tail in zip(t_grid.tolist(), tails.tolist()):
         bound = 2.0 * math.exp(-(t * t) / (2.0 * size_k * constants.sigma3_sq))
-        tail = tail_estimate(summary, k, c, t)
         se = math.sqrt(max(tail * (1.0 - tail), 0.0) / n)
         flagged = bound < 1.0 and tail > bound + 3.0 * se
-        rows.append(ConcentrationRow(float(t), tail, bound, se, flagged))
+        rows.append(ConcentrationRow(t, tail, bound, se, flagged))
     return rows

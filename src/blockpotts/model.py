@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 
 GAMMA_SUM_TOL = 1e-12
 
@@ -134,6 +134,15 @@ def check_block_color(k, c, s, q):
         raise InvalidInputError(f"block index {k} out of range 0..{s - 1}")
     if not 0 <= c < q:
         raise InvalidInputError(f"color index {c} out of range 0..{q - 1}")
+
+
+def check_cap(required, cap, what, unit):
+    """Raise InvalidInputError for a cap below 1, CapacityError for required above it."""
+    if cap < 1:
+        raise InvalidInputError(f"cap must be >= 1, got {cap}")
+    if required > cap:
+        raise CapacityError(f"{what} needs {required} {unit}, cap is {cap}",
+                            required=required)
 
 
 def validate_config(config, blocks, q):

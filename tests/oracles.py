@@ -12,11 +12,13 @@ leave-one-out and leave-two-out fields on the block product grid from the
 package's composition tables and field coefficients, read its recoloring
 distances and site laws, and pin only the enumeration or algebra the
 package applies to them; the closure under column permutations, which
-keeps the package's earlier loop over all q! permutations and its
-DEDUPE_TOL; and the rate-function references, which keep the package's
-earlier C(gamma) clean-up, entropy sum and quadratic form (numpy's
-reduction wrappers, two row sums), to pin the leaner versions bit for bit;
+keeps the package's earlier loop over all q! permutations, its placement
+loop that listed every candidate's placements, and its DEDUPE_TOL; and
+the rate-function references, which keep the package's earlier C(gamma)
+clean-up, entropy sum and quadratic form (numpy's reduction wrappers, two
+row sums), to pin the leaner versions bit for bit;
 the structure-certificate flags, kept as the package's earlier row loops;
+the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
 and the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
 one template writer.
 """
@@ -38,7 +40,13 @@ from blockpotts.exact import (
 )
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
 from blockpotts.lsi import _recoloring_tv
-from blockpotts.model import check_consistent, field_from_sums, form_from_sums, model_to_json
+from blockpotts.model import (
+    check_block_color,
+    check_consistent,
+    field_from_sums,
+    form_from_sums,
+    model_to_json,
+)
 from blockpotts.numutil import CHUNK_BYTES, LEAF, log_factorials, logsumexp_tree, softmax
 
 
@@ -306,6 +314,26 @@ def color_permutations_by_all_perms(mats, q):
     for m in mats:
         for perm in itertools.permutations(range(q)):
             mp = m[:, perm]
+            if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
+                kept.append(mp)
+    return kept
+
+
+def color_permutations_by_placements(mats, q):
+    """Close a set of matrices under all column permutations (G is symmetric),
+    keeping the first of any that lie within DEDUPE_TOL of each other.
+
+    Each matrix is the flat point or a _two_column matrix, whose r columns
+    equal to its last are large and whose others are small.  Its distinct
+    permutations are then the C(q, r) placements of the small columns, met
+    in the lexicographic order of combinations, the order in which
+    itertools.permutations first yields each placement.
+    """
+    kept = []
+    for m in mats:
+        r = int(np.count_nonzero(np.all(m == m[:, -1:], axis=0)))
+        for small in itertools.combinations(range(q), q - r):
+            mp = m[:, [0 if c in small else q - 1 for c in range(q)]]
             if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
                 kept.append(mp)
     return kept
@@ -679,6 +707,22 @@ def structure_flags_by_row_loops(mu, tol=1e-9):
         if len(distinct) > 2:
             two_values = False
     return common, two_values
+
+
+def check_summary_index(summary, k, c):
+    """Raise unless the summary holds samples and b_{k,c} is one of their entries."""
+    n, s, q = summary.samples.shape
+    if n == 0:
+        raise InvalidInputError("chain summary holds no samples")
+    check_block_color(k, c, s, q)
+
+
+def tail_estimate(summary, k, c, t):
+    """Empirical frequency of |T_{k,c} - mean| >= t over the recorded samples."""
+    check_summary_index(summary, k, c)
+    values = summary.samples[:, k, c].astype(np.float64)
+    mean = values.mean()
+    return float(np.mean(np.abs(values - mean) >= t))
 
 
 def _fmt(x):

@@ -208,6 +208,30 @@ def test_only_the_cli_opens_files():
     assert calls == []
 
 
+def _package_imports(path):
+    """The package modules that one module imports, in any import form."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"blockpotts.{node.module or ''}".rstrip(".") if node.level else node.module
+            targets = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        names.update(t.split(".")[1] for t in targets if t.startswith("blockpotts."))
+    return names & {p.stem for p in path.parent.glob("*.py")}
+
+
+def test_sampler_imports_only_errors_and_model():
+    # glauber is the sampler alone, and the chain statistics in lsi read
+    # its samples without it
+    package = Path(blockpotts.__file__).parent
+    assert "glauber" in _package_imports(package / "cli.py")
+    assert _package_imports(package / "glauber.py") <= {"errors", "model"}
+    assert "glauber" not in _package_imports(package / "lsi.py")
+
+
 def test_phase_diagram_single_label_change(tmp_path):
     out = tmp_path / "pd.csv"
     rc = run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "2.0",
@@ -441,7 +465,10 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
      "--landscape-out", "LANDSCAPE", "--landscape-mesh", "100000"],
     ["equilibria", "--q", "3", "--s", "400", "--alpha", "2.5", "--beta", "3.5",
      "--landscape-out", "LANDSCAPE", "--landscape-mesh", "2"],
-], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks"])
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "1", "--beta", "2",
+     "--restarts", "1000000000"],
+], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks",
+        "equilibria-restarts"])
 def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [str(tmp_path / "land.csv") if a == "LANDSCAPE" else a for a in argv]
@@ -538,7 +565,7 @@ def test_readme_constants_match_code():
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
                                             "MARGIN", "CRITICAL_BAND")}
     owners.update(MAX_ROWS=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
-                  DEFAULT_SUPPORT_CAP=exact)
+                  DEFAULT_SUPPORT_CAP=exact, MAX_SEARCH_ENTRIES=equilibria)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)
     assert {name for name, _ in quoted} == set(owners)

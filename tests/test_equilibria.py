@@ -25,6 +25,7 @@ from blockpotts import (
 )
 from oracles import (
     color_permutations_by_all_perms,
+    color_permutations_by_placements,
     gradient_G,
     mean_field_ascent,
     structure_flags_by_row_loops,
@@ -514,6 +515,36 @@ def test_color_permutations_match_all_permutations(q, s, seed):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _candidate_list(rng):
+    """The flat point and clusters of two-column matrices like the search's
+    Newton roots: each cluster a few copies of one matrix moved by ~1e-12,
+    some clusters within 1e-9 of the flat point."""
+    q, s = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+    gamma = rng.dirichlet(np.ones(s))
+    mats = [np.repeat(gamma[:, None] / q, q, axis=1)]
+    for _ in range(int(rng.integers(1, 8))):
+        r = int(rng.integers(1, q))
+        lo, hi = gamma / q, gamma / r
+        centre = lo + rng.uniform(0.1, 0.9) * (1e-9 if rng.random() < 0.3 else 1.0) * (hi - lo)
+        for _ in range(int(rng.integers(1, 5))):
+            mu_plus = centre + rng.normal(scale=1e-12, size=s) * (hi - lo)
+            mats.append(equilibria._two_column(r, mu_plus, gamma, q))
+    order = rng.permutation(len(mats))
+    return [mats[i] for i in order], q
+
+
+def test_color_permutations_equal_the_placement_loop():
+    # skipping a near-duplicate before listing its placements keeps the
+    # closure the loop that listed and compared every placement built
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        mats, q = _candidate_list(rng)
+        got = equilibria._color_permutations(mats, q)
+        want = color_permutations_by_placements(mats, q)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _report_fields(report):
     return {**vars(report), "maximizers": [m.tolist() for m in report.maximizers]}
 
@@ -542,6 +573,17 @@ def test_nonuniform_q8_search_is_fast():
     start = time.perf_counter()
     maximize_G(params, options=SearchOptions(restarts=4))
     assert time.perf_counter() - start < 1.0
+
+
+def test_nonuniform_q14_search_is_fast():
+    # hundreds of Newton roots at the flat point each listed their C(14, r)
+    # placements before the closure dropped them: seconds at q = 14, and
+    # q = 20 did not finish in minutes
+    params = ModelParams(q=14, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6))
+    start = time.perf_counter()
+    report = maximize_G(params, options=SearchOptions(restarts=32))
+    assert time.perf_counter() - start < 1.0
+    assert len(report.maximizers) == 1
 
 
 def test_solve_rows_singular_system_is_a_nan_row():

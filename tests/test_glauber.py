@@ -9,12 +9,13 @@ from blockpotts import (
     BlockStructure,
     InvalidInputError,
     ModelParams,
+    asymptotic_constants,
+    concentration_report,
     count_matrix,
     exact_distribution,
     exact_observable_distribution,
     full_configuration_distribution,
     run_chain,
-    tail_estimate,
 )
 from blockpotts.glauber import MAX_BETA, _weight_tables
 
@@ -204,8 +205,11 @@ def test_chain_tv_against_exact_law_moderate_run():
 def test_tail_estimate_trivial_values():
     p, b = make(3, (3, 3), 0.5, 1.0)
     summary = run_chain(b, p, sweeps=2000, seed=1)
-    assert tail_estimate(summary, 0, 0, 0.0) == 1.0
-    assert tail_estimate(summary, 0, 0, b.sizes[0] + 1.0) == 0.0
+    # the tails do not depend on the constants, which set only the bound
+    rows = concentration_report(summary, asymptotic_constants(3, 0.1), 0, 0,
+                                [0.0, b.sizes[0] + 1.0])
+    assert rows[0].tail == 1.0
+    assert rows[1].tail == 0.0
 
 
 def test_tail_estimate_matches_exact_law_N8():
@@ -217,9 +221,11 @@ def test_tail_estimate_matches_exact_law_N8():
     summary = run_chain(b, p, sweeps=100_000, seed=23)
     n = summary.samples.shape[0]
     emp_mean = summary.samples[:, 0, 0].mean()
-    for t in (1.0, 2.0, 3.0):
+    t_grid = (1.0, 2.0, 3.0)
+    rows = concentration_report(summary, asymptotic_constants(3, 0.1), 0, 0, t_grid)
+    for t, row in zip(t_grid, rows):
         exact_tail = float(law[np.abs(values - mean) >= t].sum())
-        emp_tail = tail_estimate(summary, 0, 0, t)
+        emp_tail = row.tail
         se = math.sqrt(exact_tail * (1 - exact_tail) / n)
         # empirical centering differs from the exact mean by O(1/sqrt(n))
         assert abs(emp_tail - exact_tail) <= 5 * se + 0.01

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from blockpotts import (
     BlockStructure,
     CapacityError,
+    ChainSummary,
     ConditionNotMetError,
     ConfigWorkspace,
     InvalidInputError,
@@ -29,7 +30,6 @@ from blockpotts import (
     lsi_constants,
     matrix_norms,
     run_chain,
-    tail_estimate,
     verify_lsi_suite,
 )
 from blockpotts.lsi import exp_moments
@@ -584,8 +584,40 @@ def test_concentration_path_refuses_a_block_or_color_out_of_range(k, c):
     summary = run_chain(b, p, sweeps=20, seed=1)
     with pytest.raises(InvalidInputError, match="index -?[0-9] out of range"):
         concentration_report(summary, asymptotic_constants(3, 0.1), k, c, [1.0])
-    with pytest.raises(InvalidInputError, match="index -?[0-9] out of range"):
-        tail_estimate(summary, k, c, 1.0)
+
+
+def _random_chain(rng):
+    """A summary of n random count matrices, s blocks of random sizes."""
+    n, s, q = int(rng.integers(1, 300)), int(rng.integers(1, 4)), int(rng.integers(3, 6))
+    sizes = rng.integers(1, 40, size=s)
+    samples = np.stack([rng.multinomial(size, rng.dirichlet(np.ones(q)), size=n)
+                        for size in sizes], axis=1)
+    return ChainSummary(samples=samples.astype(np.int64))
+
+
+def test_concentration_tails_equal_the_per_t_estimate():
+    # one sorted pass against the earlier scan of every sample per t, on t
+    # grids holding every deviation exactly (ties), its neighbours, negative
+    # t, t past the maximum, NaN and both infinities
+    rng = np.random.default_rng(20)
+    constants = asymptotic_constants(3, 0.1)
+    summaries = [_random_chain(rng) for _ in range(60)]
+    p, b = make(3, (4, 4), 0.25, 0.5)
+    summaries.append(run_chain(b, p, sweeps=500, seed=3))
+    for summary in summaries:
+        _, s, q = summary.samples.shape
+        k, c = int(rng.integers(s)), int(rng.integers(q))
+        values = summary.samples[:, k, c].astype(np.float64)
+        dev = np.unique(np.abs(values - values.mean()))
+        t_grid = np.concatenate([
+            dev, np.nextafter(dev, np.inf), np.nextafter(dev, -np.inf), -dev - 1.0,
+            [0.0, -0.0, dev[-1] + 1.0, 1e300, np.nan, np.inf, -np.inf],
+            rng.uniform(-1.0, dev[-1] + 1.0, size=20)])
+        rng.shuffle(t_grid)
+        rows = concentration_report(summary, constants, k, c, t_grid)
+        got = [row.tail for row in rows]
+        want = [oracles.tail_estimate(summary, k, c, t) for t in t_grid]
+        assert got == want
 
 
 def test_concentration_bound_formulas_converge():
