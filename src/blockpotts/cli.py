@@ -329,12 +329,13 @@ def cmd_phase_diagram(args):
     if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
-    check_cap(steps + 1, MAX_ROWS, f"the g grid of step {g_step}", "rows")
+    num_rows = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+    check_cap(num_rows, MAX_ROWS, f"the g grid of step {g_step}", "rows")
     zeta = critical_temperature(q)
     uniform = np.full(q, 1.0 / q)
 
     def rows():
-        for idx in range(math.floor(steps) + 1):
+        for idx in range(num_rows):
             g = g_min + idx * g_step
             u = potts_fixed_point_u(g, q)
             yield (g, classify_phase(g, q).value, u,

@@ -56,7 +56,11 @@ Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
 interdependence entries take their maxima over slabs of each grid's
 leave-two-out fields, and the suite evaluates its observables in (F, P)
 chunks, so memory beyond the composition tables and the joint law grows
-neither with the support nor with the observables.
+neither with the support nor with the observables.  On a site's view the
+innermost run is q^i elements, so a site i < N // 2 is evaluated at site
+N - 1 - i of one copy of the chunk with its N site axes reversed, against
+the joint law reversed the same way (built once per workspace): every
+site's recoloring axis then has an inner run of at least q^(N // 2).
 
 The concentration check reads every tail of a t grid from one sort of a
 chain's deviations and needs nothing of the sampler but its sample array.
@@ -254,6 +258,36 @@ def measured_constants(blocks, params):
     return lsi_constants(g1, g2), inf_norm, two_norm
 
 
+def _reverse_sites(values, q, N):
+    """Per-configuration values (..., q^N) with their N site axes reversed,
+    as a contiguous copy of the same shape: site i of values sits at site
+    N - 1 - i of the result, so reversing twice gives values back."""
+    lead = values.ndim - 1
+    sites = values.reshape(*values.shape[:-1], *(q,) * N)
+    order = (*range(lead), *range(lead + N - 1, lead - 1, -1))
+    return np.ascontiguousarray(sites.transpose(order)).reshape(values.shape)
+
+
+def _site_laws(probabilities, i, q):
+    """Site i's conditional (A, q, B) and the marginal law (A, B) of the
+    other sites, on the site-i view of a joint law."""
+    joint = site_view(probabilities, i, q)
+    marginal = joint.sum(axis=1)
+    return joint / marginal[:, None, :], marginal
+
+
+def _site_terms(moments, probabilities, i, q):
+    """Site i's addend of |df|^2 on the site-i view, shape (..., A, q, B),
+    and its E Cov_i(f, e^f), shape (...), from the stacked moments and the
+    joint law of one layout."""
+    site_cond, marginal = _site_laws(probabilities, i, q)
+    m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
+    cov = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
+    sq = np.square(site_view(moments[0], i, q) - m_f[..., None, :])
+    sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
+    return sq, cov
+
+
 class ConfigWorkspace:
     """Full configuration-space machinery for the exhaustive checks.
 
@@ -264,7 +298,9 @@ class ConfigWorkspace:
     site_view reshapes any per-configuration vector to (q^(N-1-i), q, q^i),
     whose middle axis lists the q recolorings of site i.  On that view site
     i's conditional is the joint law divided by its sum over the middle
-    axis, and that sum is the marginal law of the other sites.
+    axis, and that sum is the marginal law of the other sites.  The joint
+    law with its site axes reversed (site i at site N - 1 - i) is also built
+    on first read, by local_terms, which runs the low sites on that layout.
     """
 
     def __init__(self, blocks, params):
@@ -277,21 +313,18 @@ class ConfigWorkspace:
         N, q = self.blocks.N, self.params.q
         cond = np.empty((len(self.dist), N, q))
         for i in range(N):
-            site_cond, _ = self._site_laws(i)
+            site_cond, _ = _site_laws(self.probabilities, i, q)
             # whatever color site i has, cond[., i, c] = site_cond[:, c, :]
             site_view(cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
         return cond
 
+    @functools.cached_property
+    def _reversed_probabilities(self):
+        return _reverse_sites(self.probabilities, self.params.q, self.blocks.N)
+
     @property
     def probabilities(self):
         return self.dist.probabilities
-
-    def _site_laws(self, i):
-        """Site i's conditional (A, q, B) and the marginal law (A, B) of the
-        other sites, on the site-i view."""
-        joint = site_view(self.probabilities, i, self.params.q)
-        marginal = joint.sum(axis=1)
-        return joint / marginal[:, None, :], marginal
 
     def local_terms(self, moments):
         """(dsq, cov) for observables f of shape (..., P), given as
@@ -299,17 +332,24 @@ class ConfigWorkspace:
         (2), shape (..., P), and the per-site E Cov_i(f, e^f), shape
         (..., N), from one pass over the conditional moments of
         (f, e^f, f e^f).  Cov_i depends on the other sites only: an (A, B)
-        array on the site-i view, weighted by their marginal law."""
-        fvals = moments[0]
-        q = self.params.q
-        dsq = np.zeros(fvals.shape)
-        cov = np.empty(fvals.shape[:-1] + (self.blocks.N,))
-        for i in range(self.blocks.N):
-            site_cond, marginal = self._site_laws(i)
-            m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
-            cov[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
-            sq = np.square(site_view(fvals, i, q) - m_f[..., None, :])
-            sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
+        array on the site-i view, weighted by their marginal law.
+
+        A site below N // 2 has a short inner run q^i on its view, so it
+        runs at site N - 1 - i of one site-reversed copy of the moments;
+        its |df|^2 addends gather in one reversed buffer that is reversed
+        back before the high sites add theirs, in the same site order."""
+        q, N = self.params.q, self.blocks.N
+        half = N // 2
+        cov = np.empty(moments.shape[1:-1] + (N,))
+        reversed_moments = _reverse_sites(moments, q, N)
+        reversed_dsq = np.zeros(moments.shape[1:])
+        for i in range(half):
+            sq, cov[..., i] = _site_terms(reversed_moments, self._reversed_probabilities,
+                                          N - 1 - i, q)
+            site_view(reversed_dsq, N - 1 - i, q)[...] += sq
+        dsq = _reverse_sites(reversed_dsq, q, N)
+        for i in range(half, N):
+            sq, cov[..., i] = _site_terms(moments, self.probabilities, i, q)
             site_view(dsq, i, q)[...] += sq
         return dsq, cov
 

@@ -19,8 +19,9 @@ clean-up, entropy sum and quadratic form (numpy's reduction wrappers, two
 row sums), to pin the leaner versions bit for bit;
 the structure-certificate flags, kept as the package's earlier row loops;
 the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
-and the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
-one template writer.
+the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
+one template writer; and the LSI workspace's earlier site-view loop, which
+pins the site-reversed layout of local_terms.
 """
 
 import functools
@@ -39,7 +40,7 @@ from blockpotts.exact import (
     site_view,
 )
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
-from blockpotts.lsi import _recoloring_tv
+from blockpotts.lsi import _recoloring_tv, _site_laws
 from blockpotts.model import (
     check_block_color,
     check_consistent,
@@ -645,12 +646,30 @@ def difference_sq_by_colors(workspace, fvals):
     q = workspace.params.q
     out = np.zeros(fvals.shape)
     for i in range(workspace.blocks.N):
-        site_cond, _ = workspace._site_laws(i)
+        site_cond, _ = _site_laws(workspace.probabilities, i, q)
         f = site_view(fvals, i, q)
         acc = site_view(out, i, q)
         for c in range(q):
             acc += (f - f[..., c : c + 1, :]) ** 2 * site_cond[:, c : c + 1, :]
     return out
+
+
+def local_terms_by_site_view(workspace, moments):
+    """(dsq, cov) of ConfigWorkspace.local_terms, every site on its own view
+    of the original layout: the package's earlier loop, whose low sites run
+    their einsums over inner runs of 1, q, q^2, ... elements."""
+    fvals = moments[0]
+    q = workspace.params.q
+    dsq = np.zeros(fvals.shape)
+    cov = np.empty(fvals.shape[:-1] + (workspace.blocks.N,))
+    for i in range(workspace.blocks.N):
+        site_cond, marginal = _site_laws(workspace.probabilities, i, q)
+        m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
+        cov[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
+        sq = np.square(site_view(fvals, i, q) - m_f[..., None, :])
+        sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
+        site_view(dsq, i, q)[...] += sq
+    return dsq, cov
 
 
 def entropy_term_by_sum(m, axis=None):

@@ -482,6 +482,29 @@ def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_phase_diagram_grid_at_the_row_cap_is_written(tmp_path, monkeypatch):
+    # steps = 9.5: floor(steps) + 1 = 10 rows, where steps + 1 = 10.5
+    monkeypatch.setattr(cli, "MAX_ROWS", 10)
+    out = tmp_path / "pd.csv"
+    assert run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", "9.5",
+                "--g-step", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10
+
+
+@pytest.mark.parametrize("g_max, g_step, needs", [("10", "1", "needs 11 rows"),
+                                                  ("1e300", "1e-300", "needs inf rows")])
+def test_phase_diagram_over_the_row_cap_names_its_rows(g_max, g_step, needs, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ROWS", 10)
+    out = tmp_path / "pd.csv"
+    rc = run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", g_max,
+              "--g-step", g_step, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert needs in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["out_dir", "out"])
 def test_config_non_string_path_is_usage_error(key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -32,7 +32,8 @@ from blockpotts import (
     run_chain,
     verify_lsi_suite,
 )
-from blockpotts.lsi import exp_moments
+from blockpotts.exact import site_view
+from blockpotts.lsi import _reverse_sites, exp_moments
 
 import oracles
 from oracles import covariance_term, difference_operator_sq
@@ -434,6 +435,47 @@ def test_local_terms_match_difference_form(q, sizes):
     assert np.max(np.abs(shifted - unshifted)) <= 16 * b.N * np.finfo(np.float64).eps * shift
 
 
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["1d", "3d"])
+@pytest.mark.parametrize("q, N", [(3, 1), (3, 2), (3, 5), (4, 1), (4, 3), (4, 4)])
+def test_reverse_sites_moves_each_site_view(q, N, lead):
+    x = np.random.default_rng(q * 10 + N).standard_normal(lead + (q**N,))
+    reversed_x = _reverse_sites(x, q, N)
+    assert reversed_x.shape == x.shape and reversed_x.flags.c_contiguous
+    assert np.array_equal(_reverse_sites(reversed_x, q, N), x)
+    for i in range(N):
+        # recoloring site i of x is recoloring site N-1-i of the reversed
+        # copy, at the digit-reversed code of the other sites
+        view = site_view(reversed_x, N - 1 - i, q)
+        assert view.shape == lead + (q**i, q, q**(N - 1 - i))
+        for code in range(q**N):
+            digits = [code // q**k % q for k in range(N)]
+            rev = sum(d * q**(N - 1 - k) for k, d in enumerate(digits))
+            a, b = rev // q**(N - i), rev % q**(N - 1 - i)
+            for c in range(q):
+                recolored = code + (c - digits[i]) * q**i
+                assert np.array_equal(view[..., a, c, b], x[..., recolored])
+
+
+@pytest.mark.parametrize("q, sizes", [(3, (3, 4)), (3, (2, 1, 2)), (3, (5,)), (4, (2, 2)),
+                                      (3, (1,)), (4, (1, 1))])
+def test_local_terms_match_site_view_loop(q, sizes):
+    # an odd N or unequal blocks put one block's sites in both halves, so a
+    # low site read at the wrong reversed site shows as a mismatch
+    p, b = make(q, sizes, 0.3, 0.8)
+    ws = ConfigWorkspace(b, p)
+    cfgs, counts = ws.dist.configs, ws.dist.count_matrices
+    structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
+                          + [counts[:, k, c] for k in range(b.s) for c in range(q)])
+    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((5, len(ws.dist)))
+    for fvals in (gaussian, structured.astype(np.float64), gaussian[0]):
+        moments = exp_moments(fvals)
+        dsq, cov = ws.local_terms(moments)
+        ref_dsq, ref_cov = oracles.local_terms_by_site_view(ws, moments)
+        assert dsq.shape == ref_dsq.shape and cov.shape == ref_cov.shape
+        assert np.all(np.abs(dsq - ref_dsq) <= 1e-14 * np.abs(ref_dsq))
+        assert np.all(np.abs(cov - ref_cov) <= 1e-14)
+
+
 def test_suite_peak_memory_does_not_grow_with_observables():
     p, b = make(3, (4, 4), 0.05, 0.1)
     peaks = {}
@@ -491,6 +533,33 @@ def test_suite_interacting_zero_violations_N4_N5():
         assert report.violations == 0
         assert report.gamma2 > 0
         assert max(report.worst_ratio.values()) < 1.0
+
+
+# verify_lsi_suite(q=3, alpha=0.05, beta=0.1, num_f=100, seed=1) as the
+# site-view loop of local_terms computed it: a layout change may move the
+# worst values in their last bits only.  The slacks come from the zero
+# observable, and its rounding-level values are pinned absolutely.
+PINNED_SUITES = {
+    (3, 3): (135, {"entropy_f2": 0.0, "entropy_expf_cov": -1.3322676295501869e-15,
+                   "entropy_expf_dirichlet": -1.3322676295501869e-15},
+             {"entropy_f2": 0.1726506832961233, "entropy_expf_cov": 0.16123394101236646,
+              "entropy_expf_dirichlet": 0.14906912865617608}),
+    (4, 4): (141, {"entropy_f2": 0.0, "entropy_expf_cov": -3.330669073875469e-16,
+                   "entropy_expf_dirichlet": -3.330669073875469e-16},
+             {"entropy_f2": 0.16850078178126904, "entropy_expf_cov": 0.16074873038532153,
+              "entropy_expf_dirichlet": 0.14856949263764072}),
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(PINNED_SUITES))
+def test_suite_matches_pinned_report(sizes):
+    num_observables, slack, ratio = PINNED_SUITES[sizes]
+    p, b = make(3, sizes, 0.05, 0.1)
+    report = verify_lsi_suite(b, p, num_f=100, seed=1)
+    assert report.violations == 0
+    assert report.num_observables == num_observables
+    assert report.worst_slack == pytest.approx(slack, rel=1e-13, abs=1e-15)
+    assert report.worst_ratio == pytest.approx(ratio, rel=1e-13, abs=0)
 
 
 def test_suite_rejects_failed_condition():
