@@ -61,6 +61,9 @@ from .rates import potts_functional
 # Most rows a command may write to one CSV (simulate: over all chains):
 # a larger request is refused (exit 3) before anything is allocated or opened.
 MAX_ROWS = 10_000_000
+# Most entries s * q of a count matrix that simulate, concentration or
+# phase-diagram may allocate tables for; a larger one is refused (exit 3).
+MAX_ENTRIES = 1 << 20
 
 
 def int_list(text):
@@ -147,6 +150,10 @@ def _at_least_one(key, value):
     if value < 1:
         raise InvalidInputError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
     return value
+
+
+def _check_entries(s, q):
+    check_cap(s * q, MAX_ENTRIES, f"the {s} x {q} count matrix", "entries")
 
 
 def _resolve_model(args):
@@ -237,6 +244,7 @@ def _parse_init(text, q):
 
 def cmd_simulate(args):
     params, blocks = _resolve_model(args)
+    _check_entries(params.s, params.q)
     chains = _at_least_one("chains", args.chains)
     init = _parse_init(args.init, params.q)
     out = _out_path(args.out_dir, args.out)
@@ -325,6 +333,7 @@ def cmd_equilibria(args):
 def cmd_phase_diagram(args):
     q, g_min, g_max, g_step = args.q, args.g_min, args.g_max, args.g_step
     s = _at_least_one("s", args.s)
+    _check_entries(s, q)
     out = _out_path(args.out_dir, args.out)
     if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
@@ -383,6 +392,7 @@ def cmd_lsi_check(args):
 
 def cmd_concentration(args):
     params, blocks = _resolve_model(args)
+    _check_entries(params.s, params.q)
     k, c = args.k - 1, args.c - 1
     t_points = _at_least_one("t_points", args.t_points)
     check_cap(t_points, MAX_ROWS, "--t-points", "rows")

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import check_block_color, check_cap, check_consistent, form_from_sums, interaction_form
-from .numutil import LEAF, log_factorials, logsumexp_tree
+from .model import (capped_count, check_block_color, check_cap, check_consistent,
+                    form_from_sums, interaction_form)
+from .numutil import LEAF, log_factorials
 
 DEFAULT_SUPPORT_CAP = 10_000_000
 INT16_MAX = np.iinfo(np.int16).max
@@ -78,7 +79,7 @@ def block_compositions(sizes, q, cap):
     sizes = [int(n) for n in sizes]
     if not sizes or min(sizes) < 0 or q < 1:
         raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
-    required = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
+    required = capped_count([(n + q - 1, n) for n in sizes], cap)
     check_cap(required, cap, "count-matrix support", "matrices")
     if max(sizes) > INT16_MAX:
         raise CapacityError(
@@ -137,10 +138,10 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     The support has prod_k C(|S_k|+q-1, q-1) entries; a CapacityError naming
     the required size is raised, before any enumeration, when that exceeds
     cap.  Multinomial coefficients are accumulated from a table of
-    log-factorials so block sizes well beyond 170 stay finite, and the
-    normalization uses the pairwise-tree log-sum-exp, making log_Z
-    bit-reproducible.  Couplings so large that a weight overflows make
-    log_Z infinite, and are refused with an InvalidInputError.
+    log-factorials so block sizes well beyond 170 stay finite, and the law
+    is normalized by one exp pass (_normalize).  Couplings so large that a
+    weight overflows make log_Z infinite, and are refused with an
+    InvalidInputError.
 
     The weights are built on the block product grid (P_0, .., P_{s-1}): the
     log multinomial and sum B^2 are outer sums of per-block vectors, and
@@ -180,36 +181,36 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
             out[...] = form_from_sums(slab_sq, col_sq, params)
         out /= 2.0 * blocks.N
         out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
-    log_Z = _finite_log_Z(log_weights, params)
+    log_Z, probabilities = _normalize(log_weights, params)
     return ExactDistribution(
         compositions=tuple(comps),
         log_weights=log_weights,
         log_Z=log_Z,
-        probabilities=_normalized(log_weights, log_Z),
+        probabilities=probabilities,
         params=params,
         blocks=blocks,
     )
 
 
-def _finite_log_Z(log_weights, params):
-    """The tree log-sum-exp of log_weights, refused unless finite.
+def _normalize(log_weights, params):
+    """(log_Z, probabilities) of log_weights by one exp pass.
 
-    For finite 0 <= alpha <= beta every weight is finite or +inf, and one is
-    +inf exactly when the couplings overflow the form, which leaves nothing
-    to normalize.
+    exp(log_weights - m), m the largest log weight, is summed by numpy's
+    pairwise np.add.reduce (within (log2 P + 26) 2^-53 relative of the exact
+    sum of these nonnegative terms) and divided by that sum in place, and
+    log_Z = m + log(sum).  A +inf weight, from couplings that overflow the
+    form, leaves nothing to normalize and is refused.
     """
-    log_Z = logsumexp_tree(log_weights)
-    if not math.isfinite(log_Z):
+    m = float(np.max(log_weights))
+    if not math.isfinite(m):
         raise InvalidInputError(
-            f"log_Z is {log_Z}: alpha={params.alpha}, beta={params.beta} "
+            f"log_Z is {m}: alpha={params.alpha}, beta={params.beta} "
             "overflow the Gibbs weights")
-    return log_Z
-
-
-def _normalized(log_weights, log_Z):
-    """exp(log_weights - log_Z), computed in its output array."""
-    probabilities = np.subtract(log_weights, log_Z)
-    return np.exp(probabilities, out=probabilities)
+    probabilities = np.subtract(log_weights, m)
+    np.exp(probabilities, out=probabilities)
+    total = np.add.reduce(probabilities)
+    probabilities /= total
+    return m + math.log(total), probabilities
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
-    required = q**N
+    required = capped_count(itertools.repeat((q, 1), N), cap)
     check_cap(required, cap, "full enumeration", "configurations")
     configs = np.empty((required, N), dtype=np.int8)
     for i in range(N):
@@ -262,13 +263,13 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
             counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
     with np.errstate(over="ignore"):
         log_weights = interaction_form(counts, params) / (2.0 * N)
-    log_Z = _finite_log_Z(log_weights, params)
+    log_Z, probabilities = _normalize(log_weights, params)
     return ConfigurationDistribution(
         configs=configs,
         count_matrices=counts,
         log_weights=log_weights,
         log_Z=log_Z,
-        probabilities=_normalized(log_weights, log_Z),
+        probabilities=probabilities,
         params=params,
         blocks=blocks,
     )

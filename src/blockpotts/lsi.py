@@ -95,15 +95,23 @@ BATTERY_PRODUCTS = 8
 BATTERY_LINEAR = 2
 
 
+def _exp(x):
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def lsi_condition(q, beta):
     """Asymptotic smallness condition 2 q beta e^beta < 1."""
-    return 2.0 * q * beta * math.exp(beta) < 1.0
+    return 2.0 * q * beta * _exp(beta) < 1.0
 
 
 def _require_lsi_condition(q, beta):
     if not lsi_condition(q, beta):
         raise ConditionNotMetError(
-            f"2 q beta e^beta = {2 * q * beta * math.exp(beta):.6g} >= 1"
+            f"2 q beta e^beta = {2 * q * beta * _exp(beta):.6g} >= 1"
         )
 
 
@@ -113,12 +121,12 @@ def gamma1_floor(q, beta):
     Leave-one-out fields lie in [0, beta), so no conditional probability can
     fall below this value.
     """
-    return 1.0 / (1.0 + (q - 1.0) * math.exp(beta))
+    return 1.0 / (1.0 + (q - 1.0) * _exp(beta))
 
 
 def gamma2_asymptotic(q, beta):
     """Large-N spectral margin 1 - 2 q beta e^beta (may be <= 0)."""
-    return 1.0 - 2.0 * q * beta * math.exp(beta)
+    return 1.0 - 2.0 * q * beta * _exp(beta)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import CapacityError, InvalidInputError
 
 GAMMA_SUM_TOL = 1e-12
+# Digits of the largest count that is built and printed in full: Python
+# prints no int past 4300 digits, and 3^(10^7) takes seconds to build.
+SHOWN_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,32 @@ def check_block_color(k, c, s, q):
 
 
 def check_cap(required, cap, what, unit):
-    """Raise InvalidInputError for a cap below 1, CapacityError for required above it."""
+    """Raise InvalidInputError for a cap below 1, CapacityError for required
+    above it.  A count of more than SHOWN_DIGITS digits, exact or the lower
+    bound of capped_count, is named only as such."""
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
     if required > cap:
-        raise CapacityError(f"{what} needs {required} {unit}, cap is {cap}",
-                            required=required)
+        shown = required
+        if isinstance(required, int) and required > 10**SHOWN_DIGITS:
+            shown = f"more than 10^{SHOWN_DIGITS}"
+        raise CapacityError(f"{what} needs {shown} {unit}, cap is {cap}", required=required)
+
+
+def capped_count(binomials, cap):
+    """prod C(m, k) over the (m, k) pairs, or, once the product passes
+    max(cap, 10^SHOWN_DIGITS), the partial product that passed it.  C(m, k)
+    is built as C(m - k + i, i) for i = 1..k, k <= m - k, so each step at
+    least doubles the product and any count takes a few thousand at most."""
+    bound, total = max(cap, 10**SHOWN_DIGITS), 1
+    for m, k in binomials:
+        k, part = min(k, m - k), 1
+        for i in range(1, k + 1):
+            part = part * (m - k + i) // i
+            if total * part > bound:
+                return total * part
+        total *= part
+    return total
 
 
 def validate_config(config, blocks, q):

@@ -6,8 +6,8 @@ two sides of every comparison stay independent.  The exceptions are the
 heat-bath replay, which reads the package's weight tables and draws its
 random numbers in the package's order to pin the sampler's bookkeeping; the
 exact-law references, which keep the package's earlier int64 slab loop, its
-support fill and its row-by-row CSV writer to pin the composition-table law
-bit for bit; and the LSI references at the end, which build the
+support fill and its row-by-row CSV writer, and restate its one-pass
+normalization, to pin the composition-table law bit for bit; and the LSI references at the end, which build the
 leave-one-out and leave-two-out fields on the block product grid from the
 package's composition tables and field coefficients, read its recoloring
 distances and site laws, and pin only the enumeration or algebra the
@@ -48,7 +48,7 @@ from blockpotts.model import (
     form_from_sums,
     model_to_json,
 )
-from blockpotts.numutil import CHUNK_BYTES, LEAF, log_factorials, logsumexp_tree, softmax
+from blockpotts.numutil import CHUNK_BYTES, LEAF, log_factorials, softmax
 
 
 def pair_hamiltonian(config, sizes, alpha, beta):
@@ -94,26 +94,6 @@ def count_key(config, sizes, q):
         out.extend(row)
         pos += n
     return tuple(out)
-
-
-def logsumexp_levels(x):
-    """log(sum(exp(x))) with max shift, summed by the pairwise tree one whole
-    level at a time: neighbours (0,1), (2,3), .. are added and an odd last
-    element is carried up, until one value is left."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        return -np.inf
-    m = np.max(x)
-    if not np.isfinite(m):
-        return float(m)
-    t = np.exp(x - m)
-    while t.size > 1:
-        half = t.size // 2
-        pair = t[: 2 * half : 2] + t[1 : 2 * half : 2]
-        if t.size % 2:
-            pair = np.concatenate([pair, t[-1:]])
-        t = pair
-    return float(m + np.log(t[0]))
 
 
 def recursive_compositions(n, q):
@@ -181,9 +161,17 @@ def exact_law_int64_slabs(blocks, params, cap=DEFAULT_SUPPORT_CAP):
         out[...] = form_from_sums(slab_sq, col_sq, params)
         out /= 2.0 * blocks.N
         out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
-    log_Z = logsumexp_tree(log_weights)
-    probabilities = np.subtract(log_weights, log_Z)
-    return log_weights, log_Z, np.exp(probabilities, out=probabilities)
+    return (log_weights, *normalize_by_max_shift(log_weights))
+
+
+def normalize_by_max_shift(log_weights):
+    """(log_Z, probabilities) of log_weights by the package's one exp pass,
+    restated: shift by the largest log weight m, exponentiate, sum by
+    numpy's pairwise sum, divide by the sum, and log_Z = m + log(sum)."""
+    m = float(np.max(log_weights))
+    weights = np.exp(log_weights - m)
+    total = weights.sum()
+    return m + math.log(total), weights / total
 
 
 def export_csv_on_support(dist, path):

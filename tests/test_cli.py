@@ -246,7 +246,7 @@ def test_phase_diagram_single_label_change(tmp_path):
     assert phases[0] == "SUBCRITICAL" and phases[-1] == "SUPERCRITICAL"
 
 
-def test_lsi_check_pass_and_condition_failure(tmp_path):
+def test_lsi_check_pass_and_condition_failure(tmp_path, capsys):
     out = tmp_path / "lsi.json"
     rc = run(["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05",
               "--beta", "0.1", "--num-f", "10", "--out", str(out)])
@@ -254,9 +254,16 @@ def test_lsi_check_pass_and_condition_failure(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["violations"] == 0
-    rc = run(["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05",
-              "--beta", "0.2", "--out", str(tmp_path / "x.json")])
-    assert rc == 5
+    capsys.readouterr()
+    # e^710 overflows a float: the condition fails, it does not raise
+    for argv in (["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.2"],
+                 ["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0", "--beta", "710"],
+                 ["concentration", "--q", "3", "--sizes", "2,2", "--alpha", "0",
+                  "--beta", "710", "--sweeps", "5"]):
+        rc = run(argv + ["--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("condition not met: ") and len(err.strip().splitlines()) == 1
 
 
 def python_m_blockpotts(args, **kwargs):
@@ -452,8 +459,9 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "seed.json"]
 
 
-# Each of these would allocate 8 GB or more if it were not refused first:
-# never run them against a version without the row cap.
+# Each of these would allocate 8 GB or more, end in a traceback or run for
+# seconds if it were not refused first: never run them against a version
+# without the caps.
 @pytest.mark.parametrize("argv", [
     ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "0", "--g-max", "1",
      "--g-step", "1e-15"],
@@ -467,8 +475,21 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
      "--landscape-out", "LANDSCAPE", "--landscape-mesh", "2"],
     ["equilibria", "--q", "3", "--s", "2", "--alpha", "1", "--beta", "2",
      "--restarts", "1000000000"],
+    # counts past 4300 digits, which Python does not print, and 3^(10^7),
+    # which takes seconds to build
+    ["exact", "--q", "5000000000", "--sizes", "40000", "--alpha", "0.5", "--beta", "1"],
+    ["lsi-check", "--q", "3", "--sizes", "30000", "--alpha", "0.05", "--beta", "0.1"],
+    ["lsi-check", "--q", "3", "--sizes", "10000000", "--alpha", "0.05", "--beta", "0.1"],
+    # per-color tables of 5e9 colors
+    ["phase-diagram", "--q", "5000000000", "--s", "2", "--g-min", "1", "--g-max", "1"],
+    ["simulate", "--q", "5000000000", "--sizes", "2,2", "--alpha", "0", "--beta", "1",
+     "--sweeps", "1"],
+    ["concentration", "--q", "5000000000", "--sizes", "2,2", "--alpha", "0", "--beta", "0",
+     "--sweeps", "1"],
 ], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks",
-        "equilibria-restarts"])
+        "equilibria-restarts", "exact-huge-support", "lsi-check-many-digits",
+        "lsi-check-huge-power", "phase-diagram-many-colors", "simulate-many-colors",
+        "concentration-many-colors"])
 def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [str(tmp_path / "land.csv") if a == "LANDSCAPE" else a for a in argv]
@@ -587,7 +608,7 @@ def test_readme_constants_match_code():
 
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
                                             "MARGIN", "CRITICAL_BAND")}
-    owners.update(MAX_ROWS=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
+    owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
                   DEFAULT_SUPPORT_CAP=exact, MAX_SEARCH_ENTRIES=equilibria)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)

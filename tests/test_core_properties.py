@@ -1,11 +1,13 @@
 """Property tests of the count-matrix core: the interaction form and field,
 the block-product routes of the exact law and the leave-one-out fields, the
-leafwise tree log-sum-exp, the two-axis grids and closed-form recoloring
+one-pass normalization, the two-axis grids and closed-form recoloring
 distance of the interdependence matrix, the C(gamma) row clean-up, G's color symmetry and
 the mean-field step.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from blockpotts import (
 )
 from blockpotts.equilibria import _mean_field_map, _two_column
 from blockpotts.lsi import _recoloring_tv
-from blockpotts.numutil import LEAF, log_factorials, logsumexp_tree, softmax
+from blockpotts.exact import _normalize
+from blockpotts.numutil import LEAF, log_factorials, softmax
 from blockpotts.rates import _clean_rows, _free_energy
 
 import oracles
@@ -108,7 +111,7 @@ def product_grids(draw):
 
 def assert_exact_law_equals_materialised_support(params, blocks):
     """Every field of exact_distribution equals, bit for bit, the law built
-    on the materialised support and summed by the level-by-level tree."""
+    on the materialised support and normalized by the restated exp pass."""
     dist = exact_distribution(blocks, params)
     support = count_matrix_support(blocks.sizes, params.q, cap=10**7).astype(np.int64)
     assert dist.support.dtype == np.int16
@@ -119,10 +122,10 @@ def assert_exact_law_equals_materialised_support(params, blocks):
     for k in range(1, blocks.s):
         log_mult = log_mult + (log_fact[blocks.sizes[k]] - log_fact[support[:, k]].sum(axis=1))
     log_weights = log_mult + interaction_form(support, params) / (2.0 * blocks.N)
-    log_Z = oracles.logsumexp_levels(log_weights)
+    log_Z, probabilities = oracles.normalize_by_max_shift(log_weights)
     assert np.array_equal(dist.log_weights, log_weights)
     assert dist.log_Z == log_Z
-    assert np.array_equal(dist.probabilities, np.exp(log_weights - log_Z))
+    assert np.array_equal(dist.probabilities, probabilities)
 
 
 @SETTINGS
@@ -155,32 +158,36 @@ def test_exact_law_over_many_slabs_equals_materialised_support(sizes):
 def log_weights_near_one(n, spread, seed):
     """n log-weights: one 0, the rest drawn around log(0.5 / n), so the sum
     of exps is about 1.5 and log-sum-exp about 0.4.  The result's ulp is
-    then far below the rounding of the sum, so a different summation tree
-    shows in its bits; a sum of order n would hide it."""
+    then far below the rounding of the sum, so the sum's error shows in
+    log_Z; a sum of order n would hide it."""
     rng = np.random.default_rng(seed)
     x = np.log(0.5 / n) + spread * rng.standard_normal(n)
     x[rng.integers(n)] = 0.0
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 3 * LEAF + 7])
-def test_leafwise_tree_equals_level_tree(n):
-    x = log_weights_near_one(n, 0.5, n)
-    assert logsumexp_tree(x) == oracles.logsumexp_levels(x)
-
-
 @SETTINGS
 @given(st.integers(1, 4 * LEAF), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
-def test_leafwise_tree_equals_level_tree_on_drawn_sizes(n, spread, seed):
+def test_normalize_is_within_the_pairwise_bound_of_fsum(n, spread, seed):
+    """Error model: the terms exp(x - m) are those the package sums, and
+    math.fsum sums them correctly rounded.  numpy's pairwise sum rounds each
+    partial sum of these nonnegative terms at most 25 times inside a
+    128-term block (15 in a lane, 3 joining 8 lanes, 7 for a ragged tail)
+    and once per level above, so its relative error is at most
+    (log2 n + 26) u, u = 2^-53; the log turns that into an absolute error
+    of log_Z, the log and the add round within an ulp each, and each
+    probability adds one rounding of its division."""
     x = log_weights_near_one(n, spread, seed)
-    assert logsumexp_tree(x) == oracles.logsumexp_levels(x)
-
-
-@pytest.mark.parametrize("x", [[], [-np.inf], [-np.inf, -np.inf], [1.0, np.inf],
-                               [np.nan, 1.0], [np.inf, np.nan], np.full(LEAF + 1, -np.inf)])
-def test_tree_special_inputs_match_level_tree(x):
-    got, want = logsumexp_tree(x), oracles.logsumexp_levels(x)
-    assert got == want or (np.isnan(got) and np.isnan(want))
+    params = ModelParams(q=3, s=1, alpha=0.0, beta=0.0, gamma=(1.0,))
+    log_Z, probabilities = _normalize(x, params)
+    m = float(np.max(x))
+    terms = np.exp(x - m)
+    exact = math.fsum(terms.tolist())
+    rel = (math.log2(n) + 26) * 2.0**-53
+    reference = m + math.log(exact)
+    assert abs(log_Z - reference) <= 1.01 * rel + 4 * np.spacing(max(abs(m), abs(reference), 1.0))
+    assert np.all(np.abs(probabilities - terms / exact) <= (rel + 2.0**-52) * terms / exact)
+    assert abs(math.fsum(probabilities.tolist()) - 1.0) <= 1.01 * rel + 2.0**-52
 
 
 @SETTINGS

@@ -538,14 +538,15 @@ def test_suite_interacting_zero_violations_N4_N5():
 # verify_lsi_suite(q=3, alpha=0.05, beta=0.1, num_f=100, seed=1) as the
 # site-view loop of local_terms computed it: a layout change may move the
 # worst values in their last bits only.  The slacks come from the zero
-# observable, and its rounding-level values are pinned absolutely.
+# observable, and its rounding-level values are pinned absolutely; the
+# (4, 4) slacks are those of the one-pass normalization of the law.
 PINNED_SUITES = {
     (3, 3): (135, {"entropy_f2": 0.0, "entropy_expf_cov": -1.3322676295501869e-15,
                    "entropy_expf_dirichlet": -1.3322676295501869e-15},
              {"entropy_f2": 0.1726506832961233, "entropy_expf_cov": 0.16123394101236646,
               "entropy_expf_dirichlet": 0.14906912865617608}),
-    (4, 4): (141, {"entropy_f2": 0.0, "entropy_expf_cov": -3.330669073875469e-16,
-                   "entropy_expf_dirichlet": -3.330669073875469e-16},
+    (4, 4): (141, {"entropy_f2": 0.0, "entropy_expf_cov": 1.1102230246251571e-15,
+                   "entropy_expf_dirichlet": 1.1102230246251571e-15},
              {"entropy_f2": 0.16850078178126904, "entropy_expf_cov": 0.16074873038532153,
               "entropy_expf_dirichlet": 0.14856949263764072}),
 }

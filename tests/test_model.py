@@ -1,5 +1,7 @@
 """Core model types, count matrices, and the energy as a count-matrix form."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from blockpotts import (
     verify_lsi_suite,
 )
 from blockpotts.lsi import measured_constants
+from blockpotts.model import SHOWN_DIGITS, capped_count
 
 import oracles
 
@@ -201,3 +204,19 @@ def test_json_round_trip():
                    "gamma": [0.5, 0.5], "sizes": [50, 50]}
     # without blocks the same document, in the same key order, lacks only sizes
     assert list(model_to_json(p).items()) == list(doc.items())[:-1]
+
+
+@pytest.mark.parametrize("pairs", [[(10, 2), (10, 2)], [(500002, 2)], [(7, 7), (0, 0), (9, 4)],
+                                   [(3, 1)] * 14, [(3, 1)] * 3000, [(4000, 2000)],
+                                   [(5000039999, 40000)], [(3, 1)] * 30000, [(6000, 3000)] * 3])
+def test_capped_count_is_exact_up_to_its_bound(pairs):
+    # past max(cap, 10^SHOWN_DIGITS) it is a partial product: a lower bound
+    # of the count that already passes the bound
+    bound = 10**SHOWN_DIGITS
+    got = capped_count(pairs, cap=10)
+    if sum(math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+           for m, k in pairs) < 2000 * math.log(10):
+        exact = math.prod(math.comb(m, k) for m, k in pairs)
+        assert got == exact if exact <= bound else bound < got <= exact
+    else:
+        assert got > bound
