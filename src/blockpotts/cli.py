@@ -1,10 +1,12 @@
 """Command-line interface tying the modules into reproducible experiments.
 
 Commands: simulate, exact, equilibria, phase-diagram, lsi-check,
-concentration.  Every command writes its data files plus a manifest JSON,
-written by _write_manifest alone: its `options` hold every parsed option
-after --config merging, so replaying them as flags rewrites the same data
-files, and its `result` holds only values the run computed.  Exit codes:
+concentration.  Every command writes its data files and returns its
+manifest record (outputs, params, blocks, result); main then writes the
+manifest JSON through _write_manifest, so a command that fails writes none.
+The manifest's `options` hold every parsed option after --config merging,
+so replaying them as flags rewrites the same data files, and its `result`
+holds only values the run computed.  Exit codes:
 0 success, 1 I/O failure, 2 usage, 3 capacity, 4 non-convergence, 5
 analytic condition not met.
 
@@ -83,17 +85,6 @@ def float_list(text):
     return tuple(float(p) for p in text.replace(" ", "").split(",") if p != "")
 
 
-def _config_path(argv):
-    """The value of the last --config flag in argv, or None."""
-    path = None
-    for flag, value in zip(argv, argv[1:] + [None]):
-        if flag == "--config":
-            path = value
-        elif flag.startswith("--config="):
-            path = flag.partition("=")[2]
-    return path
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose errors are one 'error: ...' line with exit code 2,
     with no abbreviated flags, and whose subcommands read their --config
@@ -107,7 +98,9 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         if self.get_default("func") is not None:  # a subcommand's parser
-            path = _config_path(args)
+            pre = _Parser(add_help=False)
+            pre.add_argument("--config")
+            path = pre.parse_known_args(args)[0].config
             if path is not None:
                 args = self._config_argv(path) + args
         return super().parse_known_args(args, namespace)
@@ -211,7 +204,7 @@ def _write_csv(path, header, rows, comment=None):
             fh.writelines(line % tuple(r) for r in itertools.chain([first], rows))
 
 
-def _write_manifest(args, outputs, params=None, blocks=None, result=None):
+def _write_manifest(args, outputs, params, blocks, result):
     """Write <outputs[0]>.manifest.json; `result` holds what the run computed."""
     doc = {
         "command": args.command,
@@ -265,8 +258,7 @@ def cmd_simulate(args):
                 yield (chain_id, idx * thin, *counts)
 
     _write_csv(out, ["chain", "sweep", *count_columns(blocks.s, params.q)], rows())
-    _write_manifest(args, [out], params, blocks, result={"child_seeds": child_seeds})
-    return 0
+    return [out], params, blocks, {"child_seeds": child_seeds}
 
 
 def cmd_exact(args):
@@ -282,9 +274,7 @@ def cmd_exact(args):
     _write_csv(out, [*count_columns(blocks.s, params.q), "log_weight", "probability"],
                map(tuple.__add__, counts, values),
                comment=json.dumps({**model_to_json(params, blocks), "log_Z": dist.log_Z}))
-    _write_manifest(args, [out], params, blocks,
-                    result={"log_Z": dist.log_Z, "support_size": len(dist)})
-    return 0
+    return [out], params, blocks, {"log_Z": dist.log_Z, "support_size": len(dist)}
 
 
 _DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
@@ -326,8 +316,7 @@ def cmd_equilibria(args):
         header = ["r", *(f"mu_plus_{k + 1}" for k in range(params.s)), "G"]
         _write_csv(land_path, header, ((int(r), *rest) for r, *rest in rows.tolist()))
         outputs.append(land_path)
-    _write_manifest(args, outputs, params, blocks)
-    return 0
+    return outputs, params, blocks, None
 
 
 def cmd_phase_diagram(args):
@@ -352,8 +341,7 @@ def cmd_phase_diagram(args):
                    potts_functional(s * phi(u, q, s), g) + math.log(s))
 
     _write_csv(out, ["g", "phase", "u", "G_Q", "G_nu1"], rows())
-    _write_manifest(args, [out], result={"zeta_q": zeta})
-    return 0
+    return [out], None, None, {"zeta_q": zeta}
 
 
 def _json_numbers(values):
@@ -386,8 +374,7 @@ def cmd_lsi_check(args):
         "pass": report.violations == 0,
     }
     _write_json(out, doc)
-    _write_manifest(args, [out], params, blocks)
-    return 0
+    return [out], params, blocks, None
 
 
 def cmd_concentration(args):
@@ -417,8 +404,7 @@ def cmd_concentration(args):
     rows = concentration_report(summary, constants, k, c, np.linspace(0.0, t_max, t_points))
     _write_csv(out, ["t", "tail", "bound", "std_error", "flagged"],
                ((r.t, r.tail, r.bound, r.std_error, int(r.flagged)) for r in rows))
-    _write_manifest(args, [out], params, blocks, result={"sigma3_sq": constants.sigma3_sq})
-    return 0
+    return [out], params, blocks, {"sigma3_sq": constants.sigma3_sq}
 
 
 def _add_common(parser, out, seed=True):
@@ -512,7 +498,8 @@ def main(argv=None):
         if args.command is None:
             parser.print_help()
             return 2
-        return args.func(args)
+        _write_manifest(args, *args.func(args))
+        return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except InvalidInputError as exc:

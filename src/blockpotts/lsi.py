@@ -82,11 +82,13 @@ from .exact import (
     full_configuration_distribution,
     site_view,
 )
-from .model import check_block_color, check_consistent, field_from_sums
+from .model import check_block_color, check_cap, check_consistent, field_from_sums
 from .numutil import CHUNK_BYTES, LEAF, softmax
 
 # Largest q^N the full configuration workspace enumerates.
 WORKSPACE_CAP = 4_000_000
+# Most Gaussian observable values num_f * q^N the suite draws and integrates.
+MAX_SUITE_VALUES = 1_000_000_000
 # Relative rounding allowance of the inequality checks: the contract is zero
 # violations, and this absorbs last-ulp rounding only.
 FP_SLACK = 1e-12
@@ -103,30 +105,39 @@ def _exp(x):
         return math.inf
 
 
+def _smallness(q, beta):
+    """2 q beta e^beta for any q, inf where it overflows; beta = 0 gives 0."""
+    try:
+        return 2.0 * beta * q * _exp(beta)
+    except OverflowError:  # q past the float range
+        return _exp(math.log(2 * q) + math.log(beta) + beta) if beta > 0.0 else 0.0
+
+
 def lsi_condition(q, beta):
     """Asymptotic smallness condition 2 q beta e^beta < 1."""
-    return 2.0 * q * beta * _exp(beta) < 1.0
+    return _smallness(q, beta) < 1.0
 
 
 def _require_lsi_condition(q, beta):
     if not lsi_condition(q, beta):
-        raise ConditionNotMetError(
-            f"2 q beta e^beta = {2 * q * beta * _exp(beta):.6g} >= 1"
-        )
+        raise ConditionNotMetError(f"2 q beta e^beta = {_smallness(q, beta):.6g} >= 1")
 
 
 def gamma1_floor(q, beta):
     """Analytic lower bound 1/(1 + (q-1) e^beta) valid for every N.
 
     Leave-one-out fields lie in [0, beta), so no conditional probability can
-    fall below this value.
+    fall below this value; past the float range of q it is e^-(log(q-1) + beta).
     """
-    return 1.0 / (1.0 + (q - 1.0) * _exp(beta))
+    try:
+        return 1.0 / (1.0 + (q - 1.0) * _exp(beta))
+    except OverflowError:  # q past the float range: the 1 is negligible
+        return math.exp(-math.log(q - 1) - beta)
 
 
 def gamma2_asymptotic(q, beta):
     """Large-N spectral margin 1 - 2 q beta e^beta (may be <= 0)."""
-    return 1.0 - 2.0 * q * beta * _exp(beta)
+    return 1.0 - _smallness(q, beta)
 
 
 @dataclass(frozen=True)
@@ -450,7 +461,8 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     inequality.  The contract is zero violations; FP_SLACK only absorbs
     last-ulp rounding, and a side that is NaN counts as a violation and
     makes that inequality's worst slack (and ratio) NaN.  Observables are
-    evaluated in chunks, so memory does not grow with num_f.
+    evaluated in chunks, so memory does not grow with num_f; time does, and
+    num_f q^N above MAX_SUITE_VALUES is refused before any is drawn.
     """
     if num_f < 0:
         raise InvalidInputError(f"num_f must be >= 0, got {num_f}")
@@ -458,6 +470,9 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
         raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
     _require_lsi_condition(params.q, params.beta)
     workspace = ConfigWorkspace(blocks, params)
+    P = len(workspace.dist)
+    check_cap(num_f * P, MAX_SUITE_VALUES, f"num_f {num_f} over {P} configurations",
+              "observable values")
     constants, inf_norm, two_norm = measured_constants(blocks, params)
 
     p = workspace.probabilities

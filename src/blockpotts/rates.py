@@ -72,11 +72,7 @@ def relative_entropy(nu):
     vectors that are not probability distributions (the usual convention
     for rate functions).  Raises InvalidInputError unless nu is 1-D.
     """
-    row = _vector(nu)
-    clean = _clean_rows(row, 1.0)
-    if clean is None:
-        return math.inf
-    return float(_entropy_term(clean) + math.log(row.size))
+    return rate_I(_vector(nu), (1.0,))
 
 
 def rate_I(nu, gamma):

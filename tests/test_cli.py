@@ -208,6 +208,23 @@ def test_only_the_cli_opens_files():
     assert calls == []
 
 
+def test_main_alone_writes_manifests():
+    # each command returns its manifest record; main writes it
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def writes(node):
+        return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_write_manifest"
+                   for n in ast.walk(node))
+
+    assert writes(tree) == writes(functions["main"]) == 1
+    zeros = [name for name, f in functions.items() if name.startswith("cmd_")
+             for node in ast.walk(f) if isinstance(node, ast.Return)
+             and isinstance(node.value, ast.Constant) and node.value.value == 0]
+    assert len([name for name in functions if name.startswith("cmd_")]) == 6
+    assert zeros == []
+
+
 def _package_imports(path):
     """The package modules that one module imports, in any import form."""
     names = set()
@@ -255,9 +272,12 @@ def test_lsi_check_pass_and_condition_failure(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["violations"] == 0
     capsys.readouterr()
-    # e^710 overflows a float: the condition fails, it does not raise
+    # e^710 and a q of 401 digits overflow a float: the condition fails, it
+    # does not raise
     for argv in (["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0.05", "--beta", "0.2"],
                  ["lsi-check", "--q", "3", "--sizes", "2,2", "--alpha", "0", "--beta", "710"],
+                 ["lsi-check", "--q", str(10**400 + 7), "--sizes", "2", "--alpha", "0.05",
+                  "--beta", "0.1"],
                  ["concentration", "--q", "3", "--sizes", "2,2", "--alpha", "0",
                   "--beta", "710", "--sweeps", "5"]):
         rc = run(argv + ["--out", str(tmp_path / "x.json")])
@@ -480,6 +500,10 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     ["exact", "--q", "5000000000", "--sizes", "40000", "--alpha", "0.5", "--beta", "1"],
     ["lsi-check", "--q", "3", "--sizes", "30000", "--alpha", "0.05", "--beta", "0.1"],
     ["lsi-check", "--q", "3", "--sizes", "10000000", "--alpha", "0.05", "--beta", "0.1"],
+    # a q of 401 digits meets the condition at beta = 0, then the workspace cap
+    ["lsi-check", "--q", str(10**400 + 7), "--sizes", "2", "--alpha", "0", "--beta", "0"],
+    ["lsi-check", "--q", "3", "--sizes", "2", "--alpha", "0.05", "--beta", "0.1",
+     "--num-f", "100000000000"],
     # per-color tables of 5e9 colors
     ["phase-diagram", "--q", "5000000000", "--s", "2", "--g-min", "1", "--g-max", "1"],
     ["simulate", "--q", "5000000000", "--sizes", "2,2", "--alpha", "0", "--beta", "1",
@@ -488,7 +512,7 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
      "--sweeps", "1"],
 ], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks",
         "equilibria-restarts", "exact-huge-support", "lsi-check-many-digits",
-        "lsi-check-huge-power", "phase-diagram-many-colors", "simulate-many-colors",
+        "lsi-check-huge-power", "lsi-check-huge-q", "lsi-check-num-f", "phase-diagram-many-colors", "simulate-many-colors",
         "concentration-many-colors"])
 def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -604,12 +628,13 @@ def _readme_number(text):
 
 
 def test_readme_constants_match_code():
-    from blockpotts import cli, equilibria, exact, glauber
+    from blockpotts import cli, equilibria, exact, glauber, lsi
 
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
                                             "MARGIN", "CRITICAL_BAND")}
     owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
-                  DEFAULT_SUPPORT_CAP=exact, MAX_SEARCH_ENTRIES=equilibria)
+                  DEFAULT_SUPPORT_CAP=exact, MAX_SEARCH_ENTRIES=equilibria,
+                  MAX_SUITE_VALUES=lsi)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)
     assert {name for name, _ in quoted} == set(owners)

@@ -25,6 +25,7 @@ from blockpotts import (
     full_configuration_distribution,
     gamma1_exact,
     gamma1_floor,
+    gamma2_asymptotic,
     interdependence_matrix_exact,
     lsi_condition,
     lsi_constants,
@@ -50,6 +51,16 @@ def test_lsi_condition_examples():
     assert lsi_condition(3, 0.1) is True
     assert lsi_condition(3, 0.2) is False
     assert lsi_condition(10, 1e-6) is True
+
+
+@pytest.mark.parametrize("q", [10**400 + 7, 2**1023 + 1])
+def test_condition_helpers_take_a_q_past_the_float_range(q):
+    # 2 q overflows a float at both; beta = 0 keeps 2 q beta e^beta at 0
+    assert lsi_condition(q, 0.0) is True and gamma2_asymptotic(q, 0.0) == 1.0
+    assert lsi_condition(q, 0.1) is False and gamma2_asymptotic(q, 0.1) < -1e300
+    assert 0.0 <= gamma1_floor(q, 0.1) <= 1.0 / float(2**1023)
+    with pytest.raises(ConditionNotMetError):
+        asymptotic_constants(q, 0.1)
 
 
 def test_interdependence_zero_couplings():
