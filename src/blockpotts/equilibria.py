@@ -401,15 +401,26 @@ def _color_permutations(mats, q):
     in the lexicographic order of combinations, the order in which
     itertools.permutations first yields each placement.  A matrix within
     DEDUPE_TOL of a kept one is skipped before its placements are listed.
+    Each matrix is compared with all kept ones at once, against a stacked
+    copy of them that doubles its room when full.
     """
-    kept = []
+    if not mats:
+        return []
+    kept, stack = [], np.empty((1, *mats[0].shape))
+
+    def near_kept(m):
+        return bool(np.any(np.max(np.abs(stack[:len(kept)] - m), axis=(1, 2)) < DEDUPE_TOL))
+
     for m in mats:
-        if any(np.max(np.abs(m - other)) < DEDUPE_TOL for other in kept):
+        if near_kept(m):
             continue
         r = int(np.count_nonzero(np.all(m == m[:, -1:], axis=0)))
         for small in itertools.combinations(range(q), q - r):
             mp = m[:, [0 if c in small else q - 1 for c in range(q)]]
-            if not any(np.max(np.abs(mp - other)) < DEDUPE_TOL for other in kept):
+            if not near_kept(mp):
+                if len(kept) == len(stack):
+                    stack = np.concatenate([stack, np.empty_like(stack)])
+                stack[len(kept)] = mp
                 kept.append(mp)
     return kept
 

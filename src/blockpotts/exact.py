@@ -7,27 +7,37 @@ multiplicities: the weight of a count matrix B is
 
     prod_k multinomial(|S_k|; B[k, :]) * exp(-H(B)).
 
-The support is the product of the blocks' composition sets, and the weight
-splits over it: the log multinomial is a sum of per-block terms, and
+Both exact laws here live on a product grid of integer count tables
+(_grid_log_weights): each table lists the color counts of some sites of one
+block, a grid point takes one row of every table, and row k of its count
+matrix is the sum of block k's rows.  The form
 
-    <B, A B> = (beta - alpha) sum_k |B_k|^2 + alpha |sum_k B_k|^2,
-    |sum_k B_k|^2 = sum_k |B_k|^2 + 2 sum_{k<l} B_k . B_l,
+    <B, A B> = (beta - alpha) sum_k |B_k|^2 + alpha |sum_k B_k|^2
 
-so the law is built on the (P_0, .., P_{s-1}) grid of per-block
-compositions from per-block vectors and one P_k x P_l Gram matrix per
-block pair, never from the materialised support.  It is built in slabs of
-block-0 compositions, each about numutil.CHUNK_BYTES per temporary, written
-into the preallocated weights, so the memory beyond the outputs is set by
-the slab, not by the support size.  The law holds the per-block
-composition tables, not the support: the (P, s, q) int16 support is built
-only when its `support` attribute is first read (blocks of 2^15 sites or
-more are refused), and the support size is checked against the cap before
+then splits into per-table vectors and one Gram matrix per table pair.
+Every such sum is an integer below 2^53, so the float64 weights equal
+those of interaction_form's int64 sums bit for bit.  They are built in
+slabs of about numutil.CHUNK_BYTES per temporary, so memory beyond the
+outputs is set by the slab, not by the grid.
+
+The count-matrix law (exact_distribution) takes one table per block, its
+compositions, with the log multinomial a sum of per-block terms.  It holds
+those tables, not the support: the (P, s, q) int16 support is built only
+when its `support` attribute is first read (blocks of 2^15 sites or more
+are refused), and the support size is checked against the cap before
 anything is enumerated.
 
-Everything is normalized in log space.  This module is the brute-force
-oracle for the sampler, the rate functions and the log-Sobolev checks; for
-tiny N a full q^N configuration enumeration is also provided so the two
-routes can be cross-checked against each other.
+The q^N configuration law (full_configuration_distribution), for tiny N,
+splits each block into at most two contiguous site groups of at most
+ceil(n_k / 2) sites, one table per group, so no table of the weights grows
+like q^N.  Its largest temporary is one block's (q^n_k, q) count table,
+freed before the weights are built, so its peak memory is its outputs,
+N + 2 s q + 16 bytes per configuration.
+
+Everything is normalized in log space, by one exp pass.  This module is
+the brute-force oracle for the sampler, the rate functions and the
+log-Sobolev checks; the two routes can be cross-checked against each
+other.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from .model import (capped_count, check_block_color, check_cap, check_consistent,
-                    form_from_sums, interaction_form)
+                    form_from_sums)
 from .numutil import LEAF, log_factorials
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -94,13 +104,20 @@ def _fill_support(comps):
     outermost.  Each composition is copied as one 2q-byte row."""
     shape = [c.shape[0] for c in comps]
     s, q = len(comps), comps[0].shape[1]
-    row = np.dtype((np.void, 2 * q))
     support = np.empty((*shape, s, q), dtype=np.int16)
-    rows = support.view(row)[..., 0]
     for k, c in enumerate(comps):
-        rows[..., k] = c.astype(np.int16).view(row)[:, 0].reshape(
-            [-1 if j == k else 1 for j in range(s)])
+        _fill_rows(support[..., k, :], c.astype(np.int16), [k])
     return support.reshape(-1, s, q)
+
+
+def _fill_rows(grid, table, axes):
+    """Write the rows of the C-ordered table (R, g) into grid (..., g), whose
+    last axis is contiguous: a point whose coordinates on the neighbouring
+    grid axes `axes` code r in C order gets row r, whatever its other
+    coordinates.  Each row is copied whole, as one g-item record."""
+    row = np.dtype((np.void, grid.shape[-1] * grid.itemsize))
+    on_axes = [n if a in axes else 1 for a, n in enumerate(grid.shape[:-1])]
+    grid.view(row)[..., 0] = table.view(row)[:, 0].reshape(on_axes)
 
 
 @dataclass(frozen=True)
@@ -143,44 +160,17 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     weight overflows make log_Z infinite, and are refused with an
     InvalidInputError.
 
-    The weights are built on the block product grid (P_0, .., P_{s-1}): the
-    log multinomial and sum B^2 are outer sums of per-block vectors, and
-    |colsum B|^2 adds 2 C_k C_l^T to sum B^2 for each block pair k < l (C_k
-    the composition table of block k).  Both sums are taken in float64 from
-    float64 copies of the tables, the Gram products by BLAS: every term is
-    an integer below 2^53, so they are exact, and the weights are those of
-    interaction_form on the materialised support, bit for bit, without its
-    (P, s, q) temporaries.  They are written slab by slab, each slab a run
-    of block-0 compositions of about CHUNK_BYTES per temporary (one block-0
-    row at least), so beyond the outputs (16 bytes per point) memory does
-    not grow with P.
+    The weights are built by _grid_log_weights on the block product grid
+    (P_0, .., P_{s-1}), one composition table per block: the weights are
+    those of interaction_form on the materialised support, bit for bit,
+    without its (P, s, q) temporaries, and beyond the outputs (16 bytes per
+    point) memory does not grow with P.
     """
     check_consistent(params, blocks)
     comps = block_compositions(blocks.sizes, params.q, cap)
-    s = len(comps)
     log_fact = log_factorials(max(blocks.sizes))
     log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
-    tables = [c.astype(np.float64) for c in comps]
-    squares = [np.square(t).sum(axis=1) for t in tables]
-    # the Gram matrices without block 0 are shared by every slab
-    grams = {(k, l): tables[k] @ tables[l].T for k, l in itertools.combinations(range(1, s), 2)}
-    rest = math.prod(c.shape[0] for c in comps[1:])
-    step = max(1, LEAF // rest)
-    log_weights = np.empty(comps[0].shape[0] * rest)
-    for lo in range(0, comps[0].shape[0], step):
-        head = slice(lo, lo + step)
-        slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
-        col_sq = slab_sq.copy()
-        for k, l in itertools.combinations(range(s), 2):
-            gram = tables[0][head] @ tables[l].T if k == 0 else grams[k, l]
-            on_axes = [1] * s
-            on_axes[k], on_axes[l] = gram.shape
-            col_sq += 2 * gram.reshape(on_axes)
-        out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
-        with np.errstate(over="ignore"):
-            out[...] = form_from_sums(slab_sq, col_sq, params)
-        out /= 2.0 * blocks.N
-        out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
+    log_weights = _grid_log_weights(comps, range(len(comps)), log_mult, params, blocks.N)
     log_Z, probabilities = _normalize(log_weights, params)
     return ExactDistribution(
         compositions=tuple(comps),
@@ -190,6 +180,59 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
         params=params,
         blocks=blocks,
     )
+
+
+def _grid_log_weights(tables, block_of, log_mult, params, N):
+    """Log weights on the product grid of integer count tables, flattened
+    with tables[0] outermost.
+
+    Table j is a (P_j, q) array of color counts of some sites of block
+    block_of[j]; a grid point is one row of every table, and its count
+    matrix has as row k the sum of the rows of block k's tables.  So, with
+    t_j the row of table j,
+
+        sum B^2 = sum_j |t_j|^2 + 2 sum_{j<l, same block} t_j . t_l,
+        |colsum B|^2 = sum_j |t_j|^2 + 2 sum_{j<l} t_j . t_l,
+
+    outer sums of per-table vectors plus one P_j x P_l Gram matrix per
+    table pair, taken in float64 (the Gram products by BLAS) and exact,
+    every term an integer below 2^53.  The form (form_from_sums), / 2N and,
+    unless log_mult is None, the outer sum of the per-table log
+    multiplicities follow in that order.  Each slab is a run of rows of
+    table 0 of about LEAF points (one row at least).
+    """
+    tables = [t.astype(np.float64) for t in tables]
+    squares = [np.square(t).sum(axis=1) for t in tables]
+    pairs = list(itertools.combinations(range(len(tables)), 2))
+    same = [(j, l) for j, l in pairs if block_of[j] == block_of[l]]
+    across = [(j, l) for j, l in pairs if block_of[j] != block_of[l]]
+    # the doubled Gram matrices without table 0 are shared by every slab
+    grams = {(j, l): 2.0 * (tables[j] @ tables[l].T) for j, l in pairs if j > 0}
+    rest = math.prod(t.shape[0] for t in tables[1:])
+    step = max(1, LEAF // rest)
+    log_weights = np.empty(tables[0].shape[0] * rest)
+
+    def on_grid(j, l, head):
+        gram = 2.0 * (tables[0][head] @ tables[l].T) if j == 0 else grams[j, l]
+        on_axes = [1] * len(tables)
+        on_axes[j], on_axes[l] = gram.shape
+        return gram.reshape(on_axes)
+
+    for lo in range(0, tables[0].shape[0], step):
+        head = slice(lo, lo + step)
+        slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
+        for j, l in same:
+            slab_sq += on_grid(j, l, head)
+        col_sq = slab_sq.copy()
+        for j, l in across:
+            col_sq += on_grid(j, l, head)
+        out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
+        with np.errstate(over="ignore"):
+            out[...] = form_from_sums(slab_sq, col_sq, params)
+        out /= 2.0 * N
+        if log_mult is not None:
+            out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
+    return log_weights
 
 
 def _normalize(log_weights, params):
@@ -244,25 +287,50 @@ def site_view(values, site, q):
     return values.reshape(*values.shape[:-1], -1, q, q**site)
 
 
+def _site_groups(blocks):
+    """(block, lo, hi) of every site group, in site order: each block split
+    into at most two contiguous runs of at most ceil(n_k / 2) sites."""
+    for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets.tolist())):
+        mid = (lo + hi + 1) // 2
+        yield k, lo, mid
+        if mid < hi:
+            yield k, mid, hi
+
+
 def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """Enumerate all q^N configurations and their exact Gibbs probabilities.
 
     q^N is checked against cap (at least 1) before anything is allocated.
     Couplings that overflow a weight are refused as in exact_distribution.
+
+    A group of g sites has q^g colorings, coded base q with its lowest site
+    least significant, and a (q^g, q) table of their color counts.
+    Configuration codes put site 0 lowest, so with the last group outermost
+    the grid's flat index is the configuration code.  configs are filled
+    group by group from the colorings, count_matrices block by block from
+    the outer sum of the block's group tables, one whole row per point.
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
     required = capped_count(itertools.repeat((q, 1), N), cap)
     check_cap(required, cap, "full enumeration", "configurations")
+    groups = list(_site_groups(blocks))[::-1]
+    colorings = [(np.arange(q ** (hi - lo))[:, None] // q ** np.arange(hi - lo) % q)
+                 .astype(np.int8) for _, lo, hi in groups]
+    tables = [(c[:, :, None] == np.arange(q)).sum(axis=1, dtype=np.int16) for c in colorings]
+    shape = [c.shape[0] for c in colorings]
     configs = np.empty((required, N), dtype=np.int8)
-    for i in range(N):
-        site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]
+    for j, (_, lo, hi) in enumerate(groups):
+        _fill_rows(configs.reshape(*shape, N)[..., lo:hi], colorings[j], [j])
     counts = np.empty((required, blocks.s, q), dtype=np.int16)
-    for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets)):
-        for c in range(q):
-            counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
-    with np.errstate(over="ignore"):
-        log_weights = interaction_form(counts, params) / (2.0 * N)
+    for k in range(blocks.s):
+        # a block's groups are neighbouring axes, outer first, so the outer
+        # sum of their tables is coded by the block's colorings
+        axes = [j for j, group in enumerate(groups) if group[0] == k]
+        _fill_rows(counts.reshape(*shape, blocks.s, q)[..., k, :],
+                   functools.reduce(lambda hi, lo: (hi[:, None] + lo).reshape(-1, q),
+                                    [tables[j] for j in axes]), axes)
+    log_weights = _grid_log_weights(tables, [k for k, _, _ in groups], None, params, N)
     log_Z, probabilities = _normalize(log_weights, params)
     return ConfigurationDistribution(
         configs=configs,

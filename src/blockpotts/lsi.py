@@ -52,15 +52,23 @@ comps(rest) reaches exactly the fields that the count matrices of the N - 2
 other sites reach.  J[i, j] therefore depends only on n_k and on whether j
 shares i's block, with boost beta / N when it does and alpha / N when not.
 
+The workspace's joint law is exact.full_configuration_distribution, built
+on the product grid of per-site-group color-count tables: its sums are
+integers below 2^53, exact in float64, so its weights are those of
+interaction_form on the count matrices bit for bit, and its peak memory is
+its outputs.
+
 Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
 interdependence entries take their maxima over slabs of each grid's
 leave-two-out fields, and the suite evaluates its observables in (F, P)
 chunks, so memory beyond the composition tables and the joint law grows
-neither with the support nor with the observables.  On a site's view the
-innermost run is q^i elements, so a site i < N // 2 is evaluated at site
-N - 1 - i of one copy of the chunk with its N site axes reversed, against
-the joint law reversed the same way (built once per workspace): every
-site's recoloring axis then has an inner run of at least q^(N // 2).
+neither with the support nor with the observables.  Each Gaussian chunk is
+scaled in place, and exp_moments writes its three moments into one
+preallocated array.  On a site's view the innermost run is q^i elements,
+so a site i < N // 2 is evaluated at site N - 1 - i of one copy of the
+chunk with its N site axes reversed, against the joint law reversed the
+same way (built once per workspace): every site's recoloring axis then has
+an inner run of at least q^(N // 2).
 
 The concentration check reads every tail of a t grid from one sort of a
 chain's deviations and needs nothing of the sampler but its sample array.
@@ -75,14 +83,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionNotMetError, InvalidInputError
+from .errors import CapacityError, ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
     block_compositions,
     full_configuration_distribution,
     site_view,
 )
-from .model import check_block_color, check_cap, check_consistent, field_from_sums
+from .model import (check_block_color, check_cap, check_consistent, field_from_sums,
+                    shown_count)
 from .numutil import CHUNK_BYTES, LEAF, softmax
 
 # Largest q^N the full configuration workspace enumerates.
@@ -177,10 +186,18 @@ def asymptotic_constants(q, beta):
     """Constants from the analytic floor and the large-N norm bound.
 
     Valid for N large enough that the exact norm sits below its asymptote;
-    raises when the smallness condition fails outright.
+    raises when the smallness condition fails outright.  The floor is about
+    1/q, so past q of about 1e308 it underflows or a constant overflows a
+    float; such a q is refused with a CapacityError that names it.
     """
     _require_lsi_condition(q, beta)
-    return lsi_constants(gamma1_floor(q, beta), gamma2_asymptotic(q, beta))
+    gamma1 = gamma1_floor(q, beta)
+    if gamma1 > 0.0:
+        constants = lsi_constants(gamma1, gamma2_asymptotic(q, beta))
+        if math.isfinite(constants.C) and math.isfinite(constants.sigma1_sq):
+            return constants
+    raise CapacityError(f"the log-Sobolev constants at q={shown_count(q)} overflow a float",
+                        required=q)
 
 
 def gamma1_exact(blocks, params):
@@ -374,12 +391,15 @@ class ConfigWorkspace:
 
 
 def exp_moments(fvals):
-    """(f, e^f, f e^f) of observables f of shape (..., P), stacked as one
-    (3, ..., P) array: the moments local_terms averages and the exp-form
-    inequalities integrate, each computed once."""
+    """(f, e^f, f e^f) of observables f of shape (..., P), as one (3, ..., P)
+    array: the moments local_terms averages and the exp-form inequalities
+    integrate, each computed once and written in place."""
     fvals = np.asarray(fvals, dtype=np.float64)
-    ef = np.exp(fvals)
-    return np.stack((fvals, ef, fvals * ef))
+    moments = np.empty((3, *fvals.shape))
+    moments[0] = fvals
+    np.exp(fvals, out=moments[1])
+    np.multiply(fvals, moments[1], out=moments[2])
+    return moments
 
 
 def entropy_functional(f, dist):
@@ -444,7 +464,9 @@ def _observable_chunks(workspace, rng, num_f, amplitude):
     P = len(workspace.dist)
     rows = max(1, CHUNK_BYTES // (8 * P))
     for start in range(0, num_f, rows):
-        yield rng.standard_normal((min(rows, num_f - start), P)) * amplitude
+        chunk = rng.standard_normal((min(rows, num_f - start), P))
+        chunk *= amplitude
+        yield chunk
     battery = _structured_battery(workspace, rng)
     while chunk := list(itertools.islice(battery, rows)):
         yield np.stack(chunk)

@@ -146,10 +146,16 @@ def check_cap(required, cap, what, unit):
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
     if required > cap:
-        shown = required
-        if isinstance(required, int) and required > 10**SHOWN_DIGITS:
-            shown = f"more than 10^{SHOWN_DIGITS}"
-        raise CapacityError(f"{what} needs {shown} {unit}, cap is {cap}", required=required)
+        raise CapacityError(f"{what} needs {shown_count(required)} {unit}, cap is {cap}",
+                            required=required)
+
+
+def shown_count(count):
+    """count as a capacity message names it: an int of more than
+    SHOWN_DIGITS digits only as such."""
+    if isinstance(count, int) and count > 10**SHOWN_DIGITS:
+        return f"more than 10^{SHOWN_DIGITS}"
+    return count
 
 
 def capped_count(binomials, cap):

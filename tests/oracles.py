@@ -6,12 +6,13 @@ two sides of every comparison stay independent.  The exceptions are the
 heat-bath replay, which reads the package's weight tables and draws its
 random numbers in the package's order to pin the sampler's bookkeeping; the
 exact-law references, which keep the package's earlier int64 slab loop, its
-support fill and its row-by-row CSV writer, and restate its one-pass
-normalization, to pin the composition-table law bit for bit; and the LSI references at the end, which build the
-leave-one-out and leave-two-out fields on the block product grid from the
-package's composition tables and field coefficients, read its recoloring
-distances and site laws, and pin only the enumeration or algebra the
-package applies to them; the closure under column permutations, which
+support fill, its count_nonzero route to the q^N configuration law and its
+row-by-row CSV writer, and restate its one-pass normalization, to pin the
+composition-table and site-group grid laws bit for bit; and the LSI
+references at the end, which build the leave-one-out and leave-two-out
+fields on the block product grid from the package's composition tables and
+field coefficients, read its recoloring distances and site laws, and pin
+only the enumeration or algebra the package applies to them; the closure under column permutations, which
 keeps the package's earlier loop over all q! permutations, its placement
 loop that listed every candidate's placements, and its DEDUPE_TOL; and
 the rate-function references, which keep the package's earlier C(gamma)
@@ -20,8 +21,9 @@ row sums), to pin the leaner versions bit for bit;
 the structure-certificate flags, kept as the package's earlier row loops;
 the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
 the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
-one template writer; and the LSI workspace's earlier site-view loop, which
-pins the site-reversed layout of local_terms.
+one template writer; the LSI workspace's earlier site-view loop, which
+pins the site-reversed layout of local_terms; and the suite's earlier
+stacked moments, which pin the in-place exp_moments.
 """
 
 import functools
@@ -43,9 +45,11 @@ from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
 from blockpotts.lsi import _recoloring_tv, _site_laws
 from blockpotts.model import (
     check_block_color,
+    check_cap,
     check_consistent,
     field_from_sums,
     form_from_sums,
+    interaction_form,
     model_to_json,
 )
 from blockpotts.numutil import CHUNK_BYTES, LEAF, log_factorials, softmax
@@ -162,6 +166,27 @@ def exact_law_int64_slabs(blocks, params, cap=DEFAULT_SUPPORT_CAP):
         out /= 2.0 * blocks.N
         out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
     return (log_weights, *normalize_by_max_shift(log_weights))
+
+
+def full_configurations_by_count_nonzero(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+    """(configs, count_matrices, log_weights, log_Z, probabilities) of the q^N
+    configuration law by the package's earlier route: each site's column of
+    codes written through site_view, s q count_nonzero passes over the
+    (P, n_k) slices of each block, and interaction_form's int64 sums on the
+    materialised (P, s, q) int16 counts."""
+    check_consistent(params, blocks)
+    q, N = params.q, blocks.N
+    check_cap(q**N, cap, "full enumeration", "configurations")
+    configs = np.empty((q**N, N), dtype=np.int8)
+    for i in range(N):
+        site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]
+    counts = np.empty((q**N, blocks.s, q), dtype=np.int16)
+    for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets)):
+        for c in range(q):
+            counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
+    with np.errstate(over="ignore"):
+        log_weights = interaction_form(counts, params) / (2.0 * N)
+    return (configs, counts, log_weights, *normalize_by_max_shift(log_weights))
 
 
 def normalize_by_max_shift(log_weights):
@@ -658,6 +683,14 @@ def local_terms_by_site_view(workspace, moments):
         sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
         site_view(dsq, i, q)[...] += sq
     return dsq, cov
+
+
+def exp_moments_by_stack(fvals):
+    """(f, e^f, f e^f) stacked from three temporaries, as the LSI suite
+    took its moments before it wrote them in place."""
+    fvals = np.asarray(fvals, dtype=np.float64)
+    ef = np.exp(fvals)
+    return np.stack((fvals, ef, fvals * ef))
 
 
 def entropy_term_by_sum(m, axis=None):

@@ -21,6 +21,7 @@ from blockpotts import (
     interdependence_matrix_exact,
 )
 from blockpotts.cli import main
+from blockpotts.numutil import CHUNK_BYTES
 
 import oracles
 from oracles import count_matrix_support
@@ -221,6 +222,43 @@ def test_exact_law_equals_int64_slab_loop(q, sizes):
     assert np.array_equal(dist.log_weights, log_weights)
     assert dist.log_Z == log_Z
     assert np.array_equal(dist.probabilities, probabilities)
+
+
+# the configuration law's sums are taken in float64 from the site groups'
+# integer count tables, all integers below 2^53, so every output equals the
+# count_nonzero route's
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("q, sizes", [
+    (3, (5, 5)), (3, (4, 4)), (3, (9,)), (3, (1, 1)), (3, (1, 2)), (4, (2, 3, 2)),
+    (5, (3, 2, 1, 2)),
+])
+def test_configuration_law_equals_count_nonzero_route(q, sizes, alpha, beta):
+    p, b = make(q, sizes, alpha, beta)
+    full = full_configuration_distribution(b, p)
+    configs, counts, log_weights, log_Z, probabilities = (
+        oracles.full_configurations_by_count_nonzero(b, p))
+    assert full.configs.dtype == np.int8 and full.count_matrices.dtype == np.int16
+    assert np.array_equal(full.configs, configs)
+    assert np.array_equal(full.count_matrices, counts)
+    assert np.array_equal(full.log_weights, log_weights)
+    assert full.log_Z == log_Z
+    assert np.array_equal(full.probabilities, probabilities)
+
+
+def test_configuration_law_peak_memory_is_its_outputs():
+    # (7, 6): 1.6e6 configurations, 41 bytes each in the outputs; no table
+    # holds more than one block's 3^7 colorings and the weights' temporaries
+    # are slabs, so nothing else grows with q^N
+    p, b = make(3, (7, 6), 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        full = full_configuration_distribution(b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (full.configs, full.count_matrices, full.log_weights,
+                                     full.probabilities))
+    assert peak <= outputs + 4 * CHUNK_BYTES
 
 
 @pytest.mark.parametrize("q, sizes", [(3, (4, 4)), (3, (30, 30)), (4, (3, 2, 4))])

@@ -63,6 +63,25 @@ def test_condition_helpers_take_a_q_past_the_float_range(q):
         asymptotic_constants(q, 0.1)
 
 
+@pytest.mark.parametrize("q", [10**400 + 7, 10**320, 10**308 + 1, 10**1000 + 1],
+                         ids=["1e400+7", "1e320", "1e308+1", "1e1000+1"])
+def test_asymptotic_constants_past_the_float_range_are_capacity_errors(q):
+    # the floor underflows to 0 at the first, C overflows at the second and
+    # sigma1^2 at the third; a q past SHOWN_DIGITS digits is named only as such
+    with pytest.raises(CapacityError) as err:
+        asymptotic_constants(q, 0.0)
+    assert err.value.required == q
+    shown = "more than 10^1000" if q > 10**1000 else str(q)
+    assert f"q={shown} overflow" in str(err.value)
+
+
+def test_asymptotic_constants_keep_their_values_inside_the_float_range():
+    c = asymptotic_constants(10**300, 0.0)
+    assert (c.gamma1, c.gamma2, c.C, c.sigma1_sq, c.sigma2_sq, c.sigma3_sq) == (
+        1e-300, 1.0, 9.999999999999999e299, 4.9828921423310436e302, 9.999999999999999e299,
+        9.999999999999999e299)
+
+
 def test_interdependence_zero_couplings():
     p, b = make(3, (2, 2), 0.0, 0.0)
     J = interdependence_matrix_exact(b, p)
@@ -465,6 +484,20 @@ def test_reverse_sites_moves_each_site_view(q, N, lead):
             for c in range(q):
                 recolored = code + (c - digits[i]) * q**i
                 assert np.array_equal(view[..., a, c, b], x[..., recolored])
+
+
+def test_exp_moments_equal_stacked_moments():
+    # written in place, the moments keep the bytes of the stacked
+    # temporaries, also where e^f overflows to inf and underflows to 0
+    rng = np.random.default_rng(8)
+    for fvals in (rng.standard_normal((3, 81)), rng.standard_normal(81),
+                  800.0 * rng.standard_normal((2, 81)), [0.0, 1.0, -2.0]):
+        with np.errstate(over="ignore"):
+            got, want = exp_moments(fvals), oracles.exp_moments_by_stack(fvals)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if np.max(np.abs(fvals)) > 710.0:
+            assert np.isinf(got[1]).any() and (got[1] == 0.0).any()
 
 
 @pytest.mark.parametrize("q, sizes", [(3, (3, 4)), (3, (2, 1, 2)), (3, (5,)), (4, (2, 2)),
