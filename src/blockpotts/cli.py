@@ -16,7 +16,8 @@ replaced by underscores; they are parsed as flags typed before the explicit
 ones, which therefore win.
 Every CSV goes through _write_csv: an optional '# {json}' line, a header
 row, comma separators and floats as .17g.  JSON is strict (no NaN), UTF-8,
-keys in fixed order.
+keys in fixed order.  A writer makes the output directory as it opens its
+file, so a run refused before it writes leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -169,14 +170,9 @@ def _resolve_model(args):
     return params, blocks
 
 
-def _out_path(out_dir, name):
-    path = Path(out_dir, name)  # an absolute name ignores out_dir
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_json(path, doc):
     """Write doc as two-space-indented strict JSON and a final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -194,6 +190,7 @@ def _write_csv(path, header, rows, comment=None):
     and %s for any other.  Rows are formatted as they are drawn, so none is
     held once it is written."""
     rows = iter(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
@@ -240,7 +237,7 @@ def cmd_simulate(args):
     _check_entries(params.s, params.q)
     chains = _at_least_one("chains", args.chains)
     init = _parse_init(args.init, params.q)
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     sweeps, thin, burn_in = args.sweeps, args.thin, args.burn_in
     # a rejected run must not leave a header-only CSV behind
     check_run_options(blocks, params, sweeps, thin, burn_in)
@@ -263,7 +260,7 @@ def cmd_simulate(args):
 
 def cmd_exact(args):
     params, blocks = _resolve_model(args)
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     dist = exact_distribution(blocks, params, cap=args.cap)
     # each block's compositions are formatted once, as one string per row
     counts = itertools.product(*[[",".join(map(str, row)) for row in c.tolist()]
@@ -301,13 +298,13 @@ def _report_to_json(report, params):
 
 def cmd_equilibria(args):
     params, blocks = _resolve_model(args)
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     options = SearchOptions(restarts=args.restarts, seed=args.seed)
     if args.landscape_out is not None:
         check_cap(args.landscape_mesh ** params.s, MAX_ROWS,
                   f"--landscape-mesh {args.landscape_mesh} over {params.s} blocks", "rows")
         # sampled before anything is written, so a bad r or mesh leaves no file
-        land_path = _out_path(args.out_dir, args.landscape_out)
+        land_path = Path(args.out_dir, args.landscape_out)
         rows = two_column_landscape(params, args.landscape_r, mesh=args.landscape_mesh)
     report = maximize_G(params, options=options)
     _write_json(out, _report_to_json(report, params))
@@ -323,7 +320,7 @@ def cmd_phase_diagram(args):
     q, g_min, g_max, g_step = args.q, args.g_min, args.g_max, args.g_step
     s = _at_least_one("s", args.s)
     _check_entries(s, q)
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
     steps = (g_max - g_min) / g_step + 1e-9
@@ -352,11 +349,10 @@ def _json_numbers(values):
 
 def cmd_lsi_check(args):
     params, blocks = _resolve_model(args)
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     report = verify_lsi_suite(blocks, params, num_f=args.num_f, seed=args.seed,
                               amplitude=args.amplitude)
     doc = {
-        "condition_asymptotic": report.condition_asymptotic,
         "gamma1": report.gamma1,
         "gamma2": report.gamma2,
         "inf_norm": report.inf_norm,
@@ -383,7 +379,7 @@ def cmd_concentration(args):
     k, c = args.k - 1, args.c - 1
     t_points = _at_least_one("t_points", args.t_points)
     check_cap(t_points, MAX_ROWS, "--t-points", "rows")
-    out = _out_path(args.out_dir, args.out)
+    out = Path(args.out_dir, args.out)
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")
     if not 0 <= c < params.q:

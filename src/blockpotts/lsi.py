@@ -92,7 +92,7 @@ from .exact import (
 )
 from .model import (check_block_color, check_cap, check_consistent, field_from_sums,
                     shown_count)
-from .numutil import CHUNK_BYTES, LEAF, softmax
+from .numutil import CHUNK_BYTES, LEAF, _xlogx, softmax
 
 # Largest q^N the full configuration workspace enumerates.
 WORKSPACE_CAP = 4_000_000
@@ -404,16 +404,14 @@ def exp_moments(fvals):
 
 def entropy_functional(f, dist):
     """Ent(f) = E[f log f] - E[f] log E[f] for nonnegative values f on the
-    support of an exact law: a float for one (P,) array, an (F,) array for F
-    observables given as an (F, P) array."""
+    support of an exact law, with 0 log 0 = 0 (numutil._xlogx) on both
+    sides: a float for one (P,) array, an (F,) array for F observables given
+    as an (F, P) array.  A negative value raises InvalidInputError."""
     values = np.asarray(f, dtype=np.float64)
     if np.any(values < 0.0):
         raise InvalidInputError("entropy functional needs a nonnegative observable")
     p = dist.probabilities
-    flogf = np.where(values > 0.0, values * np.log(np.maximum(values, 1e-300)), 0.0)
-    mean = values @ p
-    ent = flogf @ p - mean * np.log(np.where(mean > 0.0, mean, 1.0))
-    ent = np.where(mean <= 0.0, 0.0, ent)
+    ent = _xlogx(values) @ p - _xlogx(values @ p)
     return float(ent) if ent.ndim == 0 else ent
 
 
@@ -421,7 +419,6 @@ def entropy_functional(f, dist):
 class LsiSuiteReport:
     """Outcome of the exhaustive three-inequality verification."""
 
-    condition_asymptotic: bool
     gamma1: float
     gamma2: float
     inf_norm: float
@@ -513,7 +510,7 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
             dsq, cov = workspace.local_terms(moments)
             _, ef, fef = moments
             mean_ef = ef @ p
-            lhs23 = fef @ p - mean_ef * np.log(mean_ef)
+            lhs23 = fef @ p - _xlogx(mean_ef)
             sides = (
                 (entropy_functional(fvals * fvals, workspace.dist),
                  2.0 * constants.sigma1_sq * (dsq @ p)),
@@ -527,7 +524,6 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
                 tol = FP_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
                 violations += int(np.count_nonzero(~(lhs <= rhs + tol)))
     return LsiSuiteReport(
-        condition_asymptotic=lsi_condition(params.q, params.beta),
         gamma1=constants.gamma1,
         gamma2=constants.gamma2,
         inf_norm=inf_norm,

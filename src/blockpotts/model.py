@@ -99,10 +99,12 @@ class BlockStructure:
     sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
-        if len(sizes) == 0 or any(n < 1 for n in sizes):
-            raise InvalidInputError(f"sizes must be positive integers, got {self.sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        sizes = tuple(self.sizes)
+        bad = [n for n in sizes if not (n >= 1 and n // 1 == n)]  # 3.0 is a size; NaN is not
+        if len(sizes) == 0 or bad:
+            raise InvalidInputError(
+                f"sizes must be positive integers, got {bad[0] if bad else sizes}")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
     @property
     def s(self):

@@ -1,5 +1,5 @@
-"""Small numeric helpers: stable softmax, log-factorials, and the one slab
-size of every whole-support pass.
+"""Small numeric helpers: stable softmax, log-factorials, the one x log x
+of every entropy, and the one slab size of every whole-support pass.
 
 CHUNK_BYTES bounds the temporaries of each pass over a support (the exact
 law's weights, the LSI minima and maxima, the LSI suite's observables): a
@@ -21,6 +21,12 @@ def softmax(x, axis=-1):
     e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), dtype=np.float64)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+
+
+def _xlogx(m):
+    """m log m entry-wise for a nonnegative array, with the 0 log 0 = 0 of
+    every entropy: a zero entry times the finite log(1e-300) needs no mask."""
+    return m * np.log(np.maximum(m, 1e-300))
 
 
 def log_factorials(n):

@@ -9,6 +9,7 @@ Two normalizations of blocks-by-colors matrices appear side by side:
   energy functional G.
 
 The two pictures are linked by nu' = diag(gamma) nu and J(nu) = J'(nu').
+Every sum m log m goes through numutil._xlogx, with 0 log 0 = 0.
 Rate evaluations carry an explicit feasibility tag instead of silently
 propagating float infinities, so callers must handle the infeasible case.
 """
@@ -22,20 +23,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import interaction_form
+from .numutil import _xlogx
 
 FEASIBILITY_TOL = 1e-10
-
-
-def _entropy_term(m, axis=None):
-    """sum m log m of a float64 array over axis (default: all), with 0 log 0 := 0 explicitly."""
-    return np.add.reduce(np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0), axis=axis)
 
 
 def _clean_rows(nu, totals):
     """Clip and rescale the rows of the C-contiguous float64 matrix nu to sum to
     totals (one per row, or a scalar) when every row is within FEASIBILITY_TOL
     of its scaled simplex, with no entry below -FEASIBILITY_TOL; else None,
-    as for any NaN or infinite entry.
+    as for any NaN or infinite entry.  Only a negative entry costs a copy.
     """
     tol = FEASIBILITY_TOL
     lowest = np.minimum.reduce(nu, axis=None, initial=math.inf)
@@ -44,9 +41,10 @@ def _clean_rows(nu, totals):
     sums = np.add.reduce(nu, axis=1)
     if not np.maximum.reduce(np.abs(sums - totals), axis=None, initial=0.0) <= tol:
         return None
-    clean = np.maximum(nu, 0.0)
-    clean *= (totals / (np.add.reduce(clean, axis=1) if lowest < 0.0 else sums))[:, None]
-    return clean
+    if lowest < 0.0:
+        nu = np.maximum(nu, 0.0)
+        sums = np.add.reduce(nu, axis=1)
+    return nu * (totals / sums)[:, None]
 
 
 def _block_matrix(mu, params):
@@ -85,7 +83,7 @@ def rate_I(nu, gamma):
     if clean is None:
         return math.inf
     # the builtin sum adds the blocks in order, as a running total does
-    return float(sum(gamma * (_entropy_term(clean, axis=1) + math.log(nu.shape[1]))))
+    return float(sum(gamma * (np.add.reduce(_xlogx(clean), axis=1) + math.log(nu.shape[1]))))
 
 
 def _free_energy(mu, params):
@@ -93,7 +91,7 @@ def _free_energy(mu, params):
 
     Internal: no validation, for callers that build their points on C(gamma).
     """
-    return 0.5 * interaction_form(mu, params) - _entropy_term(mu, axis=(-2, -1))
+    return 0.5 * interaction_form(mu, params) - np.add.reduce(_xlogx(mu), axis=(-2, -1))
 
 
 def free_energy_G(mu, params):
@@ -122,7 +120,8 @@ def potts_functional(v, g):
     clean = _clean_rows(_vector(v), 1.0)
     if clean is None:
         raise InvalidInputError(f"v is not a probability vector: {v}")
-    return float(0.5 * g * float(np.dot(clean[0], clean[0])) - _entropy_term(clean))
+    v = clean[0]
+    return float(0.5 * g * float(np.dot(v, v)) - np.add.reduce(_xlogx(v)))
 
 
 @dataclass(frozen=True)

@@ -771,7 +771,8 @@ def _fmt(x):
 
 def write_csv_by_cells(path, header, rows):
     """Write the header row, then each row with floats in _fmt and every
-    other cell as str."""
+    other cell as str, making the parent directory first as the CLI does."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

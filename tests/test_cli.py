@@ -249,6 +249,27 @@ def test_sampler_imports_only_errors_and_model():
     assert "glauber" not in _package_imports(package / "lsi.py")
 
 
+def test_one_x_log_x_for_every_entropy():
+    # every x log x of numutil, rates and lsi goes through numutil._xlogx,
+    # the one place that takes np.log, and the rates need no np.where mask
+    package = Path(blockpotts.__file__).parent
+
+    def numpy_calls(node, name):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == name
+                and getattr(n.func.value, "id", None) == "np"]
+
+    trees = {stem: ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("numutil", "rates", "lsi")}
+    kernel = [node for node in trees["numutil"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_xlogx"]
+    assert len(kernel) == 1
+    logs = {stem: numpy_calls(tree, "log") for stem, tree in trees.items()}
+    assert logs == {"numutil": numpy_calls(kernel[0], "log"), "rates": [], "lsi": []}
+    assert len(logs["numutil"]) == 1
+    assert numpy_calls(trees["rates"], "where") == []
+
+
 def test_phase_diagram_single_label_change(tmp_path):
     out = tmp_path / "pd.csv"
     rc = run(["phase-diagram", "--q", "3", "--s", "2", "--g-min", "2.0",
@@ -381,6 +402,21 @@ def test_out_dir_is_respected(tmp_path):
     assert rc == 0
     assert (tmp_path / "inner.csv").exists()
     assert (tmp_path / "inner.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("equilibria --q 3 --s 2 --alpha 2.5 --beta 3.5 --restarts 0", 2),
+    ("simulate --q 3 --sizes 2,2 --alpha 0.2 --beta 0.8 --sweeps 0", 2),
+    ("exact --q 3 --sizes 40,40 --alpha 0.5 --beta 1.0 --cap 5", 3),
+    ("lsi-check --q 3 --sizes 2,2 --alpha 1 --beta 2", 5),
+    ("phase-diagram --q 2 --s 2 --g-min 2.0 --g-max 3.5", 2),
+], ids=["equilibria", "simulate", "exact", "lsi-check", "phase-diagram"])
+def test_refused_run_makes_no_output_directory(argv, code, tmp_path, capsys):
+    # the output directory is made when a file is written, not before
+    out = tmp_path / "new" / "out"
+    assert run(shlex.split(argv) + ["--out", str(out)]) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_option_is_usage_error(tmp_path):

@@ -177,6 +177,22 @@ def test_params_validation():
         BlockStructure(sizes=(0, 2))
 
 
+@pytest.mark.parametrize("sizes, shown", [((2.5, 3), "2.5"), (np.array([2.9, 3.0]), "2.9"),
+                                          ((3, 0.5), "0.5"), ((float("nan"), 2), "nan"),
+                                          ((2, float("inf")), "inf"), ((), r"\(\)")])
+def test_non_integer_block_sizes_are_refused(sizes, shown):
+    # a size is never truncated to an integer, as q and s are not
+    with pytest.raises(InvalidInputError, match=f"positive integers, got {shown}$"):
+        BlockStructure(sizes=sizes)
+
+
+def test_integral_float_block_sizes_are_accepted():
+    for sizes in ((3.0, 2), np.array([3.0, 2.0]), np.array([3, 2], dtype=np.int16)):
+        blocks = BlockStructure(sizes=sizes)
+        assert blocks.sizes == (3, 2)
+        assert all(type(n) is int for n in blocks.sizes)
+
+
 @pytest.mark.parametrize("route", [
     exact_distribution,
     full_configuration_distribution,
