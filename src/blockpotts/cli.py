@@ -275,7 +275,7 @@ def cmd_exact(args):
 
 
 _DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
-                "restarts_converged", "newton_handoffs", "newton_failures",
+                "restarts_converged", "newton_handoffs", "flat_stops", "newton_failures",
                 "certificate_margin")
 
 

@@ -16,6 +16,27 @@ better.
 For non-uniform proportions no closed form is known and the same numerical
 search is performed on its own; its reports are flagged as carrying no
 closed-form certificate.
+
+A restart that enters a certified basin of the flat point stops there.
+Write a matrix of C(gamma) as flat + v, flat_kc = gamma_k / q, so each
+row v_k sums to zero, and measure it by N(v) = max_k ||v_k||_1 / gamma_k.
+(A flat)_k is constant in c, so row k of the map is gamma_k softmax(w_k)
+with w_k = (A v)_k = (beta - alpha) v_k + alpha sum_l v_l, a zero-sum
+row with ||w_k||_1 <= L_k N(v), L_k = (beta - alpha) gamma_k + alpha.
+Along t w the second derivative of softmax_i is p_i ((w_i - wbar)^2 -
+Var), whose l1 norm is at most 2 Var <= osc(w)^2 / 2 (Popoviciu), so
+
+    softmax(w) = 1/q + w/q + R,   ||R||_1 <= osc(w)^2 / 4,
+
+and osc(w_k) <= ||w_k||_1 for a zero-sum row.  With rho = max_k L_k / q,
+
+    N(T(flat + v) - flat) <= rho N(v) + (q rho)^2 N(v)^2 / 4,
+
+so on N(v) <= r = 2 (1 - rho) / (q rho)^2 the map contracts by kappa =
+(1 + rho) / 2: the iterates stay in the ball and tend to the flat point,
+whose G, by the monotonicity of the map, is no lower than any of theirs.
+r = 0 when rho >= 1 (no restart is stopped this way) and r = inf when
+rho = 0.  For uniform gamma, L_k = g, so r > 0 exactly when g < q.
 """
 
 from __future__ import annotations
@@ -199,10 +220,12 @@ class EquilibriumReport:
     restarts mean-field restarts ran (opts.restarts per column multiplicity
     plus as many full-matrix ones) for ascent_iterations map steps in all,
     max_ascent_iterations the longest; restarts_converged of them stopped
-    before MAX_ITER, on a move below STEP_TOL or at a Newton root,
-    newton_handoffs of those at a Newton root (a two-column restart tries
-    that every HANDOFF_EVERY steps), and newton_failures two-column
-    endpoints could not be polished to a critical point.  certificate_margin
+    before MAX_ITER, at the flat point, on a move below STEP_TOL or at a
+    Newton root, flat_stops of those at the flat point (inside the ball
+    where the map provably contracts to it), newton_handoffs at a Newton
+    root (a two-column restart tries that every HANDOFF_EVERY steps), and
+    newton_failures two-column endpoints other than the flat point could
+    not be polished to a critical point.  certificate_margin
     is sup_G minus the best value any restart reached: it is >= -MARGIN for
     every report.
     """
@@ -220,6 +243,7 @@ class EquilibriumReport:
     max_ascent_iterations: int
     restarts_converged: int
     newton_handoffs: int
+    flat_stops: int
     newton_failures: int
     certificate_margin: float
 
@@ -300,6 +324,17 @@ def _mean_field_map(mu, params, gamma):
     return gamma[:, None] * softmax(interaction_field(mu, params))
 
 
+def _flat_radius(params, gamma):
+    """Radius r of the ball N(mu - flat) <= r on which the mean-field map
+    contracts to the flat point (module docstring): 2 (1 - rho) / (q rho)^2
+    with rho = max_k ((beta - alpha) gamma_k + alpha) / q, 0 when rho >= 1."""
+    load = float(np.max((params.beta - params.alpha) * gamma + params.alpha))
+    rho = load / params.q
+    if rho >= 1.0:
+        return 0.0
+    return 2.0 * (1.0 - rho) / (load * load) if load * load > 0.0 else math.inf
+
+
 def _multistart(params, gamma, opts):
     """Every restart of the multistart search, as one mean-field batch.
 
@@ -310,13 +345,16 @@ def _multistart(params, gamma, opts):
     restarts, kept as one compact batch.  With 0 <= alpha <= beta, A is PSD
     and the map is the concave-convex procedure: G never falls, the iterates
     stay inside C(gamma), and a two-column point stays two-column with its
-    large columns large.  A restart stops when a step moves it less than
-    STEP_TOL; every HANDOFF_EVERY steps each running two-column restart also
-    tries an undamped Newton finish (_newton_two_column with one try per
-    step) and stops at its root when Newton succeeds and the root's G is at
-    least its own.  Returns (r_rows, x, fx, iterations, converged, handed):
+    large columns large.  After each step a restart stops at the flat point
+    when the step took it into the ball N(mu - flat) <= _flat_radius, its
+    exact limit; otherwise when the step moved it less than STEP_TOL.
+    Every HANDOFF_EVERY steps each running two-column restart also tries an
+    undamped Newton finish (_newton_two_column with one try per step) and
+    stops at its root when Newton succeeds and the root's G is at least its
+    own.  Returns (r_rows, x, fx, iterations, converged, handed, at_flat):
     each two-column restart's r, then per restart its endpoint, its G, its
-    steps, whether it stopped before MAX_ITER and whether at a Newton root.
+    steps, whether it stopped before MAX_ITER, whether at a Newton root and
+    whether at the flat point.
     """
     q, s = params.q, gamma.size
     rng = np.random.default_rng(opts.seed)
@@ -327,12 +365,18 @@ def _multistart(params, gamma, opts):
         rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None],
     ])
     converged, handed = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    at_flat = np.zeros(len(x), dtype=bool)
     iterations = np.full(len(x), MAX_ITER, dtype=np.int64)
+    radius, flat = _flat_radius(params, gamma), gamma[:, None] / q
     live, xa = np.arange(len(x)), x.copy()  # the running restarts, in order
     for iteration in range(1, MAX_ITER + 1):
         y = _mean_field_map(xa, params, gamma)
         np.abs(np.subtract(y, xa, out=xa), out=xa)  # the old iterates become the move
         stop, xa = ~(np.maximum.reduce(xa, axis=(1, 2)) >= STEP_TOL), y
+        if radius > 0.0:
+            norm = np.maximum.reduce(np.add.reduce(np.abs(y - flat), axis=2) / gamma, axis=1)
+            ball = norm <= radius
+            xa[ball], stop[ball], at_flat[live[ball]] = flat, True, True
         if iteration % HANDOFF_EVERY == 0 and live[0] < r_rows.size:
             rows = np.flatnonzero(~stop[:live.searchsorted(r_rows.size)])
             r_live = r_rows[live[rows]]
@@ -346,7 +390,7 @@ def _multistart(params, gamma, opts):
             if live.size == 0:
                 break
     x[live], converged[live] = xa, False
-    return r_rows, x, _free_energy(x, params), iterations, converged, handed
+    return r_rows, x, _free_energy(x, params), iterations, converged, handed, at_flat
 
 
 def _sort_maximizers(mats):
@@ -371,10 +415,12 @@ def _numerical_candidates(params, gamma, opts):
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    r_rows, x, fx, iterations, converged, handed = _multistart(params, gamma, opts)
+    r_rows, x, fx, iterations, converged, handed, at_flat = _multistart(params, gamma, opts)
     flat = np.tile(gamma[:, None] / q, (1, q))
-    roots, ok = _newton_two_column(r_rows, x[:r_rows.size, :, -1], params, gamma)
-    polished = _two_column(r_rows[ok], roots[ok], gamma, q)
+    # a restart stopped at the flat point ended on candidate 0
+    rows = np.flatnonzero(~at_flat[:r_rows.size])
+    roots, ok = _newton_two_column(r_rows[rows], x[rows, :, -1], params, gamma)
+    polished = _two_column(r_rows[rows[ok]], roots[ok], gamma, q)
     polished = polished[np.all(polished > 0.0, axis=(1, 2))]
     probes = np.concatenate([flat[None], x, polished])
     values = np.concatenate([_free_energy(flat, params)[None], fx,
@@ -386,6 +432,7 @@ def _numerical_candidates(params, gamma, opts):
         "max_ascent_iterations": int(iterations.max()),
         "restarts_converged": int(converged.sum()),
         "newton_handoffs": int(handed.sum()),
+        "flat_stops": int(at_flat.sum()),
         "newton_failures": int(np.count_nonzero(~ok)),
     }
     return [flat, *polished], float(values[best]), probes[best], stats

@@ -29,6 +29,14 @@ GAMMA_SUM_TOL = 1e-12
 SHOWN_DIGITS = 1000
 
 
+def _whole_at_least(x, least):
+    """True when x equals an integer >= least; int() refuses NaN and infinities."""
+    try:
+        return int(x) == x and x >= least
+    except (ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants: q colors, s blocks, couplings (alpha, beta), proportions gamma.
@@ -47,9 +55,9 @@ class ModelParams:
     gamma: tuple
 
     def __post_init__(self):
-        if int(self.q) != self.q or self.q < 3:
+        if not _whole_at_least(self.q, 3):
             raise InvalidInputError(f"q must be an integer >= 3, got {self.q}")
-        if int(self.s) != self.s or self.s < 1:
+        if not _whole_at_least(self.s, 1):
             raise InvalidInputError(f"s must be an integer >= 1, got {self.s}")
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "s", int(self.s))
@@ -100,7 +108,7 @@ class BlockStructure:
 
     def __post_init__(self):
         sizes = tuple(self.sizes)
-        bad = [n for n in sizes if not (n >= 1 and n // 1 == n)]  # 3.0 is a size; NaN is not
+        bad = [n for n in sizes if not _whole_at_least(n, 1)]  # 3.0 is a size; NaN is not
         if len(sizes) == 0 or bad:
             raise InvalidInputError(
                 f"sizes must be positive integers, got {bad[0] if bad else sizes}")

@@ -421,7 +421,11 @@ def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
     """One restart of the mean-field map mu_k -> gamma_k softmax((A mu)_k), as a plain loop.
 
     Each step rebuilds every row from the literal field (beta - alpha) mu_kc
-    + alpha colsum_c.  The restart stops when a step moves no entry by
+    + alpha colsum_c.  The restart stops at the flat point gamma_k / q when
+    the step lands within the radius r = 2 (1 - rho) / (q rho)^2 of it, in
+    the norm max_k sum_c |mu_kc - gamma_k / q| / gamma_k, where rho is the
+    largest load ((beta - alpha) gamma_k + alpha) / q and r = 0 (no such
+    stop) when rho >= 1; otherwise it stops when the step moves no entry by
     step_tol or more.  With newton (a matrix -> root matrix or None), after
     every handoff_every-th step it also stops at newton's root when that
     exists and its value is at least the restart's.  Returns (x, value,
@@ -429,6 +433,14 @@ def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
     """
     x = np.array(mu0, dtype=np.float64)
     s, q = x.shape
+    flat = np.array([[gamma[k] / q] * q for k in range(s)])
+    rho = max((beta - alpha) * gamma[k] + alpha for k in range(s)) / q
+    if rho >= 1.0:
+        radius = 0.0
+    elif rho == 0.0:
+        radius = math.inf
+    else:
+        radius = 2.0 * (1.0 - rho) / (q * rho) ** 2
     for iteration in range(1, max_iter + 1):
         col = [sum(x[k, c] for k in range(s)) for c in range(q)]
         y = np.empty_like(x)
@@ -438,6 +450,10 @@ def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
             y[k] = gamma[k] * weights / weights.sum()
         moved = np.max(np.abs(y - x))
         x = y
+        distance = max(sum(abs(x[k, c] - flat[k, c]) for c in range(q)) / gamma[k]
+                       for k in range(s))
+        if radius > 0.0 and distance <= radius:
+            return flat, block_free_energy(flat, alpha, beta), iteration, True
         if moved < step_tol:
             return x, block_free_energy(x, alpha, beta), iteration, True
         if newton is not None and iteration % handoff_every == 0:

@@ -119,6 +119,8 @@ def test_equilibria_json_round_trips(tmp_path):
     assert 0 < diag["restarts_converged"] <= diag["restarts"]
     assert 1 <= diag["max_ascent_iterations"] <= diag["ascent_iterations"]
     assert 0 < diag["newton_handoffs"] <= diag["restarts_converged"]
+    # g = 3 = q: no contraction ball around the flat point
+    assert diag["flat_stops"] == 0
     assert diag["newton_failures"] >= 0
     assert diag["certificate_margin"] >= -1e-9
 

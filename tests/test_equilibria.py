@@ -62,10 +62,12 @@ AC5_SET = [
 ]
 
 # (model, search seed) pairs where projected line-search ascent left
-# restarts at MAX_ITER
+# restarts at MAX_ITER, and one where full-matrix mean-field restarts
+# crept to the flat point at ratio g/q = 0.968 per step until MAX_ITER
 MAX_ITER_CASES = [
     (ModelParams(q=5, s=2, alpha=1.575, beta=3.989, gamma=(0.5, 0.5)), 0),
     (ModelParams(q=4, s=2, alpha=1.167, beta=1.354, gamma=(0.5267, 0.4733)), 53),
+    (ModelParams(q=3, s=2, alpha=2.5627, beta=3.2469, gamma=(0.5, 0.5)), 340),
 ]
 
 
@@ -390,12 +392,72 @@ def test_two_column_landscape_stays_below_supremum():
         assert np.all(rows[:, -1] <= report.sup_G + 1e-9)
 
 
+def _flat_norm(mu, gamma):
+    """max_k ||mu_k - gamma_k / q||_1 / gamma_k, batched over leading axes."""
+    return np.max(np.abs(mu - gamma[:, None] / mu.shape[-1]).sum(axis=-1) / gamma, axis=-1)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_flat_ball_certificate(q, s):
+    # on N(v) <= r the mean-field map contracts toward the flat point by
+    # kappa = (1 + rho) / 2, up to the rounding of the map and of N
+    rng = np.random.default_rng(100 * q + s)
+    for _ in range(8):
+        gamma = rng.dirichlet(np.ones(s)) if s > 1 else np.ones(1)
+        rho, share = rng.uniform(0.05, 0.9), rng.random()
+        beta = rho * q / ((1.0 - share) * gamma.max() + share)
+        params = ModelParams(q=q, s=s, alpha=share * beta, beta=beta, gamma=tuple(gamma))
+        gamma = params.gamma_array
+        radius = equilibria._flat_radius(params, gamma)
+        assert radius == pytest.approx(2.0 * (1.0 - rho) / (q * rho) ** 2, rel=1e-12)
+        kappa, slack = (1.0 + rho) / 2.0, 1e-14 / gamma.min()
+        # zero-sum rows scaled to N(v) = radius * size, the first half on the edge
+        z = rng.standard_normal((64, s, q))
+        z -= z.mean(axis=-1, keepdims=True)
+        rows = rng.random((64, s))
+        rows /= rows.max(axis=1, keepdims=True)
+        size = np.where(np.arange(64) < 32, 1.0, rng.random(64))
+        v = z / np.abs(z).sum(axis=-1, keepdims=True) * (radius * size[:, None] * rows
+                                                         * gamma)[..., None]
+        mu = gamma[:, None] / q + v
+        before = _flat_norm(mu, gamma)
+        assert np.allclose(before, radius * size, rtol=1e-12)
+        mapped = equilibria._mean_field_map(mu, params, gamma)
+        assert np.all(_flat_norm(mapped, gamma) <= kappa * before + slack)
+        # from the edge, the iterates stay in the ball and reach the flat point
+        mu = mu[:32]
+        for _ in range(equilibria.MAX_ITER):
+            mu = equilibria._mean_field_map(mu, params, gamma)
+            dist = _flat_norm(mu, gamma)
+            assert np.all(dist <= radius + slack)
+            if dist.max() <= 1e-12:
+                break
+        assert dist.max() <= 1e-12
+
+
+def test_flat_radius_vanishes_at_g_q_and_is_infinite_without_coupling():
+    # for uniform gamma, rho = g / q: a ball exactly when g < q
+    for q in (3, 4, 5):
+        for s in (1, 2, 3):
+            gamma = np.full(s, 1.0 / s)
+            for g in (q, q + 0.25, 2.0 * q):
+                assert equilibria._flat_radius(uniform_params(q, s, g), gamma) == 0.0
+            below = uniform_params(q, s, q * (1.0 - 1e-9))
+            assert equilibria._flat_radius(below, gamma) > 0.0
+            free = ModelParams(q=q, s=s, alpha=0.0, beta=0.0, gamma=tuple(gamma))
+            assert equilibria._flat_radius(free, gamma) == math.inf
+    # non-uniform: the largest load (beta - alpha) gamma_k + alpha sets rho
+    p = ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6))
+    assert equilibria._flat_radius(p, p.gamma_array) == 0.0
+
+
 @pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
 def test_batched_ascent_matches_scalar_reference(params):
     opts = SearchOptions(restarts=4, seed=5)
     gamma, q = params.gamma_array, params.q
     a, b = params.alpha, params.beta
-    r_rows, x, fx, iterations, converged, _ = equilibria._multistart(params, gamma, opts)
+    r_rows, x, fx, iterations, converged, _, _ = equilibria._multistart(params, gamma, opts)
     tols = (equilibria.MAX_ITER, equilibria.STEP_TOL)
     newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_TOL)
 
@@ -423,7 +485,8 @@ def test_batched_ascent_matches_scalar_reference(params):
         assert (iterations[k], converged[k]) == (steps, stopped)
 
 
-@pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5]], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5], AC5_SET[4], AC5_SET[6]],
+                         ids=["uniform", "nonuniform", "uniform-flat", "nonuniform-flat"])
 def test_report_diagnostics(params):
     report = maximize_G(params, options=FAST)
     q = params.q
@@ -434,7 +497,7 @@ def test_report_diagnostics(params):
     assert 0 <= report.restarts_converged <= report.restarts
     assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
     # the restarts' best value, recomputed from the per-restart endpoints
-    r_rows, _, fx, iterations, converged, handed = equilibria._multistart(
+    r_rows, x, fx, iterations, converged, handed, at_flat = equilibria._multistart(
         params, params.gamma_array, FAST)
     probe = max(fx.max(), free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
     assert -equilibria.MARGIN <= report.certificate_margin <= report.sup_G - probe + 1e-12
@@ -442,20 +505,29 @@ def test_report_diagnostics(params):
     assert report.max_ascent_iterations == iterations.max()
     assert report.restarts_converged == converged.sum()
     assert report.newton_handoffs == handed.sum()
+    assert report.flat_stops == at_flat.sum()
     assert not handed[r_rows.size:].any()
     assert not (handed & ~converged).any()
+    assert not (handed & at_flat).any()
+    assert not (at_flat & ~converged).any()
+    # flat stops happen exactly where the contraction ball has a radius,
+    # and end on the flat point itself
+    assert (report.flat_stops > 0) == (equilibria._flat_radius(params, params.gamma_array) > 0)
+    assert np.all(x[at_flat] == params.gamma_array[:, None] / q)
 
 
 @pytest.mark.parametrize("params, seed", [*((p, 0) for p in AC5_SET), *MAX_ITER_CASES],
-                         ids=[*range(len(AC5_SET)), "q5-gamma-half", "q4-seed53"])
+                         ids=[*range(len(AC5_SET)), "q5-gamma-half", "q4-seed53", "q3-seed340"])
 def test_two_column_restarts_stop_before_max_iter(params, seed):
     # before the Newton handoff, r=2 restarts at g = q crept toward the flat
     # point and the gamma=(0.4, 0.6) r=1 restarts zigzagged next to their
     # root until MAX_ITER; with it, projected line-search ascent still ran
     # the MAX_ITER_CASES there: r=1 restarts pinned at the lower box edge
-    # (q=5) and the full-matrix restarts (q=4)
+    # (q=5) and the full-matrix restarts (q=4); before the flat-ball stop,
+    # two full-matrix restarts of the q=3 seed-340 case crept to the flat point
     opts = SearchOptions(restarts=FAST.restarts, seed=seed)
-    _, _, _, iterations, converged, _ = equilibria._multistart(params, params.gamma_array, opts)
+    _, _, _, iterations, converged, _, _ = equilibria._multistart(
+        params, params.gamma_array, opts)
     assert iterations.max() < equilibria.MAX_ITER
     assert converged.all()
     report = maximize_G(params, options=opts)

@@ -177,9 +177,20 @@ def test_params_validation():
         BlockStructure(sizes=(0, 2))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan"), np.float64("inf")])
+@pytest.mark.parametrize("name", ["q", "s"])
+def test_non_finite_q_or_s_is_refused(name, value):
+    fields = {**dict(q=3, s=1, alpha=0.0, beta=1.0, gamma=(1.0,)), name: value}
+    least = 3 if name == "q" else 1
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer >= {least}, got"):
+        ModelParams(**fields)
+
+
 @pytest.mark.parametrize("sizes, shown", [((2.5, 3), "2.5"), (np.array([2.9, 3.0]), "2.9"),
                                           ((3, 0.5), "0.5"), ((float("nan"), 2), "nan"),
-                                          ((2, float("inf")), "inf"), ((), r"\(\)")])
+                                          ((2, float("inf")), "inf"), ((), r"\(\)"),
+                                          (np.array([2.0, np.inf]), "inf")])
 def test_non_integer_block_sizes_are_refused(sizes, shown):
     # a size is never truncated to an integer, as q and s are not
     with pytest.raises(InvalidInputError, match=f"positive integers, got {shown}$"):
