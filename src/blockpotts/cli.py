@@ -23,6 +23,7 @@ file, so a run refused before it writes leaves no directory behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -275,7 +276,7 @@ def cmd_exact(args):
 
 
 _DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
-                "restarts_converged", "newton_handoffs", "flat_stops", "newton_failures",
+                "restarts_converged", "newton_handoffs", "basin_stops", "newton_failures",
                 "certificate_margin")
 
 
@@ -311,7 +312,7 @@ def cmd_equilibria(args):
     outputs = [out]
     if args.landscape_out is not None:
         header = ["r", *(f"mu_plus_{k + 1}" for k in range(params.s)), "G"]
-        _write_csv(land_path, header, ((int(r), *rest) for r, *rest in rows.tolist()))
+        _write_csv(land_path, header, rows.tolist())
         outputs.append(land_path)
     return outputs, params, blocks, None
 
@@ -487,8 +488,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call: building one makes a
+    HelpFormatter per option, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

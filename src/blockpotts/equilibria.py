@@ -17,26 +17,48 @@ For non-uniform proportions no closed form is known and the same numerical
 search is performed on its own; its reports are flagged as carrying no
 closed-form certificate.
 
-A restart that enters a certified basin of the flat point stops there.
-Write a matrix of C(gamma) as flat + v, flat_kc = gamma_k / q, so each
-row v_k sums to zero, and measure it by N(v) = max_k ||v_k||_1 / gamma_k.
-(A flat)_k is constant in c, so row k of the map is gamma_k softmax(w_k)
-with w_k = (A v)_k = (beta - alpha) v_k + alpha sum_l v_l, a zero-sum
-row with ||w_k||_1 <= L_k N(v), L_k = (beta - alpha) gamma_k + alpha.
-Along t w the second derivative of softmax_i is p_i ((w_i - wbar)^2 -
-Var), whose l1 norm is at most 2 Var <= osc(w)^2 / 2 (Popoviciu), so
+A restart that enters a certified basin of a fixed point c of the map
+stops at c.  The centres are the flat point, flat_kc = gamma_k / q, and,
+for uniform gamma with u(g) > 0, the q closed-form nu^i.  Write a matrix
+of C(gamma) as c + v, so each row v_k sums to zero, and measure it by
+N(v) = max_k ||v_k||_1 / gamma_k.  Row k of the map at c + v is gamma_k
+softmax(w^c_k + w_k), with w^c_k = (A c)_k and w_k = (A v)_k = (beta -
+alpha) v_k + alpha sum_l v_l, a zero-sum row with ||w_k||_1 <= L_k N(v),
+L_k = (beta - alpha) gamma_k + alpha.  Along t w the second derivative of
+softmax_i is p_i ((w_i - wbar)^2 - Var) at any base point, whose l1 norm
+is at most 2 Var <= osc(w)^2 / 2 (Popoviciu).  So with c_k = gamma_k p_k
+and J_k = diag p_k - p_k p_k^T,
 
-    softmax(w) = 1/q + w/q + R,   ||R||_1 <= osc(w)^2 / 4,
+    softmax(w^c_k + w) = p_k + J_k w + R,   ||R||_1 <= osc(w)^2 / 4,
 
-and osc(w_k) <= ||w_k||_1 for a zero-sum row.  With rho = max_k L_k / q,
+and osc(w_k) <= ||w_k||_1 for a zero-sum row.  The zero-sum l1 unit ball
+has the vertices (e_a - e_b) / 2, and for p_a >= p_b
+||J_k (e_a - e_b)||_1 = 2 p_a (1 - p_a + p_b), which is largest for
+neighbours in the descending order of p_k.  With rho_c = max_k L_k
+max_{a != b} ||J_k (e_a - e_b)||_1 / 2 and L = max_k L_k,
 
-    N(T(flat + v) - flat) <= rho N(v) + (q rho)^2 N(v)^2 / 4,
+    N(T(c + v) - c) <= rho_c N(v) + L^2 N(v)^2 / 4,
 
-so on N(v) <= r = 2 (1 - rho) / (q rho)^2 the map contracts by kappa =
-(1 + rho) / 2: the iterates stay in the ball and tend to the flat point,
-whose G, by the monotonicity of the map, is no lower than any of theirs.
-r = 0 when rho >= 1 (no restart is stopped this way) and r = inf when
-rho = 0.  For uniform gamma, L_k = g, so r > 0 exactly when g < q.
+so on N(v) <= r_c = 2 (1 - rho_c) / L^2 the map contracts by kappa =
+(1 + rho_c) / 2: the iterates stay in the ball and tend to c, whose G, by
+the monotonicity of the map, is no lower than any of theirs.  At the flat
+point p_k = 1/q, rho_c = L / q and r_c = 2 (1 - rho) / (q rho)^2; for
+uniform gamma L_k = g, so the flat point has a ball exactly when g < q.
+
+A computed centre c is a fixed point only up to its measured residual
+eps = N(T(c) - c).  If c* is the exact fixed point in its ball, N(c - c*)
+<= eps + kappa N(c - c*), so N(c - c*) <= 2 eps / (1 - rho_c), and the
+ball of radius r_c - 2 eps / (1 - rho_c) about c lies in the ball of
+radius r_c about c*; that is the radius used (rho_c and L are taken at c,
+which moves them by O(eps)).  The radius is 0 when rho_c >= 1 or the
+residual uses it all up (no restart stops at c), and inf when L = 0.
+
+A restart is checked against the flat point and against the one nu^i
+whose color i has its largest column sum.  The column sums of c + v lie
+within N(v) of those of c in l1, and nu^i's column i exceeds its others
+by u, so while the radius stays below u no other nu^j's ball can hold
+the restart.  It stays below u/8 over q = 3..10 and g up to 1000
+(tested), and checking a wrong nu^j could only miss a stop.
 """
 
 from __future__ import annotations
@@ -220,14 +242,15 @@ class EquilibriumReport:
     restarts mean-field restarts ran (opts.restarts per column multiplicity
     plus as many full-matrix ones) for ascent_iterations map steps in all,
     max_ascent_iterations the longest; restarts_converged of them stopped
-    before MAX_ITER, at the flat point, on a move below STEP_TOL or at a
-    Newton root, flat_stops of those at the flat point (inside the ball
-    where the map provably contracts to it), newton_handoffs at a Newton
-    root (a two-column restart tries that every HANDOFF_EVERY steps), and
-    newton_failures two-column endpoints other than the flat point could
-    not be polished to a critical point.  certificate_margin
-    is sup_G minus the best value any restart reached: it is >= -MARGIN for
-    every report.
+    before MAX_ITER, at a basin centre, on a move below STEP_TOL or at a
+    Newton root, basin_stops of those at a basin centre (the flat point or
+    a closed-form nu^i, inside the ball where the map provably converges
+    to it), newton_handoffs at a Newton root (a two-column restart tries
+    that every HANDOFF_EVERY steps until one succeeds or one converges to
+    a lower G), and newton_failures two-column endpoints other than a
+    basin centre could not be polished to a critical point.
+    certificate_margin is sup_G minus the best value any restart reached:
+    it is >= -MARGIN for every report.
     """
 
     phase: Phase
@@ -243,7 +266,7 @@ class EquilibriumReport:
     max_ascent_iterations: int
     restarts_converged: int
     newton_handoffs: int
-    flat_stops: int
+    basin_stops: int
     newton_failures: int
     certificate_margin: float
 
@@ -324,15 +347,55 @@ def _mean_field_map(mu, params, gamma):
     return gamma[:, None] * softmax(interaction_field(mu, params))
 
 
-def _flat_radius(params, gamma):
-    """Radius r of the ball N(mu - flat) <= r on which the mean-field map
-    contracts to the flat point (module docstring): 2 (1 - rho) / (q rho)^2
-    with rho = max_k ((beta - alpha) gamma_k + alpha) / q, 0 when rho >= 1."""
-    load = float(np.max((params.beta - params.alpha) * gamma + params.alpha))
-    rho = load / params.q
-    if rho >= 1.0:
-        return 0.0
-    return 2.0 * (1.0 - rho) / (load * load) if load * load > 0.0 else math.inf
+def _basin_norm(v, gamma):
+    """N(v) = max_k ||v_k||_1 / gamma_k, batched over leading axes."""
+    return np.maximum.reduce(np.add.reduce(np.abs(v), axis=-1) / gamma, axis=-1)
+
+
+def _contraction(centres, params, gamma):
+    """(rho_c, L) of the module docstring at fixed points c = gamma_k p_k,
+    batched over leading axes of centres: rho_c is the map's first-order
+    contraction at c in the norm N, and L = max_k L_k."""
+    top = -np.sort(-centres / gamma[:, None], axis=-1)  # each p_k in descending order
+    spread = np.max(top[..., :-1] * (1.0 - top[..., :-1] + top[..., 1:]), axis=-1)
+    load = (params.beta - params.alpha) * gamma + params.alpha
+    return np.max(load * spread, axis=-1), float(np.max(load))
+
+
+def _basin_centres(params, gamma):
+    """Table of basin centres (C, s, q) and their radii (C,): the flat point
+    first, then for uniform gamma with u(g) > 0 the q matrices nu^i in the
+    order of equilibrium_matrices.  A radius is 2 (1 - rho_c) / L^2 less
+    the share 2 eps / (1 - rho_c) of the centre's residual eps (module
+    docstring), 0 when rho_c >= 1 or when that is not positive, and inf
+    when L = 0."""
+    centres = [np.broadcast_to(gamma[:, None] / params.q, (gamma.size, params.q))]
+    g = params.effective_coupling
+    if params.uniform_gamma and potts_fixed_point_u(g, params.q) > 0.0:
+        centres += equilibrium_matrices(g, params)[1]
+    centres = np.stack(centres)
+    rho, load = _contraction(centres, params, gamma)
+    if load == 0.0:
+        return centres, np.full(len(centres), math.inf)
+    eps = _basin_norm(_mean_field_map(centres, params, gamma) - centres, gamma)
+    gap = np.where(rho < 1.0, 1.0 - rho, np.nan)  # no ball: fmax turns NaN into 0
+    radii = np.fmax(2.0 * gap / (load * load) - 2.0 * eps / gap, 0.0)
+    return centres, radii
+
+
+def _basin_hits(y, centres, radii, gamma):
+    """Per restart of the batch y, the index into the centre table of the
+    basin it lies strictly inside, or -1.  Only the flat point and the
+    nu^i of the restart's largest column sum are checked: no other ball
+    can hold it (module docstring)."""
+    hits = np.full(len(y), -1)
+    if radii[0] > 0.0:
+        hits[_basin_norm(y - centres[0], gamma) < radii[0]] = 0
+    if len(radii) > 1:
+        near = 1 + np.argmax(np.add.reduce(y, axis=1), axis=1)
+        inside = _basin_norm(y - centres[near], gamma) < radii[near]
+        hits[inside] = near[inside]
+    return hits
 
 
 def _multistart(params, gamma, opts):
@@ -345,16 +408,17 @@ def _multistart(params, gamma, opts):
     restarts, kept as one compact batch.  With 0 <= alpha <= beta, A is PSD
     and the map is the concave-convex procedure: G never falls, the iterates
     stay inside C(gamma), and a two-column point stays two-column with its
-    large columns large.  After each step a restart stops at the flat point
-    when the step took it into the ball N(mu - flat) <= _flat_radius, its
-    exact limit; otherwise when the step moved it less than STEP_TOL.
-    Every HANDOFF_EVERY steps each running two-column restart also tries an
-    undamped Newton finish (_newton_two_column with one try per step) and
-    stops at its root when Newton succeeds and the root's G is at least its
-    own.  Returns (r_rows, x, fx, iterations, converged, handed, at_flat):
-    each two-column restart's r, then per restart its endpoint, its G, its
-    steps, whether it stopped before MAX_ITER, whether at a Newton root and
-    whether at the flat point.
+    large columns large.  After each step a restart stops at a centre of
+    _basin_centres when the step took it strictly inside that centre's
+    ball (_basin_hits); otherwise when the step moved it less than
+    STEP_TOL.  Every HANDOFF_EVERY steps each running two-column restart
+    also tries an undamped Newton finish (_newton_two_column with one try
+    per step) and stops at its root when Newton succeeds and the root's G
+    is at least its own; a restart whose Newton finish succeeds at a lower
+    G tries none again, since its G only rises.  Returns (r_rows, x, fx,
+    iterations, converged, handed, in_basin): each two-column restart's r,
+    then per restart its endpoint, its G, its steps, whether it stopped
+    before MAX_ITER, whether at a Newton root and whether at a basin centre.
     """
     q, s = params.q, gamma.size
     rng = np.random.default_rng(opts.seed)
@@ -365,32 +429,37 @@ def _multistart(params, gamma, opts):
         rng.dirichlet(np.ones(q), size=(opts.restarts, s)) * gamma[:, None],
     ])
     converged, handed = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
-    at_flat = np.zeros(len(x), dtype=bool)
+    in_basin, refused = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
     iterations = np.full(len(x), MAX_ITER, dtype=np.int64)
-    radius, flat = _flat_radius(params, gamma), gamma[:, None] / q
+    centres, radii = _basin_centres(params, gamma)
+    basins = radii.max() > 0.0
     live, xa = np.arange(len(x)), x.copy()  # the running restarts, in order
     for iteration in range(1, MAX_ITER + 1):
         y = _mean_field_map(xa, params, gamma)
         np.abs(np.subtract(y, xa, out=xa), out=xa)  # the old iterates become the move
         stop, xa = ~(np.maximum.reduce(xa, axis=(1, 2)) >= STEP_TOL), y
-        if radius > 0.0:
-            norm = np.maximum.reduce(np.add.reduce(np.abs(y - flat), axis=2) / gamma, axis=1)
-            ball = norm <= radius
-            xa[ball], stop[ball], at_flat[live[ball]] = flat, True, True
+        if basins:
+            hits = _basin_hits(y, centres, radii, gamma)
+            ball = hits >= 0
+            if ball.any():
+                xa[ball], stop[ball], in_basin[live[ball]] = centres[hits[ball]], True, True
         if iteration % HANDOFF_EVERY == 0 and live[0] < r_rows.size:
-            rows = np.flatnonzero(~stop[:live.searchsorted(r_rows.size)])
-            r_live = r_rows[live[rows]]
+            two = live[:live.searchsorted(r_rows.size)]
+            rows = np.flatnonzero(~stop[:two.size] & ~refused[two])
+            r_live = r_rows[two[rows]]
             roots, ok = _newton_two_column(r_live, xa[rows, :, -1], params, gamma, tries=1)
             cand = _two_column(r_live, roots, gamma, q)
-            ok &= _free_energy(cand, params) >= _free_energy(xa[rows], params)
-            xa[rows[ok]], stop[rows[ok]], handed[live[rows[ok]]] = cand[ok], True, True
+            rises = _free_energy(cand, params) >= _free_energy(xa[rows], params)
+            refused[two[rows[ok & ~rises]]] = True
+            ok &= rises
+            xa[rows[ok]], stop[rows[ok]], handed[two[rows[ok]]] = cand[ok], True, True
         if stop.any():
             x[live[stop]], iterations[live[stop]] = xa[stop], iteration
             live, xa = live[~stop], xa[~stop]
             if live.size == 0:
                 break
     x[live], converged[live] = xa, False
-    return r_rows, x, _free_energy(x, params), iterations, converged, handed, at_flat
+    return r_rows, x, _free_energy(x, params), iterations, converged, handed, in_basin
 
 
 def _sort_maximizers(mats):
@@ -415,10 +484,12 @@ def _numerical_candidates(params, gamma, opts):
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    r_rows, x, fx, iterations, converged, handed, at_flat = _multistart(params, gamma, opts)
+    r_rows, x, fx, iterations, converged, handed, in_basin = _multistart(params, gamma, opts)
     flat = np.tile(gamma[:, None] / q, (1, q))
-    # a restart stopped at the flat point ended on candidate 0
-    rows = np.flatnonzero(~at_flat[:r_rows.size])
+    # a restart stopped at a basin centre needs no polish: it ended on the
+    # flat point (candidate 0) or on a nu^i, whose uniform-gamma report
+    # takes its maximizers in closed form
+    rows = np.flatnonzero(~in_basin[:r_rows.size])
     roots, ok = _newton_two_column(r_rows[rows], x[rows, :, -1], params, gamma)
     polished = _two_column(r_rows[rows[ok]], roots[ok], gamma, q)
     polished = polished[np.all(polished > 0.0, axis=(1, 2))]
@@ -432,7 +503,7 @@ def _numerical_candidates(params, gamma, opts):
         "max_ascent_iterations": int(iterations.max()),
         "restarts_converged": int(converged.sum()),
         "newton_handoffs": int(handed.sum()),
-        "flat_stops": int(at_flat.sum()),
+        "basin_stops": int(in_basin.sum()),
         "newton_failures": int(np.count_nonzero(~ok)),
     }
     return [flat, *polished], float(values[best]), probes[best], stats

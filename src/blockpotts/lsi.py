@@ -215,11 +215,19 @@ def gamma1_exact(blocks, params):
 
 def _recoloring_tv(fields, boost):
     """Identity (1): TV(p_a, p_b) for every color pair a < b at site j, shape
-    (q(q-1)/2, ...), from site i's leave-two-out fields (q, ...)."""
+    (q(q-1)/2, ...) in the order of np.triu_indices, from site i's
+    leave-two-out fields (q, ...).  Each color a meets the view p[a+1:],
+    so no pair is gathered into a copy."""
     p, t = softmax(fields, axis=0), math.expm1(boost)
-    first, second = np.triu_indices(len(p), 1)
-    hi, lo = np.maximum(p[first], p[second]), np.minimum(p[first], p[second])
-    return t * hi * (1.0 - hi + (1.0 + t) * lo) / ((1.0 + t * hi) * (1.0 + t * lo))
+    out = np.empty((len(p) * (len(p) - 1) // 2, *p.shape[1:]))
+    row = 0
+    for a in range(len(p) - 1):
+        rest = p[a + 1:]
+        hi, lo = np.maximum(p[a], rest), np.minimum(p[a], rest)
+        out[row : row + len(rest)] = (t * hi * (1.0 - hi + (1.0 + t) * lo)
+                                      / ((1.0 + t * hi) * (1.0 + t * lo)))
+        row += len(rest)
+    return out
 
 
 def _worst_recoloring_tv(own, rest, boost, params, N, cap):

@@ -23,7 +23,10 @@ the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
 the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
 one template writer; the LSI workspace's earlier site-view loop, which
 pins the site-reversed layout of local_terms; and the suite's earlier
-stacked moments, which pin the in-place exp_moments.
+stacked moments, which pin the in-place exp_moments; the mean-field
+restart's basin centres, which take u(g) from the package's
+potts_fixed_point_u; and the recoloring distances' earlier triu gather,
+which pins the per-color views of _recoloring_tv.
 """
 
 import functools
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from blockpotts.equilibria import DEDUPE_TOL
+from blockpotts.equilibria import DEDUPE_TOL, potts_fixed_point_u
 from blockpotts.errors import InvalidInputError
 from blockpotts.exact import (
     DEFAULT_SUPPORT_CAP,
@@ -416,53 +419,134 @@ def two_column_newton(r, mu_plus, gamma, q, alpha, beta, max_iter, tol):
     return x if np.max(np.abs(h)) < tol else None
 
 
+def mean_field_step(x, gamma, alpha, beta):
+    """One step of the mean-field map mu_k -> gamma_k softmax((A mu)_k) as
+    plain loops, from the literal field (beta - alpha) mu_kc + alpha colsum_c."""
+    s, q = x.shape
+    col = [sum(x[k, c] for k in range(s)) for c in range(q)]
+    y = np.empty_like(x)
+    for k in range(s):
+        field = np.array([(beta - alpha) * x[k, c] + alpha * col[c] for c in range(q)])
+        weights = np.exp(field - field.max())
+        y[k] = gamma[k] * weights / weights.sum()
+    return y
+
+
+def basin_distance(mu, centre, gamma):
+    """max_k sum_c |mu_kc - centre_kc| / gamma_k, as plain loops."""
+    s, q = mu.shape
+    return max(sum(abs(mu[k, c] - centre[k, c]) for c in range(q)) / gamma[k]
+               for k in range(s))
+
+
+def basin_rate(centre, gamma, alpha, beta):
+    """rho_c of a fixed point c = gamma_k p_k from its definition: max_k
+    L_k max_{a != b} ||(diag p_k - p_k p_k^T)(e_a - e_b)||_1 / 2 over every
+    color pair, with L_k = (beta - alpha) gamma_k + alpha."""
+    s, q = centre.shape
+    rho = 0.0
+    for k in range(s):
+        p = centre[k] / gamma[k]
+        load = (beta - alpha) * gamma[k] + alpha
+        for a, b in itertools.permutations(range(q), 2):
+            image = [p[c] * ((c == a) - (c == b)) - p[c] * (p[a] - p[b]) for c in range(q)]
+            rho = max(rho, load * sum(abs(v) for v in image) / 2.0)
+    return rho
+
+
+def contraction_by_vertices(centre, gamma, alpha, beta):
+    """Norm of the mean-field map's derivative at centre, induced by max_k
+    ||v_k||_1 / gamma_k on zero-sum rows, as its largest value over the
+    vertices of that unit ball: every row v_k = gamma_k (e_a - e_b) / 2.
+    The derivative is taken at the softmax of centre's own field."""
+    s, q = centre.shape
+    p = mean_field_step(centre, gamma, alpha, beta) / np.asarray(gamma)[:, None]
+    pairs = list(itertools.permutations(range(q), 2))
+    best = 0.0
+    for choice in itertools.product(pairs, repeat=s):
+        v = np.zeros((s, q))
+        for k, (a, b) in enumerate(choice):
+            v[k, a], v[k, b] = gamma[k] / 2.0, -gamma[k] / 2.0
+        col = v.sum(axis=0)
+        image = np.empty((s, q))
+        for k in range(s):
+            w = (beta - alpha) * v[k] + alpha * col
+            image[k] = gamma[k] * (p[k] * w - p[k] * np.dot(p[k], w))
+        best = max(best, basin_distance(image, np.zeros((s, q)), gamma))
+    return best
+
+
+def basin_centres(q, gamma, alpha, beta):
+    """(centre, radius) of every certified basin of the mean-field map,
+    from the definitions: the flat point gamma_k / q and, for uniform gamma
+    at u(g) > 0, the q matrices nu^i with (1 + (q-1) u) / (sq) in column i
+    and (1 - u) / (sq) elsewhere.  The radius is 2 (1 - rho_c) / L^2 less
+    2 eps / (1 - rho_c), eps the centre's one-step residual, and 0 when
+    rho_c >= 1 or that is not positive; inf when L = max_k L_k is 0."""
+    s = len(gamma)
+    centres = [np.array([[gamma[k] / q] * q for k in range(s)])]
+    g = (beta + (s - 1) * alpha) / s
+    u = potts_fixed_point_u(g, q)
+    if max(abs(gk - 1.0 / s) for gk in gamma) <= 1e-12 and u > 0.0:
+        big, small = (1.0 + (q - 1.0) * u) / (s * q), (1.0 - u) / (s * q)
+        centres += [np.array([[big if c == i else small for c in range(q)]] * s)
+                    for i in range(q)]
+    load = max((beta - alpha) * gamma[k] + alpha for k in range(s))
+    out = []
+    for centre in centres:
+        rho = basin_rate(centre, gamma, alpha, beta)
+        if rho >= 1.0:
+            radius = 0.0
+        elif load == 0.0:
+            radius = math.inf
+        else:
+            eps = basin_distance(mean_field_step(centre, gamma, alpha, beta), centre, gamma)
+            radius = max(0.0, 2.0 * (1.0 - rho) / load ** 2 - 2.0 * eps / (1.0 - rho))
+        out.append((centre, radius))
+    return out
+
+
 def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
                       handoff_every=None):
-    """One restart of the mean-field map mu_k -> gamma_k softmax((A mu)_k), as a plain loop.
+    """One restart of the mean-field map as a plain loop of mean_field_step.
 
-    Each step rebuilds every row from the literal field (beta - alpha) mu_kc
-    + alpha colsum_c.  The restart stops at the flat point gamma_k / q when
-    the step lands within the radius r = 2 (1 - rho) / (q rho)^2 of it, in
-    the norm max_k sum_c |mu_kc - gamma_k / q| / gamma_k, where rho is the
-    largest load ((beta - alpha) gamma_k + alpha) / q and r = 0 (no such
-    stop) when rho >= 1; otherwise it stops when the step moves no entry by
-    step_tol or more.  With newton (a matrix -> root matrix or None), after
-    every handoff_every-th step it also stops at newton's root when that
-    exists and its value is at least the restart's.  Returns (x, value,
-    steps, stopped before max_iter).
+    The restart stops at a centre of basin_centres when the step lands
+    strictly within its radius, in the norm of basin_distance; otherwise
+    it stops when the step moves no entry by step_tol or more.  With newton
+    (a matrix -> root matrix or None), after every handoff_every-th step it
+    also stops at newton's root when that exists and its value is at least
+    the restart's; once a root's value is lower, it calls newton no more.
+    Returns (x, value, steps, stopped before max_iter).
     """
     x = np.array(mu0, dtype=np.float64)
-    s, q = x.shape
-    flat = np.array([[gamma[k] / q] * q for k in range(s)])
-    rho = max((beta - alpha) * gamma[k] + alpha for k in range(s)) / q
-    if rho >= 1.0:
-        radius = 0.0
-    elif rho == 0.0:
-        radius = math.inf
-    else:
-        radius = 2.0 * (1.0 - rho) / (q * rho) ** 2
+    basins = basin_centres(x.shape[1], gamma, alpha, beta)
+    refused = False
     for iteration in range(1, max_iter + 1):
-        col = [sum(x[k, c] for k in range(s)) for c in range(q)]
-        y = np.empty_like(x)
-        for k in range(s):
-            field = np.array([(beta - alpha) * x[k, c] + alpha * col[c] for c in range(q)])
-            weights = np.exp(field - field.max())
-            y[k] = gamma[k] * weights / weights.sum()
+        y = mean_field_step(x, gamma, alpha, beta)
         moved = np.max(np.abs(y - x))
         x = y
-        distance = max(sum(abs(x[k, c] - flat[k, c]) for c in range(q)) / gamma[k]
-                       for k in range(s))
-        if radius > 0.0 and distance <= radius:
-            return flat, block_free_energy(flat, alpha, beta), iteration, True
+        for centre, radius in basins:
+            if basin_distance(x, centre, gamma) < radius:
+                return centre, block_free_energy(centre, alpha, beta), iteration, True
         if moved < step_tol:
             return x, block_free_energy(x, alpha, beta), iteration, True
-        if newton is not None and iteration % handoff_every == 0:
+        if newton is not None and not refused and iteration % handoff_every == 0:
             root = newton(x)
             if root is not None:
                 value = block_free_energy(root, alpha, beta)
                 if value >= block_free_energy(x, alpha, beta):
                     return root, value, iteration, True
+                refused = True
     return x, block_free_energy(x, alpha, beta), max_iter, False
+
+
+def recoloring_tv_by_gather(fields, boost):
+    """The package's earlier identity (1), which gathered p[first] and
+    p[second] over np.triu_indices before taking their max and min."""
+    p, t = softmax(fields, axis=0), math.expm1(boost)
+    first, second = np.triu_indices(len(p), 1)
+    hi, lo = np.maximum(p[first], p[second]), np.minimum(p[first], p[second])
+    return t * hi * (1.0 - hi + (1.0 + t) * lo) / ((1.0 + t * hi) * (1.0 + t * lo))
 
 
 def w_profile(x, q, r, s):

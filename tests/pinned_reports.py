@@ -8,12 +8,23 @@ Newton iteration back into the full restart array; the compact-batch solver
 must reproduce every float bit for bit.
 
 Models 0, 2, 4 and 6 (rho < 1) were captured again when restarts began to
-stop at the flat point once inside its contraction ball, and carry
-flat_stops: their phase and maximizers are those of the first capture, their
-iteration counts, handoffs and margins are the new search's, and model 6's
-sup_G is now G at the exact flat point, the last bit below the polished
-near-flat root it used to be.  Models 1, 3 and 5 have rho >= 1, no ball and
-no flat stops, and keep their first capture.
+stop at the flat point once inside its contraction ball: their phase and
+maximizers are those of the first capture, their iteration counts,
+handoffs and margins are the new search's, and model 6's sup_G is now G at
+the exact flat point, the last bit below the polished near-flat root it
+used to be.
+
+The search diagnostics of models 1 to 5 were captured again when restarts
+began to stop in the certified basins of the closed-form nu^i too, and a
+two-column restart whose Newton handoff converged to a lower G stopped
+trying handoffs; flat_stops became basin_stops, now in every report.
+Their phase, sup_G and maximizers are unchanged bit for bit.  The
+uniform models 1 to 4 stop restarts at nu^i, so their steps, handoffs and
+basin stops moved, and the margins of models 1, 3 and 4 moved by one or
+two ulps of G since the best restart now ends on nu^i itself.  Model 5
+(gamma = (0.4, 0.6)) has no basin; with one refused handoff not retried
+it takes 4 more steps at (8, 0), and it is unchanged at (16, 5).  Models
+0 and 6 are unchanged.
 """
 
 REPORTS = {
@@ -21,7 +32,7 @@ REPORTS = {
         phase='SUBCRITICAL', sup_G=2.2084261358947215,
         certificate_margin=0.0,
         restarts=24, ascent_iterations=303, max_ascent_iterations=25,
-        restarts_converged=24, newton_handoffs=0, flat_stops=24,
+        restarts_converged=24, newton_handoffs=0, basin_stops=24,
         newton_failures=0,
         maximizers=[
             [
@@ -32,8 +43,9 @@ REPORTS = {
     (8, 0, 1): dict(
         phase='SUPERCRITICAL', sup_G=2.3222939559269715,
         certificate_margin=0.0,
-        restarts=24, ascent_iterations=987, max_ascent_iterations=96,
-        restarts_converged=24, newton_handoffs=16, newton_failures=0,
+        restarts=24, ascent_iterations=402, max_ascent_iterations=83,
+        restarts_converged=24, newton_handoffs=8, basin_stops=16,
+        newton_failures=0,
         maximizers=[
             [
                 [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
@@ -51,8 +63,8 @@ REPORTS = {
     (8, 0, 2): dict(
         phase='CRITICAL', sup_G=2.253857589601352,
         certificate_margin=0.0,
-        restarts=24, ascent_iterations=961, max_ascent_iterations=290,
-        restarts_converged=24, newton_handoffs=12, flat_stops=11,
+        restarts=24, ascent_iterations=709, max_ascent_iterations=81,
+        restarts_converged=24, newton_handoffs=12, basin_stops=12,
         newton_failures=0,
         maximizers=[
             [
@@ -74,9 +86,10 @@ REPORTS = {
         ]),
     (8, 0, 3): dict(
         phase='SUPERCRITICAL', sup_G=2.762709521081829,
-        certificate_margin=-4.440892098500626e-16,
-        restarts=24, ascent_iterations=783, max_ascent_iterations=76,
-        restarts_converged=24, newton_handoffs=16, newton_failures=0,
+        certificate_margin=0.0,
+        restarts=24, ascent_iterations=318, max_ascent_iterations=28,
+        restarts_converged=24, newton_handoffs=8, basin_stops=16,
+        newton_failures=0,
         maximizers=[
             [
                 [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
@@ -96,9 +109,9 @@ REPORTS = {
         ]),
     (8, 0, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=-4.440892098500626e-16,
-        restarts=32, ascent_iterations=937, max_ascent_iterations=88,
-        restarts_converged=32, newton_handoffs=8, flat_stops=17,
+        certificate_margin=4.440892098500626e-16,
+        restarts=32, ascent_iterations=514, max_ascent_iterations=42,
+        restarts_converged=32, newton_handoffs=1, basin_stops=31,
         newton_failures=0,
         maximizers=[
             [
@@ -129,8 +142,9 @@ REPORTS = {
     (8, 0, 5): dict(
         phase='SUPERCRITICAL', sup_G=2.387365056240365,
         certificate_margin=0.0,
-        restarts=24, ascent_iterations=709, max_ascent_iterations=64,
-        restarts_converged=24, newton_handoffs=16, newton_failures=0,
+        restarts=24, ascent_iterations=745, max_ascent_iterations=68,
+        restarts_converged=24, newton_handoffs=15, basin_stops=0,
+        newton_failures=0,
         maximizers=[
             [
                 [0.3402041973762993, 0.029897901311850356, 0.029897901311850356],
@@ -149,7 +163,7 @@ REPORTS = {
         phase='SUBCRITICAL', sup_G=1.8411432573896696,
         certificate_margin=0.0,
         restarts=24, ascent_iterations=24, max_ascent_iterations=1,
-        restarts_converged=24, newton_handoffs=0, flat_stops=24,
+        restarts_converged=24, newton_handoffs=0, basin_stops=24,
         newton_failures=0,
         maximizers=[
             [
@@ -161,7 +175,7 @@ REPORTS = {
         phase='SUBCRITICAL', sup_G=2.2084261358947215,
         certificate_margin=0.0,
         restarts=48, ascent_iterations=638, max_ascent_iterations=25,
-        restarts_converged=48, newton_handoffs=0, flat_stops=48,
+        restarts_converged=48, newton_handoffs=0, basin_stops=48,
         newton_failures=0,
         maximizers=[
             [
@@ -171,9 +185,10 @@ REPORTS = {
         ]),
     (16, 5, 1): dict(
         phase='SUPERCRITICAL', sup_G=2.3222939559269715,
-        certificate_margin=-4.440892098500626e-16,
-        restarts=48, ascent_iterations=1965, max_ascent_iterations=207,
-        restarts_converged=48, newton_handoffs=32, newton_failures=0,
+        certificate_margin=0.0,
+        restarts=48, ascent_iterations=837, max_ascent_iterations=145,
+        restarts_converged=48, newton_handoffs=16, basin_stops=32,
+        newton_failures=0,
         maximizers=[
             [
                 [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
@@ -191,8 +206,8 @@ REPORTS = {
     (16, 5, 2): dict(
         phase='CRITICAL', sup_G=2.253857589601352,
         certificate_margin=0.0,
-        restarts=48, ascent_iterations=2532, max_ascent_iterations=315,
-        restarts_converged=48, newton_handoffs=30, flat_stops=13,
+        restarts=48, ascent_iterations=1292, max_ascent_iterations=87,
+        restarts_converged=48, newton_handoffs=26, basin_stops=22,
         newton_failures=0,
         maximizers=[
             [
@@ -214,9 +229,10 @@ REPORTS = {
         ]),
     (16, 5, 3): dict(
         phase='SUPERCRITICAL', sup_G=2.762709521081829,
-        certificate_margin=-4.440892098500626e-16,
-        restarts=48, ascent_iterations=1533, max_ascent_iterations=86,
-        restarts_converged=48, newton_handoffs=32, newton_failures=0,
+        certificate_margin=0.0,
+        restarts=48, ascent_iterations=603, max_ascent_iterations=38,
+        restarts_converged=48, newton_handoffs=16, basin_stops=32,
+        newton_failures=0,
         maximizers=[
             [
                 [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
@@ -236,9 +252,9 @@ REPORTS = {
         ]),
     (16, 5, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=0.0,
-        restarts=64, ascent_iterations=1672, max_ascent_iterations=89,
-        restarts_converged=64, newton_handoffs=17, flat_stops=38,
+        certificate_margin=4.440892098500626e-16,
+        restarts=64, ascent_iterations=1076, max_ascent_iterations=46,
+        restarts_converged=64, newton_handoffs=1, basin_stops=63,
         newton_failures=0,
         maximizers=[
             [
@@ -270,7 +286,8 @@ REPORTS = {
         phase='SUPERCRITICAL', sup_G=2.387365056240365,
         certificate_margin=0.0,
         restarts=48, ascent_iterations=1316, max_ascent_iterations=69,
-        restarts_converged=48, newton_handoffs=32, newton_failures=0,
+        restarts_converged=48, newton_handoffs=32, basin_stops=0,
+        newton_failures=0,
         maximizers=[
             [
                 [0.34020419737629537, 0.029897901311852326, 0.029897901311852326],
@@ -289,7 +306,7 @@ REPORTS = {
         phase='SUBCRITICAL', sup_G=1.8411432573896696,
         certificate_margin=0.0,
         restarts=48, ascent_iterations=48, max_ascent_iterations=1,
-        restarts_converged=48, newton_handoffs=0, flat_stops=48,
+        restarts_converged=48, newton_handoffs=0, basin_stops=48,
         newton_failures=0,
         maximizers=[
             [

@@ -119,8 +119,9 @@ def test_equilibria_json_round_trips(tmp_path):
     assert 0 < diag["restarts_converged"] <= diag["restarts"]
     assert 1 <= diag["max_ascent_iterations"] <= diag["ascent_iterations"]
     assert 0 < diag["newton_handoffs"] <= diag["restarts_converged"]
-    # g = 3 = q: no contraction ball around the flat point
-    assert diag["flat_stops"] == 0
+    # g = 3 = q: no contraction ball around the flat point, but one around
+    # each closed-form nu^i
+    assert 0 < diag["basin_stops"] <= diag["restarts_converged"]
     assert diag["newton_failures"] >= 0
     assert diag["certificate_margin"] >= -1e-9
 
@@ -377,6 +378,50 @@ def test_concentration_measured_constants(tmp_path):
               "--beta", "0.1", "--sweeps", "100", "--seed", "2",
               "--constants", "measured", "--t-points", "4", "--out", str(out)])
     assert rc == 0
+
+
+def test_reused_parser_writes_what_a_fresh_one_writes(tmp_path, monkeypatch):
+    # main builds its parser once per process; a run after a --config run,
+    # after another subcommand or after a refused run must not see any of
+    # them.  Each side runs in its own directory with relative paths, and
+    # the manifests are compared without their timestamps.
+    cfg = {"seed": 3, "restarts": 2, "landscape_out": "land.csv", "landscape_mesh": 4}
+    model = ["--q", "3", "--alpha", "0.2", "--beta", "0.8"]
+    runs = [
+        ["equilibria", *model, "--s", "2", "--config", "cfg.json", "--out", "eq1.json"],
+        ["equilibria", *model, "--s", "2", "--restarts", "2", "--out", "eq2.json"],
+        ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "2", "--g-max", "3",
+         "--g-step", "0.5", "--out", "pd.csv"],
+        ["exact", *model, "--sizes", "2,2", "--cap", "3", "--out", "refused.csv"],
+        ["exact", *model, "--sizes", "2,2", "--out", "ex.csv"],
+        ["simulate", *model],
+        ["simulate", *model, "--sizes", "2,2", "--sweeps", "5", "--out", "sim.csv"],
+    ]
+
+    def outputs(side, fresh):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        Path("cfg.json").write_text(json.dumps(cfg))
+        codes = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            codes.append(run(argv))
+        files = {}
+        for path in sorted(Path(".").iterdir()):
+            text = path.read_text()
+            if path.name.endswith(".manifest.json"):
+                doc = json.loads(text)
+                del doc["timestamp"]
+                text = json.dumps(doc)
+            files[path.name] = text
+        return codes, files
+
+    reused, fresh = outputs("reused", False), outputs("fresh", True)
+    assert reused == fresh
+    assert reused[0] == [0, 0, 0, 3, 0, 2, 0]
+    assert "land.csv" in reused[1] and "refused.csv" not in reused[1]
+    assert json.loads(reused[1]["eq2.json.manifest.json"])["options"]["seed"] == 0
 
 
 def test_config_file_merging_flags_override(tmp_path):

@@ -24,8 +24,10 @@ from blockpotts import (
     two_column_landscape,
 )
 from oracles import (
+    basin_rate,
     color_permutations_by_all_perms,
     color_permutations_by_placements,
+    contraction_by_vertices,
     gradient_G,
     mean_field_ascent,
     structure_flags_by_row_loops,
@@ -392,16 +394,50 @@ def test_two_column_landscape_stays_below_supremum():
         assert np.all(rows[:, -1] <= report.sup_G + 1e-9)
 
 
-def _flat_norm(mu, gamma):
-    """max_k ||mu_k - gamma_k / q||_1 / gamma_k, batched over leading axes."""
-    return np.max(np.abs(mu - gamma[:, None] / mu.shape[-1]).sum(axis=-1) / gamma, axis=-1)
+def _centre_norm(mu, centre, gamma):
+    """max_k ||mu_k - centre_k||_1 / gamma_k, batched over leading axes."""
+    return np.max(np.abs(mu - centre).sum(axis=-1) / gamma, axis=-1)
+
+
+def _check_ball(centre, radius, rho, params, rng):
+    """One step from centre + v, zero-sum rows with N(v) <= radius, lands
+    within kappa N(v) of the centre, kappa = (1 + rho) / 2, up to the
+    rounding of the map and of N and twice the centre's residual share
+    2 eps / (1 - rho); from the ball's edge the iterates stay in the ball
+    and reach the centre within 1e-12."""
+    gamma = params.gamma_array
+    s, q = centre.shape
+    kappa, slack = (1.0 + rho) / 2.0, 1e-14 / gamma.min()
+    eps = _centre_norm(equilibria._mean_field_map(centre, params, gamma), centre, gamma)
+    slack += 4.0 * eps / (1.0 - rho)
+    # zero-sum rows scaled to N(v) = radius * size, the first half on the edge
+    z = rng.standard_normal((64, s, q))
+    z -= z.mean(axis=-1, keepdims=True)
+    rows = rng.random((64, s))
+    rows /= rows.max(axis=1, keepdims=True)
+    size = np.where(np.arange(64) < 32, 1.0, rng.random(64))
+    v = z / np.abs(z).sum(axis=-1, keepdims=True) * (radius * size[:, None] * rows
+                                                     * gamma)[..., None]
+    mu = centre + v
+    before = _centre_norm(mu, centre, gamma)
+    assert np.allclose(before, radius * size, rtol=1e-12)
+    mapped = equilibria._mean_field_map(mu, params, gamma)
+    assert np.all(_centre_norm(mapped, centre, gamma) <= kappa * before + slack)
+    mu = mu[:32]
+    for _ in range(equilibria.MAX_ITER):
+        mu = equilibria._mean_field_map(mu, params, gamma)
+        dist = _centre_norm(mu, centre, gamma)
+        assert np.all(dist <= radius + slack)
+        if dist.max() <= 1e-12:
+            break
+    assert dist.max() <= 1e-12
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_flat_ball_certificate(q, s):
-    # on N(v) <= r the mean-field map contracts toward the flat point by
-    # kappa = (1 + rho) / 2, up to the rounding of the map and of N
+    # at the flat point the basin radius is 2 (1 - rho) / (q rho)^2 with
+    # rho = max_k ((beta - alpha) gamma_k + alpha) / q
     rng = np.random.default_rng(100 * q + s)
     for _ in range(8):
         gamma = rng.dirichlet(np.ones(s)) if s > 1 else np.ones(1)
@@ -409,47 +445,81 @@ def test_flat_ball_certificate(q, s):
         beta = rho * q / ((1.0 - share) * gamma.max() + share)
         params = ModelParams(q=q, s=s, alpha=share * beta, beta=beta, gamma=tuple(gamma))
         gamma = params.gamma_array
-        radius = equilibria._flat_radius(params, gamma)
-        assert radius == pytest.approx(2.0 * (1.0 - rho) / (q * rho) ** 2, rel=1e-12)
-        kappa, slack = (1.0 + rho) / 2.0, 1e-14 / gamma.min()
-        # zero-sum rows scaled to N(v) = radius * size, the first half on the edge
-        z = rng.standard_normal((64, s, q))
-        z -= z.mean(axis=-1, keepdims=True)
-        rows = rng.random((64, s))
-        rows /= rows.max(axis=1, keepdims=True)
-        size = np.where(np.arange(64) < 32, 1.0, rng.random(64))
-        v = z / np.abs(z).sum(axis=-1, keepdims=True) * (radius * size[:, None] * rows
-                                                         * gamma)[..., None]
-        mu = gamma[:, None] / q + v
-        before = _flat_norm(mu, gamma)
-        assert np.allclose(before, radius * size, rtol=1e-12)
-        mapped = equilibria._mean_field_map(mu, params, gamma)
-        assert np.all(_flat_norm(mapped, gamma) <= kappa * before + slack)
-        # from the edge, the iterates stay in the ball and reach the flat point
-        mu = mu[:32]
-        for _ in range(equilibria.MAX_ITER):
-            mu = equilibria._mean_field_map(mu, params, gamma)
-            dist = _flat_norm(mu, gamma)
-            assert np.all(dist <= radius + slack)
-            if dist.max() <= 1e-12:
-                break
-        assert dist.max() <= 1e-12
+        centres, radii = equilibria._basin_centres(params, gamma)
+        assert radii[0] == pytest.approx(2.0 * (1.0 - rho) / (q * rho) ** 2, rel=1e-12)
+        _check_ball(centres[0], radii[0], rho, params, rng)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_nu_ball_certificate(q, s):
+    # the q closed-form maximizers nu^i carry balls of their own, at the
+    # critical point, at g = q (where the flat point has none) and deep in
+    # the ordered phase
+    rng = np.random.default_rng(200 * q + s)
+    for g in (critical_temperature(q), float(q), 35.0):
+        params = uniform_params(q, s, g)
+        gamma = params.gamma_array
+        centres, radii = equilibria._basin_centres(params, gamma)
+        _, nus = equilibrium_matrices(g, params)
+        assert len(centres) == q + 1
+        assert all(np.array_equal(c, nu) for c, nu in zip(centres[1:], nus))
+        rho = equilibria._contraction(centres, params, gamma)[0]
+        assert np.all(rho[1:] < 1.0) and np.all(radii[1:] > 0.0)
+        for i in range(q):
+            _check_ball(centres[1 + i], radii[1 + i], rho[1 + i], params, rng)
+
+
+@pytest.mark.parametrize("q, s", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_contraction_equals_vertex_enumeration(q, s):
+    # rho_c equals the pairwise definition and, where rows can align (any
+    # gamma at the flat point, uniform gamma at nu^i), the induced norm of
+    # the map's derivative found over every vertex of the unit ball
+    rng = np.random.default_rng(300 * q + s)
+    models = [uniform_params(q, s, g) for g in (critical_temperature(q), float(q), 35.0)]
+    for _ in range(3):
+        gamma = rng.dirichlet(np.ones(s)) if s > 1 else np.ones(1)
+        beta = rng.uniform(0.1, 2.0 * q)
+        models.append(ModelParams(q=q, s=s, alpha=rng.uniform(0.0, beta), beta=beta,
+                                  gamma=tuple(gamma)))
+    for params in models:
+        gamma, a, b = params.gamma_array, params.alpha, params.beta
+        centres, _ = equilibria._basin_centres(params, gamma)
+        rho = equilibria._contraction(centres, params, gamma)[0]
+        for c, r in zip(centres, rho):
+            assert r == pytest.approx(basin_rate(c, gamma, a, b), rel=1e-12, abs=1e-15)
+            # the derivative at the softmax of c's field, not at c / gamma:
+            # they part by c's residual, 1e-15 at g = 35 where rho is 7e-14
+            assert r == pytest.approx(contraction_by_vertices(c, gamma, a, b),
+                                      rel=1e-12, abs=1e-13)
+
+
+def test_nu_radius_stays_below_u():
+    # the check of one nu^i per restart relies on radius < u (module docstring)
+    for q in range(3, 11):
+        for s in (1, 2, 3):
+            for g in np.geomspace(2.0, 1000.0, 100):
+                u = potts_fixed_point_u(g, q)
+                if u > 0.0:
+                    params = uniform_params(q, s, g)
+                    radii = equilibria._basin_centres(params, params.gamma_array)[1]
+                    assert radii[1:].max() < u / 8.0
 
 
 def test_flat_radius_vanishes_at_g_q_and_is_infinite_without_coupling():
     # for uniform gamma, rho = g / q: a ball exactly when g < q
+    def flat_radius(params):
+        return equilibria._basin_centres(params, params.gamma_array)[1][0]
+
     for q in (3, 4, 5):
         for s in (1, 2, 3):
-            gamma = np.full(s, 1.0 / s)
             for g in (q, q + 0.25, 2.0 * q):
-                assert equilibria._flat_radius(uniform_params(q, s, g), gamma) == 0.0
-            below = uniform_params(q, s, q * (1.0 - 1e-9))
-            assert equilibria._flat_radius(below, gamma) > 0.0
-            free = ModelParams(q=q, s=s, alpha=0.0, beta=0.0, gamma=tuple(gamma))
-            assert equilibria._flat_radius(free, gamma) == math.inf
+                assert flat_radius(uniform_params(q, s, g)) == 0.0
+            assert flat_radius(uniform_params(q, s, q * (1.0 - 1e-9))) > 0.0
+            free = ModelParams(q=q, s=s, alpha=0.0, beta=0.0, gamma=tuple(np.full(s, 1.0 / s)))
+            assert flat_radius(free) == math.inf
     # non-uniform: the largest load (beta - alpha) gamma_k + alpha sets rho
-    p = ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6))
-    assert equilibria._flat_radius(p, p.gamma_array) == 0.0
+    assert flat_radius(ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6))) == 0.0
 
 
 @pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
@@ -497,7 +567,7 @@ def test_report_diagnostics(params):
     assert 0 <= report.restarts_converged <= report.restarts
     assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
     # the restarts' best value, recomputed from the per-restart endpoints
-    r_rows, x, fx, iterations, converged, handed, at_flat = equilibria._multistart(
+    r_rows, x, fx, iterations, converged, handed, in_basin = equilibria._multistart(
         params, params.gamma_array, FAST)
     probe = max(fx.max(), free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
     assert -equilibria.MARGIN <= report.certificate_margin <= report.sup_G - probe + 1e-12
@@ -505,15 +575,16 @@ def test_report_diagnostics(params):
     assert report.max_ascent_iterations == iterations.max()
     assert report.restarts_converged == converged.sum()
     assert report.newton_handoffs == handed.sum()
-    assert report.flat_stops == at_flat.sum()
+    assert report.basin_stops == in_basin.sum()
     assert not handed[r_rows.size:].any()
     assert not (handed & ~converged).any()
-    assert not (handed & at_flat).any()
-    assert not (at_flat & ~converged).any()
-    # flat stops happen exactly where the contraction ball has a radius,
-    # and end on the flat point itself
-    assert (report.flat_stops > 0) == (equilibria._flat_radius(params, params.gamma_array) > 0)
-    assert np.all(x[at_flat] == params.gamma_array[:, None] / q)
+    assert not (handed & in_basin).any()
+    assert not (in_basin & ~converged).any()
+    # basin stops happen exactly where some centre has a ball, and end on
+    # that centre itself: the flat point or a closed-form nu^i
+    centres, radii = equilibria._basin_centres(params, params.gamma_array)
+    assert (report.basin_stops > 0) == (radii.max() > 0)
+    assert all(any(np.array_equal(m, c) for c in centres[radii > 0]) for m in x[in_basin])
 
 
 @pytest.mark.parametrize("params, seed", [*((p, 0) for p in AC5_SET), *MAX_ITER_CASES],

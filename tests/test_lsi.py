@@ -34,7 +34,7 @@ from blockpotts import (
     verify_lsi_suite,
 )
 from blockpotts.exact import site_view
-from blockpotts.lsi import _reverse_sites, exp_moments
+from blockpotts.lsi import _recoloring_tv, _reverse_sites, exp_moments
 
 import oracles
 from oracles import covariance_term, difference_operator_sq
@@ -129,6 +129,17 @@ def test_interdependence_equals_block_grid(q, sizes, alpha, beta):
     p, b = make(q, sizes, alpha, beta)
     J = interdependence_matrix_exact(b, p)
     assert np.array_equal(J, oracles.interdependence_on_block_grid(b, p))
+
+
+@pytest.mark.parametrize("shape", [(3, 40, 500), (5, 17), (4, 3, 5, 2), (2, 9)])
+def test_recoloring_tv_equals_the_triu_gather(shape):
+    # each color against the view of the later ones, bit for bit the
+    # gathered (q(q-1)/2, ...) pairs of np.triu_indices
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    fields = rng.uniform(-3.0, 3.0, shape)
+    for boost in (0.0, 0.004, 0.7):
+        tv = _recoloring_tv(fields, boost)
+        assert np.array_equal(tv, oracles.recoloring_tv_by_gather(fields, boost))
 
 
 def test_interdependence_cap_counts_the_two_axis_grid():
