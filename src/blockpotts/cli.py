@@ -288,7 +288,7 @@ def _report_to_json(report, params):
         "zeta_q": report.zeta_q,
         "u": None if math.isnan(report.u) else report.u,
         "sup_G": report.sup_G,
-        "residual_max": report.residual_max,
+        "residual_max": report.residual_max if math.isfinite(report.residual_max) else None,
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
         "structure": [{**c, "residual_max": c["residual_max"]

@@ -178,6 +178,12 @@ def equilibrium_matrices(g, params):
     with the first and i-th coordinate interchanged; when u(g) = 0 every
     nu^i collapses to Q.  Raises for non-uniform gamma, where no closed
     form is available.
+
+    The small entries (1 - u)/(sq) take 1 - u in the form q e^{-gu} /
+    (1 + (q-1) e^{-gu}), equal at the fixed point, because 1 - u cancels
+    once u nears 1.  Past g u = 708 e^{-gu} is subnormal and loses
+    digits; past about 745 it underflows and they are 0, the nearest
+    float to their true value.
     """
     if not params.uniform_gamma:
         raise InvalidInputError("closed-form equilibria require uniform block proportions")
@@ -185,6 +191,8 @@ def equilibrium_matrices(g, params):
     Q = np.full((s, q), 1.0 / (s * q), dtype=np.float64)
     u = potts_fixed_point_u(g, q)
     base = phi(u, q, s)
+    e = math.exp(-g * u)
+    base[1:] = q * e / (1.0 + (q - 1.0) * e) / (s * q)
     nus = []
     for i in range(q):
         row = base.copy()
@@ -207,6 +215,13 @@ def critical_residual(mu, params):
     dev = mu - params.gamma_array[:, None] / params.q
     log_mu = np.log(mu)
     return interaction_field(dev, params) - (log_mu - log_mu.mean(axis=1, keepdims=True))
+
+
+def _residual_max(mu, params):
+    """Largest critical residual of mu in absolute value, inf unless every entry is positive."""
+    if not np.all(mu > 0.0):
+        return math.inf
+    return float(np.max(np.abs(critical_residual(mu, params))))
 
 
 def _two_column(r, mu_plus, gamma, q):
@@ -250,7 +265,8 @@ class EquilibriumReport:
     a lower G), and newton_failures two-column endpoints other than a
     basin centre could not be polished to a critical point.
     certificate_margin is sup_G minus the best value any restart reached:
-    it is >= -MARGIN for every report.
+    it is >= -MARGIN for every report.  residual_max is the largest
+    critical residual over the maximizers, inf when an entry of one is 0.
     """
 
     phase: Phase
@@ -589,7 +605,7 @@ def maximize_G(params, options=None):
             best_value=probe_max,
         )
     best = _sort_maximizers(best)
-    residual_max = max(float(np.max(np.abs(critical_residual(m, params)))) for m in best)
+    residual_max = max(_residual_max(m, params) for m in best)
     return EquilibriumReport(
         phase=phase,
         g=g,
@@ -623,7 +639,7 @@ def structure_certificate(mu, params, tol=1e-9):
     spread = (np.max(mu, axis=1, where=above, initial=-np.inf)
               - np.min(mu, axis=1, where=above, initial=np.inf))
     two_values = not np.any(spread > tol)
-    residual = float(np.max(np.abs(critical_residual(mu, params)))) if positive else math.inf
+    residual = _residual_max(mu, params)
     return {
         "positive": positive,
         "common_order": common,

@@ -278,10 +278,11 @@ def brute_interdependence(sizes, q, alpha, beta):
 
 def heat_bath_replay(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=None):
     """run_chain's samples with no incremental state: the same PCG64 draws
-    (random initial colors, then per chunk of max(1, CHUNK_UPDATES // N)
-    sweeps one block of site indices and one block of uniforms), and before
-    every update the leave-one-out counts are recounted from the whole
-    configuration and looked up in the package's weight tables."""
+    (random initial colors unless init is a color or a configuration, then
+    per chunk of max(1, CHUNK_UPDATES // N) sweeps one block of site
+    indices and one block of uniforms), and before every update the
+    leave-one-out counts are recounted from the whole configuration and
+    looked up in the package's weight tables."""
     N, q = blocks.N, params.q
     if burn_in is None:
         burn_in = sweeps // 10
@@ -289,6 +290,8 @@ def heat_bath_replay(blocks, params, sweeps, thin=1, seed=0, init="random", burn
     rng = np.random.default_rng(seed)
     if isinstance(init, str):
         config = rng.integers(0, q, size=N, dtype=np.int64).tolist()
+    elif isinstance(init, int):
+        config = [init] * N
     else:
         config = [int(c) for c in init]
     block = [block_of(blocks, i) for i in range(N)]

@@ -25,6 +25,12 @@ two ulps of G since the best restart now ends on nu^i itself.  Model 5
 (gamma = (0.4, 0.6)) has no basin; with one refused handoff not retried
 it takes 4 more steps at (8, 0), and it is unchanged at (16, 5).  Models
 0 and 6 are unchanged.
+
+The closed-form nu^i of models 1 to 4 were captured again when their
+small entries began to take 1 - u as q e^{-gu} / (1 + (q-1) e^{-gu}),
+free of cancellation: each small entry moved by one or two ulps, sup_G of
+models 1 to 3 by one ulp and the margins of models 1, 2 and 4 by one or
+two ulps of G.  Every search diagnostic is unchanged.
 """
 
 REPORTS = {
@@ -41,28 +47,28 @@ REPORTS = {
             ],
         ]),
     (8, 0, 1): dict(
-        phase='SUPERCRITICAL', sup_G=2.3222939559269715,
-        certificate_margin=0.0,
+        phase='SUPERCRITICAL', sup_G=2.322293955926971,
+        certificate_margin=-4.440892098500626e-16,
         restarts=24, ascent_iterations=402, max_ascent_iterations=83,
         restarts_converged=24, newton_handoffs=8, basin_stops=16,
         newton_failures=0,
         maximizers=[
             [
-                [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
-                [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
+                [0.40545842221189593, 0.04727078889405207, 0.04727078889405207],
+                [0.40545842221189593, 0.04727078889405207, 0.04727078889405207],
             ],
             [
-                [0.04727078889405204, 0.40545842221189593, 0.04727078889405204],
-                [0.04727078889405204, 0.40545842221189593, 0.04727078889405204],
+                [0.04727078889405207, 0.40545842221189593, 0.04727078889405207],
+                [0.04727078889405207, 0.40545842221189593, 0.04727078889405207],
             ],
             [
-                [0.04727078889405204, 0.04727078889405204, 0.40545842221189593],
-                [0.04727078889405204, 0.04727078889405204, 0.40545842221189593],
+                [0.04727078889405207, 0.04727078889405207, 0.40545842221189593],
+                [0.04727078889405207, 0.04727078889405207, 0.40545842221189593],
             ],
         ]),
     (8, 0, 2): dict(
-        phase='CRITICAL', sup_G=2.253857589601352,
-        certificate_margin=0.0,
+        phase='CRITICAL', sup_G=2.2538575896013517,
+        certificate_margin=-8.881784197001252e-16,
         restarts=24, ascent_iterations=709, max_ascent_iterations=81,
         restarts_converged=24, newton_handoffs=12, basin_stops=12,
         newton_failures=0,
@@ -72,71 +78,71 @@ REPORTS = {
                 [0.16666666666666666, 0.16666666666666666, 0.16666666666666666],
             ],
             [
-                [0.33333333333333365, 0.08333333333333319, 0.08333333333333319],
-                [0.33333333333333365, 0.08333333333333319, 0.08333333333333319],
+                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
+                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
             ],
             [
-                [0.08333333333333319, 0.33333333333333365, 0.08333333333333319],
-                [0.08333333333333319, 0.33333333333333365, 0.08333333333333319],
+                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
+                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
             ],
             [
-                [0.08333333333333319, 0.08333333333333319, 0.33333333333333365],
-                [0.08333333333333319, 0.08333333333333319, 0.33333333333333365],
+                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
+                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
             ],
         ]),
     (8, 0, 3): dict(
-        phase='SUPERCRITICAL', sup_G=2.762709521081829,
+        phase='SUPERCRITICAL', sup_G=2.7627095210818293,
         certificate_margin=0.0,
         restarts=24, ascent_iterations=318, max_ascent_iterations=28,
         restarts_converged=24, newton_handoffs=8, basin_stops=16,
         newton_failures=0,
         maximizers=[
             [
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
             ],
             [
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
             ],
             [
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
             ],
         ]),
     (8, 0, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=4.440892098500626e-16,
+        certificate_margin=8.881784197001252e-16,
         restarts=32, ascent_iterations=514, max_ascent_iterations=42,
         restarts_converged=32, newton_handoffs=1, basin_stops=31,
         newton_failures=0,
         maximizers=[
             [
-                [0.4187593026782328, 0.02708023244058906,
-                 0.02708023244058906, 0.02708023244058906],
-                [0.4187593026782328, 0.02708023244058906,
-                 0.02708023244058906, 0.02708023244058906],
+                [0.4187593026782328, 0.027080232440589054,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.4187593026782328, 0.027080232440589054,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.4187593026782328,
-                 0.02708023244058906, 0.02708023244058906],
-                [0.02708023244058906, 0.4187593026782328,
-                 0.02708023244058906, 0.02708023244058906],
+                [0.027080232440589054, 0.4187593026782328,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.027080232440589054, 0.4187593026782328,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.02708023244058906,
-                 0.4187593026782328, 0.02708023244058906],
-                [0.02708023244058906, 0.02708023244058906,
-                 0.4187593026782328, 0.02708023244058906],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.4187593026782328, 0.027080232440589054],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.4187593026782328, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.02708023244058906,
-                 0.02708023244058906, 0.4187593026782328],
-                [0.02708023244058906, 0.02708023244058906,
-                 0.02708023244058906, 0.4187593026782328],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.4187593026782328],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.4187593026782328],
             ],
         ]),
     (8, 0, 5): dict(
@@ -184,28 +190,28 @@ REPORTS = {
             ],
         ]),
     (16, 5, 1): dict(
-        phase='SUPERCRITICAL', sup_G=2.3222939559269715,
-        certificate_margin=0.0,
+        phase='SUPERCRITICAL', sup_G=2.322293955926971,
+        certificate_margin=-4.440892098500626e-16,
         restarts=48, ascent_iterations=837, max_ascent_iterations=145,
         restarts_converged=48, newton_handoffs=16, basin_stops=32,
         newton_failures=0,
         maximizers=[
             [
-                [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
-                [0.40545842221189593, 0.04727078889405204, 0.04727078889405204],
+                [0.40545842221189593, 0.04727078889405207, 0.04727078889405207],
+                [0.40545842221189593, 0.04727078889405207, 0.04727078889405207],
             ],
             [
-                [0.04727078889405204, 0.40545842221189593, 0.04727078889405204],
-                [0.04727078889405204, 0.40545842221189593, 0.04727078889405204],
+                [0.04727078889405207, 0.40545842221189593, 0.04727078889405207],
+                [0.04727078889405207, 0.40545842221189593, 0.04727078889405207],
             ],
             [
-                [0.04727078889405204, 0.04727078889405204, 0.40545842221189593],
-                [0.04727078889405204, 0.04727078889405204, 0.40545842221189593],
+                [0.04727078889405207, 0.04727078889405207, 0.40545842221189593],
+                [0.04727078889405207, 0.04727078889405207, 0.40545842221189593],
             ],
         ]),
     (16, 5, 2): dict(
-        phase='CRITICAL', sup_G=2.253857589601352,
-        certificate_margin=0.0,
+        phase='CRITICAL', sup_G=2.2538575896013517,
+        certificate_margin=-8.881784197001252e-16,
         restarts=48, ascent_iterations=1292, max_ascent_iterations=87,
         restarts_converged=48, newton_handoffs=26, basin_stops=22,
         newton_failures=0,
@@ -215,71 +221,71 @@ REPORTS = {
                 [0.16666666666666666, 0.16666666666666666, 0.16666666666666666],
             ],
             [
-                [0.33333333333333365, 0.08333333333333319, 0.08333333333333319],
-                [0.33333333333333365, 0.08333333333333319, 0.08333333333333319],
+                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
+                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
             ],
             [
-                [0.08333333333333319, 0.33333333333333365, 0.08333333333333319],
-                [0.08333333333333319, 0.33333333333333365, 0.08333333333333319],
+                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
+                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
             ],
             [
-                [0.08333333333333319, 0.08333333333333319, 0.33333333333333365],
-                [0.08333333333333319, 0.08333333333333319, 0.33333333333333365],
+                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
+                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
             ],
         ]),
     (16, 5, 3): dict(
-        phase='SUPERCRITICAL', sup_G=2.762709521081829,
+        phase='SUPERCRITICAL', sup_G=2.7627095210818293,
         certificate_margin=0.0,
         restarts=48, ascent_iterations=603, max_ascent_iterations=38,
         restarts_converged=48, newton_handoffs=16, basin_stops=32,
         newton_failures=0,
         maximizers=[
             [
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
-                [0.28054635964274294, 0.02639348684529519, 0.02639348684529519],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
+                [0.28054635964274294, 0.026393486845295192, 0.026393486845295192],
             ],
             [
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
-                [0.02639348684529519, 0.28054635964274294, 0.02639348684529519],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
+                [0.026393486845295192, 0.28054635964274294, 0.026393486845295192],
             ],
             [
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
-                [0.02639348684529519, 0.02639348684529519, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
+                [0.026393486845295192, 0.026393486845295192, 0.28054635964274294],
             ],
         ]),
     (16, 5, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=4.440892098500626e-16,
+        certificate_margin=8.881784197001252e-16,
         restarts=64, ascent_iterations=1076, max_ascent_iterations=46,
         restarts_converged=64, newton_handoffs=1, basin_stops=63,
         newton_failures=0,
         maximizers=[
             [
-                [0.4187593026782328, 0.02708023244058906,
-                 0.02708023244058906, 0.02708023244058906],
-                [0.4187593026782328, 0.02708023244058906,
-                 0.02708023244058906, 0.02708023244058906],
+                [0.4187593026782328, 0.027080232440589054,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.4187593026782328, 0.027080232440589054,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.4187593026782328,
-                 0.02708023244058906, 0.02708023244058906],
-                [0.02708023244058906, 0.4187593026782328,
-                 0.02708023244058906, 0.02708023244058906],
+                [0.027080232440589054, 0.4187593026782328,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.027080232440589054, 0.4187593026782328,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.02708023244058906,
-                 0.4187593026782328, 0.02708023244058906],
-                [0.02708023244058906, 0.02708023244058906,
-                 0.4187593026782328, 0.02708023244058906],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.4187593026782328, 0.027080232440589054],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.4187593026782328, 0.027080232440589054],
             ],
             [
-                [0.02708023244058906, 0.02708023244058906,
-                 0.02708023244058906, 0.4187593026782328],
-                [0.02708023244058906, 0.02708023244058906,
-                 0.02708023244058906, 0.4187593026782328],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.4187593026782328],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.4187593026782328],
             ],
         ]),
     (16, 5, 5): dict(

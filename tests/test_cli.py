@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -54,6 +55,23 @@ def test_simulate_same_seed_identical_bytes(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["--q", "3", "--sizes", "50,50", "--alpha", "0.5", "--beta", "1.0", "--sweeps", "200",
+      "--thin", "10", "--seed", "1", "--chains", "2"],
+     "37297d1833db379a11285f22aba983dcaab7f6868a2a17342629e3b772343a7e"),
+    (["--q", "5", "--sizes", "20,30,40,10", "--alpha", "1.0", "--beta", "3.0", "--sweeps", "120",
+      "--thin", "3", "--burn-in", "7", "--seed", "2", "--chains", "2",
+      "--init", "uniform-color:4"],
+     "4ddae7a597277ae04f3d6da305f16b82e6c20065137a81e7de4960280d7d3b2b"),
+], ids=["q3", "q5"])
+def test_simulate_csv_bytes_are_pinned(tmp_path, argv, sha256):
+    # literal digests of CSVs written by the per-color loop that the
+    # generated sweep functions replaced: the samples must not move
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_simulate_conflicting_s_and_sizes_is_usage_error(tmp_path):
@@ -142,6 +160,15 @@ def test_equilibria_json_reports_each_maximizers_structure(tmp_path, model):
         assert set(cert) == {"positive", "common_order", "at_most_two_values", "residual_max"}
         assert cert["positive"] and cert["common_order"] and cert["at_most_two_values"]
         assert 0.0 <= cert["residual_max"] <= 1e-8
+
+
+def test_equilibria_underflowed_maximizers_write_null_residuals(tmp_path):
+    out = tmp_path / "eq.json"
+    assert run(["equilibria", "--q", "3", "--s", "2", "--alpha", "1000", "--beta", "1000",
+                "--restarts", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["residual_max"] is None
+    assert all(c["residual_max"] is None and not c["positive"] for c in doc["structure"])
 
 
 def test_equilibria_residual_max_is_that_of_the_maximizers_read_back(tmp_path):
@@ -716,8 +743,8 @@ def test_readme_constants_match_code():
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
                                             "MARGIN", "CRITICAL_BAND")}
     owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
-                  DEFAULT_SUPPORT_CAP=exact, MAX_SEARCH_ENTRIES=equilibria,
-                  MAX_SUITE_VALUES=lsi)
+                  UNROLL_MAX_Q=glauber, DEFAULT_SUPPORT_CAP=exact,
+                  MAX_SEARCH_ENTRIES=equilibria, MAX_SUITE_VALUES=lsi)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)
     assert {name for name, _ in quoted} == set(owners)

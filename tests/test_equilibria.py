@@ -171,6 +171,29 @@ def test_equilibrium_matrices_supercritical():
         assert np.allclose(nu[0], nu[1], atol=1e-15)  # identical rows
 
 
+@pytest.mark.parametrize("alpha, beta", [(30.0, 40.0), (360.0, 370.0), (700.0, 700.0)])
+def test_closed_form_residual_vanishes_at_strong_coupling(alpha, beta):
+    # taken directly, 1 - u cancels as u nears 1 (a residual of 0.037 at
+    # alpha 30, beta 40); q e^{-gu} / (1 + (q-1) e^{-gu}) does not, while
+    # e^{-gu} stays a normal float
+    p = ModelParams(q=3, s=2, alpha=alpha, beta=beta, gamma=(0.5, 0.5))
+    report = maximize_G(p, options=FAST)
+    assert report.phase is Phase.SUPERCRITICAL
+    assert report.residual_max <= 1e-8
+    for nu in report.maximizers:
+        assert structure_certificate(nu, p)["residual_max"] <= 1e-8
+
+
+def test_closed_form_small_entries_underflow_to_zero():
+    # at g = 1000 the small entries, about e^{-1000}, round to 0: the report
+    # says so by an infinite residual instead of refusing
+    p = ModelParams(q=3, s=2, alpha=1000.0, beta=1000.0, gamma=(0.5, 0.5))
+    report = maximize_G(p, options=FAST)
+    small = np.sort(report.maximizers[0], axis=1)[:, :2]
+    assert np.all(small == 0.0) and report.residual_max == math.inf
+    assert not structure_certificate(report.maximizers[0], p)["positive"]
+
+
 def test_equilibrium_matrices_rejects_nonuniform_gamma():
     p = ModelParams(q=3, s=2, alpha=0.5, beta=1.0, gamma=(0.4, 0.6))
     with pytest.raises(InvalidInputError):
@@ -461,7 +484,7 @@ def test_nu_ball_certificate(q, s):
         params = uniform_params(q, s, g)
         gamma = params.gamma_array
         centres, radii = equilibria._basin_centres(params, gamma)
-        _, nus = equilibrium_matrices(g, params)
+        _, nus = equilibrium_matrices(params.effective_coupling, params)
         assert len(centres) == q + 1
         assert all(np.array_equal(c, nu) for c, nu in zip(centres[1:], nus))
         rho = equilibria._contraction(centres, params, gamma)[0]
@@ -487,7 +510,9 @@ def test_contraction_equals_vertex_enumeration(q, s):
         centres, _ = equilibria._basin_centres(params, gamma)
         rho = equilibria._contraction(centres, params, gamma)[0]
         for c, r in zip(centres, rho):
-            assert r == pytest.approx(basin_rate(c, gamma, a, b), rel=1e-12, abs=1e-15)
+            # a row of nu^i sums to 1 only within an ulp, and the two
+            # formulas weigh that rounding differently, by up to L ulps
+            assert r == pytest.approx(basin_rate(c, gamma, a, b), rel=1e-12, abs=1e-14)
             # the derivative at the softmax of c's field, not at c / gamma:
             # they part by c's residual, 1e-15 at g = 35 where rho is 7e-14
             assert r == pytest.approx(contraction_by_vertices(c, gamma, a, b),

@@ -1,6 +1,11 @@
 """Heat-bath sampler: conditionals, kernel exactness, chains, diagnostics."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from blockpotts import (
     full_configuration_distribution,
     run_chain,
 )
-from blockpotts.glauber import MAX_BETA, _weight_tables
+from blockpotts import glauber
+from blockpotts.glauber import MAX_BETA, UNROLL_MAX_Q, _weight_tables
 
 import oracles
 from oracles import brute_conditional, count_matrix_support
@@ -230,3 +236,61 @@ def test_tail_estimate_matches_exact_law_N8():
         # empirical centering differs from the exact mean by O(1/sqrt(n))
         assert abs(emp_tail - exact_tail) <= 5 * se + 0.01
     assert abs(emp_mean - mean) <= 0.05
+
+
+REPLAY_SIZES = {1: (6,), 2: (3, 4), 3: (2, 3, 2), 4: (2, 1, 3, 2)}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 8, UNROLL_MAX_Q + 1])
+def test_sweep_function_equals_the_replay(q, s):
+    # the unrolled sweeps (and the plain loop just above UNROLL_MAX_Q) give
+    # the replay's samples byte for byte: every thin, burn-in and init kind
+    p, b = make(q, REPLAY_SIZES[s], 0.8, 4.0)
+    explicit = (np.arange(b.N) * 5) % q
+    for (thin, burn_in), init in itertools.product(
+            [(1, 0), (1, None), (3, 0), (3, None)], ["random", q - 1, explicit]):
+        seed = q + 10 * s + thin
+        summary = run_chain(b, p, sweeps=12, thin=thin, seed=seed, init=init, burn_in=burn_in)
+        replay = oracles.heat_bath_replay(b, p, sweeps=12, thin=thin, seed=seed, init=init,
+                                          burn_in=burn_in)
+        assert summary.samples.shape == (12 // thin, s, q)
+        assert np.array_equal(summary.samples, replay)
+
+
+def test_sweep_function_is_built_once_per_q():
+    p, b = make(7, (3, 4), 0.5, 1.0)
+    glauber._sweeps.cache_clear()
+    run_chain(b, p, sweeps=3, seed=1)
+    run_chain(b, p, sweeps=5, seed=2)
+    info = glauber._sweeps.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_import_builds_no_sweep_function():
+    code = ("import blockpotts\n"
+            "from blockpotts import glauber\n"
+            "assert glauber._sweeps.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(glauber.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("option, value", [
+    ("sweeps", 5.5), ("sweeps", True), ("thin", 2.0), ("thin", True),
+    ("burn_in", 1.5), ("burn_in", False), ("init", True), ("seed", -1), ("seed", 1.0),
+    ("seed", True),
+])
+def test_run_chain_refuses_bad_options(option, value):
+    p, b = make(3, (3, 3), 0.5, 1.0)
+    kwargs = {"sweeps": 10, option: value}
+    with pytest.raises(InvalidInputError, match=option):
+        run_chain(b, p, **kwargs)
+
+
+def test_run_chain_accepts_numpy_integers():
+    p, b = make(3, (3, 3), 0.5, 1.0)
+    got = run_chain(b, p, np.int64(10), thin=np.int32(2), seed=np.uint32(3),
+                    burn_in=np.int64(1), init=np.int64(2)).samples
+    assert np.array_equal(got, run_chain(b, p, 10, thin=2, seed=3, burn_in=1, init=2).samples)
