@@ -84,6 +84,8 @@ STEP_TOL = 1e-12
 MARGIN = 1e-9
 # Half-width of the CRITICAL band of g around zeta_q.
 CRITICAL_BAND = 1e-9
+# Largest residual_max with which the closed-form maximizers are certified.
+RESIDUAL_BOUND = 1e-8
 # Newton on the two-column manifold: at most NEWTON_ITERS steps, each tried
 # at NEWTON_TRIES lengths 1, 1/2, ..; a root has max|h| below NEWTON_TOL.
 NEWTON_ITERS = 60
@@ -563,11 +565,13 @@ def maximize_G(params, options=None):
     """Find and classify the maximizers of G on C(gamma).
 
     Uniform gamma: classify through g against zeta_q and take the
-    closed-form maximizer set.  Non-uniform gamma: take the best polished
-    critical points under every column permutation, flagged as carrying no
-    closed-form certificate.  Either way the multistart ascent certifies
-    the set: NonConvergenceError when any ascent beats its sup_G by more
-    than MARGIN.  A batch of more than MAX_SEARCH_ENTRIES matrix entries is
+    closed-form maximizer set, certified only when its residual_max is
+    within RESIDUAL_BOUND (past g u = 708 the small entries lose digits,
+    and past about 745 they underflow to 0).  Non-uniform gamma: take the
+    best polished critical points under every column permutation, flagged
+    as carrying no closed-form certificate.  Either way the multistart
+    ascent checks the set: NonConvergenceError when any ascent beats its
+    sup_G by more than MARGIN.  A batch of more than MAX_SEARCH_ENTRIES matrix entries is
     refused with CapacityError before anything is drawn.
     """
     opts = options or SearchOptions()
@@ -586,7 +590,6 @@ def maximize_G(params, options=None):
         best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
                 Phase.SUPERCRITICAL: nus}[phase]
         sup_G = max(free_energy_G(m, params) for m in best)
-        certificate = "closed-form, certified by multistart ascent"
     else:
         u = math.nan
         values = _free_energy(np.stack(candidates), params)
@@ -596,7 +599,6 @@ def maximize_G(params, options=None):
         has_flat = any(np.max(np.abs(m - candidates[0])) < DEDUPE_TOL for m in best)
         phase = ((Phase.SUBCRITICAL if len(best) == 1 else Phase.CRITICAL) if has_flat
                  else Phase.SUPERCRITICAL)
-        certificate = "numerical, no closed-form certificate"
     if probe_max > sup_G + MARGIN:
         raise NonConvergenceError(
             f"multistart ascent reached G = {probe_max}, more than MARGIN = "
@@ -606,6 +608,12 @@ def maximize_G(params, options=None):
         )
     best = _sort_maximizers(best)
     residual_max = max(_residual_max(m, params) for m in best)
+    if not params.uniform_gamma:
+        certificate = "numerical, no closed-form certificate"
+    elif residual_max <= RESIDUAL_BOUND:
+        certificate = "closed-form, certified by multistart ascent"
+    else:
+        certificate = f"closed-form, not certified: residual_max above {RESIDUAL_BOUND:g}"
     return EquilibriumReport(
         phase=phase,
         g=g,

@@ -164,10 +164,11 @@ def test_equilibria_json_reports_each_maximizers_structure(tmp_path, model):
 
 def test_equilibria_underflowed_maximizers_write_null_residuals(tmp_path):
     out = tmp_path / "eq.json"
-    assert run(["equilibria", "--q", "3", "--s", "2", "--alpha", "1000", "--beta", "1000",
-                "--restarts", "4", "--out", str(out)]) == 0
+    run(["equilibria", "--q", "3", "--s", "2", "--alpha", "1000", "--beta", "1000",
+         "--restarts", "4", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["residual_max"] is None
+    assert doc["certificate"].startswith("closed-form, not certified")
     assert all(c["residual_max"] is None and not c["positive"] for c in doc["structure"])
 
 
@@ -741,7 +742,7 @@ def test_readme_constants_match_code():
     from blockpotts import cli, equilibria, exact, glauber, lsi
 
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
-                                            "MARGIN", "CRITICAL_BAND")}
+                                            "MARGIN", "CRITICAL_BAND", "RESIDUAL_BOUND")}
     owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
                   UNROLL_MAX_Q=glauber, DEFAULT_SUPPORT_CAP=exact,
                   MAX_SEARCH_ENTRIES=equilibria, MAX_SUITE_VALUES=lsi)

@@ -180,17 +180,29 @@ def test_closed_form_residual_vanishes_at_strong_coupling(alpha, beta):
     report = maximize_G(p, options=FAST)
     assert report.phase is Phase.SUPERCRITICAL
     assert report.residual_max <= 1e-8
+    assert report.certificate == "closed-form, certified by multistart ascent"
     for nu in report.maximizers:
         assert structure_certificate(nu, p)["residual_max"] <= 1e-8
 
 
+@pytest.mark.parametrize("g", [730.0, 744.0])
+def test_closed_form_is_not_certified_where_the_small_entries_lose_digits(g):
+    # past g u = 708 e^{-gu} is a subnormal float: residual_max is 4.8e-7
+    # at g = 730 and 0.17 at g = 744, above RESIDUAL_BOUND
+    p = ModelParams(q=3, s=2, alpha=g, beta=g, gamma=(0.5, 0.5))
+    report = maximize_G(p, options=FAST)
+    assert equilibria.RESIDUAL_BOUND < report.residual_max < math.inf
+    assert report.certificate == "closed-form, not certified: residual_max above 1e-08"
+
+
 def test_closed_form_small_entries_underflow_to_zero():
-    # at g = 1000 the small entries, about e^{-1000}, round to 0: the report
-    # says so by an infinite residual instead of refusing
+    # at g = 1000 the small entries, about e^{-1000}, round to 0: no double
+    # holds them, so the residual is infinite and the report not certified
     p = ModelParams(q=3, s=2, alpha=1000.0, beta=1000.0, gamma=(0.5, 0.5))
     report = maximize_G(p, options=FAST)
     small = np.sort(report.maximizers[0], axis=1)[:, :2]
     assert np.all(small == 0.0) and report.residual_max == math.inf
+    assert report.certificate == "closed-form, not certified: residual_max above 1e-08"
     assert not structure_certificate(report.maximizers[0], p)["positive"]
 
 
@@ -509,10 +521,12 @@ def test_contraction_equals_vertex_enumeration(q, s):
         gamma, a, b = params.gamma_array, params.alpha, params.beta
         centres, _ = equilibria._basin_centres(params, gamma)
         rho = equilibria._contraction(centres, params, gamma)[0]
+        # a row of nu^i sums to 1 only within an ulp, and the two formulas
+        # weigh that rounding differently, by up to L = max_k L_k ulps
+        load = float(np.max((b - a) * gamma + a))
         for c, r in zip(centres, rho):
-            # a row of nu^i sums to 1 only within an ulp, and the two
-            # formulas weigh that rounding differently, by up to L ulps
-            assert r == pytest.approx(basin_rate(c, gamma, a, b), rel=1e-12, abs=1e-14)
+            assert r == pytest.approx(basin_rate(c, gamma, a, b), rel=1e-12,
+                                      abs=max(1e-15, load * 2.0 ** -52))
             # the derivative at the softmax of c's field, not at c / gamma:
             # they part by c's residual, 1e-15 at g = 35 where rho is 7e-14
             assert r == pytest.approx(contraction_by_vertices(c, gamma, a, b),

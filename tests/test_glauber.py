@@ -267,6 +267,14 @@ def test_sweep_function_is_built_once_per_q():
     assert (info.misses, info.currsize) == (1, 1)
 
 
+def test_sweep_function_above_the_bound_does_not_grow_with_q():
+    # the plain-loop body keeps a build small at any q: an unrolled one
+    # grows by about 13 kB per color, and the CLI admits q up to 2^20
+    size = len(glauber._sweeps(glauber.UNROLL_MAX_Q + 1).__code__.co_code)
+    assert len(glauber._sweeps(4 * glauber.UNROLL_MAX_Q).__code__.co_code) == size
+    assert size < len(glauber._sweeps(glauber.UNROLL_MAX_Q).__code__.co_code)
+
+
 def test_import_builds_no_sweep_function():
     code = ("import blockpotts\n"
             "from blockpotts import glauber\n"
@@ -277,15 +285,17 @@ def test_import_builds_no_sweep_function():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("option, value", [
-    ("sweeps", 5.5), ("sweeps", True), ("thin", 2.0), ("thin", True),
-    ("burn_in", 1.5), ("burn_in", False), ("init", True), ("seed", -1), ("seed", 1.0),
-    ("seed", True),
+@pytest.mark.parametrize("option, value, message", [
+    ("sweeps", 5.5, "sweeps"), ("sweeps", True, "sweeps"), ("thin", 2.0, "thin"),
+    ("thin", True, "thin"), ("burn_in", 1.5, "burn_in"), ("burn_in", False, "burn_in"),
+    ("init", True, "configuration"), ("seed", -1, "seed"), ("seed", 1.0, "seed"),
+    ("seed", True, "seed"),
 ])
-def test_run_chain_refuses_bad_options(option, value):
+def test_run_chain_refuses_bad_options(option, value, message):
+    # a bool init is no color: it is read, and refused, as a configuration
     p, b = make(3, (3, 3), 0.5, 1.0)
     kwargs = {"sweeps": 10, option: value}
-    with pytest.raises(InvalidInputError, match=option):
+    with pytest.raises(InvalidInputError, match=message):
         run_chain(b, p, **kwargs)
 
 
