@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .model import check_cap, field_from_sums, interaction_field
+from .model import check_cap, check_count, field_from_sums, interaction_field
 from .numutil import softmax
 from .rates import _block_matrix, _free_energy, free_energy_G
 
@@ -248,8 +248,8 @@ class SearchOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.restarts >= 1:
-            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
+        check_count("restarts", self.restarts, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -665,10 +665,10 @@ def two_column_landscape(params, r, mesh=25):
     """
     gamma = params.gamma_array
     q = params.q
-    if not 1 <= r <= q - 1:
+    check_count("r", r, 1)
+    if r > q - 1:
         raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
-    if mesh < 1:
-        raise InvalidInputError(f"mesh must be >= 1, got {mesh}")
+    check_count("mesh", mesh, 1)
     lo, hi = gamma / q, gamma / r
     pad = LANDSCAPE_INSET * (hi - lo)
     axes = np.linspace(lo + pad, hi - pad, mesh, axis=-1)

@@ -29,10 +29,10 @@ anything is enumerated.
 
 The q^N configuration law (full_configuration_distribution), for tiny N,
 splits each block into at most two contiguous site groups of at most
-ceil(n_k / 2) sites, one table per group, so no table of the weights grows
-like q^N.  Its largest temporary is one block's (q^n_k, q) count table,
-freed before the weights are built, so its peak memory is its outputs,
-N + 2 s q + 16 bytes per configuration.
+ceil(n_k / 2) sites, one table per group, so no table grows like q^N.  It
+holds its weights only, indexed by the configuration code sum_i x_i q^i:
+no configuration or count matrix is decoded, so its peak memory is its
+outputs, 16 bytes per configuration, plus the weights' slabs.
 
 Everything is normalized in log space, by one exp pass.  This module is
 the brute-force oracle for the sampler, the rate functions and the
@@ -101,23 +101,17 @@ def block_compositions(sizes, q, cap):
 
 def _fill_support(comps):
     """The (P, s, q) int16 product of per-block composition tables, block 0
-    outermost.  Each composition is copied as one 2q-byte row."""
+    outermost.  Each composition is copied as one 2q-byte record into every
+    point whose block-k grid index is its row."""
     shape = [c.shape[0] for c in comps]
     s, q = len(comps), comps[0].shape[1]
     support = np.empty((*shape, s, q), dtype=np.int16)
+    row = np.dtype((np.void, 2 * q))
     for k, c in enumerate(comps):
-        _fill_rows(support[..., k, :], c.astype(np.int16), [k])
+        on_axis = [1] * s
+        on_axis[k] = shape[k]
+        support[..., k, :].view(row)[..., 0] = c.astype(np.int16).view(row).reshape(on_axis)
     return support.reshape(-1, s, q)
-
-
-def _fill_rows(grid, table, axes):
-    """Write the rows of the C-ordered table (R, g) into grid (..., g), whose
-    last axis is contiguous: a point whose coordinates on the neighbouring
-    grid axes `axes` code r in C order gets row r, whatever its other
-    coordinates.  Each row is copied whole, as one g-item record."""
-    row = np.dtype((np.void, grid.shape[-1] * grid.itemsize))
-    on_axes = [n if a in axes else 1 for a, n in enumerate(grid.shape[:-1])]
-    grid.view(row)[..., 0] = table.view(row)[:, 0].reshape(on_axes)
 
 
 @dataclass(frozen=True)
@@ -260,13 +254,12 @@ def _normalize(log_weights, params):
 class ConfigurationDistribution:
     """Exact Gibbs law over all q^N configurations (tiny N only).
 
-    Configuration index p encodes colors base q with site 0 as the least
-    significant digit; configs[p] is the decoded color vector and
-    count_matrices[p] its count matrix.
+    Entry p of log_weights and probabilities belongs to the configuration
+    whose code sum_i x_i q^i is p, site 0 the least significant digit; the
+    code is the only form of a configuration the law holds, and site_view
+    lists the recolorings of any site on it.
     """
 
-    configs: np.ndarray
-    count_matrices: np.ndarray
     log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
@@ -274,7 +267,7 @@ class ConfigurationDistribution:
     blocks: "BlockStructure"
 
     def __len__(self):
-        return self.configs.shape[0]
+        return len(self.probabilities)
 
 
 def site_view(values, site, q):
@@ -306,35 +299,19 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     A group of g sites has q^g colorings, coded base q with its lowest site
     least significant, and a (q^g, q) table of their color counts.
     Configuration codes put site 0 lowest, so with the last group outermost
-    the grid's flat index is the configuration code.  configs are filled
-    group by group from the colorings, count_matrices block by block from
-    the outer sum of the block's group tables, one whole row per point.
+    the grid's flat index is the configuration code.
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
     required = capped_count(itertools.repeat((q, 1), N), cap)
     check_cap(required, cap, "full enumeration", "configurations")
     groups = list(_site_groups(blocks))[::-1]
-    colorings = [(np.arange(q ** (hi - lo))[:, None] // q ** np.arange(hi - lo) % q)
-                 .astype(np.int8) for _, lo, hi in groups]
+    colorings = [np.arange(q ** (hi - lo))[:, None] // q ** np.arange(hi - lo) % q
+                 for _, lo, hi in groups]
     tables = [(c[:, :, None] == np.arange(q)).sum(axis=1, dtype=np.int16) for c in colorings]
-    shape = [c.shape[0] for c in colorings]
-    configs = np.empty((required, N), dtype=np.int8)
-    for j, (_, lo, hi) in enumerate(groups):
-        _fill_rows(configs.reshape(*shape, N)[..., lo:hi], colorings[j], [j])
-    counts = np.empty((required, blocks.s, q), dtype=np.int16)
-    for k in range(blocks.s):
-        # a block's groups are neighbouring axes, outer first, so the outer
-        # sum of their tables is coded by the block's colorings
-        axes = [j for j, group in enumerate(groups) if group[0] == k]
-        _fill_rows(counts.reshape(*shape, blocks.s, q)[..., k, :],
-                   functools.reduce(lambda hi, lo: (hi[:, None] + lo).reshape(-1, q),
-                                    [tables[j] for j in axes]), axes)
     log_weights = _grid_log_weights(tables, [k for k, _, _ in groups], None, params, N)
     log_Z, probabilities = _normalize(log_weights, params)
     return ConfigurationDistribution(
-        configs=configs,
-        count_matrices=counts,
         log_weights=log_weights,
         log_Z=log_Z,
         probabilities=probabilities,

@@ -50,7 +50,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_consistent, count_matrix, validate_config
+from .model import check_consistent, check_count, count_matrix, validate_config
 
 # Updates drawn per RNG chunk: large enough that the two numpy calls per
 # chunk cost little next to its updates, small enough that the drawn
@@ -102,14 +102,6 @@ def _weight_tables(blocks, params):
     return ein, eout
 
 
-def _check_count(name, value, low):
-    """Refuse a value that is not an integer (bools included) or is below low."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
-
-
 def check_run_options(blocks, params, sweeps, thin, burn_in):
     """Reject what run_chain cannot run; returns burn_in, default sweeps // 10."""
     check_consistent(params, blocks)
@@ -117,11 +109,11 @@ def check_run_options(blocks, params, sweeps, thin, burn_in):
         raise InvalidInputError(
             f"beta must be <= {MAX_BETA} for the heat-bath weight tables, got {params.beta}"
         )
-    _check_count("sweeps", sweeps, 1)
-    _check_count("thin", thin, 1)
+    check_count("sweeps", sweeps, 1)
+    check_count("thin", thin, 1)
     if burn_in is None:
         burn_in = sweeps // 10
-    _check_count("burn_in", burn_in, 0)
+    check_count("burn_in", burn_in, 0)
     return burn_in
 
 
@@ -207,7 +199,7 @@ def run_chain(blocks, params, sweeps, thin=1, seed=0, init="random", burn_in=Non
     len(samples) == sweeps // thin.
     """
     burn_in = check_run_options(blocks, params, sweeps, thin, burn_in)
-    _check_count("seed", seed, 0)
+    check_count("seed", seed, 0)
     ein, eout = _weight_tables(blocks, params)
     N, q, s = blocks.N, params.q, blocks.s
 

@@ -56,7 +56,9 @@ The workspace's joint law is exact.full_configuration_distribution, built
 on the product grid of per-site-group color-count tables: its sums are
 integers below 2^53, exact in float64, so its weights are those of
 interaction_form on the count matrices bit for bit, and its peak memory is
-its outputs.
+its outputs.  It holds no decoded configuration: the structured battery
+builds each observable from the configuration codes, an indicator as the
+color-c slice of a site view, and a linear form in slabs of its terms.
 
 Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
 interdependence entries take their maxima over slabs of each grid's
@@ -90,8 +92,8 @@ from .exact import (
     full_configuration_distribution,
     site_view,
 )
-from .model import (check_block_color, check_cap, check_consistent, field_from_sums,
-                    shown_count)
+from .model import (check_block_color, check_cap, check_consistent, check_count,
+                    field_from_sums, shown_count)
 from .numutil import CHUNK_BYTES, LEAF, _xlogx, softmax
 
 # Largest q^N the full configuration workspace enumerates.
@@ -440,26 +442,47 @@ class LsiSuiteReport:
 
 def _structured_battery(workspace, rng):
     """Indicators, block counts, products of indicators and linear forms,
-    one observable at a time, drawing from rng as they are made."""
-    cfgs = workspace.dist.configs
-    counts = workspace.dist.count_matrices
-    P, N = cfgs.shape
-    q = workspace.params.q
+    one observable at a time, drawing from rng as they are made.  Each is
+    built from the configuration codes: site i has color c on slice c of
+    the middle axis of site i's view, and a linear form lays out the N
+    terms of each code as one row of a slab of about LEAF terms and sums
+    each row, as over a (P, N) array.  Beyond that slab, only the
+    observables being built and the last one yielded are held."""
+    q, N = workspace.params.q, workspace.blocks.N
+    P = len(workspace.dist)
+
+    def count(sites, c):
+        values = np.zeros(P)
+        for i in sites:
+            site_view(values, i, q)[..., c, :] += 1.0
+        return values
+
+    def linear_form(coef, target):
+        # a slab is q^m consecutive codes: their m low sites run through all
+        # q^m colorings in code order, and the other sites are constant
+        m = max(1, min(N, int(math.log(LEAF // N, q))))
+        terms = np.empty((q**m, N))
+        terms[:, :m] = (np.indices((q,) * m).reshape(m, -1)[::-1].T == target[:m]) * coef[:m]
+        values = np.empty(P)
+        for lo in range(0, P, q**m):
+            terms[:, m:] = (lo // q ** np.arange(m, N) % q == target[m:]) * coef[m:]
+            values[lo : lo + q**m] = terms.sum(axis=1)
+        return values
+
     yield np.zeros(P)
     for i in range(N):
         for c in range(q):
-            yield (cfgs[:, i] == c).astype(np.float64)
-    for k in range(workspace.blocks.s):
+            yield count([i], c)
+    for lo, hi in itertools.pairwise(workspace.blocks.offsets.tolist()):
         for c in range(q):
-            yield counts[:, k, c].astype(np.float64)
+            yield count(range(lo, hi), c)
     for _ in range(BATTERY_PRODUCTS if N >= 2 else 0):  # products need two sites
         i, j = rng.choice(N, size=2, replace=False)
         c1, c2 = rng.integers(0, q, size=2)
-        yield ((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64)
+        yield count([i], c1) * count([j], c2)
     for _ in range(BATTERY_LINEAR):
         coef = rng.standard_normal(N)
-        target = rng.integers(0, q, size=N)
-        yield ((cfgs == target[None, :]).astype(np.float64) * coef[None, :]).sum(axis=1)
+        yield linear_form(coef, rng.integers(0, q, size=N))
 
 
 def _observable_chunks(workspace, rng, num_f, amplitude):
@@ -491,8 +514,8 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     evaluated in chunks, so memory does not grow with num_f; time does, and
     num_f q^N above MAX_SUITE_VALUES is refused before any is drawn.
     """
-    if num_f < 0:
-        raise InvalidInputError(f"num_f must be >= 0, got {num_f}")
+    check_count("num_f", num_f, 0)
+    check_count("seed", seed, 0)
     if not math.isfinite(amplitude):
         raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
     _require_lsi_condition(params.q, params.beta)

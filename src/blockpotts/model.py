@@ -149,6 +149,14 @@ def check_block_color(k, c, s, q):
         raise InvalidInputError(f"color index {c} out of range 0..{q - 1}")
 
 
+def check_count(name, value, low):
+    """Refuse a value that is not an integer (bools included) or is below low."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+
+
 def check_cap(required, cap, what, unit):
     """Raise InvalidInputError for a cap below 1, CapacityError for required
     above it.  A count of more than SHOWN_DIGITS digits, exact or the lower

@@ -26,7 +26,9 @@ pins the site-reversed layout of local_terms; and the suite's earlier
 stacked moments, which pin the in-place exp_moments; the mean-field
 restart's basin centres, which take u(g) from the package's
 potts_fixed_point_u; and the recoloring distances' earlier triu gather,
-which pins the per-color views of _recoloring_tv.
+which pins the per-color views of _recoloring_tv; and the suite's
+earlier structured battery, built from decoded configurations, which pins
+the battery the package builds from configuration codes.
 """
 
 import functools
@@ -45,7 +47,7 @@ from blockpotts.exact import (
     site_view,
 )
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
-from blockpotts.lsi import _recoloring_tv, _site_laws
+from blockpotts.lsi import BATTERY_LINEAR, BATTERY_PRODUCTS, _recoloring_tv, _site_laws
 from blockpotts.model import (
     check_block_color,
     check_cap,
@@ -171,15 +173,12 @@ def exact_law_int64_slabs(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     return (log_weights, *normalize_by_max_shift(log_weights))
 
 
-def full_configurations_by_count_nonzero(blocks, params, cap=DEFAULT_SUPPORT_CAP):
-    """(configs, count_matrices, log_weights, log_Z, probabilities) of the q^N
-    configuration law by the package's earlier route: each site's column of
-    codes written through site_view, s q count_nonzero passes over the
-    (P, n_k) slices of each block, and interaction_form's int64 sums on the
-    materialised (P, s, q) int16 counts."""
-    check_consistent(params, blocks)
-    q, N = params.q, blocks.N
-    check_cap(q**N, cap, "full enumeration", "configurations")
+def decoded_configurations(blocks, q):
+    """(configs, count_matrices) of all q^N configurations, row p the one
+    whose code sum_i x_i q^i is p: the (P, N) int8 colors, each site's
+    column written through site_view, and the (P, s, q) int16 counts, from
+    s q count_nonzero passes over the (P, n_k) slices of each block."""
+    N = blocks.N
     configs = np.empty((q**N, N), dtype=np.int8)
     for i in range(N):
         site_view(configs[:, i], i, q)[...] = np.arange(q)[:, None]
@@ -187,9 +186,20 @@ def full_configurations_by_count_nonzero(blocks, params, cap=DEFAULT_SUPPORT_CAP
     for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets)):
         for c in range(q):
             counts[:, k, c] = np.count_nonzero(configs[:, lo:hi] == c, axis=1)
+    return configs, counts
+
+
+def full_configurations_by_count_nonzero(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+    """(log_weights, log_Z, probabilities) of the q^N configuration law by
+    the package's earlier route: interaction_form's int64 sums on the
+    materialised (P, s, q) int16 counts of decoded_configurations."""
+    check_consistent(params, blocks)
+    q, N = params.q, blocks.N
+    check_cap(q**N, cap, "full enumeration", "configurations")
+    _, counts = decoded_configurations(blocks, q)
     with np.errstate(over="ignore"):
         log_weights = interaction_form(counts, params) / (2.0 * N)
-    return (configs, counts, log_weights, *normalize_by_max_shift(log_weights))
+    return (log_weights, *normalize_by_max_shift(log_weights))
 
 
 def normalize_by_max_shift(log_weights):
@@ -786,6 +796,32 @@ def local_terms_by_site_view(workspace, moments):
         sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
         site_view(dsq, i, q)[...] += sq
     return dsq, cov
+
+
+def structured_battery_by_configs(workspace, rng):
+    """The LSI suite's structured battery as the package built it from the
+    decoded configurations and count matrices (decoded_configurations):
+    indicators and products by comparing columns of colors, block counts
+    cast from the counts, and linear forms from one (P, N) float64 product,
+    drawing from rng in the same order."""
+    q = workspace.params.q
+    cfgs, counts = decoded_configurations(workspace.blocks, q)
+    P, N = cfgs.shape
+    yield np.zeros(P)
+    for i in range(N):
+        for c in range(q):
+            yield (cfgs[:, i] == c).astype(np.float64)
+    for k in range(workspace.blocks.s):
+        for c in range(q):
+            yield counts[:, k, c].astype(np.float64)
+    for _ in range(BATTERY_PRODUCTS if N >= 2 else 0):
+        i, j = rng.choice(N, size=2, replace=False)
+        c1, c2 = rng.integers(0, q, size=2)
+        yield ((cfgs[:, i] == c1) & (cfgs[:, j] == c2)).astype(np.float64)
+    for _ in range(BATTERY_LINEAR):
+        coef = rng.standard_normal(N)
+        target = rng.integers(0, q, size=N)
+        yield ((cfgs == target[None, :]).astype(np.float64) * coef[None, :]).sum(axis=1)
 
 
 def exp_moments_by_stack(fvals):

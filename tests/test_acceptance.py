@@ -37,7 +37,8 @@ from blockpotts import (
     verify_lsi_suite,
 )
 
-from oracles import brute_conditional, fit_inverse_n_coefficient, gradient_G, pair_hamiltonian
+from oracles import (brute_conditional, decoded_configurations, fit_inverse_n_coefficient,
+                     gradient_G, pair_hamiltonian)
 
 
 def _report(name, ok, started, detail=""):
@@ -94,9 +95,10 @@ def test_ac02_exact_oracle_equivalence():
                                  gamma=gamma)
             dist = exact_distribution(blocks, params)
             full = full_configuration_distribution(blocks, params)
+            _, counts = decoded_configurations(blocks, 3)
             acc = {}
             for i in range(len(full)):
-                key = tuple(int(v) for v in full.count_matrices[i].ravel())
+                key = tuple(int(v) for v in counts[i].ravel())
                 acc[key] = acc.get(key, 0.0) + float(full.probabilities[i])
             tv = 0.0
             for i in range(len(dist)):
@@ -117,8 +119,9 @@ def test_ac03_sampler_correctness():
     P, N = len(full), blocks.N
     K = np.zeros((P, P))
     place = 3 ** np.arange(N)
+    configs, _ = decoded_configurations(blocks, 3)
     for idx in range(P):
-        cfg = full.configs[idx].astype(np.int64)
+        cfg = configs[idx].astype(np.int64)
         for i in range(N):
             probs = brute_conditional(cfg.tolist(), i, blocks.sizes, 3,
                                       params.alpha, params.beta)

@@ -125,9 +125,10 @@ def test_full_configuration_distribution_agrees_with_compositions():
         full = full_configuration_distribution(b, p)
         assert full.log_Z == pytest.approx(dist.log_Z, abs=1e-12)
         # push forward configurations onto count matrices
+        _, counts = oracles.decoded_configurations(b, 3)
         acc = {}
         for i in range(len(full)):
-            key = tuple(int(v) for v in full.count_matrices[i].ravel())
+            key = tuple(int(v) for v in counts[i].ravel())
             acc[key] = acc.get(key, 0.0) + full.probabilities[i]
         tv = 0.0
         for i in range(len(dist)):
@@ -235,20 +236,16 @@ def test_exact_law_equals_int64_slab_loop(q, sizes):
 def test_configuration_law_equals_count_nonzero_route(q, sizes, alpha, beta):
     p, b = make(q, sizes, alpha, beta)
     full = full_configuration_distribution(b, p)
-    configs, counts, log_weights, log_Z, probabilities = (
-        oracles.full_configurations_by_count_nonzero(b, p))
-    assert full.configs.dtype == np.int8 and full.count_matrices.dtype == np.int16
-    assert np.array_equal(full.configs, configs)
-    assert np.array_equal(full.count_matrices, counts)
+    log_weights, log_Z, probabilities = oracles.full_configurations_by_count_nonzero(b, p)
     assert np.array_equal(full.log_weights, log_weights)
     assert full.log_Z == log_Z
     assert np.array_equal(full.probabilities, probabilities)
 
 
 def test_configuration_law_peak_memory_is_its_outputs():
-    # (7, 6): 1.6e6 configurations, 41 bytes each in the outputs; no table
-    # holds more than one block's 3^7 colorings and the weights' temporaries
-    # are slabs, so nothing else grows with q^N
+    # (7, 6): 1.6e6 configurations, 16 bytes each in the outputs; no table
+    # holds more than one site group's 3^4 colorings and the weights'
+    # temporaries are slabs, so nothing else grows with q^N
     p, b = make(3, (7, 6), 0.5, 1.0)
     tracemalloc.start()
     try:
@@ -256,8 +253,7 @@ def test_configuration_law_peak_memory_is_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in (full.configs, full.count_matrices, full.log_weights,
-                                     full.probabilities))
+    outputs = full.log_weights.nbytes + full.probabilities.nbytes
     assert peak <= outputs + 4 * CHUNK_BYTES
 
 
@@ -346,11 +342,12 @@ def test_observable_distribution_matches_full_enumeration():
     p, b = make(3, (3, 3), 0.5, 1.0)
     dist = exact_distribution(b, p)
     full = full_configuration_distribution(b, p)
+    _, counts = oracles.decoded_configurations(b, 3)
     for (k, c) in ((0, 0), (1, 2)):
         law = exact_observable_distribution(dist, k, c)
         acc = np.zeros(b.sizes[k] + 1)
         for i in range(len(full)):
-            acc[full.count_matrices[i, k, c]] += full.probabilities[i]
+            acc[counts[i, k, c]] += full.probabilities[i]
         assert np.max(np.abs(law - acc)) <= 1e-13
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
 

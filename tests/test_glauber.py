@@ -110,8 +110,9 @@ def _heat_bath_kernel(p, b):
     N = b.N
     K = np.zeros((P, P))
     place = p.q ** np.arange(N)
+    configs, _ = oracles.decoded_configurations(b, p.q)
     for idx in range(P):
-        cfg = full.configs[idx].astype(np.int64)
+        cfg = configs[idx].astype(np.int64)
         for i in range(N):
             probs = brute(cfg.tolist(), i, p, b)
             for c in range(p.q):

@@ -33,8 +33,10 @@ from blockpotts import (
     run_chain,
     verify_lsi_suite,
 )
+from blockpotts import lsi
 from blockpotts.exact import site_view
-from blockpotts.lsi import _recoloring_tv, _reverse_sites, exp_moments
+from blockpotts.lsi import _recoloring_tv, _reverse_sites, _structured_battery, exp_moments
+from blockpotts.numutil import CHUNK_BYTES, LEAF
 
 import oracles
 from oracles import covariance_term, difference_operator_sq
@@ -326,7 +328,8 @@ def test_difference_operator_product_measure_two_routes():
     # mean equals twice the one-coordinate variance p(1-p)
     full = full_configuration_distribution(b, p)
     ws = ConfigWorkspace(b, p)
-    fvals = np.asarray([f(cfg) for cfg in ws.dist.configs], dtype=np.float64)
+    configs, _ = oracles.decoded_configurations(b, 3)
+    fvals = np.asarray([f(cfg) for cfg in configs], dtype=np.float64)
     mean_dsq = float(full.probabilities @ ws.local_terms(exp_moments(fvals))[0])
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
@@ -352,8 +355,9 @@ def test_difference_operator_function_vs_workspace():
     fvals = rng.standard_normal(len(ws.dist))
     all_dsq, _ = ws.local_terms(exp_moments(fvals))
     f = on_configs(fvals, 3, 4)
+    configs, _ = oracles.decoded_configurations(b, 3)
     for idx in rng.integers(0, len(ws.dist), size=10):
-        cfg = ws.dist.configs[idx].astype(np.int64)
+        cfg = configs[idx].astype(np.int64)
         assert difference_operator_sq(f, cfg, b, p) == pytest.approx(
             float(all_dsq[idx]), rel=1e-11, abs=1e-12
         )
@@ -410,12 +414,13 @@ def test_covariance_sum_matches_direct_implementation():
     ws = ConfigWorkspace(b, p)
     probs = ws.dist.probabilities
     place = 3 ** np.arange(4)
+    configs, _ = oracles.decoded_configurations(b, 3)
     for _ in range(5):
         f = rng.standard_normal(len(ws.dist))
         # direct: loop configurations and sites, conditional from joint ratios
         total = 0.0
         for idx in range(len(ws.dist)):
-            cfg = ws.dist.configs[idx].astype(np.int64)
+            cfg = configs[idx].astype(np.int64)
             for i in range(4):
                 neigh = [idx + (c - cfg[i]) * place[i] for c in range(3)]
                 w = probs[neigh]
@@ -439,9 +444,10 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
     dsq, cov = ws.local_terms(exp_moments(fvals))
     assert dsq.shape == fvals.shape
     assert cov.shape == (2, b.N)
+    configs, _ = oracles.decoded_configurations(b, q)
     for row, f_row in enumerate(fvals):
         f = on_configs(f_row, q, b.N)
-        for idx, config in enumerate(ws.dist.configs):
+        for idx, config in enumerate(configs):
             assert close(dsq[row, idx], difference_operator_sq(f, config, b, p), 1e-12)
         for site in range(b.N):
             assert close(cov[row, site], covariance_term(f, site, b, p), 1e-12)
@@ -455,7 +461,7 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
 def test_local_terms_match_difference_form(q, sizes):
     p, b = make(q, sizes, 0.3, 0.8)
     ws = ConfigWorkspace(b, p)
-    cfgs, counts = ws.dist.configs, ws.dist.count_matrices
+    cfgs, counts = oracles.decoded_configurations(b, q)
     structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
                           + [counts[:, k, c] for k in range(b.s) for c in range(q)])
     structured = structured.astype(np.float64)
@@ -518,7 +524,7 @@ def test_local_terms_match_site_view_loop(q, sizes):
     # low site read at the wrong reversed site shows as a mismatch
     p, b = make(q, sizes, 0.3, 0.8)
     ws = ConfigWorkspace(b, p)
-    cfgs, counts = ws.dist.configs, ws.dist.count_matrices
+    cfgs, counts = oracles.decoded_configurations(b, q)
     structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
                           + [counts[:, k, c] for k in range(b.s) for c in range(q)])
     gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((5, len(ws.dist)))
@@ -529,6 +535,47 @@ def test_local_terms_match_site_view_loop(q, sizes):
         assert dsq.shape == ref_dsq.shape and cov.shape == ref_cov.shape
         assert np.all(np.abs(dsq - ref_dsq) <= 1e-14 * np.abs(ref_dsq))
         assert np.all(np.abs(cov - ref_cov) <= 1e-14)
+
+
+# (3, (5, 4)) and (4, (5, 4)) lay out their linear forms in more than one
+# slab; (3, (2, 1, 2)), (4, (1, 3)) and (3, (1,)) hold one-site blocks; a
+# LEAF patched down to 100 or 8 leaves slabs of the colorings of two low
+# sites or of one, the least slab, which a q above LEAF would also take
+@pytest.mark.parametrize("q, sizes, leaf", [
+    (3, (4, 4), LEAF), (3, (5, 4), LEAF), (3, (2, 1, 2), LEAF), (3, (1,), LEAF),
+    (4, (1, 3), LEAF), (4, (5, 4), LEAF), (3, (2, 1, 2), 100), (4, (3, 2), 8),
+])
+def test_battery_equals_battery_by_configs(q, sizes, leaf, monkeypatch):
+    monkeypatch.setattr(lsi, "LEAF", leaf)
+    p, b = make(q, sizes, 0.05, 0.1)
+    ws = ConfigWorkspace(b, p)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = list(_structured_battery(ws, rng))
+    want = list(oracles.structured_battery_by_configs(ws, ref_rng))
+    assert len(got) == len(want)
+    for a, w in zip(got, want):
+        assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+    # the same draws in the same order
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_battery_peak_memory_is_two_observables_and_a_slab():
+    # the observable yielded and the one being built, P float64 each, and
+    # the linear forms' slab of at most CHUNK_BYTES: no (P, N) array of
+    # colors or of terms is built
+    p, b = make(3, (5, 5), 0.05, 0.1)
+    ws = ConfigWorkspace(b, p)
+    for _ in _structured_battery(ws, np.random.default_rng(1)):
+        pass  # the first drain imports what numpy loads lazily
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        for _ in _structured_battery(ws, rng):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(ws.dist) * 8 + 2 * CHUNK_BYTES
 
 
 def test_suite_peak_memory_does_not_grow_with_observables():
@@ -553,10 +600,7 @@ def test_workspace_peak_memory_is_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    d = ws.dist
-    outputs = cond.nbytes + sum(
-        a.nbytes for a in (d.configs, d.count_matrices, d.log_weights, d.probabilities)
-    )
+    outputs = cond.nbytes + ws.dist.log_weights.nbytes + ws.dist.probabilities.nbytes
     assert peak <= 1.25 * outputs
 
 

@@ -10,6 +10,7 @@ from blockpotts import (
     ConfigWorkspace,
     InvalidInputError,
     ModelParams,
+    SearchOptions,
     count_matrix,
     exact_distribution,
     full_configuration_distribution,
@@ -18,6 +19,7 @@ from blockpotts import (
     interdependence_matrix_exact,
     model_to_json,
     run_chain,
+    two_column_landscape,
     verify_lsi_suite,
 )
 from blockpotts.lsi import measured_constants
@@ -185,6 +187,37 @@ def test_non_finite_q_or_s_is_refused(name, value):
     least = 3 if name == "q" else 1
     with pytest.raises(InvalidInputError, match=f"{name} must be an integer >= {least}, got"):
         ModelParams(**fields)
+
+
+def _suite(**options):
+    p = ModelParams(q=3, s=2, alpha=0.05, beta=0.1, gamma=(0.5, 0.5))
+    return verify_lsi_suite(BlockStructure(sizes=(2, 2)), p, **options)
+
+
+def _landscape(r=1, mesh=5):
+    p = ModelParams(q=3, s=2, alpha=2.5, beta=3.5, gamma=(0.5, 0.5))
+    return two_column_landscape(p, r, mesh=mesh)
+
+
+# every integer option goes through model.check_count: a float, a bool or a
+# value below the least one is refused before any work is done
+@pytest.mark.parametrize("call, name, value, message", [
+    (SearchOptions, "restarts", 2.5, "restarts must be an integer, got 2.5"),
+    (SearchOptions, "restarts", True, "restarts must be an integer, got True"),
+    (SearchOptions, "seed", -1, "seed must be >= 0, got -1"),
+    (SearchOptions, "seed", 1.0, "seed must be an integer, got 1.0"),
+    (_suite, "num_f", 2.5, "num_f must be an integer, got 2.5"),
+    (_suite, "seed", -1, "seed must be >= 0, got -1"),
+    (_suite, "seed", np.float64(3.0), "seed must be an integer, got "),
+    (_landscape, "r", 1.5, "r must be an integer, got 1.5"),
+    (_landscape, "r", 0, "r must be >= 1, got 0"),
+    (_landscape, "r", 3, r"r must lie in 1..2, got 3"),
+    (_landscape, "mesh", 2.0, "mesh must be an integer, got 2.0"),
+    (_landscape, "mesh", 0, "mesh must be >= 1, got 0"),
+])
+def test_integer_options_are_refused(call, name, value, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call(**{name: value})
 
 
 @pytest.mark.parametrize("sizes, shown", [((2.5, 3), "2.5"), (np.array([2.9, 3.0]), "2.9"),
