@@ -51,6 +51,12 @@ of rest sites is a sum of per-block compositions, so comps(own) x
 comps(rest) reaches exactly the fields that the count matrices of the N - 2
 other sites reach.  J[i, j] therefore depends only on n_k and on whether j
 shares i's block, with boost beta / N when it does and alpha / N when not.
+Permuting the colors of x and y together maps that grid to itself, so pair
+(a, b) at one point is pair (0, 1) at another and pair (0, 1) alone reaches
+the worst case (to a few ulps: the softmax adds the q exponentials in
+another order).  Swapping colors 0 and 1 keeps pair (0, 1)'s distance bit
+for bit (the softmax adds them first; hi, lo are symmetric), so only own
+compositions with x_0 >= x_1 are evaluated.
 
 The workspace's joint law is exact.full_configuration_distribution, built
 on the product grid of per-site-group color-count tables: its sums are
@@ -216,33 +222,26 @@ def gamma1_exact(blocks, params):
 
 
 def _recoloring_tv(fields, boost):
-    """Identity (1): TV(p_a, p_b) for every color pair a < b at site j, shape
-    (q(q-1)/2, ...) in the order of np.triu_indices, from site i's
-    leave-two-out fields (q, ...).  Each color a meets the view p[a+1:],
-    so no pair is gathered into a copy."""
+    """Identity (1) for color pair (0, 1): TV(p_0, p_1) at site j, shape
+    (...), from site i's leave-two-out fields (q, ...).  By the color
+    symmetry of the module docstring this pair alone gives the worst case."""
     p, t = softmax(fields, axis=0), math.expm1(boost)
-    out = np.empty((len(p) * (len(p) - 1) // 2, *p.shape[1:]))
-    row = 0
-    for a in range(len(p) - 1):
-        rest = p[a + 1:]
-        hi, lo = np.maximum(p[a], rest), np.minimum(p[a], rest)
-        out[row : row + len(rest)] = (t * hi * (1.0 - hi + (1.0 + t) * lo)
-                                      / ((1.0 + t * hi) * (1.0 + t * lo)))
-        row += len(rest)
-    return out
+    hi, lo = np.maximum(p[0], p[1]), np.minimum(p[0], p[1])
+    return t * hi * (1.0 - hi + (1.0 + t) * lo) / ((1.0 + t * hi) * (1.0 + t * lo))
 
 
 def _worst_recoloring_tv(own, rest, boost, params, N, cap):
-    """Largest identity (1) distance over the grid comps(own) x comps(rest)
-    of identity (3), taken on slabs of rows of comps(own) whose fields hold
-    about LEAF elements; 0 when a count is negative, since then no site
-    pair has these counts."""
+    """Largest identity (1) distance of pair (0, 1) over the half of the grid
+    comps(own) x comps(rest) of identity (3) with x_0 >= x_1 (the cap counts
+    it all), on slabs of rows of comps(own) whose fields hold about LEAF
+    elements; 0 when a count is negative, since no site pair has such counts."""
     if min(own, rest) < 0:
         return 0.0
     # color-major tables keep each slab's fields C-ordered (q, rows, len(y)):
     # the softmax then sums whole rows, color by color in order, which is
     # both fast and the summation order of a (q, P) field array
     x, y = (np.ascontiguousarray(c.T) for c in block_compositions((own, rest), params.q, cap))
+    x = x[:, x[0] >= x[1]]
     rows = max(1, LEAF // (params.q * y.shape[1]))
     worst = 0.0
     for lo in range(0, x.shape[1], rows):
@@ -258,12 +257,12 @@ def interdependence_matrix_exact(blocks, params, cap=DEFAULT_SUPPORT_CAP):
 
     Entry (i, j), i != j, is the supremum over configuration pairs differing
     at site j only of the total variation distance between site i's
-    conditionals, over the q(q-1)/2 unordered color pairs at j, each from
-    identity (1).  By identity (3) the entry depends only on the size of
-    site i's block and on whether j shares it, so one grid of the color
-    counts of i's other block-mates times those of every other site
-    outside the block (each grid checked against cap) gives both entries
-    of each distinct block size.  The diagonal is zero and J need not be
+    conditionals, from identity (1).  By identity (3) the entry depends only
+    on the size of site i's block and on whether j shares it, so one grid of
+    the color counts of i's other block-mates times those of every other
+    site outside the block (each grid checked against cap), at color pair
+    (0, 1) on the half that the color symmetry leaves, gives both entries of
+    each distinct block size.  The diagonal is zero and J need not be
     symmetric when block sizes differ.
     """
     check_consistent(params, blocks)
@@ -381,13 +380,13 @@ class ConfigWorkspace:
         array on the site-i view, weighted by their marginal law.
 
         A site below N // 2 has a short inner run q^i on its view, so it
-        runs at site N - 1 - i of one site-reversed copy of the moments;
+        runs at site N - 1 - i of exp_moments of f with its sites reversed;
         its |df|^2 addends gather in one reversed buffer that is reversed
         back before the high sites add theirs, in the same site order."""
         q, N = self.params.q, self.blocks.N
         half = N // 2
         cov = np.empty(moments.shape[1:-1] + (N,))
-        reversed_moments = _reverse_sites(moments, q, N)
+        reversed_moments = exp_moments(_reverse_sites(moments[0], q, N))
         reversed_dsq = np.zeros(moments.shape[1:])
         for i in range(half):
             sq, cov[..., i] = _site_terms(reversed_moments, self._reversed_probabilities,

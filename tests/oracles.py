@@ -25,10 +25,12 @@ one template writer; the LSI workspace's earlier site-view loop, which
 pins the site-reversed layout of local_terms; and the suite's earlier
 stacked moments, which pin the in-place exp_moments; the mean-field
 restart's basin centres, which take u(g) from the package's
-potts_fixed_point_u; and the recoloring distances' earlier triu gather,
-which pins the per-color views of _recoloring_tv; and the suite's
-earlier structured battery, built from decoded configurations, which pins
-the battery the package builds from configuration codes.
+potts_fixed_point_u; and the recoloring distances' earlier triu gather
+of every color pair, whose row (0, 1) pins _recoloring_tv and whose
+maximum on the block grid is the all-pairs interdependence matrix; and
+the suite's earlier structured battery, built from decoded
+configurations, which pins the battery the package builds from
+configuration codes.
 """
 
 import functools
@@ -554,8 +556,9 @@ def mean_field_ascent(mu0, gamma, alpha, beta, max_iter, step_tol, newton=None,
 
 
 def recoloring_tv_by_gather(fields, boost):
-    """The package's earlier identity (1), which gathered p[first] and
-    p[second] over np.triu_indices before taking their max and min."""
+    """The package's earlier identity (1) for every color pair a < b, shape
+    (q(q-1)/2, ...), which gathered p[first] and p[second] over
+    np.triu_indices before taking their max and min; row 0 is pair (0, 1)."""
     p, t = softmax(fields, axis=0), math.expm1(boost)
     first, second = np.triu_indices(len(p), 1)
     hi, lo = np.maximum(p[first], p[second]), np.minimum(p[first], p[second])
@@ -707,10 +710,12 @@ def _column_slabs(fields):
     return (fields[:, lo : lo + width] for lo in range(0, fields.shape[1], width))
 
 
-def interdependence_on_block_grid(blocks, params, cap=DEFAULT_SUPPORT_CAP):
+def interdependence_on_block_grid(blocks, params, cap=DEFAULT_SUPPORT_CAP, tv=_recoloring_tv):
     """Interdependence matrix from the block product grid: for each of the
-    s^2 block pairs, the package's distances on every count matrix of the
-    other N - 2 sites, as the package built it before identity (3)."""
+    s^2 block pairs, the worst of the distances tv (by default the
+    package's, of color pair (0, 1)) on every count matrix of the other
+    N - 2 sites, as the package built it before identity (3) and its color
+    symmetry."""
     check_consistent(params, blocks)
     table = np.zeros((blocks.s, blocks.s), dtype=np.float64)
     for ki in range(blocks.s):
@@ -722,7 +727,7 @@ def interdependence_on_block_grid(blocks, params, cap=DEFAULT_SUPPORT_CAP):
                 continue  # no ordered site pair with these block labels
             fields = _loo_fields_by_color(reduced, ki, params, blocks.N, cap)
             boost = (params.beta if ki == kj else params.alpha) / blocks.N
-            table[ki, kj] = np.max([_recoloring_tv(cols, boost).max()
+            table[ki, kj] = np.max([tv(cols, boost).max()
                                     for cols in _column_slabs(fields)])
     site_blocks = blocks.site_blocks
     J = table[site_blocks[:, None], site_blocks[None, :]]

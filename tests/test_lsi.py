@@ -113,8 +113,8 @@ def test_interdependence_matches_brute_force():
 
 @pytest.mark.parametrize("q, sizes", [(3, (30, 30)), (4, (3, 5, 2))])
 def test_interdependence_matches_recolored_softmax(q, sizes):
-    # the closed form of each color pair's distance against the (q, q, P)
-    # softmax of every recolored field
+    # the closed form of color pair (0, 1) against the worst color pair of
+    # the (q, q, P) softmax of every recolored field
     p, b = make(q, sizes, 0.05, 0.1)
     J = interdependence_matrix_exact(b, p)
     assert np.max(np.abs(J - oracles.interdependence_by_recolored_softmax(b, p))) <= 1e-14
@@ -135,13 +135,35 @@ def test_interdependence_equals_block_grid(q, sizes, alpha, beta):
 
 @pytest.mark.parametrize("shape", [(3, 40, 500), (5, 17), (4, 3, 5, 2), (2, 9)])
 def test_recoloring_tv_equals_the_triu_gather(shape):
-    # each color against the view of the later ones, bit for bit the
-    # gathered (q(q-1)/2, ...) pairs of np.triu_indices
+    # color pair (0, 1), bit for bit row 0 of the gathered (q(q-1)/2, ...)
+    # pairs of np.triu_indices
     rng = np.random.default_rng(len(shape) * 100 + shape[0])
     fields = rng.uniform(-3.0, 3.0, shape)
     for boost in (0.0, 0.004, 0.7):
         tv = _recoloring_tv(fields, boost)
-        assert np.array_equal(tv, oracles.recoloring_tv_by_gather(fields, boost))
+        assert np.array_equal(tv, oracles.recoloring_tv_by_gather(fields, boost)[0])
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.05, 0.1), (0.5, 1.0), (10.0, 20.0)])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+@pytest.mark.parametrize("sizes", [(3, 3), (1, 4), (2, 3, 2), (5,)])
+def test_interdependence_is_within_ulps_of_all_color_pairs(q, sizes, alpha, beta):
+    # the reference takes the worst of every color pair on the full block
+    # grid.  Pair (0, 1) there is one of its candidates bit for bit, so J is
+    # never above it.  Its worst pair (a, b) is pair (0, 1) of J at the
+    # color-permuted grid point, whose softmax adds the same q exponentials
+    # in another order: each order is within (q - 1) u of the exact sum (u =
+    # 2^-53, positive terms), so p[a] and p[b] move by at most 2q u with the
+    # two divisions.  Identity (1) scales a relative move of lo by at most 1
+    # and one of hi by at most max(1, hi / A), A = 1 - hi + (1 + t) lo, and
+    # hi / A is below 1 at the maximizers of these grids (0.59 at most).
+    # Each side rounds its 12 operations once more: under (4q + 24) u
+    # relative, so under 4q + 24 ulps.
+    p, b = make(q, sizes, alpha, beta)
+    J = interdependence_matrix_exact(b, p)
+    ref = oracles.interdependence_on_block_grid(b, p, tv=oracles.recoloring_tv_by_gather)
+    assert np.all(J <= ref)
+    assert np.all(ref - J <= (4 * q + 24) * np.spacing(ref))
 
 
 def test_interdependence_cap_counts_the_two_axis_grid():
@@ -210,6 +232,31 @@ def test_two_norm_of_interdependence_matches_eigenvalues(q, sizes, alpha, beta):
     J = interdependence_matrix_exact(b, p)
     reference = math.sqrt(np.linalg.eigvalsh(J.T @ J).max())
     assert abs(matrix_norms(J)[1] - reference) <= 1e-14 * reference
+
+
+# inside 2 q beta e^beta < 1, up to N = 80 at q = 3 and N = 40 at q = 4:
+# the largest beta of each q sits near the edge (0.97 at q = 3); every small
+# system at every (alpha, beta) of its q, the large ones at a few
+ASYMPTOTE_BETAS = {3: (0.01, 0.1, 0.14), 4: (0.01, 0.08, 0.11), 5: (0.01, 0.09), 6: (0.075,)}
+ASYMPTOTE_SIZES = {3: [(1,), (2, 2), (10, 10), (1, 79), (80,), (3, 5, 2)],
+                   4: [(1, 1), (5, 5), (40,), (3, 3, 3)], 5: [(4, 4, 4), (2, 8)],
+                   6: [(6, 6)]}
+ASYMPTOTE_LARGE = {3: [((40, 40), 0.05, 0.1), ((20, 60), 0.14, 0.14), ((40, 40), 0.0, 0.14)],
+                   4: [((20, 20), 0.11, 0.11), ((10, 30), 0.0, 0.11)],
+                   5: [((10, 10), 0.09, 0.09)], 6: []}
+
+
+@pytest.mark.parametrize("q", sorted(ASYMPTOTE_SIZES))
+def test_measured_norm_is_below_its_asymptote(q):
+    # asymptotic_constants holds once the exact norm sits below 2 q beta
+    # e^beta = 1 - gamma2_asymptotic (111 models, largest ratio 0.054)
+    models = [(sizes, alpha, beta) for sizes in ASYMPTOTE_SIZES[q]
+              for beta in ASYMPTOTE_BETAS[q] for alpha in (0.0, beta / 2, beta)]
+    for sizes, alpha, beta in models + ASYMPTOTE_LARGE[q]:
+        assert lsi_condition(q, beta)
+        p, b = make(q, sizes, alpha, beta)
+        _, two_norm = matrix_norms(interdependence_matrix_exact(b, p))
+        assert two_norm < 1.0 - gamma2_asymptotic(q, beta), (sizes, alpha, beta)
 
 
 def test_fit_inverse_n_coefficient_recovers_exact_fit():
@@ -515,6 +562,19 @@ def test_exp_moments_equal_stacked_moments():
         assert got.tobytes() == want.tobytes()
         if np.max(np.abs(fvals)) > 710.0:
             assert np.isinf(got[1]).any() and (got[1] == 0.0).any()
+
+
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("q, N", [(3, 1), (3, 4), (4, 3), (5, 2)])
+def test_exp_moments_commute_with_reverse_sites(q, N, lead):
+    # local_terms reverses f alone and takes its moments: exp and the
+    # product are elementwise, so that is the reversed moments bit for bit,
+    # also where e^f overflows to inf and underflows to 0
+    f = 800.0 * np.random.default_rng(q * 10 + N).standard_normal(lead + (q**N,))
+    with np.errstate(over="ignore"):
+        got = exp_moments(_reverse_sites(f, q, N))
+        want = _reverse_sites(exp_moments(f), q, N)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q, sizes", [(3, (3, 4)), (3, (2, 1, 2)), (3, (5,)), (4, (2, 2)),
