@@ -59,6 +59,24 @@ within N(v) of those of c in l1, and nu^i's column i exceeds its others
 by u, so while the radius stays below u no other nu^j's ball can hold
 the restart.  It stays below u/8 over q = 3..10 and g up to 1000
 (tested), and checking a wrong nu^j could only miss a stop.
+
+Two-column points of multiplicity r are polished by Newton in the log
+ratios t_k = log(mu_plus_k / mu_minus_k).  Row k's constraint r mu_plus +
+(q - r) mu_minus = gamma_k gives mu_plus = gamma_k / (r + (q - r) e^{-t_k})
+and mu_minus = e^{-t_k} mu_plus, both positive, so every real t is a point
+of C(gamma) and Newton needs no box; each exponent is taken as e^{-|t|}
+(dividing through by e^{-t} when t < 0), so no finite t overflows.  The
+difference d_k = mu_plus - mu_minus = gamma_k (1 - e^{-t_k}) / (r + (q - r)
+e^{-t_k}) takes 1 - e^{-t} by expm1, free of cancellation, and d'_k =
+gamma_k q e^{-t_k} / (r + (q - r) e^{-t_k})^2.  The reduced gradient, dG
+at a large entry of row k minus at a small one, is h_k = (beta - alpha)
+d_k + alpha sum_l d_l - t_k, with Jacobian D + alpha 1 d'^T, D = diag((beta
+- alpha) d' - 1): Sherman-Morrison solves it in O(s) as J^{-1} h = D^{-1}
+(h - alpha 1 (d'^T D^{-1} h) / (1 + alpha d'^T D^{-1} 1)), and the row
+fails where D or that denominator has a 0.  h is rounded within a few ulps
+of its largest term, and at a root those terms balance t: a row is a root
+once max|h| <= NEWTON_ULPS eps max(max|t|, 1).  The matrix's critical
+residual is then h_k (q - r) / q at a large entry and -h_k r / q at a small.
 """
 
 from __future__ import annotations
@@ -86,11 +104,10 @@ MARGIN = 1e-9
 CRITICAL_BAND = 1e-9
 # Largest residual_max with which the closed-form maximizers are certified.
 RESIDUAL_BOUND = 1e-8
-# Newton on the two-column manifold: at most NEWTON_ITERS steps, each tried
-# at NEWTON_TRIES lengths 1, 1/2, ..; a root has max|h| below NEWTON_TOL.
+# Newton on the two-column manifold: at most NEWTON_ITERS steps; a root has
+# max|h| <= NEWTON_ULPS eps max(max|t|, 1) (module docstring).
 NEWTON_ITERS = 60
-NEWTON_TRIES = 40
-NEWTON_TOL = 1e-13
+NEWTON_ULPS = 64
 # A two-column restart tries an undamped Newton finish after every
 # HANDOFF_EVERY of its steps.
 HANDOFF_EVERY = 16
@@ -226,18 +243,27 @@ def _residual_max(mu, params):
     return float(np.max(np.abs(critical_residual(mu, params))))
 
 
-def _two_column(r, mu_plus, gamma, q):
-    """BLOCK matrices with q-r small columns and r large columns per row.
+def _two_column(r, mu_plus, gamma, q, mu_minus=None):
+    """BLOCK matrices with q-r small columns, first, and r large ones per row.
 
     Batched over leading axes: (..., s) mu_plus, r an int or a (...) array
-    in 1..q-1 (unchecked).  The small value is determined by the row
-    constraint, mu_minus = (gamma - r mu_plus) / (q - r), and the small
-    columns come first.
+    in 1..q-1 (unchecked); mu_minus defaults to (gamma - r mu_plus) / (q - r).
     """
     r = np.asarray(r)[..., None]
-    mu_minus = (gamma - r * mu_plus) / (q - r)
+    if mu_minus is None:
+        mu_minus = (gamma - r * mu_plus) / (q - r)
     large = np.arange(q) >= q - r[..., None]
     return np.where(large, mu_plus[..., None], mu_minus[..., None])
+
+
+def _log_ratio_point(r, t, gamma, q):
+    """(mu_plus, mu_minus, d, d') of the module docstring at log ratios t,
+    batched over leading axes of (..., s) t with r a scalar or (..., 1)."""
+    e, pos = np.exp(-np.abs(t)), t >= 0.0
+    denom = np.where(pos, r + (q - r) * e, r * e + (q - r))
+    big, small = gamma / denom, gamma * e / denom
+    d = np.copysign(-np.expm1(-np.abs(t)), t) * (gamma / denom)
+    return np.where(pos, big, small), np.where(pos, small, big), d, q * small / denom
 
 
 @dataclass(frozen=True)
@@ -289,75 +315,51 @@ class EquilibriumReport:
     certificate_margin: float
 
 
-def _reduced_gradient(r, mu_plus, params, gamma):
-    """Derivative of G along the two-column manifold, one entry per block.
+def _newton_step(h, d_prime, params):
+    """Per row, the Newton step -J^{-1} h by Sherman-Morrison (module docstring),
+    or 0 where D or the denominator has a 0."""
+    diag = (params.beta - params.alpha) * d_prime - 1.0
+    ok = np.logical_and.reduce(diag != 0.0, axis=1, keepdims=True)
+    inv = np.divide(1.0, diag, out=np.zeros_like(diag), where=ok)
+    denom = 1.0 + params.alpha * np.add.reduce(d_prime * inv, axis=1, keepdims=True)
+    ok &= denom != 0.0
+    num = params.alpha * np.add.reduce(d_prime * inv * h, axis=1, keepdims=True)
+    coef = np.divide(num, denom, out=np.zeros_like(num), where=ok)
+    return np.where(ok, inv * (coef - h), 0.0)
 
-    h_k = dG/dmu at a large entry of row k minus the same at a small entry;
-    its zeros are exactly the critical points with this column structure.
-    Batched over leading axes of mu_plus, with r a scalar or a (..., 1) array.
+
+def _newton_two_column(r, x, params, gamma):
+    """Polish two-column points x (R, s, q), one r per row, to roots of h.
+
+    Undamped Newton in t from log x[:, :, -1] - log x[:, :, 0]: a row fails
+    when its start has an entry 0, at its first step that does not shrink
+    max|h| (a step of 0 where _newton_step cannot solve), or when it is no
+    root after NEWTON_ITERS steps; rows do not interact.  Returns (matrices,
+    ok): each row's matrix at its last t, from that t's own mu_plus and
+    mu_minus, and whether that t is a root.
     """
-    mu_minus = (gamma - r * mu_plus) / (params.q - r)
-    col = mu_plus.sum(axis=-1, keepdims=True) - mu_minus.sum(axis=-1, keepdims=True)
-    return field_from_sums(mu_plus - mu_minus, col, params) - np.log(mu_plus / mu_minus)
-
-
-@np.errstate(invalid="ignore", divide="ignore")  # h of a step out of the box is NaN
-def _newton_two_column(r, mu_plus, params, gamma, tries=NEWTON_TRIES):
-    """Polish two-column points to roots of the reduced gradient, row by row.
-
-    mu_plus is (R, s) with one r per row.  Newton with the analytic
-    Jacobian, all rows in one solve per iteration; a row's step is halved
-    up to tries - 1 times until it stays in the open box gamma/q < mu_plus
-    < gamma/r and shrinks max|h|.  A row fails when no halving does, when
-    its Jacobian is singular, or when max|h| is still at least NEWTON_TOL
-    after NEWTON_ITERS steps.  Rows do not interact.  Returns (roots, ok).
-    """
-    q = params.q
     r = np.asarray(r)[:, None]
-    lo, hi = gamma / q, gamma / r
-    x = np.clip(mu_plus.astype(np.float64), lo + 1e-14, hi - 1e-14)
-    eye, q_r, c = np.eye(x.shape[1]), q - r, r / (q - r)
-    base = (q / q_r)[..., None] * ((params.beta - params.alpha) * eye + params.alpha)
-    h = _reduced_gradient(r, x, params, gamma)
-    hnorm = np.maximum.reduce(np.abs(h), axis=1)
-    live = hnorm >= NEWTON_TOL
-    for _ in range(NEWTON_ITERS):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
+    small, large = x[:, :, 0], x[:, :, -1]
+    live = np.flatnonzero(np.logical_and.reduce((small > 0.0) & (large > 0.0), axis=1))
+    t, ok = np.zeros(small.shape), np.zeros(len(x), dtype=bool)
+    t[live] = np.log(large[live]) - np.log(small[live])
+    t_live, r_live, hnorm = t[live], r[live], np.full(live.size, np.inf)
+    for _ in range(NEWTON_ITERS + 1):
+        _, _, d, d_prime = _log_ratio_point(r_live, t_live, gamma, params.q)
+        h = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params) - t_live
+        h_new = np.maximum.reduce(np.abs(h), axis=1)
+        good = h_new < hnorm
+        t[live[good]] = t_live[good]
+        scale = np.maximum(np.maximum.reduce(np.abs(t_live), axis=1), 1.0)
+        root = good & (h_new <= NEWTON_ULPS * np.finfo(np.float64).eps * scale)
+        ok[live[root]] = True
+        go = good & ~root
+        live, t_live, r_live, hnorm = live[go], t_live[go], r_live[go], h_new[go]
+        if live.size == 0:
             break
-        xr, rr = x[rows], r[rows]
-        mu_minus = (gamma - rr * xr) / q_r[rows]
-        jac = base[rows] - (1.0 / xr + c[rows] / mu_minus)[..., None] * eye
-        step = _solve_rows(jac, -h[rows])
-        searching, t = np.logical_and.reduce(np.isfinite(step), axis=1), 1.0
-        for _ in range(tries):
-            y = xr + t * step
-            hy = _reduced_gradient(rr, y, params, gamma)
-            ny = np.maximum.reduce(np.abs(hy), axis=1)
-            good = (searching & np.logical_and.reduce(y > lo, axis=1)
-                    & np.logical_and.reduce(y < hi[rows], axis=1) & (ny < hnorm[rows]))
-            x[rows[good]], h[rows[good]], hnorm[rows[good]] = y[good], hy[good], ny[good]
-            searching &= ~good
-            if not searching.any():
-                break
-            t *= 0.5
-        live[rows[searching]] = False
-        live &= hnorm >= NEWTON_TOL
-    return x, hnorm < NEWTON_TOL
-
-
-def _solve_rows(jac, rhs):
-    """Solve every system of the stack; a singular one gives a row of NaN."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for i, (a, b) in enumerate(zip(jac, rhs)):
-            try:
-                out[i] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        t_live = t_live + _newton_step(h[go], d_prime[go], params)
+    mu_plus, mu_minus, _, _ = _log_ratio_point(r, t, gamma, params.q)
+    return _two_column(r[:, 0], mu_plus, gamma, params.q, mu_minus), ok
 
 
 def _mean_field_map(mu, params, gamma):
@@ -430,10 +432,9 @@ def _multistart(params, gamma, opts):
     _basin_centres when the step took it strictly inside that centre's
     ball (_basin_hits); otherwise when the step moved it less than
     STEP_TOL.  Every HANDOFF_EVERY steps each running two-column restart
-    also tries an undamped Newton finish (_newton_two_column with one try
-    per step) and stops at its root when Newton succeeds and the root's G
-    is at least its own; a restart whose Newton finish succeeds at a lower
-    G tries none again, since its G only rises.  Returns (r_rows, x, fx,
+    also tries _newton_two_column and stops at its root when that succeeds
+    and the root's G is at least its own; one whose root has a lower G
+    tries none again, since its G only rises.  Returns (r_rows, x, fx,
     iterations, converged, handed, in_basin): each two-column restart's r,
     then per restart its endpoint, its G, its steps, whether it stopped
     before MAX_ITER, whether at a Newton root and whether at a basin centre.
@@ -465,8 +466,7 @@ def _multistart(params, gamma, opts):
             two = live[:live.searchsorted(r_rows.size)]
             rows = np.flatnonzero(~stop[:two.size] & ~refused[two])
             r_live = r_rows[two[rows]]
-            roots, ok = _newton_two_column(r_live, xa[rows, :, -1], params, gamma, tries=1)
-            cand = _two_column(r_live, roots, gamma, q)
+            cand, ok = _newton_two_column(r_live, xa[rows], params, gamma)
             rises = _free_energy(cand, params) >= _free_energy(xa[rows], params)
             refused[two[rows[ok & ~rises]]] = True
             ok &= rises
@@ -508,9 +508,8 @@ def _numerical_candidates(params, gamma, opts):
     # flat point (candidate 0) or on a nu^i, whose uniform-gamma report
     # takes its maximizers in closed form
     rows = np.flatnonzero(~in_basin[:r_rows.size])
-    roots, ok = _newton_two_column(r_rows[rows], x[rows, :, -1], params, gamma)
-    polished = _two_column(r_rows[rows[ok]], roots[ok], gamma, q)
-    polished = polished[np.all(polished > 0.0, axis=(1, 2))]
+    polished, ok = _newton_two_column(r_rows[rows], x[rows], params, gamma)
+    polished = polished[ok & np.all(polished > 0.0, axis=(1, 2))]
     probes = np.concatenate([flat[None], x, polished])
     values = np.concatenate([_free_energy(flat, params)[None], fx,
                              _free_energy(polished, params)])

@@ -396,42 +396,78 @@ def two_column_point(r, mu_plus, gamma, q):
     return np.column_stack([mu_minus] * (q - r) + [mu_plus] * r)
 
 
-def two_column_reduced_gradient(r, mu_plus, gamma, q, alpha, beta):
-    """h_k: derivative of G at a large entry of row k minus at a small one."""
-    mu_minus = (gamma - r * mu_plus) / (q - r)
-    return ((beta - alpha) * (mu_plus - mu_minus)
-            + alpha * (mu_plus.sum() - mu_minus.sum())
-            - np.log(mu_plus / mu_minus))
+def two_column_reduced_gradient(r, t, gamma, q, alpha, beta):
+    """(h, d') at log ratios t_k = log(mu_plus_k / mu_minus_k), as plain
+    loops: h_k = (beta - alpha) d_k + alpha sum_l d_l - t_k with d_k =
+    mu_plus_k - mu_minus_k, and d'_k = dd_k/dt_k = gamma_k q e^{-t_k} /
+    (r + (q-r) e^{-t_k})^2, both taken through e^{-|t_k|}."""
+    s = len(t)
+    d, d_prime = [0.0] * s, [0.0] * s
+    for k in range(s):
+        e = math.exp(-abs(t[k]))
+        if t[k] >= 0.0:
+            denom = r + (q - r) * e
+            d[k] = -math.expm1(-t[k]) * (gamma[k] / denom)
+        else:
+            denom = r * e + (q - r)
+            d[k] = math.expm1(t[k]) * (gamma[k] / denom)
+        d_prime[k] = q * (gamma[k] * e / denom) / denom
+    total = sum(d)
+    h = [(beta - alpha) * d[k] + alpha * total - t[k] for k in range(s)]
+    return h, d_prime
 
 
-def two_column_newton(r, mu_plus, gamma, q, alpha, beta, max_iter, tol):
-    """Undamped Newton on the reduced gradient h, written as a plain loop.
+def two_column_newton(r, x, gamma, q, alpha, beta, max_iter, ulps):
+    """Undamped Newton on the reduced gradient h in the log ratios t, as
+    plain loops, from t_k = log x[k, -1] - log x[k, 0].
 
-    Returns the first point with max|h| below tol, or None at the first
-    step that leaves the open box gamma/q < mu_plus < gamma/r or does not
-    shrink max|h|, or after max_iter steps.
+    Each step solves J step = -h for J = diag((beta - alpha) d' - 1) +
+    alpha 1 d'^T by the explicit Sherman-Morrison formula.  Returns the
+    two-column matrix at the first t with max|h| <= ulps eps max(max|t|,
+    1), built from t's own mu_plus and mu_minus; None when an entry of x's
+    first or last column is 0, at the first step that does not shrink
+    max|h| or meets a 0 on the diagonal or in the denominator, or after
+    max_iter steps.
     """
-    lo, hi = gamma / q, gamma / r
-    x = np.clip(mu_plus, lo + 1e-14, hi - 1e-14)
-    s = x.size
-    h = two_column_reduced_gradient(r, x, gamma, q, alpha, beta)
+    s = len(gamma)
+    if any(x[k, 0] <= 0.0 or x[k, -1] <= 0.0 for k in range(s)):
+        return None
+    t = [math.log(x[k, -1]) - math.log(x[k, 0]) for k in range(s)]
+
+    def norm(v):
+        return max(abs(vk) for vk in v)
+
+    def is_root(h, t):
+        return norm(h) <= ulps * np.finfo(np.float64).eps * max(norm(t), 1.0)
+
+    h, d_prime = two_column_reduced_gradient(r, t, gamma, q, alpha, beta)
     for _ in range(max_iter):
-        if np.max(np.abs(h)) < tol:
-            return x
-        mu_minus = (gamma - r * x) / (q - r)
-        jac = np.empty((s, s))
-        for k in range(s):
-            for j in range(s):
-                jac[k, j] = q / (q - r) * ((beta - alpha) * (k == j) + alpha)
-            jac[k, k] -= 1.0 / x[k] + r / (q - r) / mu_minus[k]
-        y = x - np.linalg.solve(jac, h)
-        if not (np.all(y > lo) and np.all(y < hi)):
+        if is_root(h, t):
+            break
+        diag = [(beta - alpha) * d_prime[k] - 1.0 for k in range(s)]
+        if 0.0 in diag:
             return None
-        hy = two_column_reduced_gradient(r, y, gamma, q, alpha, beta)
-        if not np.max(np.abs(hy)) < np.max(np.abs(h)):
+        y = [h[k] / diag[k] for k in range(s)]
+        z = [alpha / diag[k] for k in range(s)]
+        denom = 1.0 + sum(d_prime[k] * z[k] for k in range(s))
+        if denom == 0.0:
             return None
-        x, h = y, hy
-    return x if np.max(np.abs(h)) < tol else None
+        coef = sum(d_prime[k] * y[k] for k in range(s)) / denom
+        t_new = [t[k] + (coef * z[k] - y[k]) for k in range(s)]
+        h_new, d_prime = two_column_reduced_gradient(r, t_new, gamma, q, alpha, beta)
+        if not norm(h_new) < norm(h):
+            return None
+        t, h = t_new, h_new
+    if not is_root(h, t):
+        return None
+    point = np.empty((s, q))
+    for k in range(s):
+        e = math.exp(-abs(t[k]))
+        denom = r + (q - r) * e if t[k] >= 0.0 else r * e + (q - r)
+        big, small = gamma[k] / denom, gamma[k] * e / denom
+        mu_plus, mu_minus = (big, small) if t[k] >= 0.0 else (small, big)
+        point[k] = [mu_minus] * (q - r) + [mu_plus] * r
+    return point
 
 
 def mean_field_step(x, gamma, alpha, beta):

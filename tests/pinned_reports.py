@@ -31,14 +31,24 @@ small entries began to take 1 - u as q e^{-gu} / (1 + (q-1) e^{-gu}),
 free of cancellation: each small entry moved by one or two ulps, sup_G of
 models 1 to 3 by one ulp and the margins of models 1, 2 and 4 by one or
 two ulps of G.  Every search diagnostic is unchanged.
+
+The entries of models 0, 2, 4 and 5 were captured again when the Newton
+polish moved to the log ratios t = log(mu_plus / mu_minus), with an
+undamped step, no box and a stop within NEWTON_ULPS of max|t|.  Handoffs
+now succeed where the box refused them, also at the flat root (t = 0), so
+the steps, handoffs and basin stops of the uniform models 0, 2 and 4
+moved, and at (16, 5) model 0's margin by one ulp of G; their phase,
+sup_G and maximizers are unchanged bit for bit.  Model 5's polished roots
+moved by at most 5.6e-15 (residual_max 3.4e-14 -> 4.7e-15 at (8, 0)), its
+sup_G and diagnostics not at all.  Models 1, 3 and 6 are unchanged.
 """
 
 REPORTS = {
     (8, 0, 0): dict(
         phase='SUBCRITICAL', sup_G=2.2084261358947215,
         certificate_margin=0.0,
-        restarts=24, ascent_iterations=303, max_ascent_iterations=25,
-        restarts_converged=24, newton_handoffs=0, basin_stops=24,
+        restarts=24, ascent_iterations=264, max_ascent_iterations=18,
+        restarts_converged=24, newton_handoffs=7, basin_stops=17,
         newton_failures=0,
         maximizers=[
             [
@@ -69,8 +79,8 @@ REPORTS = {
     (8, 0, 2): dict(
         phase='CRITICAL', sup_G=2.2538575896013517,
         certificate_margin=-8.881784197001252e-16,
-        restarts=24, ascent_iterations=709, max_ascent_iterations=81,
-        restarts_converged=24, newton_handoffs=12, basin_stops=12,
+        restarts=24, ascent_iterations=688, max_ascent_iterations=81,
+        restarts_converged=24, newton_handoffs=14, basin_stops=10,
         newton_failures=0,
         maximizers=[
             [
@@ -116,8 +126,8 @@ REPORTS = {
     (8, 0, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
         certificate_margin=8.881784197001252e-16,
-        restarts=32, ascent_iterations=514, max_ascent_iterations=42,
-        restarts_converged=32, newton_handoffs=1, basin_stops=31,
+        restarts=32, ascent_iterations=470, max_ascent_iterations=42,
+        restarts_converged=32, newton_handoffs=7, basin_stops=25,
         newton_failures=0,
         maximizers=[
             [
@@ -153,16 +163,16 @@ REPORTS = {
         newton_failures=0,
         maximizers=[
             [
-                [0.3402041973762993, 0.029897901311850356, 0.029897901311850356],
-                [0.5307034849723687, 0.03464825751381562, 0.03464825751381562],
+                [0.3402041973762957, 0.029897901311852177, 0.029897901311852177],
+                [0.5307034849723632, 0.034648257513818406, 0.034648257513818406],
             ],
             [
-                [0.029897901311850356, 0.3402041973762993, 0.029897901311850356],
-                [0.03464825751381562, 0.5307034849723687, 0.03464825751381562],
+                [0.029897901311852177, 0.3402041973762957, 0.029897901311852177],
+                [0.034648257513818406, 0.5307034849723632, 0.034648257513818406],
             ],
             [
-                [0.029897901311850356, 0.029897901311850356, 0.3402041973762993],
-                [0.03464825751381562, 0.03464825751381562, 0.5307034849723687],
+                [0.029897901311852177, 0.029897901311852177, 0.3402041973762957],
+                [0.034648257513818406, 0.034648257513818406, 0.5307034849723632],
             ],
         ]),
     (8, 0, 6): dict(
@@ -179,9 +189,9 @@ REPORTS = {
         ]),
     (16, 5, 0): dict(
         phase='SUBCRITICAL', sup_G=2.2084261358947215,
-        certificate_margin=0.0,
-        restarts=48, ascent_iterations=638, max_ascent_iterations=25,
-        restarts_converged=48, newton_handoffs=0, basin_stops=48,
+        certificate_margin=-4.440892098500626e-16,
+        restarts=48, ascent_iterations=568, max_ascent_iterations=23,
+        restarts_converged=48, newton_handoffs=14, basin_stops=34,
         newton_failures=0,
         maximizers=[
             [
@@ -212,8 +222,8 @@ REPORTS = {
     (16, 5, 2): dict(
         phase='CRITICAL', sup_G=2.2538575896013517,
         certificate_margin=-8.881784197001252e-16,
-        restarts=48, ascent_iterations=1292, max_ascent_iterations=87,
-        restarts_converged=48, newton_handoffs=26, basin_stops=22,
+        restarts=48, ascent_iterations=1282, max_ascent_iterations=87,
+        restarts_converged=48, newton_handoffs=27, basin_stops=21,
         newton_failures=0,
         maximizers=[
             [
@@ -259,8 +269,8 @@ REPORTS = {
     (16, 5, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
         certificate_margin=8.881784197001252e-16,
-        restarts=64, ascent_iterations=1076, max_ascent_iterations=46,
-        restarts_converged=64, newton_handoffs=1, basin_stops=63,
+        restarts=64, ascent_iterations=984, max_ascent_iterations=46,
+        restarts_converged=64, newton_handoffs=16, basin_stops=48,
         newton_failures=0,
         maximizers=[
             [
@@ -296,16 +306,16 @@ REPORTS = {
         newton_failures=0,
         maximizers=[
             [
-                [0.34020419737629537, 0.029897901311852326, 0.029897901311852326],
-                [0.5307034849723629, 0.03464825751381856, 0.03464825751381856],
+                [0.3402041973762952, 0.0298979013118524, 0.0298979013118524],
+                [0.5307034849723625, 0.03464825751381872, 0.03464825751381872],
             ],
             [
-                [0.029897901311852326, 0.34020419737629537, 0.029897901311852326],
-                [0.03464825751381856, 0.5307034849723629, 0.03464825751381856],
+                [0.0298979013118524, 0.3402041973762952, 0.0298979013118524],
+                [0.03464825751381872, 0.5307034849723625, 0.03464825751381872],
             ],
             [
-                [0.029897901311852326, 0.029897901311852326, 0.34020419737629537],
-                [0.03464825751381856, 0.03464825751381856, 0.5307034849723629],
+                [0.0298979013118524, 0.0298979013118524, 0.3402041973762952],
+                [0.03464825751381872, 0.03464825751381872, 0.5307034849723625],
             ],
         ]),
     (16, 5, 6): dict(

@@ -741,8 +741,8 @@ def _readme_number(text):
 def test_readme_constants_match_code():
     from blockpotts import cli, equilibria, exact, glauber, lsi
 
-    owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL",
-                                            "MARGIN", "CRITICAL_BAND", "RESIDUAL_BOUND")}
+    owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL", "MARGIN",
+                                            "CRITICAL_BAND", "RESIDUAL_BOUND", "NEWTON_ULPS")}
     owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
                   UNROLL_MAX_Q=glauber, DEFAULT_SUPPORT_CAP=exact,
                   MAX_SEARCH_ENTRIES=equilibria, MAX_SUITE_VALUES=lsi)

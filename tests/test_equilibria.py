@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -568,11 +569,10 @@ def test_batched_ascent_matches_scalar_reference(params):
     a, b = params.alpha, params.beta
     r_rows, x, fx, iterations, converged, _, _ = equilibria._multistart(params, gamma, opts)
     tols = (equilibria.MAX_ITER, equilibria.STEP_TOL)
-    newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_TOL)
+    newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_ULPS)
 
     def newton(m, r):
-        root = two_column_newton(r, m[:, -1], gamma, q, a, b, *newton_tols)
-        return None if root is None else two_column_point(r, root, gamma, q)
+        return two_column_newton(r, m, gamma, q, a, b, *newton_tols)
 
     rng = np.random.default_rng(opts.seed)
     runs = []
@@ -768,17 +768,116 @@ def test_nonuniform_q14_search_is_fast():
     assert len(report.maximizers) == 1
 
 
-def test_solve_rows_singular_system_is_a_nan_row():
+def _dense_jacobian(d_prime, params):
+    """J[k, j] = delta_kj ((beta - alpha) d'_k - 1) + alpha d'_j, one per row."""
+    s = d_prime.shape[1]
+    diag = (params.beta - params.alpha) * d_prime - 1.0
+    return np.eye(s) * diag[:, None, :] + params.alpha * d_prime[:, None, :]
+
+
+def test_newton_step_is_the_dense_solve():
     rng = np.random.default_rng(5)
-    jac = rng.standard_normal((4, 3, 3))
-    jac[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
-    rhs = rng.standard_normal((4, 3))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(jac, rhs[..., None])
-    out = equilibria._solve_rows(jac, rhs)
-    assert np.all(np.isnan(out[2]))
-    for i in (0, 1, 3):
-        assert np.array_equal(out[i], np.linalg.solve(jac[i], rhs[i]))
+    for alpha, beta, lo, hi in [(1.5, 2.5, 0.0, 0.1), (1.0, 6.0, 0.3, 0.5), (0.5, 0.5, 0.0, 2.0)]:
+        params = ModelParams(q=4, s=3, alpha=alpha, beta=beta, gamma=(0.2, 0.3, 0.5))
+        d_prime = rng.uniform(lo, hi, (50, 3))
+        h = rng.standard_normal((50, 3))
+        jac = _dense_jacobian(d_prime, params)
+        assert np.linalg.cond(jac).max() < 100.0
+        want = -np.linalg.solve(jac, h[..., None])[..., 0]
+        got = equilibria._newton_step(h, d_prime, params)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+
+
+def test_newton_step_is_zero_where_sherman_morrison_is_undefined():
+    # row 0 has a 0 on the diagonal, row 1 a zero denominator 1 + alpha
+    # d'^T D^{-1} 1; neither may warn or spoil the other rows
+    params = ModelParams(q=3, s=2, alpha=1.0, beta=2.0, gamma=(0.5, 0.5))
+    d_prime = np.array([[1.0, 0.3], [0.5, 0.0], [0.2, 0.1]])
+    h = np.array([[0.3, -0.2], [0.1, 0.4], [0.5, -0.7]])
+    step = equilibria._newton_step(h, d_prime, params)
+    assert np.array_equal(step[:2], np.zeros((2, 2)))
+    want = -np.linalg.solve(_dense_jacobian(d_prime[2:], params)[0], h[2])
+    assert np.allclose(step[2], want, rtol=1e-12, atol=0.0)
+
+
+def test_singular_newton_row_fails_alone():
+    # beta is set so that the first start's Jacobian has an exact 0 on its
+    # diagonal: its step is 0, so it fails at once, without a warning, and
+    # the other rows converge to the same roots as without it
+    gamma, q = np.array([0.4, 0.6]), 3
+    fractions = np.array([0.3, 0.6, 0.7, 0.9, 0.95])
+    r = np.ones(fractions.size, dtype=int)
+    x = equilibria._two_column(r, gamma / q + fractions[:, None] * (gamma - gamma / q), gamma, q)
+    t = np.log(x[0, :, -1]) - np.log(x[0, :, 0])
+    d_prime = equilibria._log_ratio_point(1, t, gamma, q)[3]
+    alpha = 2.0
+    params = ModelParams(q=q, s=2, alpha=alpha, beta=alpha + 1.0 / d_prime[0], gamma=tuple(gamma))
+    assert (params.beta - params.alpha) * d_prime[0] - 1.0 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots, ok = equilibria._newton_two_column(r, x, params, gamma)
+        alone, ok_alone = equilibria._newton_two_column(r[1:], x[1:], params, gamma)
+    assert ok.tolist() == [False, True, True, True, True]
+    assert ok_alone.all() and np.array_equal(roots[1:], alone)
+
+
+# A model where Newton in mu_plus stalled at max|h| = 1.3e-13 on the r = 1
+# root, above its absolute 1e-13 stop, because mu_minus = (gamma - r
+# mu_plus) / (q - r) cancels there: every r = 1 polish failed, and the
+# unpolished probe at G = 5.3586 beat the best candidate (r = 2, G 3.4518)
+STRONG_UNEQUAL = ModelParams(q=6, s=2, alpha=6.84, beta=10.67, gamma=(0.97, 0.03))
+
+
+def test_strongly_unequal_proportions_have_one_predominant_color():
+    report = maximize_G(STRONG_UNEQUAL)
+    assert report.phase is Phase.SUPERCRITICAL
+    assert abs(report.sup_G - 5.35855868519141) <= 4 * math.ulp(5.35855868519141)
+    assert report.residual_max <= 1e-14
+    assert report.certificate_margin >= -equilibria.MARGIN
+    assert len(report.maximizers) == 6
+    assert all(np.argmax(m[0]) == np.argmax(m[1]) for m in report.maximizers)
+
+
+def _strongly_coupled_models(count):
+    """Non-uniform models from seed 7: q in 3..7, s in 2..3, gamma ~
+    Dirichlet(0.4) kept when its least entry is at least 1e-3, beta = 2q
+    U(0.5, 3) and alpha ~ U(0, beta)."""
+    rng = np.random.default_rng(7)
+    models = []
+    while len(models) < count:
+        q, s = int(rng.integers(3, 8)), int(rng.integers(2, 4))
+        gamma = rng.dirichlet(np.full(s, 0.4))
+        if gamma.min() < 1e-3:
+            continue
+        beta = 2.0 * q * rng.uniform(0.5, 3.0)
+        models.append(ModelParams(q=q, s=s, alpha=rng.uniform(0.0, beta), beta=beta,
+                                  gamma=tuple(gamma)))
+    return models
+
+
+@pytest.mark.parametrize("params", _strongly_coupled_models(40), ids=range(40))
+def test_strongly_coupled_nonuniform_maximizers_are_polished_roots(params):
+    # most of these exited 4 while the polish ran in mu_plus (module
+    # docstring); every maximizer is now a root within the stop's ulp bound
+    report = maximize_G(params, options=FAST)
+    assert report.certificate_margin >= -equilibria.MARGIN
+    eps = np.finfo(np.float64).eps
+    for m in report.maximizers:
+        log_m = np.log(m)
+        t = log_m.max(axis=1) - log_m.min(axis=1)
+        bound = equilibria.NEWTON_ULPS * eps * max(t.max(), 1.0)
+        assert np.max(np.abs(critical_residual(m, params))) <= bound
+
+
+def test_underflowed_two_column_ends_fail_without_a_warning():
+    # the r = 1 endpoints' small entries underflow to 0 here, so they have
+    # no log ratio; they fail to polish, and the search still exits 4
+    # because the full-matrix probe beats the best polished candidate
+    params = ModelParams(q=4, s=2, alpha=900.0, beta=1000.0, gamma=(0.9, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="above the reported supremum"):
+            maximize_G(params)
 
 
 @pytest.mark.parametrize("key", sorted(REPORTS),
