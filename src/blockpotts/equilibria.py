@@ -77,6 +77,11 @@ fails where D or that denominator has a 0.  h is rounded within a few ulps
 of its largest term, and at a root those terms balance t: a row is a root
 once max|h| <= NEWTON_ULPS eps max(max|t|, 1).  The matrix's critical
 residual is then h_k (q - r) / q at a large entry and -h_k r / q at a small.
+Row k starts at the field difference (beta - alpha) d_k + alpha sum_l d_l
+of its endpoint, d the large entry less the small: the log ratio of the
+map's next iterate, equal to t at a fixed point and finite even where the
+small entry is 0.  The closed-form nu^i are these points too: (1 + (q -
+1) u) / (1 - u) = e^{gu} makes every row the r = 1 point at t = g u.
 """
 
 from __future__ import annotations
@@ -193,31 +198,22 @@ def phi(t, q, s):
 def equilibrium_matrices(g, params):
     """Closed-form candidates (Q, [nu^1, .., nu^q]) for uniform proportions.
 
-    Q is flat with entries 1/(sq).  nu^i has all s rows equal to phi(u(g))
-    with the first and i-th coordinate interchanged; when u(g) = 0 every
-    nu^i collapses to Q.  Raises for non-uniform gamma, where no closed
-    form is available.
-
-    The small entries (1 - u)/(sq) take 1 - u in the form q e^{-gu} /
-    (1 + (q-1) e^{-gu}), equal at the fixed point, because 1 - u cancels
-    once u nears 1.  Past g u = 708 e^{-gu} is subnormal and loses
-    digits; past about 745 it underflows and they are 0, the nearest
-    float to their true value.
+    Q is flat with entries 1/(sq).  Every row of nu^i is the r = 1 point
+    of _log_ratio_point at t = g u(g) (module docstring), with its large
+    entry in column i; when u(g) = 0 every nu^i is flat.  Raises for
+    non-uniform gamma, where no closed form is available.  The small
+    entries are e^{-gu} times the large one: past g u = 708 they are
+    subnormal and lose digits, and past about 745 they underflow to 0, the
+    nearest float to their true value.
     """
     if not params.uniform_gamma:
         raise InvalidInputError("closed-form equilibria require uniform block proportions")
     q, s = params.q, params.s
     Q = np.full((s, q), 1.0 / (s * q), dtype=np.float64)
-    u = potts_fixed_point_u(g, q)
-    base = phi(u, q, s)
-    e = math.exp(-g * u)
-    base[1:] = q * e / (1.0 + (q - 1.0) * e) / (s * q)
-    nus = []
-    for i in range(q):
-        row = base.copy()
-        row[0], row[i] = row[i], row[0]
-        nus.append(np.tile(row, (s, 1)))
-    return Q, nus
+    t = np.full(s, g * potts_fixed_point_u(g, q))
+    mu_plus, mu_minus, _, _ = _log_ratio_point(1, t, np.full(s, 1.0 / s), q)
+    nus = np.where(np.eye(q, dtype=bool)[:, None, :], mu_plus[:, None], mu_minus[:, None])
+    return Q, list(nus)
 
 
 def critical_residual(mu, params):
@@ -258,7 +254,8 @@ def _two_column(r, mu_plus, gamma, q, mu_minus=None):
 
 def _log_ratio_point(r, t, gamma, q):
     """(mu_plus, mu_minus, d, d') of the module docstring at log ratios t,
-    batched over leading axes of (..., s) t with r a scalar or (..., 1)."""
+    batched over leading axes of (..., s) t with r a scalar or (..., 1):
+    the entries of every polished and closed-form two-column matrix."""
     e, pos = np.exp(-np.abs(t)), t >= 0.0
     denom = np.where(pos, r + (q - r) * e, r * e + (q - r))
     big, small = gamma / denom, gamma * e / denom
@@ -331,19 +328,18 @@ def _newton_step(h, d_prime, params):
 def _newton_two_column(r, x, params, gamma):
     """Polish two-column points x (R, s, q), one r per row, to roots of h.
 
-    Undamped Newton in t from log x[:, :, -1] - log x[:, :, 0]: a row fails
-    when its start has an entry 0, at its first step that does not shrink
-    max|h| (a step of 0 where _newton_step cannot solve), or when it is no
-    root after NEWTON_ITERS steps; rows do not interact.  Returns (matrices,
-    ok): each row's matrix at its last t, from that t's own mu_plus and
-    mu_minus, and whether that t is a root.
+    Undamped Newton in t from the field difference of d = x[:, :, -1] -
+    x[:, :, 0] (module docstring): a row fails at its first step that does
+    not shrink max|h| (a step of 0 where _newton_step cannot solve), or
+    when it is no root after NEWTON_ITERS steps; rows do not interact.
+    Returns (matrices, ok): each row's matrix at its last t, from that t's
+    own mu_plus and mu_minus, and whether that t is a root.
     """
     r = np.asarray(r)[:, None]
-    small, large = x[:, :, 0], x[:, :, -1]
-    live = np.flatnonzero(np.logical_and.reduce((small > 0.0) & (large > 0.0), axis=1))
-    t, ok = np.zeros(small.shape), np.zeros(len(x), dtype=bool)
-    t[live] = np.log(large[live]) - np.log(small[live])
-    t_live, r_live, hnorm = t[live], r[live], np.full(live.size, np.inf)
+    d = x[:, :, -1] - x[:, :, 0]
+    t = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params)
+    live, ok = np.arange(len(x)), np.zeros(len(x), dtype=bool)
+    t_live, r_live, hnorm = t, r, np.full(len(x), np.inf)
     for _ in range(NEWTON_ITERS + 1):
         _, _, d, d_prime = _log_ratio_point(r_live, t_live, gamma, params.q)
         h = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params) - t_live
@@ -509,7 +505,7 @@ def _numerical_candidates(params, gamma, opts):
     # takes its maximizers in closed form
     rows = np.flatnonzero(~in_basin[:r_rows.size])
     polished, ok = _newton_two_column(r_rows[rows], x[rows], params, gamma)
-    polished = polished[ok & np.all(polished > 0.0, axis=(1, 2))]
+    polished = polished[ok]
     probes = np.concatenate([flat[None], x, polished])
     values = np.concatenate([_free_energy(flat, params)[None], fx,
                              _free_energy(polished, params)])

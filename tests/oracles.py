@@ -419,20 +419,20 @@ def two_column_reduced_gradient(r, t, gamma, q, alpha, beta):
 
 def two_column_newton(r, x, gamma, q, alpha, beta, max_iter, ulps):
     """Undamped Newton on the reduced gradient h in the log ratios t, as
-    plain loops, from t_k = log x[k, -1] - log x[k, 0].
+    plain loops, from the field difference t_k = (beta - alpha) d_k +
+    alpha sum_l d_l, d_k = x[k, -1] - x[k, 0].
 
     Each step solves J step = -h for J = diag((beta - alpha) d' - 1) +
     alpha 1 d'^T by the explicit Sherman-Morrison formula.  Returns the
     two-column matrix at the first t with max|h| <= ulps eps max(max|t|,
-    1), built from t's own mu_plus and mu_minus; None when an entry of x's
-    first or last column is 0, at the first step that does not shrink
-    max|h| or meets a 0 on the diagonal or in the denominator, or after
-    max_iter steps.
+    1), built from t's own mu_plus and mu_minus; None at the first step
+    that does not shrink max|h| or meets a 0 on the diagonal or in the
+    denominator, or after max_iter steps.
     """
     s = len(gamma)
-    if any(x[k, 0] <= 0.0 or x[k, -1] <= 0.0 for k in range(s)):
-        return None
-    t = [math.log(x[k, -1]) - math.log(x[k, 0]) for k in range(s)]
+    d = [x[k, -1] - x[k, 0] for k in range(s)]
+    total = sum(d)
+    t = [(beta - alpha) * d[k] + alpha * total for k in range(s)]
 
     def norm(v):
         return max(abs(vk) for vk in v)

@@ -41,12 +41,23 @@ moved, and at (16, 5) model 0's margin by one ulp of G; their phase,
 sup_G and maximizers are unchanged bit for bit.  Model 5's polished roots
 moved by at most 5.6e-15 (residual_max 3.4e-14 -> 4.7e-15 at (8, 0)), its
 sup_G and diagnostics not at all.  Models 1, 3 and 6 are unchanged.
+
+Seven entries were captured again when the closed-form nu^i began to be
+built as the r = 1 log-ratio point at t = g u, and the Newton polish began
+at the field difference of each endpoint instead of the log of its
+entries.  The large entry of model 4's nu^i and the small entries of
+model 2's moved in their last bits, and with them model 2's sup_G by one
+ulp; the margins of models 0, 2 and 4 at (8, 0) and of models 2 and 4 at
+(16, 5) moved by one or two ulps of G.  Model 5's polished roots moved by
+at most 1e-15 (residual_max 4.7e-15 -> 4.4e-16 at (8, 0)).  Every search
+diagnostic and every phase is unchanged, and models 1, 3 and 6 are
+unchanged bit for bit.
 """
 
 REPORTS = {
     (8, 0, 0): dict(
         phase='SUBCRITICAL', sup_G=2.2084261358947215,
-        certificate_margin=0.0,
+        certificate_margin=-4.440892098500626e-16,
         restarts=24, ascent_iterations=264, max_ascent_iterations=18,
         restarts_converged=24, newton_handoffs=7, basin_stops=17,
         newton_failures=0,
@@ -77,8 +88,8 @@ REPORTS = {
             ],
         ]),
     (8, 0, 2): dict(
-        phase='CRITICAL', sup_G=2.2538575896013517,
-        certificate_margin=-8.881784197001252e-16,
+        phase='CRITICAL', sup_G=2.253857589601352,
+        certificate_margin=-4.440892098500626e-16,
         restarts=24, ascent_iterations=688, max_ascent_iterations=81,
         restarts_converged=24, newton_handoffs=14, basin_stops=10,
         newton_failures=0,
@@ -88,16 +99,16 @@ REPORTS = {
                 [0.16666666666666666, 0.16666666666666666, 0.16666666666666666],
             ],
             [
-                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
-                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
+                [0.33333333333333365, 0.0833333333333332, 0.0833333333333332],
+                [0.33333333333333365, 0.0833333333333332, 0.0833333333333332],
             ],
             [
-                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
-                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
+                [0.0833333333333332, 0.33333333333333365, 0.0833333333333332],
+                [0.0833333333333332, 0.33333333333333365, 0.0833333333333332],
             ],
             [
-                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
-                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
+                [0.0833333333333332, 0.0833333333333332, 0.33333333333333365],
+                [0.0833333333333332, 0.0833333333333332, 0.33333333333333365],
             ],
         ]),
     (8, 0, 3): dict(
@@ -125,34 +136,34 @@ REPORTS = {
         ]),
     (8, 0, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=8.881784197001252e-16,
+        certificate_margin=0.0,
         restarts=32, ascent_iterations=470, max_ascent_iterations=42,
         restarts_converged=32, newton_handoffs=7, basin_stops=25,
         newton_failures=0,
         maximizers=[
             [
-                [0.4187593026782328, 0.027080232440589054,
+                [0.41875930267823286, 0.027080232440589054,
                  0.027080232440589054, 0.027080232440589054],
-                [0.4187593026782328, 0.027080232440589054,
-                 0.027080232440589054, 0.027080232440589054],
-            ],
-            [
-                [0.027080232440589054, 0.4187593026782328,
-                 0.027080232440589054, 0.027080232440589054],
-                [0.027080232440589054, 0.4187593026782328,
+                [0.41875930267823286, 0.027080232440589054,
                  0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.027080232440589054, 0.027080232440589054,
-                 0.4187593026782328, 0.027080232440589054],
-                [0.027080232440589054, 0.027080232440589054,
-                 0.4187593026782328, 0.027080232440589054],
+                [0.027080232440589054, 0.41875930267823286,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.027080232440589054, 0.41875930267823286,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
                 [0.027080232440589054, 0.027080232440589054,
-                 0.027080232440589054, 0.4187593026782328],
+                 0.41875930267823286, 0.027080232440589054],
                 [0.027080232440589054, 0.027080232440589054,
-                 0.027080232440589054, 0.4187593026782328],
+                 0.41875930267823286, 0.027080232440589054],
+            ],
+            [
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.41875930267823286],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.41875930267823286],
             ],
         ]),
     (8, 0, 5): dict(
@@ -163,16 +174,16 @@ REPORTS = {
         newton_failures=0,
         maximizers=[
             [
-                [0.3402041973762957, 0.029897901311852177, 0.029897901311852177],
-                [0.5307034849723632, 0.034648257513818406, 0.034648257513818406],
+                [0.340204197376295, 0.02989790131185253, 0.02989790131185253],
+                [0.5307034849723622, 0.034648257513818885, 0.034648257513818885],
             ],
             [
-                [0.029897901311852177, 0.3402041973762957, 0.029897901311852177],
-                [0.034648257513818406, 0.5307034849723632, 0.034648257513818406],
+                [0.02989790131185253, 0.340204197376295, 0.02989790131185253],
+                [0.034648257513818885, 0.5307034849723622, 0.034648257513818885],
             ],
             [
-                [0.029897901311852177, 0.029897901311852177, 0.3402041973762957],
-                [0.034648257513818406, 0.034648257513818406, 0.5307034849723632],
+                [0.02989790131185253, 0.02989790131185253, 0.340204197376295],
+                [0.034648257513818885, 0.034648257513818885, 0.5307034849723622],
             ],
         ]),
     (8, 0, 6): dict(
@@ -220,8 +231,8 @@ REPORTS = {
             ],
         ]),
     (16, 5, 2): dict(
-        phase='CRITICAL', sup_G=2.2538575896013517,
-        certificate_margin=-8.881784197001252e-16,
+        phase='CRITICAL', sup_G=2.253857589601352,
+        certificate_margin=0.0,
         restarts=48, ascent_iterations=1282, max_ascent_iterations=87,
         restarts_converged=48, newton_handoffs=27, basin_stops=21,
         newton_failures=0,
@@ -231,16 +242,16 @@ REPORTS = {
                 [0.16666666666666666, 0.16666666666666666, 0.16666666666666666],
             ],
             [
-                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
-                [0.33333333333333365, 0.08333333333333322, 0.08333333333333322],
+                [0.33333333333333365, 0.0833333333333332, 0.0833333333333332],
+                [0.33333333333333365, 0.0833333333333332, 0.0833333333333332],
             ],
             [
-                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
-                [0.08333333333333322, 0.33333333333333365, 0.08333333333333322],
+                [0.0833333333333332, 0.33333333333333365, 0.0833333333333332],
+                [0.0833333333333332, 0.33333333333333365, 0.0833333333333332],
             ],
             [
-                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
-                [0.08333333333333322, 0.08333333333333322, 0.33333333333333365],
+                [0.0833333333333332, 0.0833333333333332, 0.33333333333333365],
+                [0.0833333333333332, 0.0833333333333332, 0.33333333333333365],
             ],
         ]),
     (16, 5, 3): dict(
@@ -268,34 +279,34 @@ REPORTS = {
         ]),
     (16, 5, 4): dict(
         phase='SUPERCRITICAL', sup_G=2.556850210385142,
-        certificate_margin=8.881784197001252e-16,
+        certificate_margin=0.0,
         restarts=64, ascent_iterations=984, max_ascent_iterations=46,
         restarts_converged=64, newton_handoffs=16, basin_stops=48,
         newton_failures=0,
         maximizers=[
             [
-                [0.4187593026782328, 0.027080232440589054,
+                [0.41875930267823286, 0.027080232440589054,
                  0.027080232440589054, 0.027080232440589054],
-                [0.4187593026782328, 0.027080232440589054,
-                 0.027080232440589054, 0.027080232440589054],
-            ],
-            [
-                [0.027080232440589054, 0.4187593026782328,
-                 0.027080232440589054, 0.027080232440589054],
-                [0.027080232440589054, 0.4187593026782328,
+                [0.41875930267823286, 0.027080232440589054,
                  0.027080232440589054, 0.027080232440589054],
             ],
             [
-                [0.027080232440589054, 0.027080232440589054,
-                 0.4187593026782328, 0.027080232440589054],
-                [0.027080232440589054, 0.027080232440589054,
-                 0.4187593026782328, 0.027080232440589054],
+                [0.027080232440589054, 0.41875930267823286,
+                 0.027080232440589054, 0.027080232440589054],
+                [0.027080232440589054, 0.41875930267823286,
+                 0.027080232440589054, 0.027080232440589054],
             ],
             [
                 [0.027080232440589054, 0.027080232440589054,
-                 0.027080232440589054, 0.4187593026782328],
+                 0.41875930267823286, 0.027080232440589054],
                 [0.027080232440589054, 0.027080232440589054,
-                 0.027080232440589054, 0.4187593026782328],
+                 0.41875930267823286, 0.027080232440589054],
+            ],
+            [
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.41875930267823286],
+                [0.027080232440589054, 0.027080232440589054,
+                 0.027080232440589054, 0.41875930267823286],
             ],
         ]),
     (16, 5, 5): dict(
@@ -306,16 +317,16 @@ REPORTS = {
         newton_failures=0,
         maximizers=[
             [
-                [0.3402041973762952, 0.0298979013118524, 0.0298979013118524],
-                [0.5307034849723625, 0.03464825751381872, 0.03464825751381872],
+                [0.3402041973762949, 0.029897901311852534, 0.029897901311852534],
+                [0.5307034849723622, 0.0346482575138189, 0.0346482575138189],
             ],
             [
-                [0.0298979013118524, 0.3402041973762952, 0.0298979013118524],
-                [0.03464825751381872, 0.5307034849723625, 0.03464825751381872],
+                [0.029897901311852534, 0.3402041973762949, 0.029897901311852534],
+                [0.0346482575138189, 0.5307034849723622, 0.0346482575138189],
             ],
             [
-                [0.0298979013118524, 0.0298979013118524, 0.3402041973762952],
-                [0.03464825751381872, 0.03464825751381872, 0.5307034849723625],
+                [0.029897901311852534, 0.029897901311852534, 0.3402041973762949],
+                [0.0346482575138189, 0.0346482575138189, 0.5307034849723622],
             ],
         ]),
     (16, 5, 6): dict(

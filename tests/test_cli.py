@@ -174,12 +174,15 @@ def test_equilibria_underflowed_maximizers_write_null_residuals(tmp_path):
 
 def test_equilibria_residual_max_is_that_of_the_maximizers_read_back(tmp_path):
     # at q = 9 the row means of a Fortran-ordered maximizer sum in another
-    # order than those of the C-ordered matrix that JSON gives back
+    # order than those of the C-ordered matrix that JSON gives back.  At
+    # beta 12 the maximizers are nine two-column matrices with a residual
+    # of 8.9e-16; the flat point's, at beta 4, is 0 in any order
     out = tmp_path / "eq.json"
     assert run(["equilibria", "--q", "9", "--s", "3", "--gamma", "0.2,0.3,0.5",
-                "--alpha", "1", "--beta", "4", "--restarts", "8", "--out", str(out)]) == 0
+                "--alpha", "1", "--beta", "12", "--restarts", "8", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    params = ModelParams(q=9, s=3, alpha=1.0, beta=4.0, gamma=(0.2, 0.3, 0.5))
+    assert doc["phase"] == "SUPERCRITICAL" and len(doc["maximizers"]) == 9
+    params = ModelParams(q=9, s=3, alpha=1.0, beta=12.0, gamma=(0.2, 0.3, 0.5))
     residuals = [float(np.max(np.abs(critical_residual(np.array(m), params))))
                  for m in doc["maximizers"]]
     assert doc["residual_max"] == max(residuals)

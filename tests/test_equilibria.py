@@ -801,17 +801,19 @@ def test_newton_step_is_zero_where_sherman_morrison_is_undefined():
 
 
 def test_singular_newton_row_fails_alone():
-    # beta is set so that the first start's Jacobian has an exact 0 on its
-    # diagonal: its step is 0, so it fails at once, without a warning, and
-    # the other rows converge to the same roots as without it
-    gamma, q = np.array([0.4, 0.6]), 3
+    # the first start's block 0 is flat and its other two differences
+    # cancel exactly, so block 0's field difference, its start t and its h
+    # are exactly 0 and d' = gamma_0 / q = 1/12; beta = alpha + 12 puts an
+    # exact 0 on the Jacobian's diagonal there.  That start's step is 0, so
+    # it fails at once, without a warning, and the other rows converge to
+    # the same roots as without it
+    gamma, q = np.array([0.25, 0.375, 0.375]), 3
     fractions = np.array([0.3, 0.6, 0.7, 0.9, 0.95])
     r = np.ones(fractions.size, dtype=int)
     x = equilibria._two_column(r, gamma / q + fractions[:, None] * (gamma - gamma / q), gamma, q)
-    t = np.log(x[0, :, -1]) - np.log(x[0, :, 0])
-    d_prime = equilibria._log_ratio_point(1, t, gamma, q)[3]
-    alpha = 2.0
-    params = ModelParams(q=q, s=2, alpha=alpha, beta=alpha + 1.0 / d_prime[0], gamma=tuple(gamma))
+    x[0] = [[gamma[0] / q] * 3, [0.09375, 0.09375, 0.1875], [0.15625, 0.15625, 0.0625]]
+    d_prime = equilibria._log_ratio_point(1, np.zeros(3), gamma, q)[3]
+    params = ModelParams(q=q, s=3, alpha=2.0, beta=2.0 + 1.0 / d_prime[0], gamma=tuple(gamma))
     assert (params.beta - params.alpha) * d_prime[0] - 1.0 == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -832,9 +834,12 @@ def test_strongly_unequal_proportions_have_one_predominant_color():
     report = maximize_G(STRONG_UNEQUAL)
     assert report.phase is Phase.SUPERCRITICAL
     assert abs(report.sup_G - 5.35855868519141) <= 4 * math.ulp(5.35855868519141)
-    assert report.residual_max <= 1e-14
     assert report.certificate_margin >= -equilibria.MARGIN
     assert len(report.maximizers) == 6
+    # within the stop's bound, 1.5e-13 at the largest log ratio 10.55
+    log_m = np.log(report.maximizers[0])
+    t = np.max(log_m.max(axis=1) - log_m.min(axis=1))
+    assert report.residual_max <= equilibria.NEWTON_ULPS * np.finfo(np.float64).eps * t
     assert all(np.argmax(m[0]) == np.argmax(m[1]) for m in report.maximizers)
 
 
@@ -869,15 +874,59 @@ def test_strongly_coupled_nonuniform_maximizers_are_polished_roots(params):
         assert np.max(np.abs(critical_residual(m, params))) <= bound
 
 
-def test_underflowed_two_column_ends_fail_without_a_warning():
-    # the r = 1 endpoints' small entries underflow to 0 here, so they have
-    # no log ratio; they fail to polish, and the search still exits 4
-    # because the full-matrix probe beats the best polished candidate
+def test_underflowed_two_column_ends_report_one_predominant_color():
+    # the r = 1 endpoints' small entries underflow to 0 here; they start
+    # Newton at their field difference, which stays finite, so they are
+    # polished like any other, and the maximizers' own small entries are 0
     params = ModelParams(q=4, s=2, alpha=900.0, beta=1000.0, gamma=(0.9, 0.1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError, match="above the reported supremum"):
-            maximize_G(params)
+        report = maximize_G(params)
+    assert report.phase is Phase.SUPERCRITICAL
+    assert len(report.maximizers) == 4
+    assert all(np.argmax(m[0]) == np.argmax(m[1]) for m in report.maximizers)
+    assert report.certificate_margin >= -equilibria.MARGIN
+    assert report.newton_failures == 0
+    assert report.residual_max == math.inf
+    assert abs(report.sup_G - 491.32508297339143) <= 4 * math.ulp(491.32508297339143)
+
+
+def _coupling_sweep(count):
+    """Models from seed 11: q in 3..7, s in 1..3, uniform gamma for s = 1
+    and every third model, else gamma ~ Dirichlet(0.4) kept when its least
+    entry is at least 1e-3; beta ~ U(0, 4q) or U(100, 1000) at even odds,
+    alpha ~ U(0, beta)."""
+    rng = np.random.default_rng(11)
+    models = []
+    while len(models) < count:
+        q, s = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+        if s == 1 or len(models) % 3 == 0:
+            gamma = np.full(s, 1.0 / s)
+        else:
+            gamma = rng.dirichlet(np.full(s, 0.4))
+            if gamma.min() < 1e-3:
+                continue
+        beta = rng.uniform(0.0, 4.0 * q) if rng.random() < 0.5 else rng.uniform(100.0, 1000.0)
+        models.append(ModelParams(q=q, s=s, alpha=rng.uniform(0.0, beta), beta=beta,
+                                  gamma=tuple(gamma)))
+    return models
+
+
+def test_strong_coupling_sweep_reports_every_model():
+    # 6 of these 240 models raised NonConvergenceError while the polish
+    # started from the log of the endpoints' entries, all at beta >= 100
+    failures = []
+    for params in _coupling_sweep(240):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = maximize_G(params, options=FAST)
+        except Exception as exc:  # collect every failure, not only the first
+            failures.append((params, repr(exc)))
+            continue
+        if report.certificate_margin < -equilibria.MARGIN:
+            failures.append((params, report.certificate_margin))
+    assert failures == []
 
 
 @pytest.mark.parametrize("key", sorted(REPORTS),
