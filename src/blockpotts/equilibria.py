@@ -94,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError
-from .model import check_cap, check_count, field_from_sums, interaction_field
+from .model import _column_sums, check_cap, check_count, field_from_sums, interaction_field
 from .numutil import softmax
 from .rates import _block_matrix, _free_energy, free_energy_G
 
@@ -208,9 +208,14 @@ def equilibrium_matrices(g, params):
     """
     if not params.uniform_gamma:
         raise InvalidInputError("closed-form equilibria require uniform block proportions")
+    return _closed_form(g, potts_fixed_point_u(g, params.q), params)
+
+
+def _closed_form(g, u, params):
+    """(Q, [nu^1, .., nu^q]) of equilibrium_matrices at g from u = u(g)."""
     q, s = params.q, params.s
     Q = np.full((s, q), 1.0 / (s * q), dtype=np.float64)
-    t = np.full(s, g * potts_fixed_point_u(g, q))
+    t = np.full(s, g * u)
     mu_plus, mu_minus, _, _ = _log_ratio_point(1, t, np.full(s, 1.0 / s), q)
     nus = np.where(np.eye(q, dtype=bool)[:, None, :], mu_plus[:, None], mu_minus[:, None])
     return Q, list(nus)
@@ -229,14 +234,16 @@ def critical_residual(mu, params):
         raise InvalidInputError("critical equations need strictly positive entries")
     dev = mu - params.gamma_array[:, None] / params.q
     log_mu = np.log(mu)
-    return interaction_field(dev, params) - (log_mu - log_mu.mean(axis=1, keepdims=True))
+    # the bits of ndarray.mean, without its wrapper
+    log_mean = np.add.reduce(log_mu, axis=1, keepdims=True) / params.q
+    return interaction_field(dev, params) - (log_mu - log_mean)
 
 
 def _residual_max(mu, params):
     """Largest critical residual of mu in absolute value, inf unless every entry is positive."""
     if not np.all(mu > 0.0):
         return math.inf
-    return float(np.max(np.abs(critical_residual(mu, params))))
+    return float(np.maximum.reduce(np.abs(critical_residual(mu, params)), axis=None))
 
 
 def _two_column(r, mu_plus, gamma, q, mu_minus=None):
@@ -256,10 +263,11 @@ def _log_ratio_point(r, t, gamma, q):
     """(mu_plus, mu_minus, d, d') of the module docstring at log ratios t,
     batched over leading axes of (..., s) t with r a scalar or (..., 1):
     the entries of every polished and closed-form two-column matrix."""
-    e, pos = np.exp(-np.abs(t)), t >= 0.0
-    denom = np.where(pos, r + (q - r) * e, r * e + (q - r))
+    down, pos, rest = -np.abs(t), t >= 0.0, q - r
+    e = np.exp(down)
+    denom = np.where(pos, r + rest * e, r * e + rest)
     big, small = gamma / denom, gamma * e / denom
-    d = np.copysign(-np.expm1(-np.abs(t)), t) * (gamma / denom)
+    d = np.copysign(-np.expm1(down), t) * big
     return np.where(pos, big, small), np.where(pos, small, big), d, q * small / denom
 
 
@@ -317,11 +325,12 @@ def _newton_step(h, d_prime, params):
     or 0 where D or the denominator has a 0."""
     diag = (params.beta - params.alpha) * d_prime - 1.0
     ok = np.logical_and.reduce(diag != 0.0, axis=1, keepdims=True)
-    inv = np.divide(1.0, diag, out=np.zeros_like(diag), where=ok)
-    denom = 1.0 + params.alpha * np.add.reduce(d_prime * inv, axis=1, keepdims=True)
+    inv = np.divide(1.0, diag, out=np.zeros(diag.shape), where=ok)
+    weights = d_prime * inv
+    denom = 1.0 + params.alpha * np.add.reduce(weights, axis=1, keepdims=True)
     ok &= denom != 0.0
-    num = params.alpha * np.add.reduce(d_prime * inv * h, axis=1, keepdims=True)
-    coef = np.divide(num, denom, out=np.zeros_like(num), where=ok)
+    num = params.alpha * np.add.reduce(weights * h, axis=1, keepdims=True)
+    coef = np.divide(num, denom, out=np.zeros(num.shape), where=ok)
     return np.where(ok, inv * (coef - h), 0.0)
 
 
@@ -340,14 +349,16 @@ def _newton_two_column(r, x, params, gamma):
     t = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params)
     live, ok = np.arange(len(x)), np.zeros(len(x), dtype=bool)
     t_live, r_live, hnorm = t, r, np.full(len(x), np.inf)
+    root_tol = NEWTON_ULPS * np.finfo(np.float64).eps
     for _ in range(NEWTON_ITERS + 1):
         _, _, d, d_prime = _log_ratio_point(r_live, t_live, gamma, params.q)
-        h = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params) - t_live
+        h = field_from_sums(d, np.add.reduce(d, axis=1, keepdims=True), params)
+        h -= t_live
         h_new = np.maximum.reduce(np.abs(h), axis=1)
         good = h_new < hnorm
         t[live[good]] = t_live[good]
         scale = np.maximum(np.maximum.reduce(np.abs(t_live), axis=1), 1.0)
-        root = good & (h_new <= NEWTON_ULPS * np.finfo(np.float64).eps * scale)
+        root = good & (h_new <= root_tol * scale)
         ok[live[root]] = True
         go = good & ~root
         live, t_live, r_live, hnorm = live[go], t_live[go], r_live[go], h_new[go]
@@ -358,14 +369,20 @@ def _newton_two_column(r, x, params, gamma):
     return _two_column(r[:, 0], mu_plus, gamma, params.q, mu_minus), ok
 
 
-def _mean_field_map(mu, params, gamma):
-    """One mean-field step mu_k -> gamma_k softmax((A mu)_k), batched over leading axes."""
-    return gamma[:, None] * softmax(interaction_field(mu, params))
+def _mean_field_map(mu, params, gamma_col):
+    """One mean-field step mu_k -> gamma_k softmax((A mu)_k), batched over
+    leading axes, with gamma as the (s, 1) column gamma_col."""
+    p = softmax(interaction_field(mu, params))
+    p *= gamma_col
+    return p
 
 
-def _basin_norm(v, gamma):
-    """N(v) = max_k ||v_k||_1 / gamma_k, batched over leading axes."""
-    return np.maximum.reduce(np.add.reduce(np.abs(v), axis=-1) / gamma, axis=-1)
+def _basin_norm(y, c, gamma):
+    """N(y - c) = max_k ||y_k - c_k||_1 / gamma_k, batched over leading axes."""
+    v = np.subtract(y, c)
+    rows = np.add.reduce(np.abs(v, out=v), axis=-1)
+    rows /= gamma
+    return np.maximum.reduce(rows, axis=-1)
 
 
 def _contraction(centres, params, gamma):
@@ -378,22 +395,19 @@ def _contraction(centres, params, gamma):
     return np.max(load * spread, axis=-1), float(np.max(load))
 
 
-def _basin_centres(params, gamma):
+def _basin_centres(params, gamma, nus):
     """Table of basin centres (C, s, q) and their radii (C,): the flat point
-    first, then for uniform gamma with u(g) > 0 the q matrices nu^i in the
-    order of equilibrium_matrices.  A radius is 2 (1 - rho_c) / L^2 less
-    the share 2 eps / (1 - rho_c) of the centre's residual eps (module
-    docstring), 0 when rho_c >= 1 or when that is not positive, and inf
-    when L = 0."""
-    centres = [np.broadcast_to(gamma[:, None] / params.q, (gamma.size, params.q))]
-    g = params.effective_coupling
-    if params.uniform_gamma and potts_fixed_point_u(g, params.q) > 0.0:
-        centres += equilibrium_matrices(g, params)[1]
-    centres = np.stack(centres)
+    first, then the matrices of nus, which are the q closed-form nu^i in the
+    order of equilibrium_matrices for uniform gamma with u(g) > 0 and else
+    none.  A radius is 2 (1 - rho_c) / L^2 less the share 2 eps / (1 -
+    rho_c) of the centre's residual eps (module docstring), 0 when rho_c >=
+    1 or when that is not positive, and inf when L = 0."""
+    centres = np.stack([np.broadcast_to(gamma[:, None] / params.q, (gamma.size, params.q)),
+                        *nus])
     rho, load = _contraction(centres, params, gamma)
     if load == 0.0:
         return centres, np.full(len(centres), math.inf)
-    eps = _basin_norm(_mean_field_map(centres, params, gamma) - centres, gamma)
+    eps = _basin_norm(_mean_field_map(centres, params, gamma[:, None]), centres, gamma)
     gap = np.where(rho < 1.0, 1.0 - rho, np.nan)  # no ball: fmax turns NaN into 0
     radii = np.fmax(2.0 * gap / (load * load) - 2.0 * eps / gap, 0.0)
     return centres, radii
@@ -404,24 +418,27 @@ def _basin_hits(y, centres, radii, gamma):
     basin it lies strictly inside, or -1.  Only the flat point and the
     nu^i of the restart's largest column sum are checked: no other ball
     can hold it (module docstring)."""
-    hits = np.full(len(y), -1)
     if radii[0] > 0.0:
-        hits[_basin_norm(y - centres[0], gamma) < radii[0]] = 0
+        hits = np.where(_basin_norm(y, centres[0], gamma) < radii[0], 0, -1)
+    else:
+        hits = np.full(len(y), -1)
     if len(radii) > 1:
-        near = 1 + np.argmax(np.add.reduce(y, axis=1), axis=1)
-        inside = _basin_norm(y - centres[near], gamma) < radii[near]
+        near = _column_sums(y).argmax(axis=1)
+        near += 1
+        inside = _basin_norm(y, centres[near], gamma) < radii[near]
         hits[inside] = near[inside]
     return hits
 
 
-def _multistart(params, gamma, opts):
+def _multistart(params, gamma, opts, nus):
     """Every restart of the multistart search, as one mean-field batch.
 
     The first opts.restarts rows per multiplicity r = 1..q-1 (r-major) start
     on the two-column manifold, from mu_plus uniform in its box; the last
     opts.restarts start from Dirichlet rows scaled by gamma, all drawn from
     one generator.  Each step applies _mean_field_map to the running
-    restarts, kept as one compact batch.  With 0 <= alpha <= beta, A is PSD
+    restarts, kept as one compact batch.  nus are the closed-form basin
+    centres of _basin_centres.  With 0 <= alpha <= beta, A is PSD
     and the map is the concave-convex procedure: G never falls, the iterates
     stay inside C(gamma), and a two-column point stays two-column with its
     large columns large.  After each step a restart stops at a centre of
@@ -446,17 +463,18 @@ def _multistart(params, gamma, opts):
     converged, handed = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
     in_basin, refused = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
     iterations = np.full(len(x), MAX_ITER, dtype=np.int64)
-    centres, radii = _basin_centres(params, gamma)
-    basins = radii.max() > 0.0
+    centres, radii = _basin_centres(params, gamma, nus)
+    basins, gamma_col = radii.max() > 0.0, gamma[:, None]
     live, xa = np.arange(len(x)), x.copy()  # the running restarts, in order
+    # count_nonzero tests a mask for any True without ndarray.any's wrapper
     for iteration in range(1, MAX_ITER + 1):
-        y = _mean_field_map(xa, params, gamma)
+        y = _mean_field_map(xa, params, gamma_col)
         np.abs(np.subtract(y, xa, out=xa), out=xa)  # the old iterates become the move
         stop, xa = ~(np.maximum.reduce(xa, axis=(1, 2)) >= STEP_TOL), y
         if basins:
             hits = _basin_hits(y, centres, radii, gamma)
             ball = hits >= 0
-            if ball.any():
+            if np.count_nonzero(ball):
                 xa[ball], stop[ball], in_basin[live[ball]] = centres[hits[ball]], True, True
         if iteration % HANDOFF_EVERY == 0 and live[0] < r_rows.size:
             two = live[:live.searchsorted(r_rows.size)]
@@ -467,9 +485,10 @@ def _multistart(params, gamma, opts):
             refused[two[rows[ok & ~rises]]] = True
             ok &= rises
             xa[rows[ok]], stop[rows[ok]], handed[two[rows[ok]]] = cand[ok], True, True
-        if stop.any():
-            x[live[stop]], iterations[live[stop]] = xa[stop], iteration
-            live, xa = live[~stop], xa[~stop]
+        if np.count_nonzero(stop):
+            done, go = live[stop], ~stop
+            x[done], iterations[done] = xa[stop], iteration
+            live, xa = live[go], xa[go]
             if live.size == 0:
                 break
     x[live], converged[live] = xa, False
@@ -488,8 +507,9 @@ def _sort_maximizers(mats):
     return sorted(mats, key=key)
 
 
-def _numerical_candidates(params, gamma, opts):
-    """Multistart search over every column multiplicity r, plus the flat point.
+def _numerical_candidates(params, gamma, opts, nus):
+    """Multistart search over every column multiplicity r, plus the flat point,
+    with the closed-form basin centres nus of _basin_centres.
 
     Returns (candidates, probe_max, probe_best, stats): Newton-polished
     critical points, the best value seen by any ascent (polished or not),
@@ -498,7 +518,7 @@ def _numerical_candidates(params, gamma, opts):
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
-    r_rows, x, fx, iterations, converged, handed, in_basin = _multistart(params, gamma, opts)
+    r_rows, x, fx, iterations, converged, handed, in_basin = _multistart(params, gamma, opts, nus)
     flat = np.tile(gamma[:, None] / q, (1, q))
     # a restart stopped at a basin centre needs no polish: it ended on the
     # flat point (candidate 0) or on a nu^i, whose uniform-gamma report
@@ -575,18 +595,21 @@ def maximize_G(params, options=None):
               f"a multistart batch of {opts.restarts} restarts at q={q}, s={params.s}", "entries")
     g = params.effective_coupling
     zeta = critical_temperature(q)
-    candidates, probe_max, probe_best, stats = _numerical_candidates(
-        params, params.gamma_array, opts)
-
     if params.uniform_gamma:
         u = potts_fixed_point_u(g, q)
-        Q, nus = equilibrium_matrices(g, params)
+        Q, nus = _closed_form(g, u, params)
+    else:
+        u, nus = math.nan, []
+    # with u > 0 the nu^i are basin centres of the search too
+    candidates, probe_max, probe_best, stats = _numerical_candidates(
+        params, params.gamma_array, opts, nus if u > 0.0 else [])
+
+    if params.uniform_gamma:
         phase = classify_phase(g, q)
         best = {Phase.CRITICAL: [Q] + nus, Phase.SUBCRITICAL: [Q],
                 Phase.SUPERCRITICAL: nus}[phase]
         sup_G = max(free_energy_G(m, params) for m in best)
     else:
-        u = math.nan
         values = _free_energy(np.stack(candidates), params)
         sup_G = float(values.max())
         best = _color_permutations(

@@ -20,13 +20,16 @@ def softmax(x, axis=-1):
     """Normalized exponentials of x along axis, with max subtraction; x is never written."""
     e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), dtype=np.float64)
     np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
 
 
 def _xlogx(m):
     """m log m entry-wise for a nonnegative array, with the 0 log 0 = 0 of
-    every entropy: a zero entry times the finite log(1e-300) needs no mask."""
-    return m * np.log(np.maximum(m, 1e-300))
+    every entropy: a zero entry times the finite log(1e-300) needs no mask.
+    The product is written over the log, which saves an array one temporary."""
+    out = np.log(np.maximum(m, 1e-300))
+    out *= m
+    return out
 
 
 def log_factorials(n):

@@ -32,14 +32,20 @@ def _clean_rows(nu, totals):
     """Clip and rescale the rows of the C-contiguous float64 matrix nu to sum to
     totals (one per row, or a scalar) when every row is within FEASIBILITY_TOL
     of its scaled simplex, with no entry below -FEASIBILITY_TOL; else None,
-    as for any NaN or infinite entry.  Only a negative entry costs a copy.
+    as for any NaN or infinite entry.  An entry above 1 / FEASIBILITY_TOL is
+    refused before any row is summed, so no sum overflows; with totals that
+    are proportions, a feasible row has none.  Only a negative entry costs a
+    copy.
     """
     tol = FEASIBILITY_TOL
     lowest = np.minimum.reduce(nu, axis=None, initial=math.inf)
-    if not lowest >= -tol:
+    highest = np.maximum.reduce(nu, axis=None, initial=-math.inf)
+    if not (lowest >= -tol and highest <= 1.0 / tol):
         return None
     sums = np.add.reduce(nu, axis=1)
-    if not np.maximum.reduce(np.abs(sums - totals), axis=None, initial=0.0) <= tol:
+    # the s deviations, all finite here, are compared in Python: two numpy
+    # calls on so small an array cost more than the list
+    if not max(map(abs, (sums - totals).tolist()), default=0.0) <= tol:
         return None
     if lowest < 0.0:
         nu = np.maximum(nu, 0.0)

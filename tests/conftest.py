@@ -17,8 +17,8 @@ def probe_above_sup_G(monkeypatch):
     search = equilibria._numerical_candidates
     reported = []
 
-    def lifted(params, gamma, opts):
-        candidates, probe_max, probe_best, stats = search(params, gamma, opts)
+    def lifted(*args):
+        candidates, probe_max, probe_best, stats = search(*args)
         reported.append((probe_max + 1.0, probe_best))
         return candidates, probe_max + 1.0, probe_best, stats
 

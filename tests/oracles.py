@@ -16,8 +16,8 @@ only the enumeration or algebra the package applies to them; the closure under c
 keeps the package's earlier loop over all q! permutations, its placement
 loop that listed every candidate's placements, and its DEDUPE_TOL; and
 the rate-function references, which keep the package's earlier C(gamma)
-clean-up, entropy sum and quadratic form (numpy's reduction wrappers, two
-row sums), to pin the leaner versions bit for bit;
+clean-up, entropy sum, quadratic form and softmax (numpy's reduction
+wrappers, two row sums), to pin the leaner versions bit for bit;
 the structure-certificate flags, kept as the package's earlier row loops;
 the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
 the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
@@ -899,6 +899,12 @@ def interaction_form_by_issubdtype(mu, params):
     squares = np.square(mu, dtype=acc).sum(axis=(-2, -1))
     col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
     return form_from_sums(squares, col_sq, params)
+
+
+def softmax_by_sum(x, axis):
+    """exp(x - max) / sum along axis, through the np.max and .sum wrappers."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def free_energy_by_wrappers(mu, params):

@@ -263,8 +263,17 @@ def test_softmax_leaves_its_input_alone(axis):
     before = x.copy()
     p = softmax(x, axis=axis)
     assert np.array_equal(x, before) and not np.shares_memory(p, x)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    assert np.array_equal(p, e / e.sum(axis=axis, keepdims=True))
+    assert np.array_equal(p, oracles.softmax_by_sum(x, axis))
+
+
+@pytest.mark.parametrize("shape, axis", [((24, 2, 3), -1), ((7, 5, 64), -1),
+                                         ((3, 2000), 0), ((64, 300), 0)],
+                         ids=["search-q3", "search-q64", "lsi-q3", "lsi-q64"])
+def test_softmax_equals_the_sum_wrapper_form(shape, axis):
+    # the G search's (R, s, q) batches along the last axis and the LSI's
+    # (q, P) layout along the first: np.add.reduce gives the .sum bits
+    x = np.random.default_rng(sum(shape)).normal(size=shape) * 30.0
+    assert np.array_equal(softmax(x, axis=axis), oracles.softmax_by_sum(x, axis))
 
 
 @SETTINGS
@@ -298,7 +307,7 @@ def test_mean_field_step_raises_G_and_keeps_two_columns(q, s, ab, data):
                         rng.dirichlet(np.ones(q), size=(8, s)) * gamma[:, None]])
     large = np.arange(q) >= q - r[:, None, None]
     for _ in range(20):
-        y = _mean_field_map(x, params, gamma)
+        y = _mean_field_map(x, params, gamma[:, None])
         assert np.all(_free_energy(y, params) >= _free_energy(x, params) - 1e-13)
         assert np.array_equal(y[:8], np.where(large, y[:8, :, -1:], y[:8, :, :1]))
         x = y

@@ -52,6 +52,20 @@ def uniform_params(q, s, g, split=0.5):
                        gamma=tuple([1.0 / s] * s))
 
 
+def basin_nus(params):
+    """The closed-form basin centres maximize_G hands its search: the nu^i
+    for uniform gamma with u(g) > 0, else none."""
+    g = params.effective_coupling
+    if params.uniform_gamma and potts_fixed_point_u(g, params.q) > 0.0:
+        return equilibrium_matrices(g, params)[1]
+    return []
+
+
+def basin_table(params):
+    """(centres, radii) of _basin_centres as maximize_G's search builds them."""
+    return equilibria._basin_centres(params, params.gamma_array, basin_nus(params))
+
+
 FAST = SearchOptions(restarts=8, seed=0)
 
 AC5_SET = [
@@ -444,7 +458,7 @@ def _check_ball(centre, radius, rho, params, rng):
     gamma = params.gamma_array
     s, q = centre.shape
     kappa, slack = (1.0 + rho) / 2.0, 1e-14 / gamma.min()
-    eps = _centre_norm(equilibria._mean_field_map(centre, params, gamma), centre, gamma)
+    eps = _centre_norm(equilibria._mean_field_map(centre, params, gamma[:, None]), centre, gamma)
     slack += 4.0 * eps / (1.0 - rho)
     # zero-sum rows scaled to N(v) = radius * size, the first half on the edge
     z = rng.standard_normal((64, s, q))
@@ -457,11 +471,11 @@ def _check_ball(centre, radius, rho, params, rng):
     mu = centre + v
     before = _centre_norm(mu, centre, gamma)
     assert np.allclose(before, radius * size, rtol=1e-12)
-    mapped = equilibria._mean_field_map(mu, params, gamma)
+    mapped = equilibria._mean_field_map(mu, params, gamma[:, None])
     assert np.all(_centre_norm(mapped, centre, gamma) <= kappa * before + slack)
     mu = mu[:32]
     for _ in range(equilibria.MAX_ITER):
-        mu = equilibria._mean_field_map(mu, params, gamma)
+        mu = equilibria._mean_field_map(mu, params, gamma[:, None])
         dist = _centre_norm(mu, centre, gamma)
         assert np.all(dist <= radius + slack)
         if dist.max() <= 1e-12:
@@ -481,7 +495,7 @@ def test_flat_ball_certificate(q, s):
         beta = rho * q / ((1.0 - share) * gamma.max() + share)
         params = ModelParams(q=q, s=s, alpha=share * beta, beta=beta, gamma=tuple(gamma))
         gamma = params.gamma_array
-        centres, radii = equilibria._basin_centres(params, gamma)
+        centres, radii = basin_table(params)
         assert radii[0] == pytest.approx(2.0 * (1.0 - rho) / (q * rho) ** 2, rel=1e-12)
         _check_ball(centres[0], radii[0], rho, params, rng)
 
@@ -496,7 +510,7 @@ def test_nu_ball_certificate(q, s):
     for g in (critical_temperature(q), float(q), 35.0):
         params = uniform_params(q, s, g)
         gamma = params.gamma_array
-        centres, radii = equilibria._basin_centres(params, gamma)
+        centres, radii = basin_table(params)
         _, nus = equilibrium_matrices(params.effective_coupling, params)
         assert len(centres) == q + 1
         assert all(np.array_equal(c, nu) for c, nu in zip(centres[1:], nus))
@@ -520,7 +534,7 @@ def test_contraction_equals_vertex_enumeration(q, s):
                                   gamma=tuple(gamma)))
     for params in models:
         gamma, a, b = params.gamma_array, params.alpha, params.beta
-        centres, _ = equilibria._basin_centres(params, gamma)
+        centres, _ = basin_table(params)
         rho = equilibria._contraction(centres, params, gamma)[0]
         # a row of nu^i sums to 1 only within an ulp, and the two formulas
         # weigh that rounding differently, by up to L = max_k L_k ulps
@@ -542,14 +556,14 @@ def test_nu_radius_stays_below_u():
                 u = potts_fixed_point_u(g, q)
                 if u > 0.0:
                     params = uniform_params(q, s, g)
-                    radii = equilibria._basin_centres(params, params.gamma_array)[1]
+                    radii = basin_table(params)[1]
                     assert radii[1:].max() < u / 8.0
 
 
 def test_flat_radius_vanishes_at_g_q_and_is_infinite_without_coupling():
     # for uniform gamma, rho = g / q: a ball exactly when g < q
     def flat_radius(params):
-        return equilibria._basin_centres(params, params.gamma_array)[1][0]
+        return basin_table(params)[1][0]
 
     for q in (3, 4, 5):
         for s in (1, 2, 3):
@@ -567,7 +581,8 @@ def test_batched_ascent_matches_scalar_reference(params):
     opts = SearchOptions(restarts=4, seed=5)
     gamma, q = params.gamma_array, params.q
     a, b = params.alpha, params.beta
-    r_rows, x, fx, iterations, converged, _, _ = equilibria._multistart(params, gamma, opts)
+    r_rows, x, fx, iterations, converged, _, _ = equilibria._multistart(
+        params, gamma, opts, basin_nus(params))
     tols = (equilibria.MAX_ITER, equilibria.STEP_TOL)
     newton_tols = (equilibria.NEWTON_ITERS, equilibria.NEWTON_ULPS)
 
@@ -594,6 +609,27 @@ def test_batched_ascent_matches_scalar_reference(params):
         assert (iterations[k], converged[k]) == (steps, stopped)
 
 
+@pytest.mark.parametrize("params", AC5_SET, ids=range(len(AC5_SET)))
+def test_each_search_bisects_u_and_builds_the_closed_form_once(params, monkeypatch):
+    # the report's u and nu^i are also the search's basin centres: one
+    # bisection and one closed form per uniform call, none otherwise
+    calls = []
+
+    def counted(name):
+        inner = getattr(equilibria, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(equilibria, name, wrapper)
+
+    for name in ("potts_fixed_point_u", "_closed_form", "equilibrium_matrices"):
+        counted(name)
+    maximize_G(params, options=FAST)
+    once = ["potts_fixed_point_u", "_closed_form"] if params.uniform_gamma else []
+    assert calls == once
+
+
 @pytest.mark.parametrize("params", [AC5_SET[1], AC5_SET[5], AC5_SET[4], AC5_SET[6]],
                          ids=["uniform", "nonuniform", "uniform-flat", "nonuniform-flat"])
 def test_report_diagnostics(params):
@@ -607,7 +643,7 @@ def test_report_diagnostics(params):
     assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
     # the restarts' best value, recomputed from the per-restart endpoints
     r_rows, x, fx, iterations, converged, handed, in_basin = equilibria._multistart(
-        params, params.gamma_array, FAST)
+        params, params.gamma_array, FAST, basin_nus(params))
     probe = max(fx.max(), free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
     assert -equilibria.MARGIN <= report.certificate_margin <= report.sup_G - probe + 1e-12
     assert report.ascent_iterations == iterations.sum()
@@ -621,7 +657,7 @@ def test_report_diagnostics(params):
     assert not (in_basin & ~converged).any()
     # basin stops happen exactly where some centre has a ball, and end on
     # that centre itself: the flat point or a closed-form nu^i
-    centres, radii = equilibria._basin_centres(params, params.gamma_array)
+    centres, radii = basin_table(params)
     assert (report.basin_stops > 0) == (radii.max() > 0)
     assert all(any(np.array_equal(m, c) for c in centres[radii > 0]) for m in x[in_basin])
 
@@ -637,7 +673,7 @@ def test_two_column_restarts_stop_before_max_iter(params, seed):
     # two full-matrix restarts of the q=3 seed-340 case crept to the flat point
     opts = SearchOptions(restarts=FAST.restarts, seed=seed)
     _, _, _, iterations, converged, _, _ = equilibria._multistart(
-        params, params.gamma_array, opts)
+        params, params.gamma_array, opts, basin_nus(params))
     assert iterations.max() < equilibria.MAX_ITER
     assert converged.all()
     report = maximize_G(params, options=opts)

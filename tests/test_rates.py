@@ -207,6 +207,7 @@ PIN_MODELS = [
     P2,
     ModelParams(q=4, s=3, alpha=1.5, beta=3.5, gamma=(0.2, 0.3, 0.5)),
     ModelParams(q=9, s=2, alpha=1.0, beta=2.0, gamma=(0.4, 0.6)),
+    ModelParams(q=64, s=3, alpha=0.8, beta=2.6, gamma=(0.25, 0.35, 0.4)),
 ]
 
 
@@ -236,7 +237,7 @@ def _pin_points(params, seed, n=80):
     return points
 
 
-@pytest.mark.parametrize("params", PIN_MODELS, ids=["q3s2", "q4s3-nonuniform", "q9s2"])
+@pytest.mark.parametrize("params", PIN_MODELS, ids=["q3s2", "q4s3-nonuniform", "q9s2", "q64s3"])
 def test_rate_functions_equal_the_wrapper_formulas_bit_for_bit(params):
     # the np.any/np.sum forms of the clean-up, entropy and form (oracles)
     # against the package's direct ufunc reductions, on C(gamma), on exact
@@ -291,25 +292,57 @@ def test_interaction_form_equals_the_issubdtype_form(dtype):
     assert interaction_form(batch[0], P2) == want[0]
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.int64, np.float64])
+@pytest.mark.parametrize("s", [1, 2, 5, 12])
+@pytest.mark.parametrize("q", [3, 17, 64, 257])
+def test_one_matrix_form_equals_its_row_of_a_batch(q, s, dtype):
+    # one matrix takes add.reduce and col @ col, a batch einsum and the
+    # stacked matmul: the same bits, and those of the issubdtype form; a
+    # Fortran-ordered matrix too, whose contiguous axis would otherwise be
+    # summed out of row order once s reaches numpy's pairwise blocks
+    rng = np.random.default_rng(1000 * q + s)
+    params = ModelParams(q=q, s=s, alpha=0.7, beta=2.3, gamma=tuple(np.full(s, 1.0 / s)))
+    if dtype is np.float64:
+        # entries over ten orders of magnitude, so any change of order shows
+        batch = rng.random((4, s, q)) * 10.0 ** rng.integers(-5, 5, size=(4, s, q))
+    else:
+        batch = rng.integers(0, 250, size=(4, s, q)).astype(dtype)
+    want = interaction_form_by_issubdtype(batch, params)
+    assert np.array_equal(interaction_form(batch, params), want)
+    for m, w in zip(batch, want):
+        one = interaction_form(m, params)
+        assert one == w and one == interaction_form_by_issubdtype(m, params)
+        assert interaction_form(np.asfortranarray(m), params) == w
 
 
-@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "+inf", "-inf"])
-def test_non_finite_entries_are_off_C_gamma(bad, sup_G_subcritical):
+# a NaN, an infinity of either sign, and finite entries whose sum overflows
+BAD_ROWS = {
+    "nan": [0.5, math.nan, 0.5],
+    "+inf": [0.5, math.inf, 0.5],
+    "-inf": [0.5, -math.inf, 0.5],
+    "overflow": [1e308, 1e308, 0.0],
+}
+
+
+@pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_non_finite_entries_are_off_C_gamma(row, sup_G_subcritical):
     # an error for G, infeasible with value inf for J' and J, and no
-    # RuntimeWarning (the suite turns warnings into failures)
+    # RuntimeWarning (the suite turns warnings into failures); the other
+    # row is feasible, so the bad row alone is refused
     gamma = P2.gamma_array
-    mu = np.array([[0.5, bad, 0.0], [0.5, 0.0, 0.0]]) * gamma[:, None]
-    with pytest.raises(InvalidInputError):
-        free_energy_G(mu, P2)
-    jp = rate_J_prime(mu, P2, sup_G_subcritical)
-    assert not jp.feasible and jp.value == math.inf
-    j = rate_J(mu / gamma[:, None], P2, sup_term_for_J(sup_G_subcritical, 3, gamma))
+    rows = np.array([row, [1.0, 0.0, 0.0]])
+    # the rows scaled by gamma, and as they are: [[1e308, 1e308, 0], [1, 0, 0]]
+    for mu in (rows * gamma[:, None], rows):
+        with pytest.raises(InvalidInputError):
+            free_energy_G(mu, P2)
+        jp = rate_J_prime(mu, P2, sup_G_subcritical)
+        assert not jp.feasible and jp.value == math.inf
+    j = rate_J(rows, P2, sup_term_for_J(sup_G_subcritical, 3, gamma))
     assert not j.feasible and j.value == math.inf
-    assert rate_I(mu / gamma[:, None], gamma) == math.inf
-    assert relative_entropy([0.5, bad, 0.5]) == math.inf
+    assert rate_I(rows, gamma) == math.inf
+    assert relative_entropy(row) == math.inf
     with pytest.raises(InvalidInputError):
-        potts_functional([0.5, bad, 0.5], 1.0)
+        potts_functional(row, 1.0)
 
 
 def test_inf_of_both_signs_in_one_row_is_off_C_gamma(sup_G_subcritical):
