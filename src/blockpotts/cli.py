@@ -23,6 +23,7 @@ file, so a run refused before it writes leaves no directory behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -35,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
+    EquilibriumReport,
     SearchOptions,
     classify_phase,
     critical_temperature,
@@ -275,9 +277,9 @@ def cmd_exact(args):
     return [out], params, blocks, {"log_Z": dist.log_Z, "support_size": len(dist)}
 
 
-_DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations",
-                "restarts_converged", "newton_handoffs", "basin_stops", "newton_failures",
-                "certificate_margin")
+# the search diagnostics: the EquilibriumReport fields after certificate, in order
+_DIAGNOSTICS = tuple(f.name for f in dataclasses.fields(EquilibriumReport))
+_DIAGNOSTICS = _DIAGNOSTICS[_DIAGNOSTICS.index("certificate") + 1:]
 
 
 def _report_to_json(report, params):

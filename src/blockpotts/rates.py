@@ -88,8 +88,13 @@ def rate_I(nu, gamma):
     clean = _clean_rows(nu, 1.0)
     if clean is None:
         return math.inf
+    return _entropy_rate(clean, gamma)
+
+
+def _entropy_rate(clean, gamma):
+    """rate_I of ROW matrices already cleaned by _clean_rows."""
     # the builtin sum adds the blocks in order, as a running total does
-    return float(sum(gamma * (np.add.reduce(_xlogx(clean), axis=1) + math.log(nu.shape[1]))))
+    return float(sum(gamma * (np.add.reduce(_xlogx(clean), axis=1) + math.log(clean.shape[1]))))
 
 
 def _free_energy(mu, params):
@@ -175,5 +180,5 @@ def rate_J(nu, params, sup_term):
     if clean is None:
         return RateEvaluation(False, math.inf, sup_term, nu)
     scaled = gamma[:, None] * clean
-    bracket = 0.5 * float(interaction_form(scaled, params)) - rate_I(clean, gamma)
+    bracket = 0.5 * float(interaction_form(scaled, params)) - _entropy_rate(clean, gamma)
     return RateEvaluation(True, float(-bracket + sup_term), sup_term, clean)

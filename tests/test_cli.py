@@ -1,8 +1,11 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import ast
+import csv
 import hashlib
+import importlib.metadata
 import json
+import math
 import os
 import re
 import shlex
@@ -17,6 +20,7 @@ import pytest
 import blockpotts
 from blockpotts import cli, critical_residual
 from blockpotts.cli import build_parser, main
+from blockpotts.lsi import asymptotic_constants
 from blockpotts.model import ModelParams
 
 import oracles
@@ -723,16 +727,118 @@ def _readme_commands():
     return commands
 
 
-def test_readme_commands_parse():
-    commands = _readme_commands()
-    assert {argv[0] for argv in commands} == {
-        "simulate", "exact", "equilibria", "phase-diagram", "lsi-check", "concentration"}
-    parser = build_parser()
-    for argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: blockpotts {shlex.join(argv)}")
+# the diagnostics keys the README documents, in the order the JSON writes them
+DIAGNOSTICS = ("restarts", "ascent_iterations", "max_ascent_iterations", "restarts_converged",
+               "newton_handoffs", "basin_stops", "newton_failures", "certificate_margin")
+
+
+# each check takes the command's --out file and its manifest
+def check_simulate_bytes(out, manifest):
+    # the digest of this CSV as the per-color sampling loop wrote it: the
+    # generated sweep functions must reproduce every sample
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ca7acbea5ade03d28d3384b03c3693a1285696a60e96b1b1645ca5a14f9c0c9b"
+
+
+def check_equilibria_diagnostics(out, manifest):
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert tuple(diag) == DIAGNOSTICS
+    assert diag["certificate_margin"] >= -1e-9
+
+
+def check_phase_diagram_switches_at_zeta_3(out, manifest):
+    # every row takes potts_functional through the C(gamma) clean-up; the
+    # label must change once, at zeta_3 = 4 log 2 = 2.7726
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    zeta = 4.0 * math.log(2.0)
+    assert len(rows) == 31
+    assert [r["phase"] for r in rows] == [
+        "SUBCRITICAL" if float(r["g"]) < zeta else "SUPERCRITICAL" for r in rows]
+
+
+def check_lsi_check_passes(out, manifest):
+    # the whole exhaustive check: 100 Gaussian observables and the
+    # 35-observable structured battery, built from configuration codes
+    report = json.loads(out.read_text())
+    assert report["pass"] is True and report["num_observables"] == 135
+
+
+def check_supercritical(out, manifest):
+    report = json.loads(out.read_text())
+    assert report["phase"] == "SUPERCRITICAL"
+    assert report["diagnostics"]["certificate_margin"] >= -1e-9
+
+
+def check_measured_sigma3_below_asymptotic(out, manifest):
+    # the interdependence matrix from color pair (0, 1) on half of each
+    # grid: sigma3^2 must be finite and below the large-N constant
+    sigma3_sq = manifest["result"]["sigma3_sq"]
+    assert isinstance(sigma3_sq, float) and math.isfinite(sigma3_sq)
+    assert sigma3_sq < asymptotic_constants(3, 0.1).sigma3_sq
+
+
+# what each README command's output must show beyond its exit code and
+# manifest, by subcommand: the README runs each of the six once
+README_CHECKS = {
+    "simulate": check_simulate_bytes,
+    "exact": None,
+    "equilibria": check_equilibria_diagnostics,
+    "phase-diagram": check_phase_diagram_switches_at_zeta_3,
+    "lsi-check": check_lsi_check_passes,
+    "concentration": None,
+}
+
+# regression commands that the README does not run, with their checks
+REGRESSION_COMMANDS = {
+    # strong coupling with gamma (0.97, 0.03): unless the two-column polish
+    # reaches the r = 1 root, an unpolished restart beats sup_G and the
+    # command exits 4
+    "equilibria-unequal": (
+        ["equilibria", "--q", "6", "--s", "2", "--alpha", "6.84", "--beta", "10.67",
+         "--gamma", "0.97,0.03", "--out", "eq_unequal.json"],
+        check_supercritical),
+    # the small entries of the r = 1 endpoints underflow to 0; unless their
+    # polish starts from the field difference, an unpolished restart beats
+    # sup_G and the command exits 4
+    "equilibria-underflow": (
+        ["equilibria", "--q", "4", "--s", "2", "--alpha", "900", "--beta", "1000",
+         "--gamma", "0.9,0.1", "--out", "eq_underflow.json"],
+        check_supercritical),
+    "concentration-measured": (
+        ["concentration", "--q", "3", "--sizes", "40,40", "--alpha", "0.05", "--beta", "0.1",
+         "--sweeps", "200", "--constants", "measured", "--out", "tails.csv"],
+        check_measured_sigma3_below_asymptotic),
+}
+
+README_COMMANDS = _readme_commands()
+COMMANDS = {**{f"readme-{argv[0]}": (argv, README_CHECKS.get(argv[0]))
+               for argv in README_COMMANDS},
+            **REGRESSION_COMMANDS}
+
+
+@pytest.mark.parametrize("argv, check", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_command_runs_and_writes_what_it_should(argv, check, tmp_path):
+    # each command as a user types it, through python -m blockpotts in a
+    # fresh process, writing into tmp_path
+    assert len(COMMANDS) == len(README_COMMANDS) + len(REGRESSION_COMMANDS)
+    assert {a[0] for a in README_COMMANDS} == set(README_CHECKS)
+    proc = python_m_blockpotts(argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / argv[argv.index("--out") + 1]
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    if check is not None:
+        check(out, manifest)
+
+
+def test_installed_console_script_is_cli_main():
+    try:
+        dist = importlib.metadata.distribution("blockpotts")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("the blockpotts distribution is not installed")
+    scripts = [(ep.name, ep.value) for ep in dist.entry_points if ep.group == "console_scripts"]
+    assert scripts == [("blockpotts", "blockpotts.cli:main")]
 
 
 def _readme_number(text):

@@ -17,6 +17,7 @@ from blockpotts import (
     relative_entropy,
 )
 
+from blockpotts import rates
 from blockpotts.model import interaction_form
 from blockpotts.rates import FEASIBILITY_TOL, _free_energy
 
@@ -203,6 +204,22 @@ def test_rate_J_minimizer_and_infeasible(sup_G_subcritical):
     assert not bad.feasible and math.isinf(bad.value)
 
 
+def test_rate_J_cleans_its_rows_once(monkeypatch, sup_G_subcritical):
+    calls = []
+    clean_rows = rates._clean_rows
+
+    def counted(*args):
+        calls.append(args)
+        return clean_rows(*args)
+
+    monkeypatch.setattr(rates, "_clean_rows", counted)
+    sup_term = sup_term_for_J(sup_G_subcritical, 3, P2.gamma_array)
+    for nu in ([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]], [[0.9, 0.2, 0.1], [0.2, 0.4, 0.4]]):
+        calls.clear()
+        rate_J(np.array(nu), P2, sup_term)
+        assert len(calls) == 1
+
+
 PIN_MODELS = [
     P2,
     ModelParams(q=4, s=3, alpha=1.5, beta=3.5, gamma=(0.2, 0.3, 0.5)),
@@ -264,11 +281,14 @@ def test_rate_functions_equal_the_wrapper_formulas_bit_for_bit(params):
         j = rate_J(rows, params, sup_term)
         assert j.feasible == (row_ref is not None)
         if row_ref is not None:
+            # rate_I cleans the rows it is given, so its reference cleans
+            # row_ref again; J takes I of the rows it cleaned once
             again = clean_rows_by_any(row_ref, np.ones(s))
             i_ref = sum(gamma * (entropy_term_by_sum(again, axis=1) + math.log(q)))
             assert rate_I(row_ref, gamma) == i_ref
+            i_once = sum(gamma * (entropy_term_by_sum(row_ref, axis=1) + math.log(q)))
             form = interaction_form_by_issubdtype(gamma[:, None] * row_ref, params)
-            assert j.value == -(0.5 * float(form) - i_ref) + sup_term
+            assert j.value == -(0.5 * float(form) - i_once) + sup_term
         v_ref = clean_rows_by_any(rows[0][None], np.ones(1))
         if v_ref is None:
             assert relative_entropy(rows[0]) == math.inf
