@@ -173,11 +173,21 @@ def _resolve_model(args):
     return params, blocks
 
 
+def _finite_or_null(value):
+    """value with each non-finite float in its dicts and lists as None (null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, doc):
-    """Write doc as two-space-indented strict JSON and a final newline."""
+    """Write doc as two-space-indented strict JSON and a final newline, every
+    non-finite float (a NaN worst value, an underflowed residual) as null."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
+        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -283,18 +293,16 @@ _DIAGNOSTICS = _DIAGNOSTICS[_DIAGNOSTICS.index("certificate") + 1:]
 
 
 def _report_to_json(report, params):
-    structure = [structure_certificate(m, params) for m in report.maximizers]
     return {
         "phase": report.phase.value,
         "g": report.g,
         "zeta_q": report.zeta_q,
-        "u": None if math.isnan(report.u) else report.u,
+        "u": report.u,
         "sup_G": report.sup_G,
-        "residual_max": report.residual_max if math.isfinite(report.residual_max) else None,
+        "residual_max": report.residual_max,
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
-        "structure": [{**c, "residual_max": c["residual_max"]
-                       if math.isfinite(c["residual_max"]) else None} for c in structure],
+        "structure": [structure_certificate(m, params) for m in report.maximizers],
         "diagnostics": {key: getattr(report, key) for key in _DIAGNOSTICS},
     }
 
@@ -344,12 +352,6 @@ def cmd_phase_diagram(args):
     return [out], None, None, {"zeta_q": zeta}
 
 
-def _json_numbers(values):
-    """A name -> float dict with every non-finite value (a NaN worst value)
-    as None, which JSON writes as null: the file stays strict JSON."""
-    return {name: value if math.isfinite(value) else None for name, value in values.items()}
-
-
 def cmd_lsi_check(args):
     params, blocks = _resolve_model(args)
     out = Path(args.out_dir, args.out)
@@ -367,8 +369,8 @@ def cmd_lsi_check(args):
             "sigma3_sq": report.constants.sigma3_sq,
         },
         "num_observables": report.num_observables,
-        "worst_slack": _json_numbers(report.worst_slack),
-        "worst_ratio": _json_numbers(report.worst_ratio),
+        "worst_slack": report.worst_slack,
+        "worst_ratio": report.worst_ratio,
         "violations": report.violations,
         "pass": report.violations == 0,
     }

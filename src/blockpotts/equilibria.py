@@ -651,9 +651,12 @@ def structure_certificate(mu, params, tol=1e-9):
 
     Returns a dict with: strictly positive entries, all rows ordered the
     same way, at most two distinct values per row, and the maximal
-    critical-equation residual.
+    critical-equation residual.  A matrix of any shape but (s, q), or with
+    a NaN or infinite entry, raises InvalidInputError.
     """
-    mu = np.asarray(mu, dtype=np.float64)
+    mu = _block_matrix(mu, params)
+    if not np.all(np.isfinite(mu)):
+        raise InvalidInputError(f"matrix has a non-finite entry: {mu.tolist()}")
     positive = bool(np.all(mu > 0.0))
     # a common ordering exists iff the columns are totally ordered entrywise;
     # when it does, sorting columns by their sums realizes it

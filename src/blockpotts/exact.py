@@ -7,32 +7,37 @@ multiplicities: the weight of a count matrix B is
 
     prod_k multinomial(|S_k|; B[k, :]) * exp(-H(B)).
 
-Both exact laws here live on a product grid of integer count tables
-(_grid_log_weights): each table lists the color counts of some sites of one
-block, a grid point takes one row of every table, and row k of its count
-matrix is the sum of block k's rows.  The form
+Both exact laws live on the grid of two integer tables of (P, s, q)
+partial count matrices (_grid_log_weights): a point takes a row a of the
+outer table and a row b of the inner one, and has count matrix B = a + b.
+The form
 
     <B, A B> = (beta - alpha) sum_k |B_k|^2 + alpha |sum_k B_k|^2
 
-then splits into per-table vectors and one Gram matrix per table pair.
-Every such sum is an integer below 2^53, so the float64 weights equal
-those of interaction_form's int64 sums bit for bit.  They are built in
-slabs of about numutil.CHUNK_BYTES per temporary, so memory beyond the
-outputs is set by the slab, not by the grid.
+needs sum B^2 = |a|^2 + |b|^2 + 2 a.b, a.b over the blocks both tables
+touch, and |colsum B|^2, the same of the column sums: each is one BLAS
+product of per-row vectors, [a, |a|^2, 1] against [2b, 1, |b|^2].  Every
+term is an integer below 2^53, so the float64 sums are exact and the
+weights equal those of interaction_form's int64 sums bit for bit.  They
+are built in slabs of outer rows of about numutil.CHUNK_BYTES per
+temporary, so memory beyond the outputs and the tables is the slab's.
 
-The count-matrix law (exact_distribution) takes one table per block, its
-compositions, with the log multinomial a sum of per-block terms.  It holds
-those tables, not the support: the (P, s, q) int16 support is built only
-when its `support` attribute is first read (blocks of 2^15 sites or more
-are refused), and the support size is checked against the cap before
+The count-matrix law (exact_distribution) takes the product of blocks
+0..s-2 (_product_table) as the outer table and the last block as the inner
+one (for s = 1, the block against one zero row).  Its log multinomial is a
+sum of per-block terms; each side's runs left to right, so the two sides
+add to the bits of one left-to-right sum.  The law holds the per-block
+composition tables: the (P, s, q) int16 support, their product, is built
+only when its `support` attribute is first read (blocks of 2^15 sites or
+more are refused), and the support size is checked against the cap before
 anything is enumerated.
 
 The q^N configuration law (full_configuration_distribution), for tiny N,
-splits each block into at most two contiguous site groups of at most
-ceil(n_k / 2) sites, one table per group, so no table grows like q^N.  It
-holds its weights only, indexed by the configuration code sum_i x_i q^i:
-no configuration or count matrix is decoded, so its peak memory is its
-outputs, 16 bytes per configuration, plus the weights' slabs.
+takes the high half of the sites as the outer table and the low half as
+the inner one, so the grid's flat index is the configuration code
+sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  It holds its
+weights only, so its peak memory is its outputs, 16 bytes per
+configuration, plus the weights' slabs.
 
 Everything is normalized in log space, by one exp pass.  This module is
 the brute-force oracle for the sampler, the rate functions and the
@@ -99,19 +104,20 @@ def block_compositions(sizes, q, cap):
     return [enumerate_block_compositions(n, q) for n in sizes]
 
 
-def _fill_support(comps):
-    """The (P, s, q) int16 product of per-block composition tables, block 0
-    outermost.  Each composition is copied as one 2q-byte record into every
-    point whose block-k grid index is its row."""
-    shape = [c.shape[0] for c in comps]
-    s, q = len(comps), comps[0].shape[1]
-    support = np.empty((*shape, s, q), dtype=np.int16)
+def _product_table(tables):
+    """The (P, s, q) int16 product of s per-block (P_k, q) count tables,
+    block 0 outermost: row k of point i is tables[k][i_k] for the grid
+    index (i_0, .., i_{s-1}) of i.  Each row is copied as one 2q-byte
+    record into every point whose block-k grid index is its row."""
+    shape = [t.shape[0] for t in tables]
+    s, q = len(tables), tables[0].shape[1]
+    product = np.empty((*shape, s, q), dtype=np.int16)
     row = np.dtype((np.void, 2 * q))
-    for k, c in enumerate(comps):
+    for k, t in enumerate(tables):
         on_axis = [1] * s
         on_axis[k] = shape[k]
-        support[..., k, :].view(row)[..., 0] = c.astype(np.int16).view(row).reshape(on_axis)
-    return support.reshape(-1, s, q)
+        product[..., k, :].view(row)[..., 0] = t.astype(np.int16).view(row).reshape(on_axis)
+    return product.reshape(-1, s, q)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ class ExactDistribution:
 
     @functools.cached_property
     def support(self):
-        return _fill_support(self.compositions)
+        return _product_table(self.compositions)
 
 
 def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
@@ -154,17 +160,21 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     weight overflows make log_Z infinite, and are refused with an
     InvalidInputError.
 
-    The weights are built by _grid_log_weights on the block product grid
-    (P_0, .., P_{s-1}), one composition table per block: the weights are
-    those of interaction_form on the materialised support, bit for bit,
-    without its (P, s, q) temporaries, and beyond the outputs (16 bytes per
-    point) memory does not grow with P.
+    The weights, built on the two-table grid of the module docstring, are
+    those of interaction_form on the materialised support, bit for bit.
     """
     check_consistent(params, blocks)
     comps = block_compositions(blocks.sizes, params.q, cap)
     log_fact = log_factorials(max(blocks.sizes))
     log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
-    log_weights = _grid_log_weights(comps, range(len(comps)), log_mult, params, blocks.N)
+    split = max(len(comps) - 1, 1)
+    zero = [np.zeros((1, params.q), dtype=np.int64)]
+    outer = _product_table(comps[:split] + zero * (len(comps) - split))
+    inner = _product_table(zero * split + comps[split:])
+    # (lm_0 + .. + lm_{s-2}) + lm_{s-1}: the bits of one left-to-right fold
+    sides = [functools.reduce(np.add.outer, log_mult[:split]).ravel(),
+             functools.reduce(np.add.outer, log_mult[split:], np.zeros(1)).ravel()]
+    log_weights = _grid_log_weights(outer, inner, sides, params, blocks.N)
     log_Z, probabilities = _normalize(log_weights, params)
     return ExactDistribution(
         compositions=tuple(comps),
@@ -176,57 +186,45 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     )
 
 
-def _grid_log_weights(tables, block_of, log_mult, params, N):
-    """Log weights on the product grid of integer count tables, flattened
-    with tables[0] outermost.
-
-    Table j is a (P_j, q) array of color counts of some sites of block
-    block_of[j]; a grid point is one row of every table, and its count
-    matrix has as row k the sum of the rows of block k's tables.  So, with
-    t_j the row of table j,
-
-        sum B^2 = sum_j |t_j|^2 + 2 sum_{j<l, same block} t_j . t_l,
-        |colsum B|^2 = sum_j |t_j|^2 + 2 sum_{j<l} t_j . t_l,
-
-    outer sums of per-table vectors plus one P_j x P_l Gram matrix per
-    table pair, taken in float64 (the Gram products by BLAS) and exact,
-    every term an integer below 2^53.  The form (form_from_sums), / 2N and,
-    unless log_mult is None, the outer sum of the per-table log
-    multiplicities follow in that order.  Each slab is a run of rows of
-    table 0 of about LEAF points (one row at least).
+def _grid_log_weights(outer, inner, log_mult, params, N):
+    """Log weights on the grid of two integer (P, s, q) tables of partial
+    count matrices, flattened with outer outermost: point (i, j) has the
+    count matrix outer[i] + inner[j].  Its two sums are the BLAS products
+    of the module docstring; the form (form_from_sums), / 2N and, unless
+    log_mult is None, log_mult[0][i] + log_mult[1][j] follow in that order.
+    Each slab is a run of outer rows of about LEAF points (one row at
+    least), its vectors written over two buffers made once.
     """
-    tables = [t.astype(np.float64) for t in tables]
-    squares = [np.square(t).sum(axis=1) for t in tables]
-    pairs = list(itertools.combinations(range(len(tables)), 2))
-    same = [(j, l) for j, l in pairs if block_of[j] == block_of[l]]
-    across = [(j, l) for j, l in pairs if block_of[j] != block_of[l]]
-    # the doubled Gram matrices without table 0 are shared by every slab
-    grams = {(j, l): 2.0 * (tables[j] @ tables[l].T) for j, l in pairs if j > 0}
-    rest = math.prod(t.shape[0] for t in tables[1:])
-    step = max(1, LEAF // rest)
-    log_weights = np.empty(tables[0].shape[0] * rest)
+    s, q = outer.shape[1:]
+    shared = np.repeat(outer.any(axis=(0, 2)) & inner.any(axis=(0, 2)), q)
+    to_columns = np.tile(np.eye(q), (s, 1))
+    widths = (np.count_nonzero(shared), q)
 
-    def on_grid(j, l, head):
-        gram = 2.0 * (tables[0][head] @ tables[l].T) if j == 0 else grams[j, l]
-        on_axes = [1] * len(tables)
-        on_axes[j], on_axes[l] = gram.shape
-        return gram.reshape(on_axes)
+    def vectors(table, left):
+        # [x, |x|^2, 1] per row, x the shared counts and the column sums, by
+        # einsum and matmul: numpy reduces short axes row by row
+        t = table.reshape(len(table), -1).astype(np.float64)
+        shared_vec, col_vec = (v[: len(t)] for v in left)
+        shared_vec[:, :-2] = t[:, shared]
+        col = np.matmul(t, to_columns, out=col_vec[:, :-2])
+        np.einsum("ij,ij->i", t, t, out=shared_vec[:, -2])
+        np.einsum("ij,ij->i", col, col, out=col_vec[:, -2])
+        return shared_vec, col_vec
 
-    for lo in range(0, tables[0].shape[0], step):
+    right = [np.column_stack([2.0 * v[:, :-2], v[:, -1], v[:, -2]]).T
+             for v in vectors(inner, [np.ones((len(inner), w + 2)) for w in widths])]
+    step = max(1, LEAF // len(inner))
+    # made once: fresh per-slab vectors page-fault anew where the inner table is short
+    left = [np.ones((min(step, len(outer)), w + 2)) for w in widths]
+    log_weights = np.empty((len(outer), len(inner)))
+    for lo in range(0, len(outer), step):
         head = slice(lo, lo + step)
-        slab_sq = functools.reduce(np.add.outer, [squares[0][head], *squares[1:]])
-        for j, l in same:
-            slab_sq += on_grid(j, l, head)
-        col_sq = slab_sq.copy()
-        for j, l in across:
-            col_sq += on_grid(j, l, head)
-        out = log_weights[lo * rest : lo * rest + slab_sq.size].reshape(slab_sq.shape)
+        slab_sq, col_sq = (a @ b for a, b in zip(vectors(outer[head], left), right))
         with np.errstate(over="ignore"):
-            out[...] = form_from_sums(slab_sq, col_sq, params)
-        out /= 2.0 * N
+            np.divide(form_from_sums(slab_sq, col_sq, params), 2.0 * N, out=log_weights[head])
         if log_mult is not None:
-            out += functools.reduce(np.add.outer, [log_mult[0][head], *log_mult[1:]])
-    return log_weights
+            log_weights[head] += np.add.outer(log_mult[0][head], log_mult[1])
+    return log_weights.ravel()
 
 
 def _normalize(log_weights, params):
@@ -280,14 +278,14 @@ def site_view(values, site, q):
     return values.reshape(*values.shape[:-1], -1, q, q**site)
 
 
-def _site_groups(blocks):
-    """(block, lo, hi) of every site group, in site order: each block split
-    into at most two contiguous runs of at most ceil(n_k / 2) sites."""
-    for k, (lo, hi) in enumerate(itertools.pairwise(blocks.offsets.tolist())):
-        mid = (lo + hi + 1) // 2
-        yield k, lo, mid
-        if mid < hi:
-            yield k, mid, hi
+def _site_table(site_block, s, q):
+    """(q^g, s, q) int16 color counts of g sites in blocks site_block, row c
+    the coloring coded c, its first site least significant."""
+    g = len(site_block)
+    codes = np.arange(q**g)[:, None]
+    table = np.zeros((q**g, s, q), dtype=np.int16)
+    np.add.at(table, (codes, site_block, codes // q ** np.arange(g) % q), 1)
+    return table
 
 
 def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
@@ -296,20 +294,16 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     q^N is checked against cap (at least 1) before anything is allocated.
     Couplings that overflow a weight are refused as in exact_distribution.
 
-    A group of g sites has q^g colorings, coded base q with its lowest site
-    least significant, and a (q^g, q) table of their color counts.
-    Configuration codes put site 0 lowest, so with the last group outermost
-    the grid's flat index is the configuration code.
+    The weights are built on the two-table grid of the module docstring,
+    whose flat index is the configuration code.
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
     required = capped_count(itertools.repeat((q, 1), N), cap)
     check_cap(required, cap, "full enumeration", "configurations")
-    groups = list(_site_groups(blocks))[::-1]
-    colorings = [np.arange(q ** (hi - lo))[:, None] // q ** np.arange(hi - lo) % q
-                 for _, lo, hi in groups]
-    tables = [(c[:, :, None] == np.arange(q)).sum(axis=1, dtype=np.int16) for c in colorings]
-    log_weights = _grid_log_weights(tables, [k for k, _, _ in groups], None, params, N)
+    site_block = np.repeat(np.arange(blocks.s), blocks.sizes)
+    halves = [_site_table(h, blocks.s, q) for h in (site_block[N // 2 :], site_block[: N // 2])]
+    log_weights = _grid_log_weights(*halves, None, params, N)
     log_Z, probabilities = _normalize(log_weights, params)
     return ConfigurationDistribution(
         log_weights=log_weights,

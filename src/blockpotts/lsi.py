@@ -59,7 +59,7 @@ for bit (the softmax adds them first; hi, lo are symmetric), so only own
 compositions with x_0 >= x_1 are evaluated.
 
 The workspace's joint law is exact.full_configuration_distribution, built
-on the product grid of per-site-group color-count tables: its sums are
+on the grid of two half-site color-count tables: its sums are
 integers below 2^53, exact in float64, so its weights are those of
 interaction_form on the count matrices bit for bit, and its peak memory is
 its outputs.  It holds no decoded configuration: the structured battery

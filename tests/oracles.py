@@ -6,9 +6,9 @@ two sides of every comparison stay independent.  The exceptions are the
 heat-bath replay, which reads the package's weight tables and draws its
 random numbers in the package's order to pin the sampler's bookkeeping; the
 exact-law references, which keep the package's earlier int64 slab loop, its
-support fill, its count_nonzero route to the q^N configuration law and its
-row-by-row CSV writer, and restate its one-pass normalization, to pin the
-composition-table and site-group grid laws bit for bit; and the LSI
+count_nonzero route to the q^N configuration law and its row-by-row CSV
+writer, and restate its one-pass normalization, to pin both two-table grid
+laws bit for bit; and the LSI
 references at the end, which build the leave-one-out and leave-two-out
 fields on the block product grid from the package's composition tables and
 field coefficients, read its recoloring distances and site laws, and pin
@@ -41,13 +41,8 @@ import math
 import numpy as np
 
 from blockpotts.equilibria import DEDUPE_TOL, potts_fixed_point_u
-from blockpotts.errors import InvalidInputError
-from blockpotts.exact import (
-    DEFAULT_SUPPORT_CAP,
-    _fill_support,
-    block_compositions,
-    site_view,
-)
+from blockpotts.errors import CapacityError, InvalidInputError
+from blockpotts.exact import DEFAULT_SUPPORT_CAP, block_compositions, site_view
 from blockpotts.glauber import CHUNK_UPDATES, _weight_tables
 from blockpotts.lsi import BATTERY_LINEAR, BATTERY_PRODUCTS, _recoloring_tv, _site_laws
 from blockpotts.model import (
@@ -134,13 +129,23 @@ def brute_count_law(sizes, q, alpha, beta):
 def count_matrix_support(sizes, q, cap):
     """All count matrices with row sums `sizes`, as a (P, s, q) int16 array.
 
-    Rows are compositions in the order of enumerate_block_compositions,
-    block 0 outermost, so the support is the product grid
-    (P_0, .., P_{s-1}) of per-block compositions, flattened.
+    Rows are compositions in the order of recursive_compositions, block 0
+    outermost: itertools.product over each block's composition rows.
     P = prod_k C(sizes[k]+q-1, q-1); a CapacityError naming P is raised,
-    before any enumeration, when it exceeds cap.
+    before any enumeration, when it exceeds cap, and a block of more sites
+    than an int16 count holds is refused too.
     """
-    return _fill_support(block_compositions(sizes, q, cap))
+    s = len(sizes)
+    P = math.prod(math.comb(n + q - 1, q - 1) for n in sizes)
+    if P > cap:
+        raise CapacityError(f"count-matrix support of {P} matrices exceeds cap {cap}",
+                            required=P)
+    if max(sizes) > np.iinfo(np.int16).max:
+        raise CapacityError(f"block size {max(sizes)} exceeds the largest int16 count",
+                            required=P)
+    rows = [[tuple(row) for row in recursive_compositions(n, q).tolist()] for n in sizes]
+    counts = itertools.chain.from_iterable(itertools.chain.from_iterable(itertools.product(*rows)))
+    return np.fromiter(counts, dtype=np.int16, count=P * s * q).reshape(P, s, q)
 
 
 def exact_law_int64_slabs(blocks, params, cap=DEFAULT_SUPPORT_CAP):

@@ -370,6 +370,17 @@ def test_structure_flags_equal_the_row_loops(tol):
     assert len(seen) == 4
 
 
+# the 3 x 3 matrix has zero entries, so no residual is taken that would
+# read its shape
+@pytest.mark.parametrize("mu", [
+    np.full(3, 1 / 3), np.eye(3) / 3, np.full((2, 3), np.nan),
+], ids=["1-D", "3x3-for-s2", "all-NaN"])
+def test_structure_certificate_refuses_malformed_matrices(mu):
+    params = ModelParams(q=3, s=2, alpha=1.0, beta=2.0, gamma=(0.5, 0.5))
+    with pytest.raises(InvalidInputError):
+        structure_certificate(mu, params)
+
+
 def test_nonuniform_gamma_is_flagged_numerical():
     p = ModelParams(q=3, s=2, alpha=2.4, beta=4.0, gamma=(0.4, 0.6))
     report = maximize_G(p, options=FAST)

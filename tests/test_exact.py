@@ -214,7 +214,7 @@ def test_law_holds_composition_tables_and_builds_support_on_read():
 # equals, as doubles, the earlier int64 slab loop's
 @pytest.mark.parametrize("q, sizes", [
     (3, (60, 60)), (3, (40, 40)), (4, (5, 6, 7)), (5, (4, 3, 2, 5)), (3, (2, 23, 21)),
-    (3, (9,)), (3, (1, 1)), (3, (1, 2)),
+    (3, (9,)), (3, (1, 1)), (3, (1, 2)), (3, (400,)), (4, (3, 3, 3, 3)),
 ])
 def test_exact_law_equals_int64_slab_loop(q, sizes):
     p, b = make(q, sizes, 0.5, 1.0)
@@ -225,13 +225,13 @@ def test_exact_law_equals_int64_slab_loop(q, sizes):
     assert np.array_equal(dist.probabilities, probabilities)
 
 
-# the configuration law's sums are taken in float64 from the site groups'
+# the configuration law's sums are taken in float64 from the two half-site
 # integer count tables, all integers below 2^53, so every output equals the
-# count_nonzero route's
+# count_nonzero route's; at (2, 5, 2) the middle block straddles the halves
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.0, 0.0)])
 @pytest.mark.parametrize("q, sizes", [
     (3, (5, 5)), (3, (4, 4)), (3, (9,)), (3, (1, 1)), (3, (1, 2)), (4, (2, 3, 2)),
-    (5, (3, 2, 1, 2)),
+    (5, (3, 2, 1, 2)), (3, (1,) * 9), (3, (2, 5, 2)), (4, (1,) * 6),
 ])
 def test_configuration_law_equals_count_nonzero_route(q, sizes, alpha, beta):
     p, b = make(q, sizes, alpha, beta)
@@ -242,11 +242,12 @@ def test_configuration_law_equals_count_nonzero_route(q, sizes, alpha, beta):
     assert np.array_equal(full.probabilities, probabilities)
 
 
-def test_configuration_law_peak_memory_is_its_outputs():
-    # (7, 6): 1.6e6 configurations, 16 bytes each in the outputs; no table
-    # holds more than one site group's 3^4 colorings and the weights'
-    # temporaries are slabs, so nothing else grows with q^N
-    p, b = make(3, (7, 6), 0.5, 1.0)
+@pytest.mark.parametrize("sizes", [(7, 6), (1,) * 13])
+def test_configuration_law_peak_memory_is_its_outputs(sizes):
+    # N = 13: 1.6e6 configurations, 16 bytes each in the outputs; no table
+    # holds more than one half's 3^7 colorings and the weights' temporaries
+    # are slabs, so nothing else grows with q^N
+    p, b = make(3, sizes, 0.5, 1.0)
     tracemalloc.start()
     try:
         full = full_configuration_distribution(b, p)
