@@ -28,10 +28,10 @@ feed three inequalities that are verified here by full-space integration:
     Ent(e^f)  <= sigma2^2 * sum_i E Cov_i(f, e^f)
     Ent(e^f)  <= sigma3^2 / 2 * E |df|^2 e^f
 
-where |df|^2 sums the conditional local variances of f over the sites.
-These hold whenever the conditional floor and the norm gap do, so a
-violation at any tested observable is a bug, not a tolerance issue.  The
-asymptotic smallness condition 2 q beta e^beta < 1 is reported separately.
+where |df|^2 = sum_i sum_c cond_i(c) (f - f with x_i = c)^2.  These hold
+whenever the conditional floor and the norm gap do, so a violation at any
+tested observable is a bug, not a tolerance issue.  The asymptotic
+smallness condition 2 q beta e^beta < 1 is reported separately.
 
 Three identities give one softmax per interdependence entry, one moment
 pass per site and one two-axis grid per block size.  (1) Recoloring site j
@@ -40,8 +40,17 @@ e^boost, so with p the softmax of the leave-two-out field, t = expm1(boost)
 >= 0 and hi, lo the max and min of p[a], p[b], TV(p_a, p_b) =
 hi ((1+t)/(1+t hi) - 1/(1+t lo)) = t hi (1 - hi + (1+t) lo) /
 ((1+t hi)(1+t lo)), free of cancellation.
-(2) With m_f site i's conditional mean of f, sum_c cond_i(c) (f(x) - f_c)^2
-= (f(x) - m_f)^2 + sum_c cond_i(c) (f_c - m_f)^2, a sum of squares.
+(2) With m_i site i's conditional mean, a function of the other sites,
+sum_c cond_i(c) (f - f_c)^2 = (f - m_i f)^2 + Var_i f and
+E[g Var_i f] = E[(f - m_i f)^2 m_i g], so on site i's views
+
+    E |df|^2              = 2 sum_i E (f - m_i f)^2,
+    E |df|^2 e^f          = sum_i E (f - m_i f)^2 (e^f + m_i e^f),
+    sum_i E Cov_i(f, e^f) = N E f e^f - sum_i E m_i f m_i e^f.
+
+Squares keep the first two shift invariant.  The third subtracts pairwise
+sums of size N E|f e^f|: it rounds to about log2(P) ulps of that, finer
+than the per-site form except for an f nearly constant far from 0.
 (3) Let site i lie in block k and site j be recolored.  Site i's
 leave-two-out field is F_c = ((beta - alpha) x_c + alpha (x_c + y_c)) / N,
 with x the color counts of the own = n_k - 2 other sites of block k when j
@@ -58,25 +67,15 @@ another order).  Swapping colors 0 and 1 keeps pair (0, 1)'s distance bit
 for bit (the softmax adds them first; hi, lo are symmetric), so only own
 compositions with x_0 >= x_1 are evaluated.
 
-The workspace's joint law is exact.full_configuration_distribution, built
-on the grid of two half-site color-count tables: its sums are
-integers below 2^53, exact in float64, so its weights are those of
-interaction_form on the count matrices bit for bit, and its peak memory is
-its outputs.  It holds no decoded configuration: the structured battery
-builds each observable from the configuration codes, an indicator as the
-color-c slice of a site view, and a linear form in slabs of its terms.
-
-Every whole-support pass works in slabs of numutil.CHUNK_BYTES: the
-interdependence entries take their maxima over slabs of each grid's
-leave-two-out fields, and the suite evaluates its observables in (F, P)
-chunks, so memory beyond the composition tables and the joint law grows
-neither with the support nor with the observables.  Each Gaussian chunk is
-scaled in place, and exp_moments writes its three moments into one
-preallocated array.  On a site's view the innermost run is q^i elements,
-so a site i < N // 2 is evaluated at site N - 1 - i of one copy of the
-chunk with its N site axes reversed, against the joint law reversed the
-same way (built once per workspace): every site's recoloring axis then has
-an inner run of at least q^(N // 2).
+The workspace's joint law is exact.full_configuration_distribution, whose
+integer grid sums keep interaction_form's weights bit for bit; the
+structured battery builds each observable from the configuration codes.
+The interdependence maxima run over slabs of numutil.CHUNK_BYTES, and the
+suite integrates (F, P) chunks of that size in buffers made once per call,
+so beyond the laws its memory grows with neither the support nor num_f.  A site i < N // 2, whose view has a short inner run q^i, is
+read at site N - 1 - i of the chunk and the joint law with their N site
+axes reversed.  The suite's p-weighted means are pairwise np.add.reduce
+sums and no integral calls BLAS, so its bits do not depend on the kernel.
 
 The concentration check reads every tail of a t grid from one sort of a
 chain's deviations and needs nothing of the sampler but its sample array.
@@ -303,14 +302,16 @@ def measured_constants(blocks, params):
     return lsi_constants(g1, g2), inf_norm, two_norm
 
 
-def _reverse_sites(values, q, N):
+def _reverse_sites(values, q, N, out=None):
     """Per-configuration values (..., q^N) with their N site axes reversed,
-    as a contiguous copy of the same shape: site i of values sits at site
-    N - 1 - i of the result, so reversing twice gives values back."""
+    written into out (a new array by default) and returned: site i of
+    values sits at site N - 1 - i of the result."""
     lead = values.ndim - 1
     sites = values.reshape(*values.shape[:-1], *(q,) * N)
-    order = (*range(lead), *range(lead + N - 1, lead - 1, -1))
-    return np.ascontiguousarray(sites.transpose(order)).reshape(values.shape)
+    out = np.empty(values.shape) if out is None else out
+    order = (*range(lead), *range(N + lead - 1, lead - 1, -1))
+    np.copyto(out.reshape(sites.shape), sites.transpose(order))
+    return out
 
 
 def _site_laws(probabilities, i, q):
@@ -321,31 +322,16 @@ def _site_laws(probabilities, i, q):
     return joint / marginal[:, None, :], marginal
 
 
-def _site_terms(moments, probabilities, i, q):
-    """Site i's addend of |df|^2 on the site-i view, shape (..., A, q, B),
-    and its E Cov_i(f, e^f), shape (...), from the stacked moments and the
-    joint law of one layout."""
-    site_cond, marginal = _site_laws(probabilities, i, q)
-    m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
-    cov = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
-    sq = np.square(site_view(moments[0], i, q) - m_f[..., None, :])
-    sq += np.einsum("...acb,acb->...ab", sq, site_cond)[..., None, :]
-    return sq, cov
-
-
 class ConfigWorkspace:
     """Full configuration-space machinery for the exhaustive checks.
 
     Holds the exact joint law.  cond, the (P, N, q) array of exact
     single-site conditionals (cond[p, i, c] is the probability of color c at
     site i given the other sites of configuration p), is built on first
-    read: local_terms does not need it.  No recoloring index is stored:
-    site_view reshapes any per-configuration vector to (q^(N-1-i), q, q^i),
-    whose middle axis lists the q recolorings of site i.  On that view site
-    i's conditional is the joint law divided by its sum over the middle
-    axis, and that sum is the marginal law of the other sites.  The joint
-    law with its site axes reversed (site i at site N - 1 - i) is also built
-    on first read, by local_terms, which runs the low sites on that layout.
+    read; the suite does not read it.  site_view reshapes a per-configuration
+    vector to (q^(N-1-i), q, q^i), whose middle axis lists the q recolorings
+    of site i: there the joint law's sum over that axis is the marginal law
+    of the other sites, and the joint law divided by it site i's conditional.
     """
 
     def __init__(self, blocks, params):
@@ -363,64 +349,87 @@ class ConfigWorkspace:
             site_view(cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
         return cond
 
-    @functools.cached_property
-    def _reversed_probabilities(self):
-        return _reverse_sites(self.probabilities, self.params.q, self.blocks.N)
-
     @property
     def probabilities(self):
         return self.dist.probabilities
 
-    def local_terms(self, moments):
-        """(dsq, cov) for observables f of shape (..., P), given as
-        moments = exp_moments(f): |df|^2 at every configuration by identity
-        (2), shape (..., P), and the per-site E Cov_i(f, e^f), shape
-        (..., N), from one pass over the conditional moments of
-        (f, e^f, f e^f).  Cov_i depends on the other sites only: an (A, B)
-        array on the site-i view, weighted by their marginal law.
 
-        A site below N // 2 has a short inner run q^i on its view, so it
-        runs at site N - 1 - i of exp_moments of f with its sites reversed;
-        its |df|^2 addends gather in one reversed buffer that is reversed
-        back before the high sites add theirs, in the same site order."""
-        q, N = self.params.q, self.blocks.N
-        half = N // 2
-        cov = np.empty(moments.shape[1:-1] + (N,))
-        reversed_moments = exp_moments(_reverse_sites(moments[0], q, N))
-        reversed_dsq = np.zeros(moments.shape[1:])
-        for i in range(half):
-            sq, cov[..., i] = _site_terms(reversed_moments, self._reversed_probabilities,
-                                          N - 1 - i, q)
-            site_view(reversed_dsq, N - 1 - i, q)[...] += sq
-        dsq = _reverse_sites(reversed_dsq, q, N)
-        for i in range(half, N):
-            sq, cov[..., i] = _site_terms(moments, self.probabilities, i, q)
-            site_view(dsq, i, q)[...] += sq
-        return dsq, cov
+class _SitePass:
+    """The suite's integrals of chunks of at most `rows` observables f, (F,
+    P): Ent(f^2), Ent(e^f) and the three sides of identity (2), each (F,).
+    Each site's marginal law is built once; m_i is sum_c p f_c / marginal.
+    draws is the f slot of the moment buffer, for chunks written in place.
+    """
+
+    def __init__(self, workspace, rows):
+        q, N, p = workspace.params.q, workspace.blocks.N, workspace.probabilities
+        self.q, self.N, self.dist, P = q, N, workspace.dist, len(p)
+        self.layouts = (p, _reverse_sites(p, q, N))
+        # (layout, site on that layout, 1 / marginal law of the other sites)
+        sites = [(1, N - 1 - i) if i < N // 2 else (0, i) for i in range(N)]
+        self.laws = [(k, j, 1.0 / site_view(self.layouts[k], j, q).sum(axis=1)) for k, j in sites]
+        self.moments, self.dev = np.empty((3, rows, P)), np.empty((rows, P))
+        self.draws = self.moments[0]
+        # (f, e^f) with the sites reversed, and p e^f on each layout
+        self.reversed, self.pe = np.empty((2, 2, rows, P))
+        # m_i f, m_i e^f and a scratch slot, on site i's view
+        self.means = np.empty((3, rows, P // q))
+
+    def __call__(self, fvals):
+        q, N, F = self.q, self.N, len(fvals)
+        moments, dev, pe = exp_moments(fvals, self.moments[:, :F]), self.dev[:F], self.pe[:, :F]
+        # (f, e^f) on each layout
+        stacks = (moments[:2], _reverse_sites(moments[:2], q, N, out=self.reversed[:, :F]))
+        for layout, p in enumerate(self.layouts):
+            np.multiply(stacks[layout][1], p, out=pe[layout])
+        mean_fef = np.add.reduce(np.multiply(moments[2], self.layouts[0], out=dev), axis=-1)
+        ent_ef = mean_fef - _xlogx(np.add.reduce(pe[0], axis=-1))
+        ent_f2 = entropy_functional(np.square(moments[0], out=dev), self.dist)
+        dirichlet, weighted, cross = np.zeros((3, F))
+        for layout, j, inverse in self.laws:
+            p = site_view(self.layouts[layout], j, q)
+            m_f, m_e, w = m = self.means[:, :F].reshape(3, F, *inverse.shape)
+            np.einsum("zfacb,acb->zfab", site_view(stacks[layout], j, q), p, out=m[:2])
+            m_f *= inverse
+            # m_i f times the p-weighted sum of e^f is marginal m_i f m_i e^f
+            cross += np.add.reduce(np.multiply(m_f, m_e, out=w).reshape(F, -1), axis=-1)
+            m_e *= inverse
+            sq = site_view(dev, j, q)
+            np.subtract(site_view(stacks[layout][0], j, q), m_f[:, :, None, :], out=sq)
+            np.square(sq, out=sq)
+            # marginal times Var_i f, the weight of m_i e^f in the second side
+            var = np.einsum("facb,acb->fab", sq, p, out=w)
+            dirichlet += var.sum(axis=(1, 2))
+            weighted += np.einsum("facb,facb->f", sq, site_view(pe[layout], j, q))
+            weighted += np.einsum("fab,fab->f", var, m_e)
+        return ent_f2, ent_ef, 2.0 * dirichlet, weighted, N * mean_fef - cross
 
 
-def exp_moments(fvals):
-    """(f, e^f, f e^f) of observables f of shape (..., P), as one (3, ..., P)
-    array: the moments local_terms averages and the exp-form inequalities
-    integrate, each computed once and written in place."""
+def exp_moments(fvals, out=None):
+    """(f, e^f, f e^f) of observables f of shape (..., P), written into out
+    (a new (3, ..., P) array by default), which fvals may share as out[0]."""
     fvals = np.asarray(fvals, dtype=np.float64)
-    moments = np.empty((3, *fvals.shape))
+    moments = np.empty((3, *fvals.shape)) if out is None else out
     moments[0] = fvals
-    np.exp(fvals, out=moments[1])
-    np.multiply(fvals, moments[1], out=moments[2])
+    np.exp(moments[0], out=moments[1])
+    np.multiply(moments[0], moments[1], out=moments[2])
     return moments
 
 
 def entropy_functional(f, dist):
     """Ent(f) = E[f log f] - E[f] log E[f] for nonnegative values f on the
     support of an exact law, with 0 log 0 = 0 (numutil._xlogx) on both
-    sides: a float for one (P,) array, an (F,) array for F observables given
-    as an (F, P) array.  A negative value raises InvalidInputError."""
+    sides: a float for one (P,) array, an (F,) array for an (F, P) array.
+    Means are pairwise np.add.reduce sums, so a batch row equals the one-row
+    call bit for bit on any BLAS kernel.  A negative value raises
+    InvalidInputError."""
     values = np.asarray(f, dtype=np.float64)
     if np.any(values < 0.0):
         raise InvalidInputError("entropy functional needs a nonnegative observable")
     p = dist.probabilities
-    ent = _xlogx(values) @ p - _xlogx(values @ p)
+    weighted = _xlogx(values)
+    mean_xlogx = np.add.reduce(np.multiply(weighted, p, out=weighted), axis=-1)
+    ent = mean_xlogx - _xlogx(np.add.reduce(np.multiply(values, p, out=weighted), axis=-1))
     return float(ent) if ent.ndim == 0 else ent
 
 
@@ -484,19 +493,17 @@ def _structured_battery(workspace, rng):
         yield linear_form(coef, rng.integers(0, q, size=N))
 
 
-def _observable_chunks(workspace, rng, num_f, amplitude):
-    """The suite's observables as (F, P) arrays of at most CHUNK_BYTES: the
-    num_f Gaussian ones, then the structured battery, drawn from rng in
-    that order."""
-    P = len(workspace.dist)
-    rows = max(1, CHUNK_BYTES // (8 * P))
+def _observable_chunks(workspace, rng, num_f, amplitude, out):
+    """The suite's observables, the num_f Gaussian ones and then the
+    structured battery, drawn from rng in that order into (F, P) slices of out."""
+    rows = len(out)
     for start in range(0, num_f, rows):
-        chunk = rng.standard_normal((min(rows, num_f - start), P))
+        chunk = rng.standard_normal(out=out[: min(rows, num_f - start)])
         chunk *= amplitude
         yield chunk
     battery = _structured_battery(workspace, rng)
     while chunk := list(itertools.islice(battery, rows)):
-        yield np.stack(chunk)
+        yield np.stack(chunk, out=out[: len(chunk)])
 
 
 def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
@@ -524,29 +531,21 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
               "observable values")
     constants, inf_norm, two_norm = measured_constants(blocks, params)
 
-    p = workspace.probabilities
     names = ("entropy_f2", "entropy_expf_cov", "entropy_expf_dirichlet")
     worst_slack = {name: math.inf for name in names}
     worst_ratio = {name: 0.0 for name in names}
-    violations = 0
-    num_observables = 0
+    violations = num_observables = 0
+    site_pass = _SitePass(workspace, max(1, CHUNK_BYTES // (8 * P)))
     # e^f can overflow at a large amplitude; the NaN sides that follow are
     # counted as violations and reported as NaN worst values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for fvals in _observable_chunks(workspace, np.random.default_rng(seed), num_f,
-                                        amplitude):
+                                        amplitude, site_pass.draws):
             num_observables += len(fvals)
-            moments = exp_moments(fvals)
-            dsq, cov = workspace.local_terms(moments)
-            _, ef, fef = moments
-            mean_ef = ef @ p
-            lhs23 = fef @ p - _xlogx(mean_ef)
-            sides = (
-                (entropy_functional(fvals * fvals, workspace.dist),
-                 2.0 * constants.sigma1_sq * (dsq @ p)),
-                (lhs23, constants.sigma2_sq * cov.sum(axis=1)),
-                (lhs23, 0.5 * constants.sigma3_sq * ((dsq * ef) @ p)),
-            )
+            ent_f2, ent_ef, dirichlet, weighted, cov = site_pass(fvals)
+            sides = ((ent_f2, 2.0 * constants.sigma1_sq * dirichlet),
+                     (ent_ef, constants.sigma2_sq * cov),
+                     (ent_ef, 0.5 * constants.sigma3_sq * weighted))
             for name, (lhs, rhs) in zip(names, sides):
                 worst_slack[name] = float(np.minimum(worst_slack[name], (rhs - lhs).min()))
                 ratio = np.where(rhs <= 0.0, 0.0, lhs / rhs)

@@ -21,8 +21,9 @@ wrappers, two row sums), to pin the leaner versions bit for bit;
 the structure-certificate flags, kept as the package's earlier row loops;
 the chain tail, kept as the sampler's earlier one-t-at-a-time estimate;
 the CLI's earlier cell-by-cell CSV writer, which pins the bytes of the
-one template writer; the LSI workspace's earlier site-view loop, which
-pins the site-reversed layout of local_terms; and the suite's earlier
+one template writer; the LSI workspace's earlier site-view loop of the
+per-configuration |df|^2, which pins the per-site pass's three sides and
+its site-reversed layout; and the suite's earlier
 stacked moments, which pin the in-place exp_moments; the mean-field
 restart's basin centres, which take u(g) from the package's
 potts_fixed_point_u; and the recoloring distances' earlier triu gather
@@ -827,9 +828,11 @@ def difference_sq_by_colors(workspace, fvals):
 
 
 def local_terms_by_site_view(workspace, moments):
-    """(dsq, cov) of ConfigWorkspace.local_terms, every site on its own view
-    of the original layout: the package's earlier loop, whose low sites run
-    their einsums over inner runs of 1, q, q^2, ... elements."""
+    """(dsq, cov) of observables with moments = exp_moments(f): |df|^2 at
+    every configuration, shape (..., P), and each site's E Cov_i(f, e^f),
+    shape (..., N), every site on its own view of the original layout: the
+    package's earlier loop, whose low sites run their einsums over inner runs
+    of 1, q, q^2, ... elements."""
     fvals = moments[0]
     q = workspace.params.q
     dsq = np.zeros(fvals.shape)

@@ -304,13 +304,24 @@ def test_ac09_concentration():
     summary = run_chain(blocks, params, sweeps=4000, seed=909)
     t_grid = np.linspace(0.0, 100.0, 10)
     flagged = []
+    # a flag needs a tail above a bound below 1.  A count lies in [0, n], so
+    # at 2t > n the samples at least t from their mean all lie on one side
+    # of it, and the mean caps their fraction at (n - t) / n; at 2t <= n it
+    # can reach 1.  A cell where no sample array beats the bound cannot flag
+    flaggable = 0
     for k in range(2):
+        n = blocks.sizes[k]
         for c in range(3):
             rows = concentration_report(summary, constants, k, c, t_grid)
             flagged.extend(r for r in rows if r.flagged)
+            flaggable += sum(r.bound < 1.0 and (1.0 if 2 * r.t <= n else (n - r.t) / n) > r.bound
+                             for r in rows)
+    evidence = ("so a wrong sampler could fail AC9 there" if flaggable else
+                "so no sample array can fail AC9 here and it is not evidence")
     _report("AC9", not flagged, t0,
             f"60 (t, k, c) cells checked, {len(flagged)} flags, "
-            f"sigma3^2 {constants.sigma3_sq:.2f}")
+            f"sigma3^2 {constants.sigma3_sq:.2f}; {flaggable} cells could flag at all, "
+            f"{evidence}")
 
 
 def test_ac10_ldp_trend():
