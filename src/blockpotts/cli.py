@@ -73,8 +73,8 @@ MAX_ENTRIES = 1 << 20
 
 
 def int_list(text):
-    """Comma-separated integers, e.g. '50,50'."""
-    return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
+    """Comma-separated integers, e.g. '50,50'; an empty field is refused."""
+    return tuple(int(p) for p in text.replace(" ", "").split(","))
 
 
 def non_negative_int(text):
@@ -85,8 +85,8 @@ def non_negative_int(text):
 
 
 def float_list(text):
-    """Comma-separated numbers, e.g. '0.4,0.6'."""
-    return tuple(float(p) for p in text.replace(" ", "").split(",") if p != "")
+    """Comma-separated numbers, e.g. '0.4,0.6'; an empty field is refused."""
+    return tuple(float(p) for p in text.replace(" ", "").split(","))
 
 
 class _Parser(argparse.ArgumentParser):

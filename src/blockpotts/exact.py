@@ -35,9 +35,9 @@ anything is enumerated.
 The q^N configuration law (full_configuration_distribution), for tiny N,
 takes the high half of the sites as the outer table and the low half as
 the inner one, so the grid's flat index is the configuration code
-sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  It holds its
-weights only, so its peak memory is its outputs, 16 bytes per
-configuration, plus the weights' slabs.
+sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  Its weights
+are normalized in place and only the probabilities are kept, so its peak
+memory is that output, 8 bytes per configuration, plus the weights' slabs.
 
 Everything is normalized in log space, by one exp pass.  This module is
 the brute-force oracle for the sampler, the rate functions and the
@@ -219,7 +219,9 @@ def _grid_log_weights(outer, inner, log_mult, params, N):
     log_weights = np.empty((len(outer), len(inner)))
     for lo in range(0, len(outer), step):
         head = slice(lo, lo + step)
-        slab_sq, col_sq = (a @ b for a, b in zip(vectors(outer[head], left), right))
+        # the first sum goes straight to the output slab, one temporary fewer
+        slab_sq, col_sq = (np.matmul(a, b, out=o) for a, b, o in
+                           zip(vectors(outer[head], left), right, (log_weights[head], None)))
         with np.errstate(over="ignore"):
             np.divide(form_from_sums(slab_sq, col_sq, params), 2.0 * N, out=log_weights[head])
         if log_mult is not None:
@@ -227,8 +229,9 @@ def _grid_log_weights(outer, inner, log_mult, params, N):
     return log_weights.ravel()
 
 
-def _normalize(log_weights, params):
-    """(log_Z, probabilities) of log_weights by one exp pass.
+def _normalize(log_weights, params, out=None):
+    """(log_Z, probabilities) of log_weights by one exp pass, written into
+    out (a new array by default), which may be log_weights itself.
 
     exp(log_weights - m), m the largest log weight, is summed by numpy's
     pairwise np.add.reduce (within (log2 P + 26) 2^-53 relative of the exact
@@ -241,7 +244,7 @@ def _normalize(log_weights, params):
         raise InvalidInputError(
             f"log_Z is {m}: alpha={params.alpha}, beta={params.beta} "
             "overflow the Gibbs weights")
-    probabilities = np.subtract(log_weights, m)
+    probabilities = np.subtract(log_weights, m, out=out)
     np.exp(probabilities, out=probabilities)
     total = np.add.reduce(probabilities)
     probabilities /= total
@@ -252,13 +255,12 @@ def _normalize(log_weights, params):
 class ConfigurationDistribution:
     """Exact Gibbs law over all q^N configurations (tiny N only).
 
-    Entry p of log_weights and probabilities belongs to the configuration
-    whose code sum_i x_i q^i is p, site 0 the least significant digit; the
-    code is the only form of a configuration the law holds, and site_view
-    lists the recolorings of any site on it.
+    Entry p of probabilities belongs to the configuration whose code
+    sum_i x_i q^i is p, site 0 the least significant digit; the code is the
+    only form of a configuration the law holds, and site_view lists the
+    recolorings of any site on it.  No weights are kept: 8 bytes per code.
     """
 
-    log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
     params: "ModelParams"
@@ -295,7 +297,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     Couplings that overflow a weight are refused as in exact_distribution.
 
     The weights are built on the two-table grid of the module docstring,
-    whose flat index is the configuration code.
+    whose flat index is the configuration code, and normalized in place.
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
@@ -303,24 +305,22 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     check_cap(required, cap, "full enumeration", "configurations")
     site_block = np.repeat(np.arange(blocks.s), blocks.sizes)
     halves = [_site_table(h, blocks.s, q) for h in (site_block[N // 2 :], site_block[: N // 2])]
-    log_weights = _grid_log_weights(*halves, None, params, N)
-    log_Z, probabilities = _normalize(log_weights, params)
-    return ConfigurationDistribution(
-        log_weights=log_weights,
-        log_Z=log_Z,
-        probabilities=probabilities,
-        params=params,
-        blocks=blocks,
-    )
+    weights = _grid_log_weights(*halves, None, params, N)
+    log_Z, probabilities = _normalize(weights, params, out=weights)
+    return ConfigurationDistribution(log_Z=log_Z, probabilities=probabilities, params=params,
+                                     blocks=blocks)
 
 
 def exact_observable_distribution(dist, k, c):
-    """Marginal law of the block-color count b_{k,c} under an exact law.
+    """Marginal law of the block-color count b_{k,c} under the count-matrix
+    law of exact_distribution; any other law is invalid input.
 
     Returns an array of length |S_k| + 1 whose index v holds P(b_{k,c} = v):
     the law of block k's composition, summed out of the product grid, then
     binned by its color-c count.
     """
+    if not isinstance(dist, ExactDistribution):
+        raise InvalidInputError(f"need a law of exact_distribution, got {type(dist).__name__}")
     comps = dist.compositions
     check_block_color(k, c, len(comps), dist.params.q)
     grid = dist.probabilities.reshape([t.shape[0] for t in comps])

@@ -67,15 +67,17 @@ another order).  Swapping colors 0 and 1 keeps pair (0, 1)'s distance bit
 for bit (the softmax adds them first; hi, lo are symmetric), so only own
 compositions with x_0 >= x_1 are evaluated.
 
-The workspace's joint law is exact.full_configuration_distribution, whose
+The suite's joint law is exact.full_configuration_distribution, whose
 integer grid sums keep interaction_form's weights bit for bit; the
 structured battery builds each observable from the configuration codes.
 The interdependence maxima run over slabs of numutil.CHUNK_BYTES, and the
 suite integrates (F, P) chunks of that size in buffers made once per call,
-so beyond the laws its memory grows with neither the support nor num_f.  A site i < N // 2, whose view has a short inner run q^i, is
-read at site N - 1 - i of the chunk and the joint law with their N site
-axes reversed.  The suite's p-weighted means are pairwise np.add.reduce
-sums and no integral calls BLAS, so its bits do not depend on the kernel.
+so beyond the laws its memory grows with neither the support nor num_f.
+A low site i < h = N // 2, whose view has a short inner run q^i, is read
+at site i + N - h of the law's (q^(N-h), q^h) grid of high against low
+sites with its two axes swapped, one 2-D transpose of the chunk.  The
+suite's p-weighted means are pairwise np.add.reduce sums and no integral
+calls BLAS, so its bits do not depend on the kernel.
 
 The concentration check reads every tail of a t grid from one sort of a
 chain's deviations and needs nothing of the sampler but its sample array.
@@ -101,7 +103,7 @@ from .model import (check_block_color, check_cap, check_consistent, check_count,
                     field_from_sums, shown_count)
 from .numutil import CHUNK_BYTES, LEAF, _xlogx, softmax
 
-# Largest q^N the full configuration workspace enumerates.
+# Largest q^N the suite's configuration law enumerates.
 WORKSPACE_CAP = 4_000_000
 # Most Gaussian observable values num_f * q^N the suite draws and integrates.
 MAX_SUITE_VALUES = 1_000_000_000
@@ -302,15 +304,14 @@ def measured_constants(blocks, params):
     return lsi_constants(g1, g2), inf_norm, two_norm
 
 
-def _reverse_sites(values, q, N, out=None):
-    """Per-configuration values (..., q^N) with their N site axes reversed,
-    written into out (a new array by default) and returned: site i of
-    values sits at site N - 1 - i of the result."""
-    lead = values.ndim - 1
-    sites = values.reshape(*values.shape[:-1], *(q,) * N)
+def _swap_halves(values, q, N, out=None):
+    """Per-configuration values (..., q^N) on the law's (q^(N-h), q^h) grid,
+    h = N // 2, with its two axes swapped, written into out (a new array by
+    default) and returned: a low site i < h of values sits at site
+    i + N - h of the result, and a high site i at site i - h."""
+    lead, low = values.shape[:-1], q ** (N // 2)
     out = np.empty(values.shape) if out is None else out
-    order = (*range(lead), *range(N + lead - 1, lead - 1, -1))
-    np.copyto(out.reshape(sites.shape), sites.transpose(order))
+    np.copyto(out.reshape(*lead, low, -1), values.reshape(*lead, -1, low).swapaxes(-1, -2))
     return out
 
 
@@ -323,35 +324,26 @@ def _site_laws(probabilities, i, q):
 
 
 class ConfigWorkspace:
-    """Full configuration-space machinery for the exhaustive checks.
-
-    Holds the exact joint law.  cond, the (P, N, q) array of exact
-    single-site conditionals (cond[p, i, c] is the probability of color c at
-    site i given the other sites of configuration p), is built on first
-    read; the suite does not read it.  site_view reshapes a per-configuration
-    vector to (q^(N-1-i), q, q^i), whose middle axis lists the q recolorings
-    of site i: there the joint law's sum over that axis is the marginal law
-    of the other sites, and the joint law divided by it site i's conditional.
+    """The q^N joint law dist (built with cap=WORKSPACE_CAP), its
+    probabilities, and cond, the (P, N, q) array of exact single-site
+    conditionals (cond[p, i, c] is the probability of color c at site i
+    given the other sites of configuration p), built on first read from
+    each site's laws (_site_laws).  The suite reads none of them.
     """
 
     def __init__(self, blocks, params):
-        self.blocks = blocks
-        self.params = params
         self.dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
+        self.probabilities = self.dist.probabilities
 
     @functools.cached_property
     def cond(self):
-        N, q = self.blocks.N, self.params.q
+        N, q = self.dist.blocks.N, self.dist.params.q
         cond = np.empty((len(self.dist), N, q))
         for i in range(N):
             site_cond, _ = _site_laws(self.probabilities, i, q)
             # whatever color site i has, cond[., i, c] = site_cond[:, c, :]
             site_view(cond[:, i, :].T, i, q)[...] = np.swapaxes(site_cond, 0, 1)[:, :, None]
         return cond
-
-    @property
-    def probabilities(self):
-        return self.dist.probabilities
 
 
 class _SitePass:
@@ -361,17 +353,17 @@ class _SitePass:
     draws is the f slot of the moment buffer, for chunks written in place.
     """
 
-    def __init__(self, workspace, rows):
-        q, N, p = workspace.params.q, workspace.blocks.N, workspace.probabilities
-        self.q, self.N, self.dist, P = q, N, workspace.dist, len(p)
-        self.layouts = (p, _reverse_sites(p, q, N))
+    def __init__(self, dist, rows):
+        q, N, p = dist.params.q, dist.blocks.N, dist.probabilities
+        self.q, self.N, self.dist, P = q, N, dist, len(p)
+        self.layouts = (p, _swap_halves(p, q, N))
         # (layout, site on that layout, 1 / marginal law of the other sites)
-        sites = [(1, N - 1 - i) if i < N // 2 else (0, i) for i in range(N)]
+        sites = [(1, i + N - N // 2) if i < N // 2 else (0, i) for i in range(N)]
         self.laws = [(k, j, 1.0 / site_view(self.layouts[k], j, q).sum(axis=1)) for k, j in sites]
         self.moments, self.dev = np.empty((3, rows, P)), np.empty((rows, P))
         self.draws = self.moments[0]
-        # (f, e^f) with the sites reversed, and p e^f on each layout
-        self.reversed, self.pe = np.empty((2, 2, rows, P))
+        # (f, e^f) on the swapped grid, and p e^f on each layout
+        self.swapped, self.pe = np.empty((2, 2, rows, P))
         # m_i f, m_i e^f and a scratch slot, on site i's view
         self.means = np.empty((3, rows, P // q))
 
@@ -379,7 +371,7 @@ class _SitePass:
         q, N, F = self.q, self.N, len(fvals)
         moments, dev, pe = exp_moments(fvals, self.moments[:, :F]), self.dev[:F], self.pe[:, :F]
         # (f, e^f) on each layout
-        stacks = (moments[:2], _reverse_sites(moments[:2], q, N, out=self.reversed[:, :F]))
+        stacks = (moments[:2], _swap_halves(moments[:2], q, N, out=self.swapped[:, :F]))
         for layout, p in enumerate(self.layouts):
             np.multiply(stacks[layout][1], p, out=pe[layout])
         mean_fef = np.add.reduce(np.multiply(moments[2], self.layouts[0], out=dev), axis=-1)
@@ -448,7 +440,7 @@ class LsiSuiteReport:
     violations: int
 
 
-def _structured_battery(workspace, rng):
+def _structured_battery(dist, rng):
     """Indicators, block counts, products of indicators and linear forms,
     one observable at a time, drawing from rng as they are made.  Each is
     built from the configuration codes: site i has color c on slice c of
@@ -456,8 +448,7 @@ def _structured_battery(workspace, rng):
     terms of each code as one row of a slab of about LEAF terms and sums
     each row, as over a (P, N) array.  Beyond that slab, only the
     observables being built and the last one yielded are held."""
-    q, N = workspace.params.q, workspace.blocks.N
-    P = len(workspace.dist)
+    q, N, P = dist.params.q, dist.blocks.N, len(dist)
 
     def count(sites, c):
         values = np.zeros(P)
@@ -481,7 +472,7 @@ def _structured_battery(workspace, rng):
     for i in range(N):
         for c in range(q):
             yield count([i], c)
-    for lo, hi in itertools.pairwise(workspace.blocks.offsets.tolist()):
+    for lo, hi in itertools.pairwise(dist.blocks.offsets.tolist()):
         for c in range(q):
             yield count(range(lo, hi), c)
     for _ in range(BATTERY_PRODUCTS if N >= 2 else 0):  # products need two sites
@@ -493,7 +484,7 @@ def _structured_battery(workspace, rng):
         yield linear_form(coef, rng.integers(0, q, size=N))
 
 
-def _observable_chunks(workspace, rng, num_f, amplitude, out):
+def _observable_chunks(dist, rng, num_f, amplitude, out):
     """The suite's observables, the num_f Gaussian ones and then the
     structured battery, drawn from rng in that order into (F, P) slices of out."""
     rows = len(out)
@@ -501,7 +492,7 @@ def _observable_chunks(workspace, rng, num_f, amplitude, out):
         chunk = rng.standard_normal(out=out[: min(rows, num_f - start)])
         chunk *= amplitude
         yield chunk
-    battery = _structured_battery(workspace, rng)
+    battery = _structured_battery(dist, rng)
     while chunk := list(itertools.islice(battery, rows)):
         yield np.stack(chunk, out=out[: len(chunk)])
 
@@ -525,8 +516,8 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     if not math.isfinite(amplitude):
         raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
     _require_lsi_condition(params.q, params.beta)
-    workspace = ConfigWorkspace(blocks, params)
-    P = len(workspace.dist)
+    dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
+    P = len(dist)
     check_cap(num_f * P, MAX_SUITE_VALUES, f"num_f {num_f} over {P} configurations",
               "observable values")
     constants, inf_norm, two_norm = measured_constants(blocks, params)
@@ -535,12 +526,12 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     worst_slack = {name: math.inf for name in names}
     worst_ratio = {name: 0.0 for name in names}
     violations = num_observables = 0
-    site_pass = _SitePass(workspace, max(1, CHUNK_BYTES // (8 * P)))
+    site_pass = _SitePass(dist, max(1, CHUNK_BYTES // (8 * P)))
     # e^f can overflow at a large amplitude; the NaN sides that follow are
     # counted as violations and reported as NaN worst values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for fvals in _observable_chunks(workspace, np.random.default_rng(seed), num_f,
-                                        amplitude, site_pass.draws):
+        for fvals in _observable_chunks(dist, np.random.default_rng(seed), num_f, amplitude,
+                                        site_pass.draws):
             num_observables += len(fvals)
             ent_f2, ent_ef, dirichlet, weighted, cov = site_pass(fvals)
             sides = ((ent_f2, 2.0 * constants.sigma1_sq * dirichlet),

@@ -193,16 +193,23 @@ def capped_count(binomials, cap):
 
 
 def validate_config(config, blocks, q):
-    """Return config as an int array after checking length and color range."""
-    config = np.asarray(config, dtype=np.int64)
+    """Return config as an int64 array after checking its length and that
+    every entry is a whole number in [0, q): whole-valued floats pass, as
+    block sizes do, and nothing is truncated or parsed."""
+    try:
+        config = np.asarray(config)
+    except ValueError as exc:  # a ragged nest of sequences
+        raise InvalidInputError(f"configuration is not a list of colors: {exc}") from None
     if config.ndim != 1 or config.size != blocks.N:
-        raise InvalidInputError(
-            f"configuration has length {config.size}, expected N={blocks.N}"
-        )
+        raise InvalidInputError(f"configuration has length {config.size}, expected N={blocks.N}")
+    numeric = config.dtype.kind in "biuf"
+    bad = config[~(np.isfinite(config) & (np.trunc(config) == config))] if numeric else config
+    if bad.size:
+        raise InvalidInputError(f"colors must be whole numbers, got {bad[:1].tolist()[0]!r}")
     if config.size and (config.min() < 0 or config.max() >= q):
         raise InvalidInputError(f"colors must lie in [0, {q}), got range "
                                 f"[{config.min()}, {config.max()}]")
-    return config
+    return config.astype(np.int64, copy=False)
 
 
 def count_matrix(config, blocks, q):

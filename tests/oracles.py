@@ -811,15 +811,15 @@ def gamma1_by_enumeration(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     return best
 
 
-def difference_sq_by_colors(workspace, fvals):
+def difference_sq_by_colors(law, fvals):
     """|df|^2 at every configuration, shape (..., P), in the difference form
     sum_i sum_c cond_i(c) (f(x) - f(x with x_i = c))^2, one color at a time
     on the package's site-i view and site laws."""
     fvals = np.asarray(fvals, dtype=np.float64)
-    q = workspace.params.q
+    q = law.params.q
     out = np.zeros(fvals.shape)
-    for i in range(workspace.blocks.N):
-        site_cond, _ = _site_laws(workspace.probabilities, i, q)
+    for i in range(law.blocks.N):
+        site_cond, _ = _site_laws(law.probabilities, i, q)
         f = site_view(fvals, i, q)
         acc = site_view(out, i, q)
         for c in range(q):
@@ -827,18 +827,18 @@ def difference_sq_by_colors(workspace, fvals):
     return out
 
 
-def local_terms_by_site_view(workspace, moments):
+def local_terms_by_site_view(law, moments):
     """(dsq, cov) of observables with moments = exp_moments(f): |df|^2 at
     every configuration, shape (..., P), and each site's E Cov_i(f, e^f),
     shape (..., N), every site on its own view of the original layout: the
     package's earlier loop, whose low sites run their einsums over inner runs
     of 1, q, q^2, ... elements."""
     fvals = moments[0]
-    q = workspace.params.q
+    q = law.params.q
     dsq = np.zeros(fvals.shape)
-    cov = np.empty(fvals.shape[:-1] + (workspace.blocks.N,))
-    for i in range(workspace.blocks.N):
-        site_cond, marginal = _site_laws(workspace.probabilities, i, q)
+    cov = np.empty(fvals.shape[:-1] + (law.blocks.N,))
+    for i in range(law.blocks.N):
+        site_cond, marginal = _site_laws(law.probabilities, i, q)
         m_f, m_e, m_fe = np.einsum("...acb,acb->...ab", site_view(moments, i, q), site_cond)
         cov[..., i] = np.einsum("...ab,ab->...", m_fe - m_f * m_e, marginal)
         sq = np.square(site_view(fvals, i, q) - m_f[..., None, :])
@@ -847,20 +847,20 @@ def local_terms_by_site_view(workspace, moments):
     return dsq, cov
 
 
-def structured_battery_by_configs(workspace, rng):
+def structured_battery_by_configs(law, rng):
     """The LSI suite's structured battery as the package built it from the
     decoded configurations and count matrices (decoded_configurations):
     indicators and products by comparing columns of colors, block counts
     cast from the counts, and linear forms from one (P, N) float64 product,
     drawing from rng in the same order."""
-    q = workspace.params.q
-    cfgs, counts = decoded_configurations(workspace.blocks, q)
+    q = law.params.q
+    cfgs, counts = decoded_configurations(law.blocks, q)
     P, N = cfgs.shape
     yield np.zeros(P)
     for i in range(N):
         for c in range(q):
             yield (cfgs[:, i] == c).astype(np.float64)
-    for k in range(workspace.blocks.s):
+    for k in range(law.blocks.s):
         for c in range(q):
             yield counts[:, k, c].astype(np.float64)
     for _ in range(BATTERY_PRODUCTS if N >= 2 else 0):

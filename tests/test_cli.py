@@ -576,6 +576,14 @@ def test_missing_required_option_is_usage_error(tmp_path):
     ["simulate", "--config", "NEGATIVE_SEED"],
     # an infinite step would write a row at g = g_min + 0 * inf = nan
     ["phase-diagram", "--q", "3", "--s", "2", "--g-min", "1", "--g-max", "2", "--g-step", "inf"],
+    # an empty field of a list is an error, not skipped: 3,,3 is not 3,3
+    ["exact", "--q", "3", "--sizes", "3,,3", "--alpha", "0.2", "--beta", "0.8"],
+    ["exact", "--q", "3", "--sizes", "50,50,", "--alpha", "0.2", "--beta", "0.8"],
+    ["exact", "--q", "3", "--sizes", ",2", "--alpha", "0.2", "--beta", "0.8"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--gamma", "0.5,,0.5"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--gamma", "0.5,0.5,"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -21,6 +21,7 @@ from blockpotts import (
     interdependence_matrix_exact,
 )
 from blockpotts.cli import main
+from blockpotts.exact import _grid_log_weights, _site_table
 from blockpotts.numutil import CHUNK_BYTES
 
 import oracles
@@ -226,8 +227,10 @@ def test_exact_law_equals_int64_slab_loop(q, sizes):
 
 
 # the configuration law's sums are taken in float64 from the two half-site
-# integer count tables, all integers below 2^53, so every output equals the
-# count_nonzero route's; at (2, 5, 2) the middle block straddles the halves
+# integer count tables, all integers below 2^53, so the weights on that grid
+# and every output equal the count_nonzero route's; the law keeps no
+# weights, so they are rebuilt from the high and low halves' tables.  At
+# (2, 5, 2) the middle block straddles the halves
 @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.0, 0.0)])
 @pytest.mark.parametrize("q, sizes", [
     (3, (5, 5)), (3, (4, 4)), (3, (9,)), (3, (1, 1)), (3, (1, 2)), (4, (2, 3, 2)),
@@ -237,16 +240,19 @@ def test_configuration_law_equals_count_nonzero_route(q, sizes, alpha, beta):
     p, b = make(q, sizes, alpha, beta)
     full = full_configuration_distribution(b, p)
     log_weights, log_Z, probabilities = oracles.full_configurations_by_count_nonzero(b, p)
-    assert np.array_equal(full.log_weights, log_weights)
+    site_block, h = np.repeat(np.arange(b.s), b.sizes), b.N // 2
+    halves = [_site_table(group, b.s, q) for group in (site_block[h:], site_block[:h])]
+    assert np.array_equal(_grid_log_weights(*halves, None, p, b.N), log_weights)
     assert full.log_Z == log_Z
     assert np.array_equal(full.probabilities, probabilities)
 
 
 @pytest.mark.parametrize("sizes", [(7, 6), (1,) * 13])
 def test_configuration_law_peak_memory_is_its_outputs(sizes):
-    # N = 13: 1.6e6 configurations, 16 bytes each in the outputs; no table
-    # holds more than one half's 3^7 colorings and the weights' temporaries
-    # are slabs, so nothing else grows with q^N
+    # N = 13: 1.6e6 configurations, 8 bytes each in the probabilities, the
+    # weights normalized in place; no table holds more than one half's 3^7
+    # colorings and the weights' temporaries are slabs, so nothing else
+    # grows with q^N
     p, b = make(3, sizes, 0.5, 1.0)
     tracemalloc.start()
     try:
@@ -254,8 +260,7 @@ def test_configuration_law_peak_memory_is_its_outputs(sizes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = full.log_weights.nbytes + full.probabilities.nbytes
-    assert peak <= outputs + 4 * CHUNK_BYTES
+    assert peak <= full.probabilities.nbytes + 4 * CHUNK_BYTES
 
 
 @pytest.mark.parametrize("q, sizes", [(3, (4, 4)), (3, (30, 30)), (4, (3, 2, 4))])
@@ -296,7 +301,7 @@ def test_overflowing_couplings_are_invalid_input(alpha, beta):
 def workspace_conditional(ws, config, site):
     """The conditional law of one site in the configuration workspace, which
     indexes configurations base q with site 0 least significant."""
-    code = int(np.dot(config, ws.params.q ** np.arange(ws.blocks.N)))
+    code = int(np.dot(config, ws.dist.params.q ** np.arange(ws.dist.blocks.N)))
     return ws.cond[code, site]
 
 
@@ -327,6 +332,14 @@ def test_conditional_matches_joint_ratio():
         cond = workspace_conditional(ws, cfg, site)
         brute = oracles.brute_conditional(cfg.tolist(), site, b.sizes, 3, 0.45, 0.9)
         assert np.max(np.abs(cond - np.asarray(brute))) <= 1e-12
+
+
+def test_observable_distribution_refuses_the_configuration_law():
+    # the q^N law has no composition tables: it is named as the wrong law,
+    # not met with an AttributeError
+    p, b = make(3, (2, 2), 0.5, 1.0)
+    with pytest.raises(InvalidInputError, match="exact_distribution"):
+        exact_observable_distribution(full_configuration_distribution(b, p), 0, 0)
 
 
 def test_observable_distribution_binomial_at_zero_coupling():

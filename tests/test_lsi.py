@@ -40,7 +40,7 @@ from blockpotts import (
 )
 from blockpotts import lsi
 from blockpotts.exact import site_view
-from blockpotts.lsi import _recoloring_tv, _reverse_sites, _structured_battery, exp_moments
+from blockpotts.lsi import _recoloring_tv, _structured_battery, _swap_halves, exp_moments
 from blockpotts.numutil import CHUNK_BYTES, LEAF
 
 import oracles
@@ -54,12 +54,12 @@ def make(q, sizes, alpha, beta):
     return p, BlockStructure(sizes=sizes)
 
 
-def site_sides(ws, fvals):
+def site_sides(law, fvals):
     """(E|df|^2, E|df|^2 e^f, sum_i E Cov_i(f, e^f)) of observables f, (P,)
     or (F, P), from the suite's per-site pass, each of shape f.shape[:-1]."""
     fvals = np.asarray(fvals, dtype=np.float64)
     rows = fvals.reshape(-1, fvals.shape[-1])
-    _, _, *sides = lsi._SitePass(ws, len(rows))(rows)
+    _, _, *sides = lsi._SitePass(law, len(rows))(rows)
     return [side.reshape(fvals.shape[:-1]) for side in sides]
 
 
@@ -395,10 +395,10 @@ def test_difference_operator_product_measure_two_routes():
     assert v_hit == pytest.approx(2 / 3, abs=1e-14)   # (q-1)/q
     assert v_miss == pytest.approx(1 / 3, abs=1e-14)  # 1/q
     # mean equals twice the one-coordinate variance p(1-p)
-    ws = ConfigWorkspace(b, p)
+    law = full_configuration_distribution(b, p)
     configs, _ = oracles.decoded_configurations(b, 3)
     fvals = np.asarray([f(cfg) for cfg in configs], dtype=np.float64)
-    mean_dsq = float(site_sides(ws, fvals)[0])
+    mean_dsq = float(site_sides(law, fvals)[0])
     assert mean_dsq == pytest.approx(2 * (1 / 3) * (2 / 3), abs=1e-13)
 
 
@@ -422,13 +422,13 @@ def test_difference_operator_function_vs_workspace():
     # each, so rel 1e-11 is far above their rounding
     rng = np.random.default_rng(13)
     p, b = make(3, (2, 2), 0.3, 0.7)
-    ws = ConfigWorkspace(b, p)
-    fvals = rng.standard_normal(len(ws.dist))
-    dirichlet, weighted, _ = site_sides(ws, fvals)
+    law = full_configuration_distribution(b, p)
+    fvals = rng.standard_normal(len(law))
+    dirichlet, weighted, _ = site_sides(law, fvals)
     f = on_configs(fvals, 3, 4)
     configs, _ = oracles.decoded_configurations(b, 3)
     dsq = np.array([difference_operator_sq(f, cfg.astype(np.int64), b, p) for cfg in configs])
-    probs = ws.probabilities
+    probs = law.probabilities
     assert float(dirichlet) == pytest.approx(float(p_mean(dsq, probs)), rel=1e-11, abs=1e-12)
     assert float(weighted) == pytest.approx(float(p_mean(dsq * np.exp(fvals), probs)),
                                             rel=1e-11, abs=1e-12)
@@ -472,9 +472,9 @@ def test_entropy_nonnegative_zero_only_for_constants():
 def test_covariance_term_constant_and_nonnegative():
     rng = np.random.default_rng(15)
     p, b = make(3, (2, 2), 0.3, 0.7)
-    ws = ConfigWorkspace(b, p)
-    assert abs(float(site_sides(ws, np.zeros(len(ws.dist)))[2])) <= 1e-15
-    _, _, terms = site_sides(ws, rng.standard_normal((100, len(ws.dist))))
+    law = full_configuration_distribution(b, p)
+    assert abs(float(site_sides(law, np.zeros(len(law)))[2])) <= 1e-15
+    _, _, terms = site_sides(law, rng.standard_normal((100, len(law))))
     assert terms.shape == (100,)
     assert np.all(terms >= -1e-13)
 
@@ -482,15 +482,15 @@ def test_covariance_term_constant_and_nonnegative():
 def test_covariance_sum_matches_direct_implementation():
     rng = np.random.default_rng(16)
     p, b = make(3, (2, 2), 0.3, 0.7)
-    ws = ConfigWorkspace(b, p)
-    probs = ws.dist.probabilities
+    law = full_configuration_distribution(b, p)
+    probs = law.probabilities
     place = 3 ** np.arange(4)
     configs, _ = oracles.decoded_configurations(b, 3)
     for _ in range(5):
-        f = rng.standard_normal(len(ws.dist))
+        f = rng.standard_normal(len(law))
         # direct: loop configurations and sites, conditional from joint ratios
         total = 0.0
-        for idx in range(len(ws.dist)):
+        for idx in range(len(law)):
             cfg = configs[idx].astype(np.int64)
             for i in range(4):
                 neigh = [idx + (c - cfg[i]) * place[i] for c in range(3)]
@@ -500,7 +500,7 @@ def test_covariance_sum_matches_direct_implementation():
                 ef = np.exp(fv)
                 cov = float(cond @ (fv * ef) - (cond @ fv) * (cond @ ef))
                 total += probs[idx] * cov
-        cov = site_sides(ws, f)[2]
+        cov = site_sides(law, f)[2]
         assert float(cov) == pytest.approx(total, rel=1e-10, abs=1e-12)
 
 
@@ -513,10 +513,10 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
     # over at most 4^4 configurations of a few ulps each, so 1e-12 is far
     # above the rounding of either side
     p, b = make(q, sizes, 0.3, 0.8)
-    ws = ConfigWorkspace(b, p)
-    probs = ws.probabilities
-    fvals = np.random.default_rng(q * 100 + b.N).standard_normal((2, len(ws.dist)))
-    sides = site_sides(ws, fvals)
+    law = full_configuration_distribution(b, p)
+    probs = law.probabilities
+    fvals = np.random.default_rng(q * 100 + b.N).standard_normal((2, len(law)))
+    sides = site_sides(law, fvals)
     assert all(side.shape == (2,) for side in sides)
     configs, _ = oracles.decoded_configurations(b, q)
     for row, f_row in enumerate(fvals):
@@ -527,7 +527,7 @@ def test_batched_workspace_matches_brute_force_oracles(q, sizes):
         cov = sum(covariance_term(f, site, b, p) for site in range(b.N))
         assert close(sides[2][row], cov, 1e-12)
         # a batch row equals the single-row call
-        np.testing.assert_allclose(site_sides(ws, f_row), [side[row] for side in sides],
+        np.testing.assert_allclose(site_sides(law, f_row), [side[row] for side in sides],
                                    rtol=1e-14, atol=0)
 
 
@@ -536,15 +536,15 @@ def test_local_terms_match_difference_form(q, sizes):
     # E|df|^2 against the difference form of |df|^2, p-weighted: both round
     # to a few ulps (measured at most 1.1 eps), so 1e-12 is far above that
     p, b = make(q, sizes, 0.3, 0.8)
-    ws = ConfigWorkspace(b, p)
+    law = full_configuration_distribution(b, p)
     cfgs, counts = oracles.decoded_configurations(b, q)
     structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
                           + [counts[:, k, c] for k in range(b.s) for c in range(q)])
     structured = structured.astype(np.float64)
-    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((4, len(ws.dist)))
+    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((4, len(law)))
     for fvals in (gaussian, structured):
-        dirichlet, weighted, _ = site_sides(ws, fvals)
-        reference = p_mean(oracles.difference_sq_by_colors(ws, fvals), ws.probabilities)
+        dirichlet, weighted, _ = site_sides(law, fvals)
+        reference = p_mean(oracles.difference_sq_by_colors(law, fvals), law.probabilities)
         assert np.all(np.abs(dirichlet - reference) <= 1e-12 * np.maximum(1.0, reference))
         assert np.all(dirichlet >= 0.0) and np.all(weighted >= 0.0)
     # the squares keep E|df|^2 shift invariant: f - m_i f moves by delta, a
@@ -555,28 +555,37 @@ def test_local_terms_match_difference_form(q, sizes):
     # is read
     shift = 1e6
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = site_sides(ws, structured + shift)[0]
+        shifted = site_sides(law, structured + shift)[0]
     assert np.all(shifted >= 0.0)
-    unshifted = site_sides(ws, structured)[0]
+    unshifted = site_sides(law, structured)[0]
     assert np.max(np.abs(shifted - unshifted)) <= 16 * b.N * EPS * shift
 
 
 @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["1d", "3d"])
 @pytest.mark.parametrize("q, N", [(3, 1), (3, 2), (3, 5), (4, 1), (4, 3), (4, 4)])
 def test_reverse_sites_moves_each_site_view(q, N, lead):
+    # the suite's second layout lists the two halves of the sites in
+    # reverse order: the law's (q^(N-h), q^h) grid, h = N // 2, with its
+    # two axes swapped, so the digits of a code are its low h sites above
+    # its high N - h sites
     x = np.random.default_rng(q * 10 + N).standard_normal(lead + (q**N,))
-    reversed_x = _reverse_sites(x, q, N)
-    assert reversed_x.shape == x.shape and reversed_x.flags.c_contiguous
-    assert np.array_equal(_reverse_sites(reversed_x, q, N), x)
+    swapped = _swap_halves(x, q, N)
+    assert swapped.shape == x.shape and swapped.flags.c_contiguous
+    h = N // 2
+    # swapping back is the (q^h, q^(N-h)) grid's own transpose
+    back = swapped.reshape(*lead, q**h, -1).swapaxes(-1, -2).reshape(x.shape)
+    assert np.array_equal(back, x)
     for i in range(N):
-        # recoloring site i of x is recoloring site N-1-i of the reversed
-        # copy, at the digit-reversed code of the other sites
-        view = site_view(reversed_x, N - 1 - i, q)
-        assert view.shape == lead + (q**i, q, q**(N - 1 - i))
+        # recoloring site i of x is recoloring site j of the swapped copy,
+        # j = i + N - h for a low site and i - h for a high one, at the
+        # code whose digits are the high sites' then the low sites'
+        j = i + N - h if i < h else i - h
+        view = site_view(swapped, j, q)
+        assert view.shape == lead + (q**(N - 1 - j), q, q**j)
         for code in range(q**N):
             digits = [code // q**k % q for k in range(N)]
-            rev = sum(d * q**(N - 1 - k) for k, d in enumerate(digits))
-            a, b = rev // q**(N - i), rev % q**(N - 1 - i)
+            moved = sum(d * q**(k + N - h if k < h else k - h) for k, d in enumerate(digits))
+            a, b = moved // q**(j + 1), moved % q**j
             for c in range(q):
                 recolored = code + (c - digits[i]) * q**i
                 assert np.array_equal(view[..., a, c, b], x[..., recolored])
@@ -599,13 +608,14 @@ def test_exp_moments_equal_stacked_moments():
 @pytest.mark.parametrize("lead", [(), (4,)], ids=["1d", "2d"])
 @pytest.mark.parametrize("q, N", [(3, 1), (3, 4), (4, 3), (5, 2)])
 def test_exp_moments_commute_with_reverse_sites(q, N, lead):
-    # the per-site pass reverses the moments it took: exp and the product
-    # are elementwise, so those are the moments of the reversed f bit for
-    # bit, also where e^f overflows to inf and underflows to 0
+    # the per-site pass moves the moments it took to the swapped grid: exp
+    # and the product are elementwise, so those are the moments of the
+    # swapped f bit for bit, also where e^f overflows to inf and
+    # underflows to 0
     f = 800.0 * np.random.default_rng(q * 10 + N).standard_normal(lead + (q**N,))
     with np.errstate(over="ignore"):
-        got = exp_moments(_reverse_sites(f, q, N))
-        want = _reverse_sites(exp_moments(f), q, N)
+        got = exp_moments(_swap_halves(f, q, N))
+        want = _swap_halves(exp_moments(f), q, N)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -613,24 +623,24 @@ def test_exp_moments_commute_with_reverse_sites(q, N, lead):
                                       (3, (1,)), (4, (1, 1))])
 def test_local_terms_match_site_view_loop(q, sizes):
     # an odd N or unequal blocks put one block's sites in both halves, so a
-    # low site read at the wrong reversed site shows as a mismatch.  The
+    # low site read at the wrong swapped site shows as a mismatch.  The
     # two routes sum N P terms in different orders: the first two sides are
     # sums of nonnegative terms, whose rounding grows like sqrt(N P) ulps,
     # and the third subtracts sums of size N E|f e^f|, so its rounding is
     # bounded by the same factor times that size (measured: at most 20 eps
     # of the first two sides and 7 eps of that size)
     p, b = make(q, sizes, 0.3, 0.8)
-    ws = ConfigWorkspace(b, p)
-    probs = ws.probabilities
-    tol = 4 * math.sqrt(b.N * len(ws.dist)) * EPS
+    law = full_configuration_distribution(b, p)
+    probs = law.probabilities
+    tol = 4 * math.sqrt(b.N * len(law)) * EPS
     cfgs, counts = oracles.decoded_configurations(b, q)
     structured = np.stack([cfgs[:, i] == c for i in range(b.N) for c in range(q)]
                           + [counts[:, k, c] for k in range(b.s) for c in range(q)])
-    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((5, len(ws.dist)))
+    gaussian = np.random.default_rng(q * 100 + b.N).standard_normal((5, len(law)))
     for fvals in (gaussian, structured.astype(np.float64), gaussian[0]):
         moments = exp_moments(fvals)
-        dirichlet, weighted, cov = site_sides(ws, fvals)
-        ref_dsq, ref_cov = oracles.local_terms_by_site_view(ws, moments)
+        dirichlet, weighted, cov = site_sides(law, fvals)
+        ref_dsq, ref_cov = oracles.local_terms_by_site_view(law, moments)
         ref_dirichlet, ref_weighted = p_mean(ref_dsq, probs), p_mean(ref_dsq * moments[1], probs)
         assert dirichlet.shape == weighted.shape == cov.shape == fvals.shape[:-1]
         assert np.all(np.abs(dirichlet - ref_dirichlet) <= tol * ref_dirichlet)
@@ -650,10 +660,10 @@ def test_local_terms_match_site_view_loop(q, sizes):
 def test_battery_equals_battery_by_configs(q, sizes, leaf, monkeypatch):
     monkeypatch.setattr(lsi, "LEAF", leaf)
     p, b = make(q, sizes, 0.05, 0.1)
-    ws = ConfigWorkspace(b, p)
+    law = full_configuration_distribution(b, p)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = list(_structured_battery(ws, rng))
-    want = list(oracles.structured_battery_by_configs(ws, ref_rng))
+    got = list(_structured_battery(law, rng))
+    want = list(oracles.structured_battery_by_configs(law, ref_rng))
     assert len(got) == len(want)
     for a, w in zip(got, want):
         assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
@@ -666,18 +676,18 @@ def test_battery_peak_memory_is_two_observables_and_a_slab():
     # the linear forms' slab of at most CHUNK_BYTES: no (P, N) array of
     # colors or of terms is built
     p, b = make(3, (5, 5), 0.05, 0.1)
-    ws = ConfigWorkspace(b, p)
-    for _ in _structured_battery(ws, np.random.default_rng(1)):
+    law = full_configuration_distribution(b, p)
+    for _ in _structured_battery(law, np.random.default_rng(1)):
         pass  # the first drain imports what numpy loads lazily
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        for _ in _structured_battery(ws, rng):
+        for _ in _structured_battery(law, rng):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(ws.dist) * 8 + 2 * CHUNK_BYTES
+    assert peak <= 3 * len(law) * 8 + 2 * CHUNK_BYTES
 
 
 def test_suite_peak_memory_does_not_grow_with_observables():
@@ -702,7 +712,7 @@ def test_workspace_peak_memory_is_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = cond.nbytes + ws.dist.log_weights.nbytes + ws.dist.probabilities.nbytes
+    outputs = cond.nbytes + ws.probabilities.nbytes
     assert peak <= 1.25 * outputs
 
 
@@ -762,12 +772,15 @@ def test_suite_matches_pinned_report(sizes):
     assert report.worst_ratio == pytest.approx(ratio, rel=1e-13, abs=0)
 
 
-# The pinned suites' worst values and entropy_functional's batch and row
-# values, as hex floats in `bits`.  OpenBLAS picks its kernel from
-# OPENBLAS_CORETYPE when numpy loads, so each kernel runs it in a subprocess.
+# The pinned suites' worst values, entropy_functional's batch and row
+# values, and the log_Z and a digest of the probability bytes of both exact
+# laws, whose BLAS sums are exact integers, as hex floats in `bits`.
+# OpenBLAS picks its kernel from OPENBLAS_CORETYPE when numpy loads, so
+# each kernel runs it in a subprocess.
 KERNEL_PROBE = """
+import hashlib
 import numpy as np
-from blockpotts import (BlockStructure, ModelParams, entropy_functional,
+from blockpotts import (BlockStructure, ModelParams, entropy_functional, exact_distribution,
                         full_configuration_distribution, verify_lsi_suite)
 params = ModelParams(q=3, s=2, alpha=0.05, beta=0.1, gamma=(0.5, 0.5))
 bits = {}
@@ -784,6 +797,10 @@ two_by_two = full_configuration_distribution(BlockStructure(sizes=(2, 2)), param
 for name, rows, dist in (("basics", basics, one_site), ("drawn", drawn, two_by_two)):
     batch = entropy_functional(rows, dist).tolist()
     bits[name] = [v.hex() for v in batch + [entropy_functional(row, dist) for row in rows]]
+for name, law in (("exact", exact_distribution(BlockStructure(sizes=(20, 20)), params)),
+                  ("configurations",
+                   full_configuration_distribution(BlockStructure(sizes=(4, 4)), params))):
+    bits[name] = [law.log_Z.hex(), hashlib.sha256(law.probabilities.tobytes()).hexdigest()]
 """
 
 
@@ -831,9 +848,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     q, N = 3, 8
     P = q**N
     rows = CHUNK_BYTES // (8 * P)
-    # eight (rows, P) and three (rows, P / q) chunk buffers, the reversed
-    # law and N marginals of the pass, and the workspace's two (P,) arrays
-    floats = 8 * rows * P + 3 * rows * P // q + P + N * P // q + 2 * P
+    # eight (rows, P) and three (rows, P / q) chunk buffers, the swapped
+    # law and N marginals of the pass, and the law's (P,) probabilities
+    floats = 8 * rows * P + 3 * rows * P // q + P + N * P // q + P
     pages = floats * 8 / os.sysconf("SC_PAGE_SIZE")
     assert faults <= 2 * pages, (faults, pages)
 
@@ -865,10 +882,10 @@ def test_suite_counts_nan_sides_as_violations():
 def test_exp_inequalities_invariant_under_constant_shift():
     # both sides of the exp-form inequalities scale by e^shift
     p, b = make(3, (2, 2), 0.05, 0.1)
-    ws = ConfigWorkspace(b, p)
-    probs = ws.dist.probabilities
+    law = full_configuration_distribution(b, p)
+    probs = law.probabilities
     rng = np.random.default_rng(17)
-    f = rng.standard_normal(len(ws.dist))
+    f = rng.standard_normal(len(law))
     shift = 0.75
 
     def ent_exp(fv):
@@ -878,14 +895,14 @@ def test_exp_inequalities_invariant_under_constant_shift():
 
     scale = math.exp(shift)
     assert ent_exp(f + shift) == pytest.approx(scale * ent_exp(f), rel=1e-10)
-    dirichlet0, weighted0, cov0 = site_sides(ws, f)
-    dirichlet1, weighted1, cov1 = site_sides(ws, f + shift)
+    dirichlet0, weighted0, cov0 = site_sides(law, f)
+    dirichlet1, weighted1, cov1 = site_sides(law, f + shift)
     assert float(cov1) == pytest.approx(scale * float(cov0), rel=1e-10)
     assert abs(float(dirichlet0 - dirichlet1)) <= 1e-12
     assert float(weighted1) == pytest.approx(scale * float(weighted0), rel=1e-10)
     # the squared-form entropy is NOT shift invariant for generic f
-    assert entropy_functional((f + shift) ** 2, ws.dist) != pytest.approx(
-        entropy_functional(f**2, ws.dist), rel=1e-3
+    assert entropy_functional((f + shift) ** 2, law) != pytest.approx(
+        entropy_functional(f**2, law), rel=1e-3
     )
 
 

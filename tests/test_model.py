@@ -69,6 +69,28 @@ def test_count_matrix_length_mismatch_is_error():
         count_matrix([0, 1, 2], b, 3)
 
 
+@pytest.mark.parametrize("config", [
+    [0.9, 1.5, 2.7, 0.2], [0, 1, 2, 0.5], [0, 1, 2, math.nan], [0, 1, 2, math.inf],
+    ["0", "1", "2", "0"], [0, 1, 2, 1j], [0, 1, 2, 2**70], [0, 1, 2, [0]],
+], ids=["fractions", "one-fraction", "nan", "inf", "strings", "complex", "past-int64", "ragged"])
+def test_colors_that_are_not_whole_numbers_are_refused(config):
+    # a cast to int64 would truncate 0.9 to 0 and parse "1": every entry is
+    # refused unless it is a whole number, in count_matrix and as a chain's
+    # initial configuration alike
+    b = BlockStructure(sizes=(2, 2))
+    with pytest.raises(InvalidInputError, match="colors"):
+        count_matrix(config, b, 3)
+    params = ModelParams(q=3, s=2, alpha=0.1, beta=0.2, gamma=(0.5, 0.5))
+    with pytest.raises(InvalidInputError, match="colors"):
+        run_chain(b, params, sweeps=1, init=config)
+
+
+def test_whole_valued_float_colors_are_accepted():
+    b = BlockStructure(sizes=(2, 2))
+    assert np.array_equal(count_matrix([0.0, 1.0, 2.0, 0.0], b, 3),
+                          count_matrix([0, 1, 2, 0], b, 3))
+
+
 def test_hamiltonian_two_aligned_spins():
     # 4 ordered equal pairs including both diagonals: H = -1*4/(2*2)
     b = BlockStructure(sizes=(2,))
