@@ -23,7 +23,6 @@ file, so a run refused before it writes leaves no directory behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -36,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .equilibria import (
-    EquilibriumReport,
     SearchOptions,
+    check_landscape,
     classify_phase,
     critical_temperature,
     maximize_G,
@@ -60,15 +59,16 @@ from .lsi import (
     measured_constants,
     verify_lsi_suite,
 )
-from .model import BlockStructure, ModelParams, check_cap, model_to_json
+from .model import BlockStructure, ModelParams, check_cap, check_count, model_to_json
 from .numutil import LEAF
 from .rates import potts_functional
 
 # Most rows a command may write to one CSV (simulate: over all chains):
 # a larger request is refused (exit 3) before anything is allocated or opened.
 MAX_ROWS = 10_000_000
-# Most entries s * q of a count matrix that simulate, concentration or
-# phase-diagram may allocate tables for; a larger one is refused (exit 3).
+# Most entries s * q of a count matrix that simulate or concentration may
+# allocate tables for, and most colors q of phase-diagram's profiles; a
+# larger one is refused (exit 3).
 MAX_ENTRIES = 1 << 20
 
 
@@ -141,12 +141,6 @@ class _Parser(argparse.ArgumentParser):
                            f"{action.option_strings[0]}")
             argv.append(f"{action.option_strings[0]}={text}")
         return argv
-
-
-def _at_least_one(key, value):
-    if value < 1:
-        raise InvalidInputError(f"--{key.replace('_', '-')} must be >= 1, got {value}")
-    return value
 
 
 def _check_entries(s, q):
@@ -248,16 +242,16 @@ def _parse_init(text, q):
 def cmd_simulate(args):
     params, blocks = _resolve_model(args)
     _check_entries(params.s, params.q)
-    chains = _at_least_one("chains", args.chains)
+    check_count("--chains", args.chains, 1)
     init = _parse_init(args.init, params.q)
     out = Path(args.out_dir, args.out)
     sweeps, thin, burn_in = args.sweeps, args.thin, args.burn_in
     # a rejected run must not leave a header-only CSV behind
     check_run_options(blocks, params, sweeps, thin, burn_in)
-    check_cap(chains * (sweeps // thin), MAX_ROWS, f"--chains {chains}", "rows")
+    check_cap(args.chains * (sweeps // thin), MAX_ROWS, f"--chains {args.chains}", "rows")
 
     child_seeds = [int(ss.generate_state(1)[0]) for ss in
-                   np.random.SeedSequence(args.seed).spawn(chains)]
+                   np.random.SeedSequence(args.seed).spawn(args.chains)]
 
     def rows():  # one chain at a time, so only one chain's samples are held
         for chain_id, child in enumerate(child_seeds, start=1):
@@ -287,11 +281,6 @@ def cmd_exact(args):
     return [out], params, blocks, {"log_Z": dist.log_Z, "support_size": len(dist)}
 
 
-# the search diagnostics: the EquilibriumReport fields after certificate, in order
-_DIAGNOSTICS = tuple(f.name for f in dataclasses.fields(EquilibriumReport))
-_DIAGNOSTICS = _DIAGNOSTICS[_DIAGNOSTICS.index("certificate") + 1:]
-
-
 def _report_to_json(report, params):
     return {
         "phase": report.phase.value,
@@ -303,7 +292,7 @@ def _report_to_json(report, params):
         "certificate": report.certificate,
         "maximizers": [m.tolist() for m in report.maximizers],
         "structure": [structure_certificate(m, params) for m in report.maximizers],
-        "diagnostics": {key: getattr(report, key) for key in _DIAGNOSTICS},
+        "diagnostics": report.diagnostics,
     }
 
 
@@ -311,6 +300,8 @@ def cmd_equilibria(args):
     params, blocks = _resolve_model(args)
     out = Path(args.out_dir, args.out)
     options = SearchOptions(restarts=args.restarts, seed=args.seed)
+    # both landscape flags are checked on every run, --landscape-out or not
+    check_landscape(params, args.landscape_r, args.landscape_mesh)
     if args.landscape_out is not None:
         check_cap(args.landscape_mesh ** params.s, MAX_ROWS,
                   f"--landscape-mesh {args.landscape_mesh} over {params.s} blocks", "rows")
@@ -328,9 +319,10 @@ def cmd_equilibria(args):
 
 
 def cmd_phase_diagram(args):
-    q, g_min, g_max, g_step = args.q, args.g_min, args.g_max, args.g_step
-    s = _at_least_one("s", args.s)
-    _check_entries(s, q)
+    q, s, g_min, g_max, g_step = args.q, args.s, args.g_min, args.g_max, args.g_step
+    check_count("--s", s, 1)
+    # the command allocates vectors of q colors; s enters only as log s
+    check_cap(q, MAX_ENTRIES, f"a profile of {q} colors", "entries")
     out = Path(args.out_dir, args.out)
     if not (0 < g_step < math.inf and g_max >= g_min and math.isfinite(g_max - g_min)):
         raise InvalidInputError("need finite g_step > 0 and finite g_max >= g_min")
@@ -382,8 +374,8 @@ def cmd_concentration(args):
     params, blocks = _resolve_model(args)
     _check_entries(params.s, params.q)
     k, c = args.k - 1, args.c - 1
-    t_points = _at_least_one("t_points", args.t_points)
-    check_cap(t_points, MAX_ROWS, "--t-points", "rows")
+    check_count("--t-points", args.t_points, 1)
+    check_cap(args.t_points, MAX_ROWS, "--t-points", "rows")
     out = Path(args.out_dir, args.out)
     if not 0 <= k < blocks.s:
         raise InvalidInputError(f"--k must lie in 1..{blocks.s}")
@@ -402,7 +394,7 @@ def cmd_concentration(args):
         constants = measured_constants(blocks, params)[0]
     summary = run_chain(blocks, params, args.sweeps, thin=args.thin, seed=args.seed,
                         burn_in=args.burn_in)
-    rows = concentration_report(summary, constants, k, c, np.linspace(0.0, t_max, t_points))
+    rows = concentration_report(summary, constants, k, c, np.linspace(0.0, t_max, args.t_points))
     _write_csv(out, ["t", "tail", "bound", "std_error", "flagged"],
                ((r.t, r.tail, r.bound, r.std_error, int(r.flagged)) for r in rows))
     return [out], params, blocks, {"sigma3_sq": constants.sigma3_sq}

@@ -93,8 +93,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NonConvergenceError
-from .model import _column_sums, check_cap, check_count, field_from_sums, interaction_field
+from .errors import CapacityError, InvalidInputError, NonConvergenceError
+from .model import (_column_sums, check_cap, check_count, check_finite, check_whole,
+                    field_from_sums, interaction_field, shown_count)
 from .numutil import softmax
 from .rates import _block_matrix, _free_energy, free_energy_G
 
@@ -134,14 +135,14 @@ class Phase(enum.Enum):
 
 def critical_temperature(q):
     """Critical inverse temperature zeta_q = 2 (q-1)/(q-2) log(q-1) of the q-color Potts model."""
-    if int(q) != q or q < 3:
-        raise InvalidInputError(f"q must be an integer >= 3, got {q}")
-    return 2.0 * (q - 1.0) / (q - 2.0) * math.log(q - 1.0)
+    q = check_whole("q", q, 3)
+    # the int quotient is correctly rounded and never overflows
+    return 2 * (q - 1) / (q - 2) * math.log(q - 1)
 
 
 def classify_phase(g, q):
     """Phase at effective coupling g: CRITICAL within CRITICAL_BAND of zeta_q, else by side."""
-    zeta = critical_temperature(q)
+    g, zeta = check_finite("g", g), critical_temperature(q)
     if abs(g - zeta) <= CRITICAL_BAND:
         return Phase.CRITICAL
     return Phase.SUBCRITICAL if g < zeta else Phase.SUPERCRITICAL
@@ -156,7 +157,13 @@ def potts_fixed_point_u(g, q):
     a positive root exists iff the larger critical point u_c lies in (0, 1)
     with f(u_c) >= 0, and the largest one is then bisected on [u_c, 1] to
     the last bit, however close the smaller root lies (near the spinodal).
+    A g that is no finite number is invalid input, and a q above 1e150 is
+    refused with a CapacityError that names it (see the comment below).
     """
+    g, q = check_finite("g", g), check_whole("q", q, 3)
+    if q > 1e150:
+        raise CapacityError(f"the fixed point u is taken in floats only for q <= 1e150, "
+                            f"got q={shown_count(q)}", required=q)
     a, b = (q - 1.0) ** 2, 2.0 * (q - 1.0) - g * q
     disc = b * b - 4.0 * a
     if g <= 0.0 or b >= 0.0 or disc < 0.0:
@@ -166,8 +173,9 @@ def potts_fixed_point_u(g, q):
         e = math.exp(-g * u)
         return (1.0 - e) / (1.0 + (q - 1.0) * e) - u
 
-    # b * b overflows only when gq > 1e154: u_c ~ log(gq) / g then lies far
-    # below 1/2, where f is still positive (f(1/2) = 1/2 once e^{-g/2} underflows)
+    # b * b overflows only when gq > 1e154, so with q <= 1e150 only when g >
+    # 1e4: u_c ~ log(gq) / g then lies far below 1/2, where f is still
+    # positive (f(1/2) = 1/2 once e^{-g/2} underflows)
     lo = 0.5 if disc == math.inf else math.log(0.5 * (math.sqrt(disc) - b)) / g
     hi = 1.0
     if not 0.0 < lo < 1.0 or f(lo) < 0.0:
@@ -221,15 +229,23 @@ def _closed_form(g, u, params):
     return Q, list(nus)
 
 
+def _finite_matrix(mu, params):
+    """mu as rates._block_matrix returns it; InvalidInputError for a NaN or infinite entry."""
+    mu = _block_matrix(mu, params)
+    if not np.all(np.isfinite(mu)):
+        raise InvalidInputError(f"matrix has a non-finite entry: {mu.tolist()}")
+    return mu
+
+
 def critical_residual(mu, params):
     """Residual matrix of the Lagrange critical equations of G on C(gamma).
 
     Entry (k, c) is beta (mu_kc - gamma_k / q) + alpha sum_{k' != k}
     (mu_k'c - gamma_k' / q) minus log of mu_kc over the geometric mean of
     row k; every interior maximizer must solve these equations.  Requires
-    strictly positive entries.
+    strictly positive finite entries (_finite_matrix).
     """
-    mu = _block_matrix(mu, params)
+    mu = _finite_matrix(mu, params)
     if np.any(mu <= 0.0):
         raise InvalidInputError("critical equations need strictly positive entries")
     dev = mu - params.gamma_array[:, None] / params.q
@@ -287,19 +303,20 @@ class SearchOptions:
 class EquilibriumReport:
     """Classified maximizer set of G on C(gamma), with what the search did.
 
-    restarts mean-field restarts ran (opts.restarts per column multiplicity
-    plus as many full-matrix ones) for ascent_iterations map steps in all,
-    max_ascent_iterations the longest; restarts_converged of them stopped
-    before MAX_ITER, at a basin centre, on a move below STEP_TOL or at a
-    Newton root, basin_stops of those at a basin centre (the flat point or
-    a closed-form nu^i, inside the ball where the map provably converges
-    to it), newton_handoffs at a Newton root (a two-column restart tries
-    that every HANDOFF_EVERY steps until one succeeds or one converges to
-    a lower G), and newton_failures two-column endpoints other than a
-    basin centre could not be polished to a critical point.
-    certificate_margin is sup_G minus the best value any restart reached:
-    it is >= -MARGIN for every report.  residual_max is the largest
-    critical residual over the maximizers, inf when an entry of one is 0.
+    residual_max is the largest critical residual over the maximizers, inf
+    when an entry of one is 0.  diagnostics, a dict in the key order of the
+    CLI's JSON, is the search's record: restarts mean-field restarts ran
+    (opts.restarts per column multiplicity plus as many full-matrix ones)
+    for ascent_iterations map steps in all, max_ascent_iterations the
+    longest; restarts_converged of them stopped before MAX_ITER, at a basin
+    centre, on a move below STEP_TOL or at a Newton root, newton_handoffs
+    at a Newton root (a two-column restart tries that every HANDOFF_EVERY
+    steps until one succeeds or one converges to a lower G), basin_stops at
+    a basin centre (the flat point or a closed-form nu^i, inside the ball
+    where the map provably converges to it), and newton_failures two-column
+    endpoints other than a basin centre could not be polished to a critical
+    point.  certificate_margin is sup_G minus the best value any restart
+    reached: it is >= -MARGIN for every report.
     """
 
     phase: Phase
@@ -310,14 +327,7 @@ class EquilibriumReport:
     residual_max: float
     u: float
     certificate: str
-    restarts: int
-    ascent_iterations: int
-    max_ascent_iterations: int
-    restarts_converged: int
-    newton_handoffs: int
-    basin_stops: int
-    newton_failures: int
-    certificate_margin: float
+    diagnostics: dict
 
 
 def _newton_step(h, d_prime, params):
@@ -513,8 +523,8 @@ def _numerical_candidates(params, gamma, opts, nus):
 
     Returns (candidates, probe_max, probe_best, stats): Newton-polished
     critical points, the best value seen by any ascent (polished or not),
-    the matrix that achieved it, and the search diagnostics of
-    EquilibriumReport.  The full-matrix restarts are a safety net for the
+    the matrix that achieved it, and EquilibriumReport's diagnostics but
+    certificate_margin.  The full-matrix restarts are a safety net for the
     manifold search: their endpoints are value probes, not candidates.
     """
     q = params.q
@@ -641,8 +651,7 @@ def maximize_G(params, options=None):
         residual_max=residual_max,
         u=u,
         certificate=certificate,
-        certificate_margin=sup_G - probe_max,
-        **stats,
+        diagnostics={**stats, "certificate_margin": sup_G - probe_max},
     )
 
 
@@ -654,9 +663,7 @@ def structure_certificate(mu, params, tol=1e-9):
     critical-equation residual.  A matrix of any shape but (s, q), or with
     a NaN or infinite entry, raises InvalidInputError.
     """
-    mu = _block_matrix(mu, params)
-    if not np.all(np.isfinite(mu)):
-        raise InvalidInputError(f"matrix has a non-finite entry: {mu.tolist()}")
+    mu = _finite_matrix(mu, params)
     positive = bool(np.all(mu > 0.0))
     # a common ordering exists iff the columns are totally ordered entrywise;
     # when it does, sorting columns by their sums realizes it
@@ -677,6 +684,14 @@ def structure_certificate(mu, params, tol=1e-9):
     }
 
 
+def check_landscape(params, r, mesh):
+    """Refuse a multiplicity r outside 1..q-1 or a mesh below 1."""
+    check_count("r", r, 1)
+    if r > params.q - 1:
+        raise InvalidInputError(f"r must lie in 1..{params.q - 1}, got {r}")
+    check_count("mesh", mesh, 1)
+
+
 def two_column_landscape(params, r, mesh=25):
     """Sample G on a mesh of the two-column manifold for a fixed r.
 
@@ -686,10 +701,7 @@ def two_column_landscape(params, r, mesh=25):
     """
     gamma = params.gamma_array
     q = params.q
-    check_count("r", r, 1)
-    if r > q - 1:
-        raise InvalidInputError(f"r must lie in 1..{q - 1}, got {r}")
-    check_count("mesh", mesh, 1)
+    check_landscape(params, r, mesh)
     lo, hi = gamma / q, gamma / r
     pad = LANDSCAPE_INSET * (hi - lo)
     axes = np.linspace(lo + pad, hi - pad, mesh, axis=-1)

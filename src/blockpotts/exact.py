@@ -38,6 +38,7 @@ the inner one, so the grid's flat index is the configuration code
 sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  Its weights
 are normalized in place and only the probabilities are kept, so its peak
 memory is that output, 8 bytes per configuration, plus the weights' slabs.
+This module owns that layout: code_colors, site_view, _low_half, _swap_halves.
 
 Everything is normalized in log space, by one exp pass.  This module is
 the brute-force oracle for the sampler, the rate functions and the
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .model import (capped_count, check_block_color, check_cap, check_consistent,
-                    form_from_sums)
+from .model import (_whole_at_least, capped_count, check_block_color, check_cap,
+                    check_consistent, form_from_sums)
 from .numutil import LEAF, log_factorials
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -72,8 +73,9 @@ def enumerate_block_compositions(n, q):
     positions among n+q-1 slots come in lexicographic order, and the gaps
     between them, read from the last gap back, are the composition.
     """
-    if n < 0 or q < 1:
-        raise InvalidInputError(f"need n >= 0 and q >= 1, got n={n}, q={q}")
+    if not (_whole_at_least(n, 0) and _whole_at_least(q, 1)):
+        raise InvalidInputError(f"need integers n >= 0 and q >= 1, got n={n}, q={q}")
+    n, q = int(n), int(q)
     rows = math.comb(n + q - 1, q - 1)
     bars = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n + q - 1), q - 1)), dtype=np.int64,
@@ -87,13 +89,15 @@ def block_compositions(sizes, q, cap):
 
     The support size P = prod_k C(sizes[k]+q-1, q-1) is checked against cap
     before anything is enumerated, and a CapacityError names it; a cap
-    below 1 is invalid input.  Blocks of
-    2^15 sites or more are refused too, since the support stores int16
-    counts (at q >= 3 such a block alone has over 5e8 compositions).
+    below 1, and sizes (any iterable) or a q that are not whole numbers,
+    are invalid input.  Blocks of 2^15 sites or more are refused too, since
+    the support stores int16 counts (at q >= 3 such a block alone has over
+    5e8 compositions).
     """
-    sizes = [int(n) for n in sizes]
-    if not sizes or min(sizes) < 0 or q < 1:
-        raise InvalidInputError(f"need sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
+    sizes = list(sizes)
+    if not (sizes and all(_whole_at_least(n, 0) for n in sizes) and _whole_at_least(q, 1)):
+        raise InvalidInputError(f"need integer sizes >= 0 and q >= 1, got sizes={sizes}, q={q}")
+    sizes, q = list(map(int, sizes)), int(q)
     required = capped_count([(n + q - 1, n) for n in sizes], cap)
     check_cap(required, cap, "count-matrix support", "matrices")
     if max(sizes) > INT16_MAX:
@@ -280,13 +284,34 @@ def site_view(values, site, q):
     return values.reshape(*values.shape[:-1], -1, q, q**site)
 
 
+def code_colors(codes, sites, q):
+    """Colors (*codes.shape, len(sites)) at sites of the coded configurations: base-q digits."""
+    return np.asarray(codes)[..., None] // q ** np.asarray(sites) % q
+
+
+def _low_half(N):
+    """h, the low sites 0..h-1 of the q^N law's (q^(N-h), q^h) grid."""
+    return N // 2
+
+
+def _swap_halves(values, q, N, out=None):
+    """Per-configuration values (..., q^N) on the law's (q^(N-h), q^h) grid
+    with its two axes swapped, written into out (a new array by default)
+    and returned: a low site i < h of values sits at site i + N - h of the
+    result, and a high site i at site i - h."""
+    lead, low = values.shape[:-1], q ** _low_half(N)
+    out = np.empty(values.shape) if out is None else out
+    np.copyto(out.reshape(*lead, low, -1), values.reshape(*lead, -1, low).swapaxes(-1, -2))
+    return out
+
+
 def _site_table(site_block, s, q):
     """(q^g, s, q) int16 color counts of g sites in blocks site_block, row c
     the coloring coded c, its first site least significant."""
     g = len(site_block)
-    codes = np.arange(q**g)[:, None]
+    codes = np.arange(q**g)
     table = np.zeros((q**g, s, q), dtype=np.int16)
-    np.add.at(table, (codes, site_block, codes // q ** np.arange(g) % q), 1)
+    np.add.at(table, (codes[:, None], site_block, code_colors(codes, np.arange(g), q)), 1)
     return table
 
 
@@ -303,8 +328,8 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     q, N = params.q, blocks.N
     required = capped_count(itertools.repeat((q, 1), N), cap)
     check_cap(required, cap, "full enumeration", "configurations")
-    site_block = np.repeat(np.arange(blocks.s), blocks.sizes)
-    halves = [_site_table(h, blocks.s, q) for h in (site_block[N // 2 :], site_block[: N // 2])]
+    sites, h = blocks.site_blocks, _low_half(N)
+    halves = [_site_table(half, blocks.s, q) for half in (sites[h:], sites[:h])]
     weights = _grid_log_weights(*halves, None, params, N)
     log_Z, probabilities = _normalize(weights, params, out=weights)
     return ConfigurationDistribution(log_Z=log_Z, probabilities=probabilities, params=params,

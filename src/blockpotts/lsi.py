@@ -73,11 +73,12 @@ structured battery builds each observable from the configuration codes.
 The interdependence maxima run over slabs of numutil.CHUNK_BYTES, and the
 suite integrates (F, P) chunks of that size in buffers made once per call,
 so beyond the laws its memory grows with neither the support nor num_f.
-A low site i < h = N // 2, whose view has a short inner run q^i, is read
-at site i + N - h of the law's (q^(N-h), q^h) grid of high against low
-sites with its two axes swapped, one 2-D transpose of the chunk.  The
-suite's p-weighted means are pairwise np.add.reduce sums and no integral
-calls BLAS, so its bits do not depend on the kernel.
+exact owns the law's grid layout: the split h (exact._low_half), the grid
+with its halves swapped (exact._swap_halves, one 2-D transpose of a chunk)
+and the codes' colors (exact.code_colors).  A low site i < h, whose view
+has a short inner run q^i, is read at site i + N - h of the swapped grid.
+The suite's p-weighted means are pairwise np.add.reduce sums and no
+integral calls BLAS, so its bits do not depend on the kernel.
 
 The concentration check reads every tail of a t grid from one sort of a
 chain's deviations and needs nothing of the sampler but its sample array.
@@ -95,11 +96,14 @@ import numpy as np
 from .errors import CapacityError, ConditionNotMetError, InvalidInputError
 from .exact import (
     DEFAULT_SUPPORT_CAP,
+    _low_half,
+    _swap_halves,
     block_compositions,
+    code_colors,
     full_configuration_distribution,
     site_view,
 )
-from .model import (check_block_color, check_cap, check_consistent, check_count,
+from .model import (check_block_color, check_cap, check_consistent, check_count, check_finite,
                     field_from_sums, shown_count)
 from .numutil import CHUNK_BYTES, LEAF, _xlogx, softmax
 
@@ -304,17 +308,6 @@ def measured_constants(blocks, params):
     return lsi_constants(g1, g2), inf_norm, two_norm
 
 
-def _swap_halves(values, q, N, out=None):
-    """Per-configuration values (..., q^N) on the law's (q^(N-h), q^h) grid,
-    h = N // 2, with its two axes swapped, written into out (a new array by
-    default) and returned: a low site i < h of values sits at site
-    i + N - h of the result, and a high site i at site i - h."""
-    lead, low = values.shape[:-1], q ** (N // 2)
-    out = np.empty(values.shape) if out is None else out
-    np.copyto(out.reshape(*lead, low, -1), values.reshape(*lead, -1, low).swapaxes(-1, -2))
-    return out
-
-
 def _site_laws(probabilities, i, q):
     """Site i's conditional (A, q, B) and the marginal law (A, B) of the
     other sites, on the site-i view of a joint law."""
@@ -358,7 +351,8 @@ class _SitePass:
         self.q, self.N, self.dist, P = q, N, dist, len(p)
         self.layouts = (p, _swap_halves(p, q, N))
         # (layout, site on that layout, 1 / marginal law of the other sites)
-        sites = [(1, i + N - N // 2) if i < N // 2 else (0, i) for i in range(N)]
+        h = _low_half(N)
+        sites = [(1, i + N - h) if i < h else (0, i) for i in range(N)]
         self.laws = [(k, j, 1.0 / site_view(self.layouts[k], j, q).sum(axis=1)) for k, j in sites]
         self.moments, self.dev = np.empty((3, rows, P)), np.empty((rows, P))
         self.draws = self.moments[0]
@@ -461,10 +455,10 @@ def _structured_battery(dist, rng):
         # q^m colorings in code order, and the other sites are constant
         m = max(1, min(N, int(math.log(LEAF // N, q))))
         terms = np.empty((q**m, N))
-        terms[:, :m] = (np.indices((q,) * m).reshape(m, -1)[::-1].T == target[:m]) * coef[:m]
+        terms[:, :m] = (code_colors(np.arange(q**m), np.arange(m), q) == target[:m]) * coef[:m]
         values = np.empty(P)
         for lo in range(0, P, q**m):
-            terms[:, m:] = (lo // q ** np.arange(m, N) % q == target[m:]) * coef[m:]
+            terms[:, m:] = (code_colors(lo, np.arange(m, N), q) == target[m:]) * coef[m:]
             values[lo : lo + q**m] = terms.sum(axis=1)
         return values
 
@@ -513,8 +507,7 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
     """
     check_count("num_f", num_f, 0)
     check_count("seed", seed, 0)
-    if not math.isfinite(amplitude):
-        raise InvalidInputError(f"amplitude must be finite, got {amplitude}")
+    amplitude = check_finite("amplitude", amplitude)
     _require_lsi_condition(params.q, params.beta)
     dist = full_configuration_distribution(blocks, params, cap=WORKSPACE_CAP)
     P = len(dist)

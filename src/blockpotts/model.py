@@ -16,6 +16,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,11 +31,29 @@ SHOWN_DIGITS = 1000
 
 
 def _whole_at_least(x, least):
-    """True when x equals an integer >= least; int() refuses NaN and infinities."""
+    """True when x equals an integer >= least and is no bool; int() refuses NaN and infinities."""
     try:
-        return int(x) == x and x >= least
+        return not isinstance(x, (bool, np.bool_)) and int(x) == x and x >= least
     except (ValueError, OverflowError):
         return False
+
+
+def check_whole(name, value, least):
+    """int(value), after refusing what is no whole number >= least: 3.0 passes, True or 2.5 not."""
+    if not _whole_at_least(value, least):
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def check_finite(name, value):
+    """float(value), after refusing a value that is no finite real number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):  # no number, or an int past the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -55,12 +74,8 @@ class ModelParams:
     gamma: tuple
 
     def __post_init__(self):
-        if not _whole_at_least(self.q, 3):
-            raise InvalidInputError(f"q must be an integer >= 3, got {self.q}")
-        if not _whole_at_least(self.s, 1):
-            raise InvalidInputError(f"s must be an integer >= 1, got {self.s}")
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "q", check_whole("q", self.q, 3))
+        object.__setattr__(self, "s", check_whole("s", self.s, 1))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         if not (self.beta >= 0.0 and np.isfinite(self.beta)):
@@ -141,17 +156,24 @@ def check_consistent(params, blocks):
         )
 
 
+def _integer(value):
+    """True for an int or numpy integer that is no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_block_color(k, c, s, q):
-    """Raise unless block k lies in 0..s-1 and color c in 0..q-1."""
-    if not 0 <= k < s:
-        raise InvalidInputError(f"block index {k} out of range 0..{s - 1}")
-    if not 0 <= c < q:
-        raise InvalidInputError(f"color index {c} out of range 0..{q - 1}")
+    """Raise unless block k is an integer in 0..s-1 and color c one in
+    0..q-1; a bool or a float is no index."""
+    for name, index, count in (("block", k, s), ("color", c, q)):
+        if not _integer(index):
+            raise InvalidInputError(f"{name} index must be an integer, got {index!r}")
+        if not 0 <= index < count:
+            raise InvalidInputError(f"{name} index {index} out of range 0..{count - 1}")
 
 
 def check_count(name, value, low):
     """Refuse a value that is not an integer (bools included) or is below low."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if not _integer(value):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise InvalidInputError(f"{name} must be >= {low}, got {value}")

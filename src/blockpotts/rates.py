@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import interaction_form
+from .model import check_finite, interaction_form
 from .numutil import _xlogx
 
 FEASIBILITY_TOL = 1e-10
@@ -126,8 +126,10 @@ def potts_functional(v, g):
     """Single-community Potts target G^P(v) = g/2 sum v_c^2 - sum v_c log v_c.
 
     With g = (beta + (s-1) alpha) / s this governs the uniform-block model:
-    a BLOCK matrix whose rows all equal v/s has G = G^P(v) + log s.
+    a BLOCK matrix whose rows all equal v/s has G = G^P(v) + log s.  A g
+    that is no finite number is invalid input.
     """
+    g = check_finite("g", g)
     clean = _clean_rows(_vector(v), 1.0)
     if clean is None:
         raise InvalidInputError(f"v is not a probability vector: {v}")

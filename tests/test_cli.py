@@ -584,6 +584,11 @@ def test_missing_required_option_is_usage_error(tmp_path):
      "--gamma", "0.5,,0.5"],
     ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
      "--gamma", "0.5,0.5,"],
+    # both landscape flags are checked on every run, --landscape-out or not
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-r", "99"],
+    ["equilibria", "--q", "3", "--s", "2", "--alpha", "2.5", "--beta", "3.5",
+     "--landscape-mesh", "0"],
 ])
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -817,6 +822,12 @@ REGRESSION_COMMANDS = {
         ["concentration", "--q", "3", "--sizes", "40,40", "--alpha", "0.05", "--beta", "0.1",
          "--sweeps", "200", "--constants", "measured", "--out", "tails.csv"],
         check_measured_sigma3_below_asymptotic),
+    # phase-diagram allocates vectors of q colors, and s enters only as log
+    # s: a count-matrix cap on s x q refused this with exit 3
+    "phase-diagram-many-blocks": (
+        ["phase-diagram", "--q", "3", "--s", "400000", "--g-min", "2.0", "--g-max", "3.5",
+         "--out", "phases_many_blocks.csv"],
+        None),
 }
 
 README_COMMANDS = _readme_commands()
@@ -833,6 +844,8 @@ def test_command_runs_and_writes_what_it_should(argv, check, tmp_path):
     assert {a[0] for a in README_COMMANDS} == set(README_CHECKS)
     proc = python_m_blockpotts(argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    # a numpy warning or a stray print fails the command too
+    assert (proc.stdout, proc.stderr) == ("", "")
     out = tmp_path / argv[argv.index("--out") + 1]
     manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
     assert manifest["command"] == argv[0]

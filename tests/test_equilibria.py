@@ -9,6 +9,7 @@ import pytest
 
 from blockpotts import equilibria
 from blockpotts import (
+    CapacityError,
     InvalidInputError,
     ModelParams,
     NonConvergenceError,
@@ -127,6 +128,14 @@ def test_fixed_point_nondecreasing_above_zeta():
 def test_fixed_point_huge_g_is_one_below_one():
     # b * b overflows at g q > 1e154, where u is 1 to the last bit
     assert potts_fixed_point_u(1e200, 3) == np.nextafter(1.0, 0.0)
+
+
+def test_fixed_point_refuses_q_past_1e150():
+    # at q = 6e153 and g = 400, b * b overflows although u_c lies above 1/2,
+    # so the u_c < 1/2 shortcut returned 0 for a root next to 1
+    assert potts_fixed_point_u(400.0, 1e150) == np.nextafter(1.0, 0.0)
+    with pytest.raises(CapacityError, match=r"q <= 1e150, got q="):
+        potts_fixed_point_u(400.0, 6e153)
 
 
 def _spinodal(q):
@@ -645,23 +654,24 @@ def test_each_search_bisects_u_and_builds_the_closed_form_once(params, monkeypat
                          ids=["uniform", "nonuniform", "uniform-flat", "nonuniform-flat"])
 def test_report_diagnostics(params):
     report = maximize_G(params, options=FAST)
+    diag = report.diagnostics
     q = params.q
-    assert report.restarts == q * FAST.restarts
-    assert 1 <= report.max_ascent_iterations <= equilibria.MAX_ITER
-    assert report.max_ascent_iterations <= report.ascent_iterations
-    assert report.ascent_iterations <= report.restarts * report.max_ascent_iterations
-    assert 0 <= report.restarts_converged <= report.restarts
-    assert 0 <= report.newton_failures <= (q - 1) * FAST.restarts
+    assert diag["restarts"] == q * FAST.restarts
+    assert 1 <= diag["max_ascent_iterations"] <= equilibria.MAX_ITER
+    assert diag["max_ascent_iterations"] <= diag["ascent_iterations"]
+    assert diag["ascent_iterations"] <= diag["restarts"] * diag["max_ascent_iterations"]
+    assert 0 <= diag["restarts_converged"] <= diag["restarts"]
+    assert 0 <= diag["newton_failures"] <= (q - 1) * FAST.restarts
     # the restarts' best value, recomputed from the per-restart endpoints
     r_rows, x, fx, iterations, converged, handed, in_basin = equilibria._multistart(
         params, params.gamma_array, FAST, basin_nus(params))
     probe = max(fx.max(), free_energy_G(np.tile(params.gamma_array[:, None] / q, (1, q)), params))
-    assert -equilibria.MARGIN <= report.certificate_margin <= report.sup_G - probe + 1e-12
-    assert report.ascent_iterations == iterations.sum()
-    assert report.max_ascent_iterations == iterations.max()
-    assert report.restarts_converged == converged.sum()
-    assert report.newton_handoffs == handed.sum()
-    assert report.basin_stops == in_basin.sum()
+    assert -equilibria.MARGIN <= diag["certificate_margin"] <= report.sup_G - probe + 1e-12
+    assert diag["ascent_iterations"] == iterations.sum()
+    assert diag["max_ascent_iterations"] == iterations.max()
+    assert diag["restarts_converged"] == converged.sum()
+    assert diag["newton_handoffs"] == handed.sum()
+    assert diag["basin_stops"] == in_basin.sum()
     assert not handed[r_rows.size:].any()
     assert not (handed & ~converged).any()
     assert not (handed & in_basin).any()
@@ -669,7 +679,7 @@ def test_report_diagnostics(params):
     # basin stops happen exactly where some centre has a ball, and end on
     # that centre itself: the flat point or a closed-form nu^i
     centres, radii = basin_table(params)
-    assert (report.basin_stops > 0) == (radii.max() > 0)
+    assert (diag["basin_stops"] > 0) == (radii.max() > 0)
     assert all(any(np.array_equal(m, c) for c in centres[radii > 0]) for m in x[in_basin])
 
 
@@ -688,7 +698,7 @@ def test_two_column_restarts_stop_before_max_iter(params, seed):
     assert iterations.max() < equilibria.MAX_ITER
     assert converged.all()
     report = maximize_G(params, options=opts)
-    best_ascent = report.sup_G - report.certificate_margin
+    best_ascent = report.sup_G - report.diagnostics["certificate_margin"]
     if params.uniform_gamma:
         Q, nus = equilibrium_matrices(params.effective_coupling, params)
         closed = max(free_energy_G(m, params) for m in [Q, *nus])
@@ -881,7 +891,7 @@ def test_strongly_unequal_proportions_have_one_predominant_color():
     report = maximize_G(STRONG_UNEQUAL)
     assert report.phase is Phase.SUPERCRITICAL
     assert abs(report.sup_G - 5.35855868519141) <= 4 * math.ulp(5.35855868519141)
-    assert report.certificate_margin >= -equilibria.MARGIN
+    assert report.diagnostics["certificate_margin"] >= -equilibria.MARGIN
     assert len(report.maximizers) == 6
     # within the stop's bound, 1.5e-13 at the largest log ratio 10.55
     log_m = np.log(report.maximizers[0])
@@ -912,7 +922,7 @@ def test_strongly_coupled_nonuniform_maximizers_are_polished_roots(params):
     # most of these exited 4 while the polish ran in mu_plus (module
     # docstring); every maximizer is now a root within the stop's ulp bound
     report = maximize_G(params, options=FAST)
-    assert report.certificate_margin >= -equilibria.MARGIN
+    assert report.diagnostics["certificate_margin"] >= -equilibria.MARGIN
     eps = np.finfo(np.float64).eps
     for m in report.maximizers:
         log_m = np.log(m)
@@ -932,8 +942,8 @@ def test_underflowed_two_column_ends_report_one_predominant_color():
     assert report.phase is Phase.SUPERCRITICAL
     assert len(report.maximizers) == 4
     assert all(np.argmax(m[0]) == np.argmax(m[1]) for m in report.maximizers)
-    assert report.certificate_margin >= -equilibria.MARGIN
-    assert report.newton_failures == 0
+    assert report.diagnostics["certificate_margin"] >= -equilibria.MARGIN
+    assert report.diagnostics["newton_failures"] == 0
     assert report.residual_max == math.inf
     assert abs(report.sup_G - 491.32508297339143) <= 4 * math.ulp(491.32508297339143)
 
@@ -971,8 +981,8 @@ def test_strong_coupling_sweep_reports_every_model():
         except Exception as exc:  # collect every failure, not only the first
             failures.append((params, repr(exc)))
             continue
-        if report.certificate_margin < -equilibria.MARGIN:
-            failures.append((params, report.certificate_margin))
+        if report.diagnostics["certificate_margin"] < -equilibria.MARGIN:
+            failures.append((params, report.diagnostics["certificate_margin"]))
     assert failures == []
 
 
@@ -983,8 +993,6 @@ def test_reports_equal_the_pinned_literals(key):
     # restarts, seed 0) and of AC5 (16 restarts, seed 5), compared with ==
     restarts, seed, index = key
     report = maximize_G(AC5_SET[index], options=SearchOptions(restarts=restarts, seed=seed))
-    want = REPORTS[key]
-    got = {field: getattr(report, field) for field in want}
-    got["phase"] = report.phase.value
-    got["maximizers"] = [m.tolist() for m in report.maximizers]
-    assert got == want
+    got = {"phase": report.phase.value, "sup_G": report.sup_G,
+           "maximizers": [m.tolist() for m in report.maximizers], **report.diagnostics}
+    assert got == REPORTS[key]

@@ -39,8 +39,8 @@ from blockpotts import (
     verify_lsi_suite,
 )
 from blockpotts import lsi
-from blockpotts.exact import site_view
-from blockpotts.lsi import _recoloring_tv, _structured_battery, _swap_halves, exp_moments
+from blockpotts.exact import _swap_halves, site_view
+from blockpotts.lsi import _recoloring_tv, _structured_battery, exp_moments
 from blockpotts.numutil import CHUNK_BYTES, LEAF
 
 import oracles

@@ -252,6 +252,17 @@ def test_non_integer_block_sizes_are_refused(sizes, shown):
         BlockStructure(sizes=sizes)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BlockStructure(sizes=(True, 2)),
+    lambda: BlockStructure(sizes=np.array([True, True])),
+    lambda: ModelParams(q=3, s=True, alpha=0.0, beta=1.0, gamma=(1.0,)),
+], ids=["sizes", "numpy-sizes", "s"])
+def test_bools_are_not_whole_numbers(build):
+    # True == 1, but a bool is no block size, s or q
+    with pytest.raises(InvalidInputError, match="got True$"):
+        build()
+
+
 def test_integral_float_block_sizes_are_accepted():
     for sizes in ((3.0, 2), np.array([3.0, 2.0]), np.array([3, 2], dtype=np.int16)):
         blocks = BlockStructure(sizes=sizes)
