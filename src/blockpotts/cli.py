@@ -113,12 +113,15 @@ class _Parser(argparse.ArgumentParser):
         """The --config file's values as '--flag=text' arguments.  A key must
         be an option of this subcommand; a string is the text typed after
         the flag, and a number is accepted only by a numeric option that it
-        converts to exactly (2.9 is not an int)."""
+        converts to exactly (2.9 is not an int).  A string may hold no NUL,
+        which no argv can carry and no path may hold."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except ValueError as exc:
                 self.error(f"--config file is not valid JSON: {exc}")
+            except RecursionError:
+                self.error("--config file nests too deeply to parse")
         if not isinstance(doc, dict):
             self.error("--config file must hold a JSON object")
         options = {action.dest: action for action in self._actions
@@ -136,7 +139,7 @@ class _Parser(argparse.ArgumentParser):
                     converted = None
                 if converted == value:
                     text = str(converted)
-            if text is None:
+            if text is None or "\0" in text:
                 self.error(f"--config value {value!r} is not valid for "
                            f"{action.option_strings[0]}")
             argv.append(f"{action.option_strings[0]}={text}")

@@ -212,11 +212,16 @@ def equilibrium_matrices(g, params):
     non-uniform gamma, where no closed form is available.  The small
     entries are e^{-gu} times the large one: past g u = 708 they are
     subnormal and lose digits, and past about 745 they underflow to 0, the
-    nearest float to their true value.
+    nearest float to their true value.  More than MAX_SEARCH_ENTRIES
+    entries in the q matrices are refused with CapacityError before any
+    is built.
     """
     if not params.uniform_gamma:
         raise InvalidInputError("closed-form equilibria require uniform block proportions")
-    return _closed_form(g, potts_fixed_point_u(g, params.q), params)
+    q, s = params.q, params.s
+    check_cap(q * s * q, MAX_SEARCH_ENTRIES, f"{q} closed-form matrices of {s} x {q}",
+              "entries")
+    return _closed_form(g, potts_fixed_point_u(g, q), params)
 
 
 def _closed_form(g, u, params):

@@ -27,20 +27,20 @@ The count-matrix law (exact_distribution) takes the product of blocks
 one (for s = 1, the block against one zero row).  Its log multinomial is a
 sum of per-block terms; each side's runs left to right, so the two sides
 add to the bits of one left-to-right sum.  The law holds the per-block
-composition tables: the (P, s, q) int16 support, their product, is built
-only when its `support` attribute is first read (blocks of 2^15 sites or
-more are refused), and the support size is checked against the cap before
-anything is enumerated.
+composition tables, and builds from them on first read its log weights
+(a second build gives the same bits) and its (P, s, q) int16 support, their
+product (blocks of 2^15 sites or more are refused).  The support size is
+checked against the cap before anything is enumerated.
 
 The q^N configuration law (full_configuration_distribution), for tiny N,
 takes the high half of the sites as the outer table and the low half as
 the inner one, so the grid's flat index is the configuration code
-sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  Its weights
-are normalized in place and only the probabilities are kept, so its peak
-memory is that output, 8 bytes per configuration, plus the weights' slabs.
-This module owns that layout: code_colors, site_view, _low_half, _swap_halves.
+sum_i x_i q^i and no table has more than q^ceil(N/2) rows.  This module
+owns that layout: code_colors, site_view, _low_half, _swap_halves.
 
-Everything is normalized in log space, by one exp pass.  This module is
+Both laws keep only log_Z and their probabilities.  The weights are
+normalized in place in log space, by one exp pass, so a law's peak memory
+is that output, 8 bytes per point, plus the weights' slabs.  This module is
 the brute-force oracle for the sampler, the rate functions and the
 log-Sobolev checks; the two routes can be cross-checked against each
 other.
@@ -133,20 +133,24 @@ class ExactDistribution:
     product grid (P_0, .., P_{s-1}), flattened with block 0 outermost:
     point i is the count matrix whose row k is compositions[k][i_k] for the
     grid index (i_0, .., i_{s-1}) of i, and
-    probabilities[i] = exp(log_weights[i] - log_Z).  support, the (P, s, q)
-    int16 array of those count matrices, is built on its first read and
-    kept.
+    probabilities[i] = exp(log_weights[i] - log_Z).  Like the q^N law it
+    keeps only log_Z and its probabilities: log_weights and support, the
+    (P, s, q) int16 array of those count matrices, are built from the
+    tables on their first read and kept.
     """
 
     compositions: tuple
-    log_weights: np.ndarray
     log_Z: float
     probabilities: np.ndarray
     params: "ModelParams"
     blocks: "BlockStructure"
 
     def __len__(self):
-        return math.prod(c.shape[0] for c in self.compositions)
+        return len(self.probabilities)
+
+    @functools.cached_property
+    def log_weights(self):
+        return _count_log_weights(self.compositions, self.blocks, self.params)
 
     @functools.cached_property
     def support(self):
@@ -168,26 +172,27 @@ def exact_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     those of interaction_form on the materialised support, bit for bit.
     """
     check_consistent(params, blocks)
-    comps = block_compositions(blocks.sizes, params.q, cap)
+    comps = tuple(block_compositions(blocks.sizes, params.q, cap))
+    log_Z, probabilities = _normalize(_count_log_weights(comps, blocks, params), params)
+    return ExactDistribution(compositions=comps, log_Z=log_Z, probabilities=probabilities,
+                             params=params, blocks=blocks)
+
+
+def _count_log_weights(comps, blocks, params):
+    """The count-matrix law's log weights on the product grid of the
+    composition tables comps, by the two-table grid of the module
+    docstring.  Every sum is an exact integer or a fixed left-to-right
+    fold, so a second build gives the same bits."""
     log_fact = log_factorials(max(blocks.sizes))
     log_mult = [log_fact[n] - log_fact[c].sum(axis=1) for n, c in zip(blocks.sizes, comps)]
     split = max(len(comps) - 1, 1)
-    zero = [np.zeros((1, params.q), dtype=np.int64)]
+    zero = (np.zeros((1, params.q), dtype=np.int64),)
     outer = _product_table(comps[:split] + zero * (len(comps) - split))
     inner = _product_table(zero * split + comps[split:])
     # (lm_0 + .. + lm_{s-2}) + lm_{s-1}: the bits of one left-to-right fold
     sides = [functools.reduce(np.add.outer, log_mult[:split]).ravel(),
              functools.reduce(np.add.outer, log_mult[split:], np.zeros(1)).ravel()]
-    log_weights = _grid_log_weights(outer, inner, sides, params, blocks.N)
-    log_Z, probabilities = _normalize(log_weights, params)
-    return ExactDistribution(
-        compositions=tuple(comps),
-        log_weights=log_weights,
-        log_Z=log_Z,
-        probabilities=probabilities,
-        params=params,
-        blocks=blocks,
-    )
+    return _grid_log_weights(outer, inner, sides, params, blocks.N)
 
 
 def _grid_log_weights(outer, inner, log_mult, params, N):
@@ -233,9 +238,9 @@ def _grid_log_weights(outer, inner, log_mult, params, N):
     return log_weights.ravel()
 
 
-def _normalize(log_weights, params, out=None):
-    """(log_Z, probabilities) of log_weights by one exp pass, written into
-    out (a new array by default), which may be log_weights itself.
+def _normalize(log_weights, params):
+    """(log_Z, probabilities) of log_weights by one exp pass, written over
+    log_weights: the probabilities are that array.
 
     exp(log_weights - m), m the largest log weight, is summed by numpy's
     pairwise np.add.reduce (within (log2 P + 26) 2^-53 relative of the exact
@@ -248,11 +253,11 @@ def _normalize(log_weights, params, out=None):
         raise InvalidInputError(
             f"log_Z is {m}: alpha={params.alpha}, beta={params.beta} "
             "overflow the Gibbs weights")
-    probabilities = np.subtract(log_weights, m, out=out)
-    np.exp(probabilities, out=probabilities)
-    total = np.add.reduce(probabilities)
-    probabilities /= total
-    return m + math.log(total), probabilities
+    log_weights -= m
+    np.exp(log_weights, out=log_weights)
+    total = np.add.reduce(log_weights)
+    log_weights /= total
+    return m + math.log(total), log_weights
 
 
 @dataclass(frozen=True)
@@ -330,8 +335,7 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     check_cap(required, cap, "full enumeration", "configurations")
     sites, h = blocks.site_blocks, _low_half(N)
     halves = [_site_table(half, blocks.s, q) for half in (sites[h:], sites[:h])]
-    weights = _grid_log_weights(*halves, None, params, N)
-    log_Z, probabilities = _normalize(weights, params, out=weights)
+    log_Z, probabilities = _normalize(_grid_log_weights(*halves, None, params, N), params)
     return ConfigurationDistribution(log_Z=log_Z, probabilities=probabilities, params=params,
                                      blocks=blocks)
 

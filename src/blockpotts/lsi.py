@@ -421,10 +421,9 @@ def entropy_functional(f, dist):
 
 @dataclass(frozen=True)
 class LsiSuiteReport:
-    """Outcome of the exhaustive three-inequality verification."""
+    """Outcome of the exhaustive three-inequality verification; gamma1 and
+    gamma2 are those of constants."""
 
-    gamma1: float
-    gamma2: float
     inf_norm: float
     two_norm: float
     constants: LsiConstants
@@ -432,6 +431,14 @@ class LsiSuiteReport:
     worst_slack: dict
     worst_ratio: dict
     violations: int
+
+    @property
+    def gamma1(self):
+        return self.constants.gamma1
+
+    @property
+    def gamma2(self):
+        return self.constants.gamma2
 
 
 def _structured_battery(dist, rng):
@@ -537,8 +544,6 @@ def verify_lsi_suite(blocks, params, num_f=100, seed=0, amplitude=1.0):
                 tol = FP_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
                 violations += int(np.count_nonzero(~(lhs <= rhs + tol)))
     return LsiSuiteReport(
-        gamma1=constants.gamma1,
-        gamma2=constants.gamma2,
         inf_norm=inf_norm,
         two_norm=two_norm,
         constants=constants,

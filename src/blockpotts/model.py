@@ -17,6 +17,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -179,12 +180,19 @@ def check_count(name, value, low):
         raise InvalidInputError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_cap_value(cap):
+    """Refuse a cap that is no real number >= 1: NaN, which compares False
+    with everything, would turn every bound off."""
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Real) or not cap >= 1:
+        raise InvalidInputError(f"cap must be a number >= 1, got {cap!r}")
+
+
 def check_cap(required, cap, what, unit):
-    """Raise InvalidInputError for a cap below 1, CapacityError for required
-    above it.  A count of more than SHOWN_DIGITS digits, exact or the lower
-    bound of capped_count, is named only as such."""
-    if cap < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {cap}")
+    """Raise InvalidInputError for a cap that is no number >= 1,
+    CapacityError for required above it.  A count of more than
+    SHOWN_DIGITS digits, exact or the lower bound of capped_count, is named
+    only as such."""
+    _check_cap_value(cap)
     if required > cap:
         raise CapacityError(f"{what} needs {shown_count(required)} {unit}, cap is {cap}",
                             required=required)
@@ -202,7 +210,9 @@ def capped_count(binomials, cap):
     """prod C(m, k) over the (m, k) pairs, or, once the product passes
     max(cap, 10^SHOWN_DIGITS), the partial product that passed it.  C(m, k)
     is built as C(m - k + i, i) for i = 1..k, k <= m - k, so each step at
-    least doubles the product and any count takes a few thousand at most."""
+    least doubles the product and any count takes a few thousand at most.
+    A cap that check_cap would refuse is refused before anything is counted."""
+    _check_cap_value(cap)
     bound, total = max(cap, 10**SHOWN_DIGITS), 1
     for m, k in binomials:
         k, part = min(k, m - k), 1

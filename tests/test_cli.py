@@ -692,11 +692,17 @@ def test_config_non_string_path_is_usage_error(key, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+# an entry is merged into a valid config; a string is the whole file: an
+# array nested past the parser's recursion limit
 @pytest.mark.parametrize("entry", [{"sweps": 3}, {"sweeps": 2.9}, {"q": "x"}, {"seed": True},
-                                   {"config": "other.json"}, {"sizes": [2, 2]}])
+                                   {"config": "other.json"}, {"sizes": [2, 2]},
+                                   pytest.param({"out_dir": "a\u0000b"}, id="nul-in-path"),
+                                   pytest.param('{"q": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                                                id="array-nested-100000-deep")])
 def test_bad_config_is_one_line_usage_error(entry, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": 3, "sizes": "2,2", "alpha": 0.2, "beta": 0.8, **entry}))
+    cfg.write_text(entry if isinstance(entry, str) else
+                   json.dumps({"q": 3, "sizes": "2,2", "alpha": 0.2, "beta": 0.8, **entry}))
     out = tmp_path / "out.csv"
     rc = run(["simulate", "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err

@@ -179,7 +179,8 @@ def test_normalize_is_within_the_pairwise_bound_of_fsum(n, spread, seed):
     probability adds one rounding of its division."""
     x = log_weights_near_one(n, spread, seed)
     params = ModelParams(q=3, s=1, alpha=0.0, beta=0.0, gamma=(1.0,))
-    log_Z, probabilities = _normalize(x, params)
+    # _normalize writes over its input; x is read below
+    log_Z, probabilities = _normalize(x.copy(), params)
     m = float(np.max(x))
     terms = np.exp(x - m)
     exact = math.fsum(terms.tolist())

@@ -236,6 +236,17 @@ def test_equilibrium_matrices_rejects_nonuniform_gamma():
         equilibrium_matrices(1.0, p)
 
 
+def test_equilibrium_matrices_refuses_more_entries_than_the_search_cap(monkeypatch):
+    # q matrices of s x q: 18 entries at q=3, s=2
+    p = uniform_params(3, 2, 2.5)
+    monkeypatch.setattr(equilibria, "MAX_SEARCH_ENTRIES", 18)
+    assert len(equilibrium_matrices(2.5, p)[1]) == 3
+    monkeypatch.setattr(equilibria, "MAX_SEARCH_ENTRIES", 17)
+    with pytest.raises(CapacityError, match="needs 18 entries, cap is 17") as err:
+        equilibrium_matrices(2.5, p)
+    assert err.value.required == 18
+
+
 def test_critical_residual_zero_at_flat_point():
     p = uniform_params(3, 2, 2.5)
     res = critical_residual(np.full((2, 3), 1 / 6), p)

@@ -1,5 +1,6 @@
 """Exact partition function, count-matrix law, conditionals, and marginals."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -170,6 +171,16 @@ def test_capacity_checked_before_enumeration():
         exact_distribution(b, p, cap=10)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), 0.5, True, "5", None])
+@pytest.mark.parametrize("route", [exact_distribution, full_configuration_distribution,
+                                   interdependence_matrix_exact])
+def test_cap_that_is_no_number_at_least_one_is_refused(route, cap):
+    # NaN compares False with every count, so a NaN cap would admit any law
+    p, b = make(3, (4, 4), 0.2, 0.5)
+    with pytest.raises(InvalidInputError, match="cap must be a number >= 1"):
+        route(b, p, cap=cap)
+
+
 def test_block_size_beyond_int16_is_capacity_error():
     # q=2 keeps the support small, so only the int16 count limit can refuse it
     assert count_matrix_support((2**15 - 1,), 2, cap=10**6).dtype == np.int16
@@ -194,9 +205,34 @@ def test_exact_peak_memory_per_support_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the outputs take 8 + 8 bytes per point, and the slabs less than 4
-    # more at this P
+    # the probabilities take 8 bytes per point, and the slabs and the
+    # tables less than 3 more at this P
     assert peak / len(dist) <= 20
+
+
+def test_exact_law_peak_is_its_probabilities():
+    # the weights are normalized in place, so the probabilities' 8 bytes
+    # per point are the only P-sized array; the slabs and the tables add
+    # about half a byte per point at P = 3 575 881
+    p, b = make(3, (60, 60), 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        dist = exact_distribution(b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(dist) <= 10
+
+
+def test_law_keeps_log_Z_and_probabilities_and_builds_log_weights_on_read():
+    p, b = make(3, (3, 1, 2), 0.4, 1.1)
+    dist = exact_distribution(b, p)
+    assert [f.name for f in dataclasses.fields(dist)] == [
+        "compositions", "log_Z", "probabilities", "params", "blocks"]
+    assert "log_weights" not in vars(dist)
+    log_weights = dist.log_weights
+    assert dist.log_weights is log_weights
+    assert np.allclose(np.exp(log_weights - dist.log_Z), dist.probabilities, rtol=1e-14, atol=0)
 
 
 def test_law_holds_composition_tables_and_builds_support_on_read():

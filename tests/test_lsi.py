@@ -774,7 +774,8 @@ def test_suite_matches_pinned_report(sizes):
 
 # The pinned suites' worst values, entropy_functional's batch and row
 # values, and the log_Z and a digest of the probability bytes of both exact
-# laws, whose BLAS sums are exact integers, as hex floats in `bits`.
+# laws and of the count-matrix law's log weights, whose BLAS sums are exact
+# integers, as hex floats in `bits`.
 # OpenBLAS picks its kernel from OPENBLAS_CORETYPE when numpy loads, so
 # each kernel runs it in a subprocess.
 KERNEL_PROBE = """
@@ -797,10 +798,12 @@ two_by_two = full_configuration_distribution(BlockStructure(sizes=(2, 2)), param
 for name, rows, dist in (("basics", basics, one_site), ("drawn", drawn, two_by_two)):
     batch = entropy_functional(rows, dist).tolist()
     bits[name] = [v.hex() for v in batch + [entropy_functional(row, dist) for row in rows]]
-for name, law in (("exact", exact_distribution(BlockStructure(sizes=(20, 20)), params)),
+count_law = exact_distribution(BlockStructure(sizes=(20, 20)), params)
+for name, law in (("exact", count_law),
                   ("configurations",
                    full_configuration_distribution(BlockStructure(sizes=(4, 4)), params))):
     bits[name] = [law.log_Z.hex(), hashlib.sha256(law.probabilities.tobytes()).hexdigest()]
+bits["exact"].append(hashlib.sha256(count_law.log_weights.tobytes()).hexdigest())
 """
 
 

@@ -313,3 +313,9 @@ def test_capped_count_is_exact_up_to_its_bound(pairs):
         assert got == exact if exact <= bound else bound < got <= exact
     else:
         assert got > bound
+
+
+def test_capped_count_refuses_a_nan_cap_before_counting():
+    # with a NaN bound no partial product passes it, so 3^30000 would be built
+    with pytest.raises(InvalidInputError, match="cap must be a number >= 1, got nan"):
+        capped_count([(3, 1)] * 30000, cap=float("nan"))
