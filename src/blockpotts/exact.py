@@ -331,7 +331,9 @@ def full_configuration_distribution(blocks, params, cap=DEFAULT_SUPPORT_CAP):
     """
     check_consistent(params, blocks)
     q, N = params.q, blocks.N
-    required = capped_count(itertools.repeat((q, 1), N), cap)
+    # one factor q per site, drawn lazily: capped_count stops once the
+    # product passes its bound, so an N past 2^63 is refused like any other
+    required = capped_count(((q, 1) for _ in range(N)), cap)
     check_cap(required, cap, "full enumeration", "configurations")
     sites, h = blocks.site_blocks, _low_half(N)
     halves = [_site_table(half, blocks.s, q) for half in (sites[h:], sites[:h])]

@@ -50,7 +50,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import check_consistent, check_count, count_matrix, validate_config
+from .model import check_cap, check_consistent, check_count, count_matrix, validate_config
 
 # Updates drawn per RNG chunk: large enough that the two numpy calls per
 # chunk cost little next to its updates, small enough that the drawn
@@ -63,6 +63,11 @@ MAX_BETA = 1400.0
 
 # Largest q whose sweep function unrolls the color loop (see _sweeps).
 UNROLL_MAX_Q = 64
+
+# Most sites a chain may have: run_chain holds about 180 bytes per site (its
+# weight tables and plain-python mirrors of the state), so 10^7 sites take
+# about 1.8 GB.
+MAX_SITES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,13 @@ def _weight_tables(blocks, params):
 
 
 def check_run_options(blocks, params, sweeps, thin, burn_in):
-    """Reject what run_chain cannot run; returns burn_in, default sweeps // 10."""
+    """Reject what run_chain cannot run; returns burn_in, default sweeps // 10.
+
+    A system of more than MAX_SITES sites is refused with a CapacityError
+    before any table is built.
+    """
     check_consistent(params, blocks)
+    check_cap(blocks.N, MAX_SITES, "the heat-bath chain", "sites")
     if params.beta > MAX_BETA:
         raise InvalidInputError(
             f"beta must be <= {MAX_BETA} for the heat-bath weight tables, got {params.beta}"

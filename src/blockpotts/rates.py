@@ -134,7 +134,7 @@ def potts_functional(v, g):
     if clean is None:
         raise InvalidInputError(f"v is not a probability vector: {v}")
     v = clean[0]
-    return float(0.5 * g * float(np.dot(v, v)) - np.add.reduce(_xlogx(v)))
+    return float(0.5 * g * float(np.einsum("...c,...c->...", v, v)) - np.add.reduce(_xlogx(v)))
 
 
 @dataclass(frozen=True)

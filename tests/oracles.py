@@ -903,9 +903,9 @@ def interaction_form_by_issubdtype(mu, params):
     """<mu, A mu> batched over leading axes, integer input summed in int64."""
     mu = np.asarray(mu)
     acc = np.int64 if np.issubdtype(mu.dtype, np.integer) else None
-    col = np.einsum("...kc->...c", mu, dtype=acc)[..., None, :]
+    col = np.einsum("...kc->...c", mu, dtype=acc)
     squares = np.square(mu, dtype=acc).sum(axis=(-2, -1))
-    col_sq = (col @ np.swapaxes(col, -1, -2))[..., 0, 0]
+    col_sq = np.einsum("...c,...c->...", col, col)
     return form_from_sums(squares, col_sq, params)
 
 

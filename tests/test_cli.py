@@ -641,10 +641,18 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
      "--sweeps", "1"],
     ["concentration", "--q", "5000000000", "--sizes", "2,2", "--alpha", "0", "--beta", "0",
      "--sweeps", "1"],
+    # heat-bath chains past glauber.MAX_SITES, and q^N with N past 2^63
+    ["simulate", "--q", "3", "--sizes", "10000001", "--alpha", "0.1", "--beta", "0.2",
+     "--sweeps", "1"],
+    ["concentration", "--q", "3", "--sizes", "10000001", "--alpha", "0.1", "--beta", "0.2",
+     "--sweeps", "1"],
+    ["lsi-check", "--q", "3", "--sizes", "99999999999999999999", "--alpha", "0.05",
+     "--beta", "0.1"],
 ], ids=["phase-diagram", "concentration", "simulate", "equilibria", "equilibria-many-blocks",
         "equilibria-restarts", "exact-huge-support", "lsi-check-many-digits",
         "lsi-check-huge-power", "lsi-check-huge-q", "lsi-check-num-f", "phase-diagram-many-colors", "simulate-many-colors",
-        "concentration-many-colors"])
+        "concentration-many-colors", "simulate-many-sites", "concentration-many-sites",
+        "lsi-check-past-ssize-t"])
 def test_row_cap_exits_before_writing(argv, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [str(tmp_path / "land.csv") if a == "LANDSCAPE" else a for a in argv]
@@ -880,7 +888,7 @@ def test_readme_constants_match_code():
     owners = {name: equilibria for name in ("MAX_ITER", "HANDOFF_EVERY", "STEP_TOL", "MARGIN",
                                             "CRITICAL_BAND", "RESIDUAL_BOUND", "NEWTON_ULPS")}
     owners.update(MAX_ROWS=cli, MAX_ENTRIES=cli, MAX_BETA=glauber, CHUNK_UPDATES=glauber,
-                  UNROLL_MAX_Q=glauber, DEFAULT_SUPPORT_CAP=exact,
+                  UNROLL_MAX_Q=glauber, MAX_SITES=glauber, DEFAULT_SUPPORT_CAP=exact,
                   MAX_SEARCH_ENTRIES=equilibria, MAX_SUITE_VALUES=lsi)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`?(?:\w+\.)?\b([A-Z][A-Z0-9_]{2,})`?\s*=\s*(\d[\d.e^+-]*\d|\d)", readme)

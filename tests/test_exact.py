@@ -171,6 +171,15 @@ def test_capacity_checked_before_enumeration():
         exact_distribution(b, p, cap=10)
 
 
+def test_full_enumeration_past_the_ssize_t_range_is_capacity_error():
+    # N = 10^20 sites, past the C ssize_t range: refused as any q^N above the cap
+    p, b = make(3, (10**20,), 0.2, 0.5)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="more than 10\\^1000 configurations"):
+        full_configuration_distribution(b, p)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("cap", [float("nan"), 0.5, True, "5", None])
 @pytest.mark.parametrize("route", [exact_distribution, full_configuration_distribution,
                                    interdependence_matrix_exact])

@@ -781,8 +781,11 @@ def test_suite_matches_pinned_report(sizes):
 KERNEL_PROBE = """
 import hashlib
 import numpy as np
-from blockpotts import (BlockStructure, ModelParams, entropy_functional, exact_distribution,
-                        full_configuration_distribution, verify_lsi_suite)
+from blockpotts import (BlockStructure, ModelParams, SearchOptions, entropy_functional,
+                        exact_distribution, full_configuration_distribution, interaction_form,
+                        maximize_G, potts_functional, verify_lsi_suite)
+from pinned_reports import REPORTS
+from test_equilibria import AC5_SET
 params = ModelParams(q=3, s=2, alpha=0.05, beta=0.1, gamma=(0.5, 0.5))
 bits = {}
 for sizes in ((3, 3), (4, 4)):
@@ -804,6 +807,18 @@ for name, law in (("exact", count_law),
                    full_configuration_distribution(BlockStructure(sizes=(4, 4)), params))):
     bits[name] = [law.log_Z.hex(), hashlib.sha256(law.probabilities.tobytes()).hexdigest()]
 bits["exact"].append(hashlib.sha256(count_law.log_weights.tobytes()).hexdigest())
+for restarts, seed, index in sorted(REPORTS):
+    report = maximize_G(AC5_SET[index], options=SearchOptions(restarts=restarts, seed=seed))
+    bits[f"G {restarts} {seed} {index}"] = [
+        report.sup_G.hex(), report.diagnostics["certificate_margin"].hex()]
+rng = np.random.default_rng(6)
+for q in (3, 17, 64, 257):
+    model = ModelParams(q=q, s=2, alpha=0.7, beta=2.3, gamma=(0.5, 0.5))
+    # entries over ten orders of magnitude, so any change of order shows
+    mats = rng.random((3, 2, q)) * 10.0 ** rng.integers(-5, 5, size=(3, 2, q))
+    bits[f"form {q}"] = [v.hex() for v in interaction_form(mats, model).tolist()
+                         + [float(interaction_form(m, model)) for m in mats]]
+    bits[f"potts {q}"] = [potts_functional(v, 2.7).hex() for v in rng.dirichlet(np.ones(q), 3)]
 """
 
 
@@ -813,12 +828,13 @@ def test_suite_and_entropy_bits_do_not_depend_on_the_blas_kernel(kernel):
     exec(KERNEL_PROBE, namespace)
     want = namespace["bits"]
     # a batch row equals its one-row call
-    for name in ("basics", "drawn"):
+    for name in ("basics", "drawn", "form 3", "form 17", "form 64", "form 257"):
         half = len(want[name]) // 2
         assert want[name][:half] == want[name][half:]
-    # the source tree this test imports
+    # the source tree this test imports, and the tests beside this file
     src = str(Path(lsi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel)
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]), OPENBLAS_CORETYPE=kernel)
     script = KERNEL_PROBE + "import json\nprint(json.dumps(bits))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)

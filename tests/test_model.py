@@ -201,6 +201,22 @@ def test_params_validation():
         BlockStructure(sizes=(0, 2))
 
 
+def test_uniform_gamma_of_many_blocks_sums_to_one():
+    # the CLI's default gamma: a left-to-right sum of these reads 1 + 1.03e-12
+    s = 38892
+    assert ModelParams(q=3, s=s, alpha=0.5, beta=1.0, gamma=tuple(1.0 / s for _ in range(s))).s == s
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ((0.5 / 99_999,) * 99_999 + (0.25,), "gamma must sum to 1"),
+    ((1.0 / 99_999,) * 99_999 + (0.0,), "each gamma_k must lie in"),
+])
+def test_gamma_message_names_a_long_gamma_by_its_length(gamma, message):
+    with pytest.raises(InvalidInputError, match=message) as info:
+        ModelParams(q=3, s=len(gamma), alpha=0.5, beta=1.0, gamma=gamma)
+    assert "100000 entries" in str(info.value) and len(str(info.value)) < 300
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
                                    np.float64("nan"), np.float64("inf")])
 @pytest.mark.parametrize("name", ["q", "s"])

@@ -295,7 +295,7 @@ def test_rate_functions_equal_the_wrapper_formulas_bit_for_bit(params):
         else:
             ent = entropy_term_by_sum(v_ref)
             assert relative_entropy(rows[0]) == ent + math.log(q)
-            dot = float(np.dot(v_ref[0], v_ref[0]))
+            dot = float(np.einsum("...c,...c->...", v_ref[0], v_ref[0]))
             assert potts_functional(rows[0], 2.7) == 0.5 * 2.7 * dot - ent
     assert len(cleaned) >= 40
     batch = np.stack(cleaned)
@@ -316,10 +316,11 @@ def test_interaction_form_equals_the_issubdtype_form(dtype):
 @pytest.mark.parametrize("s", [1, 2, 5, 12])
 @pytest.mark.parametrize("q", [3, 17, 64, 257])
 def test_one_matrix_form_equals_its_row_of_a_batch(q, s, dtype):
-    # one matrix takes add.reduce and col @ col, a batch einsum and the
-    # stacked matmul: the same bits, and those of the issubdtype form; a
-    # Fortran-ordered matrix too, whose contiguous axis would otherwise be
-    # summed out of row order once s reaches numpy's pairwise blocks
+    # one matrix takes add.reduce for its column sums, a batch einsum, and
+    # both the same einsum for |colsum|^2: the same bits, and those of the
+    # issubdtype form; a Fortran-ordered matrix too, whose contiguous axis
+    # would otherwise be summed out of row order once s reaches numpy's
+    # pairwise blocks
     rng = np.random.default_rng(1000 * q + s)
     params = ModelParams(q=q, s=s, alpha=0.7, beta=2.3, gamma=tuple(np.full(s, 1.0 / s)))
     if dtype is np.float64:
